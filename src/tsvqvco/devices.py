@@ -204,45 +204,50 @@ DEFAULT_DOT_SIGNS = ((1, 1, -1),
                      (-1, -1, 1))
 
 
+def check_coupled_set(n: int, matrix, series_r) -> None:
+    """Validate an n-winding coupled set: a symmetric, positive definite
+    n x n inductance matrix over at least two windings, and one
+    non-negative series resistance per winding."""
+    if n < 2:
+        raise InvalidModelError("coupled set needs at least two windings")
+    try:
+        m = np.asarray(matrix, dtype=float)
+    except ValueError:  # ragged rows
+        m = None
+    if m is None or m.shape != (n, n):
+        raise InvalidModelError(
+            f"coupled set with {n} windings needs a {n}x{n} matrix")
+    scale = float(np.abs(np.diag(m)).max())
+    if np.abs(m - m.T).max() > 1e-12 * scale:
+        raise InvalidModelError("inductance matrix must be symmetric")
+    if float(np.linalg.eigvalsh(m).min()) <= 0.0:
+        raise InvalidModelError(
+            "inductance matrix is not positive definite (over-coupled)")
+    if len(series_r) != n or any(r < 0 for r in series_r):
+        raise InvalidModelError(
+            "coupled set needs one non-negative series R per winding")
+
+
 @dataclass(frozen=True)
 class CoupledInductorSet:
     """Signed 3x3 inductance matrix plus per-coil series resistance."""
 
     matrix: tuple[tuple[float, float, float], ...]
     series_r: tuple[float, float, float]
-    dot_signs: tuple[tuple[int, int, int], ...] = DEFAULT_DOT_SIGNS
 
     def validate(self) -> None:
-        m = self.matrix
-        if len(m) != 3 or any(len(row) != 3 for row in m):
-            raise InvalidModelError("coupled set needs a 3x3 matrix")
-        scale = max(abs(m[i][i]) for i in range(3))
-        for i in range(3):
-            for j in range(3):
-                if abs(m[i][j] - m[j][i]) > 1e-12 * scale:
-                    raise InvalidModelError("inductance matrix must be symmetric")
-        if any(m[i][i] <= 0 for i in range(3)):
-            raise InvalidModelError("self inductances must be positive")
-        if any(r < 0 for r in self.series_r):
-            raise InvalidModelError("series resistances must be non-negative")
-        if float(np.linalg.eigvalsh(np.array(m)).min()) <= 0:
-            raise InvalidModelError(
-                "inductance matrix is not positive definite (over-coupled)")
+        check_coupled_set(3, self.matrix, self.series_r)
 
 
 def coupled_inductor_matrix(x: TransformerModel,
                             dot_signs=DEFAULT_DOT_SIGNS) -> CoupledInductorSet:
-    """Signed coupled-inductor stamp for one extracted transformer."""
+    """Signed coupled-inductor stamp for one extracted transformer: the
+    model's inductance matrix with each entry multiplied by its dot sign."""
     x.validate()
-    l = (x.l_p, x.l_s1, x.l_s2)
-    k = ((1.0, x.k_ps1, x.k_ps2),
-         (x.k_ps1, 1.0, x.k_ss),
-         (x.k_ps2, x.k_ss, 1.0))
     matrix = tuple(
-        tuple(dot_signs[i][j] * k[i][j] * math.sqrt(l[i] * l[j]) for j in range(3))
-        for i in range(3))
-    series = (x.r_pac, x.r_sac, x.r_sac)
-    out = CoupledInductorSet(matrix=matrix, series_r=series, dot_signs=dot_signs)
+        tuple(dot_signs[i][j] * m_ij for j, m_ij in enumerate(row))
+        for i, row in enumerate(x.inductance_matrix()))
+    out = CoupledInductorSet(matrix=matrix, series_r=(x.r_pac, x.r_sac, x.r_sac))
     out.validate()
     return out
 

@@ -4,26 +4,35 @@ Unknown ordering is node voltages (registration order) followed by branch
 currents (element order); branches exist for inductors, coupled-set
 windings and voltage sources.  The linear stamps are assembled once per
 run; per step only the right-hand side moves, and only transistor and
-varactor stamps are re-evaluated inside the Newton loop.  Circuits with
-no nonlinear elements skip Newton entirely and reuse one LU
-factorization for every step.
+varactor stamps are re-evaluated inside the Newton loop.  Transistors are
+evaluated one by one through devices.mos_current and mos_small_signal,
+so the engine has no device equations of its own.  Circuits with no
+nonlinear elements skip Newton entirely and reuse one LU factorization
+for every step.
 
 The first step is backward Euler: it needs no capacitor-current history,
 so a discontinuous turn-on (step sources, charged capacitors) does not
 poison the trapezoidal rule with an inconsistent initial derivative.
-Every later step is trapezoidal.
+Every later step is trapezoidal.  If Newton fails on the first step (a
+hard turn-on), the run is retried once from the start with every faster
+source ramped over SimConfig.source_ramp_s; a second failure propagates.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .devices import varactor_capacitance, varactor_capacitance_slope
+from .devices import (
+    mos_current,
+    mos_small_signal,
+    varactor_capacitance,
+    varactor_capacitance_slope,
+)
 from .errors import InvalidModelError, NumericFailure
 from .netlist import (
     GROUND,
@@ -55,7 +64,6 @@ class SimConfig:
     max_newton: int = 50
     perturbation_v: float = 1e-3
     source_ramp_s: float = 1e-9
-    method: str = "trapezoidal"
     kcl_abs_a: float = 1e-9
     # Leak conductance (siemens) from every transistor drain and source
     # terminal to ground.  Without it a circuit region whose transistors
@@ -77,9 +85,6 @@ class SimConfig:
             raise InvalidModelError("max_newton must be at least 1")
         if self.source_ramp_s < 0:
             raise InvalidModelError("source ramp must be non-negative")
-        if self.method != "trapezoidal":
-            raise InvalidModelError(
-                f"unsupported integration method {self.method!r}")
 
 
 @dataclass
@@ -100,64 +105,13 @@ class Waveforms:
                 raise InvalidModelError(f"trace {name} length mismatch")
 
 
-@dataclass
-class _MosBank:
-    """Vectorized transistor arrays; indices are extended-system slots."""
-
-    d: np.ndarray
-    g: np.ndarray
-    s: np.ndarray
-    k: np.ndarray
-    v_th: np.ndarray
-    lam: np.ndarray
-    sign_p: np.ndarray  # +1 for n-channel, -1 for p-channel
-    f_rows: np.ndarray = None
-    j_rows: np.ndarray = None
-    j_cols: np.ndarray = None
-
-    def evaluate(self, v_ext: np.ndarray):
-        """Currents and signed partials for every device at once.
-
-        Mirrors devices.mos_current / mos_small_signal: fold onto the
-        v_ds >= 0 n-channel quarter-plane, then undo the fold's sign in
-        the partial derivatives.
-        """
-        v_gs = (v_ext[self.g] - v_ext[self.s]) * self.sign_p
-        v_ds = (v_ext[self.d] - v_ext[self.s]) * self.sign_p
-        rev = v_ds < 0.0
-        v_ov = np.where(rev, v_gs - v_ds, v_gs) - self.v_th * self.sign_p
-        v_dsf = np.abs(v_ds)
-        sign = np.where(rev, -self.sign_p, self.sign_p)
-
-        cut = v_ov <= 0.0
-        sat = ~cut & (v_dsf >= v_ov)
-        tri = ~cut & ~sat
-        mod = 1.0 + self.lam * v_dsf
-
-        i_f = np.where(sat, 0.5 * self.k * v_ov * v_ov * mod, 0.0)
-        i_f = np.where(tri, self.k * (v_ov * v_dsf - 0.5 * v_dsf * v_dsf) * mod,
-                       i_f)
-        f_vov = np.where(sat, self.k * v_ov * mod, 0.0)
-        f_vov = np.where(tri, self.k * v_dsf * mod, f_vov)
-        f_vds = np.where(sat, 0.5 * self.k * v_ov * v_ov * self.lam, 0.0)
-        f_vds = np.where(
-            tri,
-            self.k * (v_ov - v_dsf) * mod
-            + self.k * (v_ov * v_dsf - 0.5 * v_dsf * v_dsf) * self.lam,
-            f_vds)
-
-        i_d = sign * i_f
-        g_m = np.where(rev, -f_vov, f_vov)
-        g_ds = np.where(rev, f_vov + f_vds, f_vds)
-        return i_d, g_m, g_ds
-
-
 class _System:
     """Assembled MNA stamps for one netlist at one step size.
 
     The reactive part scales linearly with the integrator coefficient
     (2/h trapezoidal, 1/h backward Euler), so one static matrix and one
-    reactive matrix cover both methods.
+    reactive matrix cover both methods.  Transistors and varactors are
+    kept as terminal tuples of extended-system slots.
     """
 
     def __init__(self, net: Netlist, cfg: SimConfig):
@@ -184,9 +138,27 @@ class _System:
         self.gslot = self.size  # extended slot absorbing ground stamps
 
         self._build_linear()
-        self._build_nonlinear()
-        self.var_q = np.zeros(len(self.varactors))
-        self.var_i = np.zeros(len(self.varactors))
+        self.mos = [(self._ext(e.d), self._ext(e.g), self._ext(e.s), e.params)
+                    for e in net.elements if isinstance(e, Mos)]
+        self.varactors = [(self._ext(e.a), self._ext(e.b), self._ext(e.cp),
+                           self._ext(e.cn), e.model)
+                          for e in net.elements if isinstance(e, Varactor)]
+        self.linear_only = not self.mos and not self.varactors
+
+        self.coef_tr, self.coef_be = 2.0 / self.h, 1.0 / self.h
+        self.a_tr = self.a_static + self.coef_tr * self.a_react
+        self.a_be = self.a_static + self.coef_be * self.a_react
+        if self.linear_only:
+            size = self.size
+            self.sc_tr = _row_scale(self.a_tr[:size, :size])
+            self.sc_be = _row_scale(self.a_be[:size, :size])
+            try:
+                self.lu_tr = lu_factor(self.a_tr[:size, :size]
+                                       * self.sc_tr[:, None])
+                self.lu_be = lu_factor(self.a_be[:size, :size]
+                                       * self.sc_be[:, None])
+            except Exception:
+                raise NumericFailure(_singular_diagnostic(self, self.a_tr))
 
     def _ext(self, node: int) -> int:
         return self.gslot if node == GROUND else node
@@ -270,40 +242,21 @@ class _System:
         self.cap_b = np.array([c[1] for c in caps], dtype=int)
         self.cap_c = np.array([c[2] for c in caps])
 
-    def _build_nonlinear(self) -> None:
-        mos = [e for e in self.net.elements if isinstance(e, Mos)]
-        self.varactors = [e for e in self.net.elements
-                          if isinstance(e, Varactor)]
-        self.linear_only = not mos and not self.varactors
-        if not mos:
-            self.mos_bank = None
-            return
-        d = np.array([self._ext(e.d) for e in mos])
-        g = np.array([self._ext(e.g) for e in mos])
-        s = np.array([self._ext(e.s) for e in mos])
-        bank = _MosBank(
-            d=d, g=g, s=s,
-            k=np.array([e.params.k_factor for e in mos]),
-            v_th=np.array([e.params.v_th for e in mos]),
-            lam=np.array([e.params.lam for e in mos]),
-            sign_p=np.array([1.0 if e.params.polarity == "n" else -1.0
-                             for e in mos]))
-        bank.f_rows = np.concatenate([d, s])
-        bank.j_rows = np.concatenate([d, d, d, s, s, s])
-        bank.j_cols = np.concatenate([g, d, s, g, d, s])
-        self.mos_bank = bank
-
 
 @dataclass
 class _StepState:
-    """Reactive-element history carried between steps."""
+    """Solution and reactive-element history carried between steps:
+    capacitor voltages and currents, varactor charges and currents."""
 
     cap_v: np.ndarray
     cap_i: np.ndarray
+    var_q: np.ndarray
+    var_i: np.ndarray
     x: np.ndarray
 
 
-def _initial_state(net: Netlist, cfg: SimConfig, sys: _System) -> np.ndarray:
+def _initial_state(sys: _System) -> _StepState:
+    net, cfg = sys.net, sys.cfg
     x = np.zeros(sys.size + 1)
     ics = dict(net.initial_voltages)
     if cfg.perturbation_v != 0.0 and PERTURB_NODE in net.node_names:
@@ -316,7 +269,14 @@ def _initial_state(net: Netlist, cfg: SimConfig, sys: _System) -> np.ndarray:
         elif isinstance(e, CoupledInductors):
             for w, i0 in enumerate(e.i_initial_a):
                 x[sys.branch_of[idx] + w] = i0
-    return x
+    return _StepState(
+        cap_v=x[sys.cap_a] - x[sys.cap_b],
+        cap_i=np.zeros(len(sys.cap_c)),
+        var_q=np.array([varactor_capacitance(model, x[cp] - x[cn])
+                        * (x[na] - x[nb])
+                        for na, nb, cp, cn, model in sys.varactors]),
+        var_i=np.zeros(len(sys.varactors)),
+        x=x)
 
 
 def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
@@ -359,30 +319,37 @@ def _rhs(sys: _System, st: _StepState, t: float, coef: float,
     return b
 
 
-def _nonlinear_stamps(sys: _System, x: np.ndarray, coef: float, history: bool,
+def _nonlinear_stamps(sys: _System, st: _StepState, x: np.ndarray,
+                      coef: float, history: bool,
                       f: np.ndarray, j: np.ndarray | None) -> None:
     """Add transistor and varactor contributions to the residual (and the
     Jacobian when j is given)."""
-    bank = sys.mos_bank
-    if bank is not None:
-        i_d, g_m, g_ds = bank.evaluate(x)
-        np.add.at(f, bank.f_rows, np.concatenate([i_d, -i_d]))
+    v = x.tolist()
+    for d, g, s, p in sys.mos:
+        v_gs = v[g] - v[s]
+        v_ds = v[d] - v[s]
+        i_d = mos_current(p, v_gs, v_ds)
+        f[d] += i_d
+        f[s] -= i_d
         if j is not None:
-            gsum = -(g_m + g_ds)
-            np.add.at(j, (bank.j_rows, bank.j_cols), np.concatenate(
-                [g_m, g_ds, gsum, -g_m, -g_ds, -gsum]))
-    for vi, e in enumerate(sys.varactors):
-        na, nb = sys._ext(e.a), sys._ext(e.b)
-        cp, cn = sys._ext(e.cp), sys._ext(e.cn)
-        v_sig = x[na] - x[nb]
-        v_ctl = x[cp] - x[cn]
-        c = varactor_capacitance(e.model, v_ctl)
-        i_now = (coef * (c * v_sig - sys.var_q[vi])
-                 - (sys.var_i[vi] if history else 0.0))
+            g_m, g_ds, _ = mos_small_signal(p, v_gs, v_ds)
+            g_sum = g_m + g_ds
+            j[d, g] += g_m
+            j[d, d] += g_ds
+            j[d, s] -= g_sum
+            j[s, g] -= g_m
+            j[s, d] -= g_ds
+            j[s, s] += g_sum
+    for vi, (na, nb, cp, cn, model) in enumerate(sys.varactors):
+        v_sig = v[na] - v[nb]
+        v_ctl = v[cp] - v[cn]
+        c = varactor_capacitance(model, v_ctl)
+        i_now = (coef * (c * v_sig - st.var_q[vi])
+                 - (st.var_i[vi] if history else 0.0))
         f[na] += i_now
         f[nb] -= i_now
         if j is not None:
-            dc = varactor_capacitance_slope(e.model, v_ctl)
+            dc = varactor_capacitance_slope(model, v_ctl)
             gv = coef * c
             gc = coef * v_sig * dc
             j[na, na] += gv
@@ -403,16 +370,16 @@ def _row_scale(a: np.ndarray) -> np.ndarray:
     return 1.0 / m
 
 
-def _newton_step(sys: _System, a0: np.ndarray, x_prev: np.ndarray,
+def _newton_step(sys: _System, st: _StepState, a0: np.ndarray,
                  b: np.ndarray, t: float, coef: float, history: bool):
     cfg = sys.cfg
-    x = x_prev.copy()
+    x = st.x.copy()
     size, gslot = sys.size, sys.gslot
 
     for it in range(cfg.max_newton):
         f = a0 @ x - b
         j = a0.copy()
-        _nonlinear_stamps(sys, x, coef, history, f, j)
+        _nonlinear_stamps(sys, st, x, coef, history, f, j)
         f[gslot] = 0.0
         if it > 0:
             # Residual acceptance: each row balances to within tolerance
@@ -438,7 +405,7 @@ def _newton_step(sys: _System, a0: np.ndarray, x_prev: np.ndarray,
         tol = cfg.newton_abs + cfg.newton_rel * float(np.abs(x[:size]).max())
         if float(np.abs(dx).max()) <= tol:
             f = a0 @ x - b
-            _nonlinear_stamps(sys, x, coef, history, f, None)
+            _nonlinear_stamps(sys, st, x, coef, history, f, None)
             f[gslot] = 0.0
             return x, f[:size]
     raise NumericFailure(
@@ -446,73 +413,53 @@ def _newton_step(sys: _System, a0: np.ndarray, x_prev: np.ndarray,
         f"{cfg.max_newton} iterations; last update {float(np.abs(dx).max()):.3e}")
 
 
-def transient(net: Netlist, cfg: SimConfig,
-              _allow_ramp: bool = True) -> Waveforms:
+def _solve_step(sys: _System, st: _StepState, t: float, first: bool):
+    """Solution at time t from the state one step earlier, and the
+    residual it leaves; the first step is backward Euler."""
+    coef = sys.coef_be if first else sys.coef_tr
+    a0 = sys.a_be if first else sys.a_tr
+    b = _rhs(sys, st, t, coef, history=not first)
+    if not sys.linear_only:
+        return _newton_step(sys, st, a0, b, t, coef, history=not first)
+    size = sys.size
+    x = np.empty(size + 1)
+    x[:size] = lu_solve(sys.lu_be if first else sys.lu_tr,
+                        b[:size] * (sys.sc_be if first else sys.sc_tr))
+    x[sys.gslot] = 0.0
+    return x, a0[:size, :size] @ x[:size] - b[:size]
+
+
+def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     """Run one fixed-step transient; see module docstring for method."""
     net.validate()
     cfg.validate()
-    sys = _System(net, cfg)
     h = cfg.dt_s
     n_steps = int(round(cfg.t_stop_s / h))
     if n_steps < 2:
         raise InvalidModelError("stop time must cover at least two steps")
     times = h * np.arange(n_steps + 1)
 
-    x = _initial_state(net, cfg, sys)
+    sys = _System(net, cfg)
+    st = _initial_state(sys)
+    try:
+        x, resid = _solve_step(sys, st, times[1], first=True)
+    except NumericFailure:
+        # hard turn-on rescue: one retry with the sources ramped
+        ramped = net.with_source_ramp(cfg.source_ramp_s)
+        if cfg.source_ramp_s <= 0 or ramped.elements == net.elements:
+            raise
+        sys = _System(ramped, cfg)
+        st = _initial_state(sys)
+        x, resid = _solve_step(sys, st, times[1], first=True)
+
     out = np.empty((n_steps + 1, sys.size))
-    out[0] = x[:sys.size]
-
-    st = _StepState(
-        cap_v=(x[sys.cap_a] - x[sys.cap_b]) if len(sys.cap_c) else np.zeros(0),
-        cap_i=np.zeros(len(sys.cap_c)),
-        x=x)
-    sys.var_q = np.array([
-        varactor_capacitance(e.model, x[sys._ext(e.cp)] - x[sys._ext(e.cn)])
-        * (x[sys._ext(e.a)] - x[sys._ext(e.b)]) for e in sys.varactors])
-    sys.var_i = np.zeros(len(sys.varactors))
-
-    coef_tr, coef_be = 2.0 / h, 1.0 / h
-    a_tr = sys.a_static + coef_tr * sys.a_react
-    a_be = sys.a_static + coef_be * sys.a_react
-    lu_tr = lu_be = None
-    if sys.linear_only:
-        sc_tr = _row_scale(a_tr[:sys.size, :sys.size])
-        sc_be = _row_scale(a_be[:sys.size, :sys.size])
-        try:
-            lu_tr = lu_factor(a_tr[:sys.size, :sys.size] * sc_tr[:, None])
-            lu_be = lu_factor(a_be[:sys.size, :sys.size] * sc_be[:, None])
-        except Exception:
-            raise NumericFailure(_singular_diagnostic(sys, a_tr))
-
+    out[0] = st.x[:sys.size]
     kcl_max = 0.0
     for step in range(1, n_steps + 1):
         t = times[step]
         first = step == 1
-        coef = coef_be if first else coef_tr
-        a0 = a_be if first else a_tr
-        b = _rhs(sys, st, t, coef, history=not first)
-
-        if sys.linear_only:
-            x_new = np.empty(sys.size + 1)
-            sc = sc_be if first else sc_tr
-            x_new[:sys.size] = lu_solve(lu_be if first else lu_tr,
-                                        b[:sys.size] * sc)
-            x_new[sys.gslot] = 0.0
-            resid = a0[:sys.size, :sys.size] @ x_new[:sys.size] - b[:sys.size]
-            x = x_new
-        else:
-            try:
-                x, resid = _newton_step(sys, a0, st.x, b, t, coef,
-                                        history=not first)
-            except NumericFailure:
-                # hard turn-on rescue: ramp the sources and start over
-                if not (first and _allow_ramp and cfg.source_ramp_s > 0):
-                    raise
-                ramped = net.with_source_ramp(cfg.source_ramp_s)
-                if ramped.elements == net.elements:
-                    raise
-                return transient(ramped, cfg, _allow_ramp=False)
-
+        if not first:
+            x, resid = _solve_step(sys, st, t, first=False)
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if step_kcl > cfg.kcl_abs_a:
             raise NumericFailure(
@@ -522,18 +469,17 @@ def transient(net: Netlist, cfg: SimConfig,
         out[step] = x[:sys.size]
 
         # advance histories
+        coef = sys.coef_be if first else sys.coef_tr
         if len(sys.cap_c):
             v_now = x[sys.cap_a] - x[sys.cap_b]
             st.cap_i = (coef * sys.cap_c * (v_now - st.cap_v)
                         - (st.cap_i if not first else 0.0))
             st.cap_v = v_now
-        for vi, e in enumerate(sys.varactors):
-            v_sig = x[sys._ext(e.a)] - x[sys._ext(e.b)]
-            v_ctl = x[sys._ext(e.cp)] - x[sys._ext(e.cn)]
-            q_now = varactor_capacitance(e.model, v_ctl) * v_sig
-            sys.var_i[vi] = (coef * (q_now - sys.var_q[vi])
-                             - (sys.var_i[vi] if not first else 0.0))
-            sys.var_q[vi] = q_now
+        for vi, (na, nb, cp, cn, model) in enumerate(sys.varactors):
+            q_now = varactor_capacitance(model, x[cp] - x[cn]) * (x[na] - x[nb])
+            st.var_i[vi] = (coef * (q_now - st.var_q[vi])
+                            - (st.var_i[vi] if not first else 0.0))
+            st.var_q[vi] = q_now
         st.x = x
 
     voltages = {name: out[:, i].copy()

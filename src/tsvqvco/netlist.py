@@ -27,6 +27,7 @@ from .devices import (
     SWITCH_ON_OHM,
     MosParams,
     VaractorModel,
+    check_coupled_set,
 )
 from .errors import InvalidModelError
 
@@ -220,27 +221,13 @@ class Netlist:
                               label: str | None = None,
                               i_initial_a=None) -> None:
         n = len(pairs)
-        m = np.asarray(matrix, dtype=float)
-        if n < 2:
-            raise InvalidModelError("coupled set needs at least two windings")
-        if m.shape != (n, n):
-            raise InvalidModelError(
-                f"coupled set with {n} windings needs a {n}x{n} matrix")
-        scale = float(np.abs(np.diag(m)).max())
-        if np.abs(m - m.T).max() > 1e-12 * scale:
-            raise InvalidModelError("inductance matrix must be symmetric")
-        if float(np.linalg.eigvalsh(m).min()) <= 0.0:
-            raise InvalidModelError(
-                "inductance matrix is not positive definite (over-coupled)")
-        if len(series_r) != n or any(r < 0 for r in series_r):
-            raise InvalidModelError(
-                "coupled set needs one non-negative series R per winding")
+        check_coupled_set(n, matrix, series_r)
         ic = tuple(i_initial_a) if i_initial_a is not None else (0.0,) * n
         if len(ic) != n:
             raise InvalidModelError("initial currents must match winding count")
         self.elements.append(CoupledInductors(
             pairs=tuple((self.node(a), self.node(b)) for a, b in pairs),
-            matrix=tuple(tuple(float(v) for v in row) for row in m),
+            matrix=tuple(tuple(float(v) for v in row) for row in matrix),
             series_r=tuple(float(r) for r in series_r),
             label=self._label(label, "k"), i_initial_a=ic))
 

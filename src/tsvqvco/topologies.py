@@ -27,7 +27,6 @@ frequency against the closed-form tank analysis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 from .analysis import TankParams, min_transconductance
@@ -194,11 +193,6 @@ def _build_lc_vco(p: TopologyParams) -> Netlist:
     return net
 
 
-def _two_coil_matrix(x: TransformerModel, sign: int):
-    m = sign * x.k_ps1 * math.sqrt(x.l_p * x.l_s1)
-    return ((x.l_p, m), (m, x.l_s1))
-
-
 def _build_tf_vco(p: TopologyParams) -> Netlist:
     _require(p, ("transformer", "c_tank_f"), "tf-vco")
     x = p.transformer
@@ -206,7 +200,8 @@ def _build_tf_vco(p: TopologyParams) -> Netlist:
     _add_sources(net, p, buffered=p.buffers is not None)
     # drain coil is the primary, source rides the secondary; the inverted
     # dot makes the source swing opposite the drain (feedback boost)
-    m = _two_coil_matrix(x, -1)
+    l = x.inductance_matrix()
+    m = ((l[0][0], -l[0][1]), (-l[1][0], l[1][1]))
     series = (x.r_pac, x.r_sac)
     net.add_coupled_inductors([("vdd", "V_o1"), ("src_1", "gnd")], m, series,
                               label="xfmr_1")

@@ -24,6 +24,8 @@ from tsvqvco.devices import (
     varactor_capacitance_slope,
 )
 from tsvqvco.errors import InvalidModelError
+from tsvqvco.netlist import CoupledInductors, Netlist
+from tsvqvco.topologies import TopologyParams, build_netlist, flip_ps_signs
 from tsvqvco.transformer import TransformerModel
 
 
@@ -271,6 +273,77 @@ class TestCoupledInductorMatrix:
         for i in range(3):
             for j in range(3):
                 assert DEFAULT_DOT_SIGNS[i][j] == DEFAULT_DOT_SIGNS[j][i]
+
+    @pytest.mark.parametrize("flip", [False, True])
+    @pytest.mark.parametrize("committed", [False, True])
+    def test_matches_elementwise_formula(self, flip, committed, toroidal_model):
+        """The signed matrix is s_ij k_ij sqrt(L_i L_j), entry for entry."""
+        x = toroidal_model if committed else reference_transformer()
+        signs = flip_ps_signs(DEFAULT_DOT_SIGNS) if flip else DEFAULT_DOT_SIGNS
+        l = (x.l_p, x.l_s1, x.l_s2)
+        k = ((1.0, x.k_ps1, x.k_ps2),
+             (x.k_ps1, 1.0, x.k_ss),
+             (x.k_ps2, x.k_ss, 1.0))
+        expected = tuple(
+            tuple(signs[i][j] * k[i][j] * math.sqrt(l[i] * l[j])
+                  for j in range(3))
+            for i in range(3))
+        assert coupled_inductor_matrix(x, signs).matrix == expected
+
+    def test_tf_vco_uses_inverted_leading_block(self):
+        x = reference_transformer()
+        net = build_netlist("tf-vco", TopologyParams(transformer=x,
+                                                     c_tank_f=2e-12))
+        m = x.inductance_matrix()
+        expected = ((m[0][0], -m[0][1]), (-m[1][0], m[1][1]))
+        sets = [e for e in net.elements if isinstance(e, CoupledInductors)]
+        assert len(sets) == 2
+        assert all(e.matrix == expected for e in sets)
+
+
+def _validate_set(matrix, series_r):
+    CoupledInductorSet(matrix=matrix, series_r=series_r).validate()
+
+
+def _add_to_netlist(matrix, series_r):
+    Netlist().add_coupled_inductors(
+        [("p1", "p2"), ("a", "gnd"), ("b", "gnd")], matrix, series_r)
+
+
+class TestCoupledSetCheck:
+    GOOD = ((3e-9, 0.5e-9, 0.0), (0.5e-9, 0.4e-9, 0.0), (0.0, 0.0, 0.4e-9))
+    CASES = {
+        "asymmetric": (((3e-9, 1e-10, 0.0), (2e-10, 0.4e-9, 0.0),
+                        (0.0, 0.0, 0.4e-9)), (1.0, 0.1, 0.1),
+                       "inductance matrix must be symmetric"),
+        "not_positive_definite": (((1e-9, 2e-9, 0.0), (2e-9, 1e-9, 0.0),
+                                   (0.0, 0.0, 1e-9)), (1.0, 0.1, 0.1),
+                                  "inductance matrix is not positive "
+                                  "definite (over-coupled)"),
+        "negative_series_r": (GOOD, (1.0, -0.1, 0.1),
+                              "coupled set needs one non-negative series R "
+                              "per winding"),
+        "short_series_r": (GOOD, (1.0, 0.1),
+                           "coupled set needs one non-negative series R "
+                           "per winding"),
+        "wrong_shape": (((3e-9, 0.0), (0.0, 0.4e-9)), (1.0, 0.1, 0.1),
+                        "coupled set with 3 windings needs a 3x3 matrix"),
+        "ragged_rows": (((3e-9, 0.0, 0.0), (0.0, 0.4e-9), (0.0, 0.0, 0.4e-9)),
+                        (1.0, 0.1, 0.1),
+                        "coupled set with 3 windings needs a 3x3 matrix"),
+    }
+
+    @pytest.mark.parametrize("entry", [_validate_set, _add_to_netlist])
+    def test_accepts_valid_set(self, entry):
+        entry(self.GOOD, (1.0, 0.1, 0.1))
+
+    @pytest.mark.parametrize("entry", [_validate_set, _add_to_netlist])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rejects_with_same_message(self, entry, case):
+        matrix, series_r, message = self.CASES[case]
+        with pytest.raises(InvalidModelError) as info:
+            entry(matrix, series_r)
+        assert str(info.value) == message
 
 
 class TestBufferParams:

@@ -1,0 +1,51 @@
+"""pyproject.toml declares what the package needs and provides.
+
+Every third-party module imported under src/tsvqvco must be a declared
+dependency, and every console script must point at an importable
+callable.
+"""
+import ast
+import importlib
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_DIR = ROOT / "src" / "tsvqvco"
+
+
+def project_table() -> dict:
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def imported_top_level_modules() -> set[str]:
+    names = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_third_party_imports_are_declared():
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+                .replace("-", "_")
+                for req in project_table()["dependencies"]}
+    third_party = {name for name in imported_top_level_modules()
+                   if name not in sys.stdlib_module_names
+                   and name not in ("__future__", "tsvqvco")}
+    assert third_party, "the package imports numpy and scipy"
+    assert third_party <= declared, sorted(third_party - declared)
+
+
+def test_script_targets_import():
+    for name, target in project_table().get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), name
