@@ -22,10 +22,11 @@ so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .devices import (
     mos_current,
@@ -153,11 +154,18 @@ class _System:
             self.sc_tr = _row_scale(self.a_tr[:size, :size])
             self.sc_be = _row_scale(self.a_be[:size, :size])
             try:
-                self.lu_tr = lu_factor(self.a_tr[:size, :size]
-                                       * self.sc_tr[:, None])
-                self.lu_be = lu_factor(self.a_be[:size, :size]
-                                       * self.sc_be[:, None])
+                with warnings.catch_warnings():
+                    # lu_factor only warns on a zero pivot; the pivot
+                    # check below turns that into NumericFailure.
+                    warnings.simplefilter("ignore", LinAlgWarning)
+                    self.lu_tr = lu_factor(self.a_tr[:size, :size]
+                                           * self.sc_tr[:, None])
+                    self.lu_be = lu_factor(self.a_be[:size, :size]
+                                           * self.sc_be[:, None])
             except Exception:
+                raise NumericFailure(_singular_diagnostic(self, self.a_tr))
+            pivots = np.concatenate((np.diag(self.lu_tr[0]), np.diag(self.lu_be[0])))
+            if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
                 raise NumericFailure(_singular_diagnostic(self, self.a_tr))
 
     def _ext(self, node: int) -> int:
@@ -461,7 +469,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         if not first:
             x, resid = _solve_step(sys, st, t, first=False)
         step_kcl = float(np.abs(resid[:sys.n]).max())
-        if step_kcl > cfg.kcl_abs_a:
+        if not step_kcl <= cfg.kcl_abs_a:  # a NaN residual fails too
             raise NumericFailure(
                 f"KCL residual {step_kcl:.3e} A exceeds {cfg.kcl_abs_a:.1e} A "
                 f"at t = {t:.6e} s")

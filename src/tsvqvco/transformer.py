@@ -31,7 +31,7 @@ from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
                        rect_segment, round_segment)
 from .inductance import (MU0, coil_resistance, coupling_coefficient,
-                         loop_inductance, mutual_loop_inductance)
+                         loop_inductance, mutual_loop_inductance, pack_coil)
 
 DEFAULT_EVAL_FREQUENCY_HZ = 2.5e9
 
@@ -463,10 +463,14 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     for role in ROLES:
         if role not in coils:
             raise InvalidModelError(f"missing coil {role!r}")
-    prim, s1, s2 = (coils[r] for r in ROLES)
-    l_p = loop_inductance(prim)
-    l_s1 = loop_inductance(s1)
-    l_s2 = loop_inductance(s2)
+    # Each winding is validated and packed once, right before its own
+    # terms, so the first defect reported follows the role order.
+    packed, inductance = [], []
+    for role in ROLES:
+        packed.append(pack_coil(coils[role]))
+        inductance.append(loop_inductance(packed[-1]))
+    prim, s1, s2 = packed
+    l_p, l_s1, l_s2 = inductance
     k_ps1 = abs(coupling_coefficient(l_p, l_s1, mutual_loop_inductance(prim, s1)))
     k_ps2 = abs(coupling_coefficient(l_p, l_s2, mutual_loop_inductance(prim, s2)))
     k_ss = abs(coupling_coefficient(l_s1, l_s2, mutual_loop_inductance(s1, s2)))

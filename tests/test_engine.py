@@ -141,3 +141,23 @@ class TestRampRescue:
                               failures=1, source_ramp_s=1e-9)
         assert isinstance(exc, NumericFailure)
         assert calls == 1
+
+
+class TestSingularLinearSystem:
+    def test_parallel_voltage_sources_raise(self):
+        # 1 V and 2 V forced across the same node pair: no solution exists.
+        net = Netlist()
+        net.add_vsource("a", "gnd", 1.0, label="v1")
+        net.add_vsource("a", "gnd", 2.0, label="v2")
+        net.add_resistor("a", "gnd", 1e3)
+        with pytest.raises(NumericFailure, match="singular"):
+            transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+
+    def test_non_finite_residual_fails_kcl_gate(self, monkeypatch):
+        net = Netlist()
+        net.add_vsource("a", "gnd", 1.0)
+        net.add_resistor("a", "gnd", 1e3)
+        monkeypatch.setattr(engine, "lu_solve",
+                            lambda lu, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericFailure, match="KCL residual nan"):
+            transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
