@@ -57,34 +57,10 @@ class SmallSignal(NamedTuple):
     region: str
 
 
-def _nmos_current(k: float, v_ov: float, v_ds: float, lam: float) -> float:
-    # v_ds >= 0 here; callers handle polarity and source/drain reversal.
-    if v_ov <= 0.0:
-        return 0.0
-    if v_ds >= v_ov:
-        return 0.5 * k * v_ov * v_ov * (1.0 + lam * v_ds)
-    # The (1 + lam v_ds) factor is kept in triode so the two regions meet
-    # exactly at v_ds = v_ov instead of jumping by the modulation term.
-    return k * (v_ov * v_ds - 0.5 * v_ds * v_ds) * (1.0 + lam * v_ds)
-
-
-def _nmos_derivs(k: float, v_ov: float, v_ds: float, lam: float) -> SmallSignal:
-    if v_ov <= 0.0:
-        return SmallSignal(0.0, 0.0, "cutoff")
-    if v_ds >= v_ov:
-        return SmallSignal(k * v_ov * (1.0 + lam * v_ds),
-                           0.5 * k * v_ov * v_ov * lam,
-                           "saturation")
-    mod = 1.0 + lam * v_ds
-    g_m = k * v_ds * mod
-    g_ds = k * (v_ov - v_ds) * mod + k * (v_ov * v_ds - 0.5 * v_ds * v_ds) * lam
-    return SmallSignal(g_m, g_ds, "triode")
-
-
 def _fold(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
     """Map any bias onto the v_ds >= 0 n-channel quarter-plane.
 
-    Returns (v_ov, v_ds, sign) such that i_d = sign * _nmos_current(...).
+    Returns (v_ov, v_ds, sign): i_d is sign times the n-channel current.
     The channel is symmetric, so a reversed v_ds swaps the source and drain
     roles; polarity mirrors both voltages.
     """
@@ -101,26 +77,47 @@ def _fold(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
     return v_gs - v_th, v_ds, sign
 
 
-def mos_current(p: MosParams, v_gs: float, v_ds: float) -> float:
-    """Drain current (A) into the drain; negative for a conducting p-channel."""
-    v_ov, v_ds_f, sign = _fold(p, v_gs, v_ds)
-    return sign * _nmos_current(p.k_factor, v_ov, v_ds_f, p.lam)
+def mos_eval(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
+    """Drain current (A) into the drain and its signed partials
+    (d i/d v_gs, d i/d v_ds), from one fold of the bias.
 
-
-def mos_small_signal(p: MosParams, v_gs: float, v_ds: float) -> SmallSignal:
-    """Analytic (d i/d v_gs, d i/d v_ds) of mos_current, region-tagged.
-
-    True signed partial derivatives with respect to the terminal voltages
-    as passed in, so they drop straight into a Newton Jacobian for either
+    The partials are taken with respect to the terminal voltages as
+    passed in, so they drop straight into a Newton Jacobian for either
     polarity and either channel direction.
     """
     v_ov, v_ds_f, sign = _fold(p, v_gs, v_ds)
-    ss = _nmos_derivs(p.k_factor, v_ov, v_ds_f, p.lam)
-    reversed_channel = (v_ds > 0.0) if p.polarity == "p" else (v_ds < 0.0)
-    if reversed_channel:
+    if v_ov <= 0.0:
+        return 0.0, 0.0, 0.0
+    k, lam = p.k_factor, p.lam
+    mod = 1.0 + lam * v_ds_f
+    if v_ds_f >= v_ov:
+        q = 0.5 * k * v_ov * v_ov
+        i_d, g_m, g_ds = q * mod, k * v_ov * mod, q * lam
+    else:
+        # The (1 + lam v_ds) factor is kept in triode so the two regions
+        # meet exactly at v_ds = v_ov instead of jumping by the
+        # modulation term.
+        w = v_ov * v_ds_f - 0.5 * v_ds_f * v_ds_f
+        i_d, g_m = k * w * mod, k * v_ds_f * mod
+        g_ds = k * (v_ov - v_ds_f) * mod + k * w * lam
+    if (v_ds > 0.0) if p.polarity == "p" else (v_ds < 0.0):
         # chain rule through the source/drain swap: v_ov picks up -v_ds
-        return SmallSignal(-ss.g_m, ss.g_m + ss.g_ds, ss.region)
-    return SmallSignal(ss.g_m, ss.g_ds, ss.region)
+        return sign * i_d, -g_m, g_m + g_ds
+    return sign * i_d, g_m, g_ds
+
+
+def mos_current(p: MosParams, v_gs: float, v_ds: float) -> float:
+    """Drain current (A) into the drain; negative for a conducting p-channel."""
+    return mos_eval(p, v_gs, v_ds)[0]
+
+
+def mos_small_signal(p: MosParams, v_gs: float, v_ds: float) -> SmallSignal:
+    """The partials of mos_eval, tagged with the region of the bias."""
+    _, g_m, g_ds = mos_eval(p, v_gs, v_ds)
+    v_ov, v_ds_f, _ = _fold(p, v_gs, v_ds)
+    region = ("cutoff" if v_ov <= 0.0
+              else "saturation" if v_ds_f >= v_ov else "triode")
+    return SmallSignal(g_m, g_ds, region)
 
 
 @dataclass(frozen=True)

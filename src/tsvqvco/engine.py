@@ -4,11 +4,12 @@ Unknown ordering is node voltages (registration order) followed by branch
 currents (element order); branches exist for inductors, coupled-set
 windings and voltage sources.  The linear stamps are assembled once per
 run; per step only the right-hand side moves, and only transistor and
-varactor stamps are re-evaluated inside the Newton loop.  Transistors are
-evaluated one by one through devices.mos_current and mos_small_signal,
-so the engine has no device equations of its own.  Circuits with no
-nonlinear elements skip Newton entirely and reuse one LU factorization
-for every step.
+varactor stamps are re-evaluated inside the Newton loop, each transistor
+by one devices.mos_eval call, so the engine has no device equations of
+its own.  Newton starts from the quadratic extrapolation of the last
+three accepted solutions (linear through two, else the previous one).
+Circuits with no nonlinear elements skip Newton entirely and reuse one
+LU factorization for every step.
 
 The first step is backward Euler: it needs no capacitor-current history,
 so a discontinuous turn-on (step sources, charged capacitors) does not
@@ -28,12 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
-from .devices import (
-    mos_current,
-    mos_small_signal,
-    varactor_capacitance,
-    varactor_capacitance_slope,
-)
+from .devices import mos_eval, varactor_capacitance, varactor_capacitance_slope
 from .errors import InvalidModelError, NumericFailure
 from .netlist import (
     GROUND,
@@ -149,8 +145,11 @@ class _System:
         self.coef_tr, self.coef_be = 2.0 / self.h, 1.0 / self.h
         self.a_tr = self.a_static + self.coef_tr * self.a_react
         self.a_be = self.a_static + self.coef_be * self.a_react
+        size = self.size
+        # |A| for the Newton residual reference
+        self.abs_tr = np.abs(self.a_tr[:size, :size])
+        self.abs_be = np.abs(self.a_be[:size, :size])
         if self.linear_only:
-            size = self.size
             self.sc_tr = _row_scale(self.a_tr[:size, :size])
             self.sc_be = _row_scale(self.a_be[:size, :size])
             try:
@@ -184,6 +183,12 @@ class _System:
             a[i, j] -= g
             a[j, i] -= g
 
+        def branch(row, na, nb):
+            a_static[na, row] += 1.0
+            a_static[nb, row] -= 1.0
+            a_static[row, na] += 1.0
+            a_static[row, nb] -= 1.0
+
         # per-step RHS sources; arrays are built after the scan
         caps: list[tuple[int, int, float]] = []
         self.inductors: list[tuple[int, int, int, float]] = []
@@ -207,10 +212,7 @@ class _System:
             elif isinstance(e, Inductor):
                 row = self.branch_of[idx]
                 na, nb = self._ext(e.a), self._ext(e.b)
-                a_static[na, row] += 1.0
-                a_static[nb, row] -= 1.0
-                a_static[row, na] += 1.0
-                a_static[row, nb] -= 1.0
+                branch(row, na, nb)
                 a_react[row, row] -= e.henries
                 self.inductors.append((row, na, nb, e.henries))
             elif isinstance(e, CoupledInductors):
@@ -220,21 +222,14 @@ class _System:
                 pairs_ext = [(self._ext(pa), self._ext(pb)) for pa, pb in e.pairs]
                 for w, (na, nb) in enumerate(pairs_ext):
                     row = row0 + w
-                    a_static[na, row] += 1.0
-                    a_static[nb, row] -= 1.0
-                    a_static[row, na] += 1.0
-                    a_static[row, nb] -= 1.0
+                    branch(row, na, nb)
                     a_static[row, row] -= e.series_r[w]
                     for k in range(nw):
                         a_react[row, row0 + k] -= m[w, k]
                 self.coupled.append((row0, m, np.asarray(e.series_r), pairs_ext))
             elif isinstance(e, VSource):
                 row = self.branch_of[idx]
-                p, n = self._ext(e.p), self._ext(e.n)
-                a_static[p, row] += 1.0
-                a_static[n, row] -= 1.0
-                a_static[row, p] += 1.0
-                a_static[row, n] -= 1.0
+                branch(row, self._ext(e.p), self._ext(e.n))
                 self.vsources.append((row, e))
             elif isinstance(e, ISource):
                 self.isources.append(e)
@@ -334,13 +329,10 @@ def _nonlinear_stamps(sys: _System, st: _StepState, x: np.ndarray,
     Jacobian when j is given)."""
     v = x.tolist()
     for d, g, s, p in sys.mos:
-        v_gs = v[g] - v[s]
-        v_ds = v[d] - v[s]
-        i_d = mos_current(p, v_gs, v_ds)
+        i_d, g_m, g_ds = mos_eval(p, v[g] - v[s], v[d] - v[s])
         f[d] += i_d
         f[s] -= i_d
         if j is not None:
-            g_m, g_ds, _ = mos_small_signal(p, v_gs, v_ds)
             g_sum = g_m + g_ds
             j[d, g] += g_m
             j[d, d] += g_ds
@@ -373,16 +365,20 @@ def _nonlinear_stamps(sys: _System, st: _StepState, x: np.ndarray,
 def _row_scale(a: np.ndarray) -> np.ndarray:
     """Equilibration factors; branch rows mix +-1 voltage entries with
     L/h terms in the hundreds, which would otherwise eat the pivots."""
-    m = np.abs(a).max(axis=1)
+    m = np.maximum(a.max(axis=1), -a.min(axis=1))
     m[m == 0.0] = 1.0
     return 1.0 / m
 
 
-def _newton_step(sys: _System, st: _StepState, a0: np.ndarray,
-                 b: np.ndarray, t: float, coef: float, history: bool):
+def _newton_step(sys: _System, st: _StepState, x0: np.ndarray,
+                 a0: np.ndarray, abs_a0: np.ndarray, b: np.ndarray,
+                 t: float, coef: float, history: bool):
+    """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|."""
     cfg = sys.cfg
-    x = st.x.copy()
     size, gslot = sys.size, sys.gslot
+    x = np.zeros(size + 1)
+    x[:size] = x0
+    abs_b = np.abs(b[:size])
 
     for it in range(cfg.max_newton):
         f = a0 @ x - b
@@ -395,8 +391,7 @@ def _newton_step(sys: _System, st: _StepState, a0: np.ndarray,
             # additionally clear the per-step KCL gate with margin.
             # Update-only tests stall at the linear-solve noise floor on
             # stiff systems.
-            f_ref = (np.abs(a0[:size, :size]) @ np.abs(x[:size])
-                     + np.abs(b[:size]))
+            f_ref = abs_a0 @ np.abs(x[:size]) + abs_b
             if (np.all(np.abs(f[:size]) <= cfg.newton_abs
                        + cfg.newton_rel * f_ref)
                     and float(np.abs(f[:sys.n]).max())
@@ -421,14 +416,21 @@ def _newton_step(sys: _System, st: _StepState, a0: np.ndarray,
         f"{cfg.max_newton} iterations; last update {float(np.abs(dx).max()):.3e}")
 
 
-def _solve_step(sys: _System, st: _StepState, t: float, first: bool):
+def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):
     """Solution at time t from the state one step earlier, and the
-    residual it leaves; the first step is backward Euler."""
+    residual it leaves; the first step is backward Euler.  past holds
+    the last accepted solutions, oldest first, at most three of them."""
     coef = sys.coef_be if first else sys.coef_tr
     a0 = sys.a_be if first else sys.a_tr
     b = _rhs(sys, st, t, coef, history=not first)
     if not sys.linear_only:
-        return _newton_step(sys, st, a0, b, t, coef, history=not first)
+        x0 = st.x[:sys.size]
+        if len(past) == 3:
+            x0 = 3.0 * (past[2] - past[1]) + past[0]
+        elif len(past) == 2:
+            x0 = 2.0 * past[1] - past[0]
+        return _newton_step(sys, st, x0, a0, sys.abs_be if first else sys.abs_tr,
+                            b, t, coef, not first)
     size = sys.size
     x = np.empty(size + 1)
     x[:size] = lu_solve(sys.lu_be if first else sys.lu_tr,
@@ -450,7 +452,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     sys = _System(net, cfg)
     st = _initial_state(sys)
     try:
-        x, resid = _solve_step(sys, st, times[1], first=True)
+        x, resid = _solve_step(sys, st, times[1], True, ())
     except NumericFailure:
         # hard turn-on rescue: one retry with the sources ramped
         ramped = net.with_source_ramp(cfg.source_ramp_s)
@@ -458,7 +460,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
             raise
         sys = _System(ramped, cfg)
         st = _initial_state(sys)
-        x, resid = _solve_step(sys, st, times[1], first=True)
+        x, resid = _solve_step(sys, st, times[1], True, ())
 
     out = np.empty((n_steps + 1, sys.size))
     out[0] = st.x[:sys.size]
@@ -467,7 +469,8 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         t = times[step]
         first = step == 1
         if not first:
-            x, resid = _solve_step(sys, st, t, first=False)
+            x, resid = _solve_step(sys, st, t, False,
+                                   out[max(1, step - 3):step])
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= cfg.kcl_abs_a:  # a NaN residual fails too
             raise NumericFailure(

@@ -2,9 +2,12 @@
 
 The Jacobian the engine stamps for its transistors is checked against a
 centred finite difference of the residual it stamps, in every region of
-both polarities; reruns of one netlist must repeat bit for bit; and the
-hard turn-on rescue is driven by a Newton step made to fail.
+both polarities; reruns of one netlist must repeat bit for bit; the hard
+turn-on rescue is driven by a Newton step made to fail.  The extrapolated
+Newton start point must change only the iteration count, never the
+answer, and the Newton path must reproduce a closed-form RC discharge.
 """
+import copy
 import math
 
 import numpy as np
@@ -161,3 +164,109 @@ class TestSingularLinearSystem:
                             lambda lu, b: np.full_like(b, np.nan))
         with pytest.raises(NumericFailure, match="KCL residual nan"):
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+
+
+def qvco_run(toroidal_model, n_periods=4):
+    params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12)
+    f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
+    cfg = default_sim_config(f_est, n_periods=n_periods)
+    return transient(build_netlist("tc-qvco", params), cfg)
+
+
+def count_solves(monkeypatch):
+    """Count np.linalg.solve calls the way the benchmark's tracer does:
+    by replacing the function on the numpy module."""
+    calls = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        calls.append(None)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+class TestNewtonStartPoint:
+    MID_STEP = 400  # of 800: the cores are swinging, the history is full
+
+    def mid_run_step(self, monkeypatch, toroidal_model):
+        """Arguments of one mid-run Newton call of a tc-qvco transient,
+        copied before the run moves its state on."""
+        seen = []
+        real = engine._newton_step
+
+        def spy(*args):
+            if len(seen) == self.MID_STEP:
+                seen.append(copy.deepcopy(args))
+            else:
+                seen.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_newton_step", spy)
+        qvco_run(toroidal_model)
+        monkeypatch.setattr(engine, "_newton_step", real)
+        return seen[self.MID_STEP]
+
+    def test_start_point_moves_only_the_iteration_count(
+            self, monkeypatch, toroidal_model):
+        sys_, st, x_ext, a0, abs_a0, b, t, coef, history = self.mid_run_step(
+            monkeypatch, toroidal_model)
+        assert history
+        size, cfg = sys_.size, sys_.cfg
+        x_prev = st.x[:size].copy()
+        assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
+
+        results, solves = {}, {}
+        for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
+            calls = count_solves(monkeypatch)
+            results[name] = engine._newton_step(
+                sys_, st, x0, a0, abs_a0, b, t, coef, history)
+            solves[name] = len(calls)
+
+        for name, (x, f) in results.items():
+            # the engine's own residual acceptance, recomputed from x
+            resid = a0 @ x - b
+            engine._nonlinear_stamps(sys_, st, x, coef, history, resid, None)
+            assert np.array_equal(resid[:size], f), name
+            f_ref = abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
+            assert np.all(np.abs(f) <= cfg.newton_abs + cfg.newton_rel * f_ref), name
+            assert np.abs(f[:sys_.n]).max() <= 0.1 * cfg.kcl_abs_a, name
+        nodes_prev = results["previous"][0][:sys_.n]
+        nodes_ext = results["extrapolated"][0][:sys_.n]
+        np.testing.assert_allclose(nodes_ext, nodes_prev, rtol=0, atol=1e-6)
+        assert solves["extrapolated"] < solves["previous"]
+
+
+def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
+    calls = count_solves(monkeypatch)
+    wave = qvco_run(toroidal_model)
+    steps = len(wave.time_s) - 1
+    # Newton always solves at least once, so this also fails if the
+    # engine stops calling np.linalg.solve.
+    assert steps <= len(calls) <= 1.2 * steps
+
+
+def test_rc_discharge_on_newton_path_matches_exponential():
+    """A charged capacitor discharging through a resistor, with a
+    transistor held in cutoff on the same node so that every step goes
+    through the predictor and Newton.  The transistor's gmin leak is part
+    of the time constant; trapezoidal integration (after one backward
+    Euler step) stays within (h/tau)^2 of the exponential."""
+    r_ohm, c_f, v0 = 10e6, 1e-12, 1.0
+    net = Netlist()
+    net.add_resistor("a", "gnd", r_ohm)
+    net.add_capacitor("a", "gnd", c_f)
+    net.add_mos("a", "gnd", "gnd", NMOS, label="m_off")  # v_gs = 0: cutoff
+    net.set_initial_voltage("a", v0)
+    tau = c_f / (1.0 / r_ohm + SimConfig(dt_s=1.0, t_stop_s=2.0).gmin)
+    cfg = SimConfig(dt_s=tau / 200, t_stop_s=3.0 * tau)
+    assert not engine._System(net, cfg).linear_only
+
+    wave = transient(net, cfg)
+    v = wave.voltages["a"]
+    bound = v0 * (cfg.dt_s / tau) ** 2
+    np.testing.assert_allclose(v, v0 * np.exp(-wave.time_s / tau),
+                               rtol=0, atol=bound)
+    # without the leak the time constant is r c, and the bound sees it
+    assert np.abs(v - v0 * np.exp(-wave.time_s / (r_ohm * c_f))).max() > 10 * bound
