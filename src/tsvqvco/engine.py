@@ -2,21 +2,27 @@
 
 Unknown ordering is node voltages (registration order) followed by branch
 currents (element order); branches exist for inductors, coupled-set
-windings and voltage sources.  The linear stamps are assembled once per
-run; per step only the right-hand side moves, and only transistor and
-varactor stamps are re-evaluated inside the Newton loop, each transistor
-by one devices.mos_eval call, so the engine has no device equations of
-its own.  Newton starts from the quadratic extrapolation of the last
-three accepted solutions (linear through two, else the previous one).
-Circuits with no nonlinear elements skip Newton entirely and reuse one
-LU factorization for every step.
+windings and voltage sources.  The circuit is a_static x + dq/dt = s(t):
+the charge q(x) is a_react x (node charge, negated branch flux) plus each
+varactor's C(v_ctl) v_ab on its two node rows.  The linear stamps are
+assembled once per run; per step only the right-hand side moves, and
+only transistor and varactor stamps are re-evaluated inside the Newton
+loop, each transistor by one devices.mos_eval call, so the engine has no
+device equations of its own.  Newton starts from the quadratic
+extrapolation of the last three accepted solutions (linear through two,
+else the previous one).  Circuits with no nonlinear elements skip Newton
+entirely and reuse one LU factorization for every step.
 
-The first step is backward Euler: it needs no capacitor-current history,
+The step history is q and its derivative i at the last accepted step.
+A trapezoidal step (coef = 2/h) solves
+a_static x + coef q(x) = s(t) + coef q_prev + i_prev and then sets
+i = coef (q - q_prev) - i_prev.  The first step is backward Euler
+(coef = 1/h, both i_prev terms dropped): it needs no derivative history,
 so a discontinuous turn-on (step sources, charged capacitors) does not
-poison the trapezoidal rule with an inconsistent initial derivative.
-Every later step is trapezoidal.  If Newton fails on the first step (a
-hard turn-on), the run is retried once from the start with every faster
-source ramped over SimConfig.source_ramp_s; a second failure propagates.
+poison the trapezoidal rule with an inconsistent initial derivative.  If
+Newton fails on the first step (a hard turn-on), the run is retried once
+from the start with every faster source ramped over
+netlist.SOURCE_RAMP_S; a second failure propagates.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -60,7 +66,6 @@ class SimConfig:
     newton_abs: float = 1e-12
     max_newton: int = 50
     perturbation_v: float = 1e-3
-    source_ramp_s: float = 1e-9
     kcl_abs_a: float = 1e-9
     # Leak conductance (siemens) from every transistor drain and source
     # terminal to ground.  Without it a circuit region whose transistors
@@ -80,8 +85,6 @@ class SimConfig:
             raise InvalidModelError("gmin cannot be negative")
         if self.max_newton < 1:
             raise InvalidModelError("max_newton must be at least 1")
-        if self.source_ramp_s < 0:
-            raise InvalidModelError("source ramp must be non-negative")
 
 
 @dataclass
@@ -189,10 +192,7 @@ class _System:
             a_static[row, na] += 1.0
             a_static[row, nb] -= 1.0
 
-        # per-step RHS sources; arrays are built after the scan
-        caps: list[tuple[int, int, float]] = []
-        self.inductors: list[tuple[int, int, int, float]] = []
-        self.coupled: list[tuple[int, np.ndarray, np.ndarray, list]] = []
+        # per-step RHS sources
         self.vsources: list[tuple[int, VSource]] = []
         self.isources: list[ISource] = []
 
@@ -201,7 +201,6 @@ class _System:
                 conductance(a_static, e.a, e.b, 1.0 / e.ohms)
             elif isinstance(e, Capacitor):
                 conductance(a_react, e.a, e.b, e.farads)
-                caps.append((self._ext(e.a), self._ext(e.b), e.farads))
             elif isinstance(e, Vccs):
                 p, n = self._ext(e.p), self._ext(e.n)
                 cp, cn = self._ext(e.cp), self._ext(e.cn)
@@ -211,22 +210,15 @@ class _System:
                 a_static[n, cn] += e.gm
             elif isinstance(e, Inductor):
                 row = self.branch_of[idx]
-                na, nb = self._ext(e.a), self._ext(e.b)
-                branch(row, na, nb)
+                branch(row, self._ext(e.a), self._ext(e.b))
                 a_react[row, row] -= e.henries
-                self.inductors.append((row, na, nb, e.henries))
             elif isinstance(e, CoupledInductors):
                 row0 = self.branch_of[idx]
-                nw = len(e.pairs)
-                m = np.asarray(e.matrix)
-                pairs_ext = [(self._ext(pa), self._ext(pb)) for pa, pb in e.pairs]
-                for w, (na, nb) in enumerate(pairs_ext):
+                for w, (na, nb) in enumerate(e.pairs):
                     row = row0 + w
-                    branch(row, na, nb)
+                    branch(row, self._ext(na), self._ext(nb))
                     a_static[row, row] -= e.series_r[w]
-                    for k in range(nw):
-                        a_react[row, row0 + k] -= m[w, k]
-                self.coupled.append((row0, m, np.asarray(e.series_r), pairs_ext))
+                    a_react[row, row0:row0 + len(e.pairs)] -= e.matrix[w]
             elif isinstance(e, VSource):
                 row = self.branch_of[idx]
                 branch(row, self._ext(e.p), self._ext(e.n))
@@ -241,21 +233,28 @@ class _System:
 
         self.a_static = a_static
         self.a_react = a_react
-        self.cap_a = np.array([c[0] for c in caps], dtype=int)
-        self.cap_b = np.array([c[1] for c in caps], dtype=int)
-        self.cap_c = np.array([c[2] for c in caps])
 
 
 @dataclass
 class _StepState:
-    """Solution and reactive-element history carried between steps:
-    capacitor voltages and currents, varactor charges and currents."""
+    """What one accepted step hands the next: the charge q(x) on every
+    row (node charge, negated branch flux), its derivative i from the
+    integration rule, and the solution x, all extended by the ground
+    slot."""
 
-    cap_v: np.ndarray
-    cap_i: np.ndarray
-    var_q: np.ndarray
-    var_i: np.ndarray
+    q: np.ndarray
+    i: np.ndarray
     x: np.ndarray
+
+
+def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
+    """q(x): the linear reactive stamps plus each varactor's charge."""
+    q = sys.a_react @ x
+    for na, nb, cp, cn, model in sys.varactors:
+        qv = varactor_capacitance(model, x[cp] - x[cn]) * (x[na] - x[nb])
+        q[na] += qv
+        q[nb] -= qv
+    return q
 
 
 def _initial_state(sys: _System) -> _StepState:
@@ -272,14 +271,7 @@ def _initial_state(sys: _System) -> _StepState:
         elif isinstance(e, CoupledInductors):
             for w, i0 in enumerate(e.i_initial_a):
                 x[sys.branch_of[idx] + w] = i0
-    return _StepState(
-        cap_v=x[sys.cap_a] - x[sys.cap_b],
-        cap_i=np.zeros(len(sys.cap_c)),
-        var_q=np.array([varactor_capacitance(model, x[cp] - x[cn])
-                        * (x[na] - x[nb])
-                        for na, nb, cp, cn, model in sys.varactors]),
-        var_i=np.zeros(len(sys.varactors)),
-        x=x)
+    return _StepState(q=_charge(sys, x), i=np.zeros(sys.size + 1), x=x)
 
 
 def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
@@ -295,23 +287,11 @@ def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
 
 def _rhs(sys: _System, st: _StepState, t: float, coef: float,
          history: bool) -> np.ndarray:
-    """Right-hand side for one step; coef is 2/h (trapezoidal, with
-    history currents) or 1/h (backward Euler, without)."""
-    b = np.zeros(sys.size + 1)
-    x = st.x
-    if len(sys.cap_c):
-        ieq = coef * sys.cap_c * st.cap_v + (st.cap_i if history else 0.0)
-        np.add.at(b, sys.cap_a, ieq)
-        np.add.at(b, sys.cap_b, -ieq)
-    for row, na, nb, henries in sys.inductors:
-        b[row] = -coef * henries * x[row] - ((x[na] - x[nb]) if history else 0.0)
-    for row0, m, series_r, pairs_ext in sys.coupled:
-        i_prev = x[row0:row0 + len(series_r)]
-        rhs = -coef * (m @ i_prev)
-        if history:
-            v_prev = np.array([x[na] - x[nb] for na, nb in pairs_ext])
-            rhs += -v_prev + series_r * i_prev
-        b[row0:row0 + len(series_r)] = rhs
+    """Right-hand side for one step; coef is 2/h (trapezoidal, with the
+    derivative history) or 1/h (backward Euler, without)."""
+    b = coef * st.q
+    if history:
+        b += st.i
     for row, e in sys.vsources:
         b[row] = e.value_at(t)
     for e in sys.isources:
@@ -322,11 +302,10 @@ def _rhs(sys: _System, st: _StepState, t: float, coef: float,
     return b
 
 
-def _nonlinear_stamps(sys: _System, st: _StepState, x: np.ndarray,
-                      coef: float, history: bool,
+def _nonlinear_stamps(sys: _System, x: np.ndarray, coef: float,
                       f: np.ndarray, j: np.ndarray | None) -> None:
-    """Add transistor and varactor contributions to the residual (and the
-    Jacobian when j is given)."""
+    """Add transistor currents and coef times varactor charges to the
+    residual (and the Jacobian when j is given)."""
     v = x.tolist()
     for d, g, s, p in sys.mos:
         i_d, g_m, g_ds = mos_eval(p, v[g] - v[s], v[d] - v[s])
@@ -340,14 +319,12 @@ def _nonlinear_stamps(sys: _System, st: _StepState, x: np.ndarray,
             j[s, g] -= g_m
             j[s, d] -= g_ds
             j[s, s] += g_sum
-    for vi, (na, nb, cp, cn, model) in enumerate(sys.varactors):
+    for na, nb, cp, cn, model in sys.varactors:
         v_sig = v[na] - v[nb]
         v_ctl = v[cp] - v[cn]
         c = varactor_capacitance(model, v_ctl)
-        i_now = (coef * (c * v_sig - st.var_q[vi])
-                 - (st.var_i[vi] if history else 0.0))
-        f[na] += i_now
-        f[nb] -= i_now
+        f[na] += coef * c * v_sig
+        f[nb] -= coef * c * v_sig
         if j is not None:
             dc = varactor_capacitance_slope(model, v_ctl)
             gv = coef * c
@@ -370,9 +347,8 @@ def _row_scale(a: np.ndarray) -> np.ndarray:
     return 1.0 / m
 
 
-def _newton_step(sys: _System, st: _StepState, x0: np.ndarray,
-                 a0: np.ndarray, abs_a0: np.ndarray, b: np.ndarray,
-                 t: float, coef: float, history: bool):
+def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
+                 abs_a0: np.ndarray, b: np.ndarray, t: float, coef: float):
     """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|."""
     cfg = sys.cfg
     size, gslot = sys.size, sys.gslot
@@ -383,7 +359,7 @@ def _newton_step(sys: _System, st: _StepState, x0: np.ndarray,
     for it in range(cfg.max_newton):
         f = a0 @ x - b
         j = a0.copy()
-        _nonlinear_stamps(sys, st, x, coef, history, f, j)
+        _nonlinear_stamps(sys, x, coef, f, j)
         f[gslot] = 0.0
         if it > 0:
             # Residual acceptance: each row balances to within tolerance
@@ -408,7 +384,7 @@ def _newton_step(sys: _System, st: _StepState, x0: np.ndarray,
         tol = cfg.newton_abs + cfg.newton_rel * float(np.abs(x[:size]).max())
         if float(np.abs(dx).max()) <= tol:
             f = a0 @ x - b
-            _nonlinear_stamps(sys, st, x, coef, history, f, None)
+            _nonlinear_stamps(sys, x, coef, f, None)
             f[gslot] = 0.0
             return x, f[:size]
     raise NumericFailure(
@@ -429,8 +405,8 @@ def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):
             x0 = 3.0 * (past[2] - past[1]) + past[0]
         elif len(past) == 2:
             x0 = 2.0 * past[1] - past[0]
-        return _newton_step(sys, st, x0, a0, sys.abs_be if first else sys.abs_tr,
-                            b, t, coef, not first)
+        return _newton_step(sys, x0, a0, sys.abs_be if first else sys.abs_tr,
+                            b, t, coef)
     size = sys.size
     x = np.empty(size + 1)
     x[:size] = lu_solve(sys.lu_be if first else sys.lu_tr,
@@ -455,8 +431,8 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         x, resid = _solve_step(sys, st, times[1], True, ())
     except NumericFailure:
         # hard turn-on rescue: one retry with the sources ramped
-        ramped = net.with_source_ramp(cfg.source_ramp_s)
-        if cfg.source_ramp_s <= 0 or ramped.elements == net.elements:
+        ramped = net.with_source_ramp()
+        if ramped.elements == net.elements:
             raise
         sys = _System(ramped, cfg)
         st = _initial_state(sys)
@@ -479,19 +455,12 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         kcl_max = max(kcl_max, step_kcl)
         out[step] = x[:sys.size]
 
-        # advance histories
-        coef = sys.coef_be if first else sys.coef_tr
-        if len(sys.cap_c):
-            v_now = x[sys.cap_a] - x[sys.cap_b]
-            st.cap_i = (coef * sys.cap_c * (v_now - st.cap_v)
-                        - (st.cap_i if not first else 0.0))
-            st.cap_v = v_now
-        for vi, (na, nb, cp, cn, model) in enumerate(sys.varactors):
-            q_now = varactor_capacitance(model, x[cp] - x[cn]) * (x[na] - x[nb])
-            st.var_i[vi] = (coef * (q_now - st.var_q[vi])
-                            - (st.var_i[vi] if not first else 0.0))
-            st.var_q[vi] = q_now
-        st.x = x
+        q = _charge(sys, x)
+        if first:
+            st.i = sys.coef_be * (q - st.q)
+        else:
+            st.i = sys.coef_tr * (q - st.q) - st.i
+        st.q, st.x = q, x
 
     voltages = {name: out[:, i].copy()
                 for i, name in enumerate(net.node_names)}

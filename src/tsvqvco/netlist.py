@@ -33,6 +33,9 @@ from .errors import InvalidModelError
 
 GROUND_NAMES = ("0", "gnd")
 GROUND = -1
+# Ramp time of the built topologies' supplies, and of the engine's
+# hard turn-on rescue.
+SOURCE_RAMP_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -276,15 +279,15 @@ class Netlist:
         self.node(node)
         self.initial_voltages[node] = volts
 
-    def with_source_ramp(self, ramp_s: float) -> "Netlist":
-        """Copy with every faster source slowed to ramp over ramp_s; used
-        to rescue a first Newton step that fails on a hard turn-on."""
+    def with_source_ramp(self) -> "Netlist":
+        """Copy with every faster source slowed to ramp over SOURCE_RAMP_S;
+        used to rescue a first Newton step that fails on a hard turn-on."""
         out = Netlist(node_names=list(self.node_names),
                       elements=list(self.elements),
                       initial_voltages=dict(self.initial_voltages))
         for i, e in enumerate(out.elements):
-            if isinstance(e, (VSource, ISource)) and e.ramp_s < ramp_s:
-                out.elements[i] = replace(e, ramp_s=ramp_s)
+            if isinstance(e, (VSource, ISource)) and e.ramp_s < SOURCE_RAMP_S:
+                out.elements[i] = replace(e, ramp_s=SOURCE_RAMP_S)
         return out
 
     def _terminal_nodes(self, e: Element) -> tuple[int, ...]:

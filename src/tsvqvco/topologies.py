@@ -40,7 +40,7 @@ from .devices import (
 )
 from .engine import SimConfig
 from .errors import InvalidModelError
-from .netlist import Netlist
+from .netlist import SOURCE_RAMP_S, Netlist
 from .transformer import TransformerModel
 
 TOPOLOGIES = ("lc-vco", "tf-vco", "cr-vco", "tc-qvco")
@@ -78,7 +78,6 @@ class TopologyParams:
     c_load_f: float = 20e-15
     include_pair: bool = True
     k_mismatch_frac: float = 0.0
-    source_ramp_s: float = 1e-9
 
     def validate(self) -> None:
         if self.v_dd_v <= 0:
@@ -92,8 +91,6 @@ class TopologyParams:
             raise InvalidModelError("buffer load cannot be negative")
         if self.k_mismatch_frac <= -1.0:
             raise InvalidModelError("mismatch would make the NMOS k negative")
-        if self.source_ramp_s < 0:
-            raise InvalidModelError("source ramp must be non-negative")
         if self.varactor is not None:
             self.varactor.validate()
         if self.array is not None:
@@ -166,13 +163,13 @@ def _add_buffer(net: Netlist, p: TopologyParams, src: str, tag: str) -> None:
 
 def _add_sources(net: Netlist, p: TopologyParams, buffered: bool) -> None:
     net.add_vsource("vdd", "gnd", p.v_dd_v, label="vdd_core",
-                    ramp_s=p.source_ramp_s)
+                    ramp_s=SOURCE_RAMP_S)
     if buffered:
         net.add_vsource("vdd_buf", "gnd", p.v_dd_v, label="vdd_buf",
-                        ramp_s=p.source_ramp_s)
+                        ramp_s=SOURCE_RAMP_S)
     if p.varactor is not None:
         net.add_vsource("v_ctrl", "gnd", p.v_ctrl_v, label="v_c",
-                        ramp_s=p.source_ramp_s)
+                        ramp_s=SOURCE_RAMP_S)
 
 
 def _build_lc_vco(p: TopologyParams) -> Netlist:

@@ -6,18 +6,23 @@ both polarities; reruns of one netlist must repeat bit for bit; the hard
 turn-on rescue is driven by a Newton step made to fail.  The extrapolated
 Newton start point must change only the iteration count, never the
 answer, and the Newton path must reproduce a closed-form RC discharge.
+The reactive step history is checked three independent ways: a lossless
+LC keeps its energy, a coupled pair matches its T network, and a
+varactor at a fixed control voltage matches a linear capacitor.
 """
 import copy
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from tsvqvco import engine
-from tsvqvco.devices import MosParams, mos_current
+from tsvqvco.devices import (MosParams, VaractorModel, mos_current,
+                             varactor_capacitance)
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import NumericFailure
-from tsvqvco.netlist import Netlist
+from tsvqvco.netlist import SOURCE_RAMP_S, Netlist, VSource
 from tsvqvco.topologies import TopologyParams, build_netlist, default_sim_config
 
 NMOS = MosParams(polarity="n", k_factor=0.02, v_th=0.3, lam=0.1)
@@ -41,20 +46,19 @@ def two_device_system():
     net.add_mos("dp", "gp", "sp", PMOS, label="mp")
     for node in ("dn", "gn", "sn", "dp", "gp", "sp"):
         net.add_resistor(node, "gnd", 1e3, label=f"r_{node}")
-    sys_ = engine._System(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
-    return net, sys_, engine._initial_state(sys_)
+    return net, engine._System(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
 
 
-def stamped(sys_, st, x, jacobian: bool):
+def stamped(sys_, x, jacobian: bool):
     f = np.zeros(sys_.size + 1)
     j = np.zeros((sys_.size + 1, sys_.size + 1)) if jacobian else None
-    engine._nonlinear_stamps(sys_, st, x, 2.0 / sys_.h, True, f, j)
+    engine._nonlinear_stamps(sys_, x, 2.0 / sys_.h, f, j)
     return f, j
 
 
 @pytest.mark.parametrize("region", sorted(BIASES))
 def test_mos_jacobian_matches_finite_difference(region):
-    net, sys_, st = two_device_system()
+    net, sys_ = two_device_system()
     v_gs, v_ds = BIASES[region]
     x = np.zeros(sys_.size + 1)
     for tag, sign, v_s in (("n", 1.0, 0.1), ("p", -1.0, 0.6)):
@@ -62,7 +66,7 @@ def test_mos_jacobian_matches_finite_difference(region):
         x[net.node_names.index(f"g{tag}")] = v_s + sign * v_gs
         x[net.node_names.index(f"d{tag}")] = v_s + sign * v_ds
 
-    f, j = stamped(sys_, st, x, jacobian=True)
+    f, j = stamped(sys_, x, jacobian=True)
     for tag, params in (("n", NMOS), ("p", PMOS)):
         d, g, s = (net.node_names.index(f"{t}{tag}") for t in "dgs")
         assert f[d] == mos_current(params, x[g] - x[s], x[d] - x[s])
@@ -74,8 +78,8 @@ def test_mos_jacobian_matches_finite_difference(region):
         hi, lo = x.copy(), x.copy()
         hi[col] += step
         lo[col] -= step
-        fd[:, col] = ((stamped(sys_, st, hi, jacobian=False)[0]
-                       - stamped(sys_, st, lo, jacobian=False)[0])[:sys_.size]
+        fd[:, col] = ((stamped(sys_, hi, jacobian=False)[0]
+                       - stamped(sys_, lo, jacobian=False)[0])[:sys_.size]
                       / (2.0 * step))
     analytic = j[:sys_.size, :sys_.size]
     if region == "cutoff":
@@ -101,9 +105,10 @@ class TestRampRescue:
     CFG = SimConfig(dt_s=2e-12, t_stop_s=2e-11)
 
     def run(self, monkeypatch, toroidal_model, failures: int,
-            source_ramp_s: float):
+            hard_turn_on: bool):
         """Short tc-qvco run whose first `failures` Newton steps raise;
-        returns the waveforms (or the exception) and the Newton calls."""
+        returns the waveforms (or the exception) and the Newton calls.
+        A hard turn-on replaces the built, ramped supplies by steps."""
         calls = []
         real = engine._newton_step
 
@@ -115,8 +120,11 @@ class TestRampRescue:
 
         monkeypatch.setattr(engine, "_newton_step", failing)
         net = build_netlist("tc-qvco", TopologyParams(
-            transformer=toroidal_model, c_parasitic_f=4.4e-12,
-            source_ramp_s=source_ramp_s))
+            transformer=toroidal_model, c_parasitic_f=4.4e-12))
+        if hard_turn_on:
+            net.elements = [dataclasses.replace(e, ramp_s=0.0)
+                            if isinstance(e, VSource) else e
+                            for e in net.elements]
         try:
             return transient(net, self.CFG), len(calls)
         except NumericFailure as exc:
@@ -125,23 +133,23 @@ class TestRampRescue:
     def test_first_step_failure_retries_with_ramped_sources(
             self, monkeypatch, toroidal_model):
         wave, _ = self.run(monkeypatch, toroidal_model,
-                           failures=1, source_ramp_s=0.0)
+                           failures=1, hard_turn_on=True)
         assert not isinstance(wave, NumericFailure)
         v_dd = TopologyParams().v_dd_v
         assert wave.voltages["vdd"][1] < v_dd
         assert wave.voltages["vdd"][1] == pytest.approx(
-            v_dd * self.CFG.dt_s / self.CFG.source_ramp_s, rel=1e-9)
+            v_dd * self.CFG.dt_s / SOURCE_RAMP_S, rel=1e-9)
 
     def test_second_failure_propagates(self, monkeypatch, toroidal_model):
         exc, calls = self.run(monkeypatch, toroidal_model,
-                              failures=2, source_ramp_s=0.0)
+                              failures=2, hard_turn_on=True)
         assert isinstance(exc, NumericFailure)
         assert calls == 2
 
     def test_already_ramped_netlist_is_not_retried(
             self, monkeypatch, toroidal_model):
         exc, calls = self.run(monkeypatch, toroidal_model,
-                              failures=1, source_ramp_s=1e-9)
+                              failures=1, hard_turn_on=False)
         assert isinstance(exc, NumericFailure)
         assert calls == 1
 
@@ -192,42 +200,43 @@ class TestNewtonStartPoint:
 
     def mid_run_step(self, monkeypatch, toroidal_model):
         """Arguments of one mid-run Newton call of a tc-qvco transient,
-        copied before the run moves its state on."""
-        seen = []
+        copied before the run moves its state on, and the solution the
+        call before it accepted."""
+        seen, accepted = [], []
         real = engine._newton_step
 
         def spy(*args):
-            if len(seen) == self.MID_STEP:
-                seen.append(copy.deepcopy(args))
-            else:
-                seen.append(None)
-            return real(*args)
+            seen.append(copy.deepcopy(args) if len(seen) == self.MID_STEP
+                        else None)
+            x, f = real(*args)
+            accepted.append(x.copy())
+            return x, f
 
         monkeypatch.setattr(engine, "_newton_step", spy)
         qvco_run(toroidal_model)
         monkeypatch.setattr(engine, "_newton_step", real)
-        return seen[self.MID_STEP]
+        return seen[self.MID_STEP], accepted[self.MID_STEP - 1]
 
     def test_start_point_moves_only_the_iteration_count(
             self, monkeypatch, toroidal_model):
-        sys_, st, x_ext, a0, abs_a0, b, t, coef, history = self.mid_run_step(
+        (sys_, x_ext, a0, abs_a0, b, t, coef), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
-        assert history
+        assert coef == sys_.coef_tr
         size, cfg = sys_.size, sys_.cfg
-        x_prev = st.x[:size].copy()
+        x_prev = x_acc[:size]
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
 
         results, solves = {}, {}
         for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
             calls = count_solves(monkeypatch)
             results[name] = engine._newton_step(
-                sys_, st, x0, a0, abs_a0, b, t, coef, history)
+                sys_, x0, a0, abs_a0, b, t, coef)
             solves[name] = len(calls)
 
         for name, (x, f) in results.items():
             # the engine's own residual acceptance, recomputed from x
             resid = a0 @ x - b
-            engine._nonlinear_stamps(sys_, st, x, coef, history, resid, None)
+            engine._nonlinear_stamps(sys_, x, coef, resid, None)
             assert np.array_equal(resid[:size], f), name
             f_ref = abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
             assert np.all(np.abs(f) <= cfg.newton_abs + cfg.newton_rel * f_ref), name
@@ -270,3 +279,84 @@ def test_rc_discharge_on_newton_path_matches_exponential():
                                rtol=0, atol=bound)
     # without the leak the time constant is r c, and the bound sees it
     assert np.abs(v - v0 * np.exp(-wave.time_s / (r_ohm * c_f))).max() > 10 * bound
+
+
+def test_lossless_lc_keeps_its_energy():
+    """Trapezoidal integration of a lossless LC conserves 1/2 C v^2 +
+    1/2 L i^2 to rounding; only the backward Euler first step loses
+    energy."""
+    l_h, c_f = 1e-9, 2e-12
+    net = Netlist()
+    net.add_inductor("a", "gnd", l_h, label="l")
+    net.add_capacitor("a", "gnd", c_f, label="c")
+    net.set_initial_voltage("a", 1.0)
+    period = 2.0 * math.pi * math.sqrt(l_h * c_f)
+    wave = transient(net, SimConfig(dt_s=period / 200, t_stop_s=50 * period))
+    energy = (0.5 * c_f * wave.voltages["a"] ** 2
+              + 0.5 * l_h * wave.currents["I(l)"] ** 2)
+    assert np.abs(wave.currents["I(l)"]).max() > 0.04  # it does ring
+    drift = np.abs(energy[1:] - energy[1]).max() / energy[1]
+    assert drift <= 1e-11
+
+
+def test_coupled_pair_matches_its_t_network():
+    """Two windings from p1 and p2 to ground with mutual M behave as
+    L1 - M and L2 - M from each terminal to a shared node, and M from it
+    to ground; each winding's series R stays in its own arm."""
+    l1, l2, mut, r1, r2 = 2e-9, 3e-9, 1e-9, 1.5, 4.0
+
+    def netlist(coupled: bool) -> Netlist:
+        net = Netlist()
+        net.add_capacitor("p1", "gnd", 1e-12)
+        net.add_resistor("p1", "gnd", 2e3)
+        net.add_capacitor("p2", "gnd", 0.5e-12)
+        net.add_resistor("p2", "gnd", 500.0)
+        net.set_initial_voltage("p1", 1.0)
+        if coupled:
+            net.add_coupled_inductors([("p1", "gnd"), ("p2", "gnd")],
+                                      [[l1, mut], [mut, l2]], [r1, r2])
+        else:
+            net.add_resistor("p1", "x1", r1)
+            net.add_inductor("x1", "t", l1 - mut)
+            net.add_resistor("p2", "x2", r2)
+            net.add_inductor("x2", "t", l2 - mut)
+            net.add_inductor("t", "gnd", mut)
+        return net
+
+    cfg = SimConfig(dt_s=1e-12, t_stop_s=2e-9)
+    coupled, tee = transient(netlist(True), cfg), transient(netlist(False), cfg)
+    assert np.abs(coupled.voltages["p2"]).max() > 0.05  # energy crosses over
+    for node in ("p1", "p2"):
+        np.testing.assert_allclose(coupled.voltages[node], tee.voltages[node],
+                                   rtol=0, atol=1e-12)
+
+
+def test_varactor_at_fixed_control_matches_linear_capacitor():
+    """A varactor between two non-ground nodes, its control held at a
+    fixed voltage from the start, is a linear capacitor of C(v_ctl)."""
+    model = VaractorModel(c_min=0.2e-12, c_max=0.6e-12, v_lo=0.0, v_hi=0.7)
+    v_ctl = 0.3
+
+    def netlist(varactor: bool) -> Netlist:
+        net = Netlist()
+        net.add_inductor("a", "b", 1e-9)
+        net.add_resistor("a", "gnd", 1e3)
+        net.add_resistor("b", "gnd", 2e3)
+        net.add_vsource("ctl", "gnd", v_ctl)
+        net.set_initial_voltage("ctl", v_ctl)
+        net.set_initial_voltage("a", 1.0)
+        if varactor:
+            net.add_varactor("a", "b", "ctl", "gnd", model)
+        else:
+            net.add_capacitor("a", "b", varactor_capacitance(model, v_ctl))
+        return net
+
+    period = 2.0 * math.pi * math.sqrt(1e-9 * varactor_capacitance(model, v_ctl))
+    cfg = SimConfig(dt_s=period / 200, t_stop_s=20 * period)
+    assert not engine._System(netlist(True), cfg).linear_only
+    var, cap = transient(netlist(True), cfg), transient(netlist(False), cfg)
+    swing = var.voltages["a"] - var.voltages["b"]
+    assert swing.max() - swing.min() > 0.5
+    for node in ("a", "b"):
+        np.testing.assert_allclose(var.voltages[node], cap.voltages[node],
+                                   rtol=0, atol=1e-12)

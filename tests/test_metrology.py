@@ -1,0 +1,123 @@
+"""Metrology on hand-built waveforms with known answers, and the Leeson
+phase-noise model against its formula evaluated by hand."""
+import math
+
+import numpy as np
+import pytest
+
+from tsvqvco.analysis import TankParams
+from tsvqvco.devices import BOLTZMANN_J_K
+from tsvqvco.engine import Waveforms
+from tsvqvco.errors import InvalidModelError
+from tsvqvco.metrology import (
+    LEESON_TEMP_K,
+    MIN_SWING_V,
+    STEADY_CYCLES,
+    estimate_frequency,
+    measure_metrics,
+    phase_noise_leeson,
+)
+
+F_HZ = 2.0e9
+V_DD = 0.7
+VPP = 0.42
+I_DD_A = 1.5e-3
+PHASES = {"V_o1": 0.0, "V_o2": 180.0, "V_o3": 90.0, "V_o4": 270.0}
+# 200.3 samples per period puts the sampled peaks off the true ones, so
+# the swing is right only after refinement.
+DT_S = 1.0 / (200.3 * F_HZ)
+N_PERIODS = 100
+
+
+def synthetic(envelope=lambda t: 1.0, vpp=VPP) -> Waveforms:
+    """Four outputs at F_HZ and PHASES around V_DD/2, and a supply
+    current of I_DD_A with a ripple at twice the frequency."""
+    t = DT_S * np.arange(int(N_PERIODS / (F_HZ * DT_S)) + 1)
+    voltages = {name: 0.5 * V_DD + 0.5 * vpp * envelope(t)
+                * np.cos(2.0 * np.pi * F_HZ * t + math.radians(deg))
+                for name, deg in PHASES.items()}
+    # branch current flows into the source's positive terminal
+    supply = -(I_DD_A + 0.3 * I_DD_A * np.sin(4.0 * np.pi * F_HZ * t))
+    return Waveforms(time_s=t, voltages=voltages,
+                     currents={"I(vdd_core)": supply})
+
+
+def test_frequency_of_a_sinusoid():
+    w = synthetic()
+    n = len(w.time_s)
+    f = estimate_frequency(w.time_s[n // 2:], w.voltages["V_o1"][n // 2:])
+    assert f == pytest.approx(F_HZ, rel=1e-4)
+
+
+def test_steady_quadrature_outputs():
+    m = measure_metrics(synthetic(), V_DD)
+    assert m.oscillating and m.steady
+    assert m.f_osc_hz == pytest.approx(F_HZ, rel=1e-4)
+    assert set(m.phases_deg) == {"V_o2", "V_o3", "V_o4"}
+    for name, deg in m.phases_deg.items():
+        assert abs(deg - PHASES[name]) <= 0.01, name
+    settled = int(round(STEADY_CYCLES / (F_HZ * DT_S)))
+    for name, vpp in m.amplitudes_vpp.items():
+        assert vpp == pytest.approx(VPP, rel=1e-8), name
+        # the samples alone miss the peaks by far more
+        raw = float(np.ptp(synthetic().voltages[name][-settled:]))
+        assert abs(raw - VPP) > 1e-7 * VPP, name
+    assert m.delta_v_out_v <= 1e-8 * VPP
+    assert m.power_core_mw == pytest.approx(V_DD * I_DD_A * 1e3, rel=1e-6)
+    assert m.power_buffer_mw is None
+
+
+def test_decaying_envelope_is_not_steady():
+    tau_s = 50.0 / F_HZ
+    m = measure_metrics(synthetic(envelope=lambda t: np.exp(-t / tau_s)), V_DD)
+    assert m.oscillating
+    assert not m.steady
+
+
+@pytest.mark.parametrize("vpp", [0.0, 0.5 * MIN_SWING_V])
+def test_flat_or_tiny_swing_is_not_oscillating(vpp):
+    m = measure_metrics(synthetic(vpp=vpp), V_DD)
+    assert not m.oscillating
+    assert m.f_osc_hz is None
+    assert m.amplitudes_vpp["V_o1"] == pytest.approx(vpp, rel=1e-5)
+
+
+class TestLeeson:
+    TANK = TankParams(r_parallel=400.0, c_tank=2.2e-12, l_p=2.75e-9,
+                      k=0.6, n=2.4)
+
+    def by_hand(self, p_sig_mw, offset_hz, f_excess_db=0.0):
+        t = self.TANK
+        l_tank = t.k ** 2 * t.l_p
+        f0 = 1.0 / (2.0 * math.pi * math.sqrt(l_tank * t.c_tank))
+        q = t.r_parallel * math.sqrt(t.c_tank / l_tank)
+        noise = (10.0 ** (f_excess_db / 10.0) * BOLTZMANN_J_K * LEESON_TEMP_K
+                 / (2.0 * p_sig_mw * 1e-3))
+        return 10.0 * math.log10(noise * (f0 / (2.0 * q * offset_hz)) ** 2)
+
+    def test_spot_value(self):
+        got = phase_noise_leeson(self.TANK, 1.0, 1e6, f_excess_db=6.0)
+        assert got == pytest.approx(self.by_hand(1.0, 1e6, 6.0), abs=1e-9)
+
+    def test_minus_twenty_db_per_decade_of_offset(self):
+        near = phase_noise_leeson(self.TANK, 1.0, 1e5)
+        far = phase_noise_leeson(self.TANK, 1.0, 1e6)
+        assert far - near == pytest.approx(-20.0, abs=1e-9)
+
+    def test_doubling_signal_power(self):
+        low = phase_noise_leeson(self.TANK, 0.5, 1e6)
+        high = phase_noise_leeson(self.TANK, 1.0, 1e6)
+        assert high - low == pytest.approx(-10.0 * math.log10(2.0), abs=1e-9)
+
+    def test_excess_noise_adds_in_db(self):
+        base = phase_noise_leeson(self.TANK, 1.0, 1e6)
+        noisy = phase_noise_leeson(self.TANK, 1.0, 1e6, f_excess_db=4.5)
+        assert noisy - base == pytest.approx(4.5, abs=1e-9)
+
+    @pytest.mark.parametrize("p_sig_mw, offset_hz, message", [
+        (0.0, 1e6, "signal power must be positive"),
+        (1.0, -1e6, "offset frequency must be positive"),
+    ])
+    def test_rejects_nonpositive_inputs(self, p_sig_mw, offset_hz, message):
+        with pytest.raises(InvalidModelError, match=message):
+            phase_noise_leeson(self.TANK, p_sig_mw, offset_hz)
