@@ -8,10 +8,10 @@ varactor's C(v_ctl) v_ab on its two node rows.  The linear stamps are
 assembled once per run; per step only the right-hand side moves, and
 only transistor and varactor stamps are re-evaluated inside the Newton
 loop, each transistor by one devices.mos_eval call, so the engine has no
-device equations of its own.  Newton starts from the quadratic
-extrapolation of the last three accepted solutions (linear through two,
-else the previous one).  Circuits with no nonlinear elements skip Newton
-entirely and reuse one LU factorization for every step.
+device equations of its own.  Every step, linear circuits included, is
+solved by Newton from the quadratic extrapolation of the last three
+accepted solutions (linear through two, else the previous one); a linear
+circuit converges after one solve, and the residual test accepts it.
 
 The step history is q and its derivative i at the last accepted step.
 A trapezoidal step (coef = 2/h) solves
@@ -29,11 +29,9 @@ so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
 from .devices import mos_eval, varactor_capacitance, varactor_capacitance_slope
 from .errors import InvalidModelError, NumericFailure
@@ -42,7 +40,6 @@ from .netlist import (
     Capacitor,
     CoupledInductors,
     Inductor,
-    ISource,
     Mos,
     Netlist,
     Resistor,
@@ -52,39 +49,36 @@ from .netlist import (
     VSource,
 )
 
+# Startup seed: the initial voltage of V_o1 (when that node exists) is
+# raised by PERTURBATION_V.
 PERTURB_NODE = "V_o1"
+PERTURBATION_V = 1e-3
+NEWTON_REL = 1e-9
+NEWTON_ABS = 1e-12
+MAX_NEWTON = 50
+# Per-step KCL gate on every node row (amperes).
+KCL_ABS_A = 1e-9
+# Leak conductance (siemens) from every transistor drain and source
+# terminal to ground.  Without it a circuit region whose transistors are
+# all cut off has no defined common-mode voltage and the matrix is
+# singular.  1 nS is nine decades below the operating conductances here,
+# so it never shows in the waveforms.
+GMIN = 1e-9
 
 
 @dataclass
 class SimConfig:
-    """Fixed-step transient settings; the perturbation seeds startup by
-    biasing the initial voltage of V_o1 (when that node exists)."""
+    """Fixed step and stop time of one transient; the Newton tolerances,
+    the KCL gate, the leak and the startup seed are the constants above."""
 
     dt_s: float
     t_stop_s: float
-    newton_rel: float = 1e-9
-    newton_abs: float = 1e-12
-    max_newton: int = 50
-    perturbation_v: float = 1e-3
-    kcl_abs_a: float = 1e-9
-    # Leak conductance (siemens) from every transistor drain and source
-    # terminal to ground.  Without it a circuit region whose transistors
-    # are all cut off has no defined common-mode voltage and the matrix
-    # is singular.  1 nS is nine decades below the operating
-    # conductances here, so it never shows in the waveforms.
-    gmin: float = 1e-9
 
     def validate(self) -> None:
         if self.dt_s <= 0:
             raise InvalidModelError("time step must be positive")
         if self.t_stop_s <= self.dt_s:
             raise InvalidModelError("stop time must exceed the time step")
-        if self.newton_rel <= 0 or self.newton_abs <= 0 or self.kcl_abs_a <= 0:
-            raise InvalidModelError("Newton tolerances must be positive")
-        if self.gmin < 0:
-            raise InvalidModelError("gmin cannot be negative")
-        if self.max_newton < 1:
-            raise InvalidModelError("max_newton must be at least 1")
 
 
 @dataclass
@@ -116,7 +110,6 @@ class _System:
 
     def __init__(self, net: Netlist, cfg: SimConfig):
         self.net = net
-        self.cfg = cfg
         self.h = cfg.dt_s
         self.n = net.n_nodes
 
@@ -143,7 +136,6 @@ class _System:
         self.varactors = [(self._ext(e.a), self._ext(e.b), self._ext(e.cp),
                            self._ext(e.cn), e.model)
                           for e in net.elements if isinstance(e, Varactor)]
-        self.linear_only = not self.mos and not self.varactors
 
         self.coef_tr, self.coef_be = 2.0 / self.h, 1.0 / self.h
         self.a_tr = self.a_static + self.coef_tr * self.a_react
@@ -152,23 +144,6 @@ class _System:
         # |A| for the Newton residual reference
         self.abs_tr = np.abs(self.a_tr[:size, :size])
         self.abs_be = np.abs(self.a_be[:size, :size])
-        if self.linear_only:
-            self.sc_tr = _row_scale(self.a_tr[:size, :size])
-            self.sc_be = _row_scale(self.a_be[:size, :size])
-            try:
-                with warnings.catch_warnings():
-                    # lu_factor only warns on a zero pivot; the pivot
-                    # check below turns that into NumericFailure.
-                    warnings.simplefilter("ignore", LinAlgWarning)
-                    self.lu_tr = lu_factor(self.a_tr[:size, :size]
-                                           * self.sc_tr[:, None])
-                    self.lu_be = lu_factor(self.a_be[:size, :size]
-                                           * self.sc_be[:, None])
-            except Exception:
-                raise NumericFailure(_singular_diagnostic(self, self.a_tr))
-            pivots = np.concatenate((np.diag(self.lu_tr[0]), np.diag(self.lu_be[0])))
-            if not np.all(np.isfinite(pivots) & (pivots != 0.0)):
-                raise NumericFailure(_singular_diagnostic(self, self.a_tr))
 
     def _ext(self, node: int) -> int:
         return self.gslot if node == GROUND else node
@@ -194,7 +169,6 @@ class _System:
 
         # per-step RHS sources
         self.vsources: list[tuple[int, VSource]] = []
-        self.isources: list[ISource] = []
 
         for idx, e in enumerate(net.elements):
             if isinstance(e, (Resistor, Switch)):
@@ -223,13 +197,11 @@ class _System:
                 row = self.branch_of[idx]
                 branch(row, self._ext(e.p), self._ext(e.n))
                 self.vsources.append((row, e))
-            elif isinstance(e, ISource):
-                self.isources.append(e)
-            elif isinstance(e, Mos) and self.cfg.gmin > 0:
+            elif isinstance(e, Mos):
                 # the nonlinear part is stamped per Newton iteration;
                 # the leak keeps cut-off regions non-singular
-                conductance(a_static, e.d, GROUND, self.cfg.gmin)
-                conductance(a_static, e.s, GROUND, self.cfg.gmin)
+                conductance(a_static, e.d, GROUND, GMIN)
+                conductance(a_static, e.s, GROUND, GMIN)
 
         self.a_static = a_static
         self.a_react = a_react
@@ -258,11 +230,11 @@ def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
 
 
 def _initial_state(sys: _System) -> _StepState:
-    net, cfg = sys.net, sys.cfg
+    net = sys.net
     x = np.zeros(sys.size + 1)
     ics = dict(net.initial_voltages)
-    if cfg.perturbation_v != 0.0 and PERTURB_NODE in net.node_names:
-        ics[PERTURB_NODE] = ics.get(PERTURB_NODE, 0.0) + cfg.perturbation_v
+    if PERTURB_NODE in net.node_names:
+        ics[PERTURB_NODE] = ics.get(PERTURB_NODE, 0.0) + PERTURBATION_V
     for name, v in ics.items():
         x[net.node_names.index(name)] = v
     for idx, e in enumerate(net.elements):
@@ -294,10 +266,6 @@ def _rhs(sys: _System, st: _StepState, t: float, coef: float,
         b += st.i
     for row, e in sys.vsources:
         b[row] = e.value_at(t)
-    for e in sys.isources:
-        val = e.value_at(t)
-        b[sys._ext(e.p)] -= val
-        b[sys._ext(e.n)] += val
     b[sys.gslot] = 0.0
     return b
 
@@ -350,13 +318,12 @@ def _row_scale(a: np.ndarray) -> np.ndarray:
 def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
                  abs_a0: np.ndarray, b: np.ndarray, t: float, coef: float):
     """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|."""
-    cfg = sys.cfg
     size, gslot = sys.size, sys.gslot
     x = np.zeros(size + 1)
     x[:size] = x0
     abs_b = np.abs(b[:size])
 
-    for it in range(cfg.max_newton):
+    for it in range(MAX_NEWTON):
         f = a0 @ x - b
         j = a0.copy()
         _nonlinear_stamps(sys, x, coef, f, j)
@@ -368,10 +335,8 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
             # Update-only tests stall at the linear-solve noise floor on
             # stiff systems.
             f_ref = abs_a0 @ np.abs(x[:size]) + abs_b
-            if (np.all(np.abs(f[:size]) <= cfg.newton_abs
-                       + cfg.newton_rel * f_ref)
-                    and float(np.abs(f[:sys.n]).max())
-                    <= 0.1 * cfg.kcl_abs_a):
+            if (np.all(np.abs(f[:size]) <= NEWTON_ABS + NEWTON_REL * f_ref)
+                    and float(np.abs(f[:sys.n]).max()) <= 0.1 * KCL_ABS_A):
                 return x, f[:size]
         try:
             jj = j[:size, :size]
@@ -381,7 +346,7 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
             raise NumericFailure(_singular_diagnostic(sys, j))
         x[:size] += dx
         x[gslot] = 0.0
-        tol = cfg.newton_abs + cfg.newton_rel * float(np.abs(x[:size]).max())
+        tol = NEWTON_ABS + NEWTON_REL * float(np.abs(x[:size]).max())
         if float(np.abs(dx).max()) <= tol:
             f = a0 @ x - b
             _nonlinear_stamps(sys, x, coef, f, None)
@@ -389,7 +354,7 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
             return x, f[:size]
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
-        f"{cfg.max_newton} iterations; last update {float(np.abs(dx).max()):.3e}")
+        f"{MAX_NEWTON} iterations; last update {float(np.abs(dx).max()):.3e}")
 
 
 def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):
@@ -397,22 +362,14 @@ def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):
     residual it leaves; the first step is backward Euler.  past holds
     the last accepted solutions, oldest first, at most three of them."""
     coef = sys.coef_be if first else sys.coef_tr
-    a0 = sys.a_be if first else sys.a_tr
     b = _rhs(sys, st, t, coef, history=not first)
-    if not sys.linear_only:
-        x0 = st.x[:sys.size]
-        if len(past) == 3:
-            x0 = 3.0 * (past[2] - past[1]) + past[0]
-        elif len(past) == 2:
-            x0 = 2.0 * past[1] - past[0]
-        return _newton_step(sys, x0, a0, sys.abs_be if first else sys.abs_tr,
-                            b, t, coef)
-    size = sys.size
-    x = np.empty(size + 1)
-    x[:size] = lu_solve(sys.lu_be if first else sys.lu_tr,
-                        b[:size] * (sys.sc_be if first else sys.sc_tr))
-    x[sys.gslot] = 0.0
-    return x, a0[:size, :size] @ x[:size] - b[:size]
+    x0 = st.x[:sys.size]
+    if len(past) == 3:
+        x0 = 3.0 * (past[2] - past[1]) + past[0]
+    elif len(past) == 2:
+        x0 = 2.0 * past[1] - past[0]
+    a0, abs_a0 = (sys.a_be, sys.abs_be) if first else (sys.a_tr, sys.abs_tr)
+    return _newton_step(sys, x0, a0, abs_a0, b, t, coef)
 
 
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
@@ -448,9 +405,9 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
             x, resid = _solve_step(sys, st, t, False,
                                    out[max(1, step - 3):step])
         step_kcl = float(np.abs(resid[:sys.n]).max())
-        if not step_kcl <= cfg.kcl_abs_a:  # a NaN residual fails too
+        if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
             raise NumericFailure(
-                f"KCL residual {step_kcl:.3e} A exceeds {cfg.kcl_abs_a:.1e} A "
+                f"KCL residual {step_kcl:.3e} A exceeds {KCL_ABS_A:.1e} A "
                 f"at t = {t:.6e} s")
         kcl_max = max(kcl_max, step_kcl)
         out[step] = x[:sys.size]

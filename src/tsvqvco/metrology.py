@@ -21,9 +21,10 @@ from .analysis import TankParams, tank_resonance_and_q
 from .devices import BOLTZMANN_J_K
 from .engine import Waveforms
 from .errors import InvalidModelError
+from .netlist import BUFFER_SUPPLY, CORE_SUPPLY
 
 LEESON_TEMP_K = 290.0
-DEFAULT_OUTPUTS = ("V_o1", "V_o2", "V_o3", "V_o4")
+OUTPUTS = ("V_o1", "V_o2", "V_o3", "V_o4")
 # Swings below this are treated as numerical residue, not oscillation.
 MIN_SWING_V = 0.02
 STEADY_CYCLES = 5
@@ -167,29 +168,22 @@ def _supply_power_mw(w: Waveforms, label: str, v_dd: float,
     return v_dd * float(np.mean(-i)) * 1e3
 
 
-def measure_metrics(w: Waveforms, v_dd: float,
-                    outputs: tuple[str, ...] | None = None,
-                    core_source: str = "vdd_core",
-                    buffer_source: str = "vdd_buf",
-                    min_swing_v: float = MIN_SWING_V) -> SimMetrics:
+def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
     """Extract oscillation metrics from a transient run.
 
-    outputs defaults to whichever of V_o1..V_o4 exist, in that order.
+    The outputs are whichever of V_o1..V_o4 exist, in that order, and the
+    power is read from the CORE_SUPPLY and BUFFER_SUPPLY source currents.
     Frequency and phases use the second half of the run, swings the final
     few cycles; startup search uses the whole run.  A swing below
-    min_swing_v over the final tenth of the run, or an unusable spectrum,
+    MIN_SWING_V over the final tenth of the run, or an unusable spectrum,
     reports a not-oscillating result rather than raising.
     """
     w.validate()
     if v_dd <= 0:
         raise InvalidModelError("supply voltage must be positive")
-    if outputs is None:
-        outputs = tuple(n for n in DEFAULT_OUTPUTS if n in w.voltages)
+    outputs = tuple(n for n in OUTPUTS if n in w.voltages)
     if not outputs:
         raise InvalidModelError("no output nodes to measure")
-    missing = [n for n in outputs if n not in w.voltages]
-    if missing:
-        raise InvalidModelError(f"output nodes not in waveforms: {missing}")
 
     n = len(w.time_s)
     tail = slice(n // 2, n)
@@ -199,12 +193,12 @@ def measure_metrics(w: Waveforms, v_dd: float,
 
     first = w.voltages[outputs[0]]
     f_osc = estimate_frequency(w.time_s[tail], first[tail])
-    alive = _peak_to_peak(first[late]) >= min_swing_v
+    alive = _peak_to_peak(first[late]) >= MIN_SWING_V
     if not alive or f_osc is None:
         return SimMetrics(
             oscillating=False, amplitudes_vpp=amplitudes,
-            power_core_mw=_supply_power_mw(w, core_source, v_dd, None),
-            power_buffer_mw=_supply_power_mw(w, buffer_source, v_dd, None))
+            power_core_mw=_supply_power_mw(w, CORE_SUPPLY, v_dd, None),
+            power_buffer_mw=_supply_power_mw(w, BUFFER_SUPPLY, v_dd, None))
 
     ref = _fundamental_phasor(w.time_s, first, f_osc)
     phases: dict[str, float] = {}
@@ -241,8 +235,8 @@ def measure_metrics(w: Waveforms, v_dd: float,
     m = SimMetrics(
         oscillating=True, f_osc_hz=f_osc, amplitudes_vpp=amplitudes,
         delta_v_out_v=delta, phases_deg=phases, startup_s=startup,
-        power_core_mw=_supply_power_mw(w, core_source, v_dd, f_osc),
-        power_buffer_mw=_supply_power_mw(w, buffer_source, v_dd, f_osc),
+        power_core_mw=_supply_power_mw(w, CORE_SUPPLY, v_dd, f_osc),
+        power_buffer_mw=_supply_power_mw(w, BUFFER_SUPPLY, v_dd, f_osc),
         steady=steady)
     m.validate()
     return m

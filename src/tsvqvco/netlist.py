@@ -36,6 +36,10 @@ GROUND = -1
 # Ramp time of the built topologies' supplies, and of the engine's
 # hard turn-on rescue.
 SOURCE_RAMP_S = 1e-9
+# Labels of the built topologies' core and buffer supply sources; their
+# branch currents I(<label>) give the supply power.
+CORE_SUPPLY = "vdd_core"
+BUFFER_SUPPLY = "vdd_buf"
 
 
 @dataclass(frozen=True)
@@ -132,22 +136,6 @@ class VSource:
 
 
 @dataclass(frozen=True)
-class ISource:
-    """Current source pushing amps out of p into n through the element."""
-
-    p: int
-    n: int
-    amps: float
-    label: str
-    ramp_s: float = 0.0
-
-    def value_at(self, t: float) -> float:
-        if self.ramp_s <= 0.0 or t >= self.ramp_s:
-            return self.amps
-        return self.amps * (t / self.ramp_s)
-
-
-@dataclass(frozen=True)
 class Vccs:
     """Current gm * (v_cp - v_cn) flowing from p through the element to n.
 
@@ -164,7 +152,7 @@ class Vccs:
 
 
 Element = (Resistor | Capacitor | Inductor | CoupledInductors | Mos
-           | Varactor | Switch | VSource | ISource | Vccs)
+           | Varactor | Switch | VSource | Vccs)
 
 
 @dataclass
@@ -259,13 +247,6 @@ class Netlist:
         self.elements.append(VSource(self.node(p), self.node(n), volts,
                                      self._label(label, "v"), ramp_s))
 
-    def add_isource(self, p: str, n: str, amps: float,
-                    label: str | None = None, ramp_s: float = 0.0) -> None:
-        if ramp_s < 0:
-            raise InvalidModelError("source ramp must be non-negative")
-        self.elements.append(ISource(self.node(p), self.node(n), amps,
-                                     self._label(label, "i"), ramp_s))
-
     def add_vccs(self, p: str, n: str, cp: str, cn: str, gm: float,
                  label: str | None = None) -> None:
         if not np.isfinite(gm):
@@ -286,7 +267,7 @@ class Netlist:
                       elements=list(self.elements),
                       initial_voltages=dict(self.initial_voltages))
         for i, e in enumerate(out.elements):
-            if isinstance(e, (VSource, ISource)) and e.ramp_s < SOURCE_RAMP_S:
+            if isinstance(e, VSource) and e.ramp_s < SOURCE_RAMP_S:
                 out.elements[i] = replace(e, ramp_s=SOURCE_RAMP_S)
         return out
 
@@ -298,7 +279,7 @@ class Netlist:
         if isinstance(e, (Varactor, Vccs)):
             return (e.a, e.b, e.cp, e.cn) if isinstance(e, Varactor) \
                 else (e.p, e.n, e.cp, e.cn)
-        if isinstance(e, (VSource, ISource)):
+        if isinstance(e, VSource):
             return (e.p, e.n)
         return (e.a, e.b)
 
@@ -353,8 +334,6 @@ class Netlist:
                 params = f"closed={int(e.closed)} ohms={e.ohms:g}"
             elif isinstance(e, VSource):
                 params = f"volts={e.volts:g} ramp_s={e.ramp_s:g}"
-            elif isinstance(e, ISource):
-                params = f"amps={e.amps:g} ramp_s={e.ramp_s:g}"
             else:
                 params = f"gm={e.gm:g}"
             kind = type(e).__name__.lower()

@@ -40,10 +40,11 @@ from .devices import (
 )
 from .engine import SimConfig
 from .errors import InvalidModelError
-from .netlist import SOURCE_RAMP_S, Netlist
+from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, SOURCE_RAMP_S, Netlist
 from .transformer import TransformerModel
 
 TOPOLOGIES = ("lc-vco", "tf-vco", "cr-vco", "tc-qvco")
+POINTS_PER_PERIOD = 200
 
 
 @dataclass
@@ -162,10 +163,10 @@ def _add_buffer(net: Netlist, p: TopologyParams, src: str, tag: str) -> None:
 
 
 def _add_sources(net: Netlist, p: TopologyParams, buffered: bool) -> None:
-    net.add_vsource("vdd", "gnd", p.v_dd_v, label="vdd_core",
+    net.add_vsource("vdd", "gnd", p.v_dd_v, label=CORE_SUPPLY,
                     ramp_s=SOURCE_RAMP_S)
     if buffered:
-        net.add_vsource("vdd_buf", "gnd", p.v_dd_v, label="vdd_buf",
+        net.add_vsource("vdd_buf", "gnd", p.v_dd_v, label=BUFFER_SUPPLY,
                         ramp_s=SOURCE_RAMP_S)
     if p.varactor is not None:
         net.add_vsource("v_ctrl", "gnd", p.v_ctrl_v, label="v_c",
@@ -323,16 +324,14 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     return net
 
 
-def default_sim_config(f_est_hz: float, n_periods: int = 400,
-                       points_per_period: int = 200,
-                       perturbation_v: float = 1e-3) -> SimConfig:
-    """Step and span sized from an expected oscillation frequency."""
+def default_sim_config(f_est_hz: float, n_periods: int = 400) -> SimConfig:
+    """Step and span sized from an expected oscillation frequency:
+    n_periods periods at POINTS_PER_PERIOD steps each."""
     if f_est_hz <= 0:
         raise InvalidModelError("frequency estimate must be positive")
-    if n_periods < 2 or points_per_period < 20:
-        raise InvalidModelError("simulation span or resolution too small")
-    cfg = SimConfig(dt_s=1.0 / (points_per_period * f_est_hz),
-                    t_stop_s=n_periods / f_est_hz,
-                    perturbation_v=perturbation_v)
+    if n_periods < 2:
+        raise InvalidModelError("simulation span too small")
+    cfg = SimConfig(dt_s=1.0 / (POINTS_PER_PERIOD * f_est_hz),
+                    t_stop_s=n_periods / f_est_hz)
     cfg.validate()
     return cfg

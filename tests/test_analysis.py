@@ -3,8 +3,10 @@
 Frequencies, Q and transconductance spot values were evaluated by hand
 from the tank equations and frozen; the closed-form oscillation frequency
 is cross-checked against an independent bracketed root of the
-characteristic equation over randomized tanks.
+characteristic equation over randomized tanks, and against a transient of
+the linearized quadrature bench.
 """
+import functools
 import math
 
 import numpy as np
@@ -27,10 +29,13 @@ from tsvqvco.analysis import (
     tank_resonance_and_q,
 )
 from tsvqvco.devices import TuningArray
+from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import (
     InfeasibleDesignError,
     InvalidModelError,
 )
+from tsvqvco.metrology import estimate_frequency
+from tsvqvco.topologies import build_quadrature_bench
 from tsvqvco.transformer import TransformerModel
 
 # R chosen round, k and L_p at the reference design point, N set for kN = 2
@@ -399,3 +404,44 @@ class TestPredictTuningRange:
         with pytest.raises(InvalidModelError):
             predict_tuning_range(tank, reference_spec().varactor(),
                                  TuningArray(c_unit=2e-12), c_parasitic=-1e-13)
+
+
+QUAD_TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
+
+
+@functools.cache
+def quadrature_bench_run(margin: float):
+    """60 periods of the linear bench at 200 points per period of the
+    closed-form oscillation frequency; returns (time, V_o1, V_o3)."""
+    period = 2.0 * math.pi / oscillation_frequency_closed(QUAD_TANK)
+    wave = transient(build_quadrature_bench(QUAD_TANK, margin),
+                     SimConfig(dt_s=period / 200, t_stop_s=60 * period))
+    return wave.time_s, wave.voltages["V_o1"], wave.voltages["V_o3"]
+
+
+class TestQuadratureBench:
+    """At transconductance margin 1 the bench's self term cancels the tank
+    loss, so the envelope decays below it and grows above it; at margin 1
+    the cores ring at the closed-form frequency, V_o3 leading V_o1."""
+
+    @pytest.mark.parametrize("margin, grows", [(0.8, False), (1.2, True)])
+    def test_envelope_grows_only_above_margin_one(self, margin, grows):
+        _, v1, _ = quadrature_bench_run(margin)
+        half = len(v1) // 2
+        ratio = np.abs(v1[half:]).max() / np.abs(v1[:half]).max()
+        assert (ratio > 1.0) if grows else (ratio < 1.0)
+
+    def test_frequency_at_margin_one(self):
+        t, v1, _ = quadrature_bench_run(1.0)
+        half = len(t) // 2
+        f_hz = estimate_frequency(t[half:], v1[half:])
+        f_closed = oscillation_frequency_closed(QUAD_TANK) / (2.0 * math.pi)
+        assert f_hz == pytest.approx(f_closed, rel=5e-3)
+
+    def test_quadrature_at_margin_one(self):
+        t, v1, v3 = quadrature_bench_run(1.0)
+        half = len(t) // 2
+        rot = np.exp(-1j * oscillation_frequency_closed(QUAD_TANK) * t[half:])
+        lead = math.degrees(np.angle(np.sum(v3[half:] * rot)
+                                     / np.sum(v1[half:] * rot)))
+        assert lead == pytest.approx(90.0, abs=2.0)

@@ -3,12 +3,13 @@
 The Jacobian the engine stamps for its transistors is checked against a
 centred finite difference of the residual it stamps, in every region of
 both polarities; reruns of one netlist must repeat bit for bit; the hard
-turn-on rescue is driven by a Newton step made to fail.  The extrapolated
-Newton start point must change only the iteration count, never the
-answer, and the Newton path must reproduce a closed-form RC discharge.
-The reactive step history is checked three independent ways: a lossless
-LC keeps its energy, a coupled pair matches its T network, and a
-varactor at a fixed control voltage matches a linear capacitor.
+turn-on rescue is driven by a Newton step made to fail.  Every step, a
+linear circuit's too, goes through Newton.  The extrapolated Newton start
+point must change only the iteration count, never the answer, and the
+Newton path must reproduce a closed-form RC discharge and series-RLC
+ring-down.  The reactive step history is checked three independent ways:
+a lossless LC keeps its energy, a coupled pair matches its T network, and
+a varactor at a fixed control voltage matches a linear capacitor.
 """
 import copy
 import dataclasses
@@ -168,8 +169,13 @@ class TestSingularLinearSystem:
         net = Netlist()
         net.add_vsource("a", "gnd", 1.0)
         net.add_resistor("a", "gnd", 1e3)
-        monkeypatch.setattr(engine, "lu_solve",
-                            lambda lu, b: np.full_like(b, np.nan))
+        real = engine._solve_step
+
+        def nan_residual(*args):
+            x, f = real(*args)
+            return x, np.full_like(f, np.nan)
+
+        monkeypatch.setattr(engine, "_solve_step", nan_residual)
         with pytest.raises(NumericFailure, match="KCL residual nan"):
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
 
@@ -222,7 +228,7 @@ class TestNewtonStartPoint:
         (sys_, x_ext, a0, abs_a0, b, t, coef), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
         assert coef == sys_.coef_tr
-        size, cfg = sys_.size, sys_.cfg
+        size = sys_.size
         x_prev = x_acc[:size]
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
 
@@ -239,8 +245,9 @@ class TestNewtonStartPoint:
             engine._nonlinear_stamps(sys_, x, coef, resid, None)
             assert np.array_equal(resid[:size], f), name
             f_ref = abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
-            assert np.all(np.abs(f) <= cfg.newton_abs + cfg.newton_rel * f_ref), name
-            assert np.abs(f[:sys_.n]).max() <= 0.1 * cfg.kcl_abs_a, name
+            assert np.all(np.abs(f) <= engine.NEWTON_ABS
+                          + engine.NEWTON_REL * f_ref), name
+            assert np.abs(f[:sys_.n]).max() <= 0.1 * engine.KCL_ABS_A, name
         nodes_prev = results["previous"][0][:sys_.n]
         nodes_ext = results["extrapolated"][0][:sys_.n]
         np.testing.assert_allclose(nodes_ext, nodes_prev, rtol=0, atol=1e-6)
@@ -256,21 +263,50 @@ def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
     assert steps <= len(calls) <= 1.2 * steps
 
 
+def rc_netlist() -> Netlist:
+    net = Netlist()
+    net.add_resistor("a", "gnd", 1e3)
+    net.add_capacitor("a", "gnd", 1e-12)
+    net.set_initial_voltage("a", 1.0)
+    return net
+
+
+def test_linear_netlist_solves_every_step(monkeypatch):
+    newton_calls = []
+    real = engine._newton_step
+
+    def counted(*args):
+        newton_calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_newton_step", counted)
+    calls = count_solves(monkeypatch)
+    wave = transient(rc_netlist(), SimConfig(dt_s=5e-12, t_stop_s=1e-9))
+    steps = len(wave.time_s) - 1
+    assert len(newton_calls) == steps
+    assert len(calls) >= steps
+
+
+def test_non_finite_solve_on_linear_netlist_fails(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: np.full_like(b, np.nan))
+    with pytest.raises(NumericFailure):
+        transient(rc_netlist(), SimConfig(dt_s=5e-12, t_stop_s=1e-9))
+
+
 def test_rc_discharge_on_newton_path_matches_exponential():
     """A charged capacitor discharging through a resistor, with a
-    transistor held in cutoff on the same node so that every step goes
-    through the predictor and Newton.  The transistor's gmin leak is part
-    of the time constant; trapezoidal integration (after one backward
-    Euler step) stays within (h/tau)^2 of the exponential."""
+    transistor held in cutoff on the same node.  The transistor's gmin
+    leak is part of the time constant; trapezoidal integration (after one
+    backward Euler step) stays within (h/tau)^2 of the exponential."""
     r_ohm, c_f, v0 = 10e6, 1e-12, 1.0
     net = Netlist()
     net.add_resistor("a", "gnd", r_ohm)
     net.add_capacitor("a", "gnd", c_f)
     net.add_mos("a", "gnd", "gnd", NMOS, label="m_off")  # v_gs = 0: cutoff
     net.set_initial_voltage("a", v0)
-    tau = c_f / (1.0 / r_ohm + SimConfig(dt_s=1.0, t_stop_s=2.0).gmin)
+    tau = c_f / (1.0 / r_ohm + engine.GMIN)
     cfg = SimConfig(dt_s=tau / 200, t_stop_s=3.0 * tau)
-    assert not engine._System(net, cfg).linear_only
 
     wave = transient(net, cfg)
     v = wave.voltages["a"]
@@ -279,6 +315,33 @@ def test_rc_discharge_on_newton_path_matches_exponential():
                                rtol=0, atol=bound)
     # without the leak the time constant is r c, and the bound sees it
     assert np.abs(v - v0 * np.exp(-wave.time_s / (r_ohm * c_f))).max() > 10 * bound
+
+
+def test_series_rlc_ring_down_matches_closed_form():
+    """A charged capacitor ringing down through a series R and L follows
+    exp(-a t) (cos w_d t + a / w_d sin w_d t) to within (w0 h)^2, and the
+    error is second order in the step."""
+    l_h, c_f, r_ohm = 1e-9, 2e-12, 4.0
+    net = Netlist()
+    net.add_capacitor("a", "gnd", c_f)
+    net.add_resistor("a", "b", r_ohm)
+    net.add_inductor("b", "gnd", l_h)
+    net.set_initial_voltage("a", 1.0)
+    w0 = 1.0 / math.sqrt(l_h * c_f)
+    alpha = r_ohm / (2.0 * l_h)
+    w_d = math.sqrt(w0 * w0 - alpha * alpha)
+    period = 2.0 * math.pi / w0
+
+    errors = []
+    for points in (200, 400):
+        h = period / points
+        wave = transient(net, SimConfig(dt_s=h, t_stop_s=10 * period))
+        t = wave.time_s
+        exact = np.exp(-alpha * t) * (np.cos(w_d * t)
+                                      + alpha / w_d * np.sin(w_d * t))
+        errors.append(np.abs(wave.voltages["a"] - exact).max())
+        assert errors[-1] <= (w0 * h) ** 2, points
+    assert 3.5 <= errors[0] / errors[1] <= 4.5
 
 
 def test_lossless_lc_keeps_its_energy():
@@ -353,7 +416,6 @@ def test_varactor_at_fixed_control_matches_linear_capacitor():
 
     period = 2.0 * math.pi * math.sqrt(1e-9 * varactor_capacitance(model, v_ctl))
     cfg = SimConfig(dt_s=period / 200, t_stop_s=20 * period)
-    assert not engine._System(netlist(True), cfg).linear_only
     var, cap = transient(netlist(True), cfg), transient(netlist(False), cfg)
     swing = var.voltages["a"] - var.voltages["b"]
     assert swing.max() - swing.min() > 0.5

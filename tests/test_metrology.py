@@ -10,6 +10,7 @@ from tsvqvco.devices import BOLTZMANN_J_K
 from tsvqvco.engine import Waveforms
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import (
+    ENVELOPE_FRAC,
     LEESON_TEMP_K,
     MIN_SWING_V,
     STEADY_CYCLES,
@@ -29,10 +30,11 @@ DT_S = 1.0 / (200.3 * F_HZ)
 N_PERIODS = 100
 
 
-def synthetic(envelope=lambda t: 1.0, vpp=VPP) -> Waveforms:
+def synthetic(envelope=lambda t: 1.0, vpp=VPP,
+              n_periods=N_PERIODS) -> Waveforms:
     """Four outputs at F_HZ and PHASES around V_DD/2, and a supply
     current of I_DD_A with a ripple at twice the frequency."""
-    t = DT_S * np.arange(int(N_PERIODS / (F_HZ * DT_S)) + 1)
+    t = DT_S * np.arange(int(n_periods / (F_HZ * DT_S)) + 1)
     voltages = {name: 0.5 * V_DD + 0.5 * vpp * envelope(t)
                 * np.cos(2.0 * np.pi * F_HZ * t + math.radians(deg))
                 for name, deg in PHASES.items()}
@@ -72,6 +74,19 @@ def test_decaying_envelope_is_not_steady():
     m = measure_metrics(synthetic(envelope=lambda t: np.exp(-t / tau_s)), V_DD)
     assert m.oscillating
     assert not m.steady
+
+
+def test_startup_of_a_known_envelope():
+    """An envelope 1 - exp(-t / tau) first reaches ENVELOPE_FRAC = 0.9 of
+    its final swing at tau ln 10; startup_s is the end of the first
+    one-period window past it."""
+    period_s = 1.0 / F_HZ
+    tau_s = 10.0 * period_s
+    m = measure_metrics(synthetic(envelope=lambda t: 1.0 - np.exp(-t / tau_s),
+                                  n_periods=200), V_DD)
+    assert m.oscillating and m.steady
+    crossing_s = tau_s * math.log(1.0 / (1.0 - ENVELOPE_FRAC))
+    assert crossing_s <= m.startup_s <= crossing_s + period_s
 
 
 @pytest.mark.parametrize("vpp", [0.0, 0.5 * MIN_SWING_V])

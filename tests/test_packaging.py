@@ -41,7 +41,7 @@ def test_third_party_imports_are_declared():
     third_party = {name for name in imported_top_level_modules()
                    if name not in sys.stdlib_module_names
                    and name not in ("__future__", "tsvqvco")}
-    assert third_party, "the package imports numpy and scipy"
+    assert third_party, "the package imports numpy"
     assert third_party <= declared, sorted(third_party - declared)
 
 
