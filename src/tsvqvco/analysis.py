@@ -154,15 +154,6 @@ def solve_characteristic(t: TankParams, g_m: float) -> float:
     return root
 
 
-def startup_check(r_series: float, g_m: float) -> bool:
-    """Startup criterion as stated for the basic cross-coupled oscillator:
-    true iff R_L >= 2/g_m.  (Conventional practice compares g_m against the
-    parallel loss instead; this keeps the stated series form.)"""
-    if g_m <= 0.0:
-        return False
-    return r_series >= 2.0 / g_m
-
-
 def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
                     phi_noise_dbc: float) -> float:
     """FoM (dB) = -20 log10(f0/df) + 10 log10(P_mW) + phi_noise."""
@@ -170,31 +161,6 @@ def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
         raise InvalidModelError("figure_of_merit needs positive f0, offset, power")
     return (-20.0 * math.log10(f0_hz / offset_hz)
             + 10.0 * math.log10(power_mw) + phi_noise_dbc)
-
-
-@dataclass(frozen=True)
-class NoiseFomReport:
-    """Phase-noise/FoM block for one oscillator run."""
-
-    carrier_hz: float
-    offset_hz: float
-    power_mw: float
-    phi_noise_dbc: float
-    fom_db: float
-
-    def validate(self) -> None:
-        if self.offset_hz <= 0 or self.power_mw <= 0 or self.carrier_hz <= 0:
-            raise InvalidModelError("noise report needs positive carrier, offset, power")
-
-
-def noise_fom_report(carrier_hz: float, offset_hz: float, power_mw: float,
-                     phi_noise_dbc: float) -> NoiseFomReport:
-    fom = figure_of_merit(carrier_hz, offset_hz, power_mw, phi_noise_dbc)
-    report = NoiseFomReport(carrier_hz=carrier_hz, offset_hz=offset_hz,
-                            power_mw=power_mw, phi_noise_dbc=phi_noise_dbc,
-                            fom_db=fom)
-    report.validate()
-    return report
 
 
 @dataclass
@@ -229,10 +195,10 @@ class DesignSpec:
     def c_var_mid_f(self) -> float:
         return 0.5 * (self.c_var_lo_f + self.c_var_hi_f)
 
-    def varactor(self, shape: float = 2.0) -> VaractorModel:
+    def varactor(self) -> VaractorModel:
         """Varactor model matching the spec's control and capacitance ranges."""
         return VaractorModel(c_min=self.c_var_lo_f, c_max=self.c_var_hi_f,
-                             v_lo=self.v_c_lo_v, v_hi=self.v_c_hi_v, shape=shape)
+                             v_lo=self.v_c_lo_v, v_hi=self.v_c_hi_v)
 
     def to_dict(self) -> dict:
         return asdict(self)

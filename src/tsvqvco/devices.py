@@ -1,10 +1,10 @@
 """Behavioral device models consumed by the transient simulator.
 
 Square-law MOS with channel-length modulation, a tanh MOS-varactor curve,
-a 2-bit switched-capacitor tuning array, the signed coupled-inductor stamp
-built from an extracted transformer model, and the output buffer parameter
-block.  Everything here is an immutable parameter set plus pure evaluation
-functions; the simulator owns all state.
+a 2-bit switched-capacitor tuning array, the check every coupled-inductor
+set passes, and the output buffer parameter block.  Everything here is an
+immutable parameter set plus pure evaluation functions; the simulator owns
+all state.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidModelError
-from .transformer import TransformerModel
 
 # tuning-array switch model; ideal switches would make the MNA matrix singular
 SWITCH_ON_OHM = 50.0
@@ -192,15 +191,6 @@ def tuning_array_capacitance(a: TuningArray) -> float:
     return _CODE_WEIGHT[a.code] * a.c_unit
 
 
-# Dot convention for the 3-coil sets: the secondaries are wound so that
-# coupling into the second secondary is inverted, which is what turns the
-# cross-core source injection into positive feedback once the cores are
-# wired output->far-core-source.  Tests flip this to verify lock failure.
-DEFAULT_DOT_SIGNS = ((1, 1, -1),
-                     (1, 1, -1),
-                     (-1, -1, 1))
-
-
 def check_coupled_set(n: int, matrix, series_r) -> None:
     """Validate an n-winding coupled set: a symmetric, positive definite
     n x n inductance matrix over at least two windings, and one
@@ -223,30 +213,6 @@ def check_coupled_set(n: int, matrix, series_r) -> None:
     if len(series_r) != n or any(r < 0 for r in series_r):
         raise InvalidModelError(
             "coupled set needs one non-negative series R per winding")
-
-
-@dataclass(frozen=True)
-class CoupledInductorSet:
-    """Signed 3x3 inductance matrix plus per-coil series resistance."""
-
-    matrix: tuple[tuple[float, float, float], ...]
-    series_r: tuple[float, float, float]
-
-    def validate(self) -> None:
-        check_coupled_set(3, self.matrix, self.series_r)
-
-
-def coupled_inductor_matrix(x: TransformerModel,
-                            dot_signs=DEFAULT_DOT_SIGNS) -> CoupledInductorSet:
-    """Signed coupled-inductor stamp for one extracted transformer: the
-    model's inductance matrix with each entry multiplied by its dot sign."""
-    x.validate()
-    matrix = tuple(
-        tuple(dot_signs[i][j] * m_ij for j, m_ij in enumerate(row))
-        for i, row in enumerate(x.inductance_matrix()))
-    out = CoupledInductorSet(matrix=matrix, series_r=(x.r_pac, x.r_sac, x.r_sac))
-    out.validate()
-    return out
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,6 @@ from .netlist import (
     Mos,
     Netlist,
     Resistor,
-    Switch,
     Varactor,
     Vccs,
     VSource,
@@ -171,7 +171,7 @@ class _System:
         self.vsources: list[tuple[int, VSource]] = []
 
         for idx, e in enumerate(net.elements):
-            if isinstance(e, (Resistor, Switch)):
+            if isinstance(e, Resistor):
                 conductance(a_static, e.a, e.b, 1.0 / e.ohms)
             elif isinstance(e, Capacitor):
                 conductance(a_react, e.a, e.b, e.farads)
@@ -344,17 +344,20 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
             dx = np.linalg.solve(jj * scale[:, None], -f[:size] * scale)
         except np.linalg.LinAlgError:
             raise NumericFailure(_singular_diagnostic(sys, j))
+        dx_max = float(np.abs(dx).max())  # NaN or inf if any entry is
+        if not math.isfinite(dx_max):
+            raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
         x[:size] += dx
         x[gslot] = 0.0
         tol = NEWTON_ABS + NEWTON_REL * float(np.abs(x[:size]).max())
-        if float(np.abs(dx).max()) <= tol:
+        if dx_max <= tol:
             f = a0 @ x - b
             _nonlinear_stamps(sys, x, coef, f, None)
             f[gslot] = 0.0
             return x, f[:size]
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
-        f"{MAX_NEWTON} iterations; last update {float(np.abs(dx).max()):.3e}")
+        f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
 
 
 def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):

@@ -21,10 +21,9 @@ from .analysis import TankParams, tank_resonance_and_q
 from .devices import BOLTZMANN_J_K
 from .engine import Waveforms
 from .errors import InvalidModelError
-from .netlist import BUFFER_SUPPLY, CORE_SUPPLY
+from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS
 
 LEESON_TEMP_K = 290.0
-OUTPUTS = ("V_o1", "V_o2", "V_o3", "V_o4")
 # Swings below this are treated as numerical residue, not oscillation.
 MIN_SWING_V = 0.02
 STEADY_CYCLES = 5
@@ -152,15 +151,11 @@ def _supply_power_mw(w: Waveforms, label: str, v_dd: float,
     if key not in w.currents:
         return None
     i = w.currents[key]
-    if f_hz is not None:
-        span = float(w.time_s[-1] - w.time_s[0])
-        n_cyc = math.floor(0.5 * span * f_hz)
-        if n_cyc >= 1:
-            dt = float(w.time_s[1] - w.time_s[0])
-            n_pts = int(round(n_cyc / (f_hz * dt)))
-            i = i[-n_pts:]
-        else:
-            i = i[len(i) // 2:]
+    span = float(w.time_s[-1] - w.time_s[0])
+    n_cyc = 0 if f_hz is None else math.floor(0.5 * span * f_hz)
+    if n_cyc >= 1:
+        dt = float(w.time_s[1] - w.time_s[0])
+        i = i[-int(round(n_cyc / (f_hz * dt))):]
     else:
         i = i[len(i) // 2:]
     # Branch current flows into the source's positive terminal, so the

@@ -9,12 +9,6 @@ ordering, which is what makes repeated runs bit-identical.
 Branch-current unknowns exist for inductors, every winding of a coupled
 set, and voltage sources; everything else is stamped as a conductance or
 a nonlinear current.
-
-The debug dump format is one line per element:
-
-    <kind> <label> <node> <node> [...] <param>=<value> [...]
-
-with nodes in the element's terminal order and parameters in SI units.
 """
 from __future__ import annotations
 
@@ -40,6 +34,9 @@ SOURCE_RAMP_S = 1e-9
 # branch currents I(<label>) give the supply power.
 CORE_SUPPLY = "vdd_core"
 BUFFER_SUPPLY = "vdd_buf"
+# Output nodes of the built topologies, in order; each topology has the
+# first two or all four.
+OUTPUTS = ("V_o1", "V_o2", "V_o3", "V_o4")
 
 
 @dataclass(frozen=True)
@@ -108,18 +105,6 @@ class Varactor:
 
 
 @dataclass(frozen=True)
-class Switch:
-    a: int
-    b: int
-    closed: bool
-    label: str
-
-    @property
-    def ohms(self) -> float:
-        return SWITCH_ON_OHM if self.closed else SWITCH_OFF_OHM
-
-
-@dataclass(frozen=True)
 class VSource:
     """Voltage source p -> n; value ramps linearly from 0 over ramp_s."""
 
@@ -152,7 +137,7 @@ class Vccs:
 
 
 Element = (Resistor | Capacitor | Inductor | CoupledInductors | Mos
-           | Varactor | Switch | VSource | Vccs)
+           | Varactor | VSource | Vccs)
 
 
 @dataclass
@@ -172,9 +157,6 @@ class Netlist:
         except ValueError:
             self.node_names.append(name)
             return len(self.node_names) - 1
-
-    def node_name(self, index: int) -> str:
-        return "gnd" if index == GROUND else self.node_names[index]
 
     @property
     def n_nodes(self) -> int:
@@ -237,8 +219,10 @@ class Netlist:
 
     def add_switch(self, a: str, b: str, closed: bool,
                    label: str | None = None) -> None:
-        self.elements.append(Switch(self.node(a), self.node(b), bool(closed),
-                                    self._label(label, "s")))
+        """Tuning-array switch: a resistor of SWITCH_ON_OHM when closed
+        and SWITCH_OFF_OHM when open."""
+        self.add_resistor(a, b, SWITCH_ON_OHM if closed else SWITCH_OFF_OHM,
+                          label=label)
 
     def add_vsource(self, p: str, n: str, volts: float,
                     label: str | None = None, ramp_s: float = 0.0) -> None:
@@ -307,35 +291,3 @@ class Netlist:
             if name not in self.node_names:
                 raise InvalidModelError(
                     f"initial condition on unknown node {name!r}")
-
-    def dump(self) -> str:
-        """Human-readable line-per-element text form for debugging."""
-        lines = [f"nodes {' '.join(self.node_names)}"]
-        for e in self.elements:
-            nodes = " ".join(self.node_name(n) for n in self._terminal_nodes(e))
-            if isinstance(e, Resistor):
-                params = f"ohms={e.ohms:g}"
-            elif isinstance(e, Capacitor):
-                params = f"farads={e.farads:g}"
-            elif isinstance(e, Inductor):
-                params = f"henries={e.henries:g} i0={e.i_initial_a:g}"
-            elif isinstance(e, CoupledInductors):
-                diag = " ".join(f"{e.matrix[i][i]:g}" for i in range(len(e.pairs)))
-                params = f"self=[{diag}] r=[{' '.join(f'{r:g}' for r in e.series_r)}]"
-            elif isinstance(e, Mos):
-                p = e.params
-                params = (f"polarity={p.polarity} k={p.k_factor:g} "
-                          f"vth={p.v_th:g} lam={p.lam:g}")
-            elif isinstance(e, Varactor):
-                m = e.model
-                params = (f"c_min={m.c_min:g} c_max={m.c_max:g} "
-                          f"v_lo={m.v_lo:g} v_hi={m.v_hi:g}")
-            elif isinstance(e, Switch):
-                params = f"closed={int(e.closed)} ohms={e.ohms:g}"
-            elif isinstance(e, VSource):
-                params = f"volts={e.volts:g} ramp_s={e.ramp_s:g}"
-            else:
-                params = f"gm={e.gm:g}"
-            kind = type(e).__name__.lower()
-            lines.append(f"{kind} {e.label} {nodes} {params}")
-        return "\n".join(lines) + "\n"

@@ -11,9 +11,14 @@ Four topologies share one parameter block:
 - "tc-qvco": two cr-vco cores whose tank inductors are the primaries of
   two three-coil transformers; each transformer's secondaries sit in the
   source paths of the *other* core, so the cores injection-lock in
-  quadrature.  Outputs V_o1/V_o2 belong to core A, V_o3/V_o4 to core B,
-  each optionally buffered by an AC-coupled self-biased inverter on its
-  own supply.
+  quadrature.  Outputs V_o1/V_o2 belong to core A, V_o3/V_o4 to core B.
+
+build_netlist adds the supplies before a topology's own elements and,
+when buffers are set, one AC-coupled self-biased inverter on its own
+supply after them for every output the topology has.  The PMOS of a
+core is the mirror of params.nmos, and the three-coil sets take their
+dot signs from DEFAULT_DOT_SIGNS (flip_dots reverses transformer B's
+primary dots).
 
 Tank capacitance in every topology is the sum of an optional varactor,
 an optional switched 2-bit array and a fixed parasitic.  All supplies
@@ -30,21 +35,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import TankParams, min_transconductance
-from .devices import (
-    DEFAULT_DOT_SIGNS,
-    BufferParams,
-    MosParams,
-    TuningArray,
-    VaractorModel,
-    coupled_inductor_matrix,
-)
+from .devices import BufferParams, MosParams, TuningArray, VaractorModel
 from .engine import SimConfig
 from .errors import InvalidModelError
-from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, SOURCE_RAMP_S, Netlist
+from .netlist import (BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, SOURCE_RAMP_S,
+                      Netlist)
 from .transformer import TransformerModel
 
 TOPOLOGIES = ("lc-vco", "tf-vco", "cr-vco", "tc-qvco")
 POINTS_PER_PERIOD = 200
+# Capacitance on each buffer output: the input of the next stage.
+BUFFER_LOAD_F = 20e-15
+
+# Dot convention for the 3-coil sets: the secondaries are wound so that
+# coupling into the second secondary is inverted, which is what turns the
+# cross-core source injection into positive feedback once the cores are
+# wired output->far-core-source.  flip_dots departs from it to show lock
+# failure.
+DEFAULT_DOT_SIGNS = ((1, 1, -1),
+                     (1, 1, -1),
+                     (-1, -1, 1))
 
 
 @dataclass
@@ -53,10 +63,7 @@ class TopologyParams:
 
     Per-topology requirements are checked by the builders: the
     transformer-based topologies need `transformer`, the plain-tank ones
-    need l_tank_h / c_tank_f / r_tank_ohm.  pmos defaults to a mirror of
-    nmos so the cr cores are symmetric unless deliberately skewed.
-    k_mismatch_frac scales the NMOS k_factor only, modeling an N-to-P
-    strength imbalance.
+    need l_tank_h / c_tank_f / r_tank_ohm.
     """
 
     # low-threshold devices: at 0.7 V supply the cores must stay in the
@@ -64,9 +71,7 @@ class TopologyParams:
     v_dd_v: float = 0.7
     nmos: MosParams = field(default_factory=lambda: MosParams(
         polarity="n", k_factor=0.026, v_th=0.09, lam=0.05))
-    pmos: MosParams | None = None
     transformer: TransformerModel | None = None
-    dot_signs: tuple = DEFAULT_DOT_SIGNS
     flip_dots: bool = False
     l_tank_h: float | None = None
     c_tank_f: float | None = None
@@ -76,22 +81,17 @@ class TopologyParams:
     array: TuningArray | None = None
     c_parasitic_f: float = 0.0
     buffers: BufferParams | None = None
-    c_load_f: float = 20e-15
-    include_pair: bool = True
-    k_mismatch_frac: float = 0.0
 
     def validate(self) -> None:
         if self.v_dd_v <= 0:
             raise InvalidModelError("supply voltage must be positive")
         self.nmos.validate()
-        if self.pmos is not None:
-            self.pmos.validate()
+        if self.nmos.polarity != "n":
+            raise InvalidModelError("nmos must be an n-channel device")
+        if self.transformer is not None:
+            self.transformer.validate()
         if self.c_parasitic_f < 0:
             raise InvalidModelError("parasitic capacitance cannot be negative")
-        if self.c_load_f < 0:
-            raise InvalidModelError("buffer load cannot be negative")
-        if self.k_mismatch_frac <= -1.0:
-            raise InvalidModelError("mismatch would make the NMOS k negative")
         if self.varactor is not None:
             self.varactor.validate()
         if self.array is not None:
@@ -99,14 +99,8 @@ class TopologyParams:
         if self.buffers is not None:
             self.buffers.validate()
 
-    def core_nmos(self) -> MosParams:
-        k = self.nmos.k_factor * (1.0 + self.k_mismatch_frac)
-        return MosParams(polarity="n", k_factor=k, v_th=self.nmos.v_th,
-                         lam=self.nmos.lam)
-
-    def core_pmos(self) -> MosParams:
-        if self.pmos is not None:
-            return self.pmos
+    def pmos(self) -> MosParams:
+        """The core PMOS: the mirror of nmos."""
         return MosParams(polarity="p", k_factor=self.nmos.k_factor,
                          v_th=-abs(self.nmos.v_th), lam=self.nmos.lam)
 
@@ -118,6 +112,15 @@ def flip_ps_signs(dot_signs) -> tuple:
     d = (1, -1, -1)
     return tuple(tuple(d[i] * dot_signs[i][j] * d[j] for j in range(3))
                  for i in range(3))
+
+
+def coupled_inductor_matrix(x: TransformerModel,
+                            dot_signs=DEFAULT_DOT_SIGNS) -> tuple:
+    """Signed 3x3 inductance matrix of one extracted transformer: the
+    model's inductance matrix with each entry multiplied by its dot sign."""
+    return tuple(
+        tuple(dot_signs[i][j] * m_ij for j, m_ij in enumerate(row))
+        for i, row in enumerate(x.inductance_matrix()))
 
 
 def _require(p: TopologyParams, names: tuple[str, ...], topo: str) -> None:
@@ -150,52 +153,30 @@ def _add_tank_caps(net: Netlist, p: TopologyParams, a: str, b: str,
             net.add_capacitor(m2, b, p.array.c_unit, label=f"cb_{tag}{bit}")
 
 
-def _add_buffer(net: Netlist, p: TopologyParams, src: str, tag: str) -> None:
-    buf = p.buffers
+def _add_buffer(net: Netlist, buf: BufferParams, src: str, tag: str) -> None:
     gate = f"buf_{tag}_in"
     out = f"buf_{tag}_out"
     net.add_capacitor(src, gate, buf.c_couple, label=f"cc_{tag}")
     net.add_resistor(gate, out, buf.r_feedback, label=f"rf_{tag}")
     net.add_mos(out, gate, "vdd_buf", buf.pmos(), label=f"mpb_{tag}")
     net.add_mos(out, gate, "gnd", buf.nmos, label=f"mnb_{tag}")
-    if p.c_load_f > 0:
-        net.add_capacitor(out, "gnd", p.c_load_f, label=f"cl_{tag}")
+    net.add_capacitor(out, "gnd", BUFFER_LOAD_F, label=f"cl_{tag}")
 
 
-def _add_sources(net: Netlist, p: TopologyParams, buffered: bool) -> None:
-    net.add_vsource("vdd", "gnd", p.v_dd_v, label=CORE_SUPPLY,
-                    ramp_s=SOURCE_RAMP_S)
-    if buffered:
-        net.add_vsource("vdd_buf", "gnd", p.v_dd_v, label=BUFFER_SUPPLY,
-                        ramp_s=SOURCE_RAMP_S)
-    if p.varactor is not None:
-        net.add_vsource("v_ctrl", "gnd", p.v_ctrl_v, label="v_c",
-                        ramp_s=SOURCE_RAMP_S)
-
-
-def _build_lc_vco(p: TopologyParams) -> Netlist:
+def _build_lc_vco(net: Netlist, p: TopologyParams) -> None:
     _require(p, ("l_tank_h", "c_tank_f", "r_tank_ohm"), "lc-vco")
-    net = Netlist()
-    _add_sources(net, p, buffered=p.buffers is not None)
     net.add_inductor("vdd", "V_o1", p.l_tank_h, label="l_1")
     net.add_inductor("vdd", "V_o2", p.l_tank_h, label="l_2")
     net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
     net.add_capacitor("V_o1", "V_o2", p.c_tank_f, label="c_tank")
     _add_tank_caps(net, p, "V_o1", "V_o2", "a")
-    if p.include_pair:
-        net.add_mos("V_o1", "V_o2", "gnd", p.core_nmos(), label="mn_1")
-        net.add_mos("V_o2", "V_o1", "gnd", p.core_nmos(), label="mn_2")
-    if p.buffers is not None:
-        for tag, src in (("1", "V_o1"), ("2", "V_o2")):
-            _add_buffer(net, p, src, tag)
-    return net
+    net.add_mos("V_o1", "V_o2", "gnd", p.nmos, label="mn_1")
+    net.add_mos("V_o2", "V_o1", "gnd", p.nmos, label="mn_2")
 
 
-def _build_tf_vco(p: TopologyParams) -> Netlist:
+def _build_tf_vco(net: Netlist, p: TopologyParams) -> None:
     _require(p, ("transformer", "c_tank_f"), "tf-vco")
     x = p.transformer
-    net = Netlist()
-    _add_sources(net, p, buffered=p.buffers is not None)
     # drain coil is the primary, source rides the secondary; the inverted
     # dot makes the source swing opposite the drain (feedback boost)
     l = x.inductance_matrix()
@@ -209,41 +190,29 @@ def _build_tf_vco(p: TopologyParams) -> Netlist:
     if p.r_tank_ohm is not None:
         net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
     _add_tank_caps(net, p, "V_o1", "V_o2", "a")
-    net.add_mos("V_o1", "V_o2", "src_1", p.core_nmos(), label="mn_1")
-    net.add_mos("V_o2", "V_o1", "src_2", p.core_nmos(), label="mn_2")
-    if p.buffers is not None:
-        for tag, src in (("1", "V_o1"), ("2", "V_o2")):
-            _add_buffer(net, p, src, tag)
-    return net
+    net.add_mos("V_o1", "V_o2", "src_1", p.nmos, label="mn_1")
+    net.add_mos("V_o2", "V_o1", "src_2", p.nmos, label="mn_2")
 
 
-def _build_cr_vco(p: TopologyParams) -> Netlist:
+def _build_cr_vco(net: Netlist, p: TopologyParams) -> None:
     _require(p, ("l_tank_h", "c_tank_f", "r_tank_ohm"), "cr-vco")
-    net = Netlist()
-    _add_sources(net, p, buffered=p.buffers is not None)
-    net.add_mos("V_o1", "V_o2", "vdd", p.core_pmos(), label="mp_1")
-    net.add_mos("V_o2", "V_o1", "gnd", p.core_nmos(), label="mn_1")
+    net.add_mos("V_o1", "V_o2", "vdd", p.pmos(), label="mp_1")
+    net.add_mos("V_o2", "V_o1", "gnd", p.nmos, label="mn_1")
     net.add_inductor("V_o1", "V_o2", p.l_tank_h, label="l_tank")
     net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
     net.add_capacitor("V_o1", "V_o2", p.c_tank_f, label="c_tank")
     _add_tank_caps(net, p, "V_o1", "V_o2", "a")
-    if p.buffers is not None:
-        for tag, src in (("1", "V_o1"), ("2", "V_o2")):
-            _add_buffer(net, p, src, tag)
-    return net
 
 
-def _build_tc_qvco(p: TopologyParams) -> Netlist:
+def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     _require(p, ("transformer",), "tc-qvco")
-    coup_a = coupled_inductor_matrix(p.transformer, p.dot_signs)
+    x = p.transformer
+    series = (x.r_pac, x.r_sac, x.r_sac)
     # flipping one transformer's primary dots turns the antisymmetric
     # round trip into a symmetric one, which locks the cores at 0/180
     # instead of quadrature; flipping both would just relabel the modes
-    signs_b = flip_ps_signs(p.dot_signs) if p.flip_dots else p.dot_signs
-    coup_b = coupled_inductor_matrix(p.transformer, signs_b)
-
-    net = Netlist()
-    _add_sources(net, p, buffered=p.buffers is not None)
+    signs_b = (flip_ps_signs(DEFAULT_DOT_SIGNS) if p.flip_dots
+               else DEFAULT_DOT_SIGNS)
 
     # Transformer A: primary is core A's tank, secondaries feed core B's
     # sources.  Transformer B mirrors this back with the secondary
@@ -255,23 +224,17 @@ def _build_tc_qvco(p: TopologyParams) -> Netlist:
     # B's secondaries makes the round trip antisymmetric.
     net.add_coupled_inductors(
         [("V_o1", "V_o2"), ("vdd", "src_p_b"), ("gnd", "src_n_b")],
-        coup_a.matrix, coup_a.series_r, label="xfmr_a")
+        coupled_inductor_matrix(x), series, label="xfmr_a")
     net.add_coupled_inductors(
         [("V_o3", "V_o4"), ("src_p_a", "vdd"), ("src_n_a", "gnd")],
-        coup_b.matrix, coup_b.series_r, label="xfmr_b")
+        coupled_inductor_matrix(x, signs_b), series, label="xfmr_b")
 
     for core, (op, on) in (("a", ("V_o1", "V_o2")), ("b", ("V_o3", "V_o4"))):
-        net.add_mos(op, on, f"src_p_{core}", p.core_pmos(), label=f"mp_{core}")
-        net.add_mos(on, op, f"src_n_{core}", p.core_nmos(), label=f"mn_{core}")
+        net.add_mos(op, on, f"src_p_{core}", p.pmos(), label=f"mp_{core}")
+        net.add_mos(on, op, f"src_n_{core}", p.nmos, label=f"mn_{core}")
         if p.r_tank_ohm is not None:
             net.add_resistor(op, on, p.r_tank_ohm, label=f"r_tank_{core}")
         _add_tank_caps(net, p, op, on, core)
-
-    if p.buffers is not None:
-        for tag, src in (("1", "V_o1"), ("2", "V_o2"),
-                         ("3", "V_o3"), ("4", "V_o4")):
-            _add_buffer(net, p, src, tag)
-    return net
 
 
 _BUILDERS = {
@@ -288,7 +251,20 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
         raise InvalidModelError(
             f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
     params.validate()
-    net = _BUILDERS[topology](params)
+    net = Netlist()
+    net.add_vsource("vdd", "gnd", params.v_dd_v, label=CORE_SUPPLY,
+                    ramp_s=SOURCE_RAMP_S)
+    if params.buffers is not None:
+        net.add_vsource("vdd_buf", "gnd", params.v_dd_v, label=BUFFER_SUPPLY,
+                        ramp_s=SOURCE_RAMP_S)
+    if params.varactor is not None:
+        net.add_vsource("v_ctrl", "gnd", params.v_ctrl_v, label="v_c",
+                        ramp_s=SOURCE_RAMP_S)
+    _BUILDERS[topology](net, params)
+    if params.buffers is not None:
+        for tag, src in enumerate(OUTPUTS, start=1):
+            if src in net.node_names:
+                _add_buffer(net, params.buffers, src, str(tag))
     net.validate()
     return net
 

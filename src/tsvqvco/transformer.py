@@ -194,36 +194,6 @@ def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
     return coil
 
 
-def toroidal_coil(n_turns: int, tsv_pitch_um: float, row_spacing_um: float,
-                  process: ProcessParams | None = None,
-                  trace_width_um: float | None = None,
-                  name: str = "coil") -> CoilGeometry:
-    """Single-coil toroidal winding over consecutive cells (no riders)."""
-    proc = process or ProcessParams()
-    proc.validate()
-    if int(n_turns) != n_turns or n_turns < 1:
-        raise InvalidGeometryError("toroidal coil needs a positive integer turn count")
-    if n_turns == 1:
-        # No advance, so only the rung length limits the width.
-        w = trace_width_um if trace_width_um is not None else \
-            min(proc.m9_width_um, row_spacing_um / 2.0)
-    else:
-        cap = min(proc.m9_width_um, row_spacing_um / 8.0,
-                  (tsv_pitch_um - proc.tsv_radius_um - _CLEARANCE_UM) / 2.5)
-        w = trace_width_um if trace_width_um is not None else cap
-        if w > cap * (1.0 + 1e-9) or w < proc.m9_thickness_um:
-            raise InvalidGeometryError(
-                f"trace width {w:g} unroutable at tsv_pitch_um "
-                f"{tsv_pitch_um:g} and row_spacing_um {row_spacing_um:g}")
-    stack = _layer_stack(proc)
-    mid = row_spacing_um / 2.0
-    lane = _ToroidalLane(0.0, row_spacing_um, mid, mid + 2.0 * w,
-                         stack[1][0], stack[1][1]) if n_turns > 1 else \
-        _ToroidalLane(0.0, row_spacing_um, mid, mid, 0.0, stack[0][1])
-    xs = [i * tsv_pitch_um for i in range(int(n_turns))]
-    return _toroidal_coil(name, xs, lane, w, proc)
-
-
 def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     proc = geom.process
     n_p = int(geom.turns_primary)

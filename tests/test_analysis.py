@@ -19,12 +19,10 @@ from tsvqvco.analysis import (
     design_tank,
     figure_of_merit,
     min_transconductance,
-    noise_fom_report,
     oscillation_frequency_closed,
     predict_tuning_range,
     resonant_frequency,
     solve_characteristic,
-    startup_check,
     tank_impedance,
     tank_resonance_and_q,
 )
@@ -221,16 +219,6 @@ class TestOscillationFrequency:
             solve_characteristic(REF_TANK, -1e-3)
 
 
-class TestStartupCheck:
-    def test_boundary_is_inclusive(self):
-        assert startup_check(250.0, 8e-3) is True
-        assert startup_check(249.999, 8e-3) is False
-
-    def test_no_transconductance_never_starts(self):
-        assert startup_check(1e9, 0.0) is False
-        assert startup_check(1e9, -1e-3) is False
-
-
 class TestFigureOfMerit:
     def test_reference_spot_values(self):
         """2.5 GHz carrier, 1 MHz offset: -114 dBc at 1.5 mW gives -180.2,
@@ -263,12 +251,6 @@ class TestFigureOfMerit:
     def test_rejects_nonpositive_inputs(self, args):
         with pytest.raises(InvalidModelError):
             figure_of_merit(*args)
-
-    def test_report_carries_consistent_fom(self):
-        rep = noise_fom_report(2.5e9, 1e6, 1.5, -114.0)
-        assert rep.fom_db == figure_of_merit(2.5e9, 1e6, 1.5, -114.0)
-        assert rep.carrier_hz == 2.5e9
-        assert rep.phi_noise_dbc == -114.0
 
 
 class TestDesignSpec:

@@ -10,13 +10,11 @@ import numpy as np
 import pytest
 
 from tsvqvco.devices import (
-    DEFAULT_DOT_SIGNS,
     BufferParams,
-    CoupledInductorSet,
     MosParams,
     TuningArray,
     VaractorModel,
-    coupled_inductor_matrix,
+    check_coupled_set,
     mos_current,
     mos_small_signal,
     tuning_array_capacitance,
@@ -25,7 +23,13 @@ from tsvqvco.devices import (
 )
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.netlist import CoupledInductors, Netlist
-from tsvqvco.topologies import TopologyParams, build_netlist, flip_ps_signs
+from tsvqvco.topologies import (
+    DEFAULT_DOT_SIGNS,
+    TopologyParams,
+    build_netlist,
+    coupled_inductor_matrix,
+    flip_ps_signs,
+)
 from tsvqvco.transformer import TransformerModel
 
 
@@ -209,65 +213,65 @@ class TestTuningArray:
 class TestCoupledInductorMatrix:
     def test_primary_secondary_mutual_spot_value(self):
         """M_ps = k sqrt(L_p L_s) = 0.52 * sqrt(3n * 0.4n) = 0.5696 nH."""
-        s = coupled_inductor_matrix(reference_transformer())
-        assert math.isclose(s.matrix[0][1], 5.696315e-10, rel_tol=1e-6)
+        m = coupled_inductor_matrix(reference_transformer())
+        assert math.isclose(m[0][1], 5.696315e-10, rel_tol=1e-6)
 
     def test_dot_signs_applied(self):
-        s = coupled_inductor_matrix(reference_transformer())
-        assert s.matrix[0][1] > 0.0
-        assert s.matrix[0][2] == -s.matrix[0][1]
-        assert s.matrix[1][2] < 0.0
-        assert math.isclose(s.matrix[1][2], -0.15 * 0.4e-9, rel_tol=1e-12)
+        m = coupled_inductor_matrix(reference_transformer())
+        assert m[0][1] > 0.0
+        assert m[0][2] == -m[0][1]
+        assert m[1][2] < 0.0
+        assert math.isclose(m[1][2], -0.15 * 0.4e-9, rel_tol=1e-12)
 
     def test_diagonal_is_self_inductance(self):
-        s = coupled_inductor_matrix(reference_transformer())
-        assert s.matrix[0][0] == 3e-9
-        assert s.matrix[1][1] == 0.4e-9
-        assert s.matrix[2][2] == 0.4e-9
+        m = coupled_inductor_matrix(reference_transformer())
+        assert m[0][0] == 3e-9
+        assert m[1][1] == 0.4e-9
+        assert m[2][2] == 0.4e-9
 
     def test_series_resistance_uses_ac_values(self):
-        s = coupled_inductor_matrix(reference_transformer())
-        assert s.series_r == (1.4, 0.35, 0.35)
+        net = build_netlist("tc-qvco", TopologyParams(
+            transformer=reference_transformer()))
+        sets = [e for e in net.elements if isinstance(e, CoupledInductors)]
+        assert len(sets) == 2
+        for s in sets:
+            assert s.series_r == (1.4, 0.35, 0.35)
 
     def test_matrix_symmetric(self):
-        s = coupled_inductor_matrix(reference_transformer())
+        m = coupled_inductor_matrix(reference_transformer())
         for i in range(3):
             for j in range(3):
-                assert s.matrix[i][j] == s.matrix[j][i]
+                assert m[i][j] == m[j][i]
 
     def test_zero_coupling_gives_diagonal_matrix(self):
-        s = coupled_inductor_matrix(
+        m = coupled_inductor_matrix(
             reference_transformer(k_ps1=0.0, k_ps2=0.0, k_ss=0.0))
-        off = [s.matrix[i][j] for i in range(3) for j in range(3) if i != j]
+        off = [m[i][j] for i in range(3) for j in range(3) if i != j]
         assert all(v == 0.0 for v in off)
 
     def test_rejects_overcoupled_set(self):
         """k_ps = 0.9 on both secondaries with k_ss = 0.15 is not a
         realizable triple: the coupling matrix loses positive definiteness."""
         with pytest.raises(InvalidModelError, match="positive definite"):
-            coupled_inductor_matrix(
-                reference_transformer(k_ps1=0.9, k_ps2=0.9))
+            build_netlist("tc-qvco", TopologyParams(
+                transformer=reference_transformer(k_ps1=0.9, k_ps2=0.9)))
 
     def test_magnetic_energy_nonnegative(self):
-        s = coupled_inductor_matrix(reference_transformer())
-        m = np.array(s.matrix)
+        m = np.array(coupled_inductor_matrix(reference_transformer()))
         rng = np.random.default_rng(3)
         for currents in rng.normal(size=(200, 3)):
             assert float(currents @ m @ currents) >= 0.0
 
     def test_rejects_asymmetric_matrix(self):
         with pytest.raises(InvalidModelError, match="symmetric"):
-            CoupledInductorSet(
-                matrix=((3e-9, 1e-10, 0.0),
-                        (2e-10, 0.4e-9, 0.0),
-                        (0.0, 0.0, 0.4e-9)),
-                series_r=(1.0, 0.1, 0.1)).validate()
+            check_coupled_set(3, ((3e-9, 1e-10, 0.0),
+                                  (2e-10, 0.4e-9, 0.0),
+                                  (0.0, 0.0, 0.4e-9)), (1.0, 0.1, 0.1))
 
     def test_rejects_negative_series_resistance(self):
-        s = coupled_inductor_matrix(reference_transformer())
+        m = coupled_inductor_matrix(reference_transformer())
         with pytest.raises(InvalidModelError, match="series"):
-            CoupledInductorSet(matrix=s.matrix,
-                               series_r=(1.0, -0.1, 0.1)).validate()
+            check_coupled_set(3, m, (1.0, -0.1, 0.1))
 
     def test_default_dot_signs_are_symmetric(self):
         for i in range(3):
@@ -288,7 +292,7 @@ class TestCoupledInductorMatrix:
             tuple(signs[i][j] * k[i][j] * math.sqrt(l[i] * l[j])
                   for j in range(3))
             for i in range(3))
-        assert coupled_inductor_matrix(x, signs).matrix == expected
+        assert coupled_inductor_matrix(x, signs) == expected
 
     def test_tf_vco_uses_inverted_leading_block(self):
         x = reference_transformer()
@@ -302,7 +306,7 @@ class TestCoupledInductorMatrix:
 
 
 def _validate_set(matrix, series_r):
-    CoupledInductorSet(matrix=matrix, series_r=series_r).validate()
+    check_coupled_set(3, matrix, series_r)
 
 
 def _add_to_netlist(matrix, series_r):

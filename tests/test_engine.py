@@ -288,10 +288,13 @@ def test_linear_netlist_solves_every_step(monkeypatch):
 
 
 def test_non_finite_solve_on_linear_netlist_fails(monkeypatch):
+    """Newton stops at the first update that is not finite."""
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: np.full_like(b, np.nan))
-    with pytest.raises(NumericFailure):
+    calls = count_solves(monkeypatch)
+    with pytest.raises(NumericFailure, match="non-finite"):
         transient(rc_netlist(), SimConfig(dt_s=5e-12, t_stop_s=1e-9))
+    assert len(calls) == 1
 
 
 def test_rc_discharge_on_newton_path_matches_exponential():

@@ -2,7 +2,8 @@
 
 Every third-party module imported under src/tsvqvco must be a declared
 dependency, and every console script must point at an importable
-callable.
+callable.  The device models sit at the bottom of the package: devices.py
+imports nothing from it but the error types.
 """
 import ast
 import importlib
@@ -49,3 +50,17 @@ def test_script_targets_import():
     for name, target in project_table().get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+def test_devices_imports_only_errors_from_the_package():
+    path = PACKAGE_DIR / "devices.py"
+    internal = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level > 0 or module.split(".")[0] == "tsvqvco":
+                internal.add(module.removeprefix("tsvqvco."))
+        elif isinstance(node, ast.Import):
+            internal.update(a.name for a in node.names
+                            if a.name.split(".")[0] == "tsvqvco")
+    assert internal == {"errors"}

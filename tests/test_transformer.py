@@ -20,7 +20,6 @@ from tsvqvco.transformer import (
     default_secondary_slots,
     generate_coils,
     metal_area,
-    toroidal_coil,
     wheeler_spiral_inductance,
 )
 
@@ -57,21 +56,6 @@ class TestSecondarySlots:
     def test_rejects_too_few_rider_cells(self):
         with pytest.raises(InvalidGeometryError, match="rider"):
             default_secondary_slots(4, 2)
-
-
-class TestToroidalCoil:
-    def test_single_turn_builds(self):
-        coil = toroidal_coil(1, 66.0, 120.0)
-        coil.validate()
-
-    def test_multi_turn_builds_connected(self):
-        coil = toroidal_coil(5, 66.0, 120.0)
-        coil.validate()
-        assert _tsv_count(coil) == 2 * 5
-
-    def test_rejects_unroutable_width(self):
-        with pytest.raises(InvalidGeometryError, match="unroutable"):
-            toroidal_coil(5, 66.0, 120.0, trace_width_um=40.0)
 
 
 class TestGenerateCoils:
