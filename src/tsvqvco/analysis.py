@@ -10,12 +10,9 @@ characteristic equation and serves as its independent check.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .devices import TuningArray, VaractorModel, tuning_array_capacitance, \
-    varactor_capacitance
 from .errors import InfeasibleDesignError, InvalidModelError, NumericFailure
 from .transformer import TransformerModel
 
@@ -69,15 +66,6 @@ def resonant_frequency(l_eq: float, c_eq: float) -> float:
     if l_eq <= 0 or c_eq <= 0:
         raise InvalidModelError("resonant_frequency needs positive L and C")
     return 1.0 / math.sqrt(l_eq * c_eq)
-
-
-def tank_impedance(t: TankParams, omega: float) -> complex:
-    """Parallel RLC impedance at omega (rad/s), complex ohms."""
-    t.validate()
-    if omega <= 0:
-        raise InvalidModelError("tank_impedance needs omega > 0")
-    y = 1.0 / t.r_parallel + 1.0 / (1j * omega * t.l_eq) + 1j * omega * t.c_tank
-    return 1.0 / y
 
 
 def tank_resonance_and_q(t: TankParams) -> tuple[float, float]:
@@ -195,45 +183,6 @@ class DesignSpec:
     def c_var_mid_f(self) -> float:
         return 0.5 * (self.c_var_lo_f + self.c_var_hi_f)
 
-    def varactor(self) -> VaractorModel:
-        """Varactor model matching the spec's control and capacitance ranges."""
-        return VaractorModel(c_min=self.c_var_lo_f, c_max=self.c_var_hi_f,
-                             v_lo=self.v_c_lo_v, v_hi=self.v_c_hi_v)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DesignSpec":
-        if not isinstance(data, dict):
-            raise InvalidModelError("design spec document must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        extra = set(data) - known
-        if extra:
-            raise InvalidModelError(f"unknown design spec fields: {sorted(extra)}")
-        missing = (known - {"c_parasitic_f"}) - set(data)
-        if missing:
-            raise InvalidModelError(f"missing design spec fields: {sorted(missing)}")
-        spec = cls(**data)
-        spec.validate()
-        return spec
-
-    @classmethod
-    def from_json_file(cls, path) -> "DesignSpec":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidModelError(f"cannot read design spec file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"design spec file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def to_json_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 @dataclass(frozen=True)
 class FeasibilityReport:
@@ -241,7 +190,6 @@ class FeasibilityReport:
 
     verdict: str  # "feasible" | "marginal" | "infeasible"
     kn: float
-    kn_bound: float
     g_m_min: float | None
     notes: tuple[str, ...]
 
@@ -250,7 +198,7 @@ def _feasibility(t: TankParams) -> FeasibilityReport:
     kn = t.kn
     if kn <= SQRT2:
         return FeasibilityReport(
-            verdict="infeasible", kn=kn, kn_bound=SQRT2, g_m_min=None,
+            verdict="infeasible", kn=kn, g_m_min=None,
             notes=(f"kN = {kn:.4f} does not clear the sqrt(2) = {SQRT2:.4f} "
                    f"startup bound; no transconductance sustains the "
                    f"quadrature mode",))
@@ -258,13 +206,13 @@ def _feasibility(t: TankParams) -> FeasibilityReport:
     overhead = g_m * t.r_parallel / 2.0  # ratio to the asymptotic 2/R
     if kn <= SQRT2 * MARGINAL_KN_RATIO:
         return FeasibilityReport(
-            verdict="marginal", kn=kn, kn_bound=SQRT2, g_m_min=g_m,
+            verdict="marginal", kn=kn, g_m_min=g_m,
             notes=(f"kN = {kn:.4f} sits within {100 * (MARGINAL_KN_RATIO - 1):.0f}% "
                    f"of the sqrt(2) bound",
                    f"required g_m = {g_m * 1e3:.3f} mS is {overhead:.1f}x the "
                    f"asymptotic minimum 2/R"))
     return FeasibilityReport(
-        verdict="feasible", kn=kn, kn_bound=SQRT2, g_m_min=g_m,
+        verdict="feasible", kn=kn, g_m_min=g_m,
         notes=(f"required g_m = {g_m * 1e3:.3f} mS ({overhead:.2f}x the "
                f"asymptotic minimum 2/R)",))
 
@@ -293,54 +241,3 @@ def design_tank(spec: DesignSpec,
                       k=k, n=n)
     tank.validate()
     return tank, _feasibility(tank)
-
-
-@dataclass(frozen=True)
-class TuningPoint:
-    """Predicted band edges and gain for one array code."""
-
-    code: str
-    f_lo_hz: float  # at the top of the control range (max capacitance)
-    f_hi_hz: float  # at the bottom of the control range (min capacitance)
-    k_vco_hz_per_v: float
-
-
-@dataclass(frozen=True)
-class TuningPrediction:
-    points: tuple[TuningPoint, ...]
-    f_min_hz: float
-    f_max_hz: float
-
-
-def predict_tuning_range(t: TankParams, varactor: VaractorModel,
-                         array: TuningArray,
-                         c_parasitic: float = 0.0) -> TuningPrediction:
-    """Band edges over the three distinct array settings.
-
-    The resonance law is evaluated with C = C_var(V_c) + C_array + parasitic
-    at both control endpoints per code; K_vco is the centered-difference
-    slope at the control midpoint (negative: capacitance grows with V_c).
-    """
-    t.validate()
-    varactor.validate()
-    array.validate()
-    if c_parasitic < 0:
-        raise InvalidModelError("c_parasitic must be non-negative")
-
-    def freq(v_c: float, c_array: float) -> float:
-        c = varactor_capacitance(varactor, v_c) + c_array + c_parasitic
-        return resonant_frequency(t.l_eq, c) / (2.0 * math.pi)
-
-    v_mid = 0.5 * (varactor.v_lo + varactor.v_hi)
-    dv = 1e-3 * (varactor.v_hi - varactor.v_lo)
-    points = []
-    for code in ("00", "01", "11"):
-        c_array = tuning_array_capacitance(TuningArray(array.c_unit, code))
-        f_hi = freq(varactor.v_lo, c_array)
-        f_lo = freq(varactor.v_hi, c_array)
-        k_vco = (freq(v_mid + dv, c_array) - freq(v_mid - dv, c_array)) / (2 * dv)
-        points.append(TuningPoint(code=code, f_lo_hz=f_lo, f_hi_hz=f_hi,
-                                  k_vco_hz_per_v=k_vco))
-    return TuningPrediction(points=tuple(points),
-                            f_min_hz=min(p.f_lo_hz for p in points),
-                            f_max_hz=max(p.f_hi_hz for p in points))

@@ -167,12 +167,14 @@ def varactor_capacitance_slope(m: VaractorModel, v_c: float) -> float:
     return 0.5 * (m.c_max - m.c_min) * m.shape * sech2 / (math.tanh(m.shape) * half)
 
 
-_CODE_WEIGHT = {"00": 0.0, "01": 0.5, "10": 0.5, "11": 1.0}
+_CODES = ("00", "01", "10", "11")
 
 
 @dataclass(frozen=True)
 class TuningArray:
-    """2-bit binary-weighted switched-capacitor bank, c_unit is full scale."""
+    """2-bit switched-capacitor bank: each bit set to "1" closes one
+    C-switch-C branch and adds c_unit/2 across the tank, so "11" adds
+    c_unit."""
 
     c_unit: float
     code: str = "00"
@@ -180,15 +182,9 @@ class TuningArray:
     def validate(self) -> None:
         if self.c_unit <= 0:
             raise InvalidModelError("tuning array c_unit must be positive")
-        if self.code not in _CODE_WEIGHT:
+        if self.code not in _CODES:
             raise InvalidModelError(f"tuning array code must be one of "
-                                    f"{sorted(_CODE_WEIGHT)}, got {self.code!r}")
-
-
-def tuning_array_capacitance(a: TuningArray) -> float:
-    """Equivalent capacitance at the set code: 0, c/2 or c, exact."""
-    a.validate()
-    return _CODE_WEIGHT[a.code] * a.c_unit
+                                    f"{list(_CODES)}, got {self.code!r}")
 
 
 def check_coupled_set(n: int, matrix, series_r) -> None:
@@ -241,3 +237,5 @@ class BufferParams:
         if self.p_to_n_ratio <= 1.0:
             raise InvalidModelError("buffer pull-up must be stronger than pull-down")
         self.nmos.validate()
+        if self.nmos.polarity != "n":
+            raise InvalidModelError("nmos must be an n-channel device")

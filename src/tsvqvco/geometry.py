@@ -20,13 +20,19 @@ STYLE_VERTICAL_SPIRAL = "vertical_spiral"
 _STYLES = (STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL)
 
 
+def _check_finite(kind: str, name: str, value) -> None:
+    """Reject anything but a finite int or float; bools are not numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise InvalidGeometryError(f"{kind} field {name} is not a finite number")
+
+
 @dataclass
 class ProcessParams:
     """Stack parameters of the 3D process, one tier of which hosts the TSVs.
 
-    Copper resistivity applies to TSVs, traces and vias alike.  The substrate
-    conductivity is carried through to reports; the lumped extraction below
-    does not model substrate eddy loss.
+    Copper resistivity applies to TSVs, traces and vias alike.  The lumped
+    extraction does not model substrate eddy loss.
     """
 
     tier_height_um: float = 60.0
@@ -36,18 +42,14 @@ class ProcessParams:
     m9_thickness_um: float = 7.0
     m9_width_um: float = 24.0
     m8_thickness_um: float = 7.0
-    m8_width_um: float = 24.0
     m7_thickness_um: float = 2.0
-    m7_width_um: float = 24.0
     via_m9_m8_um: float = 5.0
     via_m8_m7_um: float = 3.0
     resistivity_ohm_m: float = 1.68e-8
-    substrate_conductivity_s_m: float = 10.0
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value)):
-                raise InvalidGeometryError(f"process field {name} is not a finite number")
+            _check_finite("process", name, value)
             if value <= 0:
                 raise InvalidGeometryError(f"process field {name} must be positive, got {value}")
         if self.tsv_liner_um >= self.tsv_diameter_um / 2:
@@ -57,6 +59,11 @@ class ProcessParams:
     def tsv_radius_um(self) -> float:
         """Conducting radius: drawn radius minus the dielectric liner."""
         return self.tsv_diameter_um / 2 - self.tsv_liner_um
+
+    @property
+    def min_pitch_um(self) -> float:
+        """Smallest TSV center-to-center distance: diameter plus keep-out."""
+        return self.tsv_diameter_um + self.min_tsv_pitch_um
 
     @classmethod
     def from_dict(cls, data: dict) -> "ProcessParams":
@@ -145,10 +152,6 @@ class CoilGeometry:
                 raise InvalidGeometryError(
                     f"coil {self.name!r} path breaks between {a.end} and {b.start}")
 
-    @property
-    def total_length_m(self) -> float:
-        return sum(s.length_m for s in self.segments)
-
 
 @dataclass
 class TransformerGeometry:
@@ -178,12 +181,17 @@ class TransformerGeometry:
         if self.style not in _STYLES:
             raise InvalidGeometryError(
                 f"style must be one of {_STYLES}, got {self.style!r}")
-        if int(self.turns_primary) != self.turns_primary or self.turns_primary < 1:
-            raise InvalidGeometryError("turns_primary must be a positive integer")
-        if int(self.turns_secondary) != self.turns_secondary or self.turns_secondary < 1:
-            raise InvalidGeometryError("turns_secondary must be a positive integer")
+        for name in ("turns_primary", "turns_secondary"):
+            turns = getattr(self, name)
+            _check_finite("geometry", name, turns)
+            if int(turns) != turns or turns < 1:
+                raise InvalidGeometryError(f"{name} must be a positive integer")
+        for name in ("tsv_pitch_um", "row_spacing_um"):
+            _check_finite("geometry", name, getattr(self, name))
+        if self.trace_width_um is not None:
+            _check_finite("geometry", "trace_width_um", self.trace_width_um)
         self.process.validate()
-        min_pitch = self.process.tsv_diameter_um + self.process.min_tsv_pitch_um
+        min_pitch = self.process.min_pitch_um
         if self.tsv_pitch_um < min_pitch:
             raise InvalidGeometryError(
                 f"tsv_pitch_um {self.tsv_pitch_um} below minimum {min_pitch} "
@@ -197,7 +205,10 @@ class TransformerGeometry:
             if self.style != STYLE_TOROIDAL:
                 raise InvalidGeometryError(
                     "secondary_slots only applies to the toroidal style")
-            if len(self.secondary_slots) != 2:
+            lists = (list, tuple)
+            if not (isinstance(self.secondary_slots, lists)
+                    and len(self.secondary_slots) == 2
+                    and all(isinstance(s, lists) for s in self.secondary_slots)):
                 raise InvalidGeometryError(
                     "secondary_slots needs one slot list per secondary coil")
             seen: set[int] = set()
@@ -207,6 +218,7 @@ class TransformerGeometry:
                         f"each secondary needs {self.turns_secondary} slots, "
                         f"got {len(slots)}")
                 for s in slots:
+                    _check_finite("geometry", "secondary_slots", s)
                     if int(s) != s or not 0 <= s <= self.turns_primary - 2:
                         raise InvalidGeometryError(
                             f"secondary slot {s!r} outside cells "
@@ -215,10 +227,6 @@ class TransformerGeometry:
                         raise InvalidGeometryError(
                             f"secondary slot {int(s)} assigned twice")
                     seen.add(int(s))
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransformerGeometry":
@@ -250,8 +258,3 @@ class TransformerGeometry:
         except json.JSONDecodeError as exc:
             raise InvalidGeometryError(f"geometry file is not valid JSON: {exc}") from exc
         return cls.from_dict(data)
-
-    def to_json_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")

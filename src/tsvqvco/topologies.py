@@ -144,7 +144,7 @@ def _add_tank_caps(net: Netlist, p: TopologyParams, a: str, b: str,
         net.add_capacitor(b, "gnd", p.c_parasitic_f, label=f"cpar_{tag}2")
     if p.array is not None:
         # one series C-switch-C branch per bit; each branch contributes
-        # c_unit/2 differentially when closed, matching the array model
+        # c_unit/2 differentially when closed and almost nothing when open
         for bit, state in enumerate(p.array.code):
             m1 = f"{tag}_b{bit}p"
             m2 = f"{tag}_b{bit}n"

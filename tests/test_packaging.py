@@ -2,8 +2,9 @@
 
 Every third-party module imported under src/tsvqvco must be a declared
 dependency, and every console script must point at an importable
-callable.  The device models sit at the bottom of the package: devices.py
-imports nothing from it but the error types.
+callable.  The design path is layered: geometry, inductance, transformer
+and analysis each import only the package modules below them, and the
+device models import nothing from the package but the error types.
 """
 import ast
 import importlib
@@ -52,15 +53,31 @@ def test_script_targets_import():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-def test_devices_imports_only_errors_from_the_package():
-    path = PACKAGE_DIR / "devices.py"
+# The design path and the device models, each with the package modules it
+# may import.  A layer reaches only the layers below it.
+ALLOWED_PACKAGE_IMPORTS = {
+    "geometry": {"errors"},
+    "inductance": {"errors", "geometry"},
+    "transformer": {"errors", "geometry", "inductance"},
+    "analysis": {"errors", "transformer"},
+    "devices": {"errors"},
+}
+
+
+def package_imports(module: str) -> set[str]:
+    path = PACKAGE_DIR / f"{module}.py"
     internal = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level > 0 or module.split(".")[0] == "tsvqvco":
-                internal.add(module.removeprefix("tsvqvco."))
+            name = node.module or ""
+            if node.level > 0 or name.split(".")[0] == "tsvqvco":
+                internal.add(name.removeprefix("tsvqvco."))
         elif isinstance(node, ast.Import):
-            internal.update(a.name for a in node.names
+            internal.update(a.name.removeprefix("tsvqvco.") for a in node.names
                             if a.name.split(".")[0] == "tsvqvco")
-    assert internal == {"errors"}
+    return internal
+
+
+@pytest.mark.parametrize("module", sorted(ALLOWED_PACKAGE_IMPORTS))
+def test_design_path_layering(module):
+    assert package_imports(module) == ALLOWED_PACKAGE_IMPORTS[module]

@@ -248,37 +248,6 @@ class TestInductanceMatrix:
         assert mat[1, 2] == pytest.approx(m.k_ss * np.sqrt(m.l_s1 * m.l_s2), rel=1e-12)
 
 
-class TestModelSerialization:
-    def test_json_round_trip(self, toroidal_model, tmp_path):
-        path = tmp_path / "model.json"
-        toroidal_model.to_json_file(path)
-        clone = TransformerModel.from_json_file(path)
-        assert clone == toroidal_model
-
-    def test_dict_leaves_carry_units(self, toroidal_model):
-        doc = toroidal_model.to_dict()
-        assert doc["L_p"]["unit"] == "H"
-        assert set(doc["k_ps1"]) == {"value", "unit"}
-
-    def test_from_dict_rejects_missing_field(self, toroidal_model):
-        doc = toroidal_model.to_dict()
-        doc.pop("L_p")
-        with pytest.raises(InvalidModelError, match="missing"):
-            TransformerModel.from_dict(doc)
-
-    def test_from_dict_rejects_unknown_field(self, toroidal_model):
-        doc = toroidal_model.to_dict()
-        doc["L_x"] = {"value": 1e-9, "unit": "H"}
-        with pytest.raises(InvalidModelError, match="unknown"):
-            TransformerModel.from_dict(doc)
-
-    def test_from_dict_rejects_bare_leaf(self, toroidal_model):
-        doc = toroidal_model.to_dict()
-        doc["L_p"] = 3e-9
-        with pytest.raises(InvalidModelError, match="value/unit"):
-            TransformerModel.from_dict(doc)
-
-
 class TestModelValidation:
     def test_rejects_coupling_at_unity(self, toroidal_model):
         bad = dataclasses.replace(toroidal_model, k_ps1=1.0)
@@ -300,4 +269,4 @@ class TestDeterminism:
     def test_rebuild_is_bit_identical(self, toroidal_geometry):
         a = build_transformer(toroidal_geometry)
         b = build_transformer(toroidal_geometry)
-        assert a.to_dict() == b.to_dict()
+        assert a == b
