@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleDesignError, InvalidModelError, NumericFailure
+from .errors import (InfeasibleDesignError, InvalidModelError, NumericFailure,
+                     check_finite)
 from .transformer import TransformerModel
 
 SQRT2 = math.sqrt(2.0)
@@ -40,6 +41,8 @@ class TankParams:
     n: float
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            check_finite(InvalidModelError, "tank", name, value)
         if self.r_parallel <= 0:
             raise InvalidModelError("tank r_parallel must be positive")
         if self.c_tank <= 0:
@@ -69,14 +72,10 @@ def resonant_frequency(l_eq: float, c_eq: float) -> float:
 
 
 def tank_resonance_and_q(t: TankParams) -> tuple[float, float]:
-    """(omega0, Q) of the tank; the two textbook Q forms must agree."""
+    """(omega0, Q) of the tank, Q = omega0 R C."""
     t.validate()
     omega0 = resonant_frequency(t.l_eq, t.c_tank)
-    q_c = omega0 * t.r_parallel * t.c_tank
-    q_l = t.r_parallel / (omega0 * t.l_eq)
-    if abs(q_c - q_l) > 1e-12 * q_c:
-        raise NumericFailure("tank Q forms disagree; parameters are non-finite?")
-    return omega0, q_c
+    return omega0, omega0 * t.r_parallel * t.c_tank
 
 
 def min_transconductance(t: TankParams) -> float:

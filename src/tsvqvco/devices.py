@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidModelError
+from .errors import InvalidModelError, check_finite
 
 # tuning-array switch model; ideal switches would make the MNA matrix singular
 SWITCH_ON_OHM = 50.0
@@ -40,6 +39,8 @@ class MosParams:
     def validate(self) -> None:
         if self.polarity not in ("n", "p"):
             raise InvalidModelError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
+        for name in ("k_factor", "v_th", "lam"):
+            check_finite(InvalidModelError, "mos", name, getattr(self, name))
         if self.k_factor <= 0:
             raise InvalidModelError("k_factor must be positive")
         if self.lam < 0:
@@ -48,12 +49,6 @@ class MosParams:
             raise InvalidModelError("n-channel threshold must be positive")
         if self.polarity == "p" and self.v_th >= 0:
             raise InvalidModelError("p-channel threshold must be negative")
-
-
-class SmallSignal(NamedTuple):
-    g_m: float
-    g_ds: float
-    region: str
 
 
 def _fold(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
@@ -103,20 +98,6 @@ def mos_eval(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, floa
         # chain rule through the source/drain swap: v_ov picks up -v_ds
         return sign * i_d, -g_m, g_m + g_ds
     return sign * i_d, g_m, g_ds
-
-
-def mos_current(p: MosParams, v_gs: float, v_ds: float) -> float:
-    """Drain current (A) into the drain; negative for a conducting p-channel."""
-    return mos_eval(p, v_gs, v_ds)[0]
-
-
-def mos_small_signal(p: MosParams, v_gs: float, v_ds: float) -> SmallSignal:
-    """The partials of mos_eval, tagged with the region of the bias."""
-    _, g_m, g_ds = mos_eval(p, v_gs, v_ds)
-    v_ov, v_ds_f, _ = _fold(p, v_gs, v_ds)
-    region = ("cutoff" if v_ov <= 0.0
-              else "saturation" if v_ds_f >= v_ov else "triode")
-    return SmallSignal(g_m, g_ds, region)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ circuit converges after one solve, and the residual test accepts it.
 The step history is q and its derivative i at the last accepted step.
 A trapezoidal step (coef = 2/h) solves
 a_static x + coef q(x) = s(t) + coef q_prev + i_prev and then sets
-i = coef (q - q_prev) - i_prev.  The first step is backward Euler
-(coef = 1/h, both i_prev terms dropped): it needs no derivative history,
-so a discontinuous turn-on (step sources, charged capacitors) does not
-poison the trapezoidal rule with an inconsistent initial derivative.  If
-Newton fails on the first step (a hard turn-on), the run is retried once
-from the start with every faster source ramped over
-netlist.SOURCE_RAMP_S; a second failure propagates.
+i = coef (q - q_prev) - i_prev.  The first step is backward Euler: the
+same two equations with coef = 1/h and the initial i_prev = 0.  It needs
+no derivative history, so a discontinuous turn-on (step sources, charged
+capacitors) does not poison the trapezoidal rule with an inconsistent
+initial derivative.  The initial state is what the netlist declares: its
+initial node voltages and inductor currents, zero everywhere else.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .devices import mos_eval, varactor_capacitance, varactor_capacitance_slope
-from .errors import InvalidModelError, NumericFailure
+from .errors import InvalidModelError, NumericFailure, check_finite
 from .netlist import (
     GROUND,
     Capacitor,
@@ -49,10 +48,6 @@ from .netlist import (
     VSource,
 )
 
-# Startup seed: the initial voltage of V_o1 (when that node exists) is
-# raised by PERTURBATION_V.
-PERTURB_NODE = "V_o1"
-PERTURBATION_V = 1e-3
 NEWTON_REL = 1e-9
 NEWTON_ABS = 1e-12
 MAX_NEWTON = 50
@@ -69,12 +64,14 @@ GMIN = 1e-9
 @dataclass
 class SimConfig:
     """Fixed step and stop time of one transient; the Newton tolerances,
-    the KCL gate, the leak and the startup seed are the constants above."""
+    the KCL gate and the leak are the constants above."""
 
     dt_s: float
     t_stop_s: float
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            check_finite(InvalidModelError, "sim config", name, value)
         if self.dt_s <= 0:
             raise InvalidModelError("time step must be positive")
         if self.t_stop_s <= self.dt_s:
@@ -209,14 +206,13 @@ class _System:
 
 @dataclass
 class _StepState:
-    """What one accepted step hands the next: the charge q(x) on every
-    row (node charge, negated branch flux), its derivative i from the
-    integration rule, and the solution x, all extended by the ground
+    """What one accepted step hands the next besides its solution: the
+    charge q(x) on every row (node charge, negated branch flux) and its
+    derivative i from the integration rule, both extended by the ground
     slot."""
 
     q: np.ndarray
     i: np.ndarray
-    x: np.ndarray
 
 
 def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
@@ -229,13 +225,11 @@ def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     return q
 
 
-def _initial_state(sys: _System) -> _StepState:
+def _initial_state(sys: _System) -> tuple[np.ndarray, _StepState]:
+    """The solution at t = 0, extended by the ground slot, and its state."""
     net = sys.net
     x = np.zeros(sys.size + 1)
-    ics = dict(net.initial_voltages)
-    if PERTURB_NODE in net.node_names:
-        ics[PERTURB_NODE] = ics.get(PERTURB_NODE, 0.0) + PERTURBATION_V
-    for name, v in ics.items():
+    for name, v in net.initial_voltages.items():
         x[net.node_names.index(name)] = v
     for idx, e in enumerate(net.elements):
         if isinstance(e, Inductor):
@@ -243,7 +237,7 @@ def _initial_state(sys: _System) -> _StepState:
         elif isinstance(e, CoupledInductors):
             for w, i0 in enumerate(e.i_initial_a):
                 x[sys.branch_of[idx] + w] = i0
-    return _StepState(q=_charge(sys, x), i=np.zeros(sys.size + 1), x=x)
+    return x, _StepState(q=_charge(sys, x), i=np.zeros(sys.size + 1))
 
 
 def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
@@ -257,13 +251,10 @@ def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
     return "MNA matrix is singular (structurally ill-posed netlist)"
 
 
-def _rhs(sys: _System, st: _StepState, t: float, coef: float,
-         history: bool) -> np.ndarray:
-    """Right-hand side for one step; coef is 2/h (trapezoidal, with the
-    derivative history) or 1/h (backward Euler, without)."""
-    b = coef * st.q
-    if history:
-        b += st.i
+def _rhs(sys: _System, st: _StepState, t: float, coef: float) -> np.ndarray:
+    """Right-hand side for one step; coef is 2/h (trapezoidal) or 1/h
+    (backward Euler, whose derivative history is the zero initial i)."""
+    b = coef * st.q + st.i
     for row, e in sys.vsources:
         b[row] = e.value_at(t)
     b[sys.gslot] = 0.0
@@ -360,13 +351,17 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
 
 
-def _solve_step(sys: _System, st: _StepState, t: float, first: bool, past):
-    """Solution at time t from the state one step earlier, and the
-    residual it leaves; the first step is backward Euler.  past holds
-    the last accepted solutions, oldest first, at most three of them."""
+def _solve_step(sys: _System, st: _StepState, out: np.ndarray, step: int,
+                t: float):
+    """Solution of row `step` of out at time t from the state one step
+    earlier, and the residual it leaves; step 1 is backward Euler.
+    Newton starts from the rows of out already accepted, the initial
+    state excluded from the extrapolation."""
+    first = step == 1
     coef = sys.coef_be if first else sys.coef_tr
-    b = _rhs(sys, st, t, coef, history=not first)
-    x0 = st.x[:sys.size]
+    b = _rhs(sys, st, t, coef)
+    past = out[max(1, step - 3):step]
+    x0 = out[step - 1]
     if len(past) == 3:
         x0 = 3.0 * (past[2] - past[1]) + past[0]
     elif len(past) == 2:
@@ -386,27 +381,13 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     times = h * np.arange(n_steps + 1)
 
     sys = _System(net, cfg)
-    st = _initial_state(sys)
-    try:
-        x, resid = _solve_step(sys, st, times[1], True, ())
-    except NumericFailure:
-        # hard turn-on rescue: one retry with the sources ramped
-        ramped = net.with_source_ramp()
-        if ramped.elements == net.elements:
-            raise
-        sys = _System(ramped, cfg)
-        st = _initial_state(sys)
-        x, resid = _solve_step(sys, st, times[1], True, ())
-
+    x, st = _initial_state(sys)
     out = np.empty((n_steps + 1, sys.size))
-    out[0] = st.x[:sys.size]
+    out[0] = x[:sys.size]
     kcl_max = 0.0
     for step in range(1, n_steps + 1):
         t = times[step]
-        first = step == 1
-        if not first:
-            x, resid = _solve_step(sys, st, t, False,
-                                   out[max(1, step - 3):step])
+        x, resid = _solve_step(sys, st, out, step, t)
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
             raise NumericFailure(
@@ -415,12 +396,10 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         kcl_max = max(kcl_max, step_kcl)
         out[step] = x[:sys.size]
 
+        coef = sys.coef_be if step == 1 else sys.coef_tr
         q = _charge(sys, x)
-        if first:
-            st.i = sys.coef_be * (q - st.q)
-        else:
-            st.i = sys.coef_tr * (q - st.q) - st.i
-        st.q, st.x = q, x
+        st.i = coef * (q - st.q) - st.i
+        st.q = q
 
     voltages = {name: out[:, i].copy()
                 for i, name in enumerate(net.node_names)}

@@ -1,4 +1,7 @@
-"""Exception taxonomy shared by the library and the command line front end."""
+"""Exception taxonomy shared by the library and the command line front end,
+and the one rule every numeric input field passes."""
+import math
+from numbers import Real
 
 
 class ToolError(Exception):
@@ -24,3 +27,11 @@ class InfeasibleDesignError(ToolError):
 
 class NumericFailure(ToolError):
     """A solver failed to converge or produced a non-finite result."""
+
+
+def check_finite(error: type[InputError], kind: str, name: str, value) -> None:
+    """Raise error unless value is a finite real number; bools are not
+    numbers here."""
+    if (isinstance(value, bool) or not isinstance(value, Real)
+            or not math.isfinite(value)):
+        raise error(f"{kind} field {name} is not a finite number")

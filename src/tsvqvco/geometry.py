@@ -11,20 +11,13 @@ import json
 import math
 from dataclasses import dataclass, field, asdict
 
-from .errors import InvalidGeometryError
+from .errors import InvalidGeometryError, check_finite
 
 UM = 1e-6
 
 STYLE_TOROIDAL = "toroidal"
 STYLE_VERTICAL_SPIRAL = "vertical_spiral"
 _STYLES = (STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL)
-
-
-def _check_finite(kind: str, name: str, value) -> None:
-    """Reject anything but a finite int or float; bools are not numbers here."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise InvalidGeometryError(f"{kind} field {name} is not a finite number")
 
 
 @dataclass
@@ -49,7 +42,7 @@ class ProcessParams:
 
     def validate(self) -> None:
         for name, value in asdict(self).items():
-            _check_finite("process", name, value)
+            check_finite(InvalidGeometryError, "process", name, value)
             if value <= 0:
                 raise InvalidGeometryError(f"process field {name} must be positive, got {value}")
         if self.tsv_liner_um >= self.tsv_diameter_um / 2:
@@ -183,13 +176,15 @@ class TransformerGeometry:
                 f"style must be one of {_STYLES}, got {self.style!r}")
         for name in ("turns_primary", "turns_secondary"):
             turns = getattr(self, name)
-            _check_finite("geometry", name, turns)
+            check_finite(InvalidGeometryError, "geometry", name, turns)
             if int(turns) != turns or turns < 1:
                 raise InvalidGeometryError(f"{name} must be a positive integer")
         for name in ("tsv_pitch_um", "row_spacing_um"):
-            _check_finite("geometry", name, getattr(self, name))
+            check_finite(InvalidGeometryError, "geometry", name,
+                         getattr(self, name))
         if self.trace_width_um is not None:
-            _check_finite("geometry", "trace_width_um", self.trace_width_um)
+            check_finite(InvalidGeometryError, "geometry", "trace_width_um",
+                         self.trace_width_um)
         self.process.validate()
         min_pitch = self.process.min_pitch_um
         if self.tsv_pitch_um < min_pitch:
@@ -218,7 +213,8 @@ class TransformerGeometry:
                         f"each secondary needs {self.turns_secondary} slots, "
                         f"got {len(slots)}")
                 for s in slots:
-                    _check_finite("geometry", "secondary_slots", s)
+                    check_finite(InvalidGeometryError, "geometry",
+                                 "secondary_slots", s)
                     if int(s) != s or not 0 <= s <= self.turns_primary - 2:
                         raise InvalidGeometryError(
                             f"secondary slot {s!r} outside cells "

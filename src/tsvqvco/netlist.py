@@ -12,9 +12,7 @@ a nonlinear current.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from .devices import (
     SWITCH_OFF_OHM,
@@ -23,13 +21,10 @@ from .devices import (
     VaractorModel,
     check_coupled_set,
 )
-from .errors import InvalidModelError
+from .errors import InvalidModelError, check_finite
 
 GROUND_NAMES = ("0", "gnd")
 GROUND = -1
-# Ramp time of the built topologies' supplies, and of the engine's
-# hard turn-on rescue.
-SOURCE_RAMP_S = 1e-9
 # Labels of the built topologies' core and buffer supply sources; their
 # branch currents I(<label>) give the supply power.
 CORE_SUPPLY = "vdd_core"
@@ -170,6 +165,7 @@ class Netlist:
 
     def add_resistor(self, a: str, b: str, ohms: float,
                      label: str | None = None) -> None:
+        check_finite(InvalidModelError, "resistor", "ohms", ohms)
         if ohms <= 0:
             raise InvalidModelError("resistance must be positive")
         self.elements.append(Resistor(self.node(a), self.node(b), ohms,
@@ -177,6 +173,7 @@ class Netlist:
 
     def add_capacitor(self, a: str, b: str, farads: float,
                       label: str | None = None) -> None:
+        check_finite(InvalidModelError, "capacitor", "farads", farads)
         if farads <= 0:
             raise InvalidModelError("capacitance must be positive")
         self.elements.append(Capacitor(self.node(a), self.node(b), farads,
@@ -185,6 +182,8 @@ class Netlist:
     def add_inductor(self, a: str, b: str, henries: float,
                      label: str | None = None,
                      i_initial_a: float = 0.0) -> None:
+        check_finite(InvalidModelError, "inductor", "henries", henries)
+        check_finite(InvalidModelError, "inductor", "i_initial_a", i_initial_a)
         if henries <= 0:
             raise InvalidModelError("inductance must be positive")
         self.elements.append(Inductor(self.node(a), self.node(b), henries,
@@ -226,6 +225,8 @@ class Netlist:
 
     def add_vsource(self, p: str, n: str, volts: float,
                     label: str | None = None, ramp_s: float = 0.0) -> None:
+        check_finite(InvalidModelError, "vsource", "volts", volts)
+        check_finite(InvalidModelError, "vsource", "ramp_s", ramp_s)
         if ramp_s < 0:
             raise InvalidModelError("source ramp must be non-negative")
         self.elements.append(VSource(self.node(p), self.node(n), volts,
@@ -233,27 +234,16 @@ class Netlist:
 
     def add_vccs(self, p: str, n: str, cp: str, cn: str, gm: float,
                  label: str | None = None) -> None:
-        if not np.isfinite(gm):
-            raise InvalidModelError("vccs gain must be finite")
+        check_finite(InvalidModelError, "vccs", "gm", gm)
         self.elements.append(Vccs(self.node(p), self.node(n), self.node(cp),
                                   self.node(cn), gm, self._label(label, "g")))
 
     def set_initial_voltage(self, node: str, volts: float) -> None:
         if node in GROUND_NAMES:
             raise InvalidModelError("ground is fixed at 0 V")
+        check_finite(InvalidModelError, "initial condition", node, volts)
         self.node(node)
         self.initial_voltages[node] = volts
-
-    def with_source_ramp(self) -> "Netlist":
-        """Copy with every faster source slowed to ramp over SOURCE_RAMP_S;
-        used to rescue a first Newton step that fails on a hard turn-on."""
-        out = Netlist(node_names=list(self.node_names),
-                      elements=list(self.elements),
-                      initial_voltages=dict(self.initial_voltages))
-        for i, e in enumerate(out.elements):
-            if isinstance(e, VSource) and e.ramp_s < SOURCE_RAMP_S:
-                out.elements[i] = replace(e, ramp_s=SOURCE_RAMP_S)
-        return out
 
     def _terminal_nodes(self, e: Element) -> tuple[int, ...]:
         if isinstance(e, CoupledInductors):

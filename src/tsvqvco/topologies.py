@@ -22,8 +22,9 @@ primary dots).
 
 Tank capacitance in every topology is the sum of an optional varactor,
 an optional switched 2-bit array and a fixed parasitic.  All supplies
-ramp from zero so the first Newton steps see a soft turn-on; startup is
-seeded by the engine's initial-condition perturbation on V_o1.
+ramp from zero over SOURCE_RAMP_S, and every builder seeds startup
+itself: V_o1 starts at PERTURBATION_V, every other node at 0 V.  The
+engine adds nothing to a netlist's initial state.
 
 build_quadrature_bench is different in kind: it is the linearized
 small-signal model of the coupled cores (controlled sources instead of
@@ -38,12 +39,15 @@ from .analysis import TankParams, min_transconductance
 from .devices import BufferParams, MosParams, TuningArray, VaractorModel
 from .engine import SimConfig
 from .errors import InvalidModelError
-from .netlist import (BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, SOURCE_RAMP_S,
-                      Netlist)
+from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
 from .transformer import TransformerModel
 
 TOPOLOGIES = ("lc-vco", "tf-vco", "cr-vco", "tc-qvco")
 POINTS_PER_PERIOD = 200
+# Ramp time of the built netlists' supplies.
+SOURCE_RAMP_S = 1e-9
+# Startup seed: the initial voltage of V_o1 in every built netlist.
+PERTURBATION_V = 1e-3
 # Capacitance on each buffer output: the input of the next stage.
 BUFFER_LOAD_F = 20e-15
 
@@ -265,6 +269,7 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
         for tag, src in enumerate(OUTPUTS, start=1):
             if src in net.node_names:
                 _add_buffer(net, params.buffers, src, str(tag))
+    net.set_initial_voltage("V_o1", PERTURBATION_V)
     net.validate()
     return net
 
@@ -277,8 +282,8 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     The self term g_m (1/2 - 1/kn^2) turns into exactly 1/R at margin 1,
     so the envelope grows above margin 1 and decays below it; the cross
     term 1.5 g_m / kn is antisymmetric between the cores, which selects
-    the +-90 degree modes.  Node names reuse V_o1/V_o3 so the engine's
-    startup perturbation applies.
+    the +-90 degree modes.  Like build_netlist, it seeds startup with
+    V_o1 at PERTURBATION_V.
     """
     t.validate()
     if g_m_margin <= 0:
@@ -296,6 +301,7 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     net.add_vccs("V_o3", "gnd", "V_o3", "gnd", -g_self, label="g_self_3")
     net.add_vccs("V_o1", "gnd", "V_o3", "gnd", -g_cross, label="g_cross_13")
     net.add_vccs("V_o3", "gnd", "V_o1", "gnd", g_cross, label="g_cross_31")
+    net.set_initial_voltage("V_o1", PERTURBATION_V)
     net.validate()
     return net
 

@@ -2,7 +2,8 @@
 
 Spot currents and capacitances were evaluated by hand from the stated
 equations and frozen here; the derivative checks compare the analytic
-small-signal values against centered finite differences.
+partials mos_eval returns against centered finite differences of the
+current it returns.
 """
 import math
 
@@ -15,8 +16,7 @@ from tsvqvco.devices import (
     TuningArray,
     VaractorModel,
     check_coupled_set,
-    mos_current,
-    mos_small_signal,
+    mos_eval,
     varactor_capacitance,
     varactor_capacitance_slope,
 )
@@ -64,7 +64,7 @@ class TestMosParams:
 class TestMosCurrent:
     def test_saturation_spot_value(self):
         """v_ov = 0.1, v_ds = 0.35: 0.5*0.3*0.01*(1 + 0.1*0.35) = 1.5525 mA."""
-        assert math.isclose(mos_current(NMOS, 0.4, 0.35), 1.5525e-3,
+        assert math.isclose(mos_eval(NMOS, 0.4, 0.35)[0], 1.5525e-3,
                             rel_tol=1e-12)
 
     def test_triode_spot_value(self):
@@ -73,26 +73,26 @@ class TestMosCurrent:
         The channel-length-modulation factor stays on in triode so the two
         regions meet exactly at v_ds = v_ov.
         """
-        assert math.isclose(mos_current(NMOS, 0.4, 0.05), 1.130625e-3,
+        assert math.isclose(mos_eval(NMOS, 0.4, 0.05)[0], 1.130625e-3,
                             rel_tol=1e-12)
 
     def test_regions_meet_at_pinchoff(self):
         v_ov = 0.1
-        i_at = mos_current(NMOS, 0.4, v_ov)
+        i_at = mos_eval(NMOS, 0.4, v_ov)[0]
         sat_form = 0.5 * NMOS.k_factor * v_ov ** 2 * (1 + NMOS.lam * v_ov)
         assert math.isclose(i_at, sat_form, rel_tol=1e-12)
-        assert abs(mos_current(NMOS, 0.4, v_ov - 1e-9) - i_at) < 1e-9
+        assert abs(mos_eval(NMOS, 0.4, v_ov - 1e-9)[0] - i_at) < 1e-9
 
     def test_cutoff_is_exactly_zero(self):
-        assert mos_current(NMOS, 0.25, 0.5) == 0.0
-        assert mos_current(NMOS, 0.3, 0.5) == 0.0
+        assert mos_eval(NMOS, 0.25, 0.5)[0] == 0.0
+        assert mos_eval(NMOS, 0.3, 0.5)[0] == 0.0
 
     def test_pchannel_mirrors_nchannel(self):
-        assert math.isclose(mos_current(PMOS, -0.4, -0.35),
-                            -mos_current(NMOS, 0.4, 0.35), rel_tol=1e-12)
+        assert math.isclose(mos_eval(PMOS, -0.4, -0.35)[0],
+                            -mos_eval(NMOS, 0.4, 0.35)[0], rel_tol=1e-12)
 
     def test_conducting_pchannel_current_is_negative(self):
-        assert mos_current(PMOS, -0.4, -0.35) < 0.0
+        assert mos_eval(PMOS, -0.4, -0.35)[0] < 0.0
 
     def test_source_drain_swap_identity(self):
         """The channel is symmetric: reversing v_ds reads the same device
@@ -101,20 +101,14 @@ class TestMosCurrent:
         for _ in range(100):
             v_gs = rng.uniform(-0.8, 0.8)
             v_ds = rng.uniform(-0.8, 0.8)
-            fwd = mos_current(NMOS, v_gs, v_ds)
-            swp = -mos_current(NMOS, v_gs - v_ds, -v_ds)
+            fwd = mos_eval(NMOS, v_gs, v_ds)[0]
+            swp = -mos_eval(NMOS, v_gs - v_ds, -v_ds)[0]
             assert math.isclose(fwd, swp, rel_tol=1e-12, abs_tol=1e-18)
 
 
 class TestMosSmallSignal:
-    def test_region_tags(self):
-        assert mos_small_signal(NMOS, 0.4, 0.35).region == "saturation"
-        assert mos_small_signal(NMOS, 0.4, 0.05).region == "triode"
-        assert mos_small_signal(NMOS, 0.2, 0.35).region == "cutoff"
-
     def test_cutoff_gains_are_zero(self):
-        ss = mos_small_signal(NMOS, 0.2, 0.35)
-        assert ss.g_m == 0.0 and ss.g_ds == 0.0
+        assert mos_eval(NMOS, 0.2, 0.35) == (0.0, 0.0, 0.0)
 
     def test_matches_finite_differences(self):
         """Analytic partials against centered differences, both polarities
@@ -128,25 +122,25 @@ class TestMosSmallSignal:
                           rng.uniform(0.0, 0.2))
             v_gs = rng.uniform(-0.8, 0.8)
             v_ds = rng.uniform(-0.8, 0.8)
-            ss = mos_small_signal(p, v_gs, v_ds)
-            fd_gm = (mos_current(p, v_gs + h, v_ds)
-                     - mos_current(p, v_gs - h, v_ds)) / (2 * h)
-            fd_gds = (mos_current(p, v_gs, v_ds + h)
-                      - mos_current(p, v_gs, v_ds - h)) / (2 * h)
-            assert abs(fd_gm - ss.g_m) < 1e-9
-            assert abs(fd_gds - ss.g_ds) < 1e-9
+            _, g_m, g_ds = mos_eval(p, v_gs, v_ds)
+            fd_gm = (mos_eval(p, v_gs + h, v_ds)[0]
+                     - mos_eval(p, v_gs - h, v_ds)[0]) / (2 * h)
+            fd_gds = (mos_eval(p, v_gs, v_ds + h)[0]
+                      - mos_eval(p, v_gs, v_ds - h)[0]) / (2 * h)
+            assert abs(fd_gm - g_m) < 1e-9
+            assert abs(fd_gds - g_ds) < 1e-9
 
     def test_forward_saturation_gm_positive(self):
-        ss = mos_small_signal(NMOS, 0.4, 0.35)
-        assert ss.g_m > 0.0
-        assert math.isclose(ss.g_m, NMOS.k_factor * 0.1 * (1 + 0.1 * 0.35),
+        _, g_m, _ = mos_eval(NMOS, 0.4, 0.35)
+        assert g_m > 0.0
+        assert math.isclose(g_m, NMOS.k_factor * 0.1 * (1 + 0.1 * 0.35),
                             rel_tol=1e-12)
 
     def test_reversed_channel_gm_sign_flips(self):
         # terminals swapped: raising the gate still raises |i| but the
         # reported current flows the other way
-        ss = mos_small_signal(NMOS, 0.4, -0.35)
-        assert ss.g_m < 0.0
+        _, g_m, _ = mos_eval(NMOS, 0.4, -0.35)
+        assert g_m < 0.0
 
 
 class TestVaractor:

@@ -2,9 +2,11 @@
 
 The Jacobian the engine stamps for its transistors is checked against a
 centred finite difference of the residual it stamps, in every region of
-both polarities; reruns of one netlist must repeat bit for bit; the hard
-turn-on rescue is driven by a Newton step made to fail.  Every step, a
-linear circuit's too, goes through Newton.  The extrapolated Newton start
+both polarities; reruns of one netlist must repeat bit for bit.  The
+first step is a step like any other: every built topology takes it with
+stepped supplies at step sizes from 0.1 ps to 1 ns, a failure in it
+propagates, and the engine adds nothing to a netlist's initial state.
+Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
 point must change only the iteration count, never the answer, and the
 Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
@@ -19,12 +21,13 @@ import numpy as np
 import pytest
 
 from tsvqvco import engine
-from tsvqvco.devices import (MosParams, VaractorModel, mos_current,
-                             varactor_capacitance)
+from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
+                             VaractorModel, mos_eval, varactor_capacitance)
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import NumericFailure
-from tsvqvco.netlist import SOURCE_RAMP_S, Netlist, VSource
-from tsvqvco.topologies import TopologyParams, build_netlist, default_sim_config
+from tsvqvco.netlist import Netlist, VSource
+from tsvqvco.topologies import (TopologyParams, build_netlist,
+                                default_sim_config)
 
 NMOS = MosParams(polarity="n", k_factor=0.02, v_th=0.3, lam=0.1)
 PMOS = MosParams(polarity="p", k_factor=0.03, v_th=-0.25, lam=0.08)
@@ -70,7 +73,7 @@ def test_mos_jacobian_matches_finite_difference(region):
     f, j = stamped(sys_, x, jacobian=True)
     for tag, params in (("n", NMOS), ("p", PMOS)):
         d, g, s = (net.node_names.index(f"{t}{tag}") for t in "dgs")
-        assert f[d] == mos_current(params, x[g] - x[s], x[d] - x[s])
+        assert f[d] == mos_eval(params, x[g] - x[s], x[d] - x[s])[0]
         assert f[s] == -f[d]
 
     step = 1e-6
@@ -102,57 +105,63 @@ def test_reruns_are_bit_identical(toroidal_model):
             assert np.array_equal(traces_a[name], traces_b[name]), name
 
 
-class TestRampRescue:
-    CFG = SimConfig(dt_s=2e-12, t_stop_s=2e-11)
+def stepped(net: Netlist) -> Netlist:
+    """The netlist with every source switched on at t = 0, not ramped."""
+    net.elements = [dataclasses.replace(e, ramp_s=0.0)
+                    if isinstance(e, VSource) else e for e in net.elements]
+    return net
 
-    def run(self, monkeypatch, toroidal_model, failures: int,
-            hard_turn_on: bool):
-        """Short tc-qvco run whose first `failures` Newton steps raise;
-        returns the waveforms (or the exception) and the Newton calls.
-        A hard turn-on replaces the built, ramped supplies by steps."""
-        calls = []
-        real = engine._newton_step
 
-        def failing(*args, **kwargs):
-            calls.append(None)
-            if len(calls) <= failures:
-                raise NumericFailure("injected Newton failure")
-            return real(*args, **kwargs)
+class TestFirstStep:
+    PLAIN_TANK = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
 
-        monkeypatch.setattr(engine, "_newton_step", failing)
-        net = build_netlist("tc-qvco", TopologyParams(
-            transformer=toroidal_model, c_parasitic_f=4.4e-12))
-        if hard_turn_on:
-            net.elements = [dataclasses.replace(e, ramp_s=0.0)
-                            if isinstance(e, VSource) else e
-                            for e in net.elements]
-        try:
-            return transient(net, self.CFG), len(calls)
-        except NumericFailure as exc:
-            return exc, len(calls)
+    def built(self, case, toroidal_model) -> Netlist:
+        qvco = dict(transformer=toroidal_model, c_parasitic_f=4.4e-12)
+        params = {
+            "tc-qvco": qvco,
+            "tc-qvco-loaded": dict(
+                qvco, buffers=BufferParams(), array=TuningArray(1e-12, "11"),
+                varactor=VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0,
+                                       v_hi=0.7), v_ctrl_v=0.3),
+            "lc-vco": self.PLAIN_TANK,
+            "cr-vco": self.PLAIN_TANK,
+            "tf-vco": dict(transformer=toroidal_model, c_tank_f=1e-12),
+        }[case]
+        return build_netlist(case.removesuffix("-loaded"),
+                             TopologyParams(**params))
 
-    def test_first_step_failure_retries_with_ramped_sources(
-            self, monkeypatch, toroidal_model):
-        wave, _ = self.run(monkeypatch, toroidal_model,
-                           failures=1, hard_turn_on=True)
-        assert not isinstance(wave, NumericFailure)
+    @pytest.mark.parametrize("dt_s", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9])
+    @pytest.mark.parametrize("case", ["tc-qvco", "tc-qvco-loaded", "lc-vco",
+                                      "cr-vco", "tf-vco"])
+    def test_stepped_supplies_converge(self, case, dt_s, toroidal_model):
+        net = stepped(self.built(case, toroidal_model))
+        wave = transient(net, SimConfig(dt_s=dt_s, t_stop_s=2 * dt_s))
         v_dd = TopologyParams().v_dd_v
-        assert wave.voltages["vdd"][1] < v_dd
-        assert wave.voltages["vdd"][1] == pytest.approx(
-            v_dd * self.CFG.dt_s / SOURCE_RAMP_S, rel=1e-9)
+        assert wave.voltages["vdd"][1] == pytest.approx(v_dd, rel=1e-12)
 
-    def test_second_failure_propagates(self, monkeypatch, toroidal_model):
-        exc, calls = self.run(monkeypatch, toroidal_model,
-                              failures=2, hard_turn_on=True)
-        assert isinstance(exc, NumericFailure)
-        assert calls == 2
+    @pytest.mark.parametrize("hard_turn_on", [False, True])
+    def test_failure_propagates(self, monkeypatch, toroidal_model,
+                                hard_turn_on):
+        calls = []
 
-    def test_already_ramped_netlist_is_not_retried(
-            self, monkeypatch, toroidal_model):
-        exc, calls = self.run(monkeypatch, toroidal_model,
-                              failures=1, hard_turn_on=False)
-        assert isinstance(exc, NumericFailure)
-        assert calls == 1
+        def failing(*args):
+            calls.append(None)
+            raise NumericFailure("injected Newton failure")
+
+        net = self.built("tc-qvco", toroidal_model)
+        if hard_turn_on:
+            stepped(net)
+        monkeypatch.setattr(engine, "_newton_step", failing)
+        with pytest.raises(NumericFailure, match="^injected Newton failure$"):
+            transient(net, SimConfig(dt_s=2e-12, t_stop_s=2e-11))
+        assert len(calls) == 1
+
+    def test_engine_adds_no_startup_seed(self):
+        net = Netlist()
+        net.add_resistor("V_o1", "gnd", 1e3)
+        net.add_capacitor("V_o1", "gnd", 1e-12)
+        wave = transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-11))
+        assert not wave.voltages["V_o1"].any()  # 0 V from t = 0 on
 
 
 class TestSingularLinearSystem:

@@ -1,0 +1,80 @@
+"""errors.check_finite is the one finite-number rule.
+
+Every layer that takes numbers rejects NaN and inf with a typed error that
+names the field, before any range check can let them through: the
+simulator settings, the tank, the netlist elements and the transistor
+parameters.  (Geometry input is covered in test_geometry.py.)
+"""
+import math
+
+import numpy as np
+import pytest
+
+from tsvqvco.analysis import TankParams, min_transconductance
+from tsvqvco.devices import MosParams
+from tsvqvco.engine import SimConfig
+from tsvqvco.errors import InvalidModelError, check_finite
+from tsvqvco.netlist import Netlist
+
+NAN, INF = math.nan, math.inf
+TANK = dict(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
+
+
+def tank(**overrides) -> TankParams:
+    return TankParams(**{**TANK, **overrides})
+
+
+CASES = {
+    "sim dt_s": (lambda: SimConfig(dt_s=NAN, t_stop_s=1e-9).validate(),
+                 "sim config field dt_s"),
+    "sim t_stop_s": (lambda: SimConfig(dt_s=1e-12, t_stop_s=INF).validate(),
+                     "sim config field t_stop_s"),
+    "tank r_parallel": (lambda: tank(r_parallel=NAN).validate(),
+                        "tank field r_parallel"),
+    "tank n": (lambda: min_transconductance(tank(n=NAN)), "tank field n"),
+    "tank c_tank": (lambda: tank(c_tank=INF).validate(),
+                    "tank field c_tank"),
+    "resistor": (lambda: Netlist().add_resistor("a", "gnd", NAN),
+                 "resistor field ohms"),
+    "capacitor": (lambda: Netlist().add_capacitor("a", "gnd", INF),
+                  "capacitor field farads"),
+    "inductor": (lambda: Netlist().add_inductor("a", "gnd", NAN),
+                 "inductor field henries"),
+    "inductor current": (
+        lambda: Netlist().add_inductor("a", "gnd", 1e-9, i_initial_a=INF),
+        "inductor field i_initial_a"),
+    "vsource": (lambda: Netlist().add_vsource("a", "gnd", NAN),
+                "vsource field volts"),
+    "vsource ramp": (lambda: Netlist().add_vsource("a", "gnd", 1.0,
+                                                   ramp_s=INF),
+                     "vsource field ramp_s"),
+    "vccs": (lambda: Netlist().add_vccs("a", "gnd", "b", "gnd", NAN),
+             "vccs field gm"),
+    "initial voltage": (lambda: Netlist().set_initial_voltage("a", NAN),
+                        "initial condition field a"),
+    "mos k_factor": (lambda: MosParams("n", NAN, 0.1).validate(),
+                     "mos field k_factor"),
+    "mos lam": (lambda: MosParams("n", 1e-3, 0.1, INF).validate(),
+                "mos field lam"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_non_finite_input_is_rejected(case):
+    build, field = CASES[case]
+    with pytest.raises(InvalidModelError,
+                       match=f"^{field} is not a finite number$"):
+        build()
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF, True, "1", None])
+def test_rule_rejects_non_numbers(value):
+    with pytest.raises(InvalidModelError,
+                       match="^kind field name is not a finite number$"):
+        check_finite(InvalidModelError, "kind", "name", value)
+
+
+@pytest.mark.parametrize("value", [0, -1.5, 1e300, np.float32(2.5),
+                                   np.int64(3)])
+def test_rule_accepts_finite_numbers(value):
+    check_finite(InvalidModelError, "kind", "name", value)

@@ -2,9 +2,11 @@
 
 Every third-party module imported under src/tsvqvco must be a declared
 dependency, and every console script must point at an importable
-callable.  The design path is layered: geometry, inductance, transformer
-and analysis each import only the package modules below them, and the
-device models import nothing from the package but the error types.
+callable.  The package is layered: on the design path geometry,
+inductance, transformer and analysis, and on the run path netlist,
+engine, metrology and topologies, each import only the package modules
+below them; the device models import nothing from the package but the
+error types.
 """
 import ast
 import importlib
@@ -53,14 +55,19 @@ def test_script_targets_import():
         assert callable(getattr(importlib.import_module(module), attr)), name
 
 
-# The design path and the device models, each with the package modules it
-# may import.  A layer reaches only the layers below it.
+# The design path, the device models and the run path, each with the
+# package modules it may import.  A layer reaches only the layers below it.
 ALLOWED_PACKAGE_IMPORTS = {
     "geometry": {"errors"},
     "inductance": {"errors", "geometry"},
     "transformer": {"errors", "geometry", "inductance"},
     "analysis": {"errors", "transformer"},
     "devices": {"errors"},
+    "netlist": {"devices", "errors"},
+    "engine": {"devices", "errors", "netlist"},
+    "metrology": {"analysis", "devices", "engine", "errors", "netlist"},
+    "topologies": {"analysis", "devices", "engine", "errors", "netlist",
+                   "transformer"},
 }
 
 
@@ -79,5 +86,5 @@ def package_imports(module: str) -> set[str]:
 
 
 @pytest.mark.parametrize("module", sorted(ALLOWED_PACKAGE_IMPORTS))
-def test_design_path_layering(module):
+def test_package_layering(module):
     assert package_imports(module) == ALLOWED_PACKAGE_IMPORTS[module]

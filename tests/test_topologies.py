@@ -3,9 +3,10 @@
 build_netlist rejects a p-channel core device and an invalid transformer
 with a typed error, adds one output buffer per output node a topology
 has, each loaded by BUFFER_LOAD_F, and stamps every tuning-array switch
-as a resistor of the on or off value its code bit selects.  The two plain-tank
-oscillators start up in a transient at their tank frequency with
-differential outputs.
+as a resistor of the on or off value its code bit selects.  Every built
+netlist, the quadrature bench included, seeds startup with V_o1 at
+PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
+in a transient at their tank frequency with differential outputs.
 """
 import dataclasses
 import math
@@ -18,8 +19,10 @@ from tsvqvco.engine import transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Capacitor, Resistor
-from tsvqvco.topologies import (BUFFER_LOAD_F, TOPOLOGIES, TopologyParams,
-                                build_netlist, default_sim_config)
+from tsvqvco.analysis import TankParams
+from tsvqvco.topologies import (BUFFER_LOAD_F, PERTURBATION_V, TOPOLOGIES,
+                                TopologyParams, build_netlist,
+                                build_quadrature_bench, default_sim_config)
 
 PLAIN_TANK = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
 OUTPUT_COUNT = {"lc-vco": 2, "tf-vco": 2, "cr-vco": 2, "tc-qvco": 4}
@@ -62,6 +65,20 @@ def test_one_loaded_buffer_per_output(topology, toroidal_model):
     assert all(isinstance(e, Capacitor) and e.farads == 20e-15
                for e in loads)
     assert BUFFER_LOAD_F == 20e-15
+
+
+@pytest.mark.parametrize("buffers", [None, BufferParams()])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_builder_seeds_startup_on_v_o1(topology, buffers, toroidal_model):
+    net = build_netlist(topology, params(topology, toroidal_model,
+                                         buffers=buffers))
+    assert net.initial_voltages == {"V_o1": PERTURBATION_V}
+
+
+def test_quadrature_bench_seeds_startup_on_v_o1():
+    tank = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
+    net = build_quadrature_bench(tank, 1.0)
+    assert net.initial_voltages == {"V_o1": PERTURBATION_V}
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)
