@@ -116,6 +116,8 @@ class VaractorModel:
     shape: float = 2.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            check_finite(InvalidModelError, "varactor", name, value)
         if not 0 < self.c_min < self.c_max:
             raise InvalidModelError("varactor needs 0 < c_min < c_max")
         if not self.v_lo < self.v_hi:
@@ -161,6 +163,7 @@ class TuningArray:
     code: str = "00"
 
     def validate(self) -> None:
+        check_finite(InvalidModelError, "tuning array", "c_unit", self.c_unit)
         if self.c_unit <= 0:
             raise InvalidModelError("tuning array c_unit must be positive")
         if self.code not in _CODES:
@@ -181,12 +184,18 @@ def check_coupled_set(n: int, matrix, series_r) -> None:
     if m is None or m.shape != (n, n):
         raise InvalidModelError(
             f"coupled set with {n} windings needs a {n}x{n} matrix")
+    for (i, j), value in np.ndenumerate(m):
+        check_finite(InvalidModelError, "coupled set", f"matrix[{i}][{j}]",
+                     value)
     scale = float(np.abs(np.diag(m)).max())
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise InvalidModelError("inductance matrix must be symmetric")
     if float(np.linalg.eigvalsh(m).min()) <= 0.0:
         raise InvalidModelError(
             "inductance matrix is not positive definite (over-coupled)")
+    if len(series_r) == n:
+        for w, r in enumerate(series_r):
+            check_finite(InvalidModelError, "coupled set", f"series_r[{w}]", r)
     if len(series_r) != n or any(r < 0 for r in series_r):
         raise InvalidModelError(
             "coupled set needs one non-negative series R per winding")
@@ -213,6 +222,8 @@ class BufferParams:
                          v_th=-abs(self.nmos.v_th), lam=self.nmos.lam)
 
     def validate(self) -> None:
+        for name in ("c_couple", "r_feedback", "p_to_n_ratio"):
+            check_finite(InvalidModelError, "buffer", name, getattr(self, name))
         if self.c_couple <= 0 or self.r_feedback <= 0:
             raise InvalidModelError("buffer coupling C and feedback R must be positive")
         if self.p_to_n_ratio <= 1.0:

@@ -5,13 +5,25 @@ currents (element order); branches exist for inductors, coupled-set
 windings and voltage sources.  The circuit is a_static x + dq/dt = s(t):
 the charge q(x) is a_react x (node charge, negated branch flux) plus each
 varactor's C(v_ctl) v_ab on its two node rows.  The linear stamps are
-assembled once per run; per step only the right-hand side moves, and
-only transistor and varactor stamps are re-evaluated inside the Newton
-loop, each transistor by one devices.mos_eval call, so the engine has no
-device equations of its own.  Every step, linear circuits included, is
-solved by Newton from the quadratic extrapolation of the last three
-accepted solutions (linear through two, else the previous one); a linear
-circuit converges after one solve, and the residual test accepts it.
+assembled once per run; per step only the right-hand side moves.
+
+Every transistor and varactor fits one stamp pattern: it drives a current
+into row p and out of row n, and that current has one partial on each of
+two column differences (a MOS: i_d from d to s, g_m on g - s and g_ds on
+d - s; a varactor: coef C v_sig from a to b, coef C on a - b and
+coef v_sig dC/dv on cp - cn).  _System turns the pattern into two
+constant matrices, built once per run: the incidence inc (rows by
+devices) and the Jacobian stamp matrix jst (flattened rows and columns by
+partials).  A Newton iteration evaluates the devices once
+(_device_values: one devices.mos_eval per transistor, so the engine has
+no device equations of its own), forms the residual
+a0 x - b + inc @ currents and tests it; only when a solve follows does it
+build the Jacobian a0 + jst @ partials, in one product.
+
+Every step, linear circuits included, is solved by Newton from the
+quadratic extrapolation of the last three accepted solutions (linear
+through two, else the previous one); a linear circuit converges after
+one solve, and the residual test accepts it.
 
 The step history is q and its derivative i at the last accepted step.
 A trapezoidal step (coef = 2/h) solves
@@ -80,12 +92,17 @@ class SimConfig:
 
 @dataclass
 class Waveforms:
-    """Uniform-grid simulation output."""
+    """Uniform-grid simulation output and what the run cost: the worst
+    per-step KCL residual, the Newton iterations (passes through the
+    Newton loop, each one device evaluation) and the linear solves over
+    all steps."""
 
     time_s: np.ndarray
     voltages: dict[str, np.ndarray]
     currents: dict[str, np.ndarray]
     kcl_max_a: float = 0.0
+    newton_iterations: int = 0
+    linear_solves: int = 0
 
     def validate(self) -> None:
         if np.any(np.diff(self.time_s) <= 0):
@@ -102,7 +119,8 @@ class _System:
     The reactive part scales linearly with the integrator coefficient
     (2/h trapezoidal, 1/h backward Euler), so one static matrix and one
     reactive matrix cover both methods.  Transistors and varactors are
-    kept as terminal tuples of extended-system slots.
+    kept as terminal tuples of extended-system slots, and their stamps as
+    the constant pattern inc and jst (module docstring).
     """
 
     def __init__(self, net: Netlist, cfg: SimConfig):
@@ -133,6 +151,7 @@ class _System:
         self.varactors = [(self._ext(e.a), self._ext(e.b), self._ext(e.cp),
                            self._ext(e.cn), e.model)
                           for e in net.elements if isinstance(e, Varactor)]
+        self._build_device_pattern()
 
         self.coef_tr, self.coef_be = 2.0 / self.h, 1.0 / self.h
         self.a_tr = self.a_static + self.coef_tr * self.a_react
@@ -141,9 +160,35 @@ class _System:
         # |A| for the Newton residual reference
         self.abs_tr = np.abs(self.a_tr[:size, :size])
         self.abs_be = np.abs(self.a_be[:size, :size])
+        # per-row cap on the Newton residual: node rows must also clear
+        # the per-step KCL gate with margin, branch rows have no gate
+        self.kcl_cap = np.full(size, np.inf)
+        self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
 
     def _ext(self, node: int) -> int:
         return self.gslot if node == GROUND else node
+
+    def _build_device_pattern(self) -> None:
+        """inc[:, k] is +1 on row p and -1 on row n of device k, in the
+        order _device_values returns them (transistors, then varactors);
+        column 2k + c of jst is the flattened outer product of that
+        incidence with partial c's column difference.  Ground terminals
+        land in the ground slot, and coinciding slots accumulate."""
+        terms = ([(d, s, (g, s), (d, s)) for d, g, s, _ in self.mos]
+                 + [(a, b, (a, b), (cp, cn))
+                    for a, b, cp, cn, _ in self.varactors])
+        dim = self.size + 1
+        self.inc = np.zeros((dim, len(terms)))
+        jst = np.zeros((dim, dim, 2 * len(terms)))
+        for k, (p, n, *columns) in enumerate(terms):
+            self.inc[p, k] += 1.0
+            self.inc[n, k] -= 1.0
+            for c, (c_pos, c_neg) in enumerate(columns):
+                diff = np.zeros(dim)
+                diff[c_pos] += 1.0
+                diff[c_neg] -= 1.0
+                jst[:, :, 2 * k + c] = np.outer(self.inc[:, k], diff)
+        self.jst = jst.reshape(dim * dim, 2 * len(terms))
 
     def _build_linear(self) -> None:
         net = self.net
@@ -218,10 +263,11 @@ class _StepState:
 def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     """q(x): the linear reactive stamps plus each varactor's charge."""
     q = sys.a_react @ x
-    for na, nb, cp, cn, model in sys.varactors:
-        qv = varactor_capacitance(model, x[cp] - x[cn]) * (x[na] - x[nb])
-        q[na] += qv
-        q[nb] -= qv
+    if sys.varactors:
+        v = x.tolist()
+        q += sys.inc[:, len(sys.mos):] @ [
+            varactor_capacitance(model, v[cp] - v[cn]) * (v[na] - v[nb])
+            for na, nb, cp, cn, model in sys.varactors]
     return q
 
 
@@ -261,63 +307,45 @@ def _rhs(sys: _System, st: _StepState, t: float, coef: float) -> np.ndarray:
     return b
 
 
-def _nonlinear_stamps(sys: _System, x: np.ndarray, coef: float,
-                      f: np.ndarray, j: np.ndarray | None) -> None:
-    """Add transistor currents and coef times varactor charges to the
-    residual (and the Jacobian when j is given)."""
+def _device_values(sys: _System, x: np.ndarray, coef: float):
+    """Currents of every transistor and varactor at x, in the column
+    order of sys.inc, and their partials, in the column order of
+    sys.jst."""
     v = x.tolist()
+    cur, part = [], []
     for d, g, s, p in sys.mos:
         i_d, g_m, g_ds = mos_eval(p, v[g] - v[s], v[d] - v[s])
-        f[d] += i_d
-        f[s] -= i_d
-        if j is not None:
-            g_sum = g_m + g_ds
-            j[d, g] += g_m
-            j[d, d] += g_ds
-            j[d, s] -= g_sum
-            j[s, g] -= g_m
-            j[s, d] -= g_ds
-            j[s, s] += g_sum
+        cur.append(i_d)
+        part += (g_m, g_ds)
     for na, nb, cp, cn, model in sys.varactors:
         v_sig = v[na] - v[nb]
         v_ctl = v[cp] - v[cn]
-        c = varactor_capacitance(model, v_ctl)
-        f[na] += coef * c * v_sig
-        f[nb] -= coef * c * v_sig
-        if j is not None:
-            dc = varactor_capacitance_slope(model, v_ctl)
-            gv = coef * c
-            gc = coef * v_sig * dc
-            j[na, na] += gv
-            j[na, nb] -= gv
-            j[nb, na] -= gv
-            j[nb, nb] += gv
-            j[na, cp] += gc
-            j[na, cn] -= gc
-            j[nb, cp] -= gc
-            j[nb, cn] += gc
+        gv = coef * varactor_capacitance(model, v_ctl)
+        cur.append(gv * v_sig)
+        part += (gv, coef * v_sig * varactor_capacitance_slope(model, v_ctl))
+    return np.array(cur), np.array(part)
 
 
 def _row_scale(a: np.ndarray) -> np.ndarray:
     """Equilibration factors; branch rows mix +-1 voltage entries with
     L/h terms in the hundreds, which would otherwise eat the pivots."""
-    m = np.maximum(a.max(axis=1), -a.min(axis=1))
+    m = np.abs(a).max(axis=1)
     m[m == 0.0] = 1.0
     return 1.0 / m
 
 
 def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
                  abs_a0: np.ndarray, b: np.ndarray, t: float, coef: float):
-    """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|."""
+    """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|.  Returns
+    the solution, its residual, the iterations and the linear solves."""
     size, gslot = sys.size, sys.gslot
     x = np.zeros(size + 1)
     x[:size] = x0
     abs_b = np.abs(b[:size])
 
     for it in range(MAX_NEWTON):
-        f = a0 @ x - b
-        j = a0.copy()
-        _nonlinear_stamps(sys, x, coef, f, j)
+        cur, part = _device_values(sys, x, coef)
+        f = a0 @ x - b + sys.inc @ cur
         f[gslot] = 0.0
         if it > 0:
             # Residual acceptance: each row balances to within tolerance
@@ -326,9 +354,11 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
             # Update-only tests stall at the linear-solve noise floor on
             # stiff systems.
             f_ref = abs_a0 @ np.abs(x[:size]) + abs_b
-            if (np.all(np.abs(f[:size]) <= NEWTON_ABS + NEWTON_REL * f_ref)
-                    and float(np.abs(f[:sys.n]).max()) <= 0.1 * KCL_ABS_A):
-                return x, f[:size]
+            limit = np.minimum(NEWTON_ABS + NEWTON_REL * f_ref, sys.kcl_cap)
+            if (np.abs(f[:size]) <= limit).all():
+                return x, f[:size], it + 1, it
+        # the Jacobian only now: an accepted residual needs none
+        j = (a0.reshape(-1) + sys.jst @ part).reshape(a0.shape)
         try:
             jj = j[:size, :size]
             scale = _row_scale(jj)
@@ -342,10 +372,10 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
         x[gslot] = 0.0
         tol = NEWTON_ABS + NEWTON_REL * float(np.abs(x[:size]).max())
         if dx_max <= tol:
-            f = a0 @ x - b
-            _nonlinear_stamps(sys, x, coef, f, None)
+            cur, _ = _device_values(sys, x, coef)
+            f = a0 @ x - b + sys.inc @ cur
             f[gslot] = 0.0
-            return x, f[:size]
+            return x, f[:size], it + 1, it + 1
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
@@ -354,7 +384,8 @@ def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
 def _solve_step(sys: _System, st: _StepState, out: np.ndarray, step: int,
                 t: float):
     """Solution of row `step` of out at time t from the state one step
-    earlier, and the residual it leaves; step 1 is backward Euler.
+    earlier, the residual it leaves, and the Newton iterations and linear
+    solves it took; step 1 is backward Euler.
     Newton starts from the rows of out already accepted, the initial
     state excluded from the extrapolation."""
     first = step == 1
@@ -385,9 +416,12 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out = np.empty((n_steps + 1, sys.size))
     out[0] = x[:sys.size]
     kcl_max = 0.0
+    newton_iterations = linear_solves = 0
     for step in range(1, n_steps + 1):
         t = times[step]
-        x, resid = _solve_step(sys, st, out, step, t)
+        x, resid, iterations, solves = _solve_step(sys, st, out, step, t)
+        newton_iterations += iterations
+        linear_solves += solves
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
             raise NumericFailure(
@@ -406,6 +440,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     currents = {f"I({lbl})": out[:, sys.n + j].copy()
                 for j, lbl in enumerate(sys.branch_labels)}
     wave = Waveforms(time_s=times, voltages=voltages, currents=currents,
-                     kcl_max_a=kcl_max)
+                     kcl_max_a=kcl_max, newton_iterations=newton_iterations,
+                     linear_solves=linear_solves)
     wave.validate()
     return wave

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from .analysis import TankParams, min_transconductance
 from .devices import BufferParams, MosParams, TuningArray, VaractorModel
 from .engine import SimConfig
-from .errors import InvalidModelError
+from .errors import InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
 from .transformer import TransformerModel
 
@@ -87,6 +87,11 @@ class TopologyParams:
     buffers: BufferParams | None = None
 
     def validate(self) -> None:
+        for name in ("v_dd_v", "l_tank_h", "c_tank_f", "r_tank_ohm",
+                     "v_ctrl_v", "c_parasitic_f"):
+            value = getattr(self, name)
+            if value is not None:  # the plain-tank values are optional
+                check_finite(InvalidModelError, "topology", name, value)
         if self.v_dd_v <= 0:
             raise InvalidModelError("supply voltage must be positive")
         self.nmos.validate()

@@ -1,8 +1,11 @@
 """Transient engine tests.
 
-The Jacobian the engine stamps for its transistors is checked against a
-centred finite difference of the residual it stamps, in every region of
-both polarities; reruns of one netlist must repeat bit for bit.  The
+The Jacobian the engine assembles from its stamp matrices is checked
+against a centred finite difference of the residual it assembles: for
+transistors in every region of both polarities, for transistors that
+share terminals or sit on ground, and for a varactor whose control sits
+on a node pair; reruns of one netlist must repeat bit for bit.  A run
+reports the linear solves it made.  The
 first step is a step like any other: every built topology takes it with
 stepped supplies at step sizes from 0.1 ps to 1 ns, a failure in it
 propagates, and the engine adds nothing to a netlist's initial state.
@@ -44,51 +47,131 @@ BIASES = {
 }
 
 
-def two_device_system():
+def device_system(mos=(), varactors=()):
+    """A netlist of the given transistors (d, g, s, params) and varactors
+    (a, b, cp, cn, model), every node tied to ground by 1 kOhm, and its
+    assembled system."""
     net = Netlist()
-    net.add_mos("dn", "gn", "sn", NMOS, label="mn")
-    net.add_mos("dp", "gp", "sp", PMOS, label="mp")
-    for node in ("dn", "gn", "sn", "dp", "gp", "sp"):
+    for k, (d, g, s, params) in enumerate(mos):
+        net.add_mos(d, g, s, params, label=f"m{k}")
+    for k, (a, b, cp, cn, model) in enumerate(varactors):
+        net.add_varactor(a, b, cp, cn, model, label=f"cv{k}")
+    for node in list(net.node_names):
         net.add_resistor(node, "gnd", 1e3, label=f"r_{node}")
     return net, engine._System(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
 
 
-def stamped(sys_, x, jacobian: bool):
-    f = np.zeros(sys_.size + 1)
-    j = np.zeros((sys_.size + 1, sys_.size + 1)) if jacobian else None
-    engine._nonlinear_stamps(sys_, x, 2.0 / sys_.h, f, j)
-    return f, j
+def at_voltages(net, sys_, volts: dict) -> np.ndarray:
+    x = np.zeros(sys_.size + 1)
+    for name, v in volts.items():
+        x[net.node_names.index(name)] = v
+    return x
+
+
+def stamped(sys_, x, coef):
+    """The device residual inc @ currents and the device Jacobian
+    jst @ partials at x, both extended by the ground slot."""
+    cur, part = engine._device_values(sys_, x, coef)
+    dim = sys_.size + 1
+    return sys_.inc @ cur, (sys_.jst @ part).reshape(dim, dim)
+
+
+def assert_jacobian_matches_finite_difference(sys_, x, coef):
+    """The assembled Jacobian against a centred difference of the
+    assembled residual, over the unknowns (the ground slot excluded)."""
+    size = sys_.size
+    step = 1e-6
+    fd = np.zeros((size, size))
+    for col in range(size):
+        hi, lo = x.copy(), x.copy()
+        hi[col] += step
+        lo[col] -= step
+        fd[:, col] = ((stamped(sys_, hi, coef)[0]
+                       - stamped(sys_, lo, coef)[0])[:size] / (2.0 * step))
+    analytic = stamped(sys_, x, coef)[1][:size, :size]
+    np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+    return analytic
 
 
 @pytest.mark.parametrize("region", sorted(BIASES))
 def test_mos_jacobian_matches_finite_difference(region):
-    net, sys_ = two_device_system()
+    net, sys_ = device_system(mos=[("dn", "gn", "sn", NMOS),
+                                   ("dp", "gp", "sp", PMOS)])
     v_gs, v_ds = BIASES[region]
-    x = np.zeros(sys_.size + 1)
+    volts = {}
     for tag, sign, v_s in (("n", 1.0, 0.1), ("p", -1.0, 0.6)):
-        x[net.node_names.index(f"s{tag}")] = v_s
-        x[net.node_names.index(f"g{tag}")] = v_s + sign * v_gs
-        x[net.node_names.index(f"d{tag}")] = v_s + sign * v_ds
+        volts[f"s{tag}"] = v_s
+        volts[f"g{tag}"] = v_s + sign * v_gs
+        volts[f"d{tag}"] = v_s + sign * v_ds
+    x = at_voltages(net, sys_, volts)
 
-    f, j = stamped(sys_, x, jacobian=True)
+    coef = 2.0 / sys_.h
+    f, _ = stamped(sys_, x, coef)
     for tag, params in (("n", NMOS), ("p", PMOS)):
         d, g, s = (net.node_names.index(f"{t}{tag}") for t in "dgs")
         assert f[d] == mos_eval(params, x[g] - x[s], x[d] - x[s])[0]
         assert f[s] == -f[d]
 
-    step = 1e-6
-    fd = np.zeros((sys_.size, sys_.size))
-    for col in range(sys_.size):
-        hi, lo = x.copy(), x.copy()
-        hi[col] += step
-        lo[col] -= step
-        fd[:, col] = ((stamped(sys_, hi, jacobian=False)[0]
-                       - stamped(sys_, lo, jacobian=False)[0])[:sys_.size]
-                      / (2.0 * step))
-    analytic = j[:sys_.size, :sys_.size]
+    analytic = assert_jacobian_matches_finite_difference(sys_, x, coef)
     if region == "cutoff":
         assert not analytic.any()
-    np.testing.assert_allclose(analytic, fd, rtol=1e-6, atol=1e-9)
+
+
+# Transistors wired so that stamps accumulate on shared slots, land in
+# the ground slot, or meet twice in one column difference, at node
+# voltages that keep every device clear of a region boundary.
+WIRINGS = {
+    # an inverter between two sources: drains and gates shared
+    "shared_terminals": (
+        [("out", "in", "sn", NMOS), ("out", "in", "sp", PMOS)],
+        {"in": 0.5, "out": 0.3, "sn": 0.0, "sp": 0.8}),
+    # the n-channel source and the p-channel gate on ground: the ground
+    # slot's row and its column
+    "ground_terminals": (
+        [("dn", "gn", "gnd", NMOS), ("dp", "gnd", "sp", PMOS)],
+        {"dn": 0.2, "gn": 0.7, "dp": 0.5, "sp": 0.7}),
+    # gate tied to the terminal named source, conducting in reverse: the
+    # g - s difference is one slot and must cancel
+    "gate_on_source": (
+        [("dn", "gs", "gs", NMOS)], {"dn": 0.0, "gs": 0.6}),
+}
+
+
+@pytest.mark.parametrize("wiring", sorted(WIRINGS))
+def test_wired_mos_stamps_match_references(wiring):
+    """The residual against a per-device loop (at most two terms meet on
+    a row, so the sums are exact in any order), the Jacobian against a
+    finite difference."""
+    mos, volts = WIRINGS[wiring]
+    net, sys_ = device_system(mos=mos)
+    x = at_voltages(net, sys_, volts)
+    expected = np.zeros(sys_.size + 1)
+    for d, g, s, params in mos:
+        d, g, s = (sys_._ext(net.node(t)) for t in (d, g, s))
+        i_d = mos_eval(params, x[g] - x[s], x[d] - x[s])[0]
+        assert i_d != 0.0  # no device is cut off
+        expected[d] += i_d
+        expected[s] -= i_d
+    coef = 2.0 / sys_.h
+    np.testing.assert_array_equal(stamped(sys_, x, coef)[0], expected)
+    assert_jacobian_matches_finite_difference(sys_, x, coef)
+
+
+def test_varactor_jacobian_matches_finite_difference():
+    """The control on a node pair exercises the cp/cn columns, which a
+    grounded control never reaches."""
+    model = VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7)
+    net, sys_ = device_system(varactors=[("a", "b", "cp", "cn", model)])
+    x = at_voltages(net, sys_, {"a": 0.45, "b": 0.2, "cp": 0.5, "cn": 0.2})
+    coef = 2.0 / sys_.h
+    f, _ = stamped(sys_, x, coef)
+    a, b, cp, cn = (net.node_names.index(n) for n in ("a", "b", "cp", "cn"))
+    v_sig, v_ctl = x[a] - x[b], x[cp] - x[cn]
+    assert f[a] == coef * varactor_capacitance(model, v_ctl) * v_sig
+    assert f[b] == -f[a]
+    analytic = assert_jacobian_matches_finite_difference(sys_, x, coef)
+    # the charge moves with the control: the cp/cn columns are live
+    assert analytic[a, cp] > 0 and analytic[a, cn] == -analytic[a, cp]
 
 
 def test_reruns_are_bit_identical(toroidal_model):
@@ -181,8 +264,8 @@ class TestSingularLinearSystem:
         real = engine._solve_step
 
         def nan_residual(*args):
-            x, f = real(*args)
-            return x, np.full_like(f, np.nan)
+            x, f, iterations, solves = real(*args)
+            return x, np.full_like(f, np.nan), iterations, solves
 
         monkeypatch.setattr(engine, "_solve_step", nan_residual)
         with pytest.raises(NumericFailure, match="KCL residual nan"):
@@ -223,9 +306,9 @@ class TestNewtonStartPoint:
         def spy(*args):
             seen.append(copy.deepcopy(args) if len(seen) == self.MID_STEP
                         else None)
-            x, f = real(*args)
-            accepted.append(x.copy())
-            return x, f
+            result = real(*args)
+            accepted.append(result[0].copy())
+            return result
 
         monkeypatch.setattr(engine, "_newton_step", spy)
         qvco_run(toroidal_model)
@@ -247,11 +330,12 @@ class TestNewtonStartPoint:
             results[name] = engine._newton_step(
                 sys_, x0, a0, abs_a0, b, t, coef)
             solves[name] = len(calls)
+            assert results[name][3] == solves[name], name
 
-        for name, (x, f) in results.items():
+        for name, (x, f, _, _) in results.items():
             # the engine's own residual acceptance, recomputed from x
-            resid = a0 @ x - b
-            engine._nonlinear_stamps(sys_, x, coef, resid, None)
+            resid = a0 @ x - b + sys_.inc @ engine._device_values(
+                sys_, x, coef)[0]
             assert np.array_equal(resid[:size], f), name
             f_ref = abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
             assert np.all(np.abs(f) <= engine.NEWTON_ABS
@@ -270,6 +354,16 @@ def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
     # Newton always solves at least once, so this also fails if the
     # engine stops calling np.linalg.solve.
     assert steps <= len(calls) <= 1.2 * steps
+
+
+def test_run_reports_its_solves_and_iterations(monkeypatch, toroidal_model):
+    calls = count_solves(monkeypatch)
+    wave = qvco_run(toroidal_model)
+    steps = len(wave.time_s) - 1
+    assert wave.linear_solves == len(calls)
+    # a step's last iteration either solves and accepts on the update
+    # size, or accepts the residual without a solve
+    assert len(calls) <= wave.newton_iterations <= len(calls) + steps
 
 
 def rc_netlist() -> Netlist:

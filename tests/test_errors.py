@@ -2,19 +2,22 @@
 
 Every layer that takes numbers rejects NaN and inf with a typed error that
 names the field, before any range check can let them through: the
-simulator settings, the tank, the netlist elements and the transistor
-parameters.  (Geometry input is covered in test_geometry.py.)
+simulator settings, the tank, the netlist elements, the device parameter
+blocks (transistor, varactor, tuning array, buffer, coupled set) and the
+topology parameters.  (Geometry input is covered in test_geometry.py.)
 """
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tsvqvco.analysis import TankParams, min_transconductance
-from tsvqvco.devices import MosParams
+from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig
 from tsvqvco.errors import InvalidModelError, check_finite
 from tsvqvco.netlist import Netlist
+from tsvqvco.topologies import TopologyParams, build_netlist
 
 NAN, INF = math.nan, math.inf
 TANK = dict(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
@@ -22,6 +25,11 @@ TANK = dict(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
 
 def tank(**overrides) -> TankParams:
     return TankParams(**{**TANK, **overrides})
+
+
+def coupled_pair(matrix, series_r) -> None:
+    Netlist().add_coupled_inductors([("a", "gnd"), ("b", "gnd")], matrix,
+                                    series_r)
 
 
 CASES = {
@@ -56,6 +64,26 @@ CASES = {
                      "mos field k_factor"),
     "mos lam": (lambda: MosParams("n", 1e-3, 0.1, INF).validate(),
                 "mos field lam"),
+    # NaN fails every comparison, so each of these used to pass its
+    # range check; the parasitic capacitors were silently left out
+    "topology c_parasitic_f": (
+        lambda: build_netlist("lc-vco", TopologyParams(
+            l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0,
+            c_parasitic_f=NAN)),
+        "topology field c_parasitic_f"),
+    "varactor shape": (
+        lambda: VaractorModel(1e-12, 3e-12, 0.0, 0.7, shape=NAN).validate(),
+        "varactor field shape"),
+    "tuning array c_unit": (lambda: TuningArray(c_unit=NAN).validate(),
+                            "tuning array field c_unit"),
+    "buffer c_couple": (lambda: BufferParams(c_couple=NAN).validate(),
+                        "buffer field c_couple"),
+    "coupled set matrix": (
+        lambda: coupled_pair([[1e-9, NAN], [NAN, 1e-9]], [0.1, 0.1]),
+        "coupled set field matrix[0][1]"),
+    "coupled set series_r": (
+        lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, INF]),
+        "coupled set field series_r[1]"),
 }
 
 
@@ -63,7 +91,7 @@ CASES = {
 def test_non_finite_input_is_rejected(case):
     build, field = CASES[case]
     with pytest.raises(InvalidModelError,
-                       match=f"^{field} is not a finite number$"):
+                       match=f"^{re.escape(field)} is not a finite number$"):
         build()
 
 
