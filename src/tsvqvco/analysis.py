@@ -167,6 +167,8 @@ class DesignSpec:
     c_parasitic_f: float = 0.0
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            check_finite(InvalidModelError, "design spec", name, value)
         for name in ("v_dd_v", "f_c_hz", "l_p_target_h", "l_s_target_h",
                      "v_out_pp_v", "max_delta_v_out_v"):
             if getattr(self, name) <= 0:

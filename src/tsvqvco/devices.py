@@ -177,16 +177,14 @@ def check_coupled_set(n: int, matrix, series_r) -> None:
     non-negative series resistance per winding."""
     if n < 2:
         raise InvalidModelError("coupled set needs at least two windings")
-    try:
-        m = np.asarray(matrix, dtype=float)
-    except ValueError:  # ragged rows
-        m = None
-    if m is None or m.shape != (n, n):
+    m = np.asarray(matrix, dtype=object)  # ragged rows give another shape
+    if m.shape != (n, n):
         raise InvalidModelError(
             f"coupled set with {n} windings needs a {n}x{n} matrix")
     for (i, j), value in np.ndenumerate(m):
         check_finite(InvalidModelError, "coupled set", f"matrix[{i}][{j}]",
                      value)
+    m = m.astype(float)
     scale = float(np.abs(np.diag(m)).max())
     if np.abs(m - m.T).max() > 1e-12 * scale:
         raise InvalidModelError("inductance matrix must be symmetric")

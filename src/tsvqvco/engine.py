@@ -18,12 +18,21 @@ partials).  A Newton iteration evaluates the devices once
 (_device_values: one devices.mos_eval per transistor, so the engine has
 no device equations of its own), forms the residual
 a0 x - b + inc @ currents and tests it; only when a solve follows does it
-build the Jacobian a0 + jst @ partials, in one product.
+build the Jacobian, in one product.
+
+Solves are row-equilibrated: branch rows mix +-1 voltage entries with
+L/h terms in the hundreds, which would otherwise eat the pivots.  The
+scales r = 1 / max_j |a0[i, j]| come from the linear stamps alone, so each
+integrator coefficient gets a _Stage, built once per run, holding a0, |a0|,
+r, r a0 and r jst; a solve is (r a0 + (r jst) @ partials) dx = r f.  The
+scaling only steers the pivots: every accepted point passes the unscaled
+residual test and the per-step KCL gate.
 
 Every step, linear circuits included, is solved by Newton from the
 quadratic extrapolation of the last three accepted solutions (linear
 through two, else the previous one); a linear circuit converges after
-one solve, and the residual test accepts it.
+one solve, and the residual test accepts it.  Accepted solutions keep
+the ground slot, always 0, so the extrapolation is the extended start.
 
 The step history is q and its derivative i at the last accepted step.
 A trapezoidal step (coef = 2/h) solves
@@ -40,6 +49,7 @@ so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,14 +123,31 @@ class Waveforms:
                 raise InvalidModelError(f"trace {name} length mismatch")
 
 
+@dataclass
+class _Stage:
+    """The constant part of the Newton system at one integrator
+    coefficient: a0 = a_static + coef a_react, extended by the ground
+    slot, and over the unknowns |a0| for the residual reference, the row
+    scales r, and r a0 and jst with each row times r."""
+
+    coef: float
+    a0: np.ndarray
+    abs_a0: np.ndarray
+    r: np.ndarray
+    a0s: np.ndarray
+    jsts: np.ndarray
+
+
 class _System:
     """Assembled MNA stamps for one netlist at one step size.
 
     The reactive part scales linearly with the integrator coefficient
     (2/h trapezoidal, 1/h backward Euler), so one static matrix and one
-    reactive matrix cover both methods.  Transistors and varactors are
-    kept as terminal tuples of extended-system slots, and their stamps as
-    the constant pattern inc and jst (module docstring).
+    reactive matrix cover both methods; each method gets its _Stage,
+    be for the first step and tr after it, built here once per run.
+    Transistors and varactors are kept as terminal tuples of
+    extended-system slots, and their stamps as the constant pattern inc
+    and jst (module docstring).
     """
 
     def __init__(self, net: Netlist, cfg: SimConfig):
@@ -153,17 +180,24 @@ class _System:
                           for e in net.elements if isinstance(e, Varactor)]
         self._build_device_pattern()
 
-        self.coef_tr, self.coef_be = 2.0 / self.h, 1.0 / self.h
-        self.a_tr = self.a_static + self.coef_tr * self.a_react
-        self.a_be = self.a_static + self.coef_be * self.a_react
-        size = self.size
-        # |A| for the Newton residual reference
-        self.abs_tr = np.abs(self.a_tr[:size, :size])
-        self.abs_be = np.abs(self.a_be[:size, :size])
+        self.be = self._stage(1.0 / self.h)
+        self.tr = self._stage(2.0 / self.h)
         # per-row cap on the Newton residual: node rows must also clear
         # the per-step KCL gate with margin, branch rows have no gate
-        self.kcl_cap = np.full(size, np.inf)
+        self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
+
+    def _stage(self, coef: float) -> _Stage:
+        size, dim = self.size, self.size + 1
+        a0 = self.a_static + coef * self.a_react
+        abs_a0 = np.abs(a0[:size, :size])
+        peak = abs_a0.max(axis=1)
+        peak[peak == 0.0] = 1.0
+        r = 1.0 / peak
+        jsts = self.jst.reshape(dim, dim, -1)[:size, :size] * r[:, None, None]
+        return _Stage(coef=coef, a0=a0, abs_a0=abs_a0, r=r,
+                      a0s=r[:, None] * a0[:size, :size],
+                      jsts=jsts.reshape(size * size, -1))
 
     def _ext(self, node: int) -> int:
         return self.gslot if node == GROUND else node
@@ -249,17 +283,6 @@ class _System:
         self.a_react = a_react
 
 
-@dataclass
-class _StepState:
-    """What one accepted step hands the next besides its solution: the
-    charge q(x) on every row (node charge, negated branch flux) and its
-    derivative i from the integration rule, both extended by the ground
-    slot."""
-
-    q: np.ndarray
-    i: np.ndarray
-
-
 def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     """q(x): the linear reactive stamps plus each varactor's charge."""
     q = sys.a_react @ x
@@ -271,8 +294,8 @@ def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     return q
 
 
-def _initial_state(sys: _System) -> tuple[np.ndarray, _StepState]:
-    """The solution at t = 0, extended by the ground slot, and its state."""
+def _initial_state(sys: _System) -> np.ndarray:
+    """The solution at t = 0, extended by the ground slot."""
     net = sys.net
     x = np.zeros(sys.size + 1)
     for name, v in net.initial_voltages.items():
@@ -283,7 +306,7 @@ def _initial_state(sys: _System) -> tuple[np.ndarray, _StepState]:
         elif isinstance(e, CoupledInductors):
             for w, i0 in enumerate(e.i_initial_a):
                 x[sys.branch_of[idx] + w] = i0
-    return x, _StepState(q=_charge(sys, x), i=np.zeros(sys.size + 1))
+    return x
 
 
 def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
@@ -295,16 +318,6 @@ def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
                 else f"branch {sys.branch_labels[i - sys.n]}")
         return f"MNA matrix is singular: no finite stamp at {name}"
     return "MNA matrix is singular (structurally ill-posed netlist)"
-
-
-def _rhs(sys: _System, st: _StepState, t: float, coef: float) -> np.ndarray:
-    """Right-hand side for one step; coef is 2/h (trapezoidal) or 1/h
-    (backward Euler, whose derivative history is the zero initial i)."""
-    b = coef * st.q + st.i
-    for row, e in sys.vsources:
-        b[row] = e.value_at(t)
-    b[sys.gslot] = 0.0
-    return b
 
 
 def _device_values(sys: _System, x: np.ndarray, coef: float):
@@ -326,79 +339,47 @@ def _device_values(sys: _System, x: np.ndarray, coef: float):
     return np.array(cur), np.array(part)
 
 
-def _row_scale(a: np.ndarray) -> np.ndarray:
-    """Equilibration factors; branch rows mix +-1 voltage entries with
-    L/h terms in the hundreds, which would otherwise eat the pivots."""
-    m = np.abs(a).max(axis=1)
-    m[m == 0.0] = 1.0
-    return 1.0 / m
-
-
-def _newton_step(sys: _System, x0: np.ndarray, a0: np.ndarray,
-                 abs_a0: np.ndarray, b: np.ndarray, t: float, coef: float):
-    """Newton on a0 x + stamps(x) = b from x0; abs_a0 is |a0|.  Returns
-    the solution, its residual, the iterations and the linear solves."""
-    size, gslot = sys.size, sys.gslot
-    x = np.zeros(size + 1)
-    x[:size] = x0
+def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
+                 b: np.ndarray, t: float):
+    """Newton on a0 x + stamps(x) = b from x, which is extended by the
+    ground slot and updated in place.  Returns the solution, its residual,
+    the iterations and the linear solves."""
+    size = sys.size
     abs_b = np.abs(b[:size])
 
     for it in range(MAX_NEWTON):
-        cur, part = _device_values(sys, x, coef)
-        f = a0 @ x - b + sys.inc @ cur
-        f[gslot] = 0.0
+        cur, part = _device_values(sys, x, stage.coef)
+        f = (stage.a0 @ x - b + sys.inc @ cur)[:size]
         if it > 0:
             # Residual acceptance: each row balances to within tolerance
             # relative to the magnitudes summed in that row, and node rows
             # additionally clear the per-step KCL gate with margin.
             # Update-only tests stall at the linear-solve noise floor on
             # stiff systems.
-            f_ref = abs_a0 @ np.abs(x[:size]) + abs_b
+            f_ref = stage.abs_a0 @ np.abs(x[:size]) + abs_b
             limit = np.minimum(NEWTON_ABS + NEWTON_REL * f_ref, sys.kcl_cap)
-            if (np.abs(f[:size]) <= limit).all():
-                return x, f[:size], it + 1, it
+            if (np.abs(f) <= limit).all():
+                return x, f, it + 1, it
         # the Jacobian only now: an accepted residual needs none
-        j = (a0.reshape(-1) + sys.jst @ part).reshape(a0.shape)
+        js = stage.a0s + (stage.jsts @ part).reshape(size, size)
         try:
-            jj = j[:size, :size]
-            scale = _row_scale(jj)
-            dx = np.linalg.solve(jj * scale[:, None], -f[:size] * scale)
+            dx = np.linalg.solve(js, stage.r * f)
         except np.linalg.LinAlgError:
-            raise NumericFailure(_singular_diagnostic(sys, j))
+            j = stage.a0.reshape(-1) + sys.jst @ part
+            raise NumericFailure(
+                _singular_diagnostic(sys, j.reshape(stage.a0.shape)))
         dx_max = float(np.abs(dx).max())  # NaN or inf if any entry is
         if not math.isfinite(dx_max):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
-        x[:size] += dx
-        x[gslot] = 0.0
+        x[:size] -= dx
         tol = NEWTON_ABS + NEWTON_REL * float(np.abs(x[:size]).max())
         if dx_max <= tol:
-            cur, _ = _device_values(sys, x, coef)
-            f = a0 @ x - b + sys.inc @ cur
-            f[gslot] = 0.0
-            return x, f[:size], it + 1, it + 1
+            cur, _ = _device_values(sys, x, stage.coef)
+            f = (stage.a0 @ x - b + sys.inc @ cur)[:size]
+            return x, f, it + 1, it + 1
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
-
-
-def _solve_step(sys: _System, st: _StepState, out: np.ndarray, step: int,
-                t: float):
-    """Solution of row `step` of out at time t from the state one step
-    earlier, the residual it leaves, and the Newton iterations and linear
-    solves it took; step 1 is backward Euler.
-    Newton starts from the rows of out already accepted, the initial
-    state excluded from the extrapolation."""
-    first = step == 1
-    coef = sys.coef_be if first else sys.coef_tr
-    b = _rhs(sys, st, t, coef)
-    past = out[max(1, step - 3):step]
-    x0 = out[step - 1]
-    if len(past) == 3:
-        x0 = 3.0 * (past[2] - past[1]) + past[0]
-    elif len(past) == 2:
-        x0 = 2.0 * past[1] - past[0]
-    a0, abs_a0 = (sys.a_be, sys.abs_be) if first else (sys.a_tr, sys.abs_tr)
-    return _newton_step(sys, x0, a0, abs_a0, b, t, coef)
 
 
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
@@ -412,14 +393,30 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     times = h * np.arange(n_steps + 1)
 
     sys = _System(net, cfg)
-    x, st = _initial_state(sys)
-    out = np.empty((n_steps + 1, sys.size))
-    out[0] = x[:sys.size]
+    x = _initial_state(sys)
+    # the step history: charge q(x) and its derivative i, extended by
+    # the ground slot; the first step's i is the zero initial derivative
+    q, i = _charge(sys, x), np.zeros(sys.size + 1)
+    out = np.empty((n_steps + 1, sys.size + 1))
+    out[0] = x
     kcl_max = 0.0
     newton_iterations = linear_solves = 0
-    for step in range(1, n_steps + 1):
+    stages = itertools.chain([sys.be], itertools.repeat(sys.tr, n_steps - 1))
+    for step, stage in enumerate(stages, start=1):
         t = times[step]
-        x, resid, iterations, solves = _solve_step(sys, st, out, step, t)
+        # Newton starts from the rows of out already accepted, the
+        # initial state excluded from the extrapolation
+        past = out[max(1, step - 3):step]
+        if len(past) == 3:
+            x0 = 3.0 * (past[2] - past[1]) + past[0]
+        elif len(past) == 2:
+            x0 = 2.0 * past[1] - past[0]
+        else:
+            x0 = out[step - 1].copy()
+        b = stage.coef * q + i
+        for row, e in sys.vsources:
+            b[row] = e.value_at(t)
+        x, resid, iterations, solves = _newton_step(sys, x0, stage, b, t)
         newton_iterations += iterations
         linear_solves += solves
         step_kcl = float(np.abs(resid[:sys.n]).max())
@@ -428,12 +425,11 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
                 f"KCL residual {step_kcl:.3e} A exceeds {KCL_ABS_A:.1e} A "
                 f"at t = {t:.6e} s")
         kcl_max = max(kcl_max, step_kcl)
-        out[step] = x[:sys.size]
+        out[step] = x
 
-        coef = sys.coef_be if step == 1 else sys.coef_tr
-        q = _charge(sys, x)
-        st.i = coef * (q - st.q) - st.i
-        st.q = q
+        q_next = _charge(sys, x)
+        i = stage.coef * (q_next - q) - i
+        q = q_next
 
     voltages = {name: out[:, i].copy()
                 for i, name in enumerate(net.node_names)}

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidGeometryError, InvalidModelError
+from .errors import InvalidGeometryError, InvalidModelError, check_finite
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
                        rect_segment, round_segment)
@@ -337,6 +337,8 @@ class TransformerModel:
     eval_frequency_hz: float
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            check_finite(InvalidModelError, "transformer model", name, value)
         for name in ("l_p", "l_s1", "l_s2"):
             if getattr(self, name) <= 0:
                 raise InvalidModelError(f"{name} must be positive")

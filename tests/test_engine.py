@@ -174,12 +174,17 @@ def test_varactor_jacobian_matches_finite_difference():
     assert analytic[a, cp] > 0 and analytic[a, cn] == -analytic[a, cp]
 
 
-def test_reruns_are_bit_identical(toroidal_model):
-    params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12)
-    f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
-    cfg = default_sim_config(f_est, n_periods=4)
-    first = transient(build_netlist("tc-qvco", params), cfg)
-    second = transient(build_netlist("tc-qvco", params), cfg)
+# The tc-qvco alone (16 unknowns, 4 MOS) and with its four output
+# buffers (26 unknowns, 12 MOS), each with its unknown count.
+QVCO_CASES = {"core": (None, 16), "buffered": (BufferParams(), 26)}
+
+
+@pytest.mark.parametrize("case", sorted(QVCO_CASES))
+def test_reruns_are_bit_identical(case, toroidal_model):
+    buffers, unknowns = QVCO_CASES[case]
+    first = qvco_run(toroidal_model, buffers=buffers)
+    second = qvco_run(toroidal_model, buffers=buffers)
+    assert len(first.voltages) + len(first.currents) == unknowns
     assert np.array_equal(first.time_s, second.time_s)
     for traces_a, traces_b in ((first.voltages, second.voltages),
                                (first.currents, second.currents)):
@@ -261,19 +266,20 @@ class TestSingularLinearSystem:
         net = Netlist()
         net.add_vsource("a", "gnd", 1.0)
         net.add_resistor("a", "gnd", 1e3)
-        real = engine._solve_step
+        real = engine._newton_step
 
         def nan_residual(*args):
             x, f, iterations, solves = real(*args)
             return x, np.full_like(f, np.nan), iterations, solves
 
-        monkeypatch.setattr(engine, "_solve_step", nan_residual)
+        monkeypatch.setattr(engine, "_newton_step", nan_residual)
         with pytest.raises(NumericFailure, match="KCL residual nan"):
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
 
 
-def qvco_run(toroidal_model, n_periods=4):
-    params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12)
+def qvco_run(toroidal_model, n_periods=4, buffers=None):
+    params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12,
+                            buffers=buffers)
     f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
     cfg = default_sim_config(f_est, n_periods=n_periods)
     return transient(build_netlist("tc-qvco", params), cfg)
@@ -317,27 +323,26 @@ class TestNewtonStartPoint:
 
     def test_start_point_moves_only_the_iteration_count(
             self, monkeypatch, toroidal_model):
-        (sys_, x_ext, a0, abs_a0, b, t, coef), x_acc = self.mid_run_step(
+        (sys_, x_ext, stage, b, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
-        assert coef == sys_.coef_tr
+        assert stage.coef == 2.0 / sys_.h
         size = sys_.size
-        x_prev = x_acc[:size]
+        x_prev = x_acc
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
 
         results, solves = {}, {}
         for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
             calls = count_solves(monkeypatch)
-            results[name] = engine._newton_step(
-                sys_, x0, a0, abs_a0, b, t, coef)
+            results[name] = engine._newton_step(sys_, x0, stage, b, t)
             solves[name] = len(calls)
             assert results[name][3] == solves[name], name
 
         for name, (x, f, _, _) in results.items():
             # the engine's own residual acceptance, recomputed from x
-            resid = a0 @ x - b + sys_.inc @ engine._device_values(
-                sys_, x, coef)[0]
+            resid = stage.a0 @ x - b + sys_.inc @ engine._device_values(
+                sys_, x, stage.coef)[0]
             assert np.array_equal(resid[:size], f), name
-            f_ref = abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
+            f_ref = stage.abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
             assert np.all(np.abs(f) <= engine.NEWTON_ABS
                           + engine.NEWTON_REL * f_ref), name
             assert np.abs(f[:sys_.n]).max() <= 0.1 * engine.KCL_ABS_A, name
@@ -345,6 +350,35 @@ class TestNewtonStartPoint:
         nodes_ext = results["extrapolated"][0][:sys_.n]
         np.testing.assert_allclose(nodes_ext, nodes_prev, rtol=0, atol=1e-6)
         assert solves["extrapolated"] < solves["previous"]
+
+    @pytest.mark.parametrize("start", ["previous", "extrapolated"])
+    def test_scaled_solve_gives_the_unscaled_update(
+            self, start, monkeypatch, toroidal_model):
+        """The stage's row equilibration only steers the pivots: the
+        engine's first update from a mid-run start point is the Newton
+        update on the unscaled Jacobian."""
+        (sys_, x_ext, stage, b, t), x_acc = self.mid_run_step(
+            monkeypatch, toroidal_model)
+        x0 = {"previous": x_acc, "extrapolated": x_ext}[start]
+        size = sys_.size
+        cur, part = engine._device_values(sys_, x0, stage.coef)
+        f = (stage.a0 @ x0 - b + sys_.inc @ cur)[:size]
+        dim = size + 1
+        jac = (stage.a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
+        expected = np.linalg.solve(jac, -f)
+
+        solve, updates = np.linalg.solve, []
+
+        def recorded(a, rhs):
+            dx = solve(a, rhs)
+            updates.append(-dx)  # the engine steps x by -dx
+            return dx
+
+        monkeypatch.setattr(np.linalg, "solve", recorded)
+        engine._newton_step(sys_, x0.copy(), stage, b, t)
+        scale = np.abs(expected).max()
+        assert scale > 0.0
+        assert np.abs(updates[0] - expected).max() <= 1e-12 * scale
 
 
 def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
@@ -356,9 +390,13 @@ def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
     assert steps <= len(calls) <= 1.2 * steps
 
 
-def test_run_reports_its_solves_and_iterations(monkeypatch, toroidal_model):
+@pytest.mark.parametrize("case", sorted(QVCO_CASES))
+def test_run_reports_its_solves_and_iterations(case, monkeypatch,
+                                               toroidal_model):
+    buffers, unknowns = QVCO_CASES[case]
     calls = count_solves(monkeypatch)
-    wave = qvco_run(toroidal_model)
+    wave = qvco_run(toroidal_model, buffers=buffers)
+    assert len(wave.voltages) + len(wave.currents) == unknowns
     steps = len(wave.time_s) - 1
     assert wave.linear_solves == len(calls)
     # a step's last iteration either solves and accepts on the update

@@ -2,25 +2,36 @@
 
 Every layer that takes numbers rejects NaN and inf with a typed error that
 names the field, before any range check can let them through: the
-simulator settings, the tank, the netlist elements, the device parameter
-blocks (transistor, varactor, tuning array, buffer, coupled set) and the
-topology parameters.  (Geometry input is covered in test_geometry.py.)
+simulator settings, the extracted transformer model, the design spec, the
+tank, the netlist elements, the device parameter blocks (transistor,
+varactor, tuning array, buffer, coupled set) and the topology parameters.
+(Geometry input is covered in test_geometry.py.)
 """
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 
-from tsvqvco.analysis import TankParams, min_transconductance
+from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig
 from tsvqvco.errors import InvalidModelError, check_finite
 from tsvqvco.netlist import Netlist
 from tsvqvco.topologies import TopologyParams, build_netlist
+from tsvqvco.transformer import TransformerModel
 
 NAN, INF = math.nan, math.inf
 TANK = dict(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
+MODEL = TransformerModel(l_p=3e-9, l_s1=0.4e-9, l_s2=0.4e-9, r_pdc=0.3,
+                         r_pac=1.4, r_sdc=0.064, r_sac=0.35, k_ps1=0.52,
+                         k_ps2=0.52, k_ss=0.15, area_mm2=0.17,
+                         eval_frequency_hz=2.5e9)
+SPEC = DesignSpec(v_dd_v=0.7, f_c_hz=2.5e9, v_c_lo_v=0.1, v_c_hi_v=0.7,
+                  l_p_target_h=3e-9, l_s_target_h=0.4e-9, c_var_lo_f=2.1e-12,
+                  c_var_hi_f=6.3e-12, v_out_pp_v=0.35,
+                  max_delta_v_out_v=0.025, c_parasitic_f=0.4e-12)
 
 
 def tank(**overrides) -> TankParams:
@@ -37,6 +48,15 @@ CASES = {
                  "sim config field dt_s"),
     "sim t_stop_s": (lambda: SimConfig(dt_s=1e-12, t_stop_s=INF).validate(),
                      "sim config field t_stop_s"),
+    # NaN fails every range comparison, so each of the model and spec
+    # fields used to pass, and the run failed later under a derived name
+    **{f"transformer model {name}": (
+        lambda name=name: dataclasses.replace(MODEL, **{name: NAN}).validate(),
+        f"transformer model field {name}")
+       for name in ("l_p", "r_pdc", "r_pac", "area_mm2")},
+    "design spec c_parasitic_f": (
+        lambda: dataclasses.replace(SPEC, c_parasitic_f=NAN).validate(),
+        "design spec field c_parasitic_f"),
     "tank r_parallel": (lambda: tank(r_parallel=NAN).validate(),
                         "tank field r_parallel"),
     "tank n": (lambda: min_transconductance(tank(n=NAN)), "tank field n"),
@@ -81,6 +101,9 @@ CASES = {
     "coupled set matrix": (
         lambda: coupled_pair([[1e-9, NAN], [NAN, 1e-9]], [0.1, 0.1]),
         "coupled set field matrix[0][1]"),
+    "coupled set non-numeric matrix": (
+        lambda: coupled_pair([[1e-9, "x"], ["x", 1e-9]], [0.1, 0.1]),
+        "coupled set field matrix[0][1]"),
     "coupled set series_r": (
         lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, INF]),
         "coupled set field series_r[1]"),
@@ -93,6 +116,12 @@ def test_non_finite_input_is_rejected(case):
     with pytest.raises(InvalidModelError,
                        match=f"^{re.escape(field)} is not a finite number$"):
         build()
+
+
+def test_ragged_coupled_matrix_keeps_the_shape_message():
+    with pytest.raises(InvalidModelError, match=re.escape(
+            "coupled set with 2 windings needs a 2x2 matrix")):
+        coupled_pair([[1e-9, "x"], [1e-9]], [0.1, 0.1])
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF, True, "1", None])

@@ -1,7 +1,8 @@
 """pyproject.toml declares what the package needs and provides.
 
-Every third-party module imported under src/tsvqvco must be a declared
-dependency, and every console script must point at an importable
+The declared runtime dependencies are exactly the third-party modules
+imported under src/tsvqvco: none missing and none unused.  Every console
+script must point at an importable
 callable.  The package is layered: on the design path geometry,
 inductance, transformer and analysis, and on the run path netlist,
 engine, metrology and topologies, each import only the package modules
@@ -46,7 +47,9 @@ def test_third_party_imports_are_declared():
                    if name not in sys.stdlib_module_names
                    and name not in ("__future__", "tsvqvco")}
     assert third_party, "the package imports numpy"
-    assert third_party <= declared, sorted(third_party - declared)
+    assert third_party <= declared, ("undeclared",
+                                      sorted(third_party - declared))
+    assert declared <= third_party, ("unused", sorted(declared - third_party))
 
 
 def test_script_targets_import():
