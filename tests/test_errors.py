@@ -119,8 +119,8 @@ def test_non_finite_input_is_rejected(case):
 
 
 def test_ragged_coupled_matrix_keeps_the_shape_message():
-    with pytest.raises(InvalidModelError, match=re.escape(
-            "coupled set with 2 windings needs a 2x2 matrix")):
+    with pytest.raises(InvalidModelError, match="^" + re.escape(
+            "coupled set with 2 windings needs a 2x2 matrix") + "$"):
         coupled_pair([[1e-9, "x"], [1e-9]], [0.1, 0.1])
 
 
