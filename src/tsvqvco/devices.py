@@ -1,8 +1,9 @@
 """Behavioral device models consumed by the transient simulator.
 
-Square-law MOS with channel-length modulation, a tanh MOS-varactor curve,
-a 2-bit switched-capacitor tuning array, the check every coupled-inductor
-set passes, and the output buffer parameter block.  Everything here is an
+Square-law MOS with channel-length modulation and its p-channel mirror,
+a tanh MOS-varactor curve, a 2-bit switched-capacitor tuning array, the
+check every coupled-inductor set passes, and the output buffer parameter
+block.  Everything here is an
 immutable parameter set plus pure evaluation functions; the simulator owns
 all state.
 """
@@ -171,6 +172,13 @@ class TuningArray:
                                     f"{list(_CODES)}, got {self.code!r}")
 
 
+def p_channel_mirror(nmos: MosParams, k_ratio: float) -> MosParams:
+    """The p-channel mirror of an n-channel device: negated threshold,
+    the same lam, and k_ratio times its k_factor."""
+    return MosParams(polarity="p", k_factor=k_ratio * nmos.k_factor,
+                     v_th=-abs(nmos.v_th), lam=nmos.lam)
+
+
 def check_coupled_set(n: int, matrix, series_r) -> None:
     """Validate an n-winding coupled set: a symmetric, positive definite
     n x n inductance matrix over at least two windings, and one
@@ -215,9 +223,7 @@ class BufferParams:
         polarity="n", k_factor=2e-3, v_th=0.25, lam=0.05))
 
     def pmos(self) -> MosParams:
-        return MosParams(polarity="p",
-                         k_factor=self.p_to_n_ratio * self.nmos.k_factor,
-                         v_th=-abs(self.nmos.v_th), lam=self.nmos.lam)
+        return p_channel_mirror(self.nmos, self.p_to_n_ratio)
 
     def validate(self) -> None:
         for name in ("c_couple", "r_feedback", "p_to_n_ratio"):

@@ -2,10 +2,12 @@
 
 Unknown ordering is node voltages (registration order) followed by branch
 currents (element order); branches exist for inductors, coupled-set
-windings and voltage sources.  The circuit is a_static x + dq/dt = s(t):
-the charge q(x) is a_react x (node charge, negated branch flux) plus each
-varactor's C(v_ctl) v_ab on its two node rows.  The linear stamps are
-assembled once per run; per step only the right-hand side moves.
+windings (an inductor is a one-winding set) and voltage sources.  Every
+size + 1 array ends in a ground slot, which GROUND = -1 indexes.  The
+circuit is a_static x + dq/dt = s(t): the charge q(x) is a_react x (node
+charge, negated branch flux) plus each varactor's C(v_ctl) v_ab on its
+two node rows.  The linear stamps are assembled once per run; per step
+only the right-hand side moves.
 
 Every transistor and varactor fits one stamp pattern: it drives a current
 into row p and out of row n, and that current has one partial on each of
@@ -42,7 +44,7 @@ same two equations with coef = 1/h and the initial i_prev = 0.  It needs
 no derivative history, so a discontinuous turn-on (step sources, charged
 capacitors) does not poison the trapezoidal rule with an inconsistent
 initial derivative.  The initial state is what the netlist declares: its
-initial node voltages and inductor currents, zero everywhere else.
+initial node voltages and winding currents, zero everywhere else.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -61,7 +63,6 @@ from .netlist import (
     GROUND,
     Capacitor,
     CoupledInductors,
-    Inductor,
     Mos,
     Netlist,
     Resistor,
@@ -104,8 +105,9 @@ class SimConfig:
 class Waveforms:
     """Uniform-grid simulation output and what the run cost: the worst
     per-step KCL residual, the Newton iterations (passes through the
-    Newton loop, each one device evaluation) and the linear solves over
-    all steps."""
+    Newton loop; one that exits on a small update evaluates the devices
+    a second time, for the residual) and the linear solves over all
+    steps."""
 
     time_s: np.ndarray
     voltages: dict[str, np.ndarray]
@@ -154,30 +156,11 @@ class _System:
         self.net = net
         self.h = cfg.dt_s
         self.n = net.n_nodes
-
-        self.branch_labels: list[str] = []
-        self.branch_of: dict[int, int] = {}
-        for idx, e in enumerate(net.elements):
-            if isinstance(e, Inductor):
-                self.branch_of[idx] = self.n + len(self.branch_labels)
-                self.branch_labels.append(e.label)
-            elif isinstance(e, CoupledInductors):
-                self.branch_of[idx] = self.n + len(self.branch_labels)
-                for w in range(len(e.pairs)):
-                    self.branch_labels.append(f"{e.label}.w{w}")
-            elif isinstance(e, VSource):
-                self.branch_of[idx] = self.n + len(self.branch_labels)
-                self.branch_labels.append(e.label)
-        self.m = len(self.branch_labels)
+        self.m = sum(len(e.pairs) if isinstance(e, CoupledInductors)
+                     else isinstance(e, VSource) for e in net.elements)
         self.size = self.n + self.m
-        self.gslot = self.size  # extended slot absorbing ground stamps
 
         self._build_linear()
-        self.mos = [(self._ext(e.d), self._ext(e.g), self._ext(e.s), e.params)
-                    for e in net.elements if isinstance(e, Mos)]
-        self.varactors = [(self._ext(e.a), self._ext(e.b), self._ext(e.cp),
-                           self._ext(e.cn), e.model)
-                          for e in net.elements if isinstance(e, Varactor)]
         self._build_device_pattern()
 
         self.be = self._stage(1.0 / self.h)
@@ -198,9 +181,6 @@ class _System:
         return _Stage(coef=coef, a0=a0, abs_a0=abs_a0, r=r,
                       a0s=r[:, None] * a0[:size, :size],
                       jsts=jsts.reshape(size * size, -1))
-
-    def _ext(self, node: int) -> int:
-        return self.gslot if node == GROUND else node
 
     def _build_device_pattern(self) -> None:
         """inc[:, k] is +1 on row p and -1 on row n of device k, in the
@@ -225,62 +205,68 @@ class _System:
         self.jst = jst.reshape(dim * dim, 2 * len(terms))
 
     def _build_linear(self) -> None:
+        """The one walk over the elements: in element order it assigns
+        branch rows and labels as it stamps, fills the initial state
+        x_init and collects the sources, transistors and varactors."""
         net = self.net
         dim = self.size + 1
         a_static = np.zeros((dim, dim))
         a_react = np.zeros((dim, dim))
+        x_init = np.zeros(dim)
+        for name, v in net.initial_voltages.items():
+            x_init[net.node_names.index(name)] = v
+        self.branch_labels: list[str] = []
+        self.vsources: list[tuple[int, VSource]] = []
+        self.mos, self.varactors = [], []
 
-        def conductance(a, na, nb, g):
-            i, j = self._ext(na), self._ext(nb)
+        def conductance(a, i, j, g):
             a[i, i] += g
             a[j, j] += g
             a[i, j] -= g
             a[j, i] -= g
 
-        def branch(row, na, nb):
+        def branch(na, nb, label) -> int:
+            row = self.n + len(self.branch_labels)
+            self.branch_labels.append(label)
             a_static[na, row] += 1.0
             a_static[nb, row] -= 1.0
             a_static[row, na] += 1.0
             a_static[row, nb] -= 1.0
+            return row
 
-        # per-step RHS sources
-        self.vsources: list[tuple[int, VSource]] = []
-
-        for idx, e in enumerate(net.elements):
+        for e in net.elements:
             if isinstance(e, Resistor):
                 conductance(a_static, e.a, e.b, 1.0 / e.ohms)
             elif isinstance(e, Capacitor):
                 conductance(a_react, e.a, e.b, e.farads)
             elif isinstance(e, Vccs):
-                p, n = self._ext(e.p), self._ext(e.n)
-                cp, cn = self._ext(e.cp), self._ext(e.cn)
-                a_static[p, cp] += e.gm
-                a_static[p, cn] -= e.gm
-                a_static[n, cp] -= e.gm
-                a_static[n, cn] += e.gm
-            elif isinstance(e, Inductor):
-                row = self.branch_of[idx]
-                branch(row, self._ext(e.a), self._ext(e.b))
-                a_react[row, row] -= e.henries
+                a_static[e.p, e.cp] += e.gm
+                a_static[e.p, e.cn] -= e.gm
+                a_static[e.n, e.cp] -= e.gm
+                a_static[e.n, e.cn] += e.gm
             elif isinstance(e, CoupledInductors):
-                row0 = self.branch_of[idx]
+                k = len(e.pairs)
+                row0 = self.n + len(self.branch_labels)
                 for w, (na, nb) in enumerate(e.pairs):
-                    row = row0 + w
-                    branch(row, self._ext(na), self._ext(nb))
+                    row = branch(na, nb,
+                                 e.label if k == 1 else f"{e.label}.w{w}")
                     a_static[row, row] -= e.series_r[w]
-                    a_react[row, row0:row0 + len(e.pairs)] -= e.matrix[w]
+                    a_react[row, row0:row0 + k] -= e.matrix[w]
+                    x_init[row] = e.i_initial_a[w]
             elif isinstance(e, VSource):
-                row = self.branch_of[idx]
-                branch(row, self._ext(e.p), self._ext(e.n))
-                self.vsources.append((row, e))
+                self.vsources.append((branch(e.p, e.n, e.label), e))
             elif isinstance(e, Mos):
                 # the nonlinear part is stamped per Newton iteration;
                 # the leak keeps cut-off regions non-singular
                 conductance(a_static, e.d, GROUND, GMIN)
                 conductance(a_static, e.s, GROUND, GMIN)
+                self.mos.append((e.d, e.g, e.s, e.params))
+            elif isinstance(e, Varactor):
+                self.varactors.append((e.a, e.b, e.cp, e.cn, e.model))
 
         self.a_static = a_static
         self.a_react = a_react
+        self.x_init = x_init
 
 
 def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
@@ -294,23 +280,10 @@ def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     return q
 
 
-def _initial_state(sys: _System) -> np.ndarray:
-    """The solution at t = 0, extended by the ground slot."""
-    net = sys.net
-    x = np.zeros(sys.size + 1)
-    for name, v in net.initial_voltages.items():
-        x[net.node_names.index(name)] = v
-    for idx, e in enumerate(net.elements):
-        if isinstance(e, Inductor):
-            x[sys.branch_of[idx]] = e.i_initial_a
-        elif isinstance(e, CoupledInductors):
-            for w, i0 in enumerate(e.i_initial_a):
-                x[sys.branch_of[idx] + w] = i0
-    return x
-
-
-def _singular_diagnostic(sys: _System, a: np.ndarray) -> str:
-    scale = np.abs(a[:sys.size, :sys.size])
+def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
+    """Name the first unknown with an all-zero row or column in the
+    scaled matrix js; positive row scales keep those zero."""
+    scale = np.abs(js)
     dead = np.where((scale.max(axis=1) == 0.0) | (scale.max(axis=0) == 0.0))[0]
     if len(dead):
         i = int(dead[0])
@@ -365,9 +338,7 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
         try:
             dx = np.linalg.solve(js, stage.r * f)
         except np.linalg.LinAlgError:
-            j = stage.a0.reshape(-1) + sys.jst @ part
-            raise NumericFailure(
-                _singular_diagnostic(sys, j.reshape(stage.a0.shape)))
+            raise NumericFailure(_singular_diagnostic(sys, js))
         dx_max = float(np.abs(dx).max())  # NaN or inf if any entry is
         if not math.isfinite(dx_max):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
@@ -393,7 +364,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     times = h * np.arange(n_steps + 1)
 
     sys = _System(net, cfg)
-    x = _initial_state(sys)
+    x = sys.x_init
     # the step history: charge q(x) and its derivative i, extended by
     # the ground slot; the first step's i is the zero initial derivative
     q, i = _charge(sys, x), np.zeros(sys.size + 1)

@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import TankParams, tank_resonance_and_q
 from .devices import BOLTZMANN_J_K
 from .engine import Waveforms
-from .errors import InvalidModelError
+from .errors import InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS
 
 LEESON_TEMP_K = 290.0
@@ -174,6 +174,7 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
     reports a not-oscillating result rather than raising.
     """
     w.validate()
+    check_finite(InvalidModelError, "metrics", "v_dd", v_dd)
     if v_dd <= 0:
         raise InvalidModelError("supply voltage must be positive")
     outputs = tuple(n for n in OUTPUTS if n in w.voltages)

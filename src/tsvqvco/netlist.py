@@ -8,7 +8,8 @@ ordering, which is what makes repeated runs bit-identical.
 
 Branch-current unknowns exist for inductors, every winding of a coupled
 set, and voltage sources; everything else is stamped as a conductance or
-a nonlinear current.
+a nonlinear current.  An inductor is a coupled set with one winding and
+no series loss, whose branch is named by its label alone.
 """
 from __future__ import annotations
 
@@ -51,27 +52,18 @@ class Capacitor:
 
 
 @dataclass(frozen=True)
-class Inductor:
-    a: int
-    b: int
-    henries: float
-    label: str
-    i_initial_a: float = 0.0
-
-
-@dataclass(frozen=True)
 class CoupledInductors:
     """N windings with a full, signed inductance matrix and series loss.
 
     pairs[w] = (a, b) is winding w from node a to node b; the branch
-    current flows a -> b inside the winding.
+    current flows a -> b inside the winding and starts at i_initial_a[w].
     """
 
     pairs: tuple[tuple[int, int], ...]
     matrix: tuple[tuple[float, ...], ...]
     series_r: tuple[float, ...]
     label: str
-    i_initial_a: tuple[float, ...] = ()
+    i_initial_a: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,8 @@ class Vccs:
     label: str
 
 
-Element = (Resistor | Capacitor | Inductor | CoupledInductors | Mos
-           | Varactor | VSource | Vccs)
+Element = (Resistor | Capacitor | CoupledInductors | Mos | Varactor | VSource
+           | Vccs)
 
 
 @dataclass
@@ -186,8 +178,10 @@ class Netlist:
         check_finite(InvalidModelError, "inductor", "i_initial_a", i_initial_a)
         if henries <= 0:
             raise InvalidModelError("inductance must be positive")
-        self.elements.append(Inductor(self.node(a), self.node(b), henries,
-                                      self._label(label, "l"), i_initial_a))
+        self.elements.append(CoupledInductors(
+            pairs=((self.node(a), self.node(b)),), matrix=((henries,),),
+            series_r=(0.0,), label=self._label(label, "l"),
+            i_initial_a=(i_initial_a,)))
 
     def add_coupled_inductors(self, pairs, matrix, series_r,
                               label: str | None = None,
@@ -197,6 +191,9 @@ class Netlist:
         ic = tuple(i_initial_a) if i_initial_a is not None else (0.0,) * n
         if len(ic) != n:
             raise InvalidModelError("initial currents must match winding count")
+        for w, i0 in enumerate(ic):
+            check_finite(InvalidModelError, "coupled set", f"i_initial_a[{w}]",
+                         i0)
         self.elements.append(CoupledInductors(
             pairs=tuple((self.node(a), self.node(b)) for a, b in pairs),
             matrix=tuple(tuple(float(v) for v in row) for row in matrix),

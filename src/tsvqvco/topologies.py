@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import TankParams, min_transconductance
-from .devices import BufferParams, MosParams, TuningArray, VaractorModel
+from .devices import (BufferParams, MosParams, TuningArray, VaractorModel,
+                      p_channel_mirror)
 from .engine import SimConfig
 from .errors import InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
@@ -110,8 +111,7 @@ class TopologyParams:
 
     def pmos(self) -> MosParams:
         """The core PMOS: the mirror of nmos."""
-        return MosParams(polarity="p", k_factor=self.nmos.k_factor,
-                         v_th=-abs(self.nmos.v_th), lam=self.nmos.lam)
+        return p_channel_mirror(self.nmos, 1.0)
 
 
 def flip_ps_signs(dot_signs) -> tuple:
@@ -291,6 +291,8 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     V_o1 at PERTURBATION_V.
     """
     t.validate()
+    check_finite(InvalidModelError, "quadrature bench", "g_m_margin",
+                 g_m_margin)
     if g_m_margin <= 0:
         raise InvalidModelError("transconductance margin must be positive")
     g_m = g_m_margin * min_transconductance(t)
@@ -311,9 +313,11 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     return net
 
 
-def default_sim_config(f_est_hz: float, n_periods: int = 400) -> SimConfig:
+def default_sim_config(f_est_hz: float, n_periods: int) -> SimConfig:
     """Step and span sized from an expected oscillation frequency:
     n_periods periods at POINTS_PER_PERIOD steps each."""
+    check_finite(InvalidModelError, "sim config", "f_est_hz", f_est_hz)
+    check_finite(InvalidModelError, "sim config", "n_periods", n_periods)
     if f_est_hz <= 0:
         raise InvalidModelError("frequency estimate must be positive")
     if n_periods < 2:

@@ -5,10 +5,11 @@ against a centred finite difference of the residual it assembles: for
 transistors in every region of both polarities, for transistors that
 share terminals or sit on ground, and for a varactor whose control sits
 on a node pair; reruns of one netlist must repeat bit for bit.  A run
-reports the linear solves it made.  The
-first step is a step like any other: every built topology takes it with
-stepped supplies at step sizes from 0.1 ps to 1 ns, a failure in it
-propagates, and the engine adds nothing to a netlist's initial state.
+reports the linear solves it made, and a singular matrix names the
+node or branch with no stamp.  The first step is a step like any
+other: every built topology takes it with stepped supplies at step
+sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
+adds nothing to a netlist's initial state.
 Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
 point must change only the iteration count, never the answer, and the
 Newton path must reproduce a closed-form RC discharge and series-RLC
@@ -19,6 +20,7 @@ a varactor at a fixed control voltage matches a linear capacitor.
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -147,7 +149,7 @@ def test_wired_mos_stamps_match_references(wiring):
     x = at_voltages(net, sys_, volts)
     expected = np.zeros(sys_.size + 1)
     for d, g, s, params in mos:
-        d, g, s = (sys_._ext(net.node(t)) for t in (d, g, s))
+        d, g, s = (net.node(t) for t in (d, g, s))
         i_d = mos_eval(params, x[g] - x[s], x[d] - x[s])[0]
         assert i_d != 0.0  # no device is cut off
         expected[d] += i_d
@@ -261,6 +263,29 @@ class TestSingularLinearSystem:
         net.add_resistor("a", "gnd", 1e3)
         with pytest.raises(NumericFailure, match="singular"):
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+
+    def assert_dead(self, net, name):
+        with pytest.raises(NumericFailure, match="^" + re.escape(
+                f"MNA matrix is singular: no finite stamp at {name}") + "$"):
+            transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+
+    def test_undriven_varactor_control_is_named(self):
+        # ctl only senses: no current flows into it, and at 0 V the
+        # clamped C(v) has no slope, so its row and column are zero
+        net = Netlist()
+        net.add_vsource("a", "gnd", 1.0)
+        net.add_resistor("a", "gnd", 1e3)
+        net.add_varactor("a", "gnd", "ctl", "gnd", VaractorModel(
+            c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7))
+        self.assert_dead(net, "ctl")
+
+    def test_shorted_source_branch_is_named(self):
+        # both terminals on ground: every stamp of the branch lands in
+        # the ground slot
+        net = Netlist()
+        net.add_vsource("gnd", "gnd", 1.0, label="v_shorted")
+        net.add_resistor("a", "gnd", 1e3)
+        self.assert_dead(net, "branch v_shorted")
 
     def test_non_finite_residual_fails_kcl_gate(self, monkeypatch):
         net = Netlist()

@@ -4,8 +4,9 @@ Every layer that takes numbers rejects NaN and inf with a typed error that
 names the field, before any range check can let them through: the
 simulator settings, the extracted transformer model, the design spec, the
 tank, the netlist elements, the device parameter blocks (transistor,
-varactor, tuning array, buffer, coupled set) and the topology parameters.
-(Geometry input is covered in test_geometry.py.)
+varactor, tuning array, buffer, coupled set), the topology parameters
+and the arguments of default_sim_config, build_quadrature_bench and
+measure_metrics.  (Geometry input is covered in test_geometry.py.)
 """
 import dataclasses
 import math
@@ -16,10 +17,12 @@ import pytest
 
 from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
-from tsvqvco.engine import SimConfig
+from tsvqvco.engine import SimConfig, Waveforms
 from tsvqvco.errors import InvalidModelError, check_finite
+from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Netlist
-from tsvqvco.topologies import TopologyParams, build_netlist
+from tsvqvco.topologies import (TopologyParams, build_netlist,
+                                build_quadrature_bench, default_sim_config)
 from tsvqvco.transformer import TransformerModel
 
 NAN, INF = math.nan, math.inf
@@ -38,9 +41,14 @@ def tank(**overrides) -> TankParams:
     return TankParams(**{**TANK, **overrides})
 
 
-def coupled_pair(matrix, series_r) -> None:
+def coupled_pair(matrix, series_r, i_initial_a=None) -> None:
     Netlist().add_coupled_inductors([("a", "gnd"), ("b", "gnd")], matrix,
-                                    series_r)
+                                    series_r, i_initial_a=i_initial_a)
+
+
+def flat_waveforms() -> Waveforms:
+    return Waveforms(time_s=np.arange(3.0), voltages={"V_o1": np.zeros(3)},
+                     currents={})
 
 
 CASES = {
@@ -48,6 +56,18 @@ CASES = {
                  "sim config field dt_s"),
     "sim t_stop_s": (lambda: SimConfig(dt_s=1e-12, t_stop_s=INF).validate(),
                      "sim config field t_stop_s"),
+    # NaN fails every range check, so without the finite check each of
+    # these entry-point arguments fails later under a derived name
+    # (dt_s, the vccs gm) or gives a NaN power
+    "sim f_est_hz": (lambda: default_sim_config(NAN, n_periods=4),
+                     "sim config field f_est_hz"),
+    "sim n_periods": (lambda: default_sim_config(2.5e9, n_periods=NAN),
+                      "sim config field n_periods"),
+    "quadrature bench g_m_margin": (
+        lambda: build_quadrature_bench(tank(), NAN),
+        "quadrature bench field g_m_margin"),
+    "metrics v_dd": (lambda: measure_metrics(flat_waveforms(), NAN),
+                     "metrics field v_dd"),
     # NaN fails every range comparison, so each of the model and spec
     # fields used to pass, and the run failed later under a derived name
     **{f"transformer model {name}": (
@@ -107,6 +127,16 @@ CASES = {
     "coupled set series_r": (
         lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, INF]),
         "coupled set field series_r[1]"),
+    # without the finite check the transient fails at its first step
+    # with a non-finite Newton update
+    "coupled set i_initial_a": (
+        lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
+                             i_initial_a=[NAN, 0.0]),
+        "coupled set field i_initial_a[0]"),
+    "coupled set non-numeric i_initial_a": (
+        lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
+                             i_initial_a=["x", 0.0]),
+        "coupled set field i_initial_a[0]"),
 }
 
 
