@@ -127,28 +127,19 @@ class VaractorModel:
             raise InvalidModelError("varactor shape must be positive")
 
 
-def varactor_capacitance(m: VaractorModel, v_c: float) -> float:
-    """Capacitance (F) at control voltage v_c."""
+def varactor_eval(m: VaractorModel, v_c: float) -> tuple[float, float]:
+    """Capacitance (F) at control voltage v_c and its slope dC/dV (F/V);
+    the slope is zero outside the control range, where C is clamped."""
     if v_c <= m.v_lo:
-        return m.c_min
+        return m.c_min, 0.0
     if v_c >= m.v_hi:
-        return m.c_max
-    mid = 0.5 * (m.v_lo + m.v_hi)
+        return m.c_max, 0.0
     half = 0.5 * (m.v_hi - m.v_lo)
-    x = (v_c - mid) / half
-    return (0.5 * (m.c_min + m.c_max)
-            + 0.5 * (m.c_max - m.c_min) * math.tanh(m.shape * x) / math.tanh(m.shape))
-
-
-def varactor_capacitance_slope(m: VaractorModel, v_c: float) -> float:
-    """dC/dV (F/V); zero outside the control range where C is clamped."""
-    if v_c <= m.v_lo or v_c >= m.v_hi:
-        return 0.0
-    mid = 0.5 * (m.v_lo + m.v_hi)
-    half = 0.5 * (m.v_hi - m.v_lo)
-    x = (v_c - mid) / half
+    x = (v_c - 0.5 * (m.v_lo + m.v_hi)) / half
+    c = (0.5 * (m.c_min + m.c_max)
+         + 0.5 * (m.c_max - m.c_min) * math.tanh(m.shape * x) / math.tanh(m.shape))
     sech2 = 1.0 / math.cosh(m.shape * x) ** 2
-    return 0.5 * (m.c_max - m.c_min) * m.shape * sech2 / (math.tanh(m.shape) * half)
+    return c, 0.5 * (m.c_max - m.c_min) * m.shape * sech2 / (math.tanh(m.shape) * half)
 
 
 _CODES = ("00", "01", "10", "11")

@@ -16,11 +16,11 @@ d - s; a varactor: coef C v_sig from a to b, coef C on a - b and
 coef v_sig dC/dv on cp - cn).  _System turns the pattern into two
 constant matrices, built once per run: the incidence inc (rows by
 devices) and the Jacobian stamp matrix jst (flattened rows and columns by
-partials).  A Newton iteration evaluates the devices once
-(_device_values: one devices.mos_eval per transistor, so the engine has
-no device equations of its own), forms the residual
-a0 x - b + inc @ currents and tests it; only when a solve follows does it
-build the Jacobian, in one product.
+partials).  A Newton iteration evaluates the devices once (_device_values:
+one devices.mos_eval per transistor and one devices.varactor_eval per
+varactor, so the engine has no device equations of its own), forms the
+residual a0 x - b + inc @ currents and tests it; only when a solve follows
+does it build the Jacobian, in one product.
 
 Solves are row-equilibrated: branch rows mix +-1 voltage entries with
 L/h terms in the hundreds, which would otherwise eat the pivots.  The
@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .devices import mos_eval, varactor_capacitance, varactor_capacitance_slope
+from .devices import mos_eval, varactor_eval
 from .errors import InvalidModelError, NumericFailure, check_finite
 from .netlist import (
     GROUND,
@@ -275,7 +275,7 @@ def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
     if sys.varactors:
         v = x.tolist()
         q += sys.inc[:, len(sys.mos):] @ [
-            varactor_capacitance(model, v[cp] - v[cn]) * (v[na] - v[nb])
+            varactor_eval(model, v[cp] - v[cn])[0] * (v[na] - v[nb])
             for na, nb, cp, cn, model in sys.varactors]
     return q
 
@@ -305,10 +305,10 @@ def _device_values(sys: _System, x: np.ndarray, coef: float):
         part += (g_m, g_ds)
     for na, nb, cp, cn, model in sys.varactors:
         v_sig = v[na] - v[nb]
-        v_ctl = v[cp] - v[cn]
-        gv = coef * varactor_capacitance(model, v_ctl)
+        c, dc_dv = varactor_eval(model, v[cp] - v[cn])
+        gv = coef * c
         cur.append(gv * v_sig)
-        part += (gv, coef * v_sig * varactor_capacitance_slope(model, v_ctl))
+        part += (gv, coef * v_sig * dc_dv)
     return np.array(cur), np.array(part)
 
 

@@ -1,5 +1,5 @@
-"""Exception taxonomy shared by the library and the command line front end,
-and the one rule every numeric input field passes."""
+"""The package's exception taxonomy, and the one rule every numeric input
+field passes."""
 import math
 from numbers import Real
 

@@ -85,8 +85,19 @@ class Segment:
     thickness_m: float = 0.0
 
     def __post_init__(self) -> None:
-        self.start = tuple(float(v) for v in self.start)
-        self.end = tuple(float(v) for v in self.end)
+        # math.isfinite keeps the sweep's hot path cheap; check_finite names the culprit
+        try:
+            self.start = tuple(map(float, self.start))
+            self.end = tuple(map(float, self.end))
+            dims = (self.radius_m, self.width_m, self.thickness_m)
+            finite = all(map(math.isfinite, self.start + self.end + dims))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            for name in ("start", "end", "radius_m", "width_m", "thickness_m"):
+                value = getattr(self, name)
+                for v in value if name in ("start", "end") else (value,):
+                    check_finite(InvalidGeometryError, "segment", name, v)
         if self.shape not in ("round", "rect"):
             raise InvalidGeometryError(f"unknown segment shape {self.shape!r}")
         if self.length_m <= 0.0:

@@ -4,8 +4,8 @@ Everything here post-processes a finished transient: oscillation
 detection, fundamental frequency, per-output swing and phase, startup
 time, and supply power.  Frequency comes from a Hann-windowed Fourier
 magnitude peak refined by parabolic interpolation; phases come from the
-fundamental's complex angle over an integer number of cycles so spectral
-leakage cancels between outputs.
+fundamental's complex angle over an integer number of cycles, every
+whole cycle of the run, so spectral leakage cancels between outputs.
 
 Thermal noise is never simulated; phase noise is estimated from tank
 parameters with Leeson's formula at a fixed 290 K.
@@ -72,11 +72,10 @@ def estimate_frequency(time_s: np.ndarray, x: np.ndarray) -> float | None:
     if float(np.max(np.abs(sig))) == 0.0:
         return None
     win = np.hanning(n)
+    # n >= 16 gives at least 9 bins, so k has both neighbours
     mag = np.abs(np.fft.rfft(sig * win))
-    if len(mag) < 4:
-        return None
     k = int(np.argmax(mag[1:-1])) + 1
-    if mag[k] <= 0.0 or k < 1:
+    if mag[k] <= 0.0:
         return None
     # Parabolic refinement on log magnitude; guard the flat-spectrum case.
     lm, l0, lp = (math.log(max(m, 1e-300)) for m in mag[k - 1:k + 2])
@@ -86,23 +85,23 @@ def estimate_frequency(time_s: np.ndarray, x: np.ndarray) -> float | None:
     return (k + delta) / (n * dt)
 
 
+def _cycle_points(time_s: np.ndarray, f_hz: float, n_cycles: float) -> int:
+    """Samples in n_cycles periods of f_hz on the uniform grid time_s."""
+    return int(round(n_cycles / (f_hz * float(time_s[1] - time_s[0]))))
+
+
 def _fundamental_phasor(time_s: np.ndarray, x: np.ndarray,
                         f_hz: float) -> complex:
-    """Complex fundamental over the largest integer number of cycles that
-    fits, taken from the end of the trace."""
-    dt = float(time_s[1] - time_s[0])
+    """Complex fundamental over every whole cycle of the trace, taken
+    from its end; start-up included."""
     span = float(time_s[-1] - time_s[0])
     n_cyc = math.floor(span * f_hz)
     if n_cyc < 1:
         raise InvalidModelError("trace shorter than one oscillation cycle")
-    n_pts = int(round(n_cyc / (f_hz * dt)))
+    n_pts = _cycle_points(time_s, f_hz, n_cyc)
     seg = x[-n_pts:] - float(np.mean(x[-n_pts:]))
     t = time_s[-n_pts:]
     return complex(np.sum(seg * np.exp(-2j * np.pi * f_hz * t)))
-
-
-def _peak_to_peak(x: np.ndarray) -> float:
-    return float(np.max(x) - np.min(x))
 
 
 def _refined_extremum(x: np.ndarray, idx: int) -> float:
@@ -118,9 +117,8 @@ def _refined_extremum(x: np.ndarray, idx: int) -> float:
     den = y0 - 2.0 * y1 + y2
     if den == 0.0:
         return y1
+    # |d| <= 1/2 at a sampled extremum, so the vertex needs no bound
     d = 0.5 * (y0 - y2) / den
-    if abs(d) > 1.0:
-        return y1
     return y1 - 0.25 * (y0 - y2) * d
 
 
@@ -133,16 +131,11 @@ def _refined_p2p(x: np.ndarray) -> float:
 def _cycle_envelope(time_s: np.ndarray, x: np.ndarray,
                     f_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Peak-to-peak swing per oscillation period; returns (end times, swings)."""
-    dt = float(time_s[1] - time_s[0])
-    per_pts = max(int(round(1.0 / (f_hz * dt))), 2)
+    per_pts = max(_cycle_points(time_s, f_hz, 1), 2)
     n_win = len(x) // per_pts
-    ends = np.empty(n_win)
-    p2p = np.empty(n_win)
-    for m in range(n_win):
-        seg = x[m * per_pts:(m + 1) * per_pts]
-        p2p[m] = seg.max() - seg.min()
-        ends[m] = time_s[min((m + 1) * per_pts, len(x) - 1)]
-    return ends, p2p
+    cycles = x[:n_win * per_pts].reshape(n_win, per_pts)
+    ends = np.minimum(per_pts * np.arange(1, n_win + 1), len(x) - 1)
+    return time_s[ends], np.ptp(cycles, axis=1)
 
 
 def _supply_power_mw(w: Waveforms, label: str, v_dd: float,
@@ -154,8 +147,7 @@ def _supply_power_mw(w: Waveforms, label: str, v_dd: float,
     span = float(w.time_s[-1] - w.time_s[0])
     n_cyc = 0 if f_hz is None else math.floor(0.5 * span * f_hz)
     if n_cyc >= 1:
-        dt = float(w.time_s[1] - w.time_s[0])
-        i = i[-int(round(n_cyc / (f_hz * dt))):]
+        i = i[-_cycle_points(w.time_s, f_hz, n_cyc):]
     else:
         i = i[len(i) // 2:]
     # Branch current flows into the source's positive terminal, so the
@@ -168,10 +160,11 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
 
     The outputs are whichever of V_o1..V_o4 exist, in that order, and the
     power is read from the CORE_SUPPLY and BUFFER_SUPPLY source currents.
-    Frequency and phases use the second half of the run, swings the final
-    few cycles; startup search uses the whole run.  A swing below
-    MIN_SWING_V over the final tenth of the run, or an unusable spectrum,
-    reports a not-oscillating result rather than raising.
+    Frequency uses the second half of the run, power its whole cycles,
+    swings the final STEADY_CYCLES cycles, and phases every whole cycle
+    of the run, start-up included; the startup search uses the whole
+    run.  A swing below MIN_SWING_V over the final tenth, or an unusable
+    spectrum, reports a not-oscillating result rather than raising.
     """
     w.validate()
     check_finite(InvalidModelError, "metrics", "v_dd", v_dd)
@@ -184,12 +177,12 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
     n = len(w.time_s)
     tail = slice(n // 2, n)
     late = slice(max(n - max(n // 10, 64), 0), n)
-    amplitudes = {name: _peak_to_peak(w.voltages[name][tail])
+    amplitudes = {name: float(np.ptp(w.voltages[name][tail]))
                   for name in outputs}
 
     first = w.voltages[outputs[0]]
     f_osc = estimate_frequency(w.time_s[tail], first[tail])
-    alive = _peak_to_peak(first[late]) >= MIN_SWING_V
+    alive = float(np.ptp(first[late])) >= MIN_SWING_V
     if not alive or f_osc is None:
         return SimMetrics(
             oscillating=False, amplitudes_vpp=amplitudes,
@@ -204,8 +197,7 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
         phases[name] = rel % 360.0
 
     # Settled swings: refined extrema over the final integer-cycle window.
-    dt = float(w.time_s[1] - w.time_s[0])
-    n_settled = int(round(STEADY_CYCLES / (f_osc * dt)))
+    n_settled = _cycle_points(w.time_s, f_osc, STEADY_CYCLES)
     if 2 <= n_settled <= n:
         amplitudes = {name: _refined_p2p(w.voltages[name][-n_settled:])
                       for name in outputs}

@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .devices import (
-    SWITCH_OFF_OHM,
-    SWITCH_ON_OHM,
-    MosParams,
-    VaractorModel,
-    check_coupled_set,
-)
+from .devices import MosParams, VaractorModel, check_coupled_set
 from .errors import InvalidModelError, check_finite
 
 GROUND_NAMES = ("0", "gnd")
@@ -149,27 +143,34 @@ class Netlist:
     def n_nodes(self) -> int:
         return len(self.node_names)
 
-    def _label(self, label: str | None, kind: str) -> str:
+    def _resolve(self, label: str | None, kind: str, *names: str) -> tuple[str, list[int]]:
+        """An element's label and terminal indices; every check runs before
+        the first new node is registered, so a rejected add changes nothing."""
         out = label if label is not None else f"{kind}{len(self.elements)}"
+        # "<label>.w<w>" names a coupled set's windings, so no label has a dot
+        if not isinstance(out, str) or "." in out:
+            raise InvalidModelError(f"element label {out!r} must be a string without '.'")
         if any(e.label == out for e in self.elements):
             raise InvalidModelError(f"duplicate element label {out!r}")
-        return out
+        if not all(isinstance(name, str) and name for name in names):
+            raise InvalidModelError("node names must be non-empty strings")
+        return out, [self.node(name) for name in names]
 
     def add_resistor(self, a: str, b: str, ohms: float,
                      label: str | None = None) -> None:
         check_finite(InvalidModelError, "resistor", "ohms", ohms)
         if ohms <= 0:
             raise InvalidModelError("resistance must be positive")
-        self.elements.append(Resistor(self.node(a), self.node(b), ohms,
-                                      self._label(label, "r")))
+        label, nodes = self._resolve(label, "r", a, b)
+        self.elements.append(Resistor(*nodes, ohms, label))
 
     def add_capacitor(self, a: str, b: str, farads: float,
                       label: str | None = None) -> None:
         check_finite(InvalidModelError, "capacitor", "farads", farads)
         if farads <= 0:
             raise InvalidModelError("capacitance must be positive")
-        self.elements.append(Capacitor(self.node(a), self.node(b), farads,
-                                       self._label(label, "c")))
+        label, nodes = self._resolve(label, "c", a, b)
+        self.elements.append(Capacitor(*nodes, farads, label))
 
     def add_inductor(self, a: str, b: str, henries: float,
                      label: str | None = None,
@@ -178,10 +179,10 @@ class Netlist:
         check_finite(InvalidModelError, "inductor", "i_initial_a", i_initial_a)
         if henries <= 0:
             raise InvalidModelError("inductance must be positive")
+        label, nodes = self._resolve(label, "l", a, b)
         self.elements.append(CoupledInductors(
-            pairs=((self.node(a), self.node(b)),), matrix=((henries,),),
-            series_r=(0.0,), label=self._label(label, "l"),
-            i_initial_a=(i_initial_a,)))
+            pairs=(tuple(nodes),), matrix=((henries,),), series_r=(0.0,),
+            label=label, i_initial_a=(i_initial_a,)))
 
     def add_coupled_inductors(self, pairs, matrix, series_r,
                               label: str | None = None,
@@ -194,31 +195,24 @@ class Netlist:
         for w, i0 in enumerate(ic):
             check_finite(InvalidModelError, "coupled set", f"i_initial_a[{w}]",
                          i0)
+        label, nodes = self._resolve(label, "k", *(t for a, b in pairs for t in (a, b)))
         self.elements.append(CoupledInductors(
-            pairs=tuple((self.node(a), self.node(b)) for a, b in pairs),
+            pairs=tuple(zip(nodes[0::2], nodes[1::2])),
             matrix=tuple(tuple(float(v) for v in row) for row in matrix),
             series_r=tuple(float(r) for r in series_r),
-            label=self._label(label, "k"), i_initial_a=ic))
+            label=label, i_initial_a=ic))
 
     def add_mos(self, d: str, g: str, s: str, params: MosParams,
                 label: str | None = None) -> None:
         params.validate()
-        self.elements.append(Mos(self.node(d), self.node(g), self.node(s),
-                                 params, self._label(label, "m")))
+        label, nodes = self._resolve(label, "m", d, g, s)
+        self.elements.append(Mos(*nodes, params, label))
 
     def add_varactor(self, a: str, b: str, cp: str, cn: str,
                      model: VaractorModel, label: str | None = None) -> None:
         model.validate()
-        self.elements.append(Varactor(self.node(a), self.node(b),
-                                      self.node(cp), self.node(cn), model,
-                                      self._label(label, "cv")))
-
-    def add_switch(self, a: str, b: str, closed: bool,
-                   label: str | None = None) -> None:
-        """Tuning-array switch: a resistor of SWITCH_ON_OHM when closed
-        and SWITCH_OFF_OHM when open."""
-        self.add_resistor(a, b, SWITCH_ON_OHM if closed else SWITCH_OFF_OHM,
-                          label=label)
+        label, nodes = self._resolve(label, "cv", a, b, cp, cn)
+        self.elements.append(Varactor(*nodes, model, label))
 
     def add_vsource(self, p: str, n: str, volts: float,
                     label: str | None = None, ramp_s: float = 0.0) -> None:
@@ -226,14 +220,14 @@ class Netlist:
         check_finite(InvalidModelError, "vsource", "ramp_s", ramp_s)
         if ramp_s < 0:
             raise InvalidModelError("source ramp must be non-negative")
-        self.elements.append(VSource(self.node(p), self.node(n), volts,
-                                     self._label(label, "v"), ramp_s))
+        label, nodes = self._resolve(label, "v", p, n)
+        self.elements.append(VSource(*nodes, volts, label, ramp_s))
 
     def add_vccs(self, p: str, n: str, cp: str, cn: str, gm: float,
                  label: str | None = None) -> None:
         check_finite(InvalidModelError, "vccs", "gm", gm)
-        self.elements.append(Vccs(self.node(p), self.node(n), self.node(cp),
-                                  self.node(cn), gm, self._label(label, "g")))
+        label, nodes = self._resolve(label, "g", p, n, cp, cn)
+        self.elements.append(Vccs(*nodes, gm, label))
 
     def set_initial_voltage(self, node: str, volts: float) -> None:
         if node in GROUND_NAMES:

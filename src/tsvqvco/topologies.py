@@ -36,14 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .analysis import TankParams, min_transconductance
-from .devices import (BufferParams, MosParams, TuningArray, VaractorModel,
-                      p_channel_mirror)
+from .devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams, MosParams,
+                      TuningArray, VaractorModel, p_channel_mirror)
 from .engine import SimConfig
 from .errors import InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
 from .transformer import TransformerModel
 
-TOPOLOGIES = ("lc-vco", "tf-vco", "cr-vco", "tc-qvco")
 POINTS_PER_PERIOD = 200
 # Ramp time of the built netlists' supplies.
 SOURCE_RAMP_S = 1e-9
@@ -158,7 +157,8 @@ def _add_tank_caps(net: Netlist, p: TopologyParams, a: str, b: str,
             m1 = f"{tag}_b{bit}p"
             m2 = f"{tag}_b{bit}n"
             net.add_capacitor(a, m1, p.array.c_unit, label=f"ca_{tag}{bit}")
-            net.add_switch(m1, m2, state == "1", label=f"sw_{tag}{bit}")
+            ohms = SWITCH_ON_OHM if state == "1" else SWITCH_OFF_OHM
+            net.add_resistor(m1, m2, ohms, label=f"sw_{tag}{bit}")
             net.add_capacitor(m2, b, p.array.c_unit, label=f"cb_{tag}{bit}")
 
 
@@ -252,6 +252,7 @@ _BUILDERS = {
     "cr-vco": _build_cr_vco,
     "tc-qvco": _build_tc_qvco,
 }
+TOPOLOGIES = tuple(_BUILDERS)
 
 
 def build_netlist(topology: str, params: TopologyParams) -> Netlist:

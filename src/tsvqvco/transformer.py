@@ -25,11 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidGeometryError, InvalidModelError, check_finite
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
                        rect_segment, round_segment)
-from .inductance import (MU0, coil_resistance, coupling_coefficient,
+from .inductance import (MU0, _pack, coil_resistance, coupling_coefficient,
                          loop_inductance, mutual_loop_inductance, pack_coil)
 
 DEFAULT_EVAL_FREQUENCY_HZ = 2.5e9
@@ -292,26 +294,13 @@ def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
 
 
 def _footprint_mm2(coils: dict[str, CoilGeometry]) -> float:
-    xmin = ymin = math.inf
-    xmax = ymax = -math.inf
-    for coil in coils.values():
-        for seg in coil.segments:
-            if seg.shape == "round":
-                hx = hy = seg.radius_m
-            else:
-                dx, dy, _ = seg.direction
-                if abs(dx) > 0.5:
-                    hx, hy = 0.0, seg.width_m / 2.0
-                elif abs(dy) > 0.5:
-                    hx, hy = seg.width_m / 2.0, 0.0
-                else:
-                    hx = hy = seg.width_m / 2.0
-            for pt in (seg.start, seg.end):
-                xmin = min(xmin, pt[0] - hx)
-                xmax = max(xmax, pt[0] + hx)
-                ymin = min(ymin, pt[1] - hy)
-                ymax = max(ymax, pt[1] + hy)
-    return (xmax - xmin) * (ymax - ymin) * 1e6
+    # in x and y a body reaches half[0] (r, or w/2 flat) across its axis
+    rows = _pack("all", [s for c in coils.values() for s in c.segments]).rows
+    reach = rows.half[0] * (1.0 - np.abs(rows.unit[:2]))
+    lo = np.minimum(rows.start, rows.end)[:2] - reach
+    hi = np.maximum(rows.start, rows.end)[:2] + reach
+    width, height = hi.max(axis=1) - lo.min(axis=1)
+    return float(width * height * 1e6)
 
 
 def metal_area(geom: TransformerGeometry) -> float:

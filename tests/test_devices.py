@@ -17,8 +17,7 @@ from tsvqvco.devices import (
     VaractorModel,
     check_coupled_set,
     mos_eval,
-    varactor_capacitance,
-    varactor_capacitance_slope,
+    varactor_eval,
 )
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.netlist import CoupledInductors, Netlist
@@ -147,33 +146,33 @@ class TestVaractor:
     VAR = VaractorModel(c_min=2.1e-12, c_max=6.3e-12, v_lo=0.1, v_hi=0.7)
 
     def test_endpoints_exact(self):
-        assert varactor_capacitance(self.VAR, 0.1) == 2.1e-12
-        assert varactor_capacitance(self.VAR, 0.7) == 6.3e-12
+        assert varactor_eval(self.VAR, 0.1)[0] == 2.1e-12
+        assert varactor_eval(self.VAR, 0.7)[0] == 6.3e-12
 
     def test_clamps_outside_range(self):
-        assert varactor_capacitance(self.VAR, -1.0) == 2.1e-12
-        assert varactor_capacitance(self.VAR, 2.0) == 6.3e-12
+        assert varactor_eval(self.VAR, -1.0)[0] == 2.1e-12
+        assert varactor_eval(self.VAR, 2.0)[0] == 6.3e-12
 
     def test_midpoint_is_mean(self):
-        assert math.isclose(varactor_capacitance(self.VAR, 0.4), 4.2e-12,
+        assert math.isclose(varactor_eval(self.VAR, 0.4)[0], 4.2e-12,
                             rel_tol=1e-12)
 
     def test_monotone_increasing(self):
         grid = np.linspace(0.1, 0.7, 101)
-        caps = [varactor_capacitance(self.VAR, v) for v in grid]
+        caps = [varactor_eval(self.VAR, v)[0] for v in grid]
         assert all(b > a for a, b in zip(caps, caps[1:]))
 
     def test_slope_matches_finite_difference(self):
         h = 1e-6
         for v in (0.15, 0.3, 0.4, 0.55, 0.65):
-            fd = (varactor_capacitance(self.VAR, v + h)
-                  - varactor_capacitance(self.VAR, v - h)) / (2 * h)
-            assert math.isclose(varactor_capacitance_slope(self.VAR, v), fd,
+            fd = (varactor_eval(self.VAR, v + h)[0]
+                  - varactor_eval(self.VAR, v - h)[0]) / (2 * h)
+            assert math.isclose(varactor_eval(self.VAR, v)[1], fd,
                                 rel_tol=1e-6)
 
     def test_slope_zero_where_clamped(self):
-        assert varactor_capacitance_slope(self.VAR, 0.0) == 0.0
-        assert varactor_capacitance_slope(self.VAR, 0.9) == 0.0
+        assert varactor_eval(self.VAR, 0.0)[1] == 0.0
+        assert varactor_eval(self.VAR, 0.9)[1] == 0.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(c_min=0.0, c_max=6.3e-12, v_lo=0.1, v_hi=0.7),
@@ -279,6 +278,19 @@ class TestCoupledInductorMatrix:
                   for j in range(3))
             for i in range(3))
         assert coupled_inductor_matrix(x, signs) == expected
+
+    @pytest.mark.parametrize("flip_dots", [False, True])
+    def test_flip_dots_reverses_only_transformer_b(self, flip_dots):
+        x = reference_transformer()
+        net = build_netlist("tc-qvco", TopologyParams(transformer=x,
+                                                      flip_dots=flip_dots))
+        sets = {e.label: e.matrix for e in net.elements
+                if isinstance(e, CoupledInductors)}
+        signs_b = flip_ps_signs(DEFAULT_DOT_SIGNS) if flip_dots \
+            else DEFAULT_DOT_SIGNS
+        assert sets["xfmr_a"] == coupled_inductor_matrix(x)
+        assert sets["xfmr_b"] == coupled_inductor_matrix(x, signs_b)
+        assert (sets["xfmr_b"] == sets["xfmr_a"]) is not flip_dots
 
     def test_tf_vco_uses_inverted_leading_block(self):
         x = reference_transformer()

@@ -27,7 +27,7 @@ import pytest
 
 from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
-                             VaractorModel, mos_eval, varactor_capacitance)
+                             VaractorModel, mos_eval, varactor_eval)
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import NumericFailure
 from tsvqvco.netlist import Netlist, VSource
@@ -169,7 +169,7 @@ def test_varactor_jacobian_matches_finite_difference():
     f, _ = stamped(sys_, x, coef)
     a, b, cp, cn = (net.node_names.index(n) for n in ("a", "b", "cp", "cn"))
     v_sig, v_ctl = x[a] - x[b], x[cp] - x[cn]
-    assert f[a] == coef * varactor_capacitance(model, v_ctl) * v_sig
+    assert f[a] == coef * varactor_eval(model, v_ctl)[0] * v_sig
     assert f[b] == -f[a]
     analytic = assert_jacobian_matches_finite_difference(sys_, x, coef)
     # the charge moves with the control: the cp/cn columns are live
@@ -580,10 +580,10 @@ def test_varactor_at_fixed_control_matches_linear_capacitor():
         if varactor:
             net.add_varactor("a", "b", "ctl", "gnd", model)
         else:
-            net.add_capacitor("a", "b", varactor_capacitance(model, v_ctl))
+            net.add_capacitor("a", "b", varactor_eval(model, v_ctl)[0])
         return net
 
-    period = 2.0 * math.pi * math.sqrt(1e-9 * varactor_capacitance(model, v_ctl))
+    period = 2.0 * math.pi * math.sqrt(1e-9 * varactor_eval(model, v_ctl)[0])
     cfg = SimConfig(dt_s=period / 200, t_stop_s=20 * period)
     var, cap = transient(netlist(True), cfg), transient(netlist(False), cfg)
     swing = var.voltages["a"] - var.voltages["b"]

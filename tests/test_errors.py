@@ -6,7 +6,9 @@ simulator settings, the extracted transformer model, the design spec, the
 tank, the netlist elements, the device parameter blocks (transistor,
 varactor, tuning array, buffer, coupled set), the topology parameters
 and the arguments of default_sim_config, build_quadrature_bench and
-measure_metrics.  (Geometry input is covered in test_geometry.py.)
+measure_metrics.  A conductor segment's coordinates and dimensions raise
+InvalidGeometryError instead.  (Geometry input is covered in
+test_geometry.py.)
 """
 import dataclasses
 import math
@@ -18,7 +20,8 @@ import pytest
 from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms
-from tsvqvco.errors import InvalidModelError, check_finite
+from tsvqvco.errors import InvalidGeometryError, InvalidModelError, check_finite
+from tsvqvco.geometry import Segment, rect_segment
 from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Netlist
 from tsvqvco.topologies import (TopologyParams, build_netlist,
@@ -51,6 +54,8 @@ def flat_waveforms() -> Waveforms:
                      currents={})
 
 
+# Each case is (build, field), or (build, field, error) where the error
+# is not InvalidModelError.
 CASES = {
     "sim dt_s": (lambda: SimConfig(dt_s=NAN, t_stop_s=1e-9).validate(),
                  "sim config field dt_s"),
@@ -137,13 +142,30 @@ CASES = {
         lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
                              i_initial_a=["x", 0.0]),
         "coupled set field i_initial_a[0]"),
+    # NaN fails every range check, so each of these segments used to pass;
+    # a NaN radius only failed once extracted, as "transformer model
+    # field l_p"
+    "segment end": (lambda: Segment((0, 0, 0), (NAN, 0, 0), radius_m=1e-6),
+                    "segment field end", InvalidGeometryError),
+    "segment non-numeric start": (
+        lambda: Segment((0, "x", 0), (1e-5, 0, 0), radius_m=1e-6),
+        "segment field start", InvalidGeometryError),
+    "segment radius_m": (
+        lambda: Segment((0, 0, 0), (1e-5, 0, 0), radius_m=NAN),
+        "segment field radius_m", InvalidGeometryError),
+    "segment thickness_m": (
+        lambda: rect_segment((0, 0, 0), (1e-5, 0, 0), 1e-6, INF),
+        "segment field thickness_m", InvalidGeometryError),
+    "segment non-numeric width_m": (
+        lambda: rect_segment((0, 0, 0), (1e-5, 0, 0), None, 1e-6),
+        "segment field width_m", InvalidGeometryError),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_non_finite_input_is_rejected(case):
-    build, field = CASES[case]
-    with pytest.raises(InvalidModelError,
+    build, field, *error = CASES[case]
+    with pytest.raises(error[0] if error else InvalidModelError,
                        match=f"^{re.escape(field)} is not a finite number$"):
         build()
 

@@ -5,11 +5,13 @@ import re
 
 import pytest
 
+from tsvqvco.devices import VaractorModel
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.netlist import Netlist
 
 CFG = SimConfig(dt_s=1e-12, t_stop_s=1e-10)
+VARACTOR = VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7)
 
 
 def rc_netlist() -> Netlist:
@@ -58,6 +60,43 @@ def test_default_label_collision():
     with pytest.raises(InvalidModelError,
                        match=r"^duplicate element label 'r1'$"):
         net.add_resistor("a", "b", 1e3)
+
+
+def test_dotted_label_is_rejected():
+    """A coupled set labelled x names its winding branches x.w0 and x.w1;
+    an inductor labelled x.w0 would share a branch name and lose a trace."""
+    net = Netlist()
+    net.add_coupled_inductors([("a", "gnd"), ("b", "gnd")],
+                              [[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
+                              label="x")
+    with pytest.raises(InvalidModelError, match=re.escape(
+            "element label 'x.w0' must be a string without '.'")):
+        net.add_inductor("c", "gnd", 1e-9, label="x.w0")
+    assert len(net.elements) == 1
+
+
+@pytest.mark.parametrize("add, message", [
+    (lambda net: net.add_resistor("c", "d", 1e3, label="r1"),
+     "duplicate element label 'r1'"),
+    (lambda net: net.add_varactor("c", "d", "e", "gnd", VARACTOR, label="c1"),
+     "duplicate element label 'c1'"),
+    (lambda net: net.add_inductor("c", "d", 1e-9, label="l.1"),
+     "element label 'l.1' must be a string without '.'"),
+    (lambda net: net.add_vccs("c", "d", "e", "", 1e-3),
+     "node names must be non-empty strings"),
+    (lambda net: net.add_coupled_inductors(
+        [("c", "d"), ("e", 7)], [[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1]),
+     "node names must be non-empty strings"),
+], ids=["duplicate_label", "duplicate_label_4_terminals", "dotted_label",
+        "empty_node_name", "non_string_node_name"])
+def test_rejected_add_registers_no_node(add, message):
+    """A rejected add leaves the node list as it was, so the netlist
+    still validates."""
+    net = rc_netlist()
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        add(net)
+    assert net.node_names == ["a"]
+    net.validate()
 
 
 def test_no_ground_connection():
