@@ -40,7 +40,7 @@ class TankParams:
     k: float
     n: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_finite(InvalidModelError, "tank", name, value)
         if self.r_parallel <= 0:
@@ -73,14 +73,12 @@ def resonant_frequency(l_eq: float, c_eq: float) -> float:
 
 def tank_resonance_and_q(t: TankParams) -> tuple[float, float]:
     """(omega0, Q) of the tank, Q = omega0 R C."""
-    t.validate()
     omega0 = resonant_frequency(t.l_eq, t.c_tank)
     return omega0, omega0 * t.r_parallel * t.c_tank
 
 
 def min_transconductance(t: TankParams) -> float:
     """Smallest per-transistor g_m (S) that sustains the quadrature mode."""
-    t.validate()
     kn = t.kn
     if kn * kn <= 2.0:
         raise InfeasibleDesignError(
@@ -108,7 +106,6 @@ def solve_characteristic(t: TankParams, g_m: float) -> float:
     found by bracketing and bisection.  Deliberately does not reuse the
     closed form: this is the independent oracle it is tested against.
     """
-    t.validate()
     if g_m < 0:
         raise InvalidModelError("solve_characteristic needs g_m >= 0")
 
@@ -150,7 +147,7 @@ def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
             + 10.0 * math.log10(power_mw) + phi_noise_dbc)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DesignSpec:
     """Oscillator design targets; field suffixes carry the units."""
 
@@ -166,7 +163,7 @@ class DesignSpec:
     max_delta_v_out_v: float
     c_parasitic_f: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_finite(InvalidModelError, "design spec", name, value)
         for name in ("v_dd_v", "f_c_hz", "l_p_target_h", "l_s_target_h",
@@ -228,8 +225,6 @@ def design_tank(spec: DesignSpec,
     the coil quality factor: R = Q_L * omega0 * k^2 L_p with
     Q_L = omega0 L_p / R_pac.
     """
-    spec.validate()
-    xfmr.validate()
     c_tank = spec.c_var_mid_f + spec.c_parasitic_f
     k = 0.5 * (xfmr.k_ps1 + xfmr.k_ps2)
     l_s = 0.5 * (xfmr.l_s1 + xfmr.l_s2)
@@ -240,5 +235,4 @@ def design_tank(spec: DesignSpec,
     r_parallel = q_coil * omega0 * l_eq
     tank = TankParams(r_parallel=r_parallel, c_tank=c_tank, l_p=xfmr.l_p,
                       k=k, n=n)
-    tank.validate()
     return tank, _feasibility(tank)

@@ -37,7 +37,7 @@ class MosParams:
     v_th: float
     lam: float = 0.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.polarity not in ("n", "p"):
             raise InvalidModelError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
         for name in ("k_factor", "v_th", "lam"):
@@ -116,7 +116,7 @@ class VaractorModel:
     v_hi: float
     shape: float = 2.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_finite(InvalidModelError, "varactor", name, value)
         if not 0 < self.c_min < self.c_max:
@@ -154,7 +154,7 @@ class TuningArray:
     c_unit: float
     code: str = "00"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         check_finite(InvalidModelError, "tuning array", "c_unit", self.c_unit)
         if self.c_unit <= 0:
             raise InvalidModelError("tuning array c_unit must be positive")
@@ -216,13 +216,12 @@ class BufferParams:
     def pmos(self) -> MosParams:
         return p_channel_mirror(self.nmos, self.p_to_n_ratio)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("c_couple", "r_feedback", "p_to_n_ratio"):
             check_finite(InvalidModelError, "buffer", name, getattr(self, name))
         if self.c_couple <= 0 or self.r_feedback <= 0:
             raise InvalidModelError("buffer coupling C and feedback R must be positive")
         if self.p_to_n_ratio <= 1.0:
             raise InvalidModelError("buffer pull-up must be stronger than pull-down")
-        self.nmos.validate()
         if self.nmos.polarity != "n":
             raise InvalidModelError("nmos must be an n-channel device")

@@ -82,9 +82,11 @@ KCL_ABS_A = 1e-9
 # singular.  1 nS is nine decades below the operating conductances here,
 # so it never shows in the waveforms.
 GMIN = 1e-9
+# Largest step-size spread, relative to the mean step, of a uniform grid.
+UNIFORM_STEP_REL = 1e-6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Fixed step and stop time of one transient; the Newton tolerances,
     the KCL gate and the leak are the constants above."""
@@ -92,7 +94,7 @@ class SimConfig:
     dt_s: float
     t_stop_s: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_finite(InvalidModelError, "sim config", name, value)
         if self.dt_s <= 0:
@@ -101,12 +103,11 @@ class SimConfig:
             raise InvalidModelError("stop time must exceed the time step")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Waveforms:
     """Uniform-grid simulation output and what the run cost: the worst
-    per-step KCL residual, the Newton iterations (passes through the
-    Newton loop; one that exits on a small update evaluates the devices
-    a second time, for the residual) and the linear solves over all
+    per-step KCL residual, the Newton iterations (device evaluations:
+    the linear solves plus one per step) and the linear solves over all
     steps."""
 
     time_s: np.ndarray
@@ -116,11 +117,20 @@ class Waveforms:
     newton_iterations: int = 0
     linear_solves: int = 0
 
-    def validate(self) -> None:
-        if np.any(np.diff(self.time_s) <= 0):
+    def __post_init__(self) -> None:
+        traces = [("time_s", self.time_s), *self.voltages.items(),
+                  *self.currents.items()]
+        for name, trace in traces:
+            if not np.isfinite(trace).all():
+                raise InvalidModelError(
+                    f"waveforms field {name} is not a finite number")
+        dt = np.diff(self.time_s)
+        if np.any(dt <= 0):
             raise InvalidModelError("time grid must be strictly increasing")
+        if len(dt) and np.ptp(dt) > UNIFORM_STEP_REL * dt.mean():
+            raise InvalidModelError("time grid must be uniform")
         n = len(self.time_s)
-        for name, trace in list(self.voltages.items()) + list(self.currents.items()):
+        for name, trace in traces[1:]:
             if len(trace) != n:
                 raise InvalidModelError(f"trace {name} length mismatch")
 
@@ -315,8 +325,8 @@ def _device_values(sys: _System, x: np.ndarray, coef: float):
 def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
                  b: np.ndarray, t: float):
     """Newton on a0 x + stamps(x) = b from x, which is extended by the
-    ground slot and updated in place.  Returns the solution, its residual,
-    the iterations and the linear solves."""
+    ground slot and updated in place.  Returns the solution, its residual
+    and the linear solves; the iterations are the solves plus one."""
     size = sys.size
     abs_b = np.abs(b[:size])
 
@@ -332,7 +342,7 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
             f_ref = stage.abs_a0 @ np.abs(x[:size]) + abs_b
             limit = np.minimum(NEWTON_ABS + NEWTON_REL * f_ref, sys.kcl_cap)
             if (np.abs(f) <= limit).all():
-                return x, f, it + 1, it
+                return x, f, it
         # the Jacobian only now: an accepted residual needs none
         js = stage.a0s + (stage.jsts @ part).reshape(size, size)
         try:
@@ -343,11 +353,6 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
         if not math.isfinite(dx_max):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
         x[:size] -= dx
-        tol = NEWTON_ABS + NEWTON_REL * float(np.abs(x[:size]).max())
-        if dx_max <= tol:
-            cur, _ = _device_values(sys, x, stage.coef)
-            f = (stage.a0 @ x - b + sys.inc @ cur)[:size]
-            return x, f, it + 1, it + 1
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
@@ -356,7 +361,6 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     """Run one fixed-step transient; see module docstring for method."""
     net.validate()
-    cfg.validate()
     h = cfg.dt_s
     n_steps = int(round(cfg.t_stop_s / h))
     if n_steps < 2:
@@ -371,7 +375,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out = np.empty((n_steps + 1, sys.size + 1))
     out[0] = x
     kcl_max = 0.0
-    newton_iterations = linear_solves = 0
+    linear_solves = 0
     stages = itertools.chain([sys.be], itertools.repeat(sys.tr, n_steps - 1))
     for step, stage in enumerate(stages, start=1):
         t = times[step]
@@ -387,8 +391,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         b = stage.coef * q + i
         for row, e in sys.vsources:
             b[row] = e.value_at(t)
-        x, resid, iterations, solves = _newton_step(sys, x0, stage, b, t)
-        newton_iterations += iterations
+        x, resid, solves = _newton_step(sys, x0, stage, b, t)
         linear_solves += solves
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
@@ -406,8 +409,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
                 for i, name in enumerate(net.node_names)}
     currents = {f"I({lbl})": out[:, sys.n + j].copy()
                 for j, lbl in enumerate(sys.branch_labels)}
-    wave = Waveforms(time_s=times, voltages=voltages, currents=currents,
-                     kcl_max_a=kcl_max, newton_iterations=newton_iterations,
+    return Waveforms(time_s=times, voltages=voltages, currents=currents,
+                     kcl_max_a=kcl_max,
+                     newton_iterations=linear_solves + n_steps,
                      linear_solves=linear_solves)
-    wave.validate()
-    return wave

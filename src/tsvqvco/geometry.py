@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 from .errors import InvalidGeometryError, check_finite
 
 UM = 1e-6
+PATH_GAP_TOL_M = 1e-9  # largest end-to-start gap of a connected winding path
 
 STYLE_TOROIDAL = "toroidal"
 STYLE_VERTICAL_SPIRAL = "vertical_spiral"
 _STYLES = (STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProcessParams:
     """Stack parameters of the 3D process, one tier of which hosts the TSVs.
 
@@ -40,8 +41,8 @@ class ProcessParams:
     via_m8_m7_um: float = 3.0
     resistivity_ohm_m: float = 1.68e-8
 
-    def validate(self) -> None:
-        for name, value in asdict(self).items():
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
             check_finite(InvalidGeometryError, "process", name, value)
             if value <= 0:
                 raise InvalidGeometryError(f"process field {name} must be positive, got {value}")
@@ -64,9 +65,7 @@ class ProcessParams:
         extra = set(data) - known
         if extra:
             raise InvalidGeometryError(f"unknown process fields: {sorted(extra)}")
-        p = cls(**data)
-        p.validate()
-        return p
+        return cls(**data)
 
 
 @dataclass
@@ -141,23 +140,23 @@ def rect_segment(start, end, width_m, thickness_m) -> Segment:
                    width_m=width_m, thickness_m=thickness_m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CoilGeometry:
     """Ordered, electrically connected segment path of one winding."""
 
     name: str
     segments: list[Segment] = field(default_factory=list)
 
-    def validate(self, tol_m: float = 1e-9) -> None:
+    def __post_init__(self) -> None:
         if not self.segments:
             raise InvalidGeometryError(f"coil {self.name!r} has no segments")
         for a, b in zip(self.segments, self.segments[1:]):
-            if math.dist(a.end, b.start) > tol_m:
+            if math.dist(a.end, b.start) > PATH_GAP_TOL_M:
                 raise InvalidGeometryError(
                     f"coil {self.name!r} path breaks between {a.end} and {b.start}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerGeometry:
     """Parametric description of a three-coil TSV transformer.
 
@@ -181,7 +180,7 @@ class TransformerGeometry:
     secondary_slots: list[list[int]] | None = None
     process: ProcessParams = field(default_factory=ProcessParams)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.style not in _STYLES:
             raise InvalidGeometryError(
                 f"style must be one of {_STYLES}, got {self.style!r}")
@@ -196,7 +195,6 @@ class TransformerGeometry:
         if self.trace_width_um is not None:
             check_finite(InvalidGeometryError, "geometry", "trace_width_um",
                          self.trace_width_um)
-        self.process.validate()
         min_pitch = self.process.min_pitch_um
         if self.tsv_pitch_um < min_pitch:
             raise InvalidGeometryError(
@@ -251,9 +249,7 @@ class TransformerGeometry:
                    "tsv_pitch_um", "row_spacing_um"} - set(data)
         if missing:
             raise InvalidGeometryError(f"missing geometry fields: {sorted(missing)}")
-        geom = cls(process=ProcessParams.from_dict(proc), **data)
-        geom.validate()
-        return geom
+        return cls(process=ProcessParams.from_dict(proc), **data)
 
     @classmethod
     def from_json_file(cls, path) -> "TransformerGeometry":

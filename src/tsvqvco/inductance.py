@@ -8,13 +8,13 @@ Mutual terms between collinear pieces of a straight wire are the d -> 0
 limit of the same kernel, which keeps partial-inductance additivity exact
 under re-segmentation.
 
-A winding is validated and packed once into arrays (``pack_coil``): start,
-end and midpoints, unit vectors, lengths and body half extents, one column
-per segment.  One numpy pair kernel, ``_pair_mutuals``, then evaluates every
-segment pair of a loop (i < j) or of two windings (all a x b pairs) in a
-single call; ``mutual_partial_inductance`` is its one-pair case.
-Perpendicular pairs are exactly zero and are dropped before the
-transcendental work.
+A winding arrives valid, having checked its path when it was built, and
+is packed once into arrays (``pack_coil``): start, end and midpoints, unit
+vectors, lengths and body half extents, one column per segment.  One numpy
+pair kernel, ``_pair_mutuals``, then evaluates every segment pair of a loop
+(i < j) or of two windings (all a x b pairs) in a single call;
+``mutual_partial_inductance`` is its one-pair case.  Perpendicular pairs are
+exactly zero and are dropped before the transcendental work.
 
 Overlapping conductors raise InvalidGeometryError.  The error names the
 first overlapping pair in visiting order (i-major with j > i within a
@@ -107,7 +107,7 @@ def _take(rows: _Rows, idx: np.ndarray) -> _Rows:
 
 @dataclass(frozen=True, eq=False)
 class PackedCoil:
-    """A validated winding with its segments packed into arrays once.
+    """A winding with its segments packed into arrays once.
 
     Lengths come from ``Segment.length_m``, and unit vectors are the same
     (end - start) / length quotients ``Segment.direction`` forms, so every
@@ -131,10 +131,10 @@ def _pack(name: str, segments) -> PackedCoil:
 
 
 def pack_coil(coil: CoilGeometry | PackedCoil) -> PackedCoil:
-    """Validate a winding and pack it; a packed coil is returned as is."""
+    """Pack a winding, valid since it was built; a packed coil is
+    returned as is."""
     if isinstance(coil, PackedCoil):
         return coil
-    coil.validate()
     return _pack(coil.name, coil.segments)
 
 

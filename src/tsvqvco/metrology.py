@@ -31,7 +31,7 @@ STEADY_REL_TOL = 1e-3
 ENVELOPE_FRAC = 0.9
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimMetrics:
     """Steady-state measurements for one transient run.
 
@@ -52,7 +52,7 @@ class SimMetrics:
     power_buffer_mw: float | None = None
     steady: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.oscillating:
             if self.f_osc_hz is None or self.f_osc_hz <= 0:
                 raise InvalidModelError(
@@ -166,7 +166,6 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
     run.  A swing below MIN_SWING_V over the final tenth, or an unusable
     spectrum, reports a not-oscillating result rather than raising.
     """
-    w.validate()
     check_finite(InvalidModelError, "metrics", "v_dd", v_dd)
     if v_dd <= 0:
         raise InvalidModelError("supply voltage must be positive")
@@ -220,14 +219,12 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
 
     delta = (max(amplitudes.values()) - min(amplitudes.values())
              if len(outputs) >= 2 else None)
-    m = SimMetrics(
+    return SimMetrics(
         oscillating=True, f_osc_hz=f_osc, amplitudes_vpp=amplitudes,
         delta_v_out_v=delta, phases_deg=phases, startup_s=startup,
         power_core_mw=_supply_power_mw(w, CORE_SUPPLY, v_dd, f_osc),
         power_buffer_mw=_supply_power_mw(w, BUFFER_SUPPLY, v_dd, f_osc),
         steady=steady)
-    m.validate()
-    return m
 
 
 def phase_noise_leeson(t: TankParams, p_sig_mw: float, offset_hz: float,
@@ -239,7 +236,6 @@ def phase_noise_leeson(t: TankParams, p_sig_mw: float, offset_hz: float,
     1/f^2 region is modeled; flicker corner and noise floor are out of
     scope.
     """
-    t.validate()
     if p_sig_mw <= 0:
         raise InvalidModelError("signal power must be positive")
     if offset_hz <= 0:

@@ -204,13 +204,11 @@ class Netlist:
 
     def add_mos(self, d: str, g: str, s: str, params: MosParams,
                 label: str | None = None) -> None:
-        params.validate()
         label, nodes = self._resolve(label, "m", d, g, s)
         self.elements.append(Mos(*nodes, params, label))
 
     def add_varactor(self, a: str, b: str, cp: str, cn: str,
                      model: VaractorModel, label: str | None = None) -> None:
-        model.validate()
         label, nodes = self._resolve(label, "cv", a, b, cp, cn)
         self.elements.append(Varactor(*nodes, model, label))
 

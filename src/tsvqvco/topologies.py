@@ -61,7 +61,7 @@ DEFAULT_DOT_SIGNS = ((1, 1, -1),
                      (-1, -1, 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TopologyParams:
     """Device, tank and bias block consumed by build_netlist.
 
@@ -86,7 +86,7 @@ class TopologyParams:
     c_parasitic_f: float = 0.0
     buffers: BufferParams | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("v_dd_v", "l_tank_h", "c_tank_f", "r_tank_ohm",
                      "v_ctrl_v", "c_parasitic_f"):
             value = getattr(self, name)
@@ -94,19 +94,10 @@ class TopologyParams:
                 check_finite(InvalidModelError, "topology", name, value)
         if self.v_dd_v <= 0:
             raise InvalidModelError("supply voltage must be positive")
-        self.nmos.validate()
         if self.nmos.polarity != "n":
             raise InvalidModelError("nmos must be an n-channel device")
-        if self.transformer is not None:
-            self.transformer.validate()
         if self.c_parasitic_f < 0:
             raise InvalidModelError("parasitic capacitance cannot be negative")
-        if self.varactor is not None:
-            self.varactor.validate()
-        if self.array is not None:
-            self.array.validate()
-        if self.buffers is not None:
-            self.buffers.validate()
 
     def pmos(self) -> MosParams:
         """The core PMOS: the mirror of nmos."""
@@ -260,7 +251,6 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
     if topology not in _BUILDERS:
         raise InvalidModelError(
             f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
-    params.validate()
     net = Netlist()
     net.add_vsource("vdd", "gnd", params.v_dd_v, label=CORE_SUPPLY,
                     ramp_s=SOURCE_RAMP_S)
@@ -276,7 +266,6 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
             if src in net.node_names:
                 _add_buffer(net, params.buffers, src, str(tag))
     net.set_initial_voltage("V_o1", PERTURBATION_V)
-    net.validate()
     return net
 
 
@@ -291,7 +280,6 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     the +-90 degree modes.  Like build_netlist, it seeds startup with
     V_o1 at PERTURBATION_V.
     """
-    t.validate()
     check_finite(InvalidModelError, "quadrature bench", "g_m_margin",
                  g_m_margin)
     if g_m_margin <= 0:
@@ -310,7 +298,6 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     net.add_vccs("V_o1", "gnd", "V_o3", "gnd", -g_cross, label="g_cross_13")
     net.add_vccs("V_o3", "gnd", "V_o1", "gnd", g_cross, label="g_cross_31")
     net.set_initial_voltage("V_o1", PERTURBATION_V)
-    net.validate()
     return net
 
 
@@ -323,7 +310,5 @@ def default_sim_config(f_est_hz: float, n_periods: int) -> SimConfig:
         raise InvalidModelError("frequency estimate must be positive")
     if n_periods < 2:
         raise InvalidModelError("simulation span too small")
-    cfg = SimConfig(dt_s=1.0 / (POINTS_PER_PERIOD * f_est_hz),
-                    t_stop_s=n_periods / f_est_hz)
-    cfg.validate()
-    return cfg
+    return SimConfig(dt_s=1.0 / (POINTS_PER_PERIOD * f_est_hz),
+                     t_stop_s=n_periods / f_est_hz)

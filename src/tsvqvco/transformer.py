@@ -186,9 +186,7 @@ def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
                                      (x2, y_lane, z_run), w, t_run))
             segs.append(rect_segment((x2, y_lane, z_run), (x2, y_lo, z_run),
                                      w, t_run))
-    coil = CoilGeometry(name=name, segments=segs)
-    coil.validate()
-    return coil
+    return CoilGeometry(name=name, segments=segs)
 
 
 def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
@@ -251,9 +249,7 @@ def _vertical_spiral_coil(name: str, cells: list[int], pitch_um: float,
         if i + 1 < len(cells):
             xc = (2 * cells[i + 1]) * pitch_um * UM
             segs.append(rect_segment((xb, y, -h), (xc, y, -h), w, t))
-    coil = CoilGeometry(name=name, segments=segs)
-    coil.validate()
-    return coil
+    return CoilGeometry(name=name, segments=segs)
 
 
 def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
@@ -287,7 +283,6 @@ def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, CoilGeomet
 
 def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     """Generate the three winding paths described by a parametric geometry."""
-    geom.validate()
     if geom.style == STYLE_TOROIDAL:
         return _generate_toroidal(geom)
     return _generate_vertical_spiral(geom)
@@ -308,7 +303,7 @@ def metal_area(geom: TransformerGeometry) -> float:
     return _footprint_mm2(generate_coils(geom))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformerModel:
     """Lumped three-coil transformer extracted at one evaluation frequency."""
 
@@ -325,7 +320,7 @@ class TransformerModel:
     area_mm2: float
     eval_frequency_hz: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name, value in vars(self).items():
             check_finite(InvalidModelError, "transformer model", name, value)
         for name in ("l_p", "l_s1", "l_s2"):
@@ -361,7 +356,7 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     for role in ROLES:
         if role not in coils:
             raise InvalidModelError(f"missing coil {role!r}")
-    # Each winding is validated and packed once, right before its own
+    # Each winding arrives valid and is packed once, right before its own
     # terms, so the first defect reported follows the role order.
     packed, inductance = [], []
     for role in ROLES:
@@ -375,14 +370,12 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     r_pdc, r_pac = coil_resistance(prim, eval_frequency_hz, resistivity_ohm_m)
     r_s1dc, r_s1ac = coil_resistance(s1, eval_frequency_hz, resistivity_ohm_m)
     r_s2dc, r_s2ac = coil_resistance(s2, eval_frequency_hz, resistivity_ohm_m)
-    model = TransformerModel(
+    return TransformerModel(
         l_p=l_p, l_s1=l_s1, l_s2=l_s2,
         r_pdc=r_pdc, r_pac=r_pac,
         r_sdc=0.5 * (r_s1dc + r_s2dc), r_sac=0.5 * (r_s1ac + r_s2ac),
         k_ps1=k_ps1, k_ps2=k_ps2, k_ss=k_ss,
         area_mm2=area_mm2, eval_frequency_hz=eval_frequency_hz)
-    model.validate()
-    return model
 
 
 def build_transformer(geom: TransformerGeometry) -> TransformerModel:

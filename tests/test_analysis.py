@@ -68,7 +68,7 @@ def random_tank(rng) -> TankParams:
 
 class TestTankParams:
     def test_reference_tank_validates(self):
-        REF_TANK.validate()
+        assert dataclasses.replace(REF_TANK) == REF_TANK
 
     def test_derived_properties(self):
         assert math.isclose(REF_TANK.kn, 2.0, rel_tol=1e-12)
@@ -87,7 +87,7 @@ class TestTankParams:
                       n=2.0)
         kwargs[field] = value
         with pytest.raises(InvalidModelError):
-            TankParams(**kwargs).validate()
+            TankParams(**kwargs)
 
 
 class TestResonantFrequency:
@@ -235,7 +235,7 @@ class TestFigureOfMerit:
 
 class TestDesignSpec:
     def test_reference_spec_validates(self):
-        reference_spec().validate()
+        assert dataclasses.replace(reference_spec()) == reference_spec()
 
     def test_mid_capacitance(self):
         assert math.isclose(reference_spec().c_var_mid_f, 4.2e-12,
@@ -254,7 +254,7 @@ class TestDesignSpec:
     ])
     def test_rejects_bad_spec(self, overrides):
         with pytest.raises(InvalidModelError):
-            reference_spec(**overrides).validate()
+            reference_spec(**overrides)
 
 
 class TestDesignTank:

@@ -5,6 +5,7 @@ equations and frozen here; the derivative checks compare the analytic
 partials mos_eval returns against centered finite differences of the
 current it returns.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -45,8 +46,8 @@ PMOS = MosParams(polarity="p", k_factor=0.3, v_th=-0.3, lam=0.1)
 
 class TestMosParams:
     def test_valid_params_pass(self):
-        NMOS.validate()
-        PMOS.validate()
+        for p in (NMOS, PMOS):
+            assert dataclasses.replace(p) == p
 
     @pytest.mark.parametrize("kwargs", [
         dict(polarity="x", k_factor=1e-3, v_th=0.3),
@@ -57,7 +58,7 @@ class TestMosParams:
     ])
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(InvalidModelError):
-            MosParams(**kwargs).validate()
+            MosParams(**kwargs)
 
 
 class TestMosCurrent:
@@ -182,17 +183,17 @@ class TestVaractor:
     ])
     def test_rejects_bad_model(self, kwargs):
         with pytest.raises(InvalidModelError):
-            VaractorModel(**kwargs).validate()
+            VaractorModel(**kwargs)
 
 
 class TestTuningArray:
     def test_rejects_unknown_code(self):
         with pytest.raises(InvalidModelError, match="code"):
-            TuningArray(c_unit=2e-12, code="12").validate()
+            TuningArray(c_unit=2e-12, code="12")
 
     def test_rejects_nonpositive_unit(self):
         with pytest.raises(InvalidModelError, match="c_unit"):
-            TuningArray(c_unit=0.0).validate()
+            TuningArray(c_unit=0.0)
 
 
 class TestCoupledInductorMatrix:
@@ -350,7 +351,7 @@ class TestCoupledSetCheck:
 
 class TestBufferParams:
     def test_defaults_validate(self):
-        BufferParams().validate()
+        assert BufferParams().nmos.polarity == "n"
 
     def test_pmos_is_scaled_mirror(self):
         b = BufferParams(p_to_n_ratio=2.5)
@@ -363,17 +364,12 @@ class TestBufferParams:
     def test_rejects_p_channel_nmos(self):
         # mirrored by pmos(), a p-channel nmos would leave the inverter
         # with two pull-ups and no pull-down
-        buf = BufferParams(nmos=PMOS)
         with pytest.raises(InvalidModelError, match="n-channel"):
-            buf.validate()
-        params = TopologyParams(transformer=reference_transformer(),
-                                buffers=buf)
-        with pytest.raises(InvalidModelError, match="n-channel"):
-            build_netlist("tc-qvco", params)
+            BufferParams(nmos=PMOS)
 
     def test_rejects_weak_pullup(self):
         with pytest.raises(InvalidModelError, match="pull-up"):
-            BufferParams(p_to_n_ratio=1.0).validate()
+            BufferParams(p_to_n_ratio=1.0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(c_couple=0.0),
@@ -381,4 +377,4 @@ class TestBufferParams:
     ])
     def test_rejects_bad_passives(self, kwargs):
         with pytest.raises(InvalidModelError):
-            BufferParams(**kwargs).validate()
+            BufferParams(**kwargs)

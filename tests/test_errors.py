@@ -2,11 +2,11 @@
 
 Every layer that takes numbers rejects NaN and inf with a typed error that
 names the field, before any range check can let them through: the
-simulator settings, the extracted transformer model, the design spec, the
-tank, the netlist elements, the device parameter blocks (transistor,
-varactor, tuning array, buffer, coupled set), the topology parameters
-and the arguments of default_sim_config, build_quadrature_bench and
-measure_metrics.  A conductor segment's coordinates and dimensions raise
+simulator settings and waveforms, the extracted transformer model, the
+design spec, the tank, the netlist elements, the device parameter blocks
+(transistor, varactor, tuning array, buffer, coupled set), the topology
+parameters and the arguments of default_sim_config,
+build_quadrature_bench and measure_metrics.  A conductor segment's coordinates and dimensions raise
 InvalidGeometryError instead.  (Geometry input is covered in
 test_geometry.py.)
 """
@@ -49,17 +49,18 @@ def coupled_pair(matrix, series_r, i_initial_a=None) -> None:
                                     series_r, i_initial_a=i_initial_a)
 
 
-def flat_waveforms() -> Waveforms:
-    return Waveforms(time_s=np.arange(3.0), voltages={"V_o1": np.zeros(3)},
-                     currents={})
+def flat_waveforms(time_s=(0.0, 1.0, 2.0), v_o1=(0.0, 0.0, 0.0),
+                   i_vdd=(0.0, 0.0, 0.0)) -> Waveforms:
+    return Waveforms(time_s=np.array(time_s), voltages={"V_o1": np.array(v_o1)},
+                     currents={"I(v_dd)": np.array(i_vdd)})
 
 
 # Each case is (build, field), or (build, field, error) where the error
 # is not InvalidModelError.
 CASES = {
-    "sim dt_s": (lambda: SimConfig(dt_s=NAN, t_stop_s=1e-9).validate(),
+    "sim dt_s": (lambda: SimConfig(dt_s=NAN, t_stop_s=1e-9),
                  "sim config field dt_s"),
-    "sim t_stop_s": (lambda: SimConfig(dt_s=1e-12, t_stop_s=INF).validate(),
+    "sim t_stop_s": (lambda: SimConfig(dt_s=1e-12, t_stop_s=INF),
                      "sim config field t_stop_s"),
     # NaN fails every range check, so without the finite check each of
     # these entry-point arguments fails later under a derived name
@@ -73,19 +74,27 @@ CASES = {
         "quadrature bench field g_m_margin"),
     "metrics v_dd": (lambda: measure_metrics(flat_waveforms(), NAN),
                      "metrics field v_dd"),
+    # a NaN time or trace used to reach measure_metrics, which raised an
+    # untyped ValueError or OverflowError converting it to an index
+    "waveforms time_s": (lambda: flat_waveforms(time_s=(0.0, NAN, 2.0)),
+                         "waveforms field time_s"),
+    "waveforms voltage": (lambda: flat_waveforms(v_o1=(0.0, INF, 0.0)),
+                          "waveforms field V_o1"),
+    "waveforms current": (lambda: flat_waveforms(i_vdd=(NAN, 0.0, 0.0)),
+                          "waveforms field I(v_dd)"),
     # NaN fails every range comparison, so each of the model and spec
     # fields used to pass, and the run failed later under a derived name
     **{f"transformer model {name}": (
-        lambda name=name: dataclasses.replace(MODEL, **{name: NAN}).validate(),
+        lambda name=name: dataclasses.replace(MODEL, **{name: NAN}),
         f"transformer model field {name}")
        for name in ("l_p", "r_pdc", "r_pac", "area_mm2")},
     "design spec c_parasitic_f": (
-        lambda: dataclasses.replace(SPEC, c_parasitic_f=NAN).validate(),
+        lambda: dataclasses.replace(SPEC, c_parasitic_f=NAN),
         "design spec field c_parasitic_f"),
-    "tank r_parallel": (lambda: tank(r_parallel=NAN).validate(),
+    "tank r_parallel": (lambda: tank(r_parallel=NAN),
                         "tank field r_parallel"),
     "tank n": (lambda: min_transconductance(tank(n=NAN)), "tank field n"),
-    "tank c_tank": (lambda: tank(c_tank=INF).validate(),
+    "tank c_tank": (lambda: tank(c_tank=INF),
                     "tank field c_tank"),
     "resistor": (lambda: Netlist().add_resistor("a", "gnd", NAN),
                  "resistor field ohms"),
@@ -105,9 +114,9 @@ CASES = {
              "vccs field gm"),
     "initial voltage": (lambda: Netlist().set_initial_voltage("a", NAN),
                         "initial condition field a"),
-    "mos k_factor": (lambda: MosParams("n", NAN, 0.1).validate(),
+    "mos k_factor": (lambda: MosParams("n", NAN, 0.1),
                      "mos field k_factor"),
-    "mos lam": (lambda: MosParams("n", 1e-3, 0.1, INF).validate(),
+    "mos lam": (lambda: MosParams("n", 1e-3, 0.1, INF),
                 "mos field lam"),
     # NaN fails every comparison, so each of these used to pass its
     # range check; the parasitic capacitors were silently left out
@@ -117,11 +126,11 @@ CASES = {
             c_parasitic_f=NAN)),
         "topology field c_parasitic_f"),
     "varactor shape": (
-        lambda: VaractorModel(1e-12, 3e-12, 0.0, 0.7, shape=NAN).validate(),
+        lambda: VaractorModel(1e-12, 3e-12, 0.0, 0.7, shape=NAN),
         "varactor field shape"),
-    "tuning array c_unit": (lambda: TuningArray(c_unit=NAN).validate(),
+    "tuning array c_unit": (lambda: TuningArray(c_unit=NAN),
                             "tuning array field c_unit"),
-    "buffer c_couple": (lambda: BufferParams(c_couple=NAN).validate(),
+    "buffer c_couple": (lambda: BufferParams(c_couple=NAN),
                         "buffer field c_couple"),
     "coupled set matrix": (
         lambda: coupled_pair([[1e-9, NAN], [NAN, 1e-9]], [0.1, 0.1]),
@@ -168,6 +177,17 @@ def test_non_finite_input_is_rejected(case):
     with pytest.raises(error[0] if error else InvalidModelError,
                        match=f"^{re.escape(field)} is not a finite number$"):
         build()
+
+
+def test_non_uniform_time_grid_is_rejected():
+    # A step that grows by 1.5x halfway through the run used to pass, and
+    # measure_metrics then read this 2 GHz sine as 3.0 GHz.
+    dt = 25e-12
+    time_s = np.concatenate([dt * np.arange(1500),
+                             dt * (1499 + 1.5 * np.arange(1, 1001))])
+    sine = 0.2 * np.sin(2 * np.pi * 2e9 * time_s)
+    with pytest.raises(InvalidModelError, match="^time grid must be uniform$"):
+        flat_waveforms(time_s, sine, np.zeros_like(sine))
 
 
 def test_ragged_coupled_matrix_keeps_the_shape_message():

@@ -27,7 +27,6 @@ TOROIDAL_DOC = {
 class TestProcessParams:
     def test_defaults_validate(self):
         proc = ProcessParams()
-        proc.validate()
         assert proc.tier_height_um == 60.0
         assert proc.tsv_radius_um == pytest.approx(9.5)
 
@@ -42,21 +41,18 @@ class TestProcessParams:
         ("m9_thickness_um", float("nan")),
     ])
     def test_rejects_nonpositive_fields(self, field, value):
-        proc = ProcessParams(**{field: value})
         with pytest.raises(InvalidGeometryError):
-            proc.validate()
+            ProcessParams(**{field: value})
 
     @pytest.mark.parametrize("value", [True, "60", None, float("inf")])
     def test_rejects_non_numbers_naming_the_field(self, value):
-        proc = ProcessParams(tier_height_um=value)
         with pytest.raises(InvalidGeometryError,
                            match="process field tier_height_um is not a finite number"):
-            proc.validate()
+            ProcessParams(tier_height_um=value)
 
     def test_rejects_liner_eating_whole_via(self):
-        proc = ProcessParams(tsv_liner_um=10.0)
         with pytest.raises(InvalidGeometryError, match="liner"):
-            proc.validate()
+            ProcessParams(tsv_liner_um=10.0)
 
     def test_from_dict_rejects_unknown_field(self):
         with pytest.raises(InvalidGeometryError, match="unknown process"):
@@ -104,32 +100,28 @@ class TestCoilGeometry:
             rect_segment((0, 0, 60e-6), (66e-6, 0, 60e-6), 10e-6, 7e-6),
             round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6),
         ])
-        coil.validate()
+        assert len(coil.segments) == 3
 
     def test_empty_coil_rejected(self):
         with pytest.raises(InvalidGeometryError, match="no segments"):
-            CoilGeometry(name="empty").validate()
+            CoilGeometry(name="empty")
 
     def test_broken_path_rejected(self):
-        coil = CoilGeometry(name="gap", segments=[
-            round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
-            round_segment((5e-6, 0, 60e-6), (5e-6, 0, 0), 9.5e-6),
-        ])
         with pytest.raises(InvalidGeometryError, match="path breaks"):
-            coil.validate()
+            CoilGeometry(name="gap", segments=[
+                round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
+                round_segment((5e-6, 0, 60e-6), (5e-6, 0, 0), 9.5e-6),
+            ])
 
 
 class TestTransformerGeometry:
     def test_committed_configs_validate(self, toroidal_geometry, vertical_spiral_geometry):
-        toroidal_geometry.validate()
-        vertical_spiral_geometry.validate()
         assert toroidal_geometry.style == "toroidal"
         assert vertical_spiral_geometry.style == "vertical_spiral"
 
     def test_rejects_unknown_style(self, toroidal_geometry):
-        toroidal_geometry.style = "planar"
         with pytest.raises(InvalidGeometryError, match="style"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, style="planar")
 
     @pytest.mark.parametrize("field,value", [
         ("turns_primary", 0),
@@ -137,58 +129,48 @@ class TestTransformerGeometry:
         ("turns_secondary", -1),
     ])
     def test_rejects_bad_turn_counts(self, toroidal_geometry, field, value):
-        setattr(toroidal_geometry, field, value)
-        toroidal_geometry.secondary_slots = None
         with pytest.raises(InvalidGeometryError, match="positive integer"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=None,
+                                **{field: value})
 
     def test_rejects_pitch_below_keepout(self, toroidal_geometry):
         # 20 um via plus 5 um keep-out puts the floor at 25 um center to center
-        toroidal_geometry.tsv_pitch_um = 24.0
         with pytest.raises(InvalidGeometryError, match="tsv_pitch_um"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, tsv_pitch_um=24.0)
 
     def test_rejects_row_spacing_below_keepout(self, toroidal_geometry):
-        toroidal_geometry.row_spacing_um = 10.0
         with pytest.raises(InvalidGeometryError, match="row_spacing_um"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, row_spacing_um=10.0)
 
     def test_rejects_nonpositive_trace_width(self, toroidal_geometry):
-        toroidal_geometry.trace_width_um = 0.0
         with pytest.raises(InvalidGeometryError, match="trace_width_um"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, trace_width_um=0.0)
 
     def test_slots_only_for_toroidal(self, vertical_spiral_geometry):
-        vertical_spiral_geometry.secondary_slots = [[2, 6], [5, 9]]
         with pytest.raises(InvalidGeometryError, match="toroidal"):
-            vertical_spiral_geometry.validate()
+            dataclasses.replace(vertical_spiral_geometry, secondary_slots=[[2, 6], [5, 9]])
 
     def test_slots_need_one_list_per_secondary(self, toroidal_geometry):
-        toroidal_geometry.secondary_slots = [[2, 6]]
         with pytest.raises(InvalidGeometryError, match="per secondary"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=[[2, 6]])
 
     @pytest.mark.parametrize("slots", [5, [2, 6], "ab"])
     def test_rejects_slots_that_are_not_two_lists(self, toroidal_geometry, slots):
-        toroidal_geometry.secondary_slots = slots
         with pytest.raises(InvalidGeometryError, match="per secondary"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=slots)
 
     def test_slot_count_must_match_turns(self, toroidal_geometry):
-        toroidal_geometry.secondary_slots = [[2, 6, 8], [5, 9]]
         with pytest.raises(InvalidGeometryError, match="slots"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=[[2, 6, 8], [5, 9]])
 
     def test_slot_range_excludes_last_cell(self, toroidal_geometry):
         # 14 primary turns leave rider cells 0..12; cell 13 has no partner TSV
-        toroidal_geometry.secondary_slots = [[2, 13], [5, 9]]
         with pytest.raises(InvalidGeometryError, match="outside cells"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=[[2, 13], [5, 9]])
 
     def test_duplicate_slots_rejected(self, toroidal_geometry):
-        toroidal_geometry.secondary_slots = [[2, 6], [6, 9]]
         with pytest.raises(InvalidGeometryError, match="twice"):
-            toroidal_geometry.validate()
+            dataclasses.replace(toroidal_geometry, secondary_slots=[[2, 6], [6, 9]])
 
     @pytest.mark.parametrize("field,value", [
         ("tsv_pitch_um", "66"),

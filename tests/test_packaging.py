@@ -7,7 +7,9 @@ callable.  The package is layered: on the design path geometry,
 inductance, transformer and analysis, and on the run path netlist,
 engine, metrology and topologies, each import only the package modules
 below them; the device models import nothing from the package but the
-error types.
+error types.  A parameter block checks itself once, in __post_init__, and
+is frozen so that the check still holds where it is used; only the
+netlist, built up one element at a time, has a validate() to call.
 """
 import ast
 import importlib
@@ -91,3 +93,32 @@ def package_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED_PACKAGE_IMPORTS))
 def test_package_layering(module):
     assert package_imports(module) == ALLOWED_PACKAGE_IMPORTS[module]
+
+
+def package_classes():
+    """Every class defined under src/tsvqvco, with its method names."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                yield node, {f.name for f in node.body
+                             if isinstance(f, ast.FunctionDef)}
+
+
+def is_frozen_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "dataclass"
+               and any(k.arg == "frozen" and getattr(k.value, "value", None) is True
+                       for k in d.keywords)
+               for d in cls.decorator_list)
+
+
+def test_only_the_netlist_has_a_validate_method():
+    assert {cls.name for cls, methods in package_classes()
+            if "validate" in methods} == {"Netlist"}
+
+
+def test_every_self_checking_block_is_frozen():
+    # a Segment checks itself too, but freezing it would slow every
+    # segment build of the sweep and nothing mutates one
+    unfrozen = {cls.name for cls, methods in package_classes()
+                if "__post_init__" in methods and not is_frozen_dataclass(cls)}
+    assert unfrozen == {"Segment"}

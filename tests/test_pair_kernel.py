@@ -167,19 +167,19 @@ def _model(coils):
 
 
 def test_model_reports_primary_defect_before_secondary_ones():
-    broken = CoilGeometry("secondary1", [_wire((200, 0, 0), (200, 0, 60)),
-                                         _wire((230, 0, 60), (230, 0, 0))])
-    coils = {"primary": _coil("primary", TWO_DEFECTS), "secondary1": broken,
-             "secondary2": _square("secondary2", 400)}
+    # A broken path never reaches the model: the winding rejects it.
+    with pytest.raises(InvalidGeometryError, match="'secondary1' path breaks"):
+        CoilGeometry("secondary1", [_wire((200, 0, 0), (200, 0, 60)),
+                                    _wire((230, 0, 60), (230, 0, 0))])
+    # The secondaries collide, but the primary's own defect comes first.
+    coils = {"primary": _coil("primary", TWO_DEFECTS),
+             "secondary1": _square("secondary1", 200),
+             "secondary2": _square("secondary2", 208)}
     with pytest.raises(InvalidGeometryError) as err:
         _model(coils)
     assert str(err.value) == BODY_8UM
     coils["primary"] = _square("primary", 0)
-    with pytest.raises(InvalidGeometryError, match="'secondary1' path breaks"):
-        _model(coils)
-    coils["secondary1"] = _square("secondary1", 200)
     # The windings are sound on their own; the secondaries collide.
-    coils["secondary2"] = _square("secondary2", 208)
     with pytest.raises(InvalidGeometryError, match="segment bodies overlap"):
         _model(coils)
     coils["secondary2"] = _square("secondary2", 400)

@@ -44,12 +44,11 @@ def params(topology, toroidal_model, **kwargs) -> TopologyParams:
 ])
 def test_rejects_bad_device_or_transformer(topology, name, message,
                                            toroidal_model):
-    bad = {"nmos": MosParams(polarity="p", k_factor=0.026, v_th=-0.09),
-           "transformer": dataclasses.replace(toroidal_model, l_p=-3e-9)}
-    p = dataclasses.replace(params(topology, toroidal_model),
-                            **{name: bad[name]})
+    bad = {"nmos": lambda: MosParams(polarity="p", k_factor=0.026, v_th=-0.09),
+           "transformer": lambda: dataclasses.replace(toroidal_model, l_p=-3e-9)}
     with pytest.raises(InvalidModelError, match=f"^{message}$"):
-        build_netlist(topology, p)
+        dataclasses.replace(params(topology, toroidal_model),
+                            **{name: bad[name]()})
 
 
 @pytest.mark.parametrize("topology", TOPOLOGIES)

@@ -63,7 +63,7 @@ class TestGenerateCoils:
         coils = generate_coils(toroidal_geometry)
         assert set(coils) == {"primary", "secondary1", "secondary2"}
         for coil in coils.values():
-            coil.validate()
+            assert dataclasses.replace(coil) == coil
 
     def test_toroidal_tsv_counts(self, toroidal_geometry):
         coils = generate_coils(toroidal_geometry)
@@ -76,31 +76,30 @@ class TestGenerateCoils:
         assert _tsv_count(coils["secondary1"]) == 2 * vertical_spiral_geometry.turns_secondary
 
     def test_toroidal_default_width_too_tight(self, toroidal_geometry):
-        toroidal_geometry.tsv_pitch_um = 45.0
-        toroidal_geometry.trace_width_um = None
-        toroidal_geometry.secondary_slots = None
+        geom = dataclasses.replace(toroidal_geometry, tsv_pitch_um=45.0,
+                                   trace_width_um=None, secondary_slots=None)
         with pytest.raises(InvalidGeometryError, match="too tight"):
-            generate_coils(toroidal_geometry)
+            generate_coils(geom)
 
     def test_toroidal_pinned_width_above_cap(self, toroidal_geometry):
-        toroidal_geometry.trace_width_um = 20.0
+        geom = dataclasses.replace(toroidal_geometry, trace_width_um=20.0)
         with pytest.raises(InvalidGeometryError, match="widest trace"):
-            generate_coils(toroidal_geometry)
+            generate_coils(geom)
 
     def test_toroidal_pinned_width_below_metal_thickness(self, toroidal_geometry):
-        toroidal_geometry.trace_width_um = 3.0
+        geom = dataclasses.replace(toroidal_geometry, trace_width_um=3.0)
         with pytest.raises(InvalidGeometryError, match="top-metal thickness"):
-            generate_coils(toroidal_geometry)
+            generate_coils(geom)
 
     def test_vertical_spiral_width_cap(self, vertical_spiral_geometry):
-        vertical_spiral_geometry.trace_width_um = 14.0
+        geom = dataclasses.replace(vertical_spiral_geometry, trace_width_um=14.0)
         with pytest.raises(InvalidGeometryError, match="rungs span"):
-            generate_coils(vertical_spiral_geometry)
+            generate_coils(geom)
 
     def test_vertical_spiral_needs_enough_primary_cells(self, vertical_spiral_geometry):
-        vertical_spiral_geometry.turns_secondary = 20
+        geom = dataclasses.replace(vertical_spiral_geometry, turns_secondary=20)
         with pytest.raises(InvalidGeometryError, match="exceeds"):
-            generate_coils(vertical_spiral_geometry)
+            generate_coils(geom)
 
 
 class TestCommittedToroidal:
@@ -250,19 +249,16 @@ class TestInductanceMatrix:
 
 class TestModelValidation:
     def test_rejects_coupling_at_unity(self, toroidal_model):
-        bad = dataclasses.replace(toroidal_model, k_ps1=1.0)
         with pytest.raises(InvalidModelError, match="k_ps1"):
-            bad.validate()
+            dataclasses.replace(toroidal_model, k_ps1=1.0)
 
     def test_rejects_ac_below_dc(self, toroidal_model):
-        bad = dataclasses.replace(toroidal_model, r_pac=toroidal_model.r_pdc / 2)
         with pytest.raises(InvalidModelError, match="r_pac"):
-            bad.validate()
+            dataclasses.replace(toroidal_model, r_pac=toroidal_model.r_pdc / 2)
 
     def test_rejects_nonpositive_inductance(self, toroidal_model):
-        bad = dataclasses.replace(toroidal_model, l_s1=0.0)
         with pytest.raises(InvalidModelError, match="l_s1"):
-            bad.validate()
+            dataclasses.replace(toroidal_model, l_s1=0.0)
 
 
 class TestDeterminism:
