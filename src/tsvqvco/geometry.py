@@ -145,11 +145,12 @@ class CoilGeometry:
     """Ordered, electrically connected segment path of one winding."""
 
     name: str
-    segments: list[Segment] = field(default_factory=list)
+    segments: tuple[Segment, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.segments:
             raise InvalidGeometryError(f"coil {self.name!r} has no segments")
+        object.__setattr__(self, "segments", tuple(self.segments))
         for a, b in zip(self.segments, self.segments[1:]):
             if math.dist(a.end, b.start) > PATH_GAP_TOL_M:
                 raise InvalidGeometryError(
@@ -164,11 +165,12 @@ class TransformerGeometry:
     that keeps every routed segment long enough for the closed-form
     inductance formulas (length >= 2x largest cross-section dimension).
 
-    secondary_slots applies to the toroidal style only: two lists of primary
-    cell indices, one per secondary coil, naming the cells whose TSV pair each
-    secondary turn rides beside.  None picks two interleaved blocks centered
-    on the row.  Cells run 0..turns_primary-1 and the last cell has no room
-    for a rider, so slots stay at or below turns_primary-2.
+    secondary_slots applies to the toroidal style only: two sequences of
+    primary cell indices (stored as tuples), one per secondary coil, naming
+    the cells whose TSV pair each secondary turn rides beside.  None picks
+    two interleaved blocks centered on the row.  Cells run
+    0..turns_primary-1 and the last cell has no room for a rider, so slots
+    stay at or below turns_primary-2.
     """
 
     style: str
@@ -177,7 +179,7 @@ class TransformerGeometry:
     tsv_pitch_um: float
     row_spacing_um: float
     trace_width_um: float | None = None
-    secondary_slots: list[list[int]] | None = None
+    secondary_slots: tuple[tuple[int, ...], ...] | None = None
     process: ProcessParams = field(default_factory=ProcessParams)
 
     def __post_init__(self) -> None:
@@ -232,6 +234,8 @@ class TransformerGeometry:
                         raise InvalidGeometryError(
                             f"secondary slot {int(s)} assigned twice")
                     seen.add(int(s))
+            object.__setattr__(self, "secondary_slots",
+                               tuple(map(tuple, self.secondary_slots)))
 
     @classmethod
     def from_dict(cls, data: dict) -> "TransformerGeometry":

@@ -8,25 +8,27 @@ Mutual terms between collinear pieces of a straight wire are the d -> 0
 limit of the same kernel, which keeps partial-inductance additivity exact
 under re-segmentation.
 
-A winding arrives valid, having checked its path when it was built, and
-is packed once into arrays (``pack_coil``): start, end and midpoints, unit
-vectors, lengths and body half extents, one column per segment.  One numpy
-pair kernel, ``_pair_mutuals``, then evaluates every segment pair of a loop
-(i < j) or of two windings (all a x b pairs) in a single call;
-``mutual_partial_inductance`` is its one-pair case.  Perpendicular pairs are
-exactly zero and are dropped before the transcendental work.
+Windings arrive valid and are packed once (``pack_windings``) into one
+column per segment.  Self terms and resistances are array expressions over
+the columns, and ``winding_inductances`` calls the one numpy pair kernel,
+``_pair_mutuals``, twice: on the pairs i < j of every winding, then on all
+a x b pairs of every two windings.  ``partial_self_inductance``,
+``mutual_partial_inductance`` and ``segment_resistance`` are its
+one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
+are dropped before the transcendental work.
 
-Overlapping conductors raise InvalidGeometryError.  The error names the
-first overlapping pair in visiting order (i-major with j > i within a
-winding, a-major across two), and within a pair the projection of b onto
-a's axis is checked before that of a onto b's.  A model reports the self
-terms and then the pairs of the primary, then of each secondary, then the
-mutuals primary-secondary1, primary-secondary2 and secondary1-secondary2.
+``winding_inductances`` reports the first defect in this order:
+1. a segment too short for its self-term closed form, in winding order;
+2. overlapping conductors, the first pair in block order: each winding's
+   own pairs (i-major, j > i), then windings (0, 1), (0, 2), ..., (1, 2)
+   (a-major); within a pair, b projected onto a's axis before a onto b's;
+3. a non-positive loop total, named by the coil's own name.
+The coupling bounds come after these, in ``coupling_coefficient``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -45,15 +47,7 @@ _OVERLAP_MARGIN = 1e-12
 
 
 def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
-    """Skin depth sqrt(rho / (pi f mu0)) in meters.
-
-    Parameters
-    ----------
-    freq_hz : float
-        Frequency, must be positive.
-    resistivity_ohm_m : float
-        Conductor resistivity.
-    """
+    """Skin depth sqrt(rho / (pi f mu0)) in meters; both must be positive."""
     if freq_hz <= 0:
         raise InvalidGeometryError("skin depth needs a positive frequency")
     if resistivity_ohm_m <= 0:
@@ -61,37 +55,9 @@ def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
     return math.sqrt(resistivity_ohm_m / (math.pi * freq_hz * MU0))
 
 
-def partial_self_inductance(seg: Segment) -> float:
-    """Partial self inductance of one straight segment, in henries.
-
-    Round wire (Rosa):     (mu0 l / 2 pi) (ln(2 l / r) - 3/4)
-    Rectangular (Grover):  (mu0 l / 2 pi) (ln(2 l / (w + t)) + 0.5 + 0.2235 (w + t) / l)
-
-    Both closed forms assume the segment is long compared with its cross
-    section; lengths below 2x the largest cross-section dimension are
-    rejected rather than extrapolated.
-    """
-    l = seg.length_m
-    # The 1e-9 relative slack keeps exactly-at-the-bound lengths from
-    # tripping on floating-point rounding of coordinate differences.
-    if l < 2.0 * seg.max_cross_dimension_m * (1.0 - 1e-9):
-        raise InvalidGeometryError(
-            f"segment length {l:.3e} m below 2x cross-section dimension "
-            f"{seg.max_cross_dimension_m:.3e} m, closed form invalid")
-    if seg.shape == "round":
-        value = MU0 * l / (2 * math.pi) * (math.log(2 * l / seg.radius_m) - 0.75)
-    else:
-        wt = seg.width_m + seg.thickness_m
-        value = MU0 * l / (2 * math.pi) * (
-            math.log(2 * l / wt) + 0.5 + 0.2235 * wt / l)
-    if value <= 0:
-        raise InvalidGeometryError("self inductance came out non-positive")
-    return value
-
-
 class _Rows(NamedTuple):
     """Per-segment arrays, one column per segment (or per segment pair,
-    once gathered with ``_take``)."""
+    once gathered with ``_take``, which leaves out the cross section)."""
 
     start: np.ndarray   # (3, n) meters
     end: np.ndarray     # (3, n) meters
@@ -99,59 +65,79 @@ class _Rows(NamedTuple):
     unit: np.ndarray    # (3, n) unit vectors start -> end
     length: np.ndarray  # (n,) meters
     half: np.ndarray    # (2, n) body half extents (horizontal, vertical)
+    cross: np.ndarray   # (2, n) width and thickness; a round one's radius twice
+    is_round: np.ndarray  # (n,) bool
 
 
 def _take(rows: _Rows, idx: np.ndarray) -> _Rows:
-    return _Rows(*(a.take(idx, axis=-1) for a in rows))
+    """Columns idx of what the pair kernel reads, the cross section left out."""
+    return _Rows(*(a.take(idx, axis=-1) for a in rows[:6]), cross=None, is_round=None)
 
 
-@dataclass(frozen=True, eq=False)
-class PackedCoil:
-    """A winding with its segments packed into arrays once.
+def _pack(segments) -> _Rows:
+    """Columns of the segments; lengths and unit vectors are the same values
+    ``Segment.length_m`` and ``Segment.direction`` give."""
+    cols = np.array([(*s.start, *s.end, s.length_m, s.shape == "round",
+                      s.radius_m, s.width_m, s.thickness_m) for s in segments]).T
+    start, end, length = cols[0:3], cols[3:6], cols[6]
+    is_round = cols[7] == 1.0
+    cross = np.where(is_round, cols[8], cols[9:11])
+    unit = (end - start) / length
+    # Rectangular traces lie flat: width spans horizontally, thickness
+    # vertically.  A vertical rect (not produced by the winding generators)
+    # falls back to an isotropic bound.
+    upright = ~is_round & (np.abs(unit[2]) > 0.5)
+    half = np.where(upright, 0.5 * cross.max(axis=0),
+                    np.where(is_round, cross, 0.5 * cross))
+    return _Rows(start=start, end=end, mid=0.5 * (start + end), unit=unit,
+                 length=length, half=half, cross=cross, is_round=is_round)
 
-    Lengths come from ``Segment.length_m``, and unit vectors are the same
-    (end - start) / length quotients ``Segment.direction`` forms, so every
-    per-segment value equals the Segment's own.
-    """
 
-    name: str
-    segments: tuple[Segment, ...]
+class Windings(NamedTuple):
+    """Windings packed once; winding k owns columns bounds[k]:bounds[k + 1]."""
+
+    names: tuple[str, ...]
+    bounds: tuple[int, ...]
     rows: _Rows
 
 
-def _pack(name: str, segments) -> PackedCoil:
-    start = np.array([s.start for s in segments], dtype=float).T
-    end = np.array([s.end for s in segments], dtype=float).T
-    length = np.array([s.length_m for s in segments])
-    unit = (end - start) / length
-    half = np.array([_cross_half_extents(s, z) for s, z in zip(segments, unit[2])]).T
-    return PackedCoil(name=name, segments=tuple(segments), rows=_Rows(
-        start=start, end=end, mid=0.5 * (start + end), unit=unit,
-        length=length, half=half))
+def pack_windings(coils: list[CoilGeometry]) -> Windings:
+    """The segments of the windings, in order, packed into one set of columns."""
+    return Windings(
+        names=tuple(c.name for c in coils),
+        bounds=tuple(accumulate((len(c.segments) for c in coils), initial=0)),
+        rows=_pack([s for c in coils for s in c.segments]))
 
 
-def pack_coil(coil: CoilGeometry | PackedCoil) -> PackedCoil:
-    """Pack a winding, valid since it was built; a packed coil is
-    returned as is."""
-    if isinstance(coil, PackedCoil):
-        return coil
-    return _pack(coil.name, coil.segments)
+def _self_terms(rows: _Rows) -> np.ndarray:
+    """Partial self inductance of each segment, in henries.
 
+    Round wire (Rosa):     (mu0 l / 2 pi) (ln(2 l / r) - 3/4)
+    Rectangular (Grover):  (mu0 l / 2 pi) (ln(2 l / (w + t)) + 0.5 + 0.2235 (w + t) / l)
 
-def _cross_half_extents(seg: Segment, dir_z: float) -> tuple[float, float]:
-    """Body half extents (horizontal, vertical) across the segment axis;
-    dir_z is the z component of the segment's unit vector.
-
-    Rectangular traces lie flat: width spans horizontally, thickness
-    vertically.  A vertical rect (not produced by the winding generators)
-    falls back to an isotropic bound.
+    Both assume a long segment: lengths below 2x the largest cross-section
+    dimension (r, or max(w, t)) are rejected, not extrapolated.  Above that
+    bound both are positive.
     """
-    if seg.shape == "round":
-        return seg.radius_m, seg.radius_m
-    if abs(dir_z) > 0.5:
-        half = 0.5 * seg.max_cross_dimension_m
-        return half, half
-    return 0.5 * seg.width_m, 0.5 * seg.thickness_m
+    l, (w, t) = rows.length, rows.cross
+    dim = np.maximum(w, t)
+    # The 1e-9 relative slack keeps exactly-at-the-bound lengths from
+    # tripping on floating-point rounding of coordinate differences.
+    short = l < 2.0 * dim * (1.0 - 1e-9)
+    if short.any():
+        k = int(np.argmax(short))
+        raise InvalidGeometryError(
+            f"segment length {l[k]:.3e} m below 2x cross-section dimension "
+            f"{dim[k]:.3e} m, closed form invalid")
+    wt = w + t
+    shape = np.where(rows.is_round, np.log(2 * l / w) - 0.75,
+                     np.log(2 * l / wt) + 0.5 + 0.2235 * wt / l)
+    return MU0 * l / (2 * math.pi) * shape
+
+
+def partial_self_inductance(seg: Segment) -> float:
+    """Partial self inductance of one segment, in henries (``_self_terms``)."""
+    return float(_self_terms(_pack([seg]))[0])
 
 
 def _dot3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -223,20 +209,19 @@ def _overlap_error(half_x, half_y, perp) -> InvalidGeometryError:
         f"{ha + hb:.3e} m and vertical gap {gap_v:.3e} m within {va + vb:.3e} m")
 
 
-def _pair_mutuals(a: PackedCoil, b: PackedCoil, ia: np.ndarray,
-                  ib: np.ndarray) -> np.ndarray:
-    """Signed mutual partial inductance of each segment pair (a[ia], b[ib]).
+def _pair_mutuals(rows: _Rows, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """Signed mutual partial inductance of each segment pair (ia, ib).
 
     Perpendicular pairs are exactly 0 and are dropped before any other
-    work.  Each remaining pair averages the projection of b onto a's axis
-    with that of a onto b's.  If any pair overlaps, the error names the
-    first such pair in the order given, and the (a, b) projection before
-    the (b, a) one.
+    work.  Each remaining pair averages the projection of ib onto ia's
+    axis with that of ia onto ib's.  If any pair overlaps, the error names
+    the first such pair in the order given, and the (ia, ib) projection
+    before the (ib, ia) one.
     """
     out = np.zeros(len(ia))
-    cos = _dot3(a.rows.unit.take(ia, axis=1), b.rows.unit.take(ib, axis=1))
+    cos = _dot3(rows.unit.take(ia, axis=1), rows.unit.take(ib, axis=1))
     keep = np.flatnonzero(np.abs(cos) >= _PERP_TOL)
-    ra, rb = _take(a.rows, ia[keep]), _take(b.rows, ib[keep])
+    ra, rb = _take(rows, ia[keep]), _take(rows, ib[keep])
     m_ab, bad_ab, perp_ab = _projected(ra, rb)
     m_ba, bad_ba, perp_ba = _projected(rb, ra)
     bad = bad_ab | bad_ba
@@ -258,29 +243,37 @@ def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
     arguments; the decomposition error only matters for oblique pairs,
     which the Manhattan winding generators never produce.
     """
-    first = np.zeros(1, dtype=np.intp)
-    return float(_pair_mutuals(_pack("a", [seg_a]), _pack("b", [seg_b]),
-                               first, first)[0])
+    return float(_pair_mutuals(_pack([seg_a, seg_b]), np.array([0]), np.array([1]))[0])
 
 
-def loop_inductance(coil: CoilGeometry | PackedCoil) -> float:
-    """Total inductance of one winding: sum of self and signed mutual terms."""
-    coil = pack_coil(coil)
-    total = sum(partial_self_inductance(s) for s in coil.segments)
-    ia, ib = np.triu_indices(len(coil.segments), 1)
-    total += 2.0 * float(_pair_mutuals(coil, coil, ia, ib).sum())
-    if total <= 0:
-        raise InvalidModelError(f"coil {coil.name!r} inductance came out non-positive")
-    return total
+def _block_sums(rows: _Rows, blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+    """Mutual sum of each (ia, ib) block, from one kernel call over all of
+    them in the order given; each block is summed from its own slice."""
+    out = _pair_mutuals(rows, np.concatenate([ia for ia, _ in blocks]),
+                        np.concatenate([ib for _, ib in blocks]))
+    ends = accumulate(len(ia) for ia, _ in blocks)
+    return [float(out[end - len(ia):end].sum()) for end, (ia, _) in zip(ends, blocks)]
 
 
-def mutual_loop_inductance(coil_a: CoilGeometry | PackedCoil,
-                           coil_b: CoilGeometry | PackedCoil) -> float:
-    """Signed mutual inductance between two windings, in henries."""
-    coil_a, coil_b = pack_coil(coil_a), pack_coil(coil_b)
-    ia, ib = np.divmod(np.arange(len(coil_a.segments) * len(coil_b.segments)),
-                       len(coil_b.segments))
-    return float(_pair_mutuals(coil_a, coil_b, ia, ib).sum())
+def winding_inductances(windings: Windings) -> np.ndarray:
+    """Inductance matrix of the windings, in henries: loop inductances (self
+    and signed mutual partial terms) on the diagonal, signed winding-to-winding
+    mutuals off it.  Defects are reported in the module docstring's order."""
+    rows, bounds = windings.rows, windings.bounds
+    self_terms = _self_terms(rows)
+    cols = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    loops = [tuple(c[i] for i in np.triu_indices(len(c), 1)) for c in cols]
+    pairs = list(combinations(range(len(cols)), 2))
+    cross = [(np.repeat(cols[a], len(cols[b])), np.tile(cols[b], len(cols[a]))) for a, b in pairs]
+    loop_sums = _block_sums(rows, loops)
+    cross_sums = _block_sums(rows, cross) if cross else []
+    matrix = np.diag(np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * np.array(loop_sums))
+    for name, total in zip(windings.names, matrix.diagonal()):
+        if total <= 0:
+            raise InvalidModelError(f"coil {name!r} inductance came out non-positive")
+    for (a, b), m in zip(pairs, cross_sums):
+        matrix[a, b] = matrix[b, a] = m
+    return matrix
 
 
 def coupling_coefficient(l_a: float, l_b: float, m: float) -> float:
@@ -293,10 +286,10 @@ def coupling_coefficient(l_a: float, l_b: float, m: float) -> float:
     return max(-1.0, min(1.0, k))
 
 
-def segment_resistance(seg: Segment, freq_hz: float, resistivity_ohm_m: float) -> float:
-    """Series resistance of one segment at the given frequency, in ohms.
+def _resistances(rows: _Rows, freq_hz: float, resistivity_ohm_m: float):
+    """Series resistance of each segment as (DC, at freq_hz), in ohms.
 
-    freq_hz = 0 gives the DC value rho l / A.  Above DC, conduction is
+    The DC value is rho l / A.  Above DC, conduction is
     restricted to a one-skin-depth shell of the cross section (annulus for
     round, perimeter shell for rect).  The shell model stays within ~10% of
     the exact Bessel solution for r > 3 skin depths and reduces to the DC
@@ -306,23 +299,27 @@ def segment_resistance(seg: Segment, freq_hz: float, resistivity_ohm_m: float) -
         raise InvalidGeometryError("frequency must be non-negative")
     if resistivity_ohm_m <= 0:
         raise InvalidGeometryError("resistivity must be positive")
-    area = seg.cross_section_m2
-    if freq_hz > 0:
-        delta = skin_depth(freq_hz, resistivity_ohm_m)
-        if seg.shape == "round":
-            core = max(seg.radius_m - delta, 0.0)
-            area = math.pi * (seg.radius_m**2 - core**2)
-        else:
-            core_w = max(seg.width_m - 2 * delta, 0.0)
-            core_t = max(seg.thickness_m - 2 * delta, 0.0)
-            area = seg.width_m * seg.thickness_m - core_w * core_t
-    return resistivity_ohm_m * seg.length_m / area
+    (w, t), rho_l = rows.cross, resistivity_ohm_m * rows.length
+    dc = rho_l / np.where(rows.is_round, math.pi * w**2, w * t)
+    if freq_hz == 0:
+        return dc, dc
+    delta = skin_depth(freq_hz, resistivity_ohm_m)
+    core_r = np.maximum(w - delta, 0.0)
+    core_w, core_t = np.maximum(rows.cross - 2 * delta, 0.0)
+    shell = np.where(rows.is_round, math.pi * (w**2 - core_r**2),
+                     w * t - core_w * core_t)
+    return dc, rho_l / shell
 
 
-def coil_resistance(coil: CoilGeometry | PackedCoil, freq_hz: float,
-                    resistivity_ohm_m: float) -> tuple[float, float]:
-    """Series resistance of a winding as (R_dc, R_ac at freq_hz), in ohms."""
-    coil = pack_coil(coil)
-    r_dc = sum(segment_resistance(s, 0.0, resistivity_ohm_m) for s in coil.segments)
-    r_ac = sum(segment_resistance(s, freq_hz, resistivity_ohm_m) for s in coil.segments)
-    return r_dc, r_ac
+def segment_resistance(seg: Segment, freq_hz: float, resistivity_ohm_m: float) -> float:
+    """Series resistance of one segment at the given frequency, in ohms,
+    by the shell model of ``_resistances``; freq_hz = 0 gives DC."""
+    return float(_resistances(_pack([seg]), freq_hz, resistivity_ohm_m)[1][0])
+
+
+def winding_resistances(windings: Windings, freq_hz: float,
+                        resistivity_ohm_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Series resistance of each winding as (R_dc, R_ac at freq_hz), in ohms."""
+    first = windings.bounds[:-1]
+    return tuple(np.add.reduceat(r, first) for r in
+                 _resistances(windings.rows, freq_hz, resistivity_ohm_m))

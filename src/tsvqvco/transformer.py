@@ -31,8 +31,8 @@ from .errors import InvalidGeometryError, InvalidModelError, check_finite
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
                        rect_segment, round_segment)
-from .inductance import (MU0, _pack, coil_resistance, coupling_coefficient,
-                         loop_inductance, mutual_loop_inductance, pack_coil)
+from .inductance import (MU0, _pack, coupling_coefficient, pack_windings,
+                         winding_inductances, winding_resistances)
 
 DEFAULT_EVAL_FREQUENCY_HZ = 2.5e9
 
@@ -290,7 +290,7 @@ def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
 
 def _footprint_mm2(coils: dict[str, CoilGeometry]) -> float:
     # in x and y a body reaches half[0] (r, or w/2 flat) across its axis
-    rows = _pack("all", [s for c in coils.values() for s in c.segments]).rows
+    rows = _pack([s for c in coils.values() for s in c.segments])
     reach = rows.half[0] * (1.0 - np.abs(rows.unit[:2]))
     lo = np.minimum(rows.start, rows.end)[:2] - reach
     hi = np.maximum(rows.start, rows.end)[:2] + reach
@@ -356,20 +356,17 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     for role in ROLES:
         if role not in coils:
             raise InvalidModelError(f"missing coil {role!r}")
-    # Each winding arrives valid and is packed once, right before its own
-    # terms, so the first defect reported follows the role order.
-    packed, inductance = [], []
-    for role in ROLES:
-        packed.append(pack_coil(coils[role]))
-        inductance.append(loop_inductance(packed[-1]))
-    prim, s1, s2 = packed
-    l_p, l_s1, l_s2 = inductance
-    k_ps1 = abs(coupling_coefficient(l_p, l_s1, mutual_loop_inductance(prim, s1)))
-    k_ps2 = abs(coupling_coefficient(l_p, l_s2, mutual_loop_inductance(prim, s2)))
-    k_ss = abs(coupling_coefficient(l_s1, l_s2, mutual_loop_inductance(s1, s2)))
-    r_pdc, r_pac = coil_resistance(prim, eval_frequency_hz, resistivity_ohm_m)
-    r_s1dc, r_s1ac = coil_resistance(s1, eval_frequency_hz, resistivity_ohm_m)
-    r_s2dc, r_s2ac = coil_resistance(s2, eval_frequency_hz, resistivity_ohm_m)
+    # One pass over the windings, packed once.  The first defect reported is
+    # a segment's self-term validity in winding order, then an overlap in
+    # block order p, s1, s2, p-s1, p-s2, s1-s2, then a non-positive loop
+    # total, then a coupling bound.
+    windings = pack_windings([coils[role] for role in ROLES])
+    (l_p, m_ps1, m_ps2), (_, l_s1, m_ss), (_, _, l_s2) = winding_inductances(windings).tolist()
+    k_ps1 = abs(coupling_coefficient(l_p, l_s1, m_ps1))
+    k_ps2 = abs(coupling_coefficient(l_p, l_s2, m_ps2))
+    k_ss = abs(coupling_coefficient(l_s1, l_s2, m_ss))
+    (r_pdc, r_s1dc, r_s2dc), (r_pac, r_s1ac, r_s2ac) = (
+        r.tolist() for r in winding_resistances(windings, eval_frequency_hz, resistivity_ohm_m))
     return TransformerModel(
         l_p=l_p, l_s1=l_s1, l_s2=l_s2,
         r_pdc=r_pdc, r_pac=r_pac,

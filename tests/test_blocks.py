@@ -8,6 +8,7 @@ valid instance, and assigning to a field of a built block fails.
 """
 import dataclasses
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from tsvqvco.geometry import (CoilGeometry, ProcessParams, TransformerGeometry,
 from tsvqvco.metrology import SimMetrics
 from tsvqvco.topologies import TopologyParams
 from tsvqvco.transformer import TransformerModel
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _coil() -> CoilGeometry:
@@ -131,3 +134,16 @@ def test_built_block_cannot_be_changed(case):
     (name, value), = bad.items()
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(block, name, value)
+
+
+def test_geometry_containers_cannot_be_changed_in_place():
+    # The geometry check rejects cell 13 of the 14-turn primary; a stored
+    # list would let it in after the check.
+    geom = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
+    assert geom.secondary_slots == ((2, 6), (5, 9))
+    with pytest.raises(TypeError):
+        geom.secondary_slots[0][0] = 13
+    coil = _coil()
+    with pytest.raises(AttributeError):
+        coil.segments.append(round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6))
+    assert len(coil.segments) == 2

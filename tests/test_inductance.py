@@ -15,14 +15,14 @@ import pytest
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
 from tsvqvco.geometry import CoilGeometry, rect_segment, round_segment
 from tsvqvco.inductance import (
-    coil_resistance,
     coupling_coefficient,
-    loop_inductance,
-    mutual_loop_inductance,
     mutual_partial_inductance,
+    pack_windings,
     partial_self_inductance,
     segment_resistance,
     skin_depth,
+    winding_inductances,
+    winding_resistances,
 )
 
 RHO_CU = 1.68e-8
@@ -31,6 +31,10 @@ RHO_CU = 1.68e-8
 TSV_A = round_segment((0, 0, 0), (0, 0, 60e-6), 10e-6)
 # its return partner 25 um away
 TSV_B = round_segment((25e-6, 0, 0), (25e-6, 0, 60e-6), 10e-6)
+
+
+def _matrix(*coils):
+    return winding_inductances(pack_windings(list(coils)))
 
 
 def _random_direction(rng):
@@ -175,7 +179,7 @@ class TestLoopInductance:
 
     def test_pair_loop_exceeds_tsv_contribution(self):
         loop = self._tsv_pair_loop()
-        l_loop = loop_inductance(loop)
+        l_loop = _matrix(loop)[0, 0]
         assert l_loop > 19.0112e-12
 
     def test_loop_matches_manual_sum(self):
@@ -185,7 +189,7 @@ class TestLoopInductance:
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
                 manual += 2 * mutual_partial_inductance(segs[i], segs[j])
-        assert loop_inductance(loop) == pytest.approx(manual, rel=1e-12)
+        assert _matrix(loop)[0, 0] == pytest.approx(manual, rel=1e-12)
 
     def test_mutual_loop_inductance_sign_follows_orientation(self):
         loop_a = self._tsv_pair_loop()
@@ -199,8 +203,8 @@ class TestLoopInductance:
             round_segment(s.end, s.start, 10e-6) if s.shape == "round"
             else rect_segment(s.end, s.start, s.width_m, s.thickness_m)
             for s in reversed(shifted.segments)])
-        m_fwd = mutual_loop_inductance(loop_a, shifted)
-        m_rev = mutual_loop_inductance(loop_a, reversed_coil)
+        m_fwd = _matrix(loop_a, shifted)[0, 1]
+        m_rev = _matrix(loop_a, reversed_coil)[0, 1]
         assert m_fwd != 0.0
         assert m_rev == pytest.approx(-m_fwd, rel=1e-9)
 
@@ -256,7 +260,7 @@ class TestResistance:
             rect_segment((0, 0, 60e-6), (25e-6, 0, 60e-6), 10e-6, 7e-6),
             round_segment((25e-6, 0, 60e-6), (25e-6, 0, 0), 10e-6),
         ])
-        r_dc, r_ac = coil_resistance(coil, 2.5e9, RHO_CU)
+        (r_dc,), (r_ac,) = winding_resistances(pack_windings([coil]), 2.5e9, RHO_CU)
         assert r_dc > 0
         assert r_ac > r_dc
         manual_dc = sum(segment_resistance(s, 0.0, RHO_CU) for s in coil.segments)

@@ -1,26 +1,33 @@
-"""The vectorized pair kernel of tsvqvco.inductance.
+"""The vectorized pair kernel of tsvqvco.inductance and the one extraction
+pass built on it.
 
 Its values are checked against an independent numerical Neumann double
 integral, a pair inside a batched call must equal the same pair through
 the one-pair wrapper, and overlap errors must name the first offending
 pair in visiting order with the exact messages the scalar pair loop gave
-(frozen below).
+(frozen below).  The one pass over packed windings must equal the sum of
+its one-segment and one-pair cases, and report defects in the documented
+order.
 """
+import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from tsvqvco import inductance
 from tsvqvco.errors import InvalidGeometryError
 from tsvqvco.geometry import CoilGeometry, TransformerGeometry, rect_segment, round_segment
 from tsvqvco.inductance import (
     _pair_mutuals,
-    loop_inductance,
     mutual_partial_inductance,
-    pack_coil,
+    pack_windings,
+    partial_self_inductance,
+    winding_inductances,
 )
-from tsvqvco.transformer import generate_coils, model_from_coils
+from tsvqvco.transformer import ROLES, generate_coils, model_from_coils
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 UM = 1e-6
@@ -82,30 +89,39 @@ def test_kernel_matches_numerical_neumann_integral(a0, a1, b0, b1):
     assert mutual_partial_inductance(b, a) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
+def _windings(config):
+    geom = TransformerGeometry.from_json_file(CONFIG_DIR / config)
+    coils = generate_coils(geom)
+    return [coils[role] for role in ROLES]
+
+
 @pytest.fixture(scope="module")
 def spiral_coils():
-    geom = TransformerGeometry.from_json_file(CONFIG_DIR / "vertical_spiral.json")
-    return [pack_coil(c) for c in generate_coils(geom).values()]
+    return _windings("vertical_spiral.json")
 
 
 def test_packed_values_equal_the_segments_own(spiral_coils):
-    for coil in spiral_coils:
-        rows = coil.rows
-        assert rows.length.tolist() == [s.length_m for s in coil.segments]
-        assert rows.unit.T.tolist() == [list(s.direction) for s in coil.segments]
-        assert rows.start.T.tolist() == [list(s.start) for s in coil.segments]
+    rows = pack_windings(spiral_coils).rows
+    segments = [s for c in spiral_coils for s in c.segments]
+    assert rows.length.tolist() == [s.length_m for s in segments]
+    assert rows.unit.T.tolist() == [list(s.direction) for s in segments]
+    assert rows.start.T.tolist() == [list(s.start) for s in segments]
+    assert rows.is_round.tolist() == [s.shape == "round" for s in segments]
+    assert rows.cross.max(axis=0).tolist() == [s.max_cross_dimension_m for s in segments]
 
 
 def test_batched_pairs_equal_one_pair_wrapper(spiral_coils):
-    primary, secondary = spiral_coils[0], spiral_coils[1]
-    n, m = len(primary.segments), len(secondary.segments)
-    batches = [(primary, primary, *np.triu_indices(n, 1)),
-               (primary, secondary, *np.divmod(np.arange(n * m), m))]
+    windings = pack_windings(spiral_coils)
+    segments = [s for c in spiral_coils for s in c.segments]
+    # primary loop, then primary x secondary1, in global columns
+    n, m = np.diff(windings.bounds[:3])
+    cross_a, cross_b = np.divmod(np.arange(n * m), m)
+    batches = [np.triu_indices(n, 1), (cross_a, cross_b + n)]
     nonzero = 0
-    for a, b, ia, ib in batches:
-        batched = _pair_mutuals(a, b, ia, ib)
+    for ia, ib in batches:
+        batched = _pair_mutuals(windings.rows, ia, ib)
         for value, i, j in zip(batched, ia, ib):
-            single = mutual_partial_inductance(a.segments[i], b.segments[j])
+            single = mutual_partial_inductance(segments[i], segments[j])
             if single == 0.0:
                 assert value == 0.0
             else:
@@ -122,13 +138,17 @@ BODY_8UM = ("segment bodies overlap: horizontal gap 8.000e-06 m within "
             "1.000e-05 m and vertical gap 0.000e+00 m within 1.000e-05 m")
 
 
+def _loop_inductance(coil):
+    return winding_inductances(pack_windings([coil]))[0, 0]
+
+
 def test_error_names_first_offending_pair():
     with pytest.raises(InvalidGeometryError) as err:
-        loop_inductance(_coil("twice", TWO_DEFECTS))
+        _loop_inductance(_coil("twice", TWO_DEFECTS))
     assert str(err.value) == BODY_8UM
     # Reversing the path turns (1, 5) into (0, 4), so now it comes first.
     with pytest.raises(InvalidGeometryError) as err:
-        loop_inductance(_coil("reversed", TWO_DEFECTS[::-1]))
+        _loop_inductance(_coil("reversed", TWO_DEFECTS[::-1]))
     assert str(err.value) == "collinear segments overlap"
 
 
@@ -184,3 +204,77 @@ def test_model_reports_primary_defect_before_secondary_ones():
         _model(coils)
     coils["secondary2"] = _square("secondary2", 400)
     assert _model(coils).l_p > 0
+
+
+def test_segment_validity_comes_before_any_overlap():
+    # The primary overlaps itself, but a stub in the second secondary is
+    # reported first: every segment's self term is checked before any pair.
+    stub = [(400, 0, 0), (400, 0, 60), (405, 0, 60)]
+    coils = {"primary": _coil("primary", TWO_DEFECTS),
+             "secondary1": _square("secondary1", 200),
+             "secondary2": _coil("secondary2", stub)}
+    with pytest.raises(InvalidGeometryError) as err:
+        _model(coils)
+    assert str(err.value) == ("segment length 5.000e-06 m below 2x cross-section "
+                              "dimension 5.000e-06 m, closed form invalid")
+
+
+def test_loop_overlaps_come_before_cross_overlaps():
+    # The secondaries collide with the primary (p-s1 comes first in block
+    # order) but the second secondary's own collinear overlap is reported,
+    # because every winding's own pairs come before any pair of windings.
+    folded = [(8, 0, 0), (8, 0, 60), (38, 0, 60), (38, 0, 0), (38, 0, 30)]
+    coils = {"primary": _square("primary", 0),
+             "secondary1": _square("secondary1", 4),
+             "secondary2": _coil("secondary2", [(p[0] + 400, *p[1:]) for p in folded])}
+    with pytest.raises(InvalidGeometryError) as err:
+        _model(coils)
+    assert str(err.value) == "collinear segments overlap"
+
+
+def _pairwise_matrix(windings):
+    """Loop and mutual sums built one segment and one pair at a time."""
+    n = len(windings)
+    matrix = np.zeros((n, n))
+    for a in range(n):
+        segs = windings[a].segments
+        matrix[a, a] = math.fsum(
+            [partial_self_inductance(s) for s in segs]
+            + [2.0 * mutual_partial_inductance(x, y) for x, y in combinations(segs, 2)])
+        for b in range(a + 1, n):
+            matrix[a, b] = matrix[b, a] = math.fsum(
+                mutual_partial_inductance(x, y)
+                for x in segs for y in windings[b].segments)
+    return matrix
+
+
+@pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
+def test_one_pass_equals_pairwise_sums(config):
+    windings = _windings(config)
+    got = winding_inductances(pack_windings(windings))
+    want = _pairwise_matrix(windings)
+    assert np.all(want != 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (1, 2, 0)])
+def test_permuting_windings_permutes_the_matrix(spiral_coils, order):
+    matrix = winding_inductances(pack_windings(spiral_coils))
+    permuted = winding_inductances(pack_windings([spiral_coils[k] for k in order]))
+    np.testing.assert_allclose(permuted, matrix[np.ix_(order, order)], rtol=1e-13, atol=0.0)
+    assert permuted.diagonal().tolist() == matrix.diagonal()[list(order)].tolist()
+
+
+def test_model_makes_two_kernel_calls(monkeypatch, spiral_coils):
+    calls = []
+
+    def spy(rows, ia, ib):
+        calls.append(len(ia))
+        return _pair_mutuals(rows, ia, ib)
+
+    monkeypatch.setattr(inductance, "_pair_mutuals", spy)
+    sizes = [len(c.segments) for c in spiral_coils]
+    _model(dict(zip(ROLES, spiral_coils)))
+    loops = sum(n * (n - 1) // 2 for n in sizes)
+    cross = sum(a * b for a, b in combinations(sizes, 2))
+    assert calls == [loops, cross]
