@@ -7,7 +7,9 @@ size + 1 array ends in a ground slot, which GROUND = -1 indexes.  The
 circuit is a_static x + dq/dt = s(t): the charge q(x) is a_react x (node
 charge, negated branch flux) plus each varactor's C(v_ctl) v_ab on its
 two node rows.  The linear stamps are assembled once per run; per step
-only the right-hand side moves.
+only the right-hand side moves.  _System(net) is the one reader of the
+netlist's element kinds and checks its structure as it stamps; the step
+size enters only through the _Stage a run builds per coefficient.
 
 Every transistor and varactor fits one stamp pattern: it drives a current
 into row p and out of row n, and that current has one partial on each of
@@ -53,23 +55,16 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .devices import mos_eval, varactor_eval
 from .errors import InvalidModelError, NumericFailure, check_finite
-from .netlist import (
-    GROUND,
-    Capacitor,
-    CoupledInductors,
-    Mos,
-    Netlist,
-    Resistor,
-    Varactor,
-    Vccs,
-    VSource,
-)
+from .netlist import (GROUND, Capacitor, CoupledInductors, Mos, Netlist,
+                      Resistor, Varactor, Vccs, VSource)
 
 NEWTON_REL = 1e-9
 NEWTON_ABS = 1e-12
@@ -103,6 +98,12 @@ class SimConfig:
             raise InvalidModelError("stop time must exceed the time step")
 
 
+def _read_only(trace) -> np.ndarray:
+    view = np.asarray(trace).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class Waveforms:
     """Uniform-grid simulation output and what the run cost: the worst
@@ -111,13 +112,18 @@ class Waveforms:
     steps."""
 
     time_s: np.ndarray
-    voltages: dict[str, np.ndarray]
-    currents: dict[str, np.ndarray]
+    voltages: Mapping[str, np.ndarray]
+    currents: Mapping[str, np.ndarray]
     kcl_max_a: float = 0.0
     newton_iterations: int = 0
     linear_solves: int = 0
 
     def __post_init__(self) -> None:
+        # read-only, so the checks below hold wherever the waveforms go
+        object.__setattr__(self, "time_s", _read_only(self.time_s))
+        for name in ("voltages", "currents"):
+            object.__setattr__(self, name, MappingProxyType(
+                {k: _read_only(v) for k, v in getattr(self, name).items()}))
         traces = [("time_s", self.time_s), *self.voltages.items(),
                   *self.currents.items()]
         for name, trace in traces:
@@ -151,21 +157,21 @@ class _Stage:
 
 
 class _System:
-    """Assembled MNA stamps for one netlist at one step size.
+    """Assembled MNA stamps of one netlist, for any step size.
 
-    The reactive part scales linearly with the integrator coefficient
-    (2/h trapezoidal, 1/h backward Euler), so one static matrix and one
-    reactive matrix cover both methods; each method gets its _Stage,
-    be for the first step and tr after it, built here once per run.
+    Building one checks the netlist's structure (_build_linear), once
+    for every consumer of the stamps.  The reactive part scales linearly
+    with the integrator coefficient (2/h trapezoidal, 1/h backward
+    Euler), so one static matrix and one reactive matrix cover both
+    methods; a run builds the _Stage of each coefficient it steps with.
     Transistors and varactors are kept as terminal tuples of
     extended-system slots, and their stamps as the constant pattern inc
     and jst (module docstring).
     """
 
-    def __init__(self, net: Netlist, cfg: SimConfig):
+    def __init__(self, net: Netlist):
         self.net = net
-        self.h = cfg.dt_s
-        self.n = net.n_nodes
+        self.n = len(net.node_names)
         self.m = sum(len(e.pairs) if isinstance(e, CoupledInductors)
                      else isinstance(e, VSource) for e in net.elements)
         self.size = self.n + self.m
@@ -173,14 +179,12 @@ class _System:
         self._build_linear()
         self._build_device_pattern()
 
-        self.be = self._stage(1.0 / self.h)
-        self.tr = self._stage(2.0 / self.h)
         # per-row cap on the Newton residual: node rows must also clear
         # the per-step KCL gate with margin, branch rows have no gate
         self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
 
-    def _stage(self, coef: float) -> _Stage:
+    def stage(self, coef: float) -> _Stage:
         size, dim = self.size, self.size + 1
         a0 = self.a_static + coef * self.a_react
         abs_a0 = np.abs(a0[:size, :size])
@@ -215,19 +219,30 @@ class _System:
         self.jst = jst.reshape(dim * dim, 2 * len(terms))
 
     def _build_linear(self) -> None:
-        """The one walk over the elements: in element order it assigns
-        branch rows and labels as it stamps, fills the initial state
-        x_init and collects the sources, transistors and varactors."""
+        """The one walk over the elements: in element order it checks
+        each element's terminals as it stamps them, assigns branch rows
+        and labels, fills x_init and collects the sources, transistors
+        and varactors; then it checks for ground, floating nodes and
+        initial voltages on unknown nodes, in that order."""
         net = self.net
+        if not net.elements:
+            raise InvalidModelError("netlist has no elements")
         dim = self.size + 1
         a_static = np.zeros((dim, dim))
         a_react = np.zeros((dim, dim))
         x_init = np.zeros(dim)
-        for name, v in net.initial_voltages.items():
-            x_init[net.node_names.index(name)] = v
         self.branch_labels: list[str] = []
         self.vsources: list[tuple[int, VSource]] = []
         self.mos, self.varactors = [], []
+        touched: set[int] = set()
+
+        def nodes(e, *idx):
+            for i in idx:
+                if not GROUND <= i < self.n:
+                    raise InvalidModelError(
+                        f"element {e.label} references unknown node {i}")
+            touched.update(idx)
+            return idx
 
         def conductance(a, i, j, g):
             a[i, i] += g
@@ -246,15 +261,17 @@ class _System:
 
         for e in net.elements:
             if isinstance(e, Resistor):
-                conductance(a_static, e.a, e.b, 1.0 / e.ohms)
+                conductance(a_static, *nodes(e, e.a, e.b), 1.0 / e.ohms)
             elif isinstance(e, Capacitor):
-                conductance(a_react, e.a, e.b, e.farads)
+                conductance(a_react, *nodes(e, e.a, e.b), e.farads)
             elif isinstance(e, Vccs):
-                a_static[e.p, e.cp] += e.gm
-                a_static[e.p, e.cn] -= e.gm
-                a_static[e.n, e.cp] -= e.gm
-                a_static[e.n, e.cn] += e.gm
+                p, n, cp, cn = nodes(e, e.p, e.n, e.cp, e.cn)
+                a_static[p, cp] += e.gm
+                a_static[p, cn] -= e.gm
+                a_static[n, cp] -= e.gm
+                a_static[n, cn] += e.gm
             elif isinstance(e, CoupledInductors):
+                nodes(e, *(t for pair in e.pairs for t in pair))
                 k = len(e.pairs)
                 row0 = self.n + len(self.branch_labels)
                 for w, (na, nb) in enumerate(e.pairs):
@@ -264,15 +281,29 @@ class _System:
                     a_react[row, row0:row0 + k] -= e.matrix[w]
                     x_init[row] = e.i_initial_a[w]
             elif isinstance(e, VSource):
-                self.vsources.append((branch(e.p, e.n, e.label), e))
+                self.vsources.append((branch(*nodes(e, e.p, e.n), e.label), e))
             elif isinstance(e, Mos):
+                d, g, s = nodes(e, e.d, e.g, e.s)
                 # the nonlinear part is stamped per Newton iteration;
                 # the leak keeps cut-off regions non-singular
-                conductance(a_static, e.d, GROUND, GMIN)
-                conductance(a_static, e.s, GROUND, GMIN)
-                self.mos.append((e.d, e.g, e.s, e.params))
+                conductance(a_static, d, GROUND, GMIN)
+                conductance(a_static, s, GROUND, GMIN)
+                self.mos.append((d, g, s, e.params))
             elif isinstance(e, Varactor):
-                self.varactors.append((e.a, e.b, e.cp, e.cn, e.model))
+                self.varactors.append((*nodes(e, e.a, e.b, e.cp, e.cn),
+                                       e.model))
+
+        if GROUND not in touched:
+            raise InvalidModelError("no element is connected to ground")
+        floating = set(range(self.n)) - touched
+        if floating:
+            names = sorted(net.node_names[i] for i in floating)
+            raise InvalidModelError(f"nodes used by no element: {names}")
+        for name, v in net.initial_voltages.items():
+            if name not in net.node_names:
+                raise InvalidModelError(
+                    f"initial condition on unknown node {name!r}")
+            x_init[net.node_names.index(name)] = v
 
         self.a_static = a_static
         self.a_react = a_react
@@ -360,14 +391,12 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
 
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     """Run one fixed-step transient; see module docstring for method."""
-    net.validate()
+    sys = _System(net)
     h = cfg.dt_s
     n_steps = int(round(cfg.t_stop_s / h))
     if n_steps < 2:
         raise InvalidModelError("stop time must cover at least two steps")
     times = h * np.arange(n_steps + 1)
-
-    sys = _System(net, cfg)
     x = sys.x_init
     # the step history: charge q(x) and its derivative i, extended by
     # the ground slot; the first step's i is the zero initial derivative
@@ -376,7 +405,9 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out[0] = x
     kcl_max = 0.0
     linear_solves = 0
-    stages = itertools.chain([sys.be], itertools.repeat(sys.tr, n_steps - 1))
+    # backward Euler for the first step, trapezoidal after it
+    stages = itertools.chain([sys.stage(1.0 / h)],
+                             itertools.repeat(sys.stage(2.0 / h), n_steps - 1))
     for step, stage in enumerate(stages, start=1):
         t = times[step]
         # Newton starts from the rows of out already accepted, the
@@ -405,9 +436,9 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         i = stage.coef * (q_next - q) - i
         q = q_next
 
-    voltages = {name: out[:, i].copy()
-                for i, name in enumerate(net.node_names)}
-    currents = {f"I({lbl})": out[:, sys.n + j].copy()
+    # column views of out; Waveforms makes them read-only
+    voltages = {name: out[:, i] for i, name in enumerate(net.node_names)}
+    currents = {f"I({lbl})": out[:, sys.n + j]
                 for j, lbl in enumerate(sys.branch_labels)}
     return Waveforms(time_s=times, voltages=voltages, currents=currents,
                      kcl_max_a=kcl_max,

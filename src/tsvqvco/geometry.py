@@ -112,24 +112,6 @@ class Segment:
     def length_m(self) -> float:
         return math.dist(self.start, self.end)
 
-    @property
-    def direction(self) -> tuple[float, float, float]:
-        l = self.length_m
-        return tuple((e - s) / l for s, e in zip(self.start, self.end))
-
-    @property
-    def cross_section_m2(self) -> float:
-        if self.shape == "round":
-            return math.pi * self.radius_m**2
-        return self.width_m * self.thickness_m
-
-    @property
-    def max_cross_dimension_m(self) -> float:
-        """Largest cross-section dimension: radius for round, max(w, t) for rect."""
-        if self.shape == "round":
-            return self.radius_m
-        return max(self.width_m, self.thickness_m)
-
 
 def round_segment(start, end, radius_m) -> Segment:
     return Segment(start=start, end=end, shape="round", radius_m=radius_m)

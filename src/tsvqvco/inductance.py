@@ -75,8 +75,8 @@ def _take(rows: _Rows, idx: np.ndarray) -> _Rows:
 
 
 def _pack(segments) -> _Rows:
-    """Columns of the segments; lengths and unit vectors are the same values
-    ``Segment.length_m`` and ``Segment.direction`` give."""
+    """Columns of the segments; a length is ``Segment.length_m``'s value and
+    a unit vector is (end - start) / length."""
     cols = np.array([(*s.start, *s.end, s.length_m, s.shape == "round",
                       s.radius_m, s.width_m, s.thickness_m) for s in segments]).T
     start, end, length = cols[0:3], cols[3:6], cols[6]

@@ -6,6 +6,10 @@ insertion time so a finished netlist is a flat, ordered element list.  The
 element order and the node registration order together fix the MNA unknown
 ordering, which is what makes repeated runs bit-identical.
 
+Each add_* method checks its own values, labels and node names, and a
+rejected add changes nothing.  What needs the whole netlist (known
+terminals, ground, no floating node) is checked by engine._System.
+
 Branch-current unknowns exist for inductors, every winding of a coupled
 set, and voltage sources; everything else is stamped as a conductance or
 a nonlinear current.  An inductor is a coupled set with one winding and
@@ -139,10 +143,6 @@ class Netlist:
             self.node_names.append(name)
             return len(self.node_names) - 1
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.node_names)
-
     def _resolve(self, label: str | None, kind: str, *names: str) -> tuple[str, list[int]]:
         """An element's label and terminal indices; every check runs before
         the first new node is registered, so a rejected add changes nothing."""
@@ -233,40 +233,3 @@ class Netlist:
         check_finite(InvalidModelError, "initial condition", node, volts)
         self.node(node)
         self.initial_voltages[node] = volts
-
-    def _terminal_nodes(self, e: Element) -> tuple[int, ...]:
-        if isinstance(e, CoupledInductors):
-            return tuple(n for pair in e.pairs for n in pair)
-        if isinstance(e, Mos):
-            return (e.d, e.g, e.s)
-        if isinstance(e, (Varactor, Vccs)):
-            return (e.a, e.b, e.cp, e.cn) if isinstance(e, Varactor) \
-                else (e.p, e.n, e.cp, e.cn)
-        if isinstance(e, VSource):
-            return (e.p, e.n)
-        return (e.a, e.b)
-
-    def validate(self) -> None:
-        if not self.elements:
-            raise InvalidModelError("netlist has no elements")
-        touched: set[int] = set()
-        grounded = False
-        for e in self.elements:
-            for n in self._terminal_nodes(e):
-                if n == GROUND:
-                    grounded = True
-                elif not 0 <= n < self.n_nodes:
-                    raise InvalidModelError(
-                        f"element {e.label} references unknown node {n}")
-                else:
-                    touched.add(n)
-        if not grounded:
-            raise InvalidModelError("no element is connected to ground")
-        floating = set(range(self.n_nodes)) - touched
-        if floating:
-            names = sorted(self.node_names[i] for i in floating)
-            raise InvalidModelError(f"nodes used by no element: {names}")
-        for name in self.initial_voltages:
-            if name not in self.node_names:
-                raise InvalidModelError(
-                    f"initial condition on unknown node {name!r}")

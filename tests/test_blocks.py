@@ -4,7 +4,9 @@ Each block checks its fields once, when it is built, and is frozen, so a
 block that exists has passed its check and still holds the values it was
 checked with.  For one bad field per block, the typed error and its
 message come from the constructor and from dataclasses.replace on a
-valid instance, and assigning to a field of a built block fails.
+valid instance, and assigning to a field of a built block fails.  The
+containers a block holds cannot be changed in place either: the geometry
+tuples, and the traces and trace mappings of Waveforms.
 """
 import dataclasses
 import re
@@ -147,3 +149,18 @@ def test_geometry_containers_cannot_be_changed_in_place():
     with pytest.raises(AttributeError):
         coil.segments.append(round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6))
     assert len(coil.segments) == 2
+
+
+def test_waveforms_cannot_be_changed_in_place():
+    # A NaN written into a checked trace, or a trace added after the
+    # check, would reach metrology unchecked.
+    w = _waveforms()
+    with pytest.raises(ValueError, match="read-only"):
+        w.voltages["V_o1"][0] = np.nan
+    with pytest.raises(TypeError):
+        w.voltages["X"] = 1
+    with pytest.raises(TypeError):
+        w.currents["X"] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        w.time_s[0] = 1.0
+    assert np.isfinite(w.voltages["V_o1"]).all() and "X" not in w.voltages

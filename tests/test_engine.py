@@ -9,7 +9,8 @@ reports the linear solves it made, and a singular matrix names the
 node or branch with no stamp.  The first step is a step like any
 other: every built topology takes it with stepped supplies at step
 sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
-adds nothing to a netlist's initial state.
+adds nothing to a netlist's initial state.  The traces of a run are
+read-only column views of one solution array.
 Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
 point must change only the iteration count, never the answer, and the
 Newton path must reproduce a closed-form RC discharge and series-RLC
@@ -49,6 +50,10 @@ BIASES = {
 }
 
 
+# The step the device stamps are evaluated at.
+DEVICE_DT_S = 1e-12
+
+
 def device_system(mos=(), varactors=()):
     """A netlist of the given transistors (d, g, s, params) and varactors
     (a, b, cp, cn, model), every node tied to ground by 1 kOhm, and its
@@ -60,7 +65,7 @@ def device_system(mos=(), varactors=()):
         net.add_varactor(a, b, cp, cn, model, label=f"cv{k}")
     for node in list(net.node_names):
         net.add_resistor(node, "gnd", 1e3, label=f"r_{node}")
-    return net, engine._System(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+    return net, engine._System(net)
 
 
 def at_voltages(net, sys_, volts: dict) -> np.ndarray:
@@ -107,7 +112,7 @@ def test_mos_jacobian_matches_finite_difference(region):
         volts[f"d{tag}"] = v_s + sign * v_ds
     x = at_voltages(net, sys_, volts)
 
-    coef = 2.0 / sys_.h
+    coef = 2.0 / DEVICE_DT_S
     f, _ = stamped(sys_, x, coef)
     for tag, params in (("n", NMOS), ("p", PMOS)):
         d, g, s = (net.node_names.index(f"{t}{tag}") for t in "dgs")
@@ -154,7 +159,7 @@ def test_wired_mos_stamps_match_references(wiring):
         assert i_d != 0.0  # no device is cut off
         expected[d] += i_d
         expected[s] -= i_d
-    coef = 2.0 / sys_.h
+    coef = 2.0 / DEVICE_DT_S
     np.testing.assert_array_equal(stamped(sys_, x, coef)[0], expected)
     assert_jacobian_matches_finite_difference(sys_, x, coef)
 
@@ -165,7 +170,7 @@ def test_varactor_jacobian_matches_finite_difference():
     model = VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7)
     net, sys_ = device_system(varactors=[("a", "b", "cp", "cn", model)])
     x = at_voltages(net, sys_, {"a": 0.45, "b": 0.2, "cp": 0.5, "cn": 0.2})
-    coef = 2.0 / sys_.h
+    coef = 2.0 / DEVICE_DT_S
     f, _ = stamped(sys_, x, coef)
     a, b, cp, cn = (net.node_names.index(n) for n in ("a", "b", "cp", "cn"))
     v_sig, v_ctl = x[a] - x[b], x[cp] - x[cn]
@@ -302,12 +307,16 @@ class TestSingularLinearSystem:
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
 
 
+def qvco_config(toroidal_model, n_periods=4):
+    f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
+    return default_sim_config(f_est, n_periods=n_periods)
+
+
 def qvco_run(toroidal_model, n_periods=4, buffers=None):
     params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12,
                             buffers=buffers)
-    f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
-    cfg = default_sim_config(f_est, n_periods=n_periods)
-    return transient(build_netlist("tc-qvco", params), cfg)
+    return transient(build_netlist("tc-qvco", params),
+                     qvco_config(toroidal_model, n_periods))
 
 
 def count_solves(monkeypatch):
@@ -350,7 +359,7 @@ class TestNewtonStartPoint:
             self, monkeypatch, toroidal_model):
         (sys_, x_ext, stage, b, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
-        assert stage.coef == 2.0 / sys_.h
+        assert stage.coef == 2 / qvco_config(toroidal_model, 4).dt_s
         size = sys_.size
         x_prev = x_acc
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
@@ -434,6 +443,23 @@ def rc_netlist() -> Netlist:
     net.add_capacitor("a", "gnd", 1e-12)
     net.set_initial_voltage("a", 1.0)
     return net
+
+
+def test_traces_are_read_only_views_of_one_array():
+    """transient hands out column views of its one solution array, not a
+    copy per trace, and no trace can be written."""
+    net = rc_netlist()
+    net.add_vsource("in", "gnd", 1.0, label="v_in")
+    net.add_resistor("in", "a", 1e3)
+    wave = transient(net, SimConfig(dt_s=5e-12, t_stop_s=1e-10))
+    traces = [wave.voltages["a"], wave.voltages["in"], wave.currents["I(v_in)"]]
+    # sibling columns interleave without overlapping, so what they share
+    # is the array that owns them
+    out = traces[0].base
+    assert out.shape == (len(wave.time_s), len(traces) + 1)  # + ground slot
+    for trace in traces:
+        assert trace.base is out and np.shares_memory(trace, out)
+        assert not trace.flags.writeable
 
 
 def test_linear_netlist_solves_every_step(monkeypatch):

@@ -9,6 +9,12 @@ parameters and the arguments of default_sim_config,
 build_quadrature_bench and measure_metrics.  A conductor segment's coordinates and dimensions raise
 InvalidGeometryError instead.  (Geometry input is covered in
 test_geometry.py.)
+
+A finite value out of range fails with its own exact message on the run
+path too: the netlist, the simulator settings and waveforms, the
+topology builders and metrology, and the structural checks of the
+engine's MNA walk, which come before the step-count check.  Newton
+reports a step it cannot converge.
 """
 import dataclasses
 import math
@@ -17,13 +23,15 @@ import re
 import numpy as np
 import pytest
 
+from tsvqvco import engine
 from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
-from tsvqvco.engine import SimConfig, Waveforms
-from tsvqvco.errors import InvalidGeometryError, InvalidModelError, check_finite
+from tsvqvco.engine import SimConfig, Waveforms, transient
+from tsvqvco.errors import (InvalidGeometryError, InvalidModelError,
+                            NumericFailure, check_finite)
 from tsvqvco.geometry import Segment, rect_segment
 from tsvqvco.metrology import measure_metrics
-from tsvqvco.netlist import Netlist
+from tsvqvco.netlist import Netlist, Resistor
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 build_quadrature_bench, default_sim_config)
 from tsvqvco.transformer import TransformerModel
@@ -177,6 +185,99 @@ def test_non_finite_input_is_rejected(case):
     with pytest.raises(error[0] if error else InvalidModelError,
                        match=f"^{re.escape(field)} is not a finite number$"):
         build()
+
+
+def rc_netlist() -> Netlist:
+    net = Netlist()
+    net.add_resistor("a", "gnd", 1e3, label="r1")
+    net.add_capacitor("a", "gnd", 1e-12, label="c1")
+    net.set_initial_voltage("a", 0.1)
+    return net
+
+
+def run_rc(*raw_elements, cfg=SimConfig(dt_s=1e-12, t_stop_s=1e-10)):
+    """A transient of the RC netlist with raw elements appended, which
+    bypass the add_* checks."""
+    net = rc_netlist()
+    net.elements.extend(raw_elements)
+    return transient(net, cfg)
+
+
+# Each case is (build, message): a finite value out of range, or a
+# structural defect, and the exact InvalidModelError message it raises.
+RANGE_CASES = {
+    "resistance": (lambda: Netlist().add_resistor("a", "gnd", 0.0),
+                   "resistance must be positive"),
+    "capacitance": (lambda: Netlist().add_capacitor("a", "gnd", -1e-12),
+                    "capacitance must be positive"),
+    "inductance": (lambda: Netlist().add_inductor("a", "gnd", 0.0),
+                   "inductance must be positive"),
+    "initial currents": (
+        lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
+                             i_initial_a=[0.0]),
+        "initial currents must match winding count"),
+    "source ramp": (lambda: Netlist().add_vsource("a", "gnd", 1.0,
+                                                  ramp_s=-1e-9),
+                    "source ramp must be non-negative"),
+    "initial voltage node name": (
+        lambda: Netlist().set_initial_voltage("", 0.1),
+        "node names must be non-empty strings"),
+    "unknown node": (lambda: run_rc(Resistor(0, 5, 1e3, "rx")),
+                     "element rx references unknown node 5"),
+    "negative unknown node": (lambda: run_rc(Resistor(0, -2, 1e3, "rx")),
+                              "element rx references unknown node -2"),
+    "one-winding coupled set": (
+        lambda: Netlist().add_coupled_inductors([("a", "gnd")], [[1e-9]],
+                                                [0.1]),
+        "coupled set needs at least two windings"),
+    "time step": (lambda: SimConfig(dt_s=0.0, t_stop_s=1e-9),
+                  "time step must be positive"),
+    "step count": (lambda: run_rc(cfg=SimConfig(dt_s=1.0, t_stop_s=1.2)),
+                   "stop time must cover at least two steps"),
+    "trace length": (lambda: flat_waveforms(v_o1=(0.0, 0.0)),
+                     "trace V_o1 length mismatch"),
+    "topology": (lambda: build_netlist("rc-vco", TopologyParams()),
+                 "unknown topology 'rc-vco'; expected one of "
+                 "('lc-vco', 'tf-vco', 'cr-vco', 'tc-qvco')"),
+    "missing transformer": (lambda: build_netlist("tc-qvco", TopologyParams()),
+                            "tc-qvco needs transformer"),
+    "quadrature bench g_m_margin": (
+        lambda: build_quadrature_bench(tank(), 0.0),
+        "transconductance margin must be positive"),
+    "sim f_est_hz": (lambda: default_sim_config(0.0, n_periods=4),
+                     "frequency estimate must be positive"),
+    "sim n_periods": (lambda: default_sim_config(2.5e9, n_periods=1),
+                      "simulation span too small"),
+    "topology c_parasitic_f": (lambda: TopologyParams(c_parasitic_f=-1e-15),
+                               "parasitic capacitance cannot be negative"),
+    "metrics v_dd": (lambda: measure_metrics(flat_waveforms(), 0.0),
+                     "supply voltage must be positive"),
+    "metrics outputs": (
+        lambda: measure_metrics(Waveforms(
+            time_s=np.arange(3.0), voltages={"X": np.zeros(3)},
+            currents={}), 0.7),
+        "no output nodes to measure"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_out_of_range_input_is_rejected(case):
+    build, message = RANGE_CASES[case]
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_netlist_checks_come_before_the_step_count():
+    with pytest.raises(InvalidModelError, match="^netlist has no elements$"):
+        transient(Netlist(), SimConfig(dt_s=1.0, t_stop_s=1.2))
+
+
+def test_newton_reports_a_step_it_cannot_converge(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_NEWTON", 1)
+    with pytest.raises(NumericFailure, match=re.escape(
+            "Newton did not converge at t = 1.000000e-12 s after 1 "
+            "iterations; last update ")):
+        run_rc()
 
 
 def test_non_uniform_time_grid_is_rejected():

@@ -2,7 +2,6 @@
 
 import dataclasses
 import json
-import math
 
 import pytest
 
@@ -60,21 +59,9 @@ class TestProcessParams:
 
 
 class TestSegment:
-    def test_length_and_direction(self):
+    def test_length(self):
         seg = round_segment((0, 0, 0), (3e-6, 0, 4e-6), 1e-6)
         assert seg.length_m == pytest.approx(5e-6)
-        assert seg.direction == pytest.approx((0.6, 0.0, 0.8))
-
-    def test_round_cross_section(self):
-        seg = round_segment((0, 0, 0), (60e-6, 0, 0), 10e-6)
-        assert seg.cross_section_m2 == pytest.approx(math.pi * 1e-10)
-        # largest cross dimension of a round wire is its radius, not diameter
-        assert seg.max_cross_dimension_m == pytest.approx(10e-6)
-
-    def test_rect_cross_section(self):
-        seg = rect_segment((0, 0, 0), (100e-6, 0, 0), 24e-6, 7e-6)
-        assert seg.cross_section_m2 == pytest.approx(24e-6 * 7e-6)
-        assert seg.max_cross_dimension_m == pytest.approx(24e-6)
 
     def test_zero_length_rejected(self):
         with pytest.raises(InvalidGeometryError, match="zero-length"):

@@ -1,6 +1,6 @@
-"""Netlist validation: each malformed netlist raises InvalidModelError
-with a message that names what is wrong, at build time or when the
-transient validates it."""
+"""Netlist checks: each malformed netlist raises InvalidModelError with a
+message that names what is wrong, at build time or when the transient's
+MNA walk reads it."""
 import re
 
 import pytest
@@ -22,15 +22,13 @@ def rc_netlist() -> Netlist:
 
 
 def assert_invalid(net: Netlist, message: str) -> None:
-    """Both validate() and transient() reject the netlist with message."""
-    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
-        net.validate()
+    """transient() rejects the netlist with message."""
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         transient(net, CFG)
 
 
 def test_well_formed_netlist_validates():
-    rc_netlist().validate()
+    transient(rc_netlist(), CFG)
 
 
 def test_floating_node():
@@ -91,12 +89,12 @@ def test_dotted_label_is_rejected():
         "empty_node_name", "non_string_node_name"])
 def test_rejected_add_registers_no_node(add, message):
     """A rejected add leaves the node list as it was, so the netlist
-    still validates."""
+    still runs."""
     net = rc_netlist()
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         add(net)
     assert net.node_names == ["a"]
-    net.validate()
+    transient(net, CFG)
 
 
 def test_no_ground_connection():

@@ -8,16 +8,20 @@ inductance, transformer and analysis, and on the run path netlist,
 engine, metrology and topologies, each import only the package modules
 below them; the device models import nothing from the package but the
 error types.  A parameter block checks itself once, in __post_init__, and
-is frozen so that the check still holds where it is used; only the
-netlist, built up one element at a time, has a validate() to call.
+is frozen so that the check still holds where it is used; no class has
+a validate() to call.  The netlist, built up one element at a time, is
+checked by the engine's MNA walk, the one reader of its element kinds.
 """
 import ast
 import importlib
 import re
 import sys
+import typing
 from pathlib import Path
 
 import pytest
+
+from tsvqvco import netlist
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -111,9 +115,31 @@ def is_frozen_dataclass(cls: ast.ClassDef) -> bool:
                for d in cls.decorator_list)
 
 
-def test_only_the_netlist_has_a_validate_method():
+def test_no_class_has_a_validate_method():
     assert {cls.name for cls, methods in package_classes()
-            if "validate" in methods} == {"Netlist"}
+            if "validate" in methods} == set()
+
+
+def element_isinstance_sites():
+    """(module, top-level class or function) of every isinstance call
+    under src/tsvqvco whose class argument names a netlist element."""
+    elements = {cls.__name__ for cls in typing.get_args(netlist.Element)}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", "") == "isinstance"
+                        and len(node.args) == 2):
+                    names = {getattr(n, "id", getattr(n, "attr", None))
+                             for n in ast.walk(node.args[1])}
+                    if names & elements:
+                        yield path.stem, getattr(top, "name", None)
+
+
+def test_only_the_mna_walk_reads_element_kinds():
+    """A second reader of the element kinds would have to agree with the
+    stamps on every kind's terminals; the walk checks what it stamps."""
+    assert set(element_isinstance_sites()) == {("engine", "_System")}
 
 
 def test_every_self_checking_block_is_frozen():

@@ -104,10 +104,13 @@ def test_packed_values_equal_the_segments_own(spiral_coils):
     rows = pack_windings(spiral_coils).rows
     segments = [s for c in spiral_coils for s in c.segments]
     assert rows.length.tolist() == [s.length_m for s in segments]
-    assert rows.unit.T.tolist() == [list(s.direction) for s in segments]
+    assert rows.unit.T.tolist() == [[(e - b) / s.length_m for b, e in zip(s.start, s.end)]
+                                    for s in segments]
     assert rows.start.T.tolist() == [list(s.start) for s in segments]
     assert rows.is_round.tolist() == [s.shape == "round" for s in segments]
-    assert rows.cross.max(axis=0).tolist() == [s.max_cross_dimension_m for s in segments]
+    assert rows.cross.max(axis=0).tolist() == [
+        s.radius_m if s.shape == "round" else max(s.width_m, s.thickness_m)
+        for s in segments]
 
 
 def test_batched_pairs_equal_one_pair_wrapper(spiral_coils):

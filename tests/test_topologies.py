@@ -6,9 +6,12 @@ has, each loaded by BUFFER_LOAD_F, and stamps every tuning-array switch
 as a resistor of the on or off value its code bit selects.  Every built
 netlist, the quadrature bench included, seeds startup with V_o1 at
 PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
-in a transient at their tank frequency with differential outputs.
+in a transient at their tank frequency with differential outputs, and
+the metrics of such a run serialize to JSON through dataclasses.asdict.
 """
 import dataclasses
+import functools
+import json
 import math
 
 import pytest
@@ -95,6 +98,16 @@ def test_array_switches_are_resistors_set_by_the_code(topology,
     assert all(isinstance(e, Resistor) for e in switches.values())
 
 
+@functools.lru_cache(maxsize=None)
+def plain_tank_metrics(topology, l_diff_h):
+    """The tank frequency and the metrics of a 60-period run."""
+    p = TopologyParams(**PLAIN_TANK)
+    f_lc = 1.0 / (2.0 * math.pi * math.sqrt(l_diff_h * p.c_tank_f))
+    wave = transient(build_netlist(topology, p),
+                     default_sim_config(f_lc, n_periods=60))
+    return f_lc, measure_metrics(wave, p.v_dd_v)
+
+
 @pytest.mark.parametrize("topology, l_diff_h, f_tol", [
     ("lc-vco", 2 * PLAIN_TANK["l_tank_h"], 0.02),
     ("cr-vco", PLAIN_TANK["l_tank_h"], 0.005),
@@ -103,11 +116,17 @@ def test_plain_tank_oscillator_runs_differential(topology, l_diff_h, f_tol):
     """60 periods: the oscillator starts at its tank frequency, 1/(2 pi
     sqrt(L C)) with the differential inductance, and its two outputs
     swing in antiphase."""
-    p = TopologyParams(**PLAIN_TANK)
-    f_lc = 1.0 / (2.0 * math.pi * math.sqrt(l_diff_h * p.c_tank_f))
-    wave = transient(build_netlist(topology, p),
-                     default_sim_config(f_lc, n_periods=60))
-    m = measure_metrics(wave, p.v_dd_v)
+    f_lc, m = plain_tank_metrics(topology, l_diff_h)
     assert m.oscillating
     assert abs(m.f_osc_hz / f_lc - 1.0) <= f_tol
     assert abs(m.phases_deg["V_o2"] - 180.0) <= 3.0
+
+
+def test_metrics_of_a_run_serialize_to_json():
+    """The benchmark records every run's metrics with dataclasses.asdict;
+    a mapping proxy in SimMetrics would make that raise."""
+    _, m = plain_tank_metrics("cr-vco", PLAIN_TANK["l_tank_h"])
+    assert m.oscillating and m.phases_deg
+    record = json.loads(json.dumps(dataclasses.asdict(m)))
+    assert record["phases_deg"] == m.phases_deg
+    assert record["amplitudes_vpp"] == m.amplitudes_vpp

@@ -40,7 +40,7 @@ def _within_band(value, target, band=SOFT_BAND):
 def _tsv_count(coil):
     # full-height round conductors; excludes the 5 um inter-turn vias
     return sum(1 for s in coil.segments
-               if s.shape == "round" and abs(s.direction[2]) > 0.5
+               if s.shape == "round" and s.start[2] != s.end[2]
                and s.radius_m > 8e-6)
 
 
