@@ -172,10 +172,8 @@ def p_channel_mirror(nmos: MosParams, k_ratio: float) -> MosParams:
 
 def check_coupled_set(n: int, matrix, series_r) -> None:
     """Validate an n-winding coupled set: a symmetric, positive definite
-    n x n inductance matrix over at least two windings, and one
-    non-negative series resistance per winding."""
-    if n < 2:
-        raise InvalidModelError("coupled set needs at least two windings")
+    n x n inductance matrix and one non-negative series resistance per
+    winding."""
     m = np.asarray(matrix, dtype=object)  # ragged rows give another shape
     if m.shape != (n, n):
         raise InvalidModelError(

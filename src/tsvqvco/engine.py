@@ -32,11 +32,14 @@ r, r a0 and r jst; a solve is (r a0 + (r jst) @ partials) dx = r f.  The
 scaling only steers the pivots: every accepted point passes the unscaled
 residual test and the per-step KCL gate.
 
-Every step, linear circuits included, is solved by Newton from the
-quadratic extrapolation of the last three accepted solutions (linear
-through two, else the previous one); a linear circuit converges after
-one solve, and the residual test accepts it.  Accepted solutions keep
-the ground slot, always 0, so the extrapolation is the extended start.
+Every step, linear circuits included, is solved by Newton from a
+polynomial predictor: the degree-PREDICTOR_ORDER extrapolation of the
+last PREDICTOR_ORDER + 1 accepted solutions, one weighted sum of those
+rows.  Early in the run fewer rows give a lower degree; the initial
+state is never extrapolated from, and the first step starts from it.  A
+linear circuit converges after one solve, and the residual test accepts
+it.  Accepted solutions keep the ground slot, always 0, so the
+extrapolation is the extended start.
 
 The step history is q and its derivative i at the last accepted step.
 A trapezoidal step (coef = 2/h) solves
@@ -77,8 +80,21 @@ KCL_ABS_A = 1e-9
 # singular.  1 nS is nine decades below the operating conductances here,
 # so it never shows in the waveforms.
 GMIN = 1e-9
+# Degree of the Newton start-point predictor.  Measured at 100 periods
+# on the toroidal tc-qvco (CHANGES.md has the table over every
+# topology), solves per step at degrees 2, 3, 4 and 5: buffered 1.467,
+# 1.204, 1.151, 1.163; core 1.117, 1.102, 1.102, 1.102.
+PREDICTOR_ORDER = 4
 # Largest step-size spread, relative to the mean step, of a uniform grid.
 UNIFORM_STEP_REL = 1e-6
+
+# _PREDICTOR[k] extrapolates the next row of a uniform grid from the last
+# k rows, oldest first: the backward-difference weights
+# (-1)^(i+1) C(k, i) of the row i steps back, exact for polynomials of
+# degree below k (Brayton, Gustavson & Hachtel, Proc. IEEE 1972).
+_PREDICTOR = {k: np.array([(-1.0) ** (k - j + 1) * math.comb(k, j)
+                           for j in range(k)])
+              for k in range(1, PREDICTOR_ORDER + 2)}
 
 
 @dataclass(frozen=True)
@@ -98,8 +114,15 @@ class SimConfig:
             raise InvalidModelError("stop time must exceed the time step")
 
 
-def _read_only(trace) -> np.ndarray:
-    view = np.asarray(trace).view()
+def _frozen(trace) -> np.ndarray:
+    """A read-only view of trace, over a copy of it unless the memory
+    behind it is read-only too (as transient's solution array is)."""
+    trace = np.asarray(trace)
+    owner = trace if trace.base is None else trace.base
+    if (trace.flags.writeable or not isinstance(owner, np.ndarray)
+            or owner.flags.writeable):
+        trace = trace.copy()
+    view = trace.view()
     view.flags.writeable = False
     return view
 
@@ -108,8 +131,8 @@ def _read_only(trace) -> np.ndarray:
 class Waveforms:
     """Uniform-grid simulation output and what the run cost: the worst
     per-step KCL residual, the Newton iterations (device evaluations:
-    the linear solves plus one per step) and the linear solves over all
-    steps."""
+    the linear solves plus one per step), the linear solves over all
+    steps, and solve_histogram[k], the steps that took k linear solves."""
 
     time_s: np.ndarray
     voltages: Mapping[str, np.ndarray]
@@ -117,13 +140,14 @@ class Waveforms:
     kcl_max_a: float = 0.0
     newton_iterations: int = 0
     linear_solves: int = 0
+    solve_histogram: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         # read-only, so the checks below hold wherever the waveforms go
-        object.__setattr__(self, "time_s", _read_only(self.time_s))
+        object.__setattr__(self, "time_s", _frozen(self.time_s))
         for name in ("voltages", "currents"):
             object.__setattr__(self, name, MappingProxyType(
-                {k: _read_only(v) for k, v in getattr(self, name).items()}))
+                {k: _frozen(v) for k, v in getattr(self, name).items()}))
         traces = [("time_s", self.time_s), *self.voltages.items(),
                   *self.currents.items()]
         for name, trace in traces:
@@ -397,6 +421,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     if n_steps < 2:
         raise InvalidModelError("stop time must cover at least two steps")
     times = h * np.arange(n_steps + 1)
+    times.flags.writeable = False
     x = sys.x_init
     # the step history: charge q(x) and its derivative i, extended by
     # the ground slot; the first step's i is the zero initial derivative
@@ -404,26 +429,22 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out = np.empty((n_steps + 1, sys.size + 1))
     out[0] = x
     kcl_max = 0.0
-    linear_solves = 0
+    histogram = [0] * MAX_NEWTON  # Newton solves at most MAX_NEWTON - 1
     # backward Euler for the first step, trapezoidal after it
     stages = itertools.chain([sys.stage(1.0 / h)],
                              itertools.repeat(sys.stage(2.0 / h), n_steps - 1))
     for step, stage in enumerate(stages, start=1):
         t = times[step]
-        # Newton starts from the rows of out already accepted, the
-        # initial state excluded from the extrapolation
-        past = out[max(1, step - 3):step]
-        if len(past) == 3:
-            x0 = 3.0 * (past[2] - past[1]) + past[0]
-        elif len(past) == 2:
-            x0 = 2.0 * past[1] - past[0]
-        else:
-            x0 = out[step - 1].copy()
+        # Newton starts from the predictor over the rows of out already
+        # accepted, the initial state excluded; with none accepted yet,
+        # k = 1 copies the initial state
+        k = min(max(step - 1, 1), PREDICTOR_ORDER + 1)
+        x0 = _PREDICTOR[k] @ out[step - k:step]
         b = stage.coef * q + i
         for row, e in sys.vsources:
             b[row] = e.value_at(t)
         x, resid, solves = _newton_step(sys, x0, stage, b, t)
-        linear_solves += solves
+        histogram[solves] += 1
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
             raise NumericFailure(
@@ -436,11 +457,16 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         i = stage.coef * (q_next - q) - i
         q = q_next
 
-    # column views of out; Waveforms makes them read-only
+    # read-only column views of out, which Waveforms then needs not copy
+    out.flags.writeable = False
+    while not histogram[-1]:
+        histogram.pop()
+    linear_solves = sum(k * n for k, n in enumerate(histogram))
     voltages = {name: out[:, i] for i, name in enumerate(net.node_names)}
     currents = {f"I({lbl})": out[:, sys.n + j]
                 for j, lbl in enumerate(sys.branch_labels)}
     return Waveforms(time_s=times, voltages=voltages, currents=currents,
                      kcl_max_a=kcl_max,
                      newton_iterations=linear_solves + n_steps,
-                     linear_solves=linear_solves)
+                     linear_solves=linear_solves,
+                     solve_histogram=tuple(histogram))

@@ -6,9 +6,11 @@ insertion time so a finished netlist is a flat, ordered element list.  The
 element order and the node registration order together fix the MNA unknown
 ordering, which is what makes repeated runs bit-identical.
 
-Each add_* method checks its own values, labels and node names, and a
-rejected add changes nothing.  What needs the whole netlist (known
-terminals, ground, no floating node) is checked by engine._System.
+Each element checks its own values when it is built, so one appended to
+elements directly is checked too.  The add_* methods check labels and
+node names, and a rejected add changes nothing.  What needs the whole
+netlist (known terminals, ground, no floating node) is checked by
+engine._System.
 
 Branch-current unknowns exist for inductors, every winding of a coupled
 set, and voltage sources; everything else is stamped as a conductance or
@@ -40,6 +42,11 @@ class Resistor:
     ohms: float
     label: str
 
+    def __post_init__(self) -> None:
+        check_finite(InvalidModelError, "resistor", "ohms", self.ohms)
+        if self.ohms <= 0:
+            raise InvalidModelError("resistance must be positive")
+
 
 @dataclass(frozen=True)
 class Capacitor:
@@ -48,6 +55,11 @@ class Capacitor:
     farads: float
     label: str
 
+    def __post_init__(self) -> None:
+        check_finite(InvalidModelError, "capacitor", "farads", self.farads)
+        if self.farads <= 0:
+            raise InvalidModelError("capacitance must be positive")
+
 
 @dataclass(frozen=True)
 class CoupledInductors:
@@ -55,6 +67,9 @@ class CoupledInductors:
 
     pairs[w] = (a, b) is winding w from node a to node b; the branch
     current flows a -> b inside the winding and starts at i_initial_a[w].
+    devices.check_coupled_set checks every set; one winding is an
+    inductor (Netlist.add_inductor), whose own messages come first.  The
+    values are stored as tuples of floats.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -62,6 +77,27 @@ class CoupledInductors:
     series_r: tuple[float, ...]
     label: str
     i_initial_a: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        n = len(self.pairs)
+        if n == 1:
+            henries = self.matrix[0][0]
+            check_finite(InvalidModelError, "inductor", "henries", henries)
+            check_finite(InvalidModelError, "inductor", "i_initial_a",
+                         self.i_initial_a[0])
+            if henries <= 0:
+                raise InvalidModelError("inductance must be positive")
+        check_coupled_set(n, self.matrix, self.series_r)
+        if len(self.i_initial_a) != n:
+            raise InvalidModelError("initial currents must match winding count")
+        for w, i0 in enumerate(self.i_initial_a):
+            check_finite(InvalidModelError, "coupled set", f"i_initial_a[{w}]",
+                         i0)
+        object.__setattr__(self, "matrix", tuple(
+            tuple(float(v) for v in row) for row in self.matrix))
+        object.__setattr__(self, "series_r",
+                           tuple(float(r) for r in self.series_r))
+        object.__setattr__(self, "i_initial_a", tuple(self.i_initial_a))
 
 
 @dataclass(frozen=True)
@@ -99,6 +135,12 @@ class VSource:
     label: str
     ramp_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        check_finite(InvalidModelError, "vsource", "volts", self.volts)
+        check_finite(InvalidModelError, "vsource", "ramp_s", self.ramp_s)
+        if self.ramp_s < 0:
+            raise InvalidModelError("source ramp must be non-negative")
+
     def value_at(self, t: float) -> float:
         if self.ramp_s <= 0.0 or t >= self.ramp_s:
             return self.volts
@@ -119,6 +161,9 @@ class Vccs:
     cn: int
     gm: float
     label: str
+
+    def __post_init__(self) -> None:
+        check_finite(InvalidModelError, "vccs", "gm", self.gm)
 
 
 Element = (Resistor | Capacitor | CoupledInductors | Mos | Varactor | VSource
@@ -143,9 +188,11 @@ class Netlist:
             self.node_names.append(name)
             return len(self.node_names) - 1
 
-    def _resolve(self, label: str | None, kind: str, *names: str) -> tuple[str, list[int]]:
-        """An element's label and terminal indices; every check runs before
-        the first new node is registered, so a rejected add changes nothing."""
+    def _add(self, kind: str, label: str | None, names, build) -> None:
+        """Append build(label, *indices).  The label and node names are
+        checked first; then the element checks its values as it is
+        built, with the indices its names will get; only then are new
+        nodes registered, so a rejected add changes nothing."""
         out = label if label is not None else f"{kind}{len(self.elements)}"
         # "<label>.w<w>" names a coupled set's windings, so no label has a dot
         if not isinstance(out, str) or "." in out:
@@ -154,78 +201,63 @@ class Netlist:
             raise InvalidModelError(f"duplicate element label {out!r}")
         if not all(isinstance(name, str) and name for name in names):
             raise InvalidModelError("node names must be non-empty strings")
-        return out, [self.node(name) for name in names]
+        new = [name for name in dict.fromkeys(names)
+               if name not in GROUND_NAMES and name not in self.node_names]
+        known = self.node_names + new
+        element = build(out, *(GROUND if name in GROUND_NAMES
+                                 else known.index(name) for name in names))
+        self.node_names.extend(new)
+        self.elements.append(element)
 
     def add_resistor(self, a: str, b: str, ohms: float,
                      label: str | None = None) -> None:
-        check_finite(InvalidModelError, "resistor", "ohms", ohms)
-        if ohms <= 0:
-            raise InvalidModelError("resistance must be positive")
-        label, nodes = self._resolve(label, "r", a, b)
-        self.elements.append(Resistor(*nodes, ohms, label))
+        self._add("r", label, (a, b),
+                  lambda lbl, *nodes: Resistor(*nodes, ohms, lbl))
 
     def add_capacitor(self, a: str, b: str, farads: float,
                       label: str | None = None) -> None:
-        check_finite(InvalidModelError, "capacitor", "farads", farads)
-        if farads <= 0:
-            raise InvalidModelError("capacitance must be positive")
-        label, nodes = self._resolve(label, "c", a, b)
-        self.elements.append(Capacitor(*nodes, farads, label))
+        self._add("c", label, (a, b),
+                  lambda lbl, *nodes: Capacitor(*nodes, farads, lbl))
 
     def add_inductor(self, a: str, b: str, henries: float,
                      label: str | None = None,
                      i_initial_a: float = 0.0) -> None:
-        check_finite(InvalidModelError, "inductor", "henries", henries)
-        check_finite(InvalidModelError, "inductor", "i_initial_a", i_initial_a)
-        if henries <= 0:
-            raise InvalidModelError("inductance must be positive")
-        label, nodes = self._resolve(label, "l", a, b)
-        self.elements.append(CoupledInductors(
-            pairs=(tuple(nodes),), matrix=((henries,),), series_r=(0.0,),
-            label=label, i_initial_a=(i_initial_a,)))
+        self._add("l", label, (a, b), lambda lbl, *nodes: CoupledInductors(
+            pairs=(nodes,), matrix=((henries,),), series_r=(0.0,),
+            label=lbl, i_initial_a=(i_initial_a,)))
 
     def add_coupled_inductors(self, pairs, matrix, series_r,
                               label: str | None = None,
                               i_initial_a=None) -> None:
         n = len(pairs)
-        check_coupled_set(n, matrix, series_r)
-        ic = tuple(i_initial_a) if i_initial_a is not None else (0.0,) * n
-        if len(ic) != n:
-            raise InvalidModelError("initial currents must match winding count")
-        for w, i0 in enumerate(ic):
-            check_finite(InvalidModelError, "coupled set", f"i_initial_a[{w}]",
-                         i0)
-        label, nodes = self._resolve(label, "k", *(t for a, b in pairs for t in (a, b)))
-        self.elements.append(CoupledInductors(
-            pairs=tuple(zip(nodes[0::2], nodes[1::2])),
-            matrix=tuple(tuple(float(v) for v in row) for row in matrix),
-            series_r=tuple(float(r) for r in series_r),
-            label=label, i_initial_a=ic))
+        if n < 2:  # one winding is an inductor: add_inductor
+            raise InvalidModelError("coupled set needs at least two windings")
+        ic = i_initial_a if i_initial_a is not None else (0.0,) * n
+        self._add("k", label, [t for a, b in pairs for t in (a, b)],
+                  lambda lbl, *nodes: CoupledInductors(
+                      pairs=tuple(zip(nodes[0::2], nodes[1::2])),
+                      matrix=matrix, series_r=series_r, label=lbl,
+                      i_initial_a=ic))
 
     def add_mos(self, d: str, g: str, s: str, params: MosParams,
                 label: str | None = None) -> None:
-        label, nodes = self._resolve(label, "m", d, g, s)
-        self.elements.append(Mos(*nodes, params, label))
+        self._add("m", label, (d, g, s),
+                  lambda lbl, *nodes: Mos(*nodes, params, lbl))
 
     def add_varactor(self, a: str, b: str, cp: str, cn: str,
                      model: VaractorModel, label: str | None = None) -> None:
-        label, nodes = self._resolve(label, "cv", a, b, cp, cn)
-        self.elements.append(Varactor(*nodes, model, label))
+        self._add("cv", label, (a, b, cp, cn),
+                  lambda lbl, *nodes: Varactor(*nodes, model, lbl))
 
     def add_vsource(self, p: str, n: str, volts: float,
                     label: str | None = None, ramp_s: float = 0.0) -> None:
-        check_finite(InvalidModelError, "vsource", "volts", volts)
-        check_finite(InvalidModelError, "vsource", "ramp_s", ramp_s)
-        if ramp_s < 0:
-            raise InvalidModelError("source ramp must be non-negative")
-        label, nodes = self._resolve(label, "v", p, n)
-        self.elements.append(VSource(*nodes, volts, label, ramp_s))
+        self._add("v", label, (p, n),
+                  lambda lbl, *nodes: VSource(*nodes, volts, lbl, ramp_s))
 
     def add_vccs(self, p: str, n: str, cp: str, cn: str, gm: float,
                  label: str | None = None) -> None:
-        check_finite(InvalidModelError, "vccs", "gm", gm)
-        label, nodes = self._resolve(label, "g", p, n, cp, cn)
-        self.elements.append(Vccs(*nodes, gm, label))
+        self._add("g", label, (p, n, cp, cn),
+                  lambda lbl, *nodes: Vccs(*nodes, gm, lbl))
 
     def set_initial_voltage(self, node: str, volts: float) -> None:
         if node in GROUND_NAMES:

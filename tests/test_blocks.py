@@ -6,7 +6,8 @@ checked with.  For one bad field per block, the typed error and its
 message come from the constructor and from dataclasses.replace on a
 valid instance, and assigning to a field of a built block fails.  The
 containers a block holds cannot be changed in place either: the geometry
-tuples, and the traces and trace mappings of Waveforms.
+tuples, and the traces and trace mappings of Waveforms, also not through
+an array the caller kept.
 """
 import dataclasses
 import re
@@ -164,3 +165,16 @@ def test_waveforms_cannot_be_changed_in_place():
     with pytest.raises(ValueError, match="read-only"):
         w.time_s[0] = 1.0
     assert np.isfinite(w.voltages["V_o1"]).all() and "X" not in w.voltages
+
+
+@pytest.mark.parametrize("given", ["array", "read-only view"])
+def test_waveforms_copy_traces_a_caller_can_still_write(given):
+    """A caller who keeps a given array, or the writable array behind a
+    read-only view of it, cannot change the checked trace."""
+    v = np.zeros(4)
+    trace = v if given == "array" else v.view()
+    trace.flags.writeable = given == "array"
+    w = Waveforms(time_s=np.arange(4.0), voltages={"V_o1": trace},
+                  currents={})
+    v[0] = np.nan
+    assert np.isfinite(w.voltages["V_o1"]).all()

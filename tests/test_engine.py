@@ -12,7 +12,10 @@ sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
 adds nothing to a netlist's initial state.  The traces of a run are
 read-only column views of one solution array.
 Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
-point must change only the iteration count, never the answer, and the
+point must change only the iteration count, never the answer; the
+predictor is exact on polynomials of degree below its row count, and
+keeps the buffered tc-qvco near one solve per step.  A run's solve
+histogram accounts for every step and every solve.  The
 Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
@@ -435,6 +438,40 @@ def test_run_reports_its_solves_and_iterations(case, monkeypatch,
     assert wave.linear_solves == len(calls)
     # a step's last iteration accepts the residual without a solve
     assert wave.newton_iterations == len(calls) + steps
+    hist = wave.solve_histogram
+    assert sum(hist) == steps
+    assert sum(k * n for k, n in enumerate(hist)) == wave.linear_solves
+    assert hist[0] == 0 and hist[-1] > 0
+
+
+@pytest.mark.parametrize("k", sorted(engine._PREDICTOR))
+def test_predictor_is_exact_below_its_row_count(k):
+    """_PREDICTOR[k] continues any polynomial of degree below k from k
+    uniform samples, and the table runs to PREDICTOR_ORDER + 1 rows."""
+    assert sorted(engine._PREDICTOR) == list(
+        range(1, engine.PREDICTOR_ORDER + 2))
+    rng = np.random.default_rng(k)
+    t0, h = 0.3, 1e-3
+    grid = t0 + h * np.arange(k + 1)
+    for degree in range(k):
+        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+        samples = poly(grid)
+        predicted = engine._PREDICTOR[k] @ samples[:k]
+        assert abs(predicted - samples[k]) <= 1e-12 * abs(samples[k])
+
+
+# The shortest span at which the quadratic predictor (three rows) needed
+# 1.3 solves per step on the buffered tc-qvco: 12227 solves over 9400
+# steps, 1.301.  The quartic predictor measured 10296 solves there, 1.095.
+BUFFERED_SPAN_PERIODS = 47
+BUFFERED_SOLVES_PER_STEP = 1.095 + 0.05  # margin: rounding across BLAS builds
+
+
+def test_predictor_keeps_the_buffered_qvco_near_one_solve(toroidal_model):
+    wave = qvco_run(toroidal_model, BUFFERED_SPAN_PERIODS, BufferParams())
+    hist = wave.solve_histogram
+    assert sum(k * n for k, n in enumerate(hist)) / sum(hist) \
+        <= BUFFERED_SOLVES_PER_STEP
 
 
 def rc_netlist() -> Netlist:

@@ -31,7 +31,8 @@ from tsvqvco.errors import (InvalidGeometryError, InvalidModelError,
                             NumericFailure, check_finite)
 from tsvqvco.geometry import Segment, rect_segment
 from tsvqvco.metrology import measure_metrics
-from tsvqvco.netlist import Netlist, Resistor
+from tsvqvco.netlist import (Capacitor, CoupledInductors, Netlist, Resistor,
+                             Vccs, VSource)
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 build_quadrature_bench, default_sim_config)
 from tsvqvco.transformer import TransformerModel
@@ -265,6 +266,46 @@ def test_out_of_range_input_is_rejected(case):
     build, message = RANGE_CASES[case]
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         build()
+
+
+# Each netlist element checks its own values when it is built, so one
+# appended to net.elements without its add_* method raises a typed
+# message (its add_* method's, where it has one), not an untyped error
+# from the MNA walk.
+RAW_ELEMENT_CASES = {
+    "resistor": (lambda: Resistor(0, -1, 0.0, "rx"),
+                 "resistance must be positive"),
+    "capacitor": (lambda: Capacitor(0, -1, -1e-12, "cx"),
+                  "capacitance must be positive"),
+    "inductor": (lambda: CoupledInductors(((0, -1),), ((0.0,),), (0.0,),
+                                          "lx", (0.0,)),
+                 "inductance must be positive"),
+    "coupled set": (lambda: CoupledInductors(
+        ((0, -1), (0, -1)), ((1e-9, 2e-9), (2e-9, 1e-9)), (0.1, 0.1), "kx",
+        (0.0, 0.0)), "inductance matrix is not positive definite "
+                     "(over-coupled)"),
+    "lossy inductor": (lambda: CoupledInductors(((0, -1),), ((1e-9,),),
+                                                (-1.0,), "lx", (0.0,)),
+                       "coupled set needs one non-negative series R per "
+                       "winding"),
+    "inductor matrix shape": (lambda: CoupledInductors(
+        ((0, -1),), ((1e-9, 5.0),), (0.0,), "lx", (0.0,)),
+        "coupled set with 1 windings needs a 1x1 matrix"),
+    "coupled set initial currents": (lambda: CoupledInductors(
+        ((0, -1), (0, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "kx",
+        (0.0,)), "initial currents must match winding count"),
+    "vsource": (lambda: VSource(0, -1, 1.0, "vx", -1e-9),
+                "source ramp must be non-negative"),
+    "vccs": (lambda: Vccs(0, -1, 0, -1, NAN, "gx"),
+             "vccs field gm is not a finite number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RAW_ELEMENT_CASES))
+def test_raw_element_checks_its_values(case):
+    build, message = RAW_ELEMENT_CASES[case]
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        run_rc(build())
 
 
 def test_netlist_checks_come_before_the_step_count():
