@@ -6,6 +6,12 @@ check every coupled-inductor set passes, and the output buffer parameter
 block.  Everything here is an
 immutable parameter set plus pure evaluation functions; the simulator owns
 all state.
+
+The transistors of a run are one table, a row (d, g, s, polarity sign,
+|V_th|, k, lam) per device (mos_row), with d, g and s the slots of the
+terminal voltages in the simulator's state.  mos_bank evaluates the
+whole table in one loop, and mos_eval is its one-device case, so the
+square law has one implementation.
 """
 from __future__ import annotations
 
@@ -52,53 +58,67 @@ class MosParams:
             raise InvalidModelError("p-channel threshold must be negative")
 
 
-def _fold(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
-    """Map any bias onto the v_ds >= 0 n-channel quarter-plane.
+def mos_row(d: int, g: int, s: int, p: MosParams) -> tuple:
+    """One transistor's row of a device table: its drain, gate and source
+    slots, the polarity sign (+1 n-channel, -1 p-channel), |V_th|, k and
+    lam."""
+    return (d, g, s, -1.0 if p.polarity == "p" else 1.0, abs(p.v_th),
+            p.k_factor, p.lam)
 
-    Returns (v_ov, v_ds, sign): i_d is sign times the n-channel current.
-    The channel is symmetric, so a reversed v_ds swaps the source and drain
-    roles; polarity mirrors both voltages.
+
+def mos_bank(table, v) -> tuple[list[float], list[float]]:
+    """Drain currents (A, into each drain) of every transistor in the
+    table at the terminal voltages v, and their partials
+    (d i/d v_gs, d i/d v_ds) two per device, in table order.
+
+    Polarity mirrors both voltages onto the n-channel, and a reversed
+    v_ds swaps the source and drain roles (the channel is symmetric), so
+    the square law is evaluated on the v_ds >= 0 n-channel quarter-plane
+    only.  The partials are taken with respect to the terminal voltages
+    as stored, so they drop straight into a Newton Jacobian for either
+    polarity and either channel direction.
     """
-    if p.polarity == "p":
-        v_gs, v_ds = -v_gs, -v_ds
-        v_th = -p.v_th
-        sign = -1.0
-    else:
-        v_th = p.v_th
-        sign = 1.0
-    if v_ds < 0.0:
-        # swapped terminals: the gate-source voltage becomes gate-drain
-        return v_gs - v_ds - v_th, -v_ds, -sign
-    return v_gs - v_th, v_ds, sign
+    cur, part = [], []
+    for d, g, s, pol, v_th, k, lam in table:
+        v_s = v[s]
+        v_gs = pol * (v[g] - v_s)
+        v_ds = pol * (v[d] - v_s)
+        reversed_ = v_ds < 0.0
+        if reversed_:
+            # swapped terminals: the gate-source voltage becomes gate-drain
+            v_ov, v_ds, sign = v_gs - v_ds - v_th, -v_ds, -pol
+        else:
+            v_ov, sign = v_gs - v_th, pol
+        if v_ov <= 0.0:
+            cur.append(0.0)
+            part += (0.0, 0.0)
+            continue
+        mod = 1.0 + lam * v_ds
+        if v_ds >= v_ov:
+            q = 0.5 * k * v_ov * v_ov
+            i_d, g_m, g_ds = q * mod, k * v_ov * mod, q * lam
+        else:
+            # The (1 + lam v_ds) factor is kept in triode so the two
+            # regions meet exactly at v_ds = v_ov instead of jumping by
+            # the modulation term.
+            w = v_ov * v_ds - 0.5 * v_ds * v_ds
+            i_d, g_m = k * w * mod, k * v_ds * mod
+            g_ds = k * (v_ov - v_ds) * mod + k * w * lam
+        cur.append(sign * i_d)
+        if reversed_:
+            # chain rule through the source/drain swap: v_ov picks up -v_ds
+            part += (-g_m, g_m + g_ds)
+        else:
+            part += (g_m, g_ds)
+    return cur, part
 
 
 def mos_eval(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
     """Drain current (A) into the drain and its signed partials
-    (d i/d v_gs, d i/d v_ds), from one fold of the bias.
-
-    The partials are taken with respect to the terminal voltages as
-    passed in, so they drop straight into a Newton Jacobian for either
-    polarity and either channel direction.
-    """
-    v_ov, v_ds_f, sign = _fold(p, v_gs, v_ds)
-    if v_ov <= 0.0:
-        return 0.0, 0.0, 0.0
-    k, lam = p.k_factor, p.lam
-    mod = 1.0 + lam * v_ds_f
-    if v_ds_f >= v_ov:
-        q = 0.5 * k * v_ov * v_ov
-        i_d, g_m, g_ds = q * mod, k * v_ov * mod, q * lam
-    else:
-        # The (1 + lam v_ds) factor is kept in triode so the two regions
-        # meet exactly at v_ds = v_ov instead of jumping by the
-        # modulation term.
-        w = v_ov * v_ds_f - 0.5 * v_ds_f * v_ds_f
-        i_d, g_m = k * w * mod, k * v_ds_f * mod
-        g_ds = k * (v_ov - v_ds_f) * mod + k * w * lam
-    if (v_ds > 0.0) if p.polarity == "p" else (v_ds < 0.0):
-        # chain rule through the source/drain swap: v_ov picks up -v_ds
-        return sign * i_d, -g_m, g_m + g_ds
-    return sign * i_d, g_m, g_ds
+    (d i/d v_gs, d i/d v_ds): mos_bank's one-device case, with the
+    source at 0 V."""
+    (i_d,), (g_m, g_ds) = mos_bank([mos_row(0, 1, 2, p)], [v_ds, v_gs, 0.0])
+    return i_d, g_m, g_ds
 
 
 @dataclass(frozen=True)

@@ -18,38 +18,64 @@ d - s; a varactor: coef C v_sig from a to b, coef C on a - b and
 coef v_sig dC/dv on cp - cn).  _System turns the pattern into two
 constant matrices, built once per run: the incidence inc (rows by
 devices) and the Jacobian stamp matrix jst (flattened rows and columns by
-partials).  A Newton iteration evaluates the devices once (_device_values:
-one devices.mos_eval per transistor and one devices.varactor_eval per
-varactor, so the engine has no device equations of its own), forms the
-residual a0 x - b + inc @ currents and tests it; only when a solve follows
-does it build the Jacobian, in one product.
+partials).  The transistors are one table (devices.mos_row), evaluated
+in one loop by devices.mos_bank; the varactors by devices.varactor_eval.
+The engine has no device equations of its own.
+
+A run keeps its whole step state in one vector
+
+    y = [x (size + 1, the ground slot included) | device currents (k) |
+         partials (2k) | 1 | b (size)],
+
+with k devices (transistors, then varactors) and b the right-hand side
+of the step.  Each integrator coefficient gets a _Stage, built once per
+run, holding three matrices over y:
+
+    F  = [a0 | inc | 0 | 0 | -I]                       f = F y
+    R  = [NEWTON_REL |a0| | 0 | NEWTON_ABS | NEWTON_REL I]
+    Jm = [r jst | r a0]                 J = (Jm y[partials, 1]) as size x size
+
+over the unknown rows, with a0 = a_static + coef a_react.  A Newton
+iteration writes the device values into y with one slice assignment,
+forms the residual f = a0 x - b + inc @ currents as F y, and accepts
+when |f| <= min(R |y|, kcl_cap) on every row: each row balances to
+within tolerance relative to the magnitudes summed in it, and node rows
+also clear the per-step KCL gate with margin (update-only tests stall
+at the linear-solve noise floor on stiff systems).  Only when a solve
+follows does it form the row-scaled Jacobian J, in one product.
 
 Solves are row-equilibrated: branch rows mix +-1 voltage entries with
 L/h terms in the hundreds, which would otherwise eat the pivots.  The
-scales r = 1 / max_j |a0[i, j]| come from the linear stamps alone, so each
-integrator coefficient gets a _Stage, built once per run, holding a0, |a0|,
-r, r a0 and r jst; a solve is (r a0 + (r jst) @ partials) dx = r f.  The
-scaling only steers the pivots: every accepted point passes the unscaled
-residual test and the per-step KCL gate.
+scales r = 1 / max_j |a0[i, j]| come from the linear stamps alone, so
+they are part of the _Stage; a solve is J dx = r f.  The scaling only
+steers the pivots: every accepted point passes the unscaled residual
+test and the per-step KCL gate.
 
 Every step, linear circuits included, is solved by Newton from a
 polynomial predictor: the degree-PREDICTOR_ORDER extrapolation of the
 last PREDICTOR_ORDER + 1 accepted solutions, one weighted sum of those
-rows.  Early in the run fewer rows give a lower degree; the initial
-state is never extrapolated from, and the first step starts from it.  A
-linear circuit converges after one solve, and the residual test accepts
-it.  Accepted solutions keep the ground slot, always 0, so the
-extrapolation is the extended start.
+rows written straight into x.  Early in the run fewer rows give a lower
+degree; the initial state is never extrapolated from, and the first
+step starts from it.  A linear circuit converges after one solve, and
+the residual test accepts it.  Accepted solutions keep the ground slot,
+always 0, so the extrapolation is the extended start.
 
-The step history is q and its derivative i at the last accepted step.
-A trapezoidal step (coef = 2/h) solves
-a_static x + coef q(x) = s(t) + coef q_prev + i_prev and then sets
-i = coef (q - q_prev) - i_prev.  The first step is backward Euler: the
-same two equations with coef = 1/h and the initial i_prev = 0.  It needs
-no derivative history, so a discontinuous turn-on (step sources, charged
-capacitors) does not poison the trapezoidal rule with an inconsistent
-initial derivative.  The initial state is what the netlist declares: its
-initial node voltages and winding currents, zero everywhere else.
+The charge is q(x) = a_react x plus each varactor's charge.  A step
+with coefficient c solves a_static x + c q(x) = b, where a trapezoidal
+step (c = 2/h) has b = c q_prev + i_prev, the history of the charge and
+its derivative.  The first step is backward Euler: c = 1/h and the
+initial i_prev = 0, so b_1 = q(x_0)/h.  It needs no derivative history,
+so a discontinuous turn-on (step sources, charged capacitors) does not
+poison the trapezoidal rule with an inconsistent initial derivative.
+After step n the history is one recursion,
+
+    b_{n+1} = (c_n + c_{n+1}) q(x_n) - b_n,
+
+a fourth matrix of the _Stage over y (hist): the varactor charges are
+their currents in y over c_n.  Source rows of b are overwritten with the
+source values every step.  The initial state is what the netlist
+declares: its initial node voltages and winding currents, zero
+everywhere else.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -64,7 +90,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .devices import mos_eval, varactor_eval
+from .devices import mos_bank, mos_row, varactor_eval
 from .errors import InvalidModelError, NumericFailure, check_finite
 from .netlist import (GROUND, Capacitor, CoupledInductors, Mos, Netlist,
                       Resistor, Varactor, Vccs, VSource)
@@ -168,16 +194,18 @@ class Waveforms:
 @dataclass
 class _Stage:
     """The constant part of the Newton system at one integrator
-    coefficient: a0 = a_static + coef a_react, extended by the ground
-    slot, and over the unknowns |a0| for the residual reference, the row
-    scales r, and r a0 and jst with each row times r."""
+    coefficient coef, as matrices over the step state y (module
+    docstring): the residual F, the acceptance reference R, the
+    row-scaled Jacobian stamps Jm over y's partials and its 1, the row
+    scales r, and hist, which maps the accepted y of a step to the next
+    step's b, for the next coefficient the stage was built with."""
 
     coef: float
-    a0: np.ndarray
-    abs_a0: np.ndarray
     r: np.ndarray
-    a0s: np.ndarray
-    jsts: np.ndarray
+    F: np.ndarray
+    R: np.ndarray
+    Jm: np.ndarray
+    hist: np.ndarray
 
 
 class _System:
@@ -188,9 +216,11 @@ class _System:
     with the integrator coefficient (2/h trapezoidal, 1/h backward
     Euler), so one static matrix and one reactive matrix cover both
     methods; a run builds the _Stage of each coefficient it steps with.
-    Transistors and varactors are kept as terminal tuples of
-    extended-system slots, and their stamps as the constant pattern inc
-    and jst (module docstring).
+    Transistors are kept as the rows of a devices.mos_row table and
+    varactors as terminal tuples, both over extended-system slots, and
+    their stamps as the constant pattern inc and jst.  The slices dev,
+    jac and rhs place the device values, the partials with the 1, and b
+    in the step state y of length ylen (module docstring).
     """
 
     def __init__(self, net: Netlist):
@@ -202,31 +232,51 @@ class _System:
 
         self._build_linear()
         self._build_device_pattern()
+        dim, k = self.size + 1, self.inc.shape[1]
+        self.dev = slice(dim, dim + 3 * k)
+        self.jac = slice(dim + k, dim + 3 * k + 1)
+        self.rhs = slice(dim + 3 * k + 1, dim + 3 * k + 1 + self.size)
+        self.ylen = self.rhs.stop
 
         # per-row cap on the Newton residual: node rows must also clear
         # the per-step KCL gate with margin, branch rows have no gate
         self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
 
-    def stage(self, coef: float) -> _Stage:
+    def stage(self, coef: float, next_coef: float) -> _Stage:
         size, dim = self.size, self.size + 1
-        a0 = self.a_static + coef * self.a_react
-        abs_a0 = np.abs(a0[:size, :size])
-        peak = abs_a0.max(axis=1)
+        k, n_mos = self.inc.shape[1], len(self.mos)
+        a0 = (self.a_static + coef * self.a_react)[:size]
+        abs_a0 = np.abs(a0)
+        peak = abs_a0[:, :size].max(axis=1)
         peak[peak == 0.0] = 1.0
         r = 1.0 / peak
+        eye, inc = np.eye(size), self.inc[:size]
+
+        def zeros(n):
+            return np.zeros((size, n))
+
         jsts = self.jst.reshape(dim, dim, -1)[:size, :size] * r[:, None, None]
-        return _Stage(coef=coef, a0=a0, abs_a0=abs_a0, r=r,
-                      a0s=r[:, None] * a0[:size, :size],
-                      jsts=jsts.reshape(size * size, -1))
+        a0s = r[:, None] * a0[:, :size]
+        c_sum = coef + next_coef
+        return _Stage(
+            coef=coef, r=r,
+            F=np.hstack([a0, inc, zeros(2 * k + 1), -eye]),
+            R=np.hstack([NEWTON_REL * abs_a0, zeros(3 * k),
+                         np.full((size, 1), NEWTON_ABS), NEWTON_REL * eye]),
+            Jm=np.hstack([jsts.reshape(size * size, -1),
+                           a0s.reshape(size * size, 1)]),
+            hist=np.hstack([c_sum * self.a_react[:size], zeros(n_mos),
+                            c_sum / coef * inc[:, n_mos:], zeros(2 * k + 1),
+                            -eye]))
 
     def _build_device_pattern(self) -> None:
         """inc[:, k] is +1 on row p and -1 on row n of device k, in the
-        order _device_values returns them (transistors, then varactors);
+        order of y's device slots (transistors, then varactors);
         column 2k + c of jst is the flattened outer product of that
         incidence with partial c's column difference.  Ground terminals
         land in the ground slot, and coinciding slots accumulate."""
-        terms = ([(d, s, (g, s), (d, s)) for d, g, s, _ in self.mos]
+        terms = ([(d, s, (g, s), (d, s)) for d, g, s, *_ in self.mos]
                  + [(a, b, (a, b), (cp, cn))
                     for a, b, cp, cn, _ in self.varactors])
         dim = self.size + 1
@@ -312,7 +362,7 @@ class _System:
                 # the leak keeps cut-off regions non-singular
                 conductance(a_static, d, GROUND, GMIN)
                 conductance(a_static, s, GROUND, GMIN)
-                self.mos.append((d, g, s, e.params))
+                self.mos.append(mos_row(d, g, s, e.params))
             elif isinstance(e, Varactor):
                 self.varactors.append((*nodes(e, e.a, e.b, e.cp, e.cn),
                                        e.model))
@@ -335,7 +385,9 @@ class _System:
 
 
 def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
-    """q(x): the linear reactive stamps plus each varactor's charge."""
+    """q(x): the linear reactive stamps plus each varactor's charge.
+    Only the initial state's opens the history; after the first step the
+    stages' hist carries it."""
     q = sys.a_react @ x
     if sys.varactors:
         v = x.tolist()
@@ -358,48 +410,37 @@ def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
     return "MNA matrix is singular (structurally ill-posed netlist)"
 
 
-def _device_values(sys: _System, x: np.ndarray, coef: float):
-    """Currents of every transistor and varactor at x, in the column
-    order of sys.inc, and their partials, in the column order of
-    sys.jst."""
-    v = x.tolist()
-    cur, part = [], []
-    for d, g, s, p in sys.mos:
-        i_d, g_m, g_ds = mos_eval(p, v[g] - v[s], v[d] - v[s])
-        cur.append(i_d)
-        part += (g_m, g_ds)
+def _devices(sys: _System, v: list, coef: float) -> list:
+    """The device slots of y at the node voltages v: the currents of
+    every transistor and varactor, in the column order of sys.inc, then
+    their partials, in the column order of sys.jst."""
+    cur, part = mos_bank(sys.mos, v)
     for na, nb, cp, cn, model in sys.varactors:
         v_sig = v[na] - v[nb]
         c, dc_dv = varactor_eval(model, v[cp] - v[cn])
         gv = coef * c
         cur.append(gv * v_sig)
         part += (gv, coef * v_sig * dc_dv)
-    return np.array(cur), np.array(part)
+    return cur + part
 
 
-def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
-                 b: np.ndarray, t: float):
-    """Newton on a0 x + stamps(x) = b from x, which is extended by the
-    ground slot and updated in place.  Returns the solution, its residual
-    and the linear solves; the iterations are the solves plus one."""
+def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
+    """Newton on F y = 0 from the x in y, which is updated in place along
+    with y's device slots; b is y's rhs slice.  Returns the residual at
+    the accepted x and the linear solves; the iterations are the solves
+    plus one."""
     size = sys.size
-    abs_b = np.abs(b[:size])
+    x = y[:size + 1]
+    dev, jac, kcl_cap = sys.dev, sys.jac, sys.kcl_cap
+    F, R, Jm = stage.F, stage.R, stage.Jm
 
     for it in range(MAX_NEWTON):
-        cur, part = _device_values(sys, x, stage.coef)
-        f = (stage.a0 @ x - b + sys.inc @ cur)[:size]
-        if it > 0:
-            # Residual acceptance: each row balances to within tolerance
-            # relative to the magnitudes summed in that row, and node rows
-            # additionally clear the per-step KCL gate with margin.
-            # Update-only tests stall at the linear-solve noise floor on
-            # stiff systems.
-            f_ref = stage.abs_a0 @ np.abs(x[:size]) + abs_b
-            limit = np.minimum(NEWTON_ABS + NEWTON_REL * f_ref, sys.kcl_cap)
-            if (np.abs(f) <= limit).all():
-                return x, f, it
+        y[dev] = _devices(sys, x.tolist(), stage.coef)
+        f = F @ y
+        if it and (np.abs(f) <= np.minimum(R @ np.abs(y), kcl_cap)).all():
+            return f, it
         # the Jacobian only now: an accepted residual needs none
-        js = stage.a0s + (stage.jsts @ part).reshape(size, size)
+        js = (Jm @ y[jac]).reshape(size, size)
         try:
             dx = np.linalg.solve(js, stage.r * f)
         except np.linalg.LinAlgError:
@@ -407,7 +448,7 @@ def _newton_step(sys: _System, x: np.ndarray, stage: _Stage,
         dx_max = float(np.abs(dx).max())  # NaN or inf if any entry is
         if not math.isfinite(dx_max):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
-        x[:size] -= dx
+        y[:size] -= dx
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
@@ -422,28 +463,29 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
         raise InvalidModelError("stop time must cover at least two steps")
     times = h * np.arange(n_steps + 1)
     times.flags.writeable = False
-    x = sys.x_init
-    # the step history: charge q(x) and its derivative i, extended by
-    # the ground slot; the first step's i is the zero initial derivative
-    q, i = _charge(sys, x), np.zeros(sys.size + 1)
+    # backward Euler for the first step, trapezoidal after it
+    first, trap = sys.stage(1.0 / h, 2.0 / h), sys.stage(2.0 / h, 2.0 / h)
+    y = np.zeros(sys.ylen)
+    x, b = y[:sys.size + 1], y[sys.rhs]
+    x[:] = sys.x_init
+    y[sys.dev.stop] = 1.0  # the 1 between the partials and b
+    # the first step's history: the zero initial derivative
+    b[:] = first.coef * _charge(sys, x)[:sys.size]
     out = np.empty((n_steps + 1, sys.size + 1))
     out[0] = x
     kcl_max = 0.0
     histogram = [0] * MAX_NEWTON  # Newton solves at most MAX_NEWTON - 1
-    # backward Euler for the first step, trapezoidal after it
-    stages = itertools.chain([sys.stage(1.0 / h)],
-                             itertools.repeat(sys.stage(2.0 / h), n_steps - 1))
+    stages = itertools.chain([first], itertools.repeat(trap, n_steps - 1))
     for step, stage in enumerate(stages, start=1):
         t = times[step]
         # Newton starts from the predictor over the rows of out already
         # accepted, the initial state excluded; with none accepted yet,
         # k = 1 copies the initial state
         k = min(max(step - 1, 1), PREDICTOR_ORDER + 1)
-        x0 = _PREDICTOR[k] @ out[step - k:step]
-        b = stage.coef * q + i
+        np.matmul(_PREDICTOR[k], out[step - k:step], out=x)
         for row, e in sys.vsources:
             b[row] = e.value_at(t)
-        x, resid, solves = _newton_step(sys, x0, stage, b, t)
+        resid, solves = _newton_step(sys, stage, y, t)
         histogram[solves] += 1
         step_kcl = float(np.abs(resid[:sys.n]).max())
         if not step_kcl <= KCL_ABS_A:  # a NaN residual fails too
@@ -452,10 +494,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
                 f"at t = {t:.6e} s")
         kcl_max = max(kcl_max, step_kcl)
         out[step] = x
-
-        q_next = _charge(sys, x)
-        i = stage.coef * (q_next - q) - i
-        q = q_next
+        b[:] = stage.hist @ y
 
     # read-only column views of out, which Waveforms then needs not copy
     out.flags.writeable = False

@@ -31,15 +31,32 @@ STEADY_REL_TOL = 1e-3
 ENVELOPE_FRAC = 0.9
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every change after construction.  It stays a
+    dict, so dataclasses.asdict, json.dumps and == against a plain dict
+    work as on any dict; copies and pickles rebuild it from its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = clear = setdefault = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 @dataclass(frozen=True)
 class SimMetrics:
     """Steady-state measurements for one transient run.
 
     amplitudes_vpp is keyed by output node; phases_deg holds every output
     after the first, in degrees relative to the first, wrapped to
-    [0, 360).  Power is split into the core supply and the buffer supply;
-    either is None when the corresponding source is absent.  When
-    oscillating is False only the amplitudes are meaningful.
+    [0, 360).  Both are stored as a ReadOnlyDict, so the checks hold
+    wherever the metrics go.  Power is split into the core supply and the
+    buffer supply; either is None when the corresponding source is
+    absent.  When oscillating is False only the amplitudes are
+    meaningful.
     """
 
     oscillating: bool
@@ -53,6 +70,8 @@ class SimMetrics:
     steady: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("amplitudes_vpp", "phases_deg"):
+            object.__setattr__(self, name, ReadOnlyDict(getattr(self, name)))
         if self.oscillating:
             if self.f_osc_hz is None or self.f_osc_hz <= 0:
                 raise InvalidModelError(

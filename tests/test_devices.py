@@ -3,7 +3,8 @@
 Spot currents and capacitances were evaluated by hand from the stated
 equations and frozen here; the derivative checks compare the analytic
 partials mos_eval returns against centered finite differences of the
-current it returns.
+current it returns.  A bank of transistors in every region, evaluated
+in one loop, gives each device exactly what it gives alone.
 """
 import dataclasses
 import math
@@ -17,7 +18,9 @@ from tsvqvco.devices import (
     TuningArray,
     VaractorModel,
     check_coupled_set,
+    mos_bank,
     mos_eval,
+    mos_row,
     varactor_eval,
 )
 from tsvqvco.errors import InvalidModelError
@@ -141,6 +144,89 @@ class TestMosSmallSignal:
         # reported current flows the other way
         _, g_m, _ = mos_eval(NMOS, 0.4, -0.35)
         assert g_m < 0.0
+
+
+# (name, params, v_gs, v_ds): n- and p-channel devices in every region,
+# and the exact edges v_ds = 0 and v_ov = 0, biased from a 0 V source.
+N2 = MosParams(polarity="n", k_factor=0.02, v_th=0.25, lam=0.0)
+P2 = MosParams(polarity="p", k_factor=0.05, v_th=-0.4, lam=0.2)
+BANK = [
+    ("n_cutoff", NMOS, 0.1, 0.5),
+    ("p_cutoff", P2, -0.2, -0.5),
+    ("n_triode", N2, 0.9, 0.2),
+    ("p_triode", PMOS, -0.9, -0.2),
+    ("n_saturation", NMOS, 0.7, 0.6),
+    ("p_saturation", P2, -0.8, -0.7),
+    ("n_reversed_triode", NMOS, 0.8, -0.2),
+    ("n_reversed_saturation", N2, 0.0, -0.6),
+    ("p_reversed_saturation", PMOS, 0.0, 0.6),
+    ("p_reversed_triode", P2, -0.9, 0.1),
+    ("n_v_ds_zero", NMOS, 0.7, 0.0),
+    ("p_v_ds_zero", P2, -0.7, 0.0),
+    ("n_v_ov_zero", NMOS, NMOS.v_th, 0.4),
+    ("p_v_ov_zero", PMOS, PMOS.v_th, -0.4),
+]
+
+
+class TestMosBank:
+    def bank(self, order):
+        """The table and node voltages of the BANK devices in the given
+        order, each on its own three slots with its source at 0 V."""
+        table, v = [], []
+        for name, p, v_gs, v_ds in (BANK[i] for i in order):
+            table.append(mos_row(len(v), len(v) + 1, len(v) + 2, p))
+            v += (v_ds, v_gs, 0.0)
+        return table, v
+
+    def test_bank_covers_every_region(self):
+        table, v = self.bank(range(len(BANK)))
+        cur, part = mos_bank(table, v)
+        for k, (name, _, _, _) in enumerate(BANK):
+            i_d, g_m, g_ds = cur[k], part[2 * k], part[2 * k + 1]
+            if "cutoff" in name or "v_ov_zero" in name:
+                assert (i_d, g_m, g_ds) == (0.0, 0.0, 0.0), name
+            elif "v_ds_zero" in name:
+                assert i_d == 0.0 and g_m == 0.0 and g_ds > 0.0, name
+            else:
+                # n-channel current flows into the drain, p-channel out,
+                # and a reversed channel flips the direction
+                into_drain = name.startswith("n") != ("reversed" in name)
+                assert (i_d > 0.0) == into_drain and i_d != 0.0, name
+                assert (g_m < 0.0) == ("reversed" in name), name
+
+    def test_each_device_returns_what_it_returns_alone(self):
+        """Every order of the bank: all rotations, both directions and
+        seeded shuffles, so each device follows devices of every other
+        kind; state left over from one device (a sign, a swapped v_ds)
+        would show in the next."""
+        n = len(BANK)
+        alone = [mos_eval(p, v_gs, v_ds) for _, p, v_gs, v_ds in BANK]
+        rng = np.random.default_rng(7)
+        orders = [list(range(r, n)) + list(range(r)) for r in range(n)]
+        orders += [order[::-1] for order in orders]
+        orders += [list(rng.permutation(n)) for _ in range(20)]
+        for order in orders:
+            cur, part = mos_bank(*self.bank(order))
+            assert len(cur) == n and len(part) == 2 * n
+            for k, i in enumerate(order):
+                assert (cur[k], part[2 * k], part[2 * k + 1]) == alone[i], \
+                    BANK[i][0]
+
+    def test_shared_terminals_read_the_same_voltages(self):
+        """Rows that share slots, as an inverter's devices do, each read
+        the slots they name."""
+        v = [0.55, 0.3, 0.0, 0.8, -0.1]
+        rows = [(0, 1, 2, NMOS), (0, 1, 3, PMOS), (1, 4, 0, N2),
+                (2, 2, 1, P2)]
+        cur, part = mos_bank([mos_row(*r) for r in rows], v)
+        for k, (d, g, s, p) in enumerate(rows):
+            assert (cur[k], *part[2 * k:2 * k + 2]) == mos_eval(
+                p, v[g] - v[s], v[d] - v[s])
+
+    def test_polarity_sign_and_threshold_magnitude(self):
+        assert mos_row(3, 1, -1, P2) == (3, 1, -1, -1.0, 0.4, 0.05, 0.2)
+        assert mos_row(0, 2, 4, N2)[3:5] == (1.0, 0.25)
+        assert mos_bank([], [0.0]) == ([], [])
 
 
 class TestVaractor:

@@ -14,7 +14,9 @@ read-only column views of one solution array.
 Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
 point must change only the iteration count, never the answer; the
 predictor is exact on polynomials of degree below its row count, and
-keeps the buffered tc-qvco near one solve per step.  A run's solve
+keeps the buffered tc-qvco near one solve per step.  At a mid-run point
+the stage's products over the step state match the stamps they fuse,
+and short tc-qvco runs take exactly their recorded solves.  A run's solve
 histogram accounts for every step and every solve.  The
 Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
@@ -34,7 +36,7 @@ from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, mos_eval, varactor_eval)
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import NumericFailure
-from tsvqvco.netlist import Netlist, VSource
+from tsvqvco.netlist import Mos, Netlist, VSource
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 default_sim_config)
 
@@ -78,10 +80,19 @@ def at_voltages(net, sys_, volts: dict) -> np.ndarray:
     return x
 
 
+def device_slots(sys_, x, coef):
+    """The engine's device slots of the step state at x, split into the
+    currents and the partials."""
+    values = np.array(engine._devices(sys_, x.tolist(), coef))
+    k = sys_.inc.shape[1]
+    assert len(values) == 3 * k == sys_.dev.stop - sys_.dev.start
+    return values[:k], values[k:]
+
+
 def stamped(sys_, x, coef):
     """The device residual inc @ currents and the device Jacobian
     jst @ partials at x, both extended by the ground slot."""
-    cur, part = engine._device_values(sys_, x, coef)
+    cur, part = device_slots(sys_, x, coef)
     dim = sys_.size + 1
     return sys_.inc @ cur, (sys_.jst @ part).reshape(dim, dim)
 
@@ -302,8 +313,8 @@ class TestSingularLinearSystem:
         real = engine._newton_step
 
         def nan_residual(*args):
-            x, f, solves = real(*args)
-            return x, np.full_like(f, np.nan), solves
+            f, solves = real(*args)
+            return np.full_like(f, np.nan), solves
 
         monkeypatch.setattr(engine, "_newton_step", nan_residual)
         with pytest.raises(NumericFailure, match="KCL residual nan"):
@@ -340,9 +351,10 @@ class TestNewtonStartPoint:
     MID_STEP = 400  # of 800: the cores are swinging, the history is full
 
     def mid_run_step(self, monkeypatch, toroidal_model):
-        """Arguments of one mid-run Newton call of a tc-qvco transient,
-        copied before the run moves its state on, and the solution the
-        call before it accepted."""
+        """Arguments of one mid-run Newton call of a tc-qvco transient
+        (the system, the stage, the step state y with the predicted x,
+        and t), copied before the run moves its state on, and the
+        solution the call before it accepted."""
         seen, accepted = [], []
         real = engine._newton_step
 
@@ -350,7 +362,8 @@ class TestNewtonStartPoint:
             seen.append(copy.deepcopy(args) if len(seen) == self.MID_STEP
                         else None)
             result = real(*args)
-            accepted.append(result[0].copy())
+            sys_, _, y, _ = args
+            accepted.append(y[:sys_.size + 1].copy())
             return result
 
         monkeypatch.setattr(engine, "_newton_step", spy)
@@ -358,35 +371,79 @@ class TestNewtonStartPoint:
         monkeypatch.setattr(engine, "_newton_step", real)
         return seen[self.MID_STEP], accepted[self.MID_STEP - 1]
 
+    @staticmethod
+    def started(sys_, y, x0):
+        """A copy of the step state y with x0 as the Newton start."""
+        y0 = y.copy()
+        y0[:sys_.size + 1] = x0
+        return y0
+
     def test_start_point_moves_only_the_iteration_count(
             self, monkeypatch, toroidal_model):
-        (sys_, x_ext, stage, b, t), x_acc = self.mid_run_step(
+        (sys_, stage, y, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
         assert stage.coef == 2 / qvco_config(toroidal_model, 4).dt_s
-        size = sys_.size
-        x_prev = x_acc
+        dim = sys_.size + 1
+        x_ext, x_prev = y[:dim].copy(), x_acc
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
 
         results, solves = {}, {}
         for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
             calls = count_solves(monkeypatch)
-            results[name] = engine._newton_step(sys_, x0, stage, b, t)
+            y0 = self.started(sys_, y, x0)
+            f, n_solves = engine._newton_step(sys_, stage, y0, t)
+            results[name] = (y0, f)
             solves[name] = len(calls)
-            assert results[name][2] == solves[name], name
+            assert n_solves == solves[name], name
 
-        for name, (x, f, _) in results.items():
-            # the engine's own residual acceptance, recomputed from x
-            resid = stage.a0 @ x - b + sys_.inc @ engine._device_values(
-                sys_, x, stage.coef)[0]
-            assert np.array_equal(resid[:size], f), name
-            f_ref = stage.abs_a0 @ np.abs(x[:size]) + np.abs(b[:size])
-            assert np.all(np.abs(f) <= engine.NEWTON_ABS
-                          + engine.NEWTON_REL * f_ref), name
+        for name, (y_acc, f) in results.items():
+            # the engine's own residual and acceptance, recomputed from
+            # the accepted x with fresh device values
+            y_new = y_acc.copy()
+            y_new[sys_.dev] = engine._devices(sys_, y_acc[:dim].tolist(),
+                                              stage.coef)
+            assert np.array_equal(stage.F @ y_new, f), name
+            assert np.all(np.abs(f) <= stage.R @ np.abs(y_new)), name
             assert np.abs(f[:sys_.n]).max() <= 0.1 * engine.KCL_ABS_A, name
         nodes_prev = results["previous"][0][:sys_.n]
         nodes_ext = results["extrapolated"][0][:sys_.n]
         np.testing.assert_allclose(nodes_ext, nodes_prev, rtol=0, atol=1e-6)
         assert solves["extrapolated"] < solves["previous"]
+
+    def test_fused_products_match_the_stamps(self, monkeypatch,
+                                             toroidal_model):
+        """At a mid-run accepted point, the stage's three products over y
+        against the stamps they fuse: the residual a0 x - b + inc @ cur
+        with every transistor current from mos_eval on its netlist
+        element, the acceptance reference NEWTON_ABS + NEWTON_REL
+        (|a0| |x| + |b|), and the row-scaled Jacobian r (a0 + jst @
+        partials); each within 1e-14 of its row's magnitude."""
+        (sys_, stage, y, t), _ = self.mid_run_step(monkeypatch,
+                                                   toroidal_model)
+        engine._newton_step(sys_, stage, y, t)
+        size, dim = sys_.size, sys_.size + 1
+        x, b = y[:dim], y[sys_.rhs]
+        mos = [e for e in sys_.net.elements if isinstance(e, Mos)]
+        assert len(mos) == sys_.inc.shape[1] == 4 and not sys_.varactors
+        cur = np.array([mos_eval(e.params, x[e.g] - x[e.s], x[e.d] - x[e.s])[0]
+                        for e in mos])
+        a0 = (sys_.a_static + stage.coef * sys_.a_react)[:size]
+        f = a0 @ x - b + sys_.inc[:size] @ cur
+        magnitude = (np.abs(a0) @ np.abs(x) + np.abs(b)
+                     + np.abs(sys_.inc[:size]) @ np.abs(cur))
+        assert np.all(np.abs(stage.F @ y - f) <= 1e-14 * magnitude)
+        assert np.abs(f[:sys_.n]).max() > 0.0  # the devices do count
+
+        ref = engine.NEWTON_ABS + engine.NEWTON_REL * (
+            np.abs(a0) @ np.abs(x) + np.abs(b))
+        assert np.all(np.abs(stage.R @ np.abs(y) - ref) <= 1e-14 * ref)
+
+        part = y[sys_.dev][len(cur):]
+        stamps = (sys_.jst @ part).reshape(dim, dim)[:size, :size]
+        jac = stage.r[:, None] * (a0[:, :size] + stamps)
+        row_mag = stage.r * (np.abs(a0[:, :size]) + np.abs(stamps)).max(axis=1)
+        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
 
     @pytest.mark.parametrize("start", ["previous", "extrapolated"])
     def test_scaled_solve_gives_the_unscaled_update(
@@ -394,14 +451,18 @@ class TestNewtonStartPoint:
         """The stage's row equilibration only steers the pivots: the
         engine's first update from a mid-run start point is the Newton
         update on the unscaled Jacobian."""
-        (sys_, x_ext, stage, b, t), x_acc = self.mid_run_step(
+        (sys_, stage, y, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
-        x0 = {"previous": x_acc, "extrapolated": x_ext}[start]
-        size = sys_.size
-        cur, part = engine._device_values(sys_, x0, stage.coef)
-        f = (stage.a0 @ x0 - b + sys_.inc @ cur)[:size]
-        dim = size + 1
-        jac = (stage.a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
+        size, dim = sys_.size, sys_.size + 1
+        x0 = {"previous": x_acc, "extrapolated": y[:dim].copy()}[start]
+        y0 = self.started(sys_, y, x0)
+        cur, part = device_slots(sys_, x0, stage.coef)
+        y0[sys_.dev] = np.concatenate([cur, part])
+        # the engine's residual (test_fused_products_match_the_stamps
+        # checks it against the stamps), the unscaled Jacobian by hand
+        f = stage.F @ y0
+        a0 = sys_.a_static + stage.coef * sys_.a_react
+        jac = (a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
         expected = np.linalg.solve(jac, -f)
 
         solve, updates = np.linalg.solve, []
@@ -412,7 +473,7 @@ class TestNewtonStartPoint:
             return dx
 
         monkeypatch.setattr(np.linalg, "solve", recorded)
-        engine._newton_step(sys_, x0.copy(), stage, b, t)
+        engine._newton_step(sys_, stage, y0, t)
         scale = np.abs(expected).max()
         assert scale > 0.0
         assert np.abs(updates[0] - expected).max() <= 1e-12 * scale
@@ -442,6 +503,21 @@ def test_run_reports_its_solves_and_iterations(case, monkeypatch,
     assert sum(hist) == steps
     assert sum(k * n for k, n in enumerate(hist)) == wave.linear_solves
     assert hist[0] == 0 and hist[-1] > 0
+
+
+# Linear solves and solve histograms of the 4-period runs, measured on
+# the engine that kept the step history as two vectors (q, i) and
+# evaluated each transistor on its own; the one-vector step state must
+# take exactly the same Newton path.
+FOUR_PERIOD_SOLVES = {"core": (831, (0, 769, 31)),
+                      "buffered": (829, (0, 771, 29))}
+
+
+@pytest.mark.parametrize("case", sorted(QVCO_CASES))
+def test_four_period_runs_keep_their_solve_counts(case, toroidal_model):
+    wave = qvco_run(toroidal_model, buffers=QVCO_CASES[case][0])
+    assert (wave.linear_solves, wave.solve_histogram) \
+        == FOUR_PERIOD_SOLVES[case]
 
 
 @pytest.mark.parametrize("k", sorted(engine._PREDICTOR))

@@ -7,8 +7,10 @@ as a resistor of the on or off value its code bit selects.  Every built
 netlist, the quadrature bench included, seeds startup with V_o1 at
 PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
 in a transient at their tank frequency with differential outputs, and
-the metrics of such a run serialize to JSON through dataclasses.asdict.
+the metrics of such a run serialize to JSON through dataclasses.asdict,
+copy, compare equal to plain dicts and cannot be changed in place.
 """
+import copy
 import dataclasses
 import functools
 import json
@@ -130,3 +132,36 @@ def test_metrics_of_a_run_serialize_to_json():
     record = json.loads(json.dumps(dataclasses.asdict(m)))
     assert record["phases_deg"] == m.phases_deg
     assert record["amplitudes_vpp"] == m.amplitudes_vpp
+
+
+@pytest.mark.parametrize("field", ["amplitudes_vpp", "phases_deg"])
+def test_metrics_of_a_run_cannot_be_changed_in_place(field):
+    """The swings and phases of a run refuse every dict change and stay
+    dicts for asdict, deepcopy, JSON and comparison."""
+    _, m = plain_tank_metrics("cr-vco", PLAIN_TANK["l_tank_h"])
+    mapping = getattr(m, field)
+    before = dict(mapping)
+    node = next(iter(before))
+    changes = {
+        "item assignment": lambda d: d.__setitem__(node, 0.0),
+        "item deletion": lambda d: d.__delitem__(node),
+        "update": lambda d: d.update({node: 0.0}),
+        "pop": lambda d: d.pop(node),
+        "popitem": lambda d: d.popitem(),
+        "clear": lambda d: d.clear(),
+        "setdefault": lambda d: d.setdefault("V_new", 0.0),
+        "in-place union": lambda d: d.__ior__({node: 0.0}),
+    }
+    for name, change in changes.items():
+        with pytest.raises(TypeError):
+            change(mapping)
+        assert mapping == before, name
+    assert isinstance(mapping, dict) and before == mapping
+
+    clone = copy.deepcopy(m)
+    assert clone == m and getattr(clone, field) == before
+    with pytest.raises(TypeError):
+        getattr(clone, field)[node] = 0.0
+    record = dataclasses.asdict(m)
+    assert record[field] == before
+    assert json.loads(json.dumps(record))[field] == before
