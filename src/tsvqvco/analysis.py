@@ -6,7 +6,9 @@ secondary windings inject cross-core current scaled by the turns ratio N.
 Everything downstream (minimum transconductance, oscillation frequency,
 feasibility) follows from that picture.  oscillation_frequency_closed has a
 closed form; solve_characteristic finds the same root numerically from the
-characteristic equation and serves as its independent check.
+characteristic equation and serves as its independent check.  Thermal
+noise is never simulated; phase noise is estimated from the tank with
+Leeson's formula at a fixed 290 K.
 """
 from __future__ import annotations
 
@@ -21,6 +23,8 @@ SQRT2 = math.sqrt(2.0)
 # kN this close above sqrt(2) still "works" on paper but needs an outsized
 # transconductance; flagged as marginal rather than feasible.
 MARGINAL_KN_RATIO = 1.10
+BOLTZMANN_J_K = 1.380649e-23
+LEESON_TEMP_K = 290.0
 
 
 @dataclass(frozen=True)
@@ -145,6 +149,28 @@ def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
         raise InvalidModelError("figure_of_merit needs positive f0, offset, power")
     return (-20.0 * math.log10(f0_hz / offset_hz)
             + 10.0 * math.log10(power_mw) + phi_noise_dbc)
+
+
+def phase_noise_leeson(t: TankParams, p_sig_mw: float, offset_hz: float,
+                       f_excess_db: float = 0.0) -> float:
+    """Leeson estimate in dBc/Hz at the given offset from the carrier.
+
+    L = 10 log10( F kT / (2 P_sig) * (f0 / (2 Q df))^2 ) with the noise
+    factor F taken from f_excess_db and T fixed at 290 K.  Only the
+    1/f^2 region is modeled; flicker corner and noise floor are out of
+    scope.
+    """
+    if p_sig_mw <= 0:
+        raise InvalidModelError("signal power must be positive")
+    if offset_hz <= 0:
+        raise InvalidModelError("offset frequency must be positive")
+    omega0, q = tank_resonance_and_q(t)
+    f0 = omega0 / (2.0 * math.pi)
+    noise_factor = 10.0 ** (f_excess_db / 10.0)
+    ratio = f0 / (2.0 * q * offset_hz)
+    return 10.0 * math.log10(
+        noise_factor * BOLTZMANN_J_K * LEESON_TEMP_K
+        / (2.0 * p_sig_mw * 1e-3) * ratio * ratio)
 
 
 @dataclass(frozen=True)

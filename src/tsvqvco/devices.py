@@ -26,8 +26,6 @@ from .errors import InvalidModelError, check_finite
 SWITCH_ON_OHM = 50.0
 SWITCH_OFF_OHM = 10e6
 
-BOLTZMANN_J_K = 1.380649e-23
-
 
 @dataclass(frozen=True)
 class MosParams:

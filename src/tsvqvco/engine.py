@@ -11,11 +11,11 @@ only the right-hand side moves.  _System(net) is the one reader of the
 netlist's element kinds and checks its structure as it stamps; the step
 size enters only through the _Stage a run builds per coefficient.
 
-Every transistor and varactor fits one stamp pattern: it drives a current
-into row p and out of row n, and that current has one partial on each of
-two column differences (a MOS: i_d from d to s, g_m on g - s and g_ds on
-d - s; a varactor: coef C v_sig from a to b, coef C on a - b and
-coef v_sig dC/dv on cp - cn).  _System turns the pattern into two
+Every transistor and varactor fits one stamp pattern: it puts a value
+into row p and out of row n, and that value has one partial on each of
+two column differences (a MOS: the current i_d from d to s, g_m on g - s
+and g_ds on d - s; a varactor: the charge C v_sig from a to b, C on
+a - b and v_sig dC/dv on cp - cn).  _System turns the pattern into two
 constant matrices, built once per run: the incidence inc (rows by
 devices) and the Jacobian stamp matrix jst (flattened rows and columns by
 partials).  The transistors are one table (devices.mos_row), evaluated
@@ -24,25 +24,30 @@ The engine has no device equations of its own.
 
 A run keeps its whole step state in one vector
 
-    y = [x (size + 1, the ground slot included) | device currents (k) |
+    y = [x (size + 1, the ground slot included) | device values (k) |
          partials (2k) | 1 | b (size)],
 
 with k devices (transistors, then varactors) and b the right-hand side
-of the step.  Each integrator coefficient gets a _Stage, built once per
-run, holding three matrices over y:
+of the step.  The device slots hold device physics and no integrator
+coefficient: each transistor's current and each varactor's charge, then
+their partials.  Each integrator coefficient gets a _Stage, built once
+per run, holding three matrices over y:
 
-    F  = [a0 | inc | 0 | 0 | -I]                       f = F y
+    F  = [a0 | inc w | 0 | 0 | -I]                     f = F y
     R  = [NEWTON_REL |a0| | 0 | NEWTON_ABS | NEWTON_REL I]
-    Jm = [r jst | r a0]                 J = (Jm y[partials, 1]) as size x size
+    Jm = [r jst w | r a0]               J = (Jm y[partials, 1]) as size x size
 
-over the unknown rows, with a0 = a_static + coef a_react.  A Newton
-iteration writes the device values into y with one slice assignment,
-forms the residual f = a0 x - b + inc @ currents as F y, and accepts
-when |f| <= min(R |y|, kcl_cap) on every row: each row balances to
-within tolerance relative to the magnitudes summed in it, and node rows
-also clear the per-step KCL gate with margin (update-only tests stall
-at the linear-solve noise floor on stiff systems).  Only when a solve
-follows does it form the row-scaled Jacobian J, in one product.
+over the unknown rows, with a0 = a_static + coef a_react and the device
+weights w, 1 on a transistor and coef on a varactor and its partials.
+At coef 0, F y is the static residual and Jm the row-scaled static
+Jacobian.  A Newton iteration writes the device values into y with one
+slice assignment, forms the residual f = a0 x - b + inc w @ values as
+F y, and accepts when |f| <= min(R |y|, kcl_cap) on every row: each row
+balances to within tolerance relative to the magnitudes summed in it,
+and node rows also clear the per-step KCL gate with margin (update-only
+tests stall at the linear-solve noise floor on stiff systems).  Only
+when a solve follows does it form the row-scaled Jacobian J, in one
+product.
 
 Solves are row-equilibrated: branch rows mix +-1 voltage entries with
 L/h terms in the hundreds, which would otherwise eat the pivots.  The
@@ -60,22 +65,24 @@ step starts from it.  A linear circuit converges after one solve, and
 the residual test accepts it.  Accepted solutions keep the ground slot,
 always 0, so the extrapolation is the extended start.
 
-The charge is q(x) = a_react x plus each varactor's charge.  A step
-with coefficient c solves a_static x + c q(x) = b, where a trapezoidal
-step (c = 2/h) has b = c q_prev + i_prev, the history of the charge and
-its derivative.  The first step is backward Euler: c = 1/h and the
-initial i_prev = 0, so b_1 = q(x_0)/h.  It needs no derivative history,
-so a discontinuous turn-on (step sources, charged capacitors) does not
-poison the trapezoidal rule with an inconsistent initial derivative.
-After step n the history is one recursion,
+The charge is q(x) = q_map y, with q_map = [a_react | 0 | inc over the
+varactors | 0 | 0] on the unknown rows.  A step with coefficient c
+solves a_static x + c q(x) = b, where a trapezoidal step (c = 2/h) has
+b = c q_prev + i_prev, the history of the charge and its derivative.
+The first step is backward Euler: c = 1/h and the initial i_prev = 0.
+It needs no derivative history, so a discontinuous turn-on (step
+sources, charged capacitors) does not poison the trapezoidal rule with
+an inconsistent initial derivative.  After step n the history is one
+recursion,
 
     b_{n+1} = (c_n + c_{n+1}) q(x_n) - b_n,
 
-a fourth matrix of the _Stage over y (hist): the varactor charges are
-their currents in y over c_n.  Source rows of b are overwritten with the
-source values every step.  The initial state is what the netlist
-declares: its initial node voltages and winding currents, zero
-everywhere else.
+a fourth matrix of the _Stage over y, hist = (c_n + c_{n+1}) q_map with
+-I on the b columns.  Started from b_0 = 0 and c_0 = 0 it opens the run
+at b_1 = q(x_0)/h, which transient forms from q_map after one device
+evaluation at x_0.  Source rows of b are overwritten with the source
+values every step.  The initial state is what the netlist declares: its
+initial node voltages and winding currents, zero everywhere else.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -156,17 +163,24 @@ def _frozen(trace) -> np.ndarray:
 @dataclass(frozen=True)
 class Waveforms:
     """Uniform-grid simulation output and what the run cost: the worst
-    per-step KCL residual, the Newton iterations (device evaluations:
-    the linear solves plus one per step), the linear solves over all
-    steps, and solve_histogram[k], the steps that took k linear solves."""
+    per-step KCL residual and solve_histogram[k], the steps that took k
+    linear solves, which fixes the solve and iteration counts."""
 
     time_s: np.ndarray
     voltages: Mapping[str, np.ndarray]
     currents: Mapping[str, np.ndarray]
     kcl_max_a: float = 0.0
-    newton_iterations: int = 0
-    linear_solves: int = 0
     solve_histogram: tuple[int, ...] = ()
+
+    @property
+    def linear_solves(self) -> int:
+        """The linear solves over all steps."""
+        return sum(k * n for k, n in enumerate(self.solve_histogram))
+
+    @property
+    def newton_iterations(self) -> int:
+        """The device evaluations: the linear solves plus one per step."""
+        return sum((k + 1) * n for k, n in enumerate(self.solve_histogram))
 
     def __post_init__(self) -> None:
         # read-only, so the checks below hold wherever the waveforms go
@@ -194,13 +208,12 @@ class Waveforms:
 @dataclass
 class _Stage:
     """The constant part of the Newton system at one integrator
-    coefficient coef, as matrices over the step state y (module
-    docstring): the residual F, the acceptance reference R, the
-    row-scaled Jacobian stamps Jm over y's partials and its 1, the row
-    scales r, and hist, which maps the accepted y of a step to the next
-    step's b, for the next coefficient the stage was built with."""
+    coefficient, as matrices over the step state y (module docstring):
+    the residual F, the acceptance reference R, the row-scaled Jacobian
+    stamps Jm over y's partials and its 1, the row scales r, and hist,
+    which maps the accepted y of a step to the next step's b, for the
+    next coefficient the stage was built with."""
 
-    coef: float
     r: np.ndarray
     F: np.ndarray
     R: np.ndarray
@@ -220,7 +233,8 @@ class _System:
     varactors as terminal tuples, both over extended-system slots, and
     their stamps as the constant pattern inc and jst.  The slices dev,
     jac and rhs place the device values, the partials with the 1, and b
-    in the step state y of length ylen (module docstring).
+    in the step state y of length ylen, and q_map @ y is the charge
+    q(x) (module docstring).
     """
 
     def __init__(self, net: Netlist):
@@ -237,6 +251,10 @@ class _System:
         self.jac = slice(dim + k, dim + 3 * k + 1)
         self.rhs = slice(dim + 3 * k + 1, dim + 3 * k + 1 + self.size)
         self.ylen = self.rhs.stop
+        n_mos = len(self.mos)
+        self.q_map = np.zeros((self.size, self.ylen))
+        self.q_map[:, :dim] = self.a_react[:self.size]
+        self.q_map[:, dim + n_mos:dim + k] = self.inc[:self.size, n_mos:]
 
         # per-row cap on the Newton residual: node rows must also clear
         # the per-step KCL gate with margin, branch rows have no gate
@@ -245,30 +263,32 @@ class _System:
 
     def stage(self, coef: float, next_coef: float) -> _Stage:
         size, dim = self.size, self.size + 1
-        k, n_mos = self.inc.shape[1], len(self.mos)
+        k = self.inc.shape[1]
         a0 = (self.a_static + coef * self.a_react)[:size]
         abs_a0 = np.abs(a0)
         peak = abs_a0[:, :size].max(axis=1)
         peak[peak == 0.0] = 1.0
         r = 1.0 / peak
-        eye, inc = np.eye(size), self.inc[:size]
+        eye = np.eye(size)
+        w = np.ones(k)  # the device weights: coef on each varactor
+        w[len(self.mos):] = coef
 
         def zeros(n):
             return np.zeros((size, n))
 
-        jsts = self.jst.reshape(dim, dim, -1)[:size, :size] * r[:, None, None]
+        jsts = (self.jst.reshape(dim, dim, -1)[:size, :size]
+                * (r[:, None, None] * np.repeat(w, 2)))
         a0s = r[:, None] * a0[:, :size]
-        c_sum = coef + next_coef
+        hist = (coef + next_coef) * self.q_map
+        hist[:, self.rhs] = -eye
         return _Stage(
-            coef=coef, r=r,
-            F=np.hstack([a0, inc, zeros(2 * k + 1), -eye]),
+            r=r,
+            F=np.hstack([a0, self.inc[:size] * w, zeros(2 * k + 1), -eye]),
             R=np.hstack([NEWTON_REL * abs_a0, zeros(3 * k),
                          np.full((size, 1), NEWTON_ABS), NEWTON_REL * eye]),
             Jm=np.hstack([jsts.reshape(size * size, -1),
                            a0s.reshape(size * size, 1)]),
-            hist=np.hstack([c_sum * self.a_react[:size], zeros(n_mos),
-                            c_sum / coef * inc[:, n_mos:], zeros(2 * k + 1),
-                            -eye]))
+            hist=hist)
 
     def _build_device_pattern(self) -> None:
         """inc[:, k] is +1 on row p and -1 on row n of device k, in the
@@ -384,19 +404,6 @@ class _System:
         self.x_init = x_init
 
 
-def _charge(sys: _System, x: np.ndarray) -> np.ndarray:
-    """q(x): the linear reactive stamps plus each varactor's charge.
-    Only the initial state's opens the history; after the first step the
-    stages' hist carries it."""
-    q = sys.a_react @ x
-    if sys.varactors:
-        v = x.tolist()
-        q += sys.inc[:, len(sys.mos):] @ [
-            varactor_eval(model, v[cp] - v[cn])[0] * (v[na] - v[nb])
-            for na, nb, cp, cn, model in sys.varactors]
-    return q
-
-
 def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
     """Name the first unknown with an all-zero row or column in the
     scaled matrix js; positive row scales keep those zero."""
@@ -410,17 +417,16 @@ def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
     return "MNA matrix is singular (structurally ill-posed netlist)"
 
 
-def _devices(sys: _System, v: list, coef: float) -> list:
-    """The device slots of y at the node voltages v: the currents of
-    every transistor and varactor, in the column order of sys.inc, then
-    their partials, in the column order of sys.jst."""
+def _devices(sys: _System, v: list) -> list:
+    """The device slots of y at the node voltages v: every transistor's
+    current and every varactor's charge, in the column order of sys.inc,
+    then their partials, in the column order of sys.jst."""
     cur, part = mos_bank(sys.mos, v)
     for na, nb, cp, cn, model in sys.varactors:
         v_sig = v[na] - v[nb]
         c, dc_dv = varactor_eval(model, v[cp] - v[cn])
-        gv = coef * c
-        cur.append(gv * v_sig)
-        part += (gv, coef * v_sig * dc_dv)
+        cur.append(c * v_sig)
+        part += (c, v_sig * dc_dv)
     return cur + part
 
 
@@ -435,7 +441,7 @@ def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
     F, R, Jm = stage.F, stage.R, stage.Jm
 
     for it in range(MAX_NEWTON):
-        y[dev] = _devices(sys, x.tolist(), stage.coef)
+        y[dev] = _devices(sys, x.tolist())
         f = F @ y
         if it and (np.abs(f) <= np.minimum(R @ np.abs(y), kcl_cap)).all():
             return f, it
@@ -468,9 +474,10 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     y = np.zeros(sys.ylen)
     x, b = y[:sys.size + 1], y[sys.rhs]
     x[:] = sys.x_init
+    y[sys.dev] = _devices(sys, x.tolist())
     y[sys.dev.stop] = 1.0  # the 1 between the partials and b
-    # the first step's history: the zero initial derivative
-    b[:] = first.coef * _charge(sys, x)[:sys.size]
+    # the first step's history, b_1 = q(x_0)/h: the zero initial derivative
+    b[:] = (1.0 / h) * (sys.q_map @ y)
     out = np.empty((n_steps + 1, sys.size + 1))
     out[0] = x
     kcl_max = 0.0
@@ -500,12 +507,8 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out.flags.writeable = False
     while not histogram[-1]:
         histogram.pop()
-    linear_solves = sum(k * n for k, n in enumerate(histogram))
     voltages = {name: out[:, i] for i, name in enumerate(net.node_names)}
     currents = {f"I({lbl})": out[:, sys.n + j]
                 for j, lbl in enumerate(sys.branch_labels)}
     return Waveforms(time_s=times, voltages=voltages, currents=currents,
-                     kcl_max_a=kcl_max,
-                     newton_iterations=linear_solves + n_steps,
-                     linear_solves=linear_solves,
-                     solve_histogram=tuple(histogram))
+                     kcl_max_a=kcl_max, solve_histogram=tuple(histogram))

@@ -1,4 +1,4 @@
-"""Waveform metrology and the Leeson phase-noise estimate.
+"""Waveform metrology.
 
 Everything here post-processes a finished transient: oscillation
 detection, fundamental frequency, per-output swing and phase, startup
@@ -6,9 +6,6 @@ time, and supply power.  Frequency comes from a Hann-windowed Fourier
 magnitude peak refined by parabolic interpolation; phases come from the
 fundamental's complex angle over an integer number of cycles, every
 whole cycle of the run, so spectral leakage cancels between outputs.
-
-Thermal noise is never simulated; phase noise is estimated from tank
-parameters with Leeson's formula at a fixed 290 K.
 """
 from __future__ import annotations
 
@@ -17,13 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import TankParams, tank_resonance_and_q
-from .devices import BOLTZMANN_J_K
 from .engine import Waveforms
 from .errors import InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS
 
-LEESON_TEMP_K = 290.0
 # Swings below this are treated as numerical residue, not oscillation.
 MIN_SWING_V = 0.02
 STEADY_CYCLES = 5
@@ -244,25 +238,3 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
         power_core_mw=_supply_power_mw(w, CORE_SUPPLY, v_dd, f_osc),
         power_buffer_mw=_supply_power_mw(w, BUFFER_SUPPLY, v_dd, f_osc),
         steady=steady)
-
-
-def phase_noise_leeson(t: TankParams, p_sig_mw: float, offset_hz: float,
-                       f_excess_db: float = 0.0) -> float:
-    """Leeson estimate in dBc/Hz at the given offset from the carrier.
-
-    L = 10 log10( F kT / (2 P_sig) * (f0 / (2 Q df))^2 ) with the noise
-    factor F taken from f_excess_db and T fixed at 290 K.  Only the
-    1/f^2 region is modeled; flicker corner and noise floor are out of
-    scope.
-    """
-    if p_sig_mw <= 0:
-        raise InvalidModelError("signal power must be positive")
-    if offset_hz <= 0:
-        raise InvalidModelError("offset frequency must be positive")
-    omega0, q = tank_resonance_and_q(t)
-    f0 = omega0 / (2.0 * math.pi)
-    noise_factor = 10.0 ** (f_excess_db / 10.0)
-    ratio = f0 / (2.0 * q * offset_hz)
-    return 10.0 * math.log10(
-        noise_factor * BOLTZMANN_J_K * LEESON_TEMP_K
-        / (2.0 * p_sig_mw * 1e-3) * ratio * ratio)

@@ -176,18 +176,6 @@ class Netlist:
     elements: list[Element] = field(default_factory=list)
     initial_voltages: dict[str, float] = field(default_factory=dict)
 
-    def node(self, name: str) -> int:
-        """Index for a named node, creating it on first use."""
-        if not isinstance(name, str) or not name:
-            raise InvalidModelError("node names must be non-empty strings")
-        if name in GROUND_NAMES:
-            return GROUND
-        try:
-            return self.node_names.index(name)
-        except ValueError:
-            self.node_names.append(name)
-            return len(self.node_names) - 1
-
     def _add(self, kind: str, label: str | None, names, build) -> None:
         """Append build(label, *indices).  The label and node names are
         checked first; then the element checks its values as it is
@@ -260,8 +248,12 @@ class Netlist:
                   lambda lbl, *nodes: Vccs(*nodes, gm, lbl))
 
     def set_initial_voltage(self, node: str, volts: float) -> None:
+        """Start node at volts.  Only elements register nodes, so a name
+        that no element uses fails the engine's check as an initial
+        condition on an unknown node."""
         if node in GROUND_NAMES:
             raise InvalidModelError("ground is fixed at 0 V")
         check_finite(InvalidModelError, "initial condition", node, volts)
-        self.node(node)
+        if not isinstance(node, str) or not node:
+            raise InvalidModelError("node names must be non-empty strings")
         self.initial_voltages[node] = volts

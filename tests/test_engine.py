@@ -4,9 +4,12 @@ The Jacobian the engine assembles from its stamp matrices is checked
 against a centred finite difference of the residual it assembles: for
 transistors in every region of both polarities, for transistors that
 share terminals or sit on ground, and for a varactor whose control sits
-on a node pair; reruns of one netlist must repeat bit for bit.  A run
-reports the linear solves it made, and a singular matrix names the
-node or branch with no stamp.  The first step is a step like any
+on a node pair; reruns of one netlist must repeat bit for bit.  A stage
+builds at any coefficient: at 0 its products are the static residual
+and Jacobian, the charge map is the linear charge plus each varactor's,
+a stage at c adds c times the charge, and a run's history opens at
+q(x_0)/h.  A run reports the linear solves it made, and a singular
+matrix names the node or branch with no stamp.  The first step is a step like any
 other: every built topology takes it with stepped supplies at step
 sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
 adds nothing to a netlist's initial state.  The traces of a run are
@@ -36,7 +39,7 @@ from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, mos_eval, varactor_eval)
 from tsvqvco.engine import SimConfig, transient
 from tsvqvco.errors import NumericFailure
-from tsvqvco.netlist import Mos, Netlist, VSource
+from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 default_sim_config)
 
@@ -82,11 +85,15 @@ def at_voltages(net, sys_, volts: dict) -> np.ndarray:
 
 def device_slots(sys_, x, coef):
     """The engine's device slots of the step state at x, split into the
-    currents and the partials."""
-    values = np.array(engine._devices(sys_, x.tolist(), coef))
-    k = sys_.inc.shape[1]
+    currents and the partials, with each varactor's charge and partials
+    times coef: the currents and partials a stage at coef stamps."""
+    values = np.array(engine._devices(sys_, x.tolist()))
+    k, n_mos = sys_.inc.shape[1], len(sys_.mos)
     assert len(values) == 3 * k == sys_.dev.stop - sys_.dev.start
-    return values[:k], values[k:]
+    cur, part = values[:k], values[k:]
+    cur[n_mos:] *= coef
+    part[2 * n_mos:] *= coef
+    return cur, part
 
 
 def stamped(sys_, x, coef):
@@ -168,7 +175,8 @@ def test_wired_mos_stamps_match_references(wiring):
     x = at_voltages(net, sys_, volts)
     expected = np.zeros(sys_.size + 1)
     for d, g, s, params in mos:
-        d, g, s = (net.node(t) for t in (d, g, s))
+        d, g, s = (GROUND if t == "gnd" else net.node_names.index(t)
+                   for t in (d, g, s))
         i_d = mos_eval(params, x[g] - x[s], x[d] - x[s])[0]
         assert i_d != 0.0  # no device is cut off
         expected[d] += i_d
@@ -193,6 +201,159 @@ def test_varactor_jacobian_matches_finite_difference():
     analytic = assert_jacobian_matches_finite_difference(sys_, x, coef)
     # the charge moves with the control: the cp/cn columns are live
     assert analytic[a, cp] > 0 and analytic[a, cn] == -analytic[a, cp]
+
+
+class TestStageAtAnyCoefficient:
+    """A stage weighs the device slots by its own coefficient, so one
+    builds at any coefficient, 0 (the static system) included.  Its
+    products over y are checked against stamps summed by hand, with each
+    transistor from mos_eval and the varactor from varactor_eval on its
+    netlist element, each within 1e-14 of its row's magnitude."""
+
+    VARACTOR = VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7)
+    # both transistors conduct, and the control sits inside the varactor's
+    # range, so every partial is non-zero
+    VOLTS = {"vdd": 0.7, "in": 0.35, "out": 0.4, "tank": 0.55, "cp": 0.5,
+             "cn": 0.2}
+    COEF = 2.0 / DEVICE_DT_S
+
+    def netlist(self) -> Netlist:
+        """n- and p-channel transistors, a varactor controlled by a node
+        pair, a capacitor, an inductor and a supply."""
+        net = Netlist()
+        net.add_vsource("vdd", "gnd", 0.7, label="vdd")
+        net.add_mos("out", "in", "gnd", NMOS, label="mn")
+        net.add_mos("out", "in", "vdd", PMOS, label="mp")
+        net.add_varactor("out", "tank", "cp", "cn", self.VARACTOR, label="cv")
+        net.add_capacitor("tank", "gnd", 1e-12, label="c")
+        net.add_inductor("tank", "vdd", 2e-9, label="l")
+        for node in ("in", "cp", "cn", "out"):
+            net.add_resistor(node, "gnd", 1e3, label=f"r_{node}")
+        return net
+
+    def point(self):
+        """The system, its step state y at VOLTS with seeded branch
+        currents and b, and the hand-summed references over the extended
+        rows: the transistor currents and Jacobian, the varactor charge
+        and Jacobian, and the magnitudes summed into each."""
+        net = self.netlist()
+        sys_ = engine._System(net)
+        dim = sys_.size + 1
+        x = at_voltages(net, sys_, self.VOLTS)
+        rng = np.random.default_rng(7)
+        x[sys_.n:sys_.size] = rng.normal(scale=1e-3, size=sys_.m)
+        b = rng.normal(scale=1e-3, size=sys_.size)
+        y = np.zeros(sys_.ylen)
+        y[:dim] = x
+        y[sys_.dev] = engine._devices(sys_, x.tolist())
+        y[sys_.dev.stop] = 1.0
+        y[sys_.rhs] = b
+
+        ref = {k: np.zeros(dim) for k in ("i_mos", "i_mag", "q", "q_mag")}
+        ref |= {k: np.zeros((dim, dim)) for k in ("j_mos", "j_var")}
+        for e in net.elements:
+            if isinstance(e, Mos):
+                i_d, g_m, g_ds = mos_eval(e.params, x[e.g] - x[e.s],
+                                          x[e.d] - x[e.s])
+                assert i_d != 0.0 and g_m != 0.0
+                for row, sign in ((e.d, 1.0), (e.s, -1.0)):
+                    ref["i_mos"][row] += sign * i_d
+                    ref["i_mag"][row] += abs(i_d)
+                    for col, g in ((e.g, g_m), (e.d, g_ds),
+                                   (e.s, -g_m - g_ds)):
+                        ref["j_mos"][row, col] += sign * g
+            elif isinstance(e, Varactor):
+                v_ab = x[e.a] - x[e.b]
+                c, dc_dv = varactor_eval(e.model, x[e.cp] - x[e.cn])
+                assert dc_dv != 0.0
+                for row, sign in ((e.a, 1.0), (e.b, -1.0)):
+                    ref["q"][row] += sign * c * v_ab
+                    ref["q_mag"][row] += abs(c * v_ab)
+                    for col, g in ((e.a, c), (e.b, -c), (e.cp, v_ab * dc_dv),
+                                   (e.cn, -v_ab * dc_dv)):
+                        ref["j_var"][row, col] += sign * g
+        return sys_, x, b, y, ref
+
+    def test_static_stage_is_the_dc_residual_and_jacobian(self):
+        sys_, x, b, y, ref = self.point()
+        size = sys_.size
+        stage = sys_.stage(0.0, self.COEF)
+        a_static = sys_.a_static[:size]
+
+        f = a_static @ x + ref["i_mos"][:size] - b
+        mag = np.abs(a_static) @ np.abs(x) + ref["i_mag"][:size] + np.abs(b)
+        assert np.all(np.abs(stage.F @ y - f) <= 1e-14 * mag)
+
+        r = 1.0 / np.abs(a_static[:, :size]).max(axis=1)
+        jac = a_static[:, :size] + ref["j_mos"][:size, :size]
+        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        row_mag = (np.abs(a_static[:, :size])
+                   + np.abs(ref["j_mos"][:size, :size])).max(axis=1)
+        assert np.all(np.abs(js - r[:, None] * jac)
+                      <= 1e-14 * (r * row_mag)[:, None])
+        # the varactor carries no current at coef 0
+        out, cp = (sys_.net.node_names.index(n) for n in ("out", "cp"))
+        assert js[out, cp] == 0.0
+
+    def test_charge_map_is_the_linear_charge_plus_the_varactors(self):
+        sys_, x, _, y, ref = self.point()
+        size = sys_.size
+        a_react = sys_.a_react[:size]
+        q = a_react @ x + ref["q"][:size]
+        mag = np.abs(a_react) @ np.abs(x) + ref["q_mag"][:size]
+        assert np.all(np.abs(sys_.q_map @ y - q) <= 1e-14 * mag)
+        assert ref["q"].any()
+
+    def test_a_stage_adds_its_coefficient_times_the_charge(self):
+        sys_, x, b, y, ref = self.point()
+        size = sys_.size
+        static, stage = sys_.stage(0.0, 0.0), sys_.stage(self.COEF, self.COEF)
+        q = sys_.q_map @ y
+        f_static = static.F @ y
+        mag = (np.abs(f_static) + self.COEF * np.abs(q)
+               + np.abs(stage.F) @ np.abs(y))
+        assert np.all(np.abs(stage.F @ y - (f_static + self.COEF * q))
+                      <= 1e-14 * mag)
+
+        a0 = sys_.a_static + self.COEF * sys_.a_react
+        jac = (a0 + ref["j_mos"] + self.COEF * ref["j_var"])[:size, :size]
+        row_mag = (np.abs(a0) + np.abs(ref["j_mos"])
+                   + self.COEF * np.abs(ref["j_var"]))[:size, :size].max(axis=1)
+        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        assert np.all(np.abs(js - stage.r[:, None] * jac)
+                      <= 1e-14 * (stage.r * row_mag)[:, None])
+
+    def test_history_opens_at_the_initial_charge_over_h(self, monkeypatch):
+        """The first step's b is q(x_0)/h: the recursion from b_0 = 0 and
+        c_0 = 0, with the varactor starting charged."""
+        net = self.netlist()
+        for name, v in self.VOLTS.items():
+            net.set_initial_voltage(name, v)
+        sys_ = engine._System(net)
+        seen = []
+        real = engine._newton_step
+
+        def spy(*args):
+            seen.append(args[2][sys_.rhs].copy())
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_newton_step", spy)
+        h = 1e-12
+        transient(net, SimConfig(dt_s=h, t_stop_s=2 * h))
+        x0 = sys_.x_init
+        q0 = sys_.a_react @ x0
+        for e in net.elements:
+            if isinstance(e, Varactor):
+                charge = (varactor_eval(e.model, x0[e.cp] - x0[e.cn])[0]
+                          * (x0[e.a] - x0[e.b]))
+                q0[e.a] += charge
+                q0[e.b] -= charge
+        b1 = (1.0 / h) * q0[:sys_.size]
+        # the supply row of b is the source value, not history
+        vdd_row = sys_.vsources[0][0]
+        b1[vdd_row] = 0.7
+        assert np.array_equal(seen[0], b1)
+        assert b1[net.node_names.index("out")] != 0.0
 
 
 # The tc-qvco alone (16 unknowns, 4 MOS) and with its four output
@@ -326,6 +487,12 @@ def qvco_config(toroidal_model, n_periods=4):
     return default_sim_config(f_est, n_periods=n_periods)
 
 
+def trapezoidal_coef(toroidal_model):
+    """The integrator coefficient 2/h of every step of a qvco_run after
+    the first."""
+    return 2.0 / qvco_config(toroidal_model).dt_s
+
+
 def qvco_run(toroidal_model, n_periods=4, buffers=None):
     params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12,
                             buffers=buffers)
@@ -382,7 +549,8 @@ class TestNewtonStartPoint:
             self, monkeypatch, toroidal_model):
         (sys_, stage, y, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
-        assert stage.coef == 2 / qvco_config(toroidal_model, 4).dt_s
+        coef = trapezoidal_coef(toroidal_model)
+        assert np.array_equal(stage.F, sys_.stage(coef, coef).F)
         dim = sys_.size + 1
         x_ext, x_prev = y[:dim].copy(), x_acc
         assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
@@ -400,8 +568,7 @@ class TestNewtonStartPoint:
             # the engine's own residual and acceptance, recomputed from
             # the accepted x with fresh device values
             y_new = y_acc.copy()
-            y_new[sys_.dev] = engine._devices(sys_, y_acc[:dim].tolist(),
-                                              stage.coef)
+            y_new[sys_.dev] = engine._devices(sys_, y_acc[:dim].tolist())
             assert np.array_equal(stage.F @ y_new, f), name
             assert np.all(np.abs(f) <= stage.R @ np.abs(y_new)), name
             assert np.abs(f[:sys_.n]).max() <= 0.1 * engine.KCL_ABS_A, name
@@ -427,7 +594,8 @@ class TestNewtonStartPoint:
         assert len(mos) == sys_.inc.shape[1] == 4 and not sys_.varactors
         cur = np.array([mos_eval(e.params, x[e.g] - x[e.s], x[e.d] - x[e.s])[0]
                         for e in mos])
-        a0 = (sys_.a_static + stage.coef * sys_.a_react)[:size]
+        a0 = (sys_.a_static
+              + trapezoidal_coef(toroidal_model) * sys_.a_react)[:size]
         f = a0 @ x - b + sys_.inc[:size] @ cur
         magnitude = (np.abs(a0) @ np.abs(x) + np.abs(b)
                      + np.abs(sys_.inc[:size]) @ np.abs(cur))
@@ -456,12 +624,13 @@ class TestNewtonStartPoint:
         size, dim = sys_.size, sys_.size + 1
         x0 = {"previous": x_acc, "extrapolated": y[:dim].copy()}[start]
         y0 = self.started(sys_, y, x0)
-        cur, part = device_slots(sys_, x0, stage.coef)
+        coef = trapezoidal_coef(toroidal_model)
+        cur, part = device_slots(sys_, x0, coef)
         y0[sys_.dev] = np.concatenate([cur, part])
         # the engine's residual (test_fused_products_match_the_stamps
         # checks it against the stamps), the unscaled Jacobian by hand
         f = stage.F @ y0
-        a0 = sys_.a_static + stage.coef * sys_.a_react
+        a0 = sys_.a_static + coef * sys_.a_react
         jac = (a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
         expected = np.linalg.solve(jac, -f)
 
@@ -503,6 +672,18 @@ def test_run_reports_its_solves_and_iterations(case, monkeypatch,
     assert sum(hist) == steps
     assert sum(k * n for k, n in enumerate(hist)) == wave.linear_solves
     assert hist[0] == 0 and hist[-1] > 0
+
+
+def test_solve_counts_are_read_from_the_histogram():
+    """Waveforms stores only the histogram, so no count can contradict
+    it: three steps of one solve and two of two are 7 solves and 12
+    iterations."""
+    wave = engine.Waveforms(time_s=np.arange(6.0), voltages={}, currents={},
+                            solve_histogram=(0, 3, 2))
+    assert (wave.linear_solves, wave.newton_iterations) == (7, 12)
+    with pytest.raises(TypeError):
+        engine.Waveforms(time_s=np.arange(6.0), voltages={}, currents={},
+                         solve_histogram=(0, 3, 2), linear_solves=0)
 
 
 # Linear solves and solve histograms of the 4-period runs, measured on

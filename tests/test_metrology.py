@@ -1,22 +1,21 @@
 """Metrology on hand-built waveforms with known answers, and the Leeson
-phase-noise model against its formula evaluated by hand."""
+phase-noise model (analysis.phase_noise_leeson) against its formula
+evaluated by hand."""
 import math
 
 import numpy as np
 import pytest
 
-from tsvqvco.analysis import TankParams
-from tsvqvco.devices import BOLTZMANN_J_K
+from tsvqvco.analysis import (BOLTZMANN_J_K, LEESON_TEMP_K, TankParams,
+                              phase_noise_leeson)
 from tsvqvco.engine import Waveforms
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import (
     ENVELOPE_FRAC,
-    LEESON_TEMP_K,
     MIN_SWING_V,
     STEADY_CYCLES,
     estimate_frequency,
     measure_metrics,
-    phase_noise_leeson,
 )
 
 F_HZ = 2.0e9

@@ -33,8 +33,7 @@ def test_well_formed_netlist_validates():
 
 def test_floating_node():
     net = rc_netlist()
-    net.node("island")
-    net.node("atoll")
+    net.node_names += ["island", "atoll"]
     assert_invalid(net, "nodes used by no element: ['atoll', 'island']")
 
 
@@ -108,6 +107,15 @@ def test_initial_condition_on_unknown_node():
     net = rc_netlist()
     net.initial_voltages["ghost"] = 0.5
     assert_invalid(net, "initial condition on unknown node 'ghost'")
+
+
+def test_initial_voltage_on_a_typo_is_an_unknown_node():
+    """set_initial_voltage registers no node, so a misspelt name is
+    reported as what it is, not as a node that no element uses."""
+    net = rc_netlist()
+    net.set_initial_voltage("typo", 0.1)
+    assert net.node_names == ["a"]
+    assert_invalid(net, "initial condition on unknown node 'typo'")
 
 
 def test_empty_netlist():

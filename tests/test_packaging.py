@@ -74,7 +74,7 @@ ALLOWED_PACKAGE_IMPORTS = {
     "devices": {"errors"},
     "netlist": {"devices", "errors"},
     "engine": {"devices", "errors", "netlist"},
-    "metrology": {"analysis", "devices", "engine", "errors", "netlist"},
+    "metrology": {"engine", "errors", "netlist"},
     "topologies": {"analysis", "devices", "engine", "errors", "netlist",
                    "transformer"},
 }
