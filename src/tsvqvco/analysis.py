@@ -3,20 +3,21 @@
 The half-circuit model: the tank seen at one output is a parallel RLC with
 the coupled part of the primary (k^2 L_p) as its inductor, and the two
 secondary windings inject cross-core current scaled by the turns ratio N.
-Everything downstream (minimum transconductance, oscillation frequency,
-feasibility) follows from that picture.  oscillation_frequency_closed has a
-closed form; solve_characteristic finds the same root numerically from the
-characteristic equation and serves as its independent check.  Thermal
-noise is never simulated; phase noise is estimated from the tank with
-Leeson's formula at a fixed 290 K.
+The minimum transconductance and the kN > sqrt(2) feasibility verdict
+follow from that picture, and they are the bounds of the linear bench
+topologies.build_quadrature_bench, not of a built netlist.  A built
+netlist's start-up verdict is its poles (engine.small_signal): the
+tc-qvco core on configs/toroidal.json is "infeasible" by kN, yet its
++90 degree pair grows at sigma/2pi = 53.6 MHz.  Thermal noise is never
+simulated; phase noise is estimated from the tank with Leeson's formula
+at a fixed 290 K.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .errors import (InfeasibleDesignError, InvalidModelError, NumericFailure,
-                     check_finite)
+from .errors import InfeasibleDesignError, InvalidModelError, check_finite
 from .transformer import TransformerModel
 
 SQRT2 = math.sqrt(2.0)
@@ -89,57 +90,6 @@ def min_transconductance(t: TankParams) -> float:
             f"kN = {kn:.4f} at or below sqrt(2) = {SQRT2:.4f}: the required "
             f"transconductance diverges, the quadrature mode cannot start")
     return (2.0 / t.r_parallel) * kn * kn / (kn * kn - 2.0)
-
-
-def oscillation_frequency_closed(t: TankParams) -> float:
-    """Closed-form oscillation frequency (rad/s); always at or above omega0."""
-    omega0, q = tank_resonance_and_q(t)
-    kn = t.kn
-    if kn * kn <= 2.0:
-        raise InfeasibleDesignError(
-            f"kN = {kn:.4f} at or below sqrt(2): no oscillation frequency")
-    b = 3.0 * kn / (2.0 * q * (kn * kn - 2.0))
-    return omega0 * (b + math.sqrt(b * b + 1.0))
-
-
-def solve_characteristic(t: TankParams, g_m: float) -> float:
-    """Positive root (rad/s) of the imaginary-part balance
-
-        3 g_m / (kN) + 2 / (omega k^2 L_p) - 2 omega C = 0,
-
-    found by bracketing and bisection.  Deliberately does not reuse the
-    closed form: this is the independent oracle it is tested against.
-    """
-    if g_m < 0:
-        raise InvalidModelError("solve_characteristic needs g_m >= 0")
-
-    def residual(omega: float) -> float:
-        return (3.0 * g_m / t.kn + 2.0 / (omega * t.l_eq)
-                - 2.0 * omega * t.c_tank)
-
-    omega0 = resonant_frequency(t.l_eq, t.c_tank)
-    # residual is strictly decreasing: positive for small omega, negative
-    # for large, so a sign change brackets the unique root
-    lo = omega0 * 1e-6
-    hi = omega0
-    for _ in range(200):
-        if residual(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NumericFailure("characteristic-equation bracket did not close")
-    for _ in range(400):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    if not math.isfinite(root) or root <= 0:
-        raise NumericFailure("characteristic-equation root is not finite")
-    return root
 
 
 def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
@@ -249,7 +199,9 @@ def design_tank(spec: DesignSpec,
     two secondaries (they are nominally identical), N = sqrt(L_p/L_s), and
     the parallel loss converts the primary's series AC resistance through
     the coil quality factor: R = Q_L * omega0 * k^2 L_p with
-    Q_L = omega0 L_p / R_pac.
+    Q_L = omega0 L_p / R_pac.  The verdict is the kN > sqrt(2) bound of
+    the linear half-circuit bench; whether a built netlist starts up is
+    read from its poles (module docstring).
     """
     c_tank = spec.c_var_mid_f + spec.c_parasitic_f
     k = 0.5 * (xfmr.k_ps1 + xfmr.k_ps2)

@@ -84,6 +84,15 @@ evaluation at x_0.  Source rows of b are overwritten with the source
 values every step.  The initial state is what the netlist declares: its
 initial node voltages and winding currents, zero everywhere else.
 
+small_signal(net) linearizes the same stamps about the DC point, the
+Newton solution of the coefficient-0 stage with b at the sources' final
+values.  _System.linearize gives G (a_static plus the transistor
+partials' stamps) and C (a_react plus the varactor partials' stamps),
+and the poles are the finite s with (G + s C) v = 0: s = -1/mu over the
+eigenvalues mu of G^-1 C.  An eigenvalue at most 1e-9 times the largest
+in magnitude is an infinite pole, a direction that holds no charge, and
+is dropped.
+
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
 """
@@ -203,6 +212,12 @@ class Waveforms:
         for name, trace in traces[1:]:
             if len(trace) != n:
                 raise InvalidModelError(f"trace {name} length mismatch")
+        hist = self.solve_histogram
+        if any(count < 0 for count in hist):
+            raise InvalidModelError("solve histogram counts must be >= 0")
+        if hist and sum(hist) != n - 1:
+            raise InvalidModelError(
+                f"solve histogram counts {sum(hist)} steps, not {n - 1}")
 
 
 @dataclass
@@ -260,6 +275,17 @@ class _System:
         # the per-step KCL gate with margin, branch rows have no gate
         self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
+
+    def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(G, C) over the unknowns at the step state y: G is a_static
+        plus the transistor partials' stamps, C is a_react plus the
+        varactor partials' stamps, so G dx + C d(dx)/dt = 0 is the
+        circuit linearized about y's x."""
+        size, p = self.size, 2 * len(self.mos)
+        part = y[self.jac][:-1]
+        stamps = self.jst.reshape(size + 1, size + 1, -1)[:size, :size]
+        return (self.a_static[:size, :size] + stamps[..., :p] @ part[:p],
+                self.a_react[:size, :size] + stamps[..., p:] @ part[p:])
 
     def stage(self, coef: float, next_coef: float) -> _Stage:
         size, dim = self.size, self.size + 1
@@ -458,6 +484,25 @@ def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
         f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
+
+
+def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
+    """The finite poles of net linearized at its DC point, largest real
+    part first, and their eigenvectors as columns over the unknowns
+    (module docstring)."""
+    sys = _System(net)
+    y = np.zeros(sys.ylen)
+    y[:sys.size + 1] = sys.x_init
+    y[sys.dev.stop] = 1.0
+    for row, e in sys.vsources:
+        y[sys.rhs.start + row] = e.volts
+    _newton_step(sys, sys.stage(0.0, 0.0), y, 0.0)
+    g, c = sys.linearize(y)
+    mu, v = np.linalg.eig(np.linalg.solve(g, c))
+    finite = np.abs(mu) > 1e-9 * np.abs(mu).max()
+    poles = -1.0 / mu[finite]
+    order = np.argsort(-poles.real, kind="stable")
+    return poles[order], v[:, finite][:, order]
 
 
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:

@@ -28,8 +28,8 @@ engine adds nothing to a netlist's initial state.
 
 build_quadrature_bench is different in kind: it is the linearized
 small-signal model of the coupled cores (controlled sources instead of
-transistors), used to check growth thresholds and the oscillation
-frequency against the closed-form tank analysis.
+transistors), the circuit the half-circuit kN bound of analysis holds
+for; its poles and transients check that bound.
 """
 from __future__ import annotations
 
@@ -274,11 +274,13 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     ground (L is the reflected k^2 L_p) plus controlled sources carrying
     the small-signal core action.
 
-    The self term g_m (1/2 - 1/kn^2) turns into exactly 1/R at margin 1,
-    so the envelope grows above margin 1 and decays below it; the cross
-    term 1.5 g_m / kn is antisymmetric between the cores, which selects
-    the +-90 degree modes.  Like build_netlist, it seeds startup with
-    V_o1 at PERTURBATION_V.
+    The self term g_m (1/2 - 1/kn^2) turns into exactly 1/R at margin 1;
+    the cross term 1.5 g_m / kn is antisymmetric between the cores, so
+    the modes are a +90 and a -90 degree pair.  At margin 1 both pairs
+    are neutral (sigma = 0), the +90 pair above omega0 at the
+    half-circuit oscillation frequency; above margin 1 both grow, the
+    +90 pair faster, and below it both decay.  Like build_netlist, it
+    seeds startup with V_o1 at PERTURBATION_V.
     """
     check_finite(InvalidModelError, "quadrature bench", "g_m_margin",
                  g_m_margin)

@@ -1,10 +1,10 @@
 """Design-chain tests.
 
 Frequencies, Q and transconductance spot values were evaluated by hand
-from the tank equations and frozen; the closed-form oscillation frequency
-is cross-checked against an independent bracketed root of the
-characteristic equation over randomized tanks, and against a transient of
-the linearized quadrature bench.
+from the tank equations and frozen.  The oscillation frequency of the
+linearized quadrature bench is its +90 degree pole (engine.small_signal),
+checked against the half-circuit closed form over randomized tanks and
+against a transient of the same bench.
 """
 import dataclasses
 import functools
@@ -20,12 +20,10 @@ from tsvqvco.analysis import (
     design_tank,
     figure_of_merit,
     min_transconductance,
-    oscillation_frequency_closed,
     resonant_frequency,
-    solve_characteristic,
     tank_resonance_and_q,
 )
-from tsvqvco.engine import SimConfig, transient
+from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import (
     InfeasibleDesignError,
     InvalidModelError,
@@ -146,7 +144,36 @@ class TestMinTransconductance:
                             rel_tol=1e-3)
 
 
+# Relative accuracy of the bench's poles, the eigen-solve's: over the 200
+# tanks below they match the closed form within 1.2e-15.
+POLE_REL = 1e-12
+
+
+def closed_form_frequency(t: TankParams) -> float:
+    """The half-circuit oscillation frequency (rad/s), the oracle of the
+    bench's +90 degree pole at margin 1: omega0 (b + sqrt(b^2 + 1)) with
+    b = 3 kN / (2 Q (kN^2 - 2))."""
+    omega0, q = tank_resonance_and_q(t)
+    b = 3.0 * t.kn / (2.0 * q * (t.kn * t.kn - 2.0))
+    return omega0 * (b + math.sqrt(b * b + 1.0))
+
+
+def bench_modes(t: TankParams, margin: float):
+    """{+90, -90}: the pole of each quadrature mode of the bench, the one
+    with a positive frequency, keyed by how far V_o3 leads V_o1."""
+    net = build_quadrature_bench(t, margin)
+    poles, vectors = small_signal(net)
+    upper = poles.imag > 0
+    v1, v3 = (vectors[net.node_names.index(n), upper]
+              for n in ("V_o1", "V_o3"))
+    lead = np.angle(v3 / v1)
+    assert sorted(np.round(np.degrees(lead))) == [-90.0, 90.0]
+    return {round(math.degrees(a)): p for a, p in zip(lead, poles[upper])}
+
+
 class TestOscillationFrequency:
+    """The bench's oscillation frequency is its +90 degree pole."""
+
     def test_frequency_ratio_spot_value(self):
         """kN = 2, Q = 10: omega/omega0 = b + sqrt(b^2+1) with b = 0.15,
         which is 1.161187."""
@@ -154,7 +181,7 @@ class TestOscillationFrequency:
         r = 10.0 / (omega0 * REF_TANK.c_tank)
         t = TankParams(r_parallel=r, c_tank=4.6e-12, l_p=3e-9, k=0.52,
                        n=2.0 / 0.52)
-        assert math.isclose(oscillation_frequency_closed(t) / omega0,
+        assert math.isclose(bench_modes(t, 1.0)[90].imag / omega0,
                             1.161187, rel_tol=1e-6)
 
     def test_oscillates_above_resonance(self):
@@ -162,41 +189,32 @@ class TestOscillationFrequency:
         for _ in range(50):
             t = random_tank(rng)
             omega0, _ = tank_resonance_and_q(t)
-            assert oscillation_frequency_closed(t) > omega0
+            assert bench_modes(t, 1.0)[90].imag > omega0
 
     def test_approaches_resonance_as_q_grows(self):
         t = TankParams(r_parallel=1e12, c_tank=4.6e-12, l_p=3e-9, k=0.52,
                        n=2.0 / 0.52)
         omega0, _ = tank_resonance_and_q(t)
-        ratio = oscillation_frequency_closed(t) / omega0
-        assert 1.0 <= ratio < 1.0 + 1e-9
+        ratio = bench_modes(t, 1.0)[90].imag / omega0
+        assert 1.0 - POLE_REL <= ratio < 1.0 + 1e-9
 
     def test_infeasible_tank_raises(self):
         t = TankParams(r_parallel=500.0, c_tank=4.6e-12, l_p=3e-9, k=0.52,
                        n=1.0 / 0.52)
         with pytest.raises(InfeasibleDesignError):
-            oscillation_frequency_closed(t)
+            build_quadrature_bench(t, 1.0)
 
-    def test_closed_form_matches_characteristic_root(self):
-        """The closed form and an independent bisection of the
-        characteristic equation agree to 1e-9 over randomized tanks, with
-        the transconductance set to its startup minimum."""
+    def test_poles_match_closed_form(self):
+        """Over randomized tanks, with the transconductance at its startup
+        minimum, the +90 degree pole is neutral and sits at the closed
+        form."""
         rng = np.random.default_rng(2026)
         for _ in range(200):
             t = random_tank(rng)
-            g_m = min_transconductance(t)
-            closed = oscillation_frequency_closed(t)
-            root = solve_characteristic(t, g_m)
-            assert abs(root - closed) <= 1e-9 * closed
-
-    def test_characteristic_at_zero_gm_is_resonance(self):
-        omega0, _ = tank_resonance_and_q(REF_TANK)
-        root = solve_characteristic(REF_TANK, 0.0)
-        assert math.isclose(root, omega0, rel_tol=1e-12)
-
-    def test_characteristic_rejects_negative_gm(self):
-        with pytest.raises(InvalidModelError):
-            solve_characteristic(REF_TANK, -1e-3)
+            pole = bench_modes(t, 1.0)[90]
+            closed = closed_form_frequency(t)
+            assert abs(pole.imag - closed) <= POLE_REL * closed
+            assert abs(pole.real) <= POLE_REL * pole.imag
 
 
 class TestFigureOfMerit:
@@ -299,9 +317,9 @@ QUAD_TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
 
 @functools.cache
 def quadrature_bench_run(margin: float):
-    """60 periods of the linear bench at 200 points per period of the
-    closed-form oscillation frequency; returns (time, V_o1, V_o3)."""
-    period = 2.0 * math.pi / oscillation_frequency_closed(QUAD_TANK)
+    """60 periods of the linear bench at 200 points per period of its
+    +90 degree pole at margin 1; returns (time, V_o1, V_o3)."""
+    period = 2.0 * math.pi / bench_modes(QUAD_TANK, 1.0)[90].imag
     wave = transient(build_quadrature_bench(QUAD_TANK, margin),
                      SimConfig(dt_s=period / 200, t_stop_s=60 * period))
     return wave.time_s, wave.voltages["V_o1"], wave.voltages["V_o3"]
@@ -309,8 +327,10 @@ def quadrature_bench_run(margin: float):
 
 class TestQuadratureBench:
     """At transconductance margin 1 the bench's self term cancels the tank
-    loss, so the envelope decays below it and grows above it; at margin 1
-    the cores ring at the closed-form frequency, V_o3 leading V_o1."""
+    loss: both quadrature pairs are neutral, and the cores ring at the +90
+    degree pole, V_o3 leading V_o1.  Above margin 1 both pairs grow, the
+    +90 degree one faster; below it neither grows, and the envelope of
+    the transient follows."""
 
     @pytest.mark.parametrize("margin, grows", [(0.8, False), (1.2, True)])
     def test_envelope_grows_only_above_margin_one(self, margin, grows):
@@ -319,17 +339,31 @@ class TestQuadratureBench:
         ratio = np.abs(v1[half:]).max() / np.abs(v1[:half]).max()
         assert (ratio > 1.0) if grows else (ratio < 1.0)
 
+    def test_both_pairs_are_neutral_at_margin_one(self):
+        for pole in bench_modes(QUAD_TANK, 1.0).values():
+            assert abs(pole.real) <= POLE_REL * pole.imag
+
+    def test_plus_ninety_grows_faster_above_margin_one(self):
+        """At margin 1.2, sigma = 1.111e8 against 0.889e8 per second."""
+        modes = bench_modes(QUAD_TANK, 1.2)
+        assert modes[90].real == pytest.approx(1.111e8, rel=1e-3)
+        assert modes[-90].real == pytest.approx(0.889e8, rel=1e-3)
+
+    def test_no_pair_grows_below_margin_one(self):
+        poles, _ = small_signal(build_quadrature_bench(QUAD_TANK, 0.8))
+        assert np.all(poles.real < 0.0)
+
     def test_frequency_at_margin_one(self):
         t, v1, _ = quadrature_bench_run(1.0)
         half = len(t) // 2
         f_hz = estimate_frequency(t[half:], v1[half:])
-        f_closed = oscillation_frequency_closed(QUAD_TANK) / (2.0 * math.pi)
-        assert f_hz == pytest.approx(f_closed, rel=5e-3)
+        f_pole = bench_modes(QUAD_TANK, 1.0)[90].imag / (2.0 * math.pi)
+        assert f_hz == pytest.approx(f_pole, rel=5e-3)
 
     def test_quadrature_at_margin_one(self):
         t, v1, v3 = quadrature_bench_run(1.0)
         half = len(t) // 2
-        rot = np.exp(-1j * oscillation_frequency_closed(QUAD_TANK) * t[half:])
+        rot = np.exp(-1j * bench_modes(QUAD_TANK, 1.0)[90].imag * t[half:])
         lead = math.degrees(np.angle(np.sum(v3[half:] * rot)
                                      / np.sum(v1[half:] * rot)))
         assert lead == pytest.approx(90.0, abs=2.0)

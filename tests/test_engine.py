@@ -7,8 +7,8 @@ share terminals or sit on ground, and for a varactor whose control sits
 on a node pair; reruns of one netlist must repeat bit for bit.  A stage
 builds at any coefficient: at 0 its products are the static residual
 and Jacobian, the charge map is the linear charge plus each varactor's,
-a stage at c adds c times the charge, and a run's history opens at
-q(x_0)/h.  A run reports the linear solves it made, and a singular
+a stage at c adds c times the charge, a run's history opens at
+q(x_0)/h, and the linearization is the static and the charge Jacobian.  A run reports the linear solves it made, and a singular
 matrix names the node or branch with no stamp.  The first step is a step like any
 other: every built topology takes it with stepped supplies at step
 sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
@@ -20,7 +20,8 @@ predictor is exact on polynomials of degree below its row count, and
 keeps the buffered tc-qvco near one solve per step.  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
 and short tc-qvco runs take exactly their recorded solves.  A run's solve
-histogram accounts for every step and every solve.  The
+histogram accounts for every step and every solve, and a histogram that
+does not is refused.  The
 Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
@@ -38,7 +39,7 @@ from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, mos_eval, varactor_eval)
 from tsvqvco.engine import SimConfig, transient
-from tsvqvco.errors import NumericFailure
+from tsvqvco.errors import InvalidModelError, NumericFailure
 from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 default_sim_config)
@@ -322,6 +323,21 @@ class TestStageAtAnyCoefficient:
         js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
         assert np.all(np.abs(js - stage.r[:, None] * jac)
                       <= 1e-14 * (stage.r * row_mag)[:, None])
+
+    def test_linearization_is_the_static_and_the_charge_jacobian(self):
+        """G is the static Jacobian, and C the Jacobian of the charge with
+        the varactor's v_ab dC/dv on its control pair."""
+        sys_, _, _, y, ref = self.point()
+        size = sys_.size
+        g, c = sys_.linearize(y)
+        for got, linear, device in ((g, sys_.a_static, ref["j_mos"]),
+                                    (c, sys_.a_react, ref["j_var"])):
+            want = (linear + device)[:size, :size]
+            row_mag = (np.abs(linear)
+                       + np.abs(device))[:size, :size].max(axis=1)
+            assert np.all(np.abs(got - want) <= 1e-14 * row_mag[:, None])
+        out, cp = (sys_.net.node_names.index(n) for n in ("out", "cp"))
+        assert c[out, cp] != 0.0
 
     def test_history_opens_at_the_initial_charge_over_h(self, monkeypatch):
         """The first step's b is q(x_0)/h: the recursion from b_0 = 0 and
@@ -684,6 +700,18 @@ def test_solve_counts_are_read_from_the_histogram():
     with pytest.raises(TypeError):
         engine.Waveforms(time_s=np.arange(6.0), voltages={}, currents={},
                          solve_histogram=(0, 3, 2), linear_solves=0)
+
+
+@pytest.mark.parametrize("histogram, message", [
+    ((5, -2, 1), "solve histogram counts must be >= 0"),
+    ((0, 2, 2), "solve histogram counts 4 steps, not 3"),
+])
+def test_solve_histogram_must_count_the_steps(histogram, message):
+    """A negative count, or a total other than the grid's 3 steps, would
+    make the solve counts contradict the run."""
+    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+        engine.Waveforms(time_s=np.arange(4.0), voltages={}, currents={},
+                         solve_histogram=histogram)
 
 
 # Linear solves and solve histograms of the 4-period runs, measured on

@@ -1,0 +1,114 @@
+"""Poles of a netlist from the engine's own stamps (engine.small_signal).
+
+Two independent checks: a parallel RLC has exactly its two closed-form
+poles, and a varactor tank has the poles of a fixed capacitor of the
+varactor's capacitance at its control voltage, which checks C's
+varactor columns.  On the toroidal tc-qvco the poles then agree with the
+benchmark's recorded 100-period runs of the same netlists: the dominant
+pair is the +90 degree mode, within 1 % of the run's frequency, and with
+flip_dots it is a 0 or 180 degree mode instead.
+"""
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from tsvqvco.devices import BufferParams, VaractorModel, varactor_eval
+from tsvqvco.engine import small_signal
+from tsvqvco.netlist import Netlist
+from tsvqvco.topologies import TopologyParams, build_netlist
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+import workloads  # noqa: E402
+
+
+def upper_poles(net: Netlist, node: str):
+    """The poles with a positive frequency, largest real part first, and
+    the phase (degrees) by which node leads V_o1 in each one's mode."""
+    poles, vectors = small_signal(net)
+    i1, i = net.node_names.index("V_o1"), net.node_names.index(node)
+    upper = poles.imag > 0
+    lead = np.degrees(np.angle(vectors[i, upper] / vectors[i1, upper]))
+    return poles[upper], lead
+
+
+def test_parallel_rlc_has_its_two_closed_form_poles():
+    r, l, c = 500.0, 2e-9, 1e-12
+    net = Netlist()
+    net.add_resistor("a", "gnd", r)
+    net.add_inductor("a", "gnd", l)
+    net.add_capacitor("a", "gnd", c)
+    poles, vectors = small_signal(net)
+    alpha = 1.0 / (2.0 * r * c)
+    omega = math.sqrt(1.0 / (l * c) - alpha * alpha)
+    assert len(poles) == 2 and vectors.shape == (2, 2)
+    for expected in (complex(-alpha, omega), complex(-alpha, -omega)):
+        assert np.abs(poles - expected).min() <= 1e-12 * abs(expected)
+
+
+def test_varactor_tank_has_the_poles_of_its_fixed_capacitor():
+    model = VaractorModel(c_min=0.2e-12, c_max=0.6e-12, v_lo=0.0, v_hi=0.7)
+    v_ctl = 0.3
+
+    def netlist(varactor: bool) -> Netlist:
+        net = Netlist()
+        net.add_inductor("a", "b", 1e-9)
+        net.add_resistor("a", "gnd", 1e3)
+        net.add_resistor("b", "gnd", 2e3)
+        net.add_vsource("ctl", "gnd", v_ctl)
+        if varactor:
+            net.add_varactor("a", "b", "ctl", "gnd", model)
+        else:
+            net.add_capacitor("a", "b", varactor_eval(model, v_ctl)[0])
+        return net
+
+    var, _ = small_signal(netlist(True))
+    cap, _ = small_signal(netlist(False))
+    assert len(var) == len(cap) == 2
+    np.testing.assert_allclose(np.sort_complex(var), np.sort_complex(cap),
+                               rtol=1e-12, atol=0)
+
+
+def qvco_netlist(toroidal_model, **kwargs) -> Netlist:
+    """The netlist of the benchmark's qvco workloads."""
+    return build_netlist("tc-qvco", TopologyParams(
+        transformer=toroidal_model,
+        c_parasitic_f=workloads.QVCO_C_PARASITIC_F, **kwargs))
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return workloads.load_reference()
+
+
+def test_toroidal_core_grows_in_quadrature(toroidal_model, recorded):
+    """Both quadrature pairs grow, the +90 degree one faster, and it sits
+    within 1 % of the recorded run (2.0958 against 2.0881 GHz)."""
+    poles, lead = upper_poles(qvco_netlist(toroidal_model), "V_o3")
+    f_mhz, sigma_mhz = poles.imag / 2e6 / math.pi, poles.real / 2e6 / math.pi
+    assert lead[0] == pytest.approx(90.0, abs=0.1)
+    assert (f_mhz[0], sigma_mhz[0]) == pytest.approx((2095.8, 53.6), abs=0.1)
+    assert lead[1] == pytest.approx(-90.0, abs=0.1)
+    assert (f_mhz[1], sigma_mhz[1]) == pytest.approx((1970.4, 45.4), abs=0.1)
+    assert np.all(poles.real[2:] < 0.0)
+    f_run = recorded["qvco_core"]["metrics"]["f_osc_hz"]
+    assert abs(f_mhz[0] * 1e6 / f_run - 1.0) <= 0.01
+
+
+def test_buffered_core_keeps_the_quadrature_mode(toroidal_model, recorded):
+    poles, lead = upper_poles(
+        qvco_netlist(toroidal_model, buffers=BufferParams()), "V_o3")
+    assert lead[0] == pytest.approx(90.0, abs=0.1)
+    assert poles[0].imag / 2e6 / math.pi == pytest.approx(2096.2, abs=0.1)
+    f_run = recorded["qvco_buffered"]["metrics"]["f_osc_hz"]
+    assert abs(poles[0].imag / 2.0 / math.pi / f_run - 1.0) <= 0.01
+
+
+def test_flipped_dots_lose_quadrature(toroidal_model):
+    poles, lead = upper_poles(qvco_netlist(toroidal_model, flip_dots=True),
+                              "V_o3")
+    assert poles[0].real > 0.0
+    assert min(abs(lead[0]), 180.0 - abs(lead[0])) <= 1.0

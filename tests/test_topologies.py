@@ -6,8 +6,8 @@ has, each loaded by BUFFER_LOAD_F, and stamps every tuning-array switch
 as a resistor of the on or off value its code bit selects.  Every built
 netlist, the quadrature bench included, seeds startup with V_o1 at
 PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
-in a transient at their tank frequency with differential outputs, and
-the metrics of such a run serialize to JSON through dataclasses.asdict,
+in a transient at their tank frequency with differential outputs, as
+their poles predict, and the metrics of such a run serialize to JSON through dataclasses.asdict,
 copy, compare equal to plain dicts and cannot be changed in place.
 """
 import copy
@@ -16,11 +16,12 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from tsvqvco.devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams,
                              MosParams, TuningArray)
-from tsvqvco.engine import transient
+from tsvqvco.engine import small_signal, transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Capacitor, Resistor
@@ -122,6 +123,25 @@ def test_plain_tank_oscillator_runs_differential(topology, l_diff_h, f_tol):
     assert m.oscillating
     assert abs(m.f_osc_hz / f_lc - 1.0) <= f_tol
     assert abs(m.phases_deg["V_o2"] - 180.0) <= 3.0
+
+
+@pytest.mark.parametrize("topology, l_diff_h, f_tol", [
+    ("lc-vco", 2 * PLAIN_TANK["l_tank_h"], 0.02),
+    ("cr-vco", PLAIN_TANK["l_tank_h"], 0.005),
+])
+def test_plain_tank_poles_predict_the_run(topology, l_diff_h, f_tol):
+    """The linearized oscillator has a growing pair in the band the run's
+    frequency is held to, with V_o2 in antiphase, as in the run."""
+    f_lc, m = plain_tank_metrics(topology, l_diff_h)
+    net = build_netlist(topology, TopologyParams(**PLAIN_TANK))
+    poles, vectors = small_signal(net)
+    upper = poles.imag > 0
+    pole, mode = poles[upper][0], vectors[:, upper][:, 0]
+    assert m.oscillating and pole.real > 0.0
+    assert abs(pole.imag / (2.0 * math.pi) / f_lc - 1.0) <= f_tol
+    v1, v2 = (mode[net.node_names.index(n)] for n in ("V_o1", "V_o2"))
+    assert abs(math.degrees(np.angle(v2 / v1))) == pytest.approx(180.0,
+                                                                 abs=1.0)
 
 
 def test_metrics_of_a_run_serialize_to_json():
