@@ -165,9 +165,9 @@ _CODES = ("00", "01", "10", "11")
 
 @dataclass(frozen=True)
 class TuningArray:
-    """2-bit switched-capacitor bank: each bit set to "1" closes one
-    C-switch-C branch and adds c_unit/2 across the tank, so "11" adds
-    c_unit."""
+    """2-bit switched-capacitor bank: a bit is c_unit/2 in series with its
+    switch, the same branch as c_unit, switch, c_unit; closed by a "1", it
+    adds c_unit/2 across the tank, so "11" adds c_unit."""
 
     c_unit: float
     code: str = "00"

@@ -89,9 +89,9 @@ Newton solution of the coefficient-0 stage with b at the sources' final
 values.  _System.linearize gives G (a_static plus the transistor
 partials' stamps) and C (a_react plus the varactor partials' stamps),
 and the poles are the finite s with (G + s C) v = 0: s = -1/mu over the
-eigenvalues mu of G^-1 C.  An eigenvalue at most 1e-9 times the largest
-in magnitude is an infinite pole, a direction that holds no charge, and
-is dropped.
+eigenvalues mu of G^-1 C.  An infinite pole (no charge) is mu = 0; a
+cutset with no capacitor makes Jordan pairs of them, which roundoff
+splits by up to about sqrt(eps) |G^-1 C|_1, so every mu that small goes.
 
 All arithmetic is straight float64 numpy with a fixed evaluation order,
 so repeated runs of the same netlist are bit-identical.
@@ -152,8 +152,9 @@ class SimConfig:
             check_finite(InvalidModelError, "sim config", name, value)
         if self.dt_s <= 0:
             raise InvalidModelError("time step must be positive")
-        if self.t_stop_s <= self.dt_s:
-            raise InvalidModelError("stop time must exceed the time step")
+        # transient takes round(t_stop_s / dt_s) steps: at least two
+        if not self.t_stop_s / self.dt_s >= 1.5:
+            raise InvalidModelError("stop time must cover at least two steps")
 
 
 def _frozen(trace) -> np.ndarray:
@@ -498,8 +499,9 @@ def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
         y[sys.rhs.start + row] = e.volts
     _newton_step(sys, sys.stage(0.0, 0.0), y, 0.0)
     g, c = sys.linearize(y)
-    mu, v = np.linalg.eig(np.linalg.solve(g, c))
-    finite = np.abs(mu) > 1e-9 * np.abs(mu).max()
+    a = np.linalg.solve(g, c)
+    mu, v = np.linalg.eig(a)
+    finite = np.abs(mu) > 2.0**-26 * np.linalg.norm(a, 1)  # sqrt(eps)
     poles = -1.0 / mu[finite]
     order = np.argsort(-poles.real, kind="stable")
     return poles[order], v[:, finite][:, order]
@@ -510,8 +512,6 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     sys = _System(net)
     h = cfg.dt_s
     n_steps = int(round(cfg.t_stop_s / h))
-    if n_steps < 2:
-        raise InvalidModelError("stop time must cover at least two steps")
     times = h * np.arange(n_steps + 1)
     times.flags.writeable = False
     # backward Euler for the first step, trapezoidal after it

@@ -20,11 +20,13 @@ core is the mirror of params.nmos, and the three-coil sets take their
 dot signs from DEFAULT_DOT_SIGNS (flip_dots reverses transformer B's
 primary dots).
 
-Tank capacitance in every topology is the sum of an optional varactor,
-an optional switched 2-bit array and a fixed parasitic.  All supplies
-ramp from zero over SOURCE_RAMP_S, and every builder seeds startup
-itself: V_o1 starts at PERTURBATION_V, every other node at 0 V.  The
-engine adds nothing to a netlist's initial state.
+One helper, _add_tank, stamps the tank of every core of every topology
+the same way.  An array bit is c_unit/2 in series with its switch, the
+two-terminal equivalent of c_unit, switch, c_unit in series, whose one
+middle node has a DC path.  All supplies ramp from zero over
+SOURCE_RAMP_S, and every builder seeds startup itself: V_o1 starts at
+PERTURBATION_V, every other node at 0 V.  The engine adds nothing to a
+netlist's initial state.
 
 build_quadrature_bench is different in kind: it is the linearized
 small-signal model of the coupled cores (controlled sources instead of
@@ -65,9 +67,9 @@ DEFAULT_DOT_SIGNS = ((1, 1, -1),
 class TopologyParams:
     """Device, tank and bias block consumed by build_netlist.
 
-    Per-topology requirements are checked by the builders: the
-    transformer-based topologies need `transformer`, the plain-tank ones
-    need l_tank_h / c_tank_f / r_tank_ohm.
+    _BUILDERS lists which _TOPOLOGY_FIELDS each topology needs and reads;
+    build_netlist refuses any other that is set.  Every topology reads
+    the other fields (v_ctrl_v only with a varactor).
     """
 
     # low-threshold devices: at 0.7 V supply the cores must stay in the
@@ -98,6 +100,8 @@ class TopologyParams:
             raise InvalidModelError("nmos must be an n-channel device")
         if self.c_parasitic_f < 0:
             raise InvalidModelError("parasitic capacitance cannot be negative")
+        if self.v_ctrl_v != 0 and self.varactor is None:
+            raise InvalidModelError("v_ctrl_v needs a varactor")
 
     def pmos(self) -> MosParams:
         """The core PMOS: the mirror of nmos."""
@@ -122,16 +126,14 @@ def coupled_inductor_matrix(x: TransformerModel,
         for i, row in enumerate(x.inductance_matrix()))
 
 
-def _require(p: TopologyParams, names: tuple[str, ...], topo: str) -> None:
-    missing = [n for n in names if getattr(p, n) is None]
-    if missing:
-        raise InvalidModelError(f"{topo} needs {', '.join(missing)}")
-
-
-def _add_tank_caps(net: Netlist, p: TopologyParams, a: str, b: str,
-                   tag: str) -> None:
-    """Capacitive side of one differential tank: varactor and switched
-    array between nodes a and b, parasitic junction caps to ground."""
+def _add_tank(net: Netlist, p: TopologyParams, a: str, b: str,
+              tag: str) -> None:
+    """One differential tank between nodes a and b: r_tank_ohm and
+    c_tank_f across it when set, then varactor, parasitics and array."""
+    if p.r_tank_ohm is not None:
+        net.add_resistor(a, b, p.r_tank_ohm, label=f"r_tank_{tag}")
+    if p.c_tank_f is not None:
+        net.add_capacitor(a, b, p.c_tank_f, label=f"c_tank_{tag}")
     if p.varactor is not None:
         net.add_varactor(a, b, "v_ctrl", "gnd", p.varactor,
                          label=f"cvar_{tag}")
@@ -142,15 +144,15 @@ def _add_tank_caps(net: Netlist, p: TopologyParams, a: str, b: str,
         net.add_capacitor(a, "gnd", p.c_parasitic_f, label=f"cpar_{tag}1")
         net.add_capacitor(b, "gnd", p.c_parasitic_f, label=f"cpar_{tag}2")
     if p.array is not None:
-        # one series C-switch-C branch per bit; each branch contributes
-        # c_unit/2 differentially when closed and almost nothing when open
+        # a bit is c_unit, switch, c_unit in series; both capacitors carry
+        # one charge, so c_unit/2 in series with the switch is the same
+        # two-terminal branch, with one node and a DC path through it
         for bit, state in enumerate(p.array.code):
-            m1 = f"{tag}_b{bit}p"
-            m2 = f"{tag}_b{bit}n"
-            net.add_capacitor(a, m1, p.array.c_unit, label=f"ca_{tag}{bit}")
+            mid = f"{tag}_b{bit}"
+            net.add_capacitor(a, mid, 0.5 * p.array.c_unit,
+                              label=f"ca_{tag}{bit}")
             ohms = SWITCH_ON_OHM if state == "1" else SWITCH_OFF_OHM
-            net.add_resistor(m1, m2, ohms, label=f"sw_{tag}{bit}")
-            net.add_capacitor(m2, b, p.array.c_unit, label=f"cb_{tag}{bit}")
+            net.add_resistor(mid, b, ohms, label=f"sw_{tag}{bit}")
 
 
 def _add_buffer(net: Netlist, buf: BufferParams, src: str, tag: str) -> None:
@@ -164,18 +166,14 @@ def _add_buffer(net: Netlist, buf: BufferParams, src: str, tag: str) -> None:
 
 
 def _build_lc_vco(net: Netlist, p: TopologyParams) -> None:
-    _require(p, ("l_tank_h", "c_tank_f", "r_tank_ohm"), "lc-vco")
     net.add_inductor("vdd", "V_o1", p.l_tank_h, label="l_1")
     net.add_inductor("vdd", "V_o2", p.l_tank_h, label="l_2")
-    net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
-    net.add_capacitor("V_o1", "V_o2", p.c_tank_f, label="c_tank")
-    _add_tank_caps(net, p, "V_o1", "V_o2", "a")
+    _add_tank(net, p, "V_o1", "V_o2", "a")
     net.add_mos("V_o1", "V_o2", "gnd", p.nmos, label="mn_1")
     net.add_mos("V_o2", "V_o1", "gnd", p.nmos, label="mn_2")
 
 
 def _build_tf_vco(net: Netlist, p: TopologyParams) -> None:
-    _require(p, ("transformer", "c_tank_f"), "tf-vco")
     x = p.transformer
     # drain coil is the primary, source rides the secondary; the inverted
     # dot makes the source swing opposite the drain (feedback boost)
@@ -186,26 +184,19 @@ def _build_tf_vco(net: Netlist, p: TopologyParams) -> None:
                               label="xfmr_1")
     net.add_coupled_inductors([("vdd", "V_o2"), ("src_2", "gnd")], m, series,
                               label="xfmr_2")
-    net.add_capacitor("V_o1", "V_o2", p.c_tank_f, label="c_tank")
-    if p.r_tank_ohm is not None:
-        net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
-    _add_tank_caps(net, p, "V_o1", "V_o2", "a")
+    _add_tank(net, p, "V_o1", "V_o2", "a")
     net.add_mos("V_o1", "V_o2", "src_1", p.nmos, label="mn_1")
     net.add_mos("V_o2", "V_o1", "src_2", p.nmos, label="mn_2")
 
 
 def _build_cr_vco(net: Netlist, p: TopologyParams) -> None:
-    _require(p, ("l_tank_h", "c_tank_f", "r_tank_ohm"), "cr-vco")
     net.add_mos("V_o1", "V_o2", "vdd", p.pmos(), label="mp_1")
     net.add_mos("V_o2", "V_o1", "gnd", p.nmos, label="mn_1")
     net.add_inductor("V_o1", "V_o2", p.l_tank_h, label="l_tank")
-    net.add_resistor("V_o1", "V_o2", p.r_tank_ohm, label="r_tank")
-    net.add_capacitor("V_o1", "V_o2", p.c_tank_f, label="c_tank")
-    _add_tank_caps(net, p, "V_o1", "V_o2", "a")
+    _add_tank(net, p, "V_o1", "V_o2", "a")
 
 
 def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
-    _require(p, ("transformer",), "tc-qvco")
     x = p.transformer
     series = (x.r_pac, x.r_sac, x.r_sac)
     # flipping one transformer's primary dots turns the antisymmetric
@@ -214,14 +205,11 @@ def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     signs_b = (flip_ps_signs(DEFAULT_DOT_SIGNS) if p.flip_dots
                else DEFAULT_DOT_SIGNS)
 
-    # Transformer A: primary is core A's tank, secondaries feed core B's
-    # sources.  Transformer B mirrors this back with the secondary
-    # connections reversed, which is what makes the round-trip coupling
-    # antisymmetric and locks the cores 90 degrees apart.
-    # Winding order encodes the polarity: with the s2 dot inverted, these
-    # orientations make each injection differential (the two sources of
-    # the receiving core move apart), and reversing both of transformer
-    # B's secondaries makes the round trip antisymmetric.
+    # Transformer A's primary is core A's tank and its secondaries sit in
+    # core B's source paths; transformer B mirrors this back.  With the s2
+    # dot inverted these windings make each injection differential (the
+    # receiving core's sources move apart), and reversing both of B's
+    # secondaries makes the round trip antisymmetric: quadrature lock.
     net.add_coupled_inductors(
         [("V_o1", "V_o2"), ("vdd", "src_p_b"), ("gnd", "src_n_b")],
         coupled_inductor_matrix(x), series, label="xfmr_a")
@@ -232,16 +220,19 @@ def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     for core, (op, on) in (("a", ("V_o1", "V_o2")), ("b", ("V_o3", "V_o4"))):
         net.add_mos(op, on, f"src_p_{core}", p.pmos(), label=f"mp_{core}")
         net.add_mos(on, op, f"src_n_{core}", p.nmos, label=f"mn_{core}")
-        if p.r_tank_ohm is not None:
-            net.add_resistor(op, on, p.r_tank_ohm, label=f"r_tank_{core}")
-        _add_tank_caps(net, p, op, on, core)
+        _add_tank(net, p, op, on, core)
 
 
+# Each topology's builder, the _TOPOLOGY_FIELDS it needs and those it
+# reads when set; it refuses the others, so none is silently ignored.
+_TOPOLOGY_FIELDS = ("transformer", "flip_dots", "l_tank_h", "c_tank_f",
+                    "r_tank_ohm")
 _BUILDERS = {
-    "lc-vco": _build_lc_vco,
-    "tf-vco": _build_tf_vco,
-    "cr-vco": _build_cr_vco,
-    "tc-qvco": _build_tc_qvco,
+    "lc-vco": (_build_lc_vco, ("l_tank_h", "c_tank_f", "r_tank_ohm"), ()),
+    "tf-vco": (_build_tf_vco, ("transformer", "c_tank_f"), ("r_tank_ohm",)),
+    "cr-vco": (_build_cr_vco, ("l_tank_h", "c_tank_f", "r_tank_ohm"), ()),
+    "tc-qvco": (_build_tc_qvco, ("transformer",),
+                ("flip_dots", "c_tank_f", "r_tank_ohm")),
 }
 TOPOLOGIES = tuple(_BUILDERS)
 
@@ -251,6 +242,14 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
     if topology not in _BUILDERS:
         raise InvalidModelError(
             f"unknown topology {topology!r}; expected one of {TOPOLOGIES}")
+    build, needs, reads = _BUILDERS[topology]
+    missing = [n for n in needs if getattr(params, n) is None]
+    unread = [n for n in _TOPOLOGY_FIELDS if n not in needs + reads
+              and getattr(params, n) is not None
+              and getattr(params, n) is not False]
+    for names, verb in ((missing, "needs"), (unread, "does not read")):
+        if names:
+            raise InvalidModelError(f"{topology} {verb} {', '.join(names)}")
     net = Netlist()
     net.add_vsource("vdd", "gnd", params.v_dd_v, label=CORE_SUPPLY,
                     ramp_s=SOURCE_RAMP_S)
@@ -260,7 +259,7 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
     if params.varactor is not None:
         net.add_vsource("v_ctrl", "gnd", params.v_ctrl_v, label="v_c",
                         ramp_s=SOURCE_RAMP_S)
-    _BUILDERS[topology](net, params)
+    build(net, params)
     if params.buffers is not None:
         for tag, src in enumerate(OUTPUTS, start=1):
             if src in net.node_names:

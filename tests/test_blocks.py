@@ -94,7 +94,7 @@ BLOCKS = {
         "buffer pull-up must be stronger than pull-down"),
     "SimConfig": (
         lambda: SimConfig(dt_s=1e-12, t_stop_s=1e-9), {"t_stop_s": 1e-12},
-        InvalidModelError, "stop time must exceed the time step"),
+        InvalidModelError, "stop time must cover at least two steps"),
     "Waveforms": (
         _waveforms, {"time_s": np.array([0.0, 2.0, 1.0, 3.0])},
         InvalidModelError, "time grid must be strictly increasing"),

@@ -308,9 +308,15 @@ def test_raw_element_checks_its_values(case):
         run_rc(build())
 
 
-def test_netlist_checks_come_before_the_step_count():
-    with pytest.raises(InvalidModelError, match="^netlist has no elements$"):
-        transient(Netlist(), SimConfig(dt_s=1.0, t_stop_s=1.2))
+def test_span_is_checked_once_where_the_config_is_made():
+    """SimConfig refuses a span that transient would round to fewer than
+    two steps, before any netlist is seen, and accepts the shortest one
+    it rounds to two."""
+    with pytest.raises(InvalidModelError,
+                       match="^stop time must cover at least two steps$"):
+        SimConfig(dt_s=1.0, t_stop_s=1.49)
+    wave = run_rc(cfg=SimConfig(dt_s=1e-12, t_stop_s=1.5e-12))
+    assert len(wave.time_s) == 3
 
 
 def test_newton_reports_a_step_it_cannot_converge(monkeypatch):

@@ -6,7 +6,9 @@ varactor's capacitance at its control voltage, which checks C's
 varactor columns.  On the toroidal tc-qvco the poles then agree with the
 benchmark's recorded 100-period runs of the same netlists: the dominant
 pair is the +90 degree mode, within 1 % of the run's frequency, and with
-flip_dots it is a 0 or 180 degree mode instead.
+flip_dots it is a 0 or 180 degree mode instead.  A tuning-array code
+sets only two switch resistances, so it leaves the count of finite poles
+alone, also where roundoff splits a Jordan pair of infinite poles.
 """
 import math
 import sys
@@ -15,10 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsvqvco.devices import BufferParams, VaractorModel, varactor_eval
+from tsvqvco.devices import (BufferParams, TuningArray, VaractorModel,
+                             varactor_eval)
 from tsvqvco.engine import small_signal
 from tsvqvco.netlist import Netlist
-from tsvqvco.topologies import TopologyParams, build_netlist
+from tsvqvco.topologies import TOPOLOGIES, TopologyParams, build_netlist
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -112,3 +115,19 @@ def test_flipped_dots_lose_quadrature(toroidal_model):
                               "V_o3")
     assert poles[0].real > 0.0
     assert min(abs(lead[0]), 180.0 - abs(lead[0])) <= 1.0
+
+
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_array_code_keeps_the_finite_pole_count(topology, toroidal_model):
+    """Without parasitic capacitors the tf-vco and tc-qvco have cutsets of
+    inductors and transistors with no capacitor, whose infinite poles
+    form Jordan pairs that roundoff splits; none of them may pass for a
+    finite pole under one code and not under another."""
+    if topology in ("tf-vco", "tc-qvco"):
+        tank = dict(transformer=toroidal_model, c_tank_f=1e-12)
+    else:
+        tank = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
+    counts = {len(small_signal(build_netlist(topology, TopologyParams(
+        **tank, array=TuningArray(1e-12, code))))[0])
+        for code in ("00", "01", "11")}
+    assert len(counts) == 1

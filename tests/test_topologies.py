@@ -1,9 +1,13 @@
 """Built topology tests.
 
-build_netlist rejects a p-channel core device and an invalid transformer
-with a typed error, adds one output buffer per output node a topology
-has, each loaded by BUFFER_LOAD_F, and stamps every tuning-array switch
-as a resistor of the on or off value its code bit selects.  Every built
+build_netlist rejects a p-channel core device, an invalid transformer
+and a field its topology does not read with a typed error, adds one
+output buffer per output node a topology has, each loaded by
+BUFFER_LOAD_F, and stamps every tuning-array switch as a resistor of the
+on or off value its code bit selects.  An array bit, c_unit/2 in series
+with its switch, runs as a C-switch-C branch built by hand, and the
+tc-qvco reads c_tank_f.  Over every topology and array code the poles
+predict start-up exactly when a transient oscillates.  Every built
 netlist, the quadrature bench included, seeds startup with V_o1 at
 PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
 in a transient at their tank frequency with differential outputs, as
@@ -21,7 +25,7 @@ import pytest
 
 from tsvqvco.devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams,
                              MosParams, TuningArray)
-from tsvqvco.engine import small_signal, transient
+from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Capacitor, Resistor
@@ -99,6 +103,99 @@ def test_array_switches_are_resistors_set_by_the_code(topology,
         expected[f"sw_{tag}1"] = SWITCH_ON_OHM
     assert {k: e.ohms for k, e in switches.items()} == expected
     assert all(isinstance(e, Resistor) for e in switches.values())
+
+
+@pytest.mark.parametrize("topology, name", [
+    ("tf-vco", "l_tank_h"), ("tc-qvco", "l_tank_h"),
+    ("lc-vco", "transformer"), ("cr-vco", "transformer"),
+    ("lc-vco", "flip_dots"), ("tf-vco", "flip_dots"), ("cr-vco", "flip_dots"),
+])
+def test_rejects_a_field_its_topology_does_not_read(topology, name,
+                                                    toroidal_model):
+    value = {"l_tank_h": 2e-9, "transformer": toroidal_model,
+             "flip_dots": True}[name]
+    p = dataclasses.replace(params(topology, toroidal_model), **{name: value})
+    with pytest.raises(InvalidModelError,
+                       match=f"^{topology} does not read {name}$"):
+        build_netlist(topology, p)
+
+
+def test_rejects_a_control_voltage_without_a_varactor():
+    with pytest.raises(InvalidModelError,
+                       match="^v_ctrl_v needs a varactor$"):
+        build_netlist("lc-vco", TopologyParams(**PLAIN_TANK, v_ctrl_v=0.3))
+
+
+@pytest.mark.parametrize("code", ["00", "01", "11"])
+@pytest.mark.parametrize("topology", ["lc-vco", "cr-vco"])
+def test_array_bit_runs_as_its_c_switch_c_branch(topology, code):
+    """Each built bit, c_unit/2 in series with the switch, against
+    c_unit, switch, c_unit in series, added by hand to the array-free
+    netlist: over 20 periods of 1/(2 pi sqrt(l_tank_h c_tank_f)) the
+    traces agree within 1e-8 V, and the frequencies of runs that
+    oscillate within 1e-9 relative."""
+    c_unit = 1e-12
+    p = TopologyParams(**PLAIN_TANK)
+    hand = build_netlist(topology, p)
+    for bit, state in enumerate(code):
+        ohms = SWITCH_ON_OHM if state == "1" else SWITCH_OFF_OHM
+        hand.add_capacitor("V_o1", f"m{bit}p", c_unit)
+        hand.add_resistor(f"m{bit}p", f"m{bit}n", ohms)
+        hand.add_capacitor(f"m{bit}n", "V_o2", c_unit)
+    built = build_netlist(topology, dataclasses.replace(
+        p, array=TuningArray(c_unit, code)))
+    cfg = default_sim_config(1.0 / (2.0 * math.pi * math.sqrt(
+        PLAIN_TANK["l_tank_h"] * PLAIN_TANK["c_tank_f"])), n_periods=20)
+    runs = [transient(net, cfg) for net in (hand, built)]
+    for node in ("V_o1", "V_o2"):
+        np.testing.assert_allclose(runs[1].voltages[node],
+                                   runs[0].voltages[node], rtol=0, atol=1e-8)
+    f_hand, f_built = (measure_metrics(w, p.v_dd_v).f_osc_hz for w in runs)
+    if f_hand is None:
+        assert f_built is None
+    else:
+        assert f_built == pytest.approx(f_hand, rel=1e-9)
+
+
+def test_tc_qvco_reads_its_tank_capacitor(toroidal_model):
+    """In a mode that drives a tank's two ends apart, as the dominant one
+    does, C across the tank acts as 2C more from each end to ground."""
+    c_par, c = 4.4e-12, 1e-12
+    across, grounded = (small_signal(build_netlist("tc-qvco", TopologyParams(
+        transformer=toroidal_model, **fields)))[0][0] for fields in (
+            {"c_parasitic_f": c_par, "c_tank_f": c},
+            {"c_parasitic_f": c_par + 2.0 * c}))
+    assert abs(across / grounded - 1.0) <= 1e-6
+
+
+# Span of the start-up runs, in periods of the array-free tank, and the
+# steps per such period: the slowest-growing case, the array-free
+# cr-vco, swings about 0.06 V over the last tenth of 24 periods against
+# the 0.02 V oscillation threshold.
+START_UP_PERIODS = 24
+START_UP_POINTS = 100
+
+
+@pytest.mark.parametrize("code", [None, "00", "01", "11"])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_poles_predict_start_up_exactly_when_the_run_oscillates(
+        topology, code, toroidal_model):
+    """A growing pole and an oscillating run go together.  cr-vco and
+    tc-qvco with a closed bit ("01", "11") have neither; the other 12
+    cases have both.  The step and span are set by the frequency of the
+    array-free tank's dominant pair."""
+    free = params(topology, toroidal_model)
+    poles, _ = small_signal(build_netlist(topology, free))
+    f_est = poles[poles.imag > 0][0].imag / (2.0 * math.pi)
+    p = dataclasses.replace(
+        free, array=None if code is None else TuningArray(1e-12, code))
+    net = build_netlist(topology, p)
+    grows = bool(small_signal(net)[0][0].real > 0.0)
+    run = transient(net, SimConfig(dt_s=1.0 / (START_UP_POINTS * f_est),
+                                   t_stop_s=START_UP_PERIODS / f_est))
+    assert measure_metrics(run, p.v_dd_v).oscillating is grows
+    assert grows is not (topology in ("cr-vco", "tc-qvco")
+                         and code in ("01", "11"))
 
 
 @functools.lru_cache(maxsize=None)
