@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InfeasibleDesignError, InvalidModelError, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InfeasibleDesignError,
+                     InvalidModelError, check_finite)
 from .transformer import TransformerModel
 
 SQRT2 = math.sqrt(2.0)
@@ -47,17 +48,9 @@ class TankParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            check_finite(InvalidModelError, "tank", name, value)
-        if self.r_parallel <= 0:
-            raise InvalidModelError("tank r_parallel must be positive")
-        if self.c_tank <= 0:
-            raise InvalidModelError("tank c_tank must be positive")
-        if self.l_p <= 0:
-            raise InvalidModelError("tank l_p must be positive")
-        if not 0.0 < self.k < 1.0:
+            check_finite(InvalidModelError, "tank", name, value, POSITIVE)
+        if self.k >= 1.0:
             raise InvalidModelError(f"tank k = {self.k} outside (0, 1)")
-        if self.n <= 0:
-            raise InvalidModelError("tank turns ratio must be positive")
 
     @property
     def kn(self) -> float:
@@ -71,8 +64,8 @@ class TankParams:
 
 def resonant_frequency(l_eq: float, c_eq: float) -> float:
     """Resonance of an ideal LC tank, rad/s."""
-    if l_eq <= 0 or c_eq <= 0:
-        raise InvalidModelError("resonant_frequency needs positive L and C")
+    check_finite(InvalidModelError, "resonance", "l_eq", l_eq, POSITIVE)
+    check_finite(InvalidModelError, "resonance", "c_eq", c_eq, POSITIVE)
     return 1.0 / math.sqrt(l_eq * c_eq)
 
 
@@ -95,8 +88,10 @@ def min_transconductance(t: TankParams) -> float:
 def figure_of_merit(f0_hz: float, offset_hz: float, power_mw: float,
                     phi_noise_dbc: float) -> float:
     """FoM (dB) = -20 log10(f0/df) + 10 log10(P_mW) + phi_noise."""
-    if f0_hz <= 0 or offset_hz <= 0 or power_mw <= 0:
-        raise InvalidModelError("figure_of_merit needs positive f0, offset, power")
+    check_finite(InvalidModelError, "figure of merit", "f0_hz", f0_hz, POSITIVE)
+    check_finite(InvalidModelError, "figure of merit", "offset_hz", offset_hz, POSITIVE)
+    check_finite(InvalidModelError, "figure of merit", "power_mw", power_mw, POSITIVE)
+    check_finite(InvalidModelError, "figure of merit", "phi_noise_dbc", phi_noise_dbc)
     return (-20.0 * math.log10(f0_hz / offset_hz)
             + 10.0 * math.log10(power_mw) + phi_noise_dbc)
 
@@ -110,10 +105,9 @@ def phase_noise_leeson(t: TankParams, p_sig_mw: float, offset_hz: float,
     1/f^2 region is modeled; flicker corner and noise floor are out of
     scope.
     """
-    if p_sig_mw <= 0:
-        raise InvalidModelError("signal power must be positive")
-    if offset_hz <= 0:
-        raise InvalidModelError("offset frequency must be positive")
+    check_finite(InvalidModelError, "phase noise", "p_sig_mw", p_sig_mw, POSITIVE)
+    check_finite(InvalidModelError, "phase noise", "offset_hz", offset_hz, POSITIVE)
+    check_finite(InvalidModelError, "phase noise", "f_excess_db", f_excess_db)
     omega0, q = tank_resonance_and_q(t)
     f0 = omega0 / (2.0 * math.pi)
     noise_factor = 10.0 ** (f_excess_db / 10.0)
@@ -141,17 +135,13 @@ class DesignSpec:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            check_finite(InvalidModelError, "design spec", name, value)
-        for name in ("v_dd_v", "f_c_hz", "l_p_target_h", "l_s_target_h",
-                     "v_out_pp_v", "max_delta_v_out_v"):
-            if getattr(self, name) <= 0:
-                raise InvalidModelError(f"design spec {name} must be positive")
-        if not 0 <= self.v_c_lo_v < self.v_c_hi_v:
+            check_finite(InvalidModelError, "design spec", name, value,
+                         NON_NEGATIVE if name in ("v_c_lo_v", "c_parasitic_f")
+                         else POSITIVE)
+        if not self.v_c_lo_v < self.v_c_hi_v:
             raise InvalidModelError("control range must satisfy 0 <= lo < hi")
-        if not 0 < self.c_var_lo_f < self.c_var_hi_f:
+        if not self.c_var_lo_f < self.c_var_hi_f:
             raise InvalidModelError("capacitance range must satisfy 0 < lo < hi")
-        if self.c_parasitic_f < 0:
-            raise InvalidModelError("c_parasitic_f must be non-negative")
 
     @property
     def c_var_mid_f(self) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidModelError, check_finite
+from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
 
 # tuning-array switch model; ideal switches would make the MNA matrix singular
 SWITCH_ON_OHM = 50.0
@@ -44,12 +44,9 @@ class MosParams:
     def __post_init__(self) -> None:
         if self.polarity not in ("n", "p"):
             raise InvalidModelError(f"polarity must be 'n' or 'p', got {self.polarity!r}")
-        for name in ("k_factor", "v_th", "lam"):
-            check_finite(InvalidModelError, "mos", name, getattr(self, name))
-        if self.k_factor <= 0:
-            raise InvalidModelError("k_factor must be positive")
-        if self.lam < 0:
-            raise InvalidModelError("lam must be non-negative")
+        check_finite(InvalidModelError, "mos", "k_factor", self.k_factor, POSITIVE)
+        check_finite(InvalidModelError, "mos", "v_th", self.v_th)
+        check_finite(InvalidModelError, "mos", "lam", self.lam, NON_NEGATIVE)
         if self.polarity == "n" and self.v_th <= 0:
             raise InvalidModelError("n-channel threshold must be positive")
         if self.polarity == "p" and self.v_th >= 0:
@@ -136,13 +133,12 @@ class VaractorModel:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            check_finite(InvalidModelError, "varactor", name, value)
+            check_finite(InvalidModelError, "varactor", name, value,
+                         POSITIVE if name == "shape" else None)
         if not 0 < self.c_min < self.c_max:
             raise InvalidModelError("varactor needs 0 < c_min < c_max")
         if not self.v_lo < self.v_hi:
             raise InvalidModelError("varactor needs v_lo < v_hi")
-        if self.shape <= 0:
-            raise InvalidModelError("varactor shape must be positive")
 
 
 def varactor_eval(m: VaractorModel, v_c: float) -> tuple[float, float]:
@@ -173,9 +169,7 @@ class TuningArray:
     code: str = "00"
 
     def __post_init__(self) -> None:
-        check_finite(InvalidModelError, "tuning array", "c_unit", self.c_unit)
-        if self.c_unit <= 0:
-            raise InvalidModelError("tuning array c_unit must be positive")
+        check_finite(InvalidModelError, "tuning array", "c_unit", self.c_unit, POSITIVE)
         if self.code not in _CODES:
             raise InvalidModelError(f"tuning array code must be one of "
                                     f"{list(_CODES)}, got {self.code!r}")
@@ -184,6 +178,7 @@ class TuningArray:
 def p_channel_mirror(nmos: MosParams, k_ratio: float) -> MosParams:
     """The p-channel mirror of an n-channel device: negated threshold,
     the same lam, and k_ratio times its k_factor."""
+    check_finite(InvalidModelError, "mirror", "k_ratio", k_ratio, POSITIVE)
     return MosParams(polarity="p", k_factor=k_ratio * nmos.k_factor,
                      v_th=-abs(nmos.v_th), lam=nmos.lam)
 
@@ -206,12 +201,10 @@ def check_coupled_set(n: int, matrix, series_r) -> None:
     if float(np.linalg.eigvalsh(m).min()) <= 0.0:
         raise InvalidModelError(
             "inductance matrix is not positive definite (over-coupled)")
-    if len(series_r) == n:
-        for w, r in enumerate(series_r):
-            check_finite(InvalidModelError, "coupled set", f"series_r[{w}]", r)
-    if len(series_r) != n or any(r < 0 for r in series_r):
-        raise InvalidModelError(
-            "coupled set needs one non-negative series R per winding")
+    if len(series_r) != n:
+        raise InvalidModelError("coupled set needs one series R per winding")
+    for w, r in enumerate(series_r):
+        check_finite(InvalidModelError, "coupled set", f"series_r[{w}]", r, NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -234,9 +227,8 @@ class BufferParams:
 
     def __post_init__(self) -> None:
         for name in ("c_couple", "r_feedback", "p_to_n_ratio"):
-            check_finite(InvalidModelError, "buffer", name, getattr(self, name))
-        if self.c_couple <= 0 or self.r_feedback <= 0:
-            raise InvalidModelError("buffer coupling C and feedback R must be positive")
+            check_finite(InvalidModelError, "buffer", name, getattr(self, name),
+                         POSITIVE)
         if self.p_to_n_ratio <= 1.0:
             raise InvalidModelError("buffer pull-up must be stronger than pull-down")
         if self.nmos.polarity != "n":

@@ -100,14 +100,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
 from .devices import mos_bank, mos_row, varactor_eval
-from .errors import InvalidModelError, NumericFailure, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, NumericFailure,
+                     check_finite)
 from .netlist import (GROUND, Capacitor, CoupledInductors, Mos, Netlist,
                       Resistor, Varactor, Vccs, VSource)
 
@@ -148,13 +147,26 @@ class SimConfig:
     t_stop_s: float
 
     def __post_init__(self) -> None:
-        for name, value in vars(self).items():
-            check_finite(InvalidModelError, "sim config", name, value)
-        if self.dt_s <= 0:
-            raise InvalidModelError("time step must be positive")
+        check_finite(InvalidModelError, "sim config", "dt_s", self.dt_s, POSITIVE)
+        check_finite(InvalidModelError, "sim config", "t_stop_s", self.t_stop_s)
         # transient takes round(t_stop_s / dt_s) steps: at least two
         if not self.t_stop_s / self.dt_s >= 1.5:
             raise InvalidModelError("stop time must cover at least two steps")
+
+
+class ReadOnlyDict(dict):
+    """A dict that refuses every change after construction.  It stays a
+    dict, so dataclasses.asdict, json.dumps and == against a plain dict
+    work as on any dict; copies and pickles rebuild it from its items."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    update = pop = popitem = clear = setdefault = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
 
 
 def _frozen(trace) -> np.ndarray:
@@ -177,8 +189,8 @@ class Waveforms:
     linear solves, which fixes the solve and iteration counts."""
 
     time_s: np.ndarray
-    voltages: Mapping[str, np.ndarray]
-    currents: Mapping[str, np.ndarray]
+    voltages: dict[str, np.ndarray]
+    currents: dict[str, np.ndarray]
     kcl_max_a: float = 0.0
     solve_histogram: tuple[int, ...] = ()
 
@@ -192,27 +204,32 @@ class Waveforms:
         """The device evaluations: the linear solves plus one per step."""
         return sum((k + 1) * n for k, n in enumerate(self.solve_histogram))
 
+    def __reduce__(self):
+        # copies and pickles are built, so checked and frozen, anew
+        return type(self), tuple(vars(self).values())
+
     def __post_init__(self) -> None:
+        check_finite(InvalidModelError, "waveforms", "kcl_max_a",
+                     self.kcl_max_a, NON_NEGATIVE)
         # read-only, so the checks below hold wherever the waveforms go
         object.__setattr__(self, "time_s", _frozen(self.time_s))
         for name in ("voltages", "currents"):
-            object.__setattr__(self, name, MappingProxyType(
+            object.__setattr__(self, name, ReadOnlyDict(
                 {k: _frozen(v) for k, v in getattr(self, name).items()}))
         traces = [("time_s", self.time_s), *self.voltages.items(),
                   *self.currents.items()]
+        n = len(self.time_s)
         for name, trace in traces:
             if not np.isfinite(trace).all():
                 raise InvalidModelError(
                     f"waveforms field {name} is not a finite number")
+            if len(trace) != n:
+                raise InvalidModelError(f"trace {name} length mismatch")
         dt = np.diff(self.time_s)
         if np.any(dt <= 0):
             raise InvalidModelError("time grid must be strictly increasing")
         if len(dt) and np.ptp(dt) > UNIFORM_STEP_REL * dt.mean():
             raise InvalidModelError("time grid must be uniform")
-        n = len(self.time_s)
-        for name, trace in traces[1:]:
-            if len(trace) != n:
-                raise InvalidModelError(f"trace {name} length mismatch")
         hist = self.solve_histogram
         if any(count < 0 for count in hist):
             raise InvalidModelError("solve histogram counts must be >= 0")

@@ -1,7 +1,14 @@
-"""The package's exception taxonomy, and the one rule every numeric input
-field passes."""
+"""The package's exception taxonomy, and check_finite, the one rule every
+scalar numeric input passes: a finite real number (not a bool), positive
+or non-negative when a sign is given.  Its messages are "<kind> field
+<name> is not a finite number", "... must be positive" and "... must be
+non-negative".  Relations between values (lo < hi, k < 1, integer turns,
+polarity) are checked after it, each with its own message."""
 import math
 from numbers import Real
+
+POSITIVE = "positive"
+NON_NEGATIVE = "non-negative"
 
 
 class ToolError(Exception):
@@ -29,9 +36,13 @@ class NumericFailure(ToolError):
     """A solver failed to converge or produced a non-finite result."""
 
 
-def check_finite(error: type[InputError], kind: str, name: str, value) -> None:
-    """Raise error unless value is a finite real number; bools are not
-    numbers here."""
-    if (isinstance(value, bool) or not isinstance(value, Real)
+def check_finite(error: type[InputError], kind: str, name: str, value,
+                 sign: str | None = None) -> None:
+    """Raise error unless value is a finite real number, and, with sign
+    POSITIVE or NON_NEGATIVE, above or at least zero (module docstring)."""
+    if (type(value) is not float  # isinstance against Real is slow on a float
+            and (isinstance(value, bool) or not isinstance(value, Real))
             or not math.isfinite(value)):
         raise error(f"{kind} field {name} is not a finite number")
+    if sign is not None and (value <= 0 if sign == POSITIVE else value < 0):
+        raise error(f"{kind} field {name} must be {sign}")

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidGeometryError, check_finite
+from .errors import POSITIVE, InvalidGeometryError, check_finite
 
 UM = 1e-6
 PATH_GAP_TOL_M = 1e-9  # largest end-to-start gap of a connected winding path
@@ -19,6 +19,13 @@ PATH_GAP_TOL_M = 1e-9  # largest end-to-start gap of a connected winding path
 STYLE_TOROIDAL = "toroidal"
 STYLE_VERTICAL_SPIRAL = "vertical_spiral"
 _STYLES = (STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL)
+
+
+def check_turns(kind: str, name: str, turns) -> None:
+    """A turn count passes check_finite and is a positive integer."""
+    check_finite(InvalidGeometryError, kind, name, turns)
+    if int(turns) != turns or turns < 1:
+        raise InvalidGeometryError(f"{kind} field {name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -43,9 +50,7 @@ class ProcessParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            check_finite(InvalidGeometryError, "process", name, value)
-            if value <= 0:
-                raise InvalidGeometryError(f"process field {name} must be positive, got {value}")
+            check_finite(InvalidGeometryError, "process", name, value, POSITIVE)
         if self.tsv_liner_um >= self.tsv_diameter_um / 2:
             raise InvalidGeometryError("TSV liner consumes the whole via cross section")
 
@@ -169,16 +174,11 @@ class TransformerGeometry:
             raise InvalidGeometryError(
                 f"style must be one of {_STYLES}, got {self.style!r}")
         for name in ("turns_primary", "turns_secondary"):
-            turns = getattr(self, name)
-            check_finite(InvalidGeometryError, "geometry", name, turns)
-            if int(turns) != turns or turns < 1:
-                raise InvalidGeometryError(f"{name} must be a positive integer")
-        for name in ("tsv_pitch_um", "row_spacing_um"):
-            check_finite(InvalidGeometryError, "geometry", name,
-                         getattr(self, name))
-        if self.trace_width_um is not None:
-            check_finite(InvalidGeometryError, "geometry", "trace_width_um",
-                         self.trace_width_um)
+            check_turns("geometry", name, getattr(self, name))
+        for name in ("tsv_pitch_um", "row_spacing_um", "trace_width_um"):
+            value = getattr(self, name)
+            if value is not None:  # trace_width_um is optional
+                check_finite(InvalidGeometryError, "geometry", name, value, POSITIVE)
         min_pitch = self.process.min_pitch_um
         if self.tsv_pitch_um < min_pitch:
             raise InvalidGeometryError(
@@ -187,8 +187,6 @@ class TransformerGeometry:
         if self.row_spacing_um < min_pitch:
             raise InvalidGeometryError(
                 f"row_spacing_um {self.row_spacing_um} below minimum {min_pitch}")
-        if self.trace_width_um is not None and self.trace_width_um <= 0:
-            raise InvalidGeometryError("trace_width_um must be positive when given")
         if self.secondary_slots is not None:
             if self.style != STYLE_TOROIDAL:
                 raise InvalidGeometryError(

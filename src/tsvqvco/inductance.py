@@ -33,7 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidModelError
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
+                     InvalidModelError, check_finite)
 from .geometry import CoilGeometry, Segment
 
 MU0 = 4e-7 * math.pi
@@ -48,10 +49,9 @@ _OVERLAP_MARGIN = 1e-12
 
 def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
     """Skin depth sqrt(rho / (pi f mu0)) in meters; both must be positive."""
-    if freq_hz <= 0:
-        raise InvalidGeometryError("skin depth needs a positive frequency")
-    if resistivity_ohm_m <= 0:
-        raise InvalidGeometryError("resistivity must be positive")
+    check_finite(InvalidGeometryError, "skin depth", "freq_hz", freq_hz, POSITIVE)
+    check_finite(InvalidGeometryError, "skin depth", "resistivity_ohm_m",
+                 resistivity_ohm_m, POSITIVE)
     return math.sqrt(resistivity_ohm_m / (math.pi * freq_hz * MU0))
 
 
@@ -278,8 +278,9 @@ def winding_inductances(windings: Windings) -> np.ndarray:
 
 def coupling_coefficient(l_a: float, l_b: float, m: float) -> float:
     """k = M / sqrt(L_a L_b), checked against the physical bound |k| <= 1."""
-    if l_a <= 0 or l_b <= 0:
-        raise InvalidModelError("coupling needs positive self inductances")
+    check_finite(InvalidModelError, "coupling", "l_a", l_a, POSITIVE)
+    check_finite(InvalidModelError, "coupling", "l_b", l_b, POSITIVE)
+    check_finite(InvalidModelError, "coupling", "m", m)
     k = m / math.sqrt(l_a * l_b)
     if abs(k) > 1.0 + 1e-9:
         raise InvalidModelError(f"coupling coefficient {k:.6f} outside [-1, 1]")
@@ -295,10 +296,9 @@ def _resistances(rows: _Rows, freq_hz: float, resistivity_ohm_m: float):
     the exact Bessel solution for r > 3 skin depths and reduces to the DC
     value once the skin depth covers the whole section.
     """
-    if freq_hz < 0:
-        raise InvalidGeometryError("frequency must be non-negative")
-    if resistivity_ohm_m <= 0:
-        raise InvalidGeometryError("resistivity must be positive")
+    check_finite(InvalidGeometryError, "resistance", "freq_hz", freq_hz, NON_NEGATIVE)
+    check_finite(InvalidGeometryError, "resistance", "resistivity_ohm_m",
+                 resistivity_ohm_m, POSITIVE)
     (w, t), rho_l = rows.cross, resistivity_ohm_m * rows.length
     dc = rho_l / np.where(rows.is_round, math.pi * w**2, w * t)
     if freq_hz == 0:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import Waveforms
-from .errors import InvalidModelError, check_finite
+from .engine import ReadOnlyDict, Waveforms
+from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS
 
 # Swings below this are treated as numerical residue, not oscillation.
@@ -23,21 +23,6 @@ MIN_SWING_V = 0.02
 STEADY_CYCLES = 5
 STEADY_REL_TOL = 1e-3
 ENVELOPE_FRAC = 0.9
-
-
-class ReadOnlyDict(dict):
-    """A dict that refuses every change after construction.  It stays a
-    dict, so dataclasses.asdict, json.dumps and == against a plain dict
-    work as on any dict; copies and pickles rebuild it from its items."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError(f"{type(self).__name__} is read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _refuse
-    update = pop = popitem = clear = setdefault = _refuse
-
-    def __reduce__(self):
-        return type(self), (dict(self),)
 
 
 @dataclass(frozen=True)
@@ -66,12 +51,14 @@ class SimMetrics:
     def __post_init__(self) -> None:
         for name in ("amplitudes_vpp", "phases_deg"):
             object.__setattr__(self, name, ReadOnlyDict(getattr(self, name)))
-        if self.oscillating:
-            if self.f_osc_hz is None or self.f_osc_hz <= 0:
-                raise InvalidModelError(
-                    "oscillating metrics need a positive frequency")
-            if self.delta_v_out_v is not None and self.delta_v_out_v < 0:
-                raise InvalidModelError("amplitude imbalance cannot be negative")
+        for name, sign in (("f_osc_hz", POSITIVE), ("delta_v_out_v", NON_NEGATIVE),
+                           ("startup_s", NON_NEGATIVE), ("power_core_mw", None),
+                           ("power_buffer_mw", None)):
+            value = getattr(self, name)
+            if value is not None:
+                check_finite(InvalidModelError, "metrics", name, value, sign)
+        if self.oscillating and self.f_osc_hz is None:
+            raise InvalidModelError("oscillating metrics need a frequency")
 
 
 def estimate_frequency(time_s: np.ndarray, x: np.ndarray) -> float | None:
@@ -179,9 +166,7 @@ def measure_metrics(w: Waveforms, v_dd: float) -> SimMetrics:
     run.  A swing below MIN_SWING_V over the final tenth, or an unusable
     spectrum, reports a not-oscillating result rather than raising.
     """
-    check_finite(InvalidModelError, "metrics", "v_dd", v_dd)
-    if v_dd <= 0:
-        raise InvalidModelError("supply voltage must be positive")
+    check_finite(InvalidModelError, "metrics", "v_dd", v_dd, POSITIVE)
     outputs = tuple(n for n in OUTPUTS if n in w.voltages)
     if not outputs:
         raise InvalidModelError("no output nodes to measure")

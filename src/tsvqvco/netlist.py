@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .devices import MosParams, VaractorModel, check_coupled_set
-from .errors import InvalidModelError, check_finite
+from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
 
 GROUND_NAMES = ("0", "gnd")
 GROUND = -1
@@ -43,9 +43,7 @@ class Resistor:
     label: str
 
     def __post_init__(self) -> None:
-        check_finite(InvalidModelError, "resistor", "ohms", self.ohms)
-        if self.ohms <= 0:
-            raise InvalidModelError("resistance must be positive")
+        check_finite(InvalidModelError, "resistor", "ohms", self.ohms, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -56,9 +54,7 @@ class Capacitor:
     label: str
 
     def __post_init__(self) -> None:
-        check_finite(InvalidModelError, "capacitor", "farads", self.farads)
-        if self.farads <= 0:
-            raise InvalidModelError("capacitance must be positive")
+        check_finite(InvalidModelError, "capacitor", "farads", self.farads, POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -81,12 +77,10 @@ class CoupledInductors:
     def __post_init__(self) -> None:
         n = len(self.pairs)
         if n == 1:
-            henries = self.matrix[0][0]
-            check_finite(InvalidModelError, "inductor", "henries", henries)
+            check_finite(InvalidModelError, "inductor", "henries",
+                         self.matrix[0][0], POSITIVE)
             check_finite(InvalidModelError, "inductor", "i_initial_a",
                          self.i_initial_a[0])
-            if henries <= 0:
-                raise InvalidModelError("inductance must be positive")
         check_coupled_set(n, self.matrix, self.series_r)
         if len(self.i_initial_a) != n:
             raise InvalidModelError("initial currents must match winding count")
@@ -137,9 +131,7 @@ class VSource:
 
     def __post_init__(self) -> None:
         check_finite(InvalidModelError, "vsource", "volts", self.volts)
-        check_finite(InvalidModelError, "vsource", "ramp_s", self.ramp_s)
-        if self.ramp_s < 0:
-            raise InvalidModelError("source ramp must be non-negative")
+        check_finite(InvalidModelError, "vsource", "ramp_s", self.ramp_s, NON_NEGATIVE)
 
     def value_at(self, t: float) -> float:
         if self.ramp_s <= 0.0 or t >= self.ramp_s:

@@ -16,9 +16,9 @@ Four topologies share one parameter block:
 build_netlist adds the supplies before a topology's own elements and,
 when buffers are set, one AC-coupled self-biased inverter on its own
 supply after them for every output the topology has.  The PMOS of a
-core is the mirror of params.nmos, and the three-coil sets take their
-dot signs from DEFAULT_DOT_SIGNS (flip_dots reverses transformer B's
-primary dots).
+core is the mirror of params.nmos, and the three-coil sets take one dot
+sign per winding from DEFAULT_DOT_SIGNS (flip_dots reverses transformer
+B's primary dot).
 
 One helper, _add_tank, stamps the tank of every core of every topology
 the same way.  An array bit is c_unit/2 in series with its switch, the
@@ -41,7 +41,7 @@ from .analysis import TankParams, min_transconductance
 from .devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams, MosParams,
                       TuningArray, VaractorModel, p_channel_mirror)
 from .engine import SimConfig
-from .errors import InvalidModelError, check_finite
+from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
 from .transformer import TransformerModel
 
@@ -53,14 +53,12 @@ PERTURBATION_V = 1e-3
 # Capacitance on each buffer output: the input of the next stage.
 BUFFER_LOAD_F = 20e-15
 
-# Dot convention for the 3-coil sets: the secondaries are wound so that
-# coupling into the second secondary is inverted, which is what turns the
-# cross-core source injection into positive feedback once the cores are
-# wired output->far-core-source.  flip_dots departs from it to show lock
-# failure.
-DEFAULT_DOT_SIGNS = ((1, 1, -1),
-                     (1, 1, -1),
-                     (-1, -1, 1))
+# Dot convention for the 3-coil sets, one sign per winding (primary,
+# secondary1, secondary2): the second secondary is wound inverted, which
+# is what turns the cross-core source injection into positive feedback
+# once the cores are wired output->far-core-source.  flip_dots departs
+# from it to show lock failure.
+DEFAULT_DOT_SIGNS = (1, 1, -1)
 
 
 @dataclass(frozen=True)
@@ -89,17 +87,14 @@ class TopologyParams:
     buffers: BufferParams | None = None
 
     def __post_init__(self) -> None:
-        for name in ("v_dd_v", "l_tank_h", "c_tank_f", "r_tank_ohm",
-                     "v_ctrl_v", "c_parasitic_f"):
+        for name, sign in (("v_dd_v", POSITIVE), ("l_tank_h", POSITIVE),
+                           ("c_tank_f", POSITIVE), ("r_tank_ohm", POSITIVE),
+                           ("v_ctrl_v", None), ("c_parasitic_f", NON_NEGATIVE)):
             value = getattr(self, name)
             if value is not None:  # the plain-tank values are optional
-                check_finite(InvalidModelError, "topology", name, value)
-        if self.v_dd_v <= 0:
-            raise InvalidModelError("supply voltage must be positive")
+                check_finite(InvalidModelError, "topology", name, value, sign)
         if self.nmos.polarity != "n":
             raise InvalidModelError("nmos must be an n-channel device")
-        if self.c_parasitic_f < 0:
-            raise InvalidModelError("parasitic capacitance cannot be negative")
         if self.v_ctrl_v != 0 and self.varactor is None:
             raise InvalidModelError("v_ctrl_v needs a varactor")
 
@@ -108,22 +103,15 @@ class TopologyParams:
         return p_channel_mirror(self.nmos, 1.0)
 
 
-def flip_ps_signs(dot_signs) -> tuple:
-    """Reverse both primary dots: negates primary-secondary coupling and
-    keeps the secondary-secondary term (congruence, so definiteness is
-    untouched)."""
-    d = (1, -1, -1)
-    return tuple(tuple(d[i] * dot_signs[i][j] * d[j] for j in range(3))
-                 for i in range(3))
-
-
 def coupled_inductor_matrix(x: TransformerModel,
                             dot_signs=DEFAULT_DOT_SIGNS) -> tuple:
-    """Signed 3x3 inductance matrix of one extracted transformer: the
-    model's inductance matrix with each entry multiplied by its dot sign."""
-    return tuple(
-        tuple(dot_signs[i][j] * m_ij for j, m_ij in enumerate(row))
-        for i, row in enumerate(x.inductance_matrix()))
+    """Signed inductance matrix of the first len(dot_signs) windings of
+    one extracted transformer: entry (i, j) of the model's inductance
+    matrix times dot_signs[i] dot_signs[j].  Reversing a winding's dot is
+    a congruence, so definiteness is untouched."""
+    l = x.inductance_matrix()
+    return tuple(tuple(di * dj * l[i][j] for j, dj in enumerate(dot_signs))
+                 for i, di in enumerate(dot_signs))
 
 
 def _add_tank(net: Netlist, p: TopologyParams, a: str, b: str,
@@ -177,8 +165,7 @@ def _build_tf_vco(net: Netlist, p: TopologyParams) -> None:
     x = p.transformer
     # drain coil is the primary, source rides the secondary; the inverted
     # dot makes the source swing opposite the drain (feedback boost)
-    l = x.inductance_matrix()
-    m = ((l[0][0], -l[0][1]), (-l[1][0], l[1][1]))
+    m = coupled_inductor_matrix(x, (1, -1))
     series = (x.r_pac, x.r_sac)
     net.add_coupled_inductors([("vdd", "V_o1"), ("src_1", "gnd")], m, series,
                               label="xfmr_1")
@@ -199,11 +186,10 @@ def _build_cr_vco(net: Netlist, p: TopologyParams) -> None:
 def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     x = p.transformer
     series = (x.r_pac, x.r_sac, x.r_sac)
-    # flipping one transformer's primary dots turns the antisymmetric
+    # flipping one transformer's primary dot turns the antisymmetric
     # round trip into a symmetric one, which locks the cores at 0/180
     # instead of quadrature; flipping both would just relabel the modes
-    signs_b = (flip_ps_signs(DEFAULT_DOT_SIGNS) if p.flip_dots
-               else DEFAULT_DOT_SIGNS)
+    dots_b = (-1, 1, -1) if p.flip_dots else DEFAULT_DOT_SIGNS
 
     # Transformer A's primary is core A's tank and its secondaries sit in
     # core B's source paths; transformer B mirrors this back.  With the s2
@@ -215,7 +201,7 @@ def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
         coupled_inductor_matrix(x), series, label="xfmr_a")
     net.add_coupled_inductors(
         [("V_o3", "V_o4"), ("src_p_a", "vdd"), ("src_n_a", "gnd")],
-        coupled_inductor_matrix(x, signs_b), series, label="xfmr_b")
+        coupled_inductor_matrix(x, dots_b), series, label="xfmr_b")
 
     for core, (op, on) in (("a", ("V_o1", "V_o2")), ("b", ("V_o3", "V_o4"))):
         net.add_mos(op, on, f"src_p_{core}", p.pmos(), label=f"mp_{core}")
@@ -282,9 +268,7 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
     seeds startup with V_o1 at PERTURBATION_V.
     """
     check_finite(InvalidModelError, "quadrature bench", "g_m_margin",
-                 g_m_margin)
-    if g_m_margin <= 0:
-        raise InvalidModelError("transconductance margin must be positive")
+                 g_m_margin, POSITIVE)
     g_m = g_m_margin * min_transconductance(t)
     g_self = g_m * (0.5 - 1.0 / (t.kn * t.kn))
     g_cross = 1.5 * g_m / t.kn
@@ -305,10 +289,8 @@ def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
 def default_sim_config(f_est_hz: float, n_periods: int) -> SimConfig:
     """Step and span sized from an expected oscillation frequency:
     n_periods periods at POINTS_PER_PERIOD steps each."""
-    check_finite(InvalidModelError, "sim config", "f_est_hz", f_est_hz)
+    check_finite(InvalidModelError, "sim config", "f_est_hz", f_est_hz, POSITIVE)
     check_finite(InvalidModelError, "sim config", "n_periods", n_periods)
-    if f_est_hz <= 0:
-        raise InvalidModelError("frequency estimate must be positive")
     if n_periods < 2:
         raise InvalidModelError("simulation span too small")
     return SimConfig(dt_s=1.0 / (POINTS_PER_PERIOD * f_est_hz),

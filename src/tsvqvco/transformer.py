@@ -27,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidModelError, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
+                     InvalidModelError, check_finite)
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
-                       rect_segment, round_segment)
+                       check_turns, rect_segment, round_segment)
 from .inductance import (MU0, _pack, coupling_coefficient, pack_windings,
                          winding_inductances, winding_resistances)
 
@@ -61,8 +62,8 @@ def default_secondary_slots(n_primary: int, n_secondary: int) -> list[list[int]]
     between the two secondaries, so every secondary turn has primary turns on
     both sides and the two secondaries overlap over their whole span.
     """
-    if n_primary < 1 or n_secondary < 1:
-        raise InvalidGeometryError("both coils need at least one turn")
+    check_turns("slots", "n_primary", n_primary)
+    check_turns("slots", "n_secondary", n_secondary)
     need = 2 * n_secondary
     if n_primary - 1 < need:
         raise InvalidGeometryError(
@@ -322,23 +323,17 @@ class TransformerModel:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            check_finite(InvalidModelError, "transformer model", name, value)
-        for name in ("l_p", "l_s1", "l_s2"):
-            if getattr(self, name) <= 0:
-                raise InvalidModelError(f"{name} must be positive")
+            check_finite(InvalidModelError, "transformer model", name, value,
+                         NON_NEGATIVE if name in ("k_ps1", "k_ps2", "k_ss",
+                                                  "eval_frequency_hz")
+                         else POSITIVE)
         for name in ("k_ps1", "k_ps2", "k_ss"):
             k = getattr(self, name)
-            if not 0.0 <= k < 1.0:
+            if k >= 1.0:
                 raise InvalidModelError(f"{name} = {k:.6f} outside [0, 1)")
         for dc, ac in (("r_pdc", "r_pac"), ("r_sdc", "r_sac")):
-            if getattr(self, dc) <= 0:
-                raise InvalidModelError(f"{dc} must be positive")
             if getattr(self, ac) < getattr(self, dc) * (1 - 1e-12):
                 raise InvalidModelError(f"{ac} below {dc}")
-        if self.area_mm2 <= 0:
-            raise InvalidModelError("area must be positive")
-        if self.eval_frequency_hz < 0:
-            raise InvalidModelError("evaluation frequency must be non-negative")
 
     def inductance_matrix(self) -> list[list[float]]:
         """Symmetric 3x3 [primary, secondary1, secondary2] inductance matrix."""
@@ -353,6 +348,10 @@ class TransformerModel:
 def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
                      area_mm2: float, resistivity_ohm_m: float) -> TransformerModel:
     """Lumped model from explicit winding paths; labels follow the dict keys."""
+    for name, value, sign in (("eval_frequency_hz", eval_frequency_hz, NON_NEGATIVE),
+                              ("area_mm2", area_mm2, POSITIVE),
+                              ("resistivity_ohm_m", resistivity_ohm_m, POSITIVE)):
+        check_finite(InvalidModelError, "extraction", name, value, sign)
     for role in ROLES:
         if role not in coils:
             raise InvalidModelError(f"missing coil {role!r}")
@@ -392,12 +391,13 @@ def wheeler_spiral_inductance(n_turns: int, outer_dim_um: float, inner_dim_um: f
     and inner dimensions and rho their fill ratio.  Serves as the 2D baseline
     the TSV structures are compared against.
     """
-    if int(n_turns) != n_turns or n_turns < 1:
-        raise InvalidGeometryError("spiral needs a positive integer turn count")
-    if not outer_dim_um > inner_dim_um > 0:
+    check_turns("spiral", "n_turns", n_turns)
+    for name, value in (("outer_dim_um", outer_dim_um),
+                        ("inner_dim_um", inner_dim_um), ("width_um", width_um)):
+        check_finite(InvalidGeometryError, "spiral", name, value, POSITIVE)
+    check_finite(InvalidGeometryError, "spiral", "spacing_um", spacing_um, NON_NEGATIVE)
+    if not outer_dim_um > inner_dim_um:
         raise InvalidGeometryError("spiral needs outer_dim > inner_dim > 0")
-    if width_um <= 0 or spacing_um < 0:
-        raise InvalidGeometryError("spiral width must be positive, spacing non-negative")
     radial = n_turns * width_um + (n_turns - 1) * spacing_um
     available = (outer_dim_um - inner_dim_um) / 2.0
     if radial > available + 1e-9:

@@ -7,9 +7,11 @@ message come from the constructor and from dataclasses.replace on a
 valid instance, and assigning to a field of a built block fails.  The
 containers a block holds cannot be changed in place either: the geometry
 tuples, and the traces and trace mappings of Waveforms, also not through
-an array the caller kept.
+an array the caller kept, nor in a copy or a pickle.
 """
+import copy
 import dataclasses
+import pickle
 import re
 from pathlib import Path
 
@@ -59,7 +61,7 @@ def _waveforms() -> Waveforms:
 BLOCKS = {
     "ProcessParams": (
         ProcessParams, {"tier_height_um": 0.0}, InvalidGeometryError,
-        "process field tier_height_um must be positive, got 0.0"),
+        "process field tier_height_um must be positive"),
     "CoilGeometry": (
         _coil, {"segments": []}, InvalidGeometryError,
         "coil 'loop' has no segments"),
@@ -81,11 +83,11 @@ BLOCKS = {
         "control range must satisfy 0 <= lo < hi"),
     "MosParams": (
         lambda: MosParams(polarity="n", k_factor=1e-3, v_th=0.3),
-        {"lam": -0.1}, InvalidModelError, "lam must be non-negative"),
+        {"lam": -0.1}, InvalidModelError, "mos field lam must be non-negative"),
     "VaractorModel": (
         lambda: VaractorModel(c_min=2.1e-12, c_max=6.3e-12, v_lo=0.1,
                               v_hi=0.7),
-        {"shape": 0.0}, InvalidModelError, "varactor shape must be positive"),
+        {"shape": 0.0}, InvalidModelError, "varactor field shape must be positive"),
     "TuningArray": (
         lambda: TuningArray(c_unit=2e-12), {"code": "12"}, InvalidModelError,
         "tuning array code must be one of ['00', '01', '10', '11'], got '12'"),
@@ -101,10 +103,10 @@ BLOCKS = {
     "SimMetrics": (
         lambda: SimMetrics(oscillating=True, f_osc_hz=2e9),
         {"f_osc_hz": None}, InvalidModelError,
-        "oscillating metrics need a positive frequency"),
+        "oscillating metrics need a frequency"),
     "TopologyParams": (
         TopologyParams, {"v_dd_v": 0.0}, InvalidModelError,
-        "supply voltage must be positive"),
+        "topology field v_dd_v must be positive"),
 }
 
 
@@ -178,3 +180,38 @@ def test_waveforms_copy_traces_a_caller_can_still_write(given):
                   currents={})
     v[0] = np.nan
     assert np.isfinite(w.voltages["V_o1"]).all()
+
+
+@pytest.mark.parametrize("how", ["deepcopy", "copy", "pickle"])
+def test_copied_waveforms_and_metrics_stay_read_only(how):
+    """Waveforms and SimMetrics hold one read-only mapping type, which
+    copy, deepcopy and pickle keep: a copy's traces and dicts still
+    refuse writes, and equal the original's."""
+    clone = {"deepcopy": copy.deepcopy, "copy": copy.copy,
+             "pickle": lambda x: pickle.loads(pickle.dumps(x))}[how]
+    w = Waveforms(time_s=np.arange(4.0), voltages={"V_o1": np.ones(4)},
+                  currents={"I(v)": np.zeros(4)}, kcl_max_a=1e-12,
+                  solve_histogram=(0, 3))
+    c = clone(w)
+    assert np.array_equal(c.voltages["V_o1"], w.voltages["V_o1"])
+    assert (c.kcl_max_a, c.solve_histogram) == (1e-12, (0, 3))
+    for trace in (c.time_s, c.voltages["V_o1"], c.currents["I(v)"]):
+        with pytest.raises(ValueError, match="read-only"):
+            trace[0] = np.nan
+    for mapping in (c.voltages, c.currents):
+        with pytest.raises(TypeError, match="read-only"):
+            mapping["X"] = np.zeros(4)
+    m = clone(SimMetrics(oscillating=True, f_osc_hz=2e9,
+                         phases_deg={"V_o3": 90.0}))
+    assert m.phases_deg == {"V_o3": 90.0}
+    with pytest.raises(TypeError, match="read-only"):
+        m.phases_deg["V_o3"] = 0.0
+
+
+def test_waveforms_pass_through_asdict():
+    # asdict copies each trace into a plain structure, as it does for
+    # SimMetrics; the waveforms themselves stay as they were
+    w = _waveforms()
+    d = dataclasses.asdict(w)
+    assert list(d["voltages"]) == ["V_o1"]
+    assert np.array_equal(d["time_s"], w.time_s)

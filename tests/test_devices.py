@@ -30,9 +30,12 @@ from tsvqvco.topologies import (
     TopologyParams,
     build_netlist,
     coupled_inductor_matrix,
-    flip_ps_signs,
 )
 from tsvqvco.transformer import TransformerModel
+
+
+# flip_dots reverses transformer B's primary dot
+FLIPPED = (-1, 1, -1)
 
 
 def reference_transformer(**overrides) -> TransformerModel:
@@ -346,22 +349,25 @@ class TestCoupledInductorMatrix:
             check_coupled_set(3, m, (1.0, -0.1, 0.1))
 
     def test_default_dot_signs_are_symmetric(self):
-        for i in range(3):
-            for j in range(3):
-                assert DEFAULT_DOT_SIGNS[i][j] == DEFAULT_DOT_SIGNS[j][i]
+        """One sign per winding gives a symmetric sign table, d_i d_j: the
+        default's and flip_dots' are these 3x3 tables."""
+        tables = {DEFAULT_DOT_SIGNS: ((1, 1, -1), (1, 1, -1), (-1, -1, 1)),
+                  FLIPPED: ((1, -1, 1), (-1, 1, -1), (1, -1, 1))}
+        for dots, table in tables.items():
+            assert tuple(tuple(di * dj for dj in dots) for di in dots) == table
 
     @pytest.mark.parametrize("flip", [False, True])
     @pytest.mark.parametrize("committed", [False, True])
     def test_matches_elementwise_formula(self, flip, committed, toroidal_model):
         """The signed matrix is s_ij k_ij sqrt(L_i L_j), entry for entry."""
         x = toroidal_model if committed else reference_transformer()
-        signs = flip_ps_signs(DEFAULT_DOT_SIGNS) if flip else DEFAULT_DOT_SIGNS
+        signs = FLIPPED if flip else DEFAULT_DOT_SIGNS
         l = (x.l_p, x.l_s1, x.l_s2)
         k = ((1.0, x.k_ps1, x.k_ps2),
              (x.k_ps1, 1.0, x.k_ss),
              (x.k_ps2, x.k_ss, 1.0))
         expected = tuple(
-            tuple(signs[i][j] * k[i][j] * math.sqrt(l[i] * l[j])
+            tuple(signs[i] * signs[j] * k[i][j] * math.sqrt(l[i] * l[j])
                   for j in range(3))
             for i in range(3))
         assert coupled_inductor_matrix(x, signs) == expected
@@ -373,8 +379,7 @@ class TestCoupledInductorMatrix:
                                                       flip_dots=flip_dots))
         sets = {e.label: e.matrix for e in net.elements
                 if isinstance(e, CoupledInductors)}
-        signs_b = flip_ps_signs(DEFAULT_DOT_SIGNS) if flip_dots \
-            else DEFAULT_DOT_SIGNS
+        signs_b = FLIPPED if flip_dots else DEFAULT_DOT_SIGNS
         assert sets["xfmr_a"] == coupled_inductor_matrix(x)
         assert sets["xfmr_b"] == coupled_inductor_matrix(x, signs_b)
         assert (sets["xfmr_b"] == sets["xfmr_a"]) is not flip_dots
@@ -410,11 +415,10 @@ class TestCoupledSetCheck:
                                   "inductance matrix is not positive "
                                   "definite (over-coupled)"),
         "negative_series_r": (GOOD, (1.0, -0.1, 0.1),
-                              "coupled set needs one non-negative series R "
-                              "per winding"),
+                              "coupled set field series_r[1] must be "
+                              "non-negative"),
         "short_series_r": (GOOD, (1.0, 0.1),
-                           "coupled set needs one non-negative series R "
-                           "per winding"),
+                           "coupled set needs one series R per winding"),
         "wrong_shape": (((3e-9, 0.0), (0.0, 0.4e-9)), (1.0, 0.1, 0.1),
                         "coupled set with 3 windings needs a 3x3 matrix"),
         "ragged_rows": (((3e-9, 0.0, 0.0), (0.0, 0.4e-9), (0.0, 0.0, 0.4e-9)),

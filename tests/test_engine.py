@@ -21,7 +21,8 @@ keeps the buffered tc-qvco near one solve per step.  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
 and short tc-qvco runs take exactly their recorded solves.  A run's solve
 histogram accounts for every step and every solve, and a histogram that
-does not is refused.  The
+does not is refused; its worst KCL residual is the largest node-row
+residual of an accepted step.  The
 Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
@@ -688,6 +689,26 @@ def test_run_reports_its_solves_and_iterations(case, monkeypatch,
     assert sum(hist) == steps
     assert sum(k * n for k, n in enumerate(hist)) == wave.linear_solves
     assert hist[0] == 0 and hist[-1] > 0
+
+
+def test_worst_kcl_residual_is_the_largest_accepted_node_row(
+        monkeypatch, toroidal_model):
+    """kcl_max_a is the largest node-row residual over the accepted
+    steps, recomputed here as F y from each accepted step state, and it
+    stays within Newton's acceptance cap of 0.1 KCL_ABS_A."""
+    worst = []
+    newton = engine._newton_step
+
+    def recorded(sys_, stage, y, t):
+        out = newton(sys_, stage, y, t)
+        worst.append(float(np.abs((stage.F @ y)[:sys_.n]).max()))
+        return out
+
+    monkeypatch.setattr(engine, "_newton_step", recorded)
+    wave = qvco_run(toroidal_model)
+    assert len(worst) == len(wave.time_s) - 1
+    assert wave.kcl_max_a == max(worst)
+    assert 0.0 < wave.kcl_max_a <= 0.1 * engine.KCL_ABS_A
 
 
 def test_solve_counts_are_read_from_the_histogram():

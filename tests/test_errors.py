@@ -1,4 +1,5 @@
-"""errors.check_finite is the one finite-number rule.
+"""errors.check_finite is the one rule for scalar inputs: a finite real
+number, and positive or non-negative where a sign bound is given.
 
 Every layer that takes numbers rejects NaN and inf with a typed error that
 names the field, before any range check can let them through: the
@@ -27,10 +28,10 @@ from tsvqvco import engine
 from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms, transient
-from tsvqvco.errors import (InvalidGeometryError, InvalidModelError,
-                            NumericFailure, check_finite)
+from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
+                            InvalidModelError, NumericFailure, check_finite)
 from tsvqvco.geometry import Segment, rect_segment
-from tsvqvco.metrology import measure_metrics
+from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Netlist, Resistor,
                              Vccs, VSource)
 from tsvqvco.topologies import (TopologyParams, build_netlist,
@@ -208,18 +209,18 @@ def run_rc(*raw_elements, cfg=SimConfig(dt_s=1e-12, t_stop_s=1e-10)):
 # structural defect, and the exact InvalidModelError message it raises.
 RANGE_CASES = {
     "resistance": (lambda: Netlist().add_resistor("a", "gnd", 0.0),
-                   "resistance must be positive"),
+                   "resistor field ohms must be positive"),
     "capacitance": (lambda: Netlist().add_capacitor("a", "gnd", -1e-12),
-                    "capacitance must be positive"),
+                    "capacitor field farads must be positive"),
     "inductance": (lambda: Netlist().add_inductor("a", "gnd", 0.0),
-                   "inductance must be positive"),
+                   "inductor field henries must be positive"),
     "initial currents": (
         lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, 0.1],
                              i_initial_a=[0.0]),
         "initial currents must match winding count"),
     "source ramp": (lambda: Netlist().add_vsource("a", "gnd", 1.0,
                                                   ramp_s=-1e-9),
-                    "source ramp must be non-negative"),
+                    "vsource field ramp_s must be non-negative"),
     "initial voltage node name": (
         lambda: Netlist().set_initial_voltage("", 0.1),
         "node names must be non-empty strings"),
@@ -232,7 +233,7 @@ RANGE_CASES = {
                                                 [0.1]),
         "coupled set needs at least two windings"),
     "time step": (lambda: SimConfig(dt_s=0.0, t_stop_s=1e-9),
-                  "time step must be positive"),
+                  "sim config field dt_s must be positive"),
     "step count": (lambda: run_rc(cfg=SimConfig(dt_s=1.0, t_stop_s=1.2)),
                    "stop time must cover at least two steps"),
     "trace length": (lambda: flat_waveforms(v_o1=(0.0, 0.0)),
@@ -244,15 +245,20 @@ RANGE_CASES = {
                             "tc-qvco needs transformer"),
     "quadrature bench g_m_margin": (
         lambda: build_quadrature_bench(tank(), 0.0),
-        "transconductance margin must be positive"),
+        "quadrature bench field g_m_margin must be positive"),
     "sim f_est_hz": (lambda: default_sim_config(0.0, n_periods=4),
-                     "frequency estimate must be positive"),
+                     "sim config field f_est_hz must be positive"),
     "sim n_periods": (lambda: default_sim_config(2.5e9, n_periods=1),
                       "simulation span too small"),
     "topology c_parasitic_f": (lambda: TopologyParams(c_parasitic_f=-1e-15),
-                               "parasitic capacitance cannot be negative"),
+                               "topology field c_parasitic_f must be "
+                               "non-negative"),
     "metrics v_dd": (lambda: measure_metrics(flat_waveforms(), 0.0),
-                     "supply voltage must be positive"),
+                     "metrics field v_dd must be positive"),
+    "metrics delta_v_out_v": (
+        lambda: SimMetrics(oscillating=True, f_osc_hz=2e9,
+                           delta_v_out_v=-0.01),
+        "metrics field delta_v_out_v must be non-negative"),
     "metrics outputs": (
         lambda: measure_metrics(Waveforms(
             time_s=np.arange(3.0), voltages={"X": np.zeros(3)},
@@ -274,20 +280,19 @@ def test_out_of_range_input_is_rejected(case):
 # from the MNA walk.
 RAW_ELEMENT_CASES = {
     "resistor": (lambda: Resistor(0, -1, 0.0, "rx"),
-                 "resistance must be positive"),
+                 "resistor field ohms must be positive"),
     "capacitor": (lambda: Capacitor(0, -1, -1e-12, "cx"),
-                  "capacitance must be positive"),
+                  "capacitor field farads must be positive"),
     "inductor": (lambda: CoupledInductors(((0, -1),), ((0.0,),), (0.0,),
                                           "lx", (0.0,)),
-                 "inductance must be positive"),
+                 "inductor field henries must be positive"),
     "coupled set": (lambda: CoupledInductors(
         ((0, -1), (0, -1)), ((1e-9, 2e-9), (2e-9, 1e-9)), (0.1, 0.1), "kx",
         (0.0, 0.0)), "inductance matrix is not positive definite "
                      "(over-coupled)"),
     "lossy inductor": (lambda: CoupledInductors(((0, -1),), ((1e-9,),),
                                                 (-1.0,), "lx", (0.0,)),
-                       "coupled set needs one non-negative series R per "
-                       "winding"),
+                       "coupled set field series_r[0] must be non-negative"),
     "inductor matrix shape": (lambda: CoupledInductors(
         ((0, -1),), ((1e-9, 5.0),), (0.0,), "lx", (0.0,)),
         "coupled set with 1 windings needs a 1x1 matrix"),
@@ -295,7 +300,7 @@ RAW_ELEMENT_CASES = {
         ((0, -1), (0, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "kx",
         (0.0,)), "initial currents must match winding count"),
     "vsource": (lambda: VSource(0, -1, 1.0, "vx", -1e-9),
-                "source ramp must be non-negative"),
+                "vsource field ramp_s must be non-negative"),
     "vccs": (lambda: Vccs(0, -1, 0, -1, NAN, "gx"),
              "vccs field gm is not a finite number"),
 }
@@ -355,3 +360,21 @@ def test_rule_rejects_non_numbers(value):
                                    np.int64(3)])
 def test_rule_accepts_finite_numbers(value):
     check_finite(InvalidModelError, "kind", "name", value)
+
+
+@pytest.mark.parametrize("value, sign", [
+    (0.0, POSITIVE), (-1e-300, POSITIVE), (-1e-300, NON_NEGATIVE),
+    (-5, NON_NEGATIVE),
+])
+def test_rule_checks_the_sign_bound(value, sign):
+    with pytest.raises(InvalidGeometryError,
+                       match=f"^kind field name must be {sign}$"):
+        check_finite(InvalidGeometryError, "kind", "name", value, sign)
+
+
+@pytest.mark.parametrize("value, sign", [
+    (5e-324, POSITIVE), (0.0, NON_NEGATIVE), (-0.0, NON_NEGATIVE),
+    (-1e300, None),
+])
+def test_rule_accepts_values_within_the_bound(value, sign):
+    check_finite(InvalidModelError, "kind", "name", value, sign)

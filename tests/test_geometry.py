@@ -207,6 +207,11 @@ class TestSerialization:
         with pytest.raises(InvalidGeometryError, match="JSON object"):
             TransformerGeometry.from_dict([1, 2, 3])
 
+    def test_from_dict_rejects_non_object_process(self):
+        with pytest.raises(InvalidGeometryError,
+                           match="^process must be an object$"):
+            TransformerGeometry.from_dict(dict(TOROIDAL_DOC, process=[60.0]))
+
     def test_process_overrides_survive_round_trip(self):
         clone = TransformerGeometry.from_dict(
             dict(TOROIDAL_DOC, process={"tier_height_um": 80.0}))

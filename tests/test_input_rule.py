@@ -1,0 +1,302 @@
+"""Every scalar numeric input passes errors.check_finite.
+
+TABLE holds one valid call for every public callable and parameter block
+of the package that takes a float or int.  Each such argument is replaced
+in turn by NaN, inf and True, and the call must raise its module's typed
+error with the rule's exact message, naming that argument.  inspect finds
+the public names and their float or int parameters: a name missing from
+TABLE and EXEMPT, or a parameter neither tried nor listed in UNCHECKED
+with its reason, fails the suite, so a new public input cannot skip the
+rule unnoticed.
+"""
+import functools
+import importlib
+import inspect
+import math
+import pkgutil
+import re
+from typing import Callable, NamedTuple
+
+import numpy as np
+import pytest
+
+import tsvqvco
+from tsvqvco.analysis import (DesignSpec, TankParams, figure_of_merit,
+                              phase_noise_leeson, resonant_frequency)
+from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
+                             VaractorModel, check_coupled_set,
+                             p_channel_mirror)
+from tsvqvco.engine import SimConfig, Waveforms
+from tsvqvco.errors import InvalidGeometryError, InvalidModelError
+from tsvqvco.geometry import (ProcessParams, TransformerGeometry,
+                              round_segment)
+from tsvqvco.inductance import (coupling_coefficient, pack_windings,
+                                segment_resistance, skin_depth,
+                                winding_resistances)
+from tsvqvco.metrology import SimMetrics, measure_metrics
+from tsvqvco.netlist import Capacitor, Netlist, Resistor, Vccs, VSource
+from tsvqvco.topologies import (TopologyParams, build_quadrature_bench,
+                                default_sim_config)
+from tsvqvco.transformer import (DEFAULT_EVAL_FREQUENCY_HZ, TransformerModel,
+                                 default_secondary_slots, generate_coils,
+                                 model_from_coils, wheeler_spiral_inductance)
+
+SCALARS = {"float", "int", "float | None", "int | None"}
+TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
+SEGMENT = round_segment((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)
+GEOMETRY = dict(style="toroidal", turns_primary=6, turns_secondary=1,
+                tsv_pitch_um=66.0, row_spacing_um=90.0)
+MODEL = dict(l_p=3e-9, l_s1=0.4e-9, l_s2=0.4e-9, r_pdc=0.3, r_pac=1.4,
+             r_sdc=0.064, r_sac=0.35, k_ps1=0.52, k_ps2=0.52, k_ss=0.15,
+             area_mm2=0.17, eval_frequency_hz=2.5e9)
+
+
+@functools.cache
+def coils():
+    return generate_coils(TransformerGeometry(**GEOMETRY))
+
+
+class Call(NamedTuple):
+    """A valid call: run(**kwargs) succeeds, and with one numeric argument
+    replaced it raises error "<kind> field <name> ...", where name is the
+    argument's, or names[argument] where the message names something
+    else."""
+
+    run: Callable
+    kwargs: dict
+    error: type
+    kind: str
+    names: dict = {}
+
+
+TABLE = {
+    # analysis
+    "analysis.TankParams": Call(
+        TankParams, dict(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8,
+                         n=2.5), InvalidModelError, "tank"),
+    "analysis.resonant_frequency": Call(
+        resonant_frequency, dict(l_eq=1e-9, c_eq=1e-12), InvalidModelError,
+        "resonance"),
+    "analysis.figure_of_merit": Call(
+        figure_of_merit, dict(f0_hz=2.5e9, offset_hz=1e6, power_mw=1.5,
+                              phi_noise_dbc=-114.0),
+        InvalidModelError, "figure of merit"),
+    "analysis.phase_noise_leeson": Call(
+        phase_noise_leeson, dict(t=TANK, p_sig_mw=1.0, offset_hz=1e6,
+                                 f_excess_db=3.0),
+        InvalidModelError, "phase noise"),
+    "analysis.DesignSpec": Call(
+        DesignSpec, dict(v_dd_v=0.7, f_c_hz=2.5e9, v_c_lo_v=0.1, v_c_hi_v=0.7,
+                         l_p_target_h=3e-9, l_s_target_h=0.4e-9,
+                         c_var_lo_f=2.1e-12, c_var_hi_f=6.3e-12,
+                         v_out_pp_v=0.35, max_delta_v_out_v=0.025,
+                         c_parasitic_f=0.4e-12),
+        InvalidModelError, "design spec"),
+    # devices
+    "devices.MosParams": Call(
+        MosParams, dict(polarity="n", k_factor=1e-3, v_th=0.3, lam=0.05),
+        InvalidModelError, "mos"),
+    "devices.VaractorModel": Call(
+        VaractorModel, dict(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7,
+                            shape=2.0), InvalidModelError, "varactor"),
+    "devices.TuningArray": Call(
+        TuningArray, dict(c_unit=1e-12, code="01"), InvalidModelError,
+        "tuning array"),
+    "devices.p_channel_mirror": Call(
+        p_channel_mirror, dict(nmos=MosParams("n", 1e-3, 0.3), k_ratio=2.0),
+        InvalidModelError, "mirror"),
+    "devices.check_coupled_set": Call(
+        check_coupled_set, dict(n=2, matrix=((1e-9, 0.0), (0.0, 1e-9)),
+                                series_r=(0.1, 0.1)),
+        InvalidModelError, "coupled set"),
+    "devices.BufferParams": Call(
+        BufferParams, dict(c_couple=1e-12, r_feedback=1e5, p_to_n_ratio=2.0),
+        InvalidModelError, "buffer"),
+    # engine
+    "engine.SimConfig": Call(
+        SimConfig, dict(dt_s=1e-12, t_stop_s=1e-9), InvalidModelError,
+        "sim config"),
+    "engine.Waveforms": Call(
+        Waveforms, dict(time_s=np.arange(3.0), voltages={}, currents={},
+                        kcl_max_a=1e-12), InvalidModelError, "waveforms"),
+    # geometry
+    "geometry.ProcessParams": Call(
+        ProcessParams, {}, InvalidGeometryError, "process"),
+    "geometry.TransformerGeometry": Call(
+        TransformerGeometry, dict(GEOMETRY, trace_width_um=8.0),
+        InvalidGeometryError, "geometry"),
+    # inductance
+    "inductance.skin_depth": Call(
+        skin_depth, dict(freq_hz=2.5e9, resistivity_ohm_m=1.68e-8),
+        InvalidGeometryError, "skin depth"),
+    "inductance.coupling_coefficient": Call(
+        coupling_coefficient, dict(l_a=1e-9, l_b=2e-9, m=0.5e-9),
+        InvalidModelError, "coupling"),
+    "inductance.segment_resistance": Call(
+        segment_resistance, dict(seg=SEGMENT, freq_hz=2.5e9,
+                                 resistivity_ohm_m=1.68e-8),
+        InvalidGeometryError, "resistance"),
+    "inductance.winding_resistances": Call(
+        lambda **kw: winding_resistances(
+            pack_windings(list(coils().values())), **kw),
+        dict(freq_hz=2.5e9, resistivity_ohm_m=1.68e-8),
+        InvalidGeometryError, "resistance"),
+    # metrology
+    "metrology.SimMetrics": Call(
+        SimMetrics, dict(oscillating=True, f_osc_hz=2e9, delta_v_out_v=0.01,
+                         startup_s=1e-9, power_core_mw=1.5,
+                         power_buffer_mw=0.5), InvalidModelError, "metrics"),
+    "metrology.measure_metrics": Call(
+        lambda **kw: measure_metrics(Waveforms(
+            time_s=np.arange(3.0), voltages={"V_o1": np.zeros(3)},
+            currents={}), **kw),
+        dict(v_dd=0.7), InvalidModelError, "metrics"),
+    # netlist
+    "netlist.Resistor": Call(
+        Resistor, dict(a=0, b=-1, ohms=1e3, label="r"), InvalidModelError,
+        "resistor"),
+    "netlist.Capacitor": Call(
+        Capacitor, dict(a=0, b=-1, farads=1e-12, label="c"),
+        InvalidModelError, "capacitor"),
+    "netlist.VSource": Call(
+        VSource, dict(p=0, n=-1, volts=0.7, label="v", ramp_s=1e-9),
+        InvalidModelError, "vsource"),
+    "netlist.Vccs": Call(
+        Vccs, dict(p=0, n=-1, cp=0, cn=-1, gm=1e-3, label="g"),
+        InvalidModelError, "vccs"),
+    "netlist.Netlist.add_resistor": Call(
+        lambda **kw: Netlist().add_resistor(**kw),
+        dict(a="a", b="gnd", ohms=1e3), InvalidModelError, "resistor"),
+    "netlist.Netlist.add_capacitor": Call(
+        lambda **kw: Netlist().add_capacitor(**kw),
+        dict(a="a", b="gnd", farads=1e-12), InvalidModelError, "capacitor"),
+    "netlist.Netlist.add_inductor": Call(
+        lambda **kw: Netlist().add_inductor(**kw),
+        dict(a="a", b="gnd", henries=1e-9, i_initial_a=1e-3),
+        InvalidModelError, "inductor"),
+    "netlist.Netlist.add_vsource": Call(
+        lambda **kw: Netlist().add_vsource(**kw),
+        dict(p="a", n="gnd", volts=0.7, ramp_s=1e-9), InvalidModelError,
+        "vsource"),
+    "netlist.Netlist.add_vccs": Call(
+        lambda **kw: Netlist().add_vccs(**kw),
+        dict(p="a", n="gnd", cp="b", cn="gnd", gm=1e-3), InvalidModelError,
+        "vccs"),
+    "netlist.Netlist.set_initial_voltage": Call(
+        lambda **kw: Netlist().set_initial_voltage(**kw),
+        dict(node="a", volts=0.1), InvalidModelError, "initial condition",
+        {"volts": "a"}),
+    # topologies
+    "topologies.TopologyParams": Call(
+        TopologyParams, dict(v_dd_v=0.7, l_tank_h=2e-9, c_tank_f=1e-12,
+                             r_tank_ohm=400.0, v_ctrl_v=0.0,
+                             c_parasitic_f=1e-13),
+        InvalidModelError, "topology"),
+    "topologies.build_quadrature_bench": Call(
+        build_quadrature_bench, dict(t=TANK, g_m_margin=1.2),
+        InvalidModelError, "quadrature bench"),
+    "topologies.default_sim_config": Call(
+        default_sim_config, dict(f_est_hz=2.5e9, n_periods=4),
+        InvalidModelError, "sim config"),
+    # transformer
+    "transformer.default_secondary_slots": Call(
+        default_secondary_slots, dict(n_primary=14, n_secondary=2),
+        InvalidGeometryError, "slots"),
+    "transformer.TransformerModel": Call(
+        TransformerModel, MODEL, InvalidModelError, "transformer model"),
+    "transformer.model_from_coils": Call(
+        lambda **kw: model_from_coils(coils(), **kw),
+        dict(eval_frequency_hz=DEFAULT_EVAL_FREQUENCY_HZ, area_mm2=0.2,
+             resistivity_ohm_m=1.68e-8), InvalidModelError, "extraction"),
+    "transformer.wheeler_spiral_inductance": Call(
+        wheeler_spiral_inductance, dict(n_turns=3, outer_dim_um=200.0,
+                                        inner_dim_um=60.0, width_um=10.0,
+                                        spacing_um=2.0),
+        InvalidGeometryError, "spiral"),
+}
+
+# Public names with a float or int parameter that take no check, and why.
+EXEMPT = {
+    "analysis.FeasibilityReport":
+        "a result that design_tank builds from a checked TankParams",
+    "devices.mos_row": "drain, gate and source slots the engine assigns",
+    "devices.mos_eval": "a device evaluator: Newton's inputs, not the user's",
+    "devices.varactor_eval": "a device evaluator: Newton's inputs",
+    "netlist.Mos": "node indices only (see UNCHECKED)",
+    "netlist.Varactor": "node indices only (see UNCHECKED)",
+    "netlist.VSource.value_at": "evaluated at the engine's own step times",
+    # built once per routed conductor on the sweep's hot path, whose fast
+    # check is math.isfinite, which passes a bool as 1; test_errors.py
+    # tries NaN and inf on every Segment field
+    "geometry.Segment": "the sweep's fast path: NaN and inf only",
+}
+_NODES = ("node indices, which Netlist._add assigns and the engine's walk "
+          "checks against the node list")
+# Parameters of TABLE names that take no check, and why.
+UNCHECKED = {
+    "devices.check_coupled_set.n":
+        "the winding count, which the matrix shape check holds to the matrix",
+    **{f"netlist.{cls}.{p}": _NODES for cls, ps in (
+        ("Resistor", "ab"), ("Capacitor", "ab"), ("VSource", "pn"),
+        ("Vccs", ("p", "n", "cp", "cn"))) for p in ps},
+}
+
+
+def _public_numeric_inputs() -> dict[str, list[str]]:
+    """Every public function, class and public method defined in the
+    package, mapped to its float or int parameters, where it has any."""
+    found = {}
+    for info in pkgutil.iter_modules(tsvqvco.__path__):
+        module = importlib.import_module(f"tsvqvco.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != module.__name__ or not callable(obj):
+                continue
+            targets = [(name, obj)]
+            if inspect.isclass(obj):
+                targets += [(f"{name}.{m}", f) for m, f in vars(obj).items()
+                            if not m.startswith("_") and inspect.isfunction(f)]
+            for qual, target in targets:
+                try:
+                    signature = inspect.signature(target)
+                except ValueError:  # a dict subclass: ReadOnlyDict
+                    continue
+                params = [p.name for p in signature.parameters.values()
+                          if str(p.annotation) in SCALARS]
+                if params:
+                    found[f"{info.name}.{qual}"] = params
+    return found
+
+
+FOUND = _public_numeric_inputs()
+TRIED = [(name, p) for name in sorted(TABLE) for p in FOUND.get(name, ())
+         if f"{name}.{p}" not in UNCHECKED]
+
+
+def test_every_public_numeric_input_is_tried_or_exempt():
+    missing = set(FOUND) - set(TABLE) - set(EXEMPT)
+    assert not missing, f"add a valid call to TABLE for {sorted(missing)}"
+    assert not set(EXEMPT) & set(TABLE)
+    stale = (set(TABLE) | set(EXEMPT)) - set(FOUND)
+    assert not stale, f"no public numeric inputs left in {sorted(stale)}"
+    for key in UNCHECKED:
+        name, param = key.rsplit(".", 1)
+        assert param in FOUND.get(name, ()), f"UNCHECKED names no input: {key}"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_valid_call_passes(name):
+    call = TABLE[name]
+    call.run(**call.kwargs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True],
+                         ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("name, param", TRIED,
+                         ids=[f"{n}.{p}" for n, p in TRIED])
+def test_bad_number_is_rejected_naming_the_input(name, param, bad):
+    call = TABLE[name]
+    field = call.names.get(param, param)
+    with pytest.raises(call.error, match="^" + re.escape(
+            f"{call.kind} field {field} is not a finite number") + "$"):
+        call.run(**{**call.kwargs, param: bad})

@@ -14,6 +14,7 @@ from tsvqvco.metrology import (
     ENVELOPE_FRAC,
     MIN_SWING_V,
     STEADY_CYCLES,
+    _refined_extremum,
     estimate_frequency,
     measure_metrics,
 )
@@ -113,6 +114,20 @@ def test_flat_or_tiny_swing_is_not_oscillating(vpp):
     assert m.amplitudes_vpp["V_o1"] == pytest.approx(vpp, rel=1e-5)
 
 
+@pytest.mark.parametrize("trace", ["15 samples", "flat"])
+def test_frequency_needs_sixteen_samples_and_a_swing(trace):
+    t = DT_S * np.arange(15 if trace == "15 samples" else 400)
+    x = (np.cos(2.0 * np.pi * F_HZ * t) if trace == "15 samples"
+         else np.full(len(t), 0.5 * V_DD))
+    assert estimate_frequency(t, x) is None
+
+
+def test_flat_topped_extremum_is_its_plateau():
+    # the parabola through three equal samples has no vertex
+    x = np.array([0.0, 0.3, 0.3, 0.3, 0.0])
+    assert _refined_extremum(x, 2) == 0.3
+
+
 class TestLeeson:
     TANK = TankParams(r_parallel=400.0, c_tank=2.2e-12, l_p=2.75e-9,
                       k=0.6, n=2.4)
@@ -146,8 +161,8 @@ class TestLeeson:
         assert noisy - base == pytest.approx(4.5, abs=1e-9)
 
     @pytest.mark.parametrize("p_sig_mw, offset_hz, message", [
-        (0.0, 1e6, "signal power must be positive"),
-        (1.0, -1e6, "offset frequency must be positive"),
+        (0.0, 1e6, "phase noise field p_sig_mw must be positive"),
+        (1.0, -1e6, "phase noise field offset_hz must be positive"),
     ])
     def test_rejects_nonpositive_inputs(self, p_sig_mw, offset_hz, message):
         with pytest.raises(InvalidModelError, match=message):

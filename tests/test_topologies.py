@@ -50,7 +50,7 @@ def params(topology, toroidal_model, **kwargs) -> TopologyParams:
 @pytest.mark.parametrize("topology", ["tf-vco", "tc-qvco"])
 @pytest.mark.parametrize("name, message", [
     ("nmos", "nmos must be an n-channel device"),
-    ("transformer", "l_p must be positive"),
+    ("transformer", "transformer model field l_p must be positive"),
 ])
 def test_rejects_bad_device_or_transformer(topology, name, message,
                                            toroidal_model):

@@ -20,6 +20,7 @@ from tsvqvco.transformer import (
     default_secondary_slots,
     generate_coils,
     metal_area,
+    model_from_coils,
     wheeler_spiral_inductance,
 )
 
@@ -56,6 +57,24 @@ class TestSecondarySlots:
     def test_rejects_too_few_rider_cells(self):
         with pytest.raises(InvalidGeometryError, match="rider"):
             default_secondary_slots(4, 2)
+
+    @pytest.mark.parametrize("n_primary, n_secondary, name", [
+        (0, 1, "n_primary"), (14.5, 2, "n_primary"), (14, -1, "n_secondary"),
+    ])
+    def test_rejects_a_turn_count_that_is_not_a_positive_integer(
+            self, n_primary, n_secondary, name):
+        # 14.5 used to reach range() and raise an untyped TypeError
+        with pytest.raises(InvalidGeometryError, match=(
+                f"^slots field {name} must be a positive integer$")):
+            default_secondary_slots(n_primary, n_secondary)
+
+
+def test_extraction_needs_every_coil_role(toroidal_geometry):
+    coils = generate_coils(toroidal_geometry)
+    del coils["secondary1"]
+    with pytest.raises(InvalidModelError,
+                       match="^missing coil 'secondary1'$"):
+        model_from_coils(coils, 2.5e9, 0.2, 1.68e-8)
 
 
 class TestGenerateCoils:
