@@ -49,6 +49,18 @@ tests stall at the linear-solve noise floor on stiff systems).  Only
 when a solve follows does it form the row-scaled Jacobian J, in one
 product.
 
+A run allocates its working arrays once: transient holds y and the
+solution rows, and the _System six scratch arrays that every iteration
+writes in place (|y|, the acceptance reference, |f|, the row mask, r f
+and the flat Jacobian).  An iteration allocates only the device values,
+the residual f, which the caller keeps (the per-step KCL gate reads
+it), and the solve's update dx.  The acceptance test counts the rows
+that pass; the update is screened by dx . dx, which is finite unless an
+entry is not or the sum overflows, and only a screen that fails takes
+the largest |dx| to tell the two apart.  Views of the scratch arrays are
+made per call and never stored, so a deep copy of a _System steps
+exactly as the original does.
+
 Solves are row-equilibrated: branch rows mix +-1 voltage entries with
 L/h terms in the hundreds, which would otherwise eat the pivots.  The
 scales r = 1 / max_j |a0[i, j]| come from the linear stamps alone, so
@@ -267,7 +279,8 @@ class _System:
     their stamps as the constant pattern inc and jst.  The slices dev,
     jac and rhs place the device values, the partials with the 1, and b
     in the step state y of length ylen, and q_map @ y is the charge
-    q(x) (module docstring).
+    q(x) (module docstring).  abs_y, ref, abs_f, accept, rf and js are
+    the scratch arrays _newton_step writes in place.
     """
 
     def __init__(self, net: Netlist):
@@ -293,6 +306,14 @@ class _System:
         # the per-step KCL gate with margin, branch rows have no gate
         self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = 0.1 * KCL_ABS_A
+        # _newton_step's scratch arrays: whole arrays, never views, so
+        # a deep copy of the system keeps them (module docstring)
+        self.abs_y = np.empty(self.ylen)
+        self.ref = np.empty(self.size)
+        self.abs_f = np.empty(self.size)
+        self.accept = np.empty(self.size, dtype=bool)
+        self.rf = np.empty(self.size)
+        self.js = np.empty(self.size * self.size)
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G, C) over the unknowns at the step state y: G is a_static
@@ -376,7 +397,8 @@ class _System:
 
         def nodes(e, *idx):
             for i in idx:
-                if not GROUND <= i < self.n:
+                # a bool would index node 0 or 1
+                if isinstance(i, (bool, np.bool_)) or not GROUND <= i < self.n:
                     raise InvalidModelError(
                         f"element {e.label} references unknown node {i}")
             touched.update(idx)
@@ -477,31 +499,39 @@ def _devices(sys: _System, v: list) -> list:
 def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
     """Newton on F y = 0 from the x in y, which is updated in place along
     with y's device slots; b is y's rhs slice.  Returns the residual at
-    the accepted x and the linear solves; the iterations are the solves
-    plus one."""
+    the accepted x, a fresh array the caller owns, and the linear solves;
+    the iterations are the solves plus one."""
     size = sys.size
     x = y[:size + 1]
     dev, jac, kcl_cap = sys.dev, sys.jac, sys.kcl_cap
-    F, R, Jm = stage.F, stage.R, stage.Jm
+    abs_y, ref, abs_f, accept = sys.abs_y, sys.ref, sys.abs_f, sys.accept
+    F, R, Jm, r = stage.F, stage.R, stage.Jm, stage.r
 
     for it in range(MAX_NEWTON):
         y[dev] = _devices(sys, x.tolist())
-        f = F @ y
-        if it and (np.abs(f) <= np.minimum(R @ np.abs(y), kcl_cap)).all():
-            return f, it
+        f = np.dot(F, y)  # fresh: the caller keeps it
+        if it:
+            # |f| <= min(R |y|, kcl_cap) on every row, NaN rows failing
+            np.dot(R, np.abs(y, out=abs_y), out=ref)
+            np.minimum(ref, kcl_cap, out=ref)
+            np.less_equal(np.abs(f, out=abs_f), ref, out=accept)
+            if np.count_nonzero(accept) == size:
+                return f, it
         # the Jacobian only now: an accepted residual needs none
-        js = (Jm @ y[jac]).reshape(size, size)
+        js = np.dot(Jm, y[jac], out=sys.js).reshape(size, size)
         try:
-            dx = np.linalg.solve(js, stage.r * f)
+            dx = np.linalg.solve(js, np.multiply(r, f, out=sys.rf))
         except np.linalg.LinAlgError:
             raise NumericFailure(_singular_diagnostic(sys, js))
-        dx_max = float(np.abs(dx).max())  # NaN or inf if any entry is
-        if not math.isfinite(dx_max):
+        # dx . dx is NaN or inf if an entry is; only then take the max,
+        # which a finite update whose square sum overflows passes
+        if not math.isfinite(np.dot(dx, dx)) \
+                and not math.isfinite(np.abs(dx).max()):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
         y[:size] -= dx
     raise NumericFailure(
         f"Newton did not converge at t = {t:.6e} s after "
-        f"{MAX_NEWTON} iterations; last update {dx_max:.3e}")
+        f"{MAX_NEWTON} iterations; last update {np.abs(dx).max():.3e}")
 
 
 def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
@@ -546,7 +576,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     histogram = [0] * MAX_NEWTON  # Newton solves at most MAX_NEWTON - 1
     stages = itertools.chain([first], itertools.repeat(trap, n_steps - 1))
     for step, stage in enumerate(stages, start=1):
-        t = times[step]
+        t = h * step  # the float times[step] holds
         # Newton starts from the predictor over the rows of out already
         # accepted, the initial state excluded; with none accepted yet,
         # k = 1 copies the initial state
@@ -563,7 +593,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
                 f"at t = {t:.6e} s")
         kcl_max = max(kcl_max, step_kcl)
         out[step] = x
-        b[:] = stage.hist @ y
+        np.dot(stage.hist, y, out=b)  # numpy buffers the b it reads
 
     # read-only column views of out, which Waveforms then needs not copy
     out.flags.writeable = False

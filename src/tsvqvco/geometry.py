@@ -73,6 +73,10 @@ class ProcessParams:
         return cls(**data)
 
 
+# The dimension types Segment's fast path takes as they are.
+_DIM_TYPES = frozenset({float, int})
+
+
 @dataclass
 class Segment:
     """Straight conductor segment with a round or rectangular cross section.
@@ -89,12 +93,17 @@ class Segment:
     thickness_m: float = 0.0
 
     def __post_init__(self) -> None:
-        # math.isfinite keeps the sweep's hot path cheap; check_finite names the culprit
+        # the sweep's hot path takes float and int dimensions that
+        # math.isfinite passes; any other type (a bool, which isfinite
+        # takes as 1, or a numpy scalar) goes to check_finite, which
+        # names the culprit
         try:
             self.start = tuple(map(float, self.start))
             self.end = tuple(map(float, self.end))
-            dims = (self.radius_m, self.width_m, self.thickness_m)
-            finite = all(map(math.isfinite, self.start + self.end + dims))
+            r, w, th = dims = (self.radius_m, self.width_m, self.thickness_m)
+            finite = (type(r) in _DIM_TYPES and type(w) in _DIM_TYPES
+                      and type(th) in _DIM_TYPES
+                      and all(map(math.isfinite, self.start + self.end + dims)))
         except (TypeError, ValueError):
             finite = False
         if not finite:

@@ -27,6 +27,10 @@ Newton path must reproduce a closed-form RC discharge and series-RLC
 ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
 a varactor at a fixed control voltage matches a linear capacitor.
+Newton's scratch arrays do not show: the residual it returns stays the
+caller's, a deep copy of a system steps bit for bit like the original,
+and the update screen stops a NaN or inf update at the first solve but
+passes a finite one whose square sum overflows.
 """
 import copy
 import dataclasses
@@ -663,6 +667,99 @@ class TestNewtonStartPoint:
         scale = np.abs(expected).max()
         assert scale > 0.0
         assert np.abs(updates[0] - expected).max() <= 1e-12 * scale
+
+
+class TestScratchArrays:
+    """_newton_step writes its intermediates into arrays the _System
+    owns, and none of that may show: the residual it returns belongs to
+    the caller, a deep copy of a system steps exactly like the system,
+    and the screen for a non-finite update neither refuses a finite one
+    nor lets a NaN or inf one through."""
+
+    MID_STEP = TestNewtonStartPoint.MID_STEP
+
+    def mid_run(self, monkeypatch, toroidal_model):
+        """The system and stage of a tc-qvco run themselves, not copies,
+        with a copy of the step state y (its x predicted) and t of one
+        mid-run Newton call."""
+        calls = []
+        real = engine._newton_step
+
+        def spy(sys_, stage, y, t):
+            calls.append((sys_, stage, y.copy(), t)
+                         if len(calls) == self.MID_STEP else None)
+            return real(sys_, stage, y, t)
+
+        monkeypatch.setattr(engine, "_newton_step", spy)
+        qvco_run(toroidal_model)
+        monkeypatch.setattr(engine, "_newton_step", real)
+        return calls[self.MID_STEP]
+
+    def test_returned_residual_is_not_overwritten(self, monkeypatch,
+                                                  toroidal_model):
+        sys_, stage, y, t = self.mid_run(monkeypatch, toroidal_model)
+        first, _ = engine._newton_step(sys_, stage, y.copy(), t)
+        kept = first.copy()
+        # a start away from the first: its accepted residual differs
+        y_far = y.copy()
+        y_far[:sys_.n] += 1e-3
+        second, _ = engine._newton_step(sys_, stage, y_far, t)
+        assert not np.array_equal(second, kept)
+        assert np.array_equal(first, kept)
+
+    def test_deep_copy_steps_like_the_original(self, monkeypatch,
+                                               toroidal_model):
+        sys_, stage, y, t = self.mid_run(monkeypatch, toroidal_model)
+        twin_sys, twin_stage = copy.deepcopy((sys_, stage))
+        results = []
+        for s, st in ((sys_, stage), (twin_sys, twin_stage), (sys_, stage)):
+            y_run = y.copy()
+            f, solves = engine._newton_step(s, st, y_run, t)
+            results.append((y_run, f, solves))
+        (y_a, f_a, n_a), (y_b, f_b, n_b), (y_c, f_c, n_c) = results
+        assert n_a == n_b == n_c >= 1
+        assert np.array_equal(y_a, y_b) and np.array_equal(f_a, f_b)
+        assert np.array_equal(y_a, y_c) and np.array_equal(f_a, f_c)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_update_fails_at_the_first_solve(
+            self, bad, monkeypatch, toroidal_model):
+        sys_, stage, y, t = self.mid_run(monkeypatch, toroidal_model)
+        solve, calls = np.linalg.solve, []
+
+        def one_bad_entry(a, rhs):
+            calls.append(None)
+            dx = solve(a, rhs)
+            dx[3] = bad
+            return dx
+
+        monkeypatch.setattr(np.linalg, "solve", one_bad_entry)
+        with pytest.raises(NumericFailure, match=re.escape(
+                f"non-finite Newton update at t = {t:.6e} s")):
+            engine._newton_step(sys_, stage, y.copy(), t)
+        assert len(calls) == 1
+
+    def test_finite_update_with_overflowing_square_sum_passes(
+            self, monkeypatch):
+        """An update of 1e160 V squares past the largest float, so a
+        screen by its dot product overflows (numpy's overflow warning,
+        let pass here), but every entry is finite: Newton takes the step
+        and walks back to the run it would have made."""
+        cfg = SimConfig(dt_s=5e-12, t_stop_s=1e-10)
+        reference = transient(rc_netlist(), cfg)
+        solve, calls = np.linalg.solve, []
+
+        def first_overshoots(a, rhs):
+            calls.append(None)
+            dx = solve(a, rhs)
+            return dx + 1e160 if len(calls) == 1 else dx
+
+        monkeypatch.setattr(np.linalg, "solve", first_overshoots)
+        with np.errstate(over="ignore"):
+            wave = transient(rc_netlist(), cfg)
+        assert wave.linear_solves == len(calls) > reference.linear_solves
+        np.testing.assert_allclose(wave.voltages["a"],
+                                   reference.voltages["a"], rtol=0, atol=1e-9)
 
 
 def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):

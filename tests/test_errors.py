@@ -14,7 +14,8 @@ test_geometry.py.)
 A finite value out of range fails with its own exact message on the run
 path too: the netlist, the simulator settings and waveforms, the
 topology builders and metrology, and the structural checks of the
-engine's MNA walk, which come before the step-count check.  Newton
+engine's MNA walk, which refuse a bool as a node index of any element
+kind and come before the step-count check.  Newton
 reports a step it cannot converge.
 """
 import dataclasses
@@ -32,8 +33,8 @@ from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                             InvalidModelError, NumericFailure, check_finite)
 from tsvqvco.geometry import Segment, rect_segment
 from tsvqvco.metrology import SimMetrics, measure_metrics
-from tsvqvco.netlist import (Capacitor, CoupledInductors, Netlist, Resistor,
-                             Vccs, VSource)
+from tsvqvco.netlist import (Capacitor, CoupledInductors, Mos, Netlist,
+                             Resistor, Varactor, Vccs, VSource)
 from tsvqvco.topologies import (TopologyParams, build_netlist,
                                 build_quadrature_bench, default_sim_config)
 from tsvqvco.transformer import TransformerModel
@@ -311,6 +312,38 @@ def test_raw_element_checks_its_values(case):
     build, message = RAW_ELEMENT_CASES[case]
     with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
         run_rc(build())
+
+
+# One raw element of each kind with node index `node` as its first
+# terminal; node 0 and ground fill the others.
+RAW_TERMINAL_CASES = {
+    "resistor": lambda node: Resistor(node, -1, 1e3, "rx"),
+    "capacitor": lambda node: Capacitor(node, -1, 1e-12, "rx"),
+    "inductor": lambda node: CoupledInductors(((node, -1),), ((1e-9,),),
+                                              (0.0,), "rx", (0.0,)),
+    "coupled set": lambda node: CoupledInductors(
+        ((0, -1), (node, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "rx",
+        (0.0, 0.0)),
+    "vsource": lambda node: VSource(node, -1, 1.0, "rx"),
+    "vccs": lambda node: Vccs(node, -1, 0, -1, 1e-3, "rx"),
+    "mos": lambda node: Mos(node, 0, -1, MosParams("n", 1e-3, 0.3), "rx"),
+    "varactor": lambda node: Varactor(
+        node, -1, 0, -1, VaractorModel(1e-12, 3e-12, 0.0, 0.7), "rx"),
+}
+
+
+@pytest.mark.parametrize("node", [True, np.True_, False, np.False_],
+                         ids=["True", "np.True_", "False", "np.False_"])
+@pytest.mark.parametrize("case", sorted(RAW_TERMINAL_CASES))
+def test_raw_element_with_a_bool_node_is_refused(case, node):
+    """A bool is not a node index, though the walk's range test and
+    numpy's indexing take True as node 1 and False as node 0."""
+    net = rc_netlist()
+    net.add_resistor("b", "gnd", 1e3)  # node 1, which True would index
+    net.elements.append(RAW_TERMINAL_CASES[case](node))
+    message = f"element rx references unknown node {node}"
+    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+        engine._System(net)  # the netlist is read before any step
 
 
 def test_span_is_checked_once_where_the_config_is_made():

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
 from tsvqvco.errors import InvalidGeometryError
@@ -78,6 +80,21 @@ class TestSegment:
     def test_unknown_shape_rejected(self):
         with pytest.raises(InvalidGeometryError, match="shape"):
             Segment(start=(0, 0, 0), end=(1e-6, 0, 0), shape="oval", radius_m=1e-6)
+
+    @pytest.mark.parametrize("field", ["radius_m", "width_m", "thickness_m"])
+    def test_numpy_dimensions_take_the_full_rule(self, field):
+        """A numpy scalar dimension leaves the fast path for check_finite:
+        a numpy float builds the same segment as a float, a numpy bool is
+        refused by name, as a bool is."""
+        dims = dict(radius_m=1e-6, width_m=2e-6, thickness_m=3e-6)
+        for shape in ("round", "rect"):
+            plain = Segment((0, 0, 0), (1e-5, 0, 0), shape, **dims)
+            numpy_float = Segment((0, 0, 0), (1e-5, 0, 0), shape, **{
+                **dims, field: np.float64(dims[field])})
+            assert numpy_float == plain
+        with pytest.raises(InvalidGeometryError, match=re.escape(
+                f"segment field {field} is not a finite number")):
+            Segment((0, 0, 0), (1e-5, 0, 0), "rect", **{**dims, field: np.True_})
 
 
 class TestCoilGeometry:

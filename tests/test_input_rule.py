@@ -28,7 +28,7 @@ from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              p_channel_mirror)
 from tsvqvco.engine import SimConfig, Waveforms
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
-from tsvqvco.geometry import (ProcessParams, TransformerGeometry,
+from tsvqvco.geometry import (ProcessParams, Segment, TransformerGeometry,
                               round_segment)
 from tsvqvco.inductance import (coupling_coefficient, pack_windings,
                                 segment_resistance, skin_depth,
@@ -122,6 +122,11 @@ TABLE = {
     # geometry
     "geometry.ProcessParams": Call(
         ProcessParams, {}, InvalidGeometryError, "process"),
+    # built once per routed conductor, on the sweep's hot path
+    "geometry.Segment": Call(
+        Segment, dict(start=(0.0, 0.0, 0.0), end=(1e-4, 0.0, 0.0),
+                      shape="round", radius_m=1e-5),
+        InvalidGeometryError, "segment"),
     "geometry.TransformerGeometry": Call(
         TransformerGeometry, dict(GEOMETRY, trace_width_um=8.0),
         InvalidGeometryError, "geometry"),
@@ -225,13 +230,9 @@ EXEMPT = {
     "netlist.Mos": "node indices only (see UNCHECKED)",
     "netlist.Varactor": "node indices only (see UNCHECKED)",
     "netlist.VSource.value_at": "evaluated at the engine's own step times",
-    # built once per routed conductor on the sweep's hot path, whose fast
-    # check is math.isfinite, which passes a bool as 1; test_errors.py
-    # tries NaN and inf on every Segment field
-    "geometry.Segment": "the sweep's fast path: NaN and inf only",
 }
 _NODES = ("node indices, which Netlist._add assigns and the engine's walk "
-          "checks against the node list")
+          "checks against the node list, refusing a bool")
 # Parameters of TABLE names that take no check, and why.
 UNCHECKED = {
     "devices.check_coupled_set.n":
