@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .devices import MosParams, VaractorModel, check_coupled_set
 from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
 
@@ -63,9 +65,10 @@ class CoupledInductors:
 
     pairs[w] = (a, b) is winding w from node a to node b; the branch
     current flows a -> b inside the winding and starts at i_initial_a[w].
-    devices.check_coupled_set checks every set; one winding is an
-    inductor (Netlist.add_inductor), whose own messages come first.  The
-    values are stored as tuples of floats.
+    The initial-current count is checked first and devices.check_coupled_set
+    checks every set; one winding with a 1x1 matrix is an inductor
+    (Netlist.add_inductor), whose own messages come before the set's.
+    The values are stored as tuples of floats.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -76,14 +79,15 @@ class CoupledInductors:
 
     def __post_init__(self) -> None:
         n = len(self.pairs)
-        if n == 1:
+        if len(self.i_initial_a) != n:
+            raise InvalidModelError("initial currents must match winding count")
+        # one winding with a 1x1 matrix is an inductor, checked as one first
+        if n == 1 and np.asarray(self.matrix, dtype=object).shape == (1, 1):
             check_finite(InvalidModelError, "inductor", "henries",
                          self.matrix[0][0], POSITIVE)
             check_finite(InvalidModelError, "inductor", "i_initial_a",
                          self.i_initial_a[0])
         check_coupled_set(n, self.matrix, self.series_r)
-        if len(self.i_initial_a) != n:
-            raise InvalidModelError("initial currents must match winding count")
         for w, i0 in enumerate(self.i_initial_a):
             check_finite(InvalidModelError, "coupled set", f"i_initial_a[{w}]",
                          i0)
@@ -102,6 +106,10 @@ class Mos:
     params: MosParams
     label: str
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.params, MosParams):
+            raise InvalidModelError("mos field params must be a MosParams")
+
 
 @dataclass(frozen=True)
 class Varactor:
@@ -117,6 +125,11 @@ class Varactor:
     cn: int
     model: VaractorModel
     label: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.model, VaractorModel):
+            raise InvalidModelError(
+                "varactor field model must be a VaractorModel")
 
 
 @dataclass(frozen=True)

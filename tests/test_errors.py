@@ -297,6 +297,16 @@ RAW_ELEMENT_CASES = {
     "inductor matrix shape": (lambda: CoupledInductors(
         ((0, -1),), ((1e-9, 5.0),), (0.0,), "lx", (0.0,)),
         "coupled set with 1 windings needs a 1x1 matrix"),
+    "inductor empty matrix": (lambda: CoupledInductors(
+        ((0, -1),), (), (0.0,), "lx", (0.0,)),
+        "coupled set with 1 windings needs a 1x1 matrix"),
+    "inductor no initial current": (lambda: CoupledInductors(
+        ((0, -1),), ((1e-9,),), (0.0,), "lx", ()),
+        "initial currents must match winding count"),
+    "mos params": (lambda: Mos(0, 0, -1, None, "mx"),
+                   "mos field params must be a MosParams"),
+    "varactor model": (lambda: Varactor(0, -1, 0, -1, None, "cvx"),
+                       "varactor field model must be a VaractorModel"),
     "coupled set initial currents": (lambda: CoupledInductors(
         ((0, -1), (0, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "kx",
         (0.0,)), "initial currents must match winding count"),

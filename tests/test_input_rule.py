@@ -8,13 +8,21 @@ the public names and their float or int parameters: a name missing from
 TABLE and EXEMPT, or a parameter neither tried nor listed in UNCHECKED
 with its reason, fails the suite, so a new public input cannot skip the
 rule unnoticed.
+
+Node indices are not numbers but slots: NODE_FIELDS lists the node-index
+fields of every netlist element kind, and each is tried through
+transient with a float, a string and True, which the engine's netlist
+walk must refuse by name.  An element kind missing from NODE_FIELDS, or
+an int field of one that it does not list, fails the suite.
 """
+import dataclasses
 import functools
 import importlib
 import inspect
 import math
 import pkgutil
 import re
+import typing
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -26,7 +34,7 @@ from tsvqvco.analysis import (DesignSpec, TankParams, figure_of_merit,
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, check_coupled_set,
                              p_channel_mirror)
-from tsvqvco.engine import SimConfig, Waveforms
+from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
 from tsvqvco.geometry import (ProcessParams, Segment, TransformerGeometry,
                               round_segment)
@@ -34,7 +42,8 @@ from tsvqvco.inductance import (coupling_coefficient, pack_windings,
                                 segment_resistance, skin_depth,
                                 winding_resistances)
 from tsvqvco.metrology import SimMetrics, measure_metrics
-from tsvqvco.netlist import Capacitor, Netlist, Resistor, Vccs, VSource
+from tsvqvco.netlist import (Capacitor, CoupledInductors, Element, Mos,
+                              Netlist, Resistor, Varactor, Vccs, VSource)
 from tsvqvco.topologies import (TopologyParams, build_quadrature_bench,
                                 default_sim_config)
 from tsvqvco.transformer import (DEFAULT_EVAL_FREQUENCY_HZ, TransformerModel,
@@ -227,20 +236,34 @@ EXEMPT = {
     "devices.mos_row": "drain, gate and source slots the engine assigns",
     "devices.mos_eval": "a device evaluator: Newton's inputs, not the user's",
     "devices.varactor_eval": "a device evaluator: Newton's inputs",
-    "netlist.Mos": "node indices only (see UNCHECKED)",
-    "netlist.Varactor": "node indices only (see UNCHECKED)",
     "netlist.VSource.value_at": "evaluated at the engine's own step times",
 }
-_NODES = ("node indices, which Netlist._add assigns and the engine's walk "
-          "checks against the node list, refusing a bool")
 # Parameters of TABLE names that take no check, and why.
 UNCHECKED = {
     "devices.check_coupled_set.n":
         "the winding count, which the matrix shape check holds to the matrix",
-    **{f"netlist.{cls}.{p}": _NODES for cls, ps in (
-        ("Resistor", "ab"), ("Capacitor", "ab"), ("VSource", "pn"),
-        ("Vccs", ("p", "n", "cp", "cn"))) for p in ps},
 }
+
+# Every netlist element kind: its node-index fields (a winding's two
+# terminals for the one-winding set), valid indices for them on the
+# nodes of node_netlist, and the element built on given indices.
+NODE_FIELDS = {
+    Resistor: (("a", "b"), (0, -1), lambda *n: Resistor(*n, 1e3, "x")),
+    Capacitor: (("a", "b"), (0, -1), lambda *n: Capacitor(*n, 1e-12, "x")),
+    VSource: (("p", "n"), (0, -1), lambda *n: VSource(*n, 0.1, "x")),
+    Vccs: (("p", "n", "cp", "cn"), (0, -1, 1, -1),
+           lambda *n: Vccs(*n, 1e-3, "x")),
+    Mos: (("d", "g", "s"), (0, 1, -1),
+          lambda *n: Mos(*n, MosParams("n", 1e-3, 0.3), "x")),
+    Varactor: (("a", "b", "cp", "cn"), (0, -1, 1, -1),
+               lambda *n: Varactor(*n, VaractorModel(1e-12, 3e-12, 0.0, 0.7),
+                                   "x")),
+    CoupledInductors: (("pairs[0][0]", "pairs[0][1]"), (0, -1),
+                       lambda a, b: CoupledInductors(((a, b),), ((1e-9,),),
+                                                     (0.0,), "x", (0.0,))),
+}
+NODES = {f"netlist.{kind.__name__}.{name}"
+         for kind, (names, _, _) in NODE_FIELDS.items() for name in names}
 
 
 def _public_numeric_inputs() -> dict[str, list[str]]:
@@ -271,11 +294,13 @@ def _public_numeric_inputs() -> dict[str, list[str]]:
 
 FOUND = _public_numeric_inputs()
 TRIED = [(name, p) for name in sorted(TABLE) for p in FOUND.get(name, ())
-         if f"{name}.{p}" not in UNCHECKED]
+         if f"{name}.{p}" not in UNCHECKED and f"{name}.{p}" not in NODES]
 
 
 def test_every_public_numeric_input_is_tried_or_exempt():
-    missing = set(FOUND) - set(TABLE) - set(EXEMPT)
+    nodes_only = {name for name, params in FOUND.items()
+                  if all(f"{name}.{p}" in NODES for p in params)}
+    missing = set(FOUND) - set(TABLE) - set(EXEMPT) - nodes_only
     assert not missing, f"add a valid call to TABLE for {sorted(missing)}"
     assert not set(EXEMPT) & set(TABLE)
     stale = (set(TABLE) | set(EXEMPT)) - set(FOUND)
@@ -301,3 +326,45 @@ def test_bad_number_is_rejected_naming_the_input(name, param, bad):
     with pytest.raises(call.error, match="^" + re.escape(
             f"{call.kind} field {field} is not a finite number") + "$"):
         call.run(**{**call.kwargs, param: bad})
+
+
+def node_netlist(element) -> Netlist:
+    """element beside a resistor on node a (index 0) and a 0.3 V source
+    on node b (index 1)."""
+    net = Netlist()
+    net.add_resistor("a", "gnd", 1e3)
+    net.add_vsource("b", "gnd", 0.3)
+    net.elements.append(element)
+    return net
+
+
+NODE_SIM = SimConfig(dt_s=1e-12, t_stop_s=2e-12)
+NODE_CASES = [(kind, i) for kind, (names, _, _) in NODE_FIELDS.items()
+              for i in range(len(names))]
+
+
+def test_node_table_lists_every_element_kind_and_node_field():
+    assert set(typing.get_args(Element)) == set(NODE_FIELDS)
+    for kind, (names, _, _) in NODE_FIELDS.items():
+        declared = {f.name for f in dataclasses.fields(kind)
+                    if re.search(r"\bint\b", str(f.type))}
+        assert {name.split("[")[0] for name in names} == declared, kind
+
+
+@pytest.mark.parametrize("index_type", [int, np.int64])
+@pytest.mark.parametrize("kind", NODE_FIELDS, ids=lambda kind: kind.__name__)
+def test_integer_node_indices_pass(kind, index_type):
+    _, nodes, build = NODE_FIELDS[kind]
+    transient(node_netlist(build(*map(index_type, nodes))), NODE_SIM)
+
+
+@pytest.mark.parametrize("bad", [0.5, "0", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("kind, i", NODE_CASES, ids=[
+    f"{kind.__name__}.{NODE_FIELDS[kind][0][i]}" for kind, i in NODE_CASES])
+def test_non_integer_node_index_is_refused(kind, i, bad):
+    _, nodes, build = NODE_FIELDS[kind]
+    nodes = list(nodes)
+    nodes[i] = bad
+    with pytest.raises(InvalidModelError, match="^" + re.escape(
+            f"element x references unknown node {bad}") + "$"):
+        transient(node_netlist(build(*nodes)), NODE_SIM)

@@ -6,7 +6,9 @@ varactor's capacitance at its control voltage, which checks C's
 varactor columns.  On the toroidal tc-qvco the poles then agree with the
 benchmark's recorded 100-period runs of the same netlists: the dominant
 pair is the +90 degree mode, within 1 % of the run's frequency, and with
-flip_dots it is a 0 or 180 degree mode instead.  A tuning-array code
+flip_dots it is a 0 or 180 degree mode instead.  On the vertical spiral
+the same two pairs compete with a much smaller selection margin, pinned
+at this engine's own figures.  A tuning-array code
 sets only two switch resistances, so it leaves the count of finite poles
 alone, also where roundoff splits a Jordan pair of infinite poles.
 """
@@ -75,10 +77,11 @@ def test_varactor_tank_has_the_poles_of_its_fixed_capacitor():
                                rtol=1e-12, atol=0)
 
 
-def qvco_netlist(toroidal_model, **kwargs) -> Netlist:
-    """The netlist of the benchmark's qvco workloads."""
+def qvco_netlist(model, **kwargs) -> Netlist:
+    """The netlist of the benchmark's qvco workloads on transformer
+    model."""
     return build_netlist("tc-qvco", TopologyParams(
-        transformer=toroidal_model,
+        transformer=model,
         c_parasitic_f=workloads.QVCO_C_PARASITIC_F, **kwargs))
 
 
@@ -108,6 +111,31 @@ def test_buffered_core_keeps_the_quadrature_mode(toroidal_model, recorded):
     assert poles[0].imag / 2e6 / math.pi == pytest.approx(2096.2, abs=0.1)
     f_run = recorded["qvco_buffered"]["metrics"]["f_osc_hz"]
     assert abs(poles[0].imag / 2.0 / math.pi / f_run - 1.0) <= 0.01
+
+
+def test_vertical_spiral_modes_compete(vertical_spiral_model,
+                                       toroidal_model):
+    """Both quadrature pairs of the vertical-spiral tc-qvco grow, the +90
+    degree pair (4.4922 GHz, sigma/2pi 26.12 MHz) ahead of the -90 degree
+    pair (4.4133 GHz, 24.63 MHz) by a selection margin, the difference of
+    their growth rates, of 1.49 MHz against 8.19 MHz on the toroidal
+    core.  These figures come from a run of small_signal itself, not from
+    an independent oracle; the tolerances are half a unit in the last
+    digit given, so the test pins the competition as this engine sees
+    it."""
+    poles, lead = upper_poles(qvco_netlist(vertical_spiral_model), "V_o3")
+    f_mhz, sigma_mhz = poles.imag / 2e6 / math.pi, poles.real / 2e6 / math.pi
+    assert lead[0] == pytest.approx(90.0, abs=0.1)
+    assert f_mhz[0] == pytest.approx(4492.2, abs=0.05)
+    assert sigma_mhz[0] == pytest.approx(26.12, abs=0.005)
+    assert lead[1] == pytest.approx(-90.0, abs=0.1)
+    assert f_mhz[1] == pytest.approx(4413.3, abs=0.05)
+    assert sigma_mhz[1] == pytest.approx(24.63, abs=0.005)
+    assert np.all(poles.real[2:] < 0.0)
+    assert sigma_mhz[0] - sigma_mhz[1] == pytest.approx(1.49, abs=0.005)
+    toroidal, _ = upper_poles(qvco_netlist(toroidal_model), "V_o3")
+    margin = (toroidal.real[0] - toroidal.real[1]) / 2e6 / math.pi
+    assert margin == pytest.approx(8.19, abs=0.005)
 
 
 def test_flipped_dots_lose_quadrature(toroidal_model):
