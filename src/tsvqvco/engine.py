@@ -35,38 +35,33 @@ per run, holding three matrices over y:
 
     F  = [a0 | inc w | 0 | 0 | -I]                     f = F y
     R  = [NEWTON_REL |a0| | 0 | NEWTON_ABS | NEWTON_REL I]
-    Jm = [r jst w | r a0]               J = (Jm y[partials, 1]) as size x size
+    Jm = [jst w | a0]                   J = (Jm y[partials, 1]) as size x size
 
 over the unknown rows, with a0 = a_static + coef a_react and the device
 weights w, 1 on a transistor and coef on a varactor and its partials.
-At coef 0, F y is the static residual and Jm the row-scaled static
-Jacobian.  A Newton iteration writes the device values into y with one
-slice assignment, forms the residual f = a0 x - b + inc w @ values as
-F y, and accepts when |f| <= min(R |y|, kcl_cap) on every row: each row
+At coef 0, F y is the static residual and Jm the static Jacobian.  A
+Newton iteration writes the device values into y with one slice
+assignment, forms the residual f = a0 x - b + inc w @ values as F y,
+and accepts when |f| <= min(R |y|, kcl_cap) on every row: each row
 balances to within tolerance relative to the magnitudes summed in it,
 and every node row also within KCL_ABS_A (update-only tests stall at
 the linear-solve noise floor on stiff systems).  This is the engine's
 one KCL check, and a NaN row fails it.  Only when a solve follows does
-it form the row-scaled Jacobian J, in one product.
+it form the Jacobian J, in one product; the update dx solves J dx = f
+with J as stamped, and x steps to x - dx.
 
 A run allocates its working arrays once: transient holds y, the solution
-rows and the worst accepted |f| of each row, and the _System seven
+rows and the worst accepted |f| of each row, and the _System six
 scratch arrays that every iteration writes in place (f, |y|, the
-acceptance reference, |f|, the row mask, r f and the flat Jacobian),
-where the accepted f and |f| stay until the next call.  An iteration
+acceptance reference, |f|, the row mask and the flat Jacobian), where
+the accepted f and |f| stay until the next call.  An iteration
 allocates only the device values and the solve's update dx.  The
 acceptance test counts the rows that pass; the update is screened by
-dx . dx, which is finite unless an entry is not or the sum overflows,
-and only a screen that fails takes the largest |dx| to tell the two
-apart.  Views of the scratch arrays are made per call and never stored,
-so a deep copy of a _System steps exactly as the original does.
-
-Solves are row-equilibrated: branch rows mix +-1 voltage entries with
-L/h terms in the hundreds, which would otherwise eat the pivots.  The
-scales r = 1 / max_j |a0[i, j]| come from the linear stamps alone, so
-they are part of the _Stage; a solve is J dx = r f.  The scaling only
-steers the pivots: every accepted point passes the unscaled residual
-test.
+dx . tiny, with every entry of tiny 2^-600: a finite entry times 2^-600
+is below 2^424, so the sum stays finite and raises no overflow, while a
+NaN or inf entry makes it NaN or inf.  Views of the scratch arrays are
+made per call and never stored, so a deep copy of a _System steps
+exactly as the original does.
 
 Every step, linear circuits included, is solved by Newton from a
 polynomial predictor: the degree-PREDICTOR_ORDER extrapolation of the
@@ -231,6 +226,8 @@ class Waveforms:
         traces = [("time_s", self.time_s), *self.voltages.items(),
                   *self.currents.items()]
         n = len(self.time_s)
+        if not n:
+            raise InvalidModelError("time grid has no sample")
         for name, trace in traces:
             if not np.isfinite(trace).all():
                 raise InvalidModelError(
@@ -254,12 +251,11 @@ class Waveforms:
 class _Stage:
     """The constant part of the Newton system at one integrator
     coefficient, as matrices over the step state y (module docstring):
-    the residual F, the acceptance reference R, the row-scaled Jacobian
-    stamps Jm over y's partials and its 1, the row scales r, and hist,
-    which maps the accepted y of a step to the next step's b, for the
-    next coefficient the stage was built with."""
+    the residual F, the acceptance reference R, the Jacobian stamps Jm
+    over y's partials and its 1, and hist, which maps the accepted y of
+    a step to the next step's b, for the next coefficient the stage was
+    built with."""
 
-    r: np.ndarray
     F: np.ndarray
     R: np.ndarray
     Jm: np.ndarray
@@ -279,8 +275,9 @@ class _System:
     their stamps as the constant pattern inc and jst.  The slices dev,
     jac and rhs place the device values, the partials with the 1, and b
     in the step state y of length ylen, and q_map @ y is the charge
-    q(x) (module docstring).  f, abs_y, ref, abs_f, accept, rf and js
-    are the scratch arrays _newton_step writes in place.
+    q(x) (module docstring).  f, abs_y, ref, abs_f, accept and js are
+    the scratch arrays _newton_step writes in place, and tiny the
+    constant it screens each update with.
     """
 
     def __init__(self, net: Netlist):
@@ -313,8 +310,8 @@ class _System:
         self.ref = np.empty(self.size)
         self.abs_f = np.empty(self.size)
         self.accept = np.empty(self.size, dtype=bool)
-        self.rf = np.empty(self.size)
         self.js = np.empty(self.size * self.size)
+        self.tiny = np.full(self.size, 2.0**-600)
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(G, C) over the unknowns at the step state y: G is a_static
@@ -331,10 +328,6 @@ class _System:
         size, dim = self.size, self.size + 1
         k = self.inc.shape[1]
         a0 = (self.a_static + coef * self.a_react)[:size]
-        abs_a0 = np.abs(a0)
-        peak = abs_a0[:, :size].max(axis=1)
-        peak[peak == 0.0] = 1.0
-        r = 1.0 / peak
         eye = np.eye(size)
         w = np.ones(k)  # the device weights: coef on each varactor
         w[len(self.mos):] = coef
@@ -342,18 +335,15 @@ class _System:
         def zeros(n):
             return np.zeros((size, n))
 
-        jsts = (self.jst.reshape(dim, dim, -1)[:size, :size]
-                * (r[:, None, None] * np.repeat(w, 2)))
-        a0s = r[:, None] * a0[:, :size]
+        jsts = self.jst.reshape(dim, dim, -1)[:size, :size] * np.repeat(w, 2)
         hist = (coef + next_coef) * self.q_map
         hist[:, self.rhs] = -eye
         return _Stage(
-            r=r,
             F=np.hstack([a0, self.inc[:size] * w, zeros(2 * k + 1), -eye]),
-            R=np.hstack([NEWTON_REL * abs_a0, zeros(3 * k),
+            R=np.hstack([NEWTON_REL * np.abs(a0), zeros(3 * k),
                          np.full((size, 1), NEWTON_ABS), NEWTON_REL * eye]),
             Jm=np.hstack([jsts.reshape(size * size, -1),
-                           a0s.reshape(size * size, 1)]),
+                           a0[:, :size].reshape(size * size, 1)]),
             hist=hist)
 
     def _build_device_pattern(self) -> None:
@@ -383,10 +373,13 @@ class _System:
         each element's terminals as it stamps them, assigns branch rows
         and labels, fills x_init and collects the sources, transistors
         and varactors; then it checks for ground, floating nodes and
-        initial voltages on unknown nodes, in that order."""
+        initial voltages on unknown nodes, in that order.  A netlist with
+        no element or no node besides ground is refused first."""
         net = self.net
         if not net.elements:
             raise InvalidModelError("netlist has no elements")
+        if not self.n:
+            raise InvalidModelError("netlist has no node besides ground")
         dim = self.size + 1
         a_static = np.zeros((dim, dim))
         a_react = np.zeros((dim, dim))
@@ -474,7 +467,7 @@ class _System:
 
 def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
     """Name the first unknown with an all-zero row or column in the
-    scaled matrix js; positive row scales keep those zero."""
+    Jacobian js."""
     scale = np.abs(js)
     dead = np.where((scale.max(axis=1) == 0.0) | (scale.max(axis=0) == 0.0))[0]
     if len(dead):
@@ -507,7 +500,7 @@ def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
     x = y[:size + 1]
     dev, jac, kcl_cap, accept = sys.dev, sys.jac, sys.kcl_cap, sys.accept
     f, abs_y, ref, abs_f = sys.f, sys.abs_y, sys.ref, sys.abs_f
-    F, R, Jm, r = stage.F, stage.R, stage.Jm, stage.r
+    F, R, Jm = stage.F, stage.R, stage.Jm
 
     for it in range(MAX_NEWTON):
         y[dev] = _devices(sys, x.tolist())
@@ -522,13 +515,12 @@ def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
         # the Jacobian only now: an accepted residual needs none
         js = np.dot(Jm, y[jac], out=sys.js).reshape(size, size)
         try:
-            dx = np.linalg.solve(js, np.multiply(r, f, out=sys.rf))
+            dx = np.linalg.solve(js, f)
         except np.linalg.LinAlgError:
             raise NumericFailure(_singular_diagnostic(sys, js))
-        # dx . dx is NaN or inf if an entry is; only then take the max,
-        # which a finite update whose square sum overflows passes
-        if not math.isfinite(np.dot(dx, dx)) \
-                and not math.isfinite(np.abs(dx).max()):
+        # NaN or inf exactly when an entry is: 2^-600 keeps a finite
+        # update's sum far below overflow (module docstring)
+        if not math.isfinite(np.dot(dx, sys.tiny)):
             raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
         y[:size] -= dx
     raise NumericFailure(

@@ -19,13 +19,13 @@ point must change only the iteration count, never the answer; the
 predictor is exact on polynomials of degree below its row count, and
 keeps the buffered tc-qvco near one solve per step.  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
-and short tc-qvco runs take exactly their recorded solves.  A run's solve
-histogram accounts for every step and every solve, and a histogram that
-does not is refused; its worst KCL residual is the largest node-row
-residual of an accepted step, and a device value that turns NaN stops
-the run at that step.  The
-Newton path must reproduce a closed-form RC discharge and series-RLC
-ring-down.  The reactive step history is checked three independent ways:
+and short tc-qvco runs and the stiffest netlists of every topology take
+exactly their recorded solves.  A run's solve histogram accounts for
+every step and every solve, and a histogram that does not is refused,
+as is a time grid with no sample; its worst KCL residual is the largest
+node-row residual of an accepted step, and a device value that turns
+NaN stops the run at that step.  The Newton path must reproduce a
+closed-form RC discharge and series-RLC ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
 a varactor at a fixed control voltage matches a linear capacitor.
 Newton's scratch arrays do not show: a deep copy of a system steps bit
@@ -291,13 +291,11 @@ class TestStageAtAnyCoefficient:
         mag = np.abs(a_static) @ np.abs(x) + ref["i_mag"][:size] + np.abs(b)
         assert np.all(np.abs(stage.F @ y - f) <= 1e-14 * mag)
 
-        r = 1.0 / np.abs(a_static[:, :size]).max(axis=1)
         jac = a_static[:, :size] + ref["j_mos"][:size, :size]
         js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
         row_mag = (np.abs(a_static[:, :size])
                    + np.abs(ref["j_mos"][:size, :size])).max(axis=1)
-        assert np.all(np.abs(js - r[:, None] * jac)
-                      <= 1e-14 * (r * row_mag)[:, None])
+        assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
         # the varactor carries no current at coef 0
         out, cp = (sys_.net.node_names.index(n) for n in ("out", "cp"))
         assert js[out, cp] == 0.0
@@ -327,8 +325,7 @@ class TestStageAtAnyCoefficient:
         row_mag = (np.abs(a0) + np.abs(ref["j_mos"])
                    + self.COEF * np.abs(ref["j_var"]))[:size, :size].max(axis=1)
         js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
-        assert np.all(np.abs(js - stage.r[:, None] * jac)
-                      <= 1e-14 * (stage.r * row_mag)[:, None])
+        assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
 
     def test_linearization_is_the_static_and_the_charge_jacobian(self):
         """G is the static Jacobian, and C the Jacobian of the charge with
@@ -591,8 +588,8 @@ class TestNewtonStartPoint:
         against the stamps they fuse: the residual a0 x - b + inc @ cur
         with every transistor current from mos_eval on its netlist
         element, the acceptance reference NEWTON_ABS + NEWTON_REL
-        (|a0| |x| + |b|), and the row-scaled Jacobian r (a0 + jst @
-        partials); each within 1e-14 of its row's magnitude."""
+        (|a0| |x| + |b|), and the Jacobian a0 + jst @ partials; each
+        within 1e-14 of its row's magnitude."""
         (sys_, stage, y, t), _ = self.mid_run_step(monkeypatch,
                                                    toroidal_model)
         engine._newton_step(sys_, stage, y, t)
@@ -616,17 +613,16 @@ class TestNewtonStartPoint:
 
         part = y[sys_.dev][len(cur):]
         stamps = (sys_.jst @ part).reshape(dim, dim)[:size, :size]
-        jac = stage.r[:, None] * (a0[:, :size] + stamps)
-        row_mag = stage.r * (np.abs(a0[:, :size]) + np.abs(stamps)).max(axis=1)
+        jac = a0[:, :size] + stamps
+        row_mag = (np.abs(a0[:, :size]) + np.abs(stamps)).max(axis=1)
         js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
         assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
 
     @pytest.mark.parametrize("start", ["previous", "extrapolated"])
-    def test_scaled_solve_gives_the_unscaled_update(
+    def test_solve_gives_the_newton_update(
             self, start, monkeypatch, toroidal_model):
-        """The stage's row equilibration only steers the pivots: the
-        engine's first update from a mid-run start point is the Newton
-        update on the unscaled Jacobian."""
+        """The engine's first update from a mid-run start point is the
+        Newton update on the Jacobian summed by hand from the stamps."""
         (sys_, stage, y, t), x_acc = self.mid_run_step(
             monkeypatch, toroidal_model)
         size, dim = sys_.size, sys_.size + 1
@@ -636,7 +632,7 @@ class TestNewtonStartPoint:
         cur, part = device_slots(sys_, x0, coef)
         y0[sys_.dev] = np.concatenate([cur, part])
         # the engine's residual (test_fused_products_match_the_stamps
-        # checks it against the stamps), the unscaled Jacobian by hand
+        # checks it against the stamps), the Jacobian by hand
         f = stage.F @ y0
         a0 = sys_.a_static + coef * sys_.a_react
         jac = (a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
@@ -715,10 +711,10 @@ class TestScratchArrays:
 
     def test_finite_update_with_overflowing_square_sum_passes(
             self, monkeypatch):
-        """An update of 1e160 V squares past the largest float, so a
-        screen by its dot product overflows (numpy's overflow warning,
-        let pass here), but every entry is finite: Newton takes the step
-        and walks back to the run it would have made."""
+        """An update of 1e160 V squares past the largest float, but
+        every entry is finite: the screen passes it without an overflow
+        warning (which the suite turns into an error), and Newton takes
+        the step and walks back to the run it would have made."""
         cfg = SimConfig(dt_s=5e-12, t_stop_s=1e-10)
         reference = transient(rc_netlist(), cfg)
         solve, calls = np.linalg.solve, []
@@ -729,8 +725,7 @@ class TestScratchArrays:
             return dx + 1e160 if len(calls) == 1 else dx
 
         monkeypatch.setattr(np.linalg, "solve", first_overshoots)
-        with np.errstate(over="ignore"):
-            wave = transient(rc_netlist(), cfg)
+        wave = transient(rc_netlist(), cfg)
         assert wave.linear_solves == len(calls) > reference.linear_solves
         np.testing.assert_allclose(wave.voltages["a"],
                                    reference.voltages["a"], rtol=0, atol=1e-9)
@@ -845,6 +840,14 @@ def test_solve_histogram_must_count_the_steps(histogram, message):
                          solve_histogram=histogram)
 
 
+def test_grid_with_no_sample_is_refused():
+    """An empty grid has nothing to measure, so Waveforms refuses it
+    rather than leave measure_metrics a zero-size reduction."""
+    with pytest.raises(InvalidModelError, match="^time grid has no sample$"):
+        engine.Waveforms(time_s=np.array([]), voltages={"V_o1": np.array([])},
+                         currents={})
+
+
 # Linear solves and solve histograms of the 4-period runs, measured on
 # the engine that kept the step history as two vectors (q, i) and
 # evaluated each transistor on its own; the one-vector step state must
@@ -858,6 +861,40 @@ def test_four_period_runs_keep_their_solve_counts(case, toroidal_model):
     wave = qvco_run(toroidal_model, buffers=QVCO_CASES[case][0])
     assert (wave.linear_solves, wave.solve_histogram) \
         == FOUR_PERIOD_SOLVES[case]
+
+
+# The stiffest netlists of the topology matrix, each run for 4 periods at
+# default_sim_config(2e9, 4): the topology, its TopologyParams fields by
+# name (a "vertical_spiral" transformer is that config's model) and the
+# linear solves and solve histogram measured on the engine that
+# row-equilibrated every solve.  The solves as stamped take the same
+# Newton path.
+PLAIN_TANK = TestFirstStep.PLAIN_TANK
+STIFF_SOLVES = {
+    # the array's 50 Ohm / 10 MOhm switches
+    "cr-vco-11": ("cr-vco", dict(PLAIN_TANK, array=TuningArray(1e-12, "11")),
+                  851, (0, 784, 10, 1, 0, 0, 0, 1, 1, 1, 2)),
+    "lc-vco-01": ("lc-vco", dict(PLAIN_TANK, array=TuningArray(1e-12, "01")),
+                  806, (0, 794, 6)),
+    "tf-vco-spiral": ("tf-vco", dict(transformer="vertical_spiral",
+                                     c_tank_f=2e-12),
+                      816, (0, 784, 16)),
+    "tc-qvco-spiral-buffered-11": (
+        "tc-qvco", dict(transformer="vertical_spiral", c_parasitic_f=4.4e-12,
+                        buffers=BufferParams(),
+                        array=TuningArray(1e-12, "11")),
+        842, (0, 758, 42)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STIFF_SOLVES))
+def test_stiff_netlists_keep_their_solve_counts(case, vertical_spiral_model):
+    topology, fields, solves, histogram = STIFF_SOLVES[case]
+    if fields.get("transformer") == "vertical_spiral":
+        fields = dict(fields, transformer=vertical_spiral_model)
+    wave = transient(build_netlist(topology, TopologyParams(**fields)),
+                     default_sim_config(2e9, 4))
+    assert (wave.linear_solves, wave.solve_histogram) == (solves, histogram)
 
 
 @pytest.mark.parametrize("k", sorted(engine._PREDICTOR))

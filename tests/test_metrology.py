@@ -114,6 +114,15 @@ def test_flat_or_tiny_swing_is_not_oscillating(vpp):
     assert m.amplitudes_vpp["V_o1"] == pytest.approx(vpp, rel=1e-5)
 
 
+def test_one_sample_grid_is_not_oscillating():
+    """A grid of one sample has no swing and no frequency to measure."""
+    w = Waveforms(time_s=np.array([0.0]), voltages={"V_o1": np.array([0.35])},
+                  currents={})
+    m = measure_metrics(w, V_DD)
+    assert not m.oscillating
+    assert m.f_osc_hz is None and m.amplitudes_vpp == {"V_o1": 0.0}
+
+
 @pytest.mark.parametrize("trace", ["15 samples", "flat"])
 def test_frequency_needs_sixteen_samples_and_a_swing(trace):
     t = DT_S * np.arange(15 if trace == "15 samples" else 400)

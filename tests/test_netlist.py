@@ -6,7 +6,7 @@ import re
 import pytest
 
 from tsvqvco.devices import VaractorModel
-from tsvqvco.engine import SimConfig, transient
+from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.netlist import Netlist
 
@@ -120,6 +120,18 @@ def test_initial_voltage_on_a_typo_is_an_unknown_node():
 
 def test_empty_netlist():
     assert_invalid(Netlist(), "netlist has no elements")
+
+
+@pytest.mark.parametrize("run", [lambda net: transient(net, CFG), small_signal],
+                         ids=["transient", "small_signal"])
+def test_netlist_with_no_node_besides_ground(run):
+    """Every element on ground leaves no node to solve for: both entry
+    points refuse the netlist by name, not with a numpy error."""
+    net = Netlist()
+    net.add_resistor("gnd", "gnd", 1e3)
+    with pytest.raises(InvalidModelError,
+                       match="^netlist has no node besides ground$"):
+        run(net)
 
 
 def test_initial_condition_on_ground():
