@@ -4,13 +4,13 @@ The half-circuit model: the tank seen at one output is a parallel RLC with
 the coupled part of the primary (k^2 L_p) as its inductor, and the two
 secondary windings inject cross-core current scaled by the turns ratio N.
 The minimum transconductance and the kN > sqrt(2) feasibility verdict
-follow from that picture, and they are the bounds of the linear bench
-topologies.build_quadrature_bench, not of a built netlist.  A built
-netlist's start-up verdict is its poles (engine.small_signal): the
-tc-qvco core on configs/toroidal.json is "infeasible" by kN, yet its
-+90 degree pair grows at sigma/2pi = 53.6 MHz.  Thermal noise is never
-simulated; phase noise is estimated from the tank with Leeson's formula
-at a fixed 290 K.
+follow from that picture, and they are the bounds of the linear
+quadrature bench that tests/test_analysis.py builds, not of a built
+netlist.  A built netlist's start-up verdict is its poles
+(engine.small_signal): the tc-qvco core on configs/toroidal.json is
+"infeasible" by kN, yet its +90 degree pair grows at sigma/2pi =
+53.6 MHz.  Thermal noise is never simulated; phase noise is estimated
+from the tank with Leeson's formula at a fixed 290 K.
 """
 from __future__ import annotations
 

@@ -225,10 +225,12 @@ class Waveforms:
                 {k: _frozen(v) for k, v in getattr(self, name).items()}))
         traces = [("time_s", self.time_s), *self.voltages.items(),
                   *self.currents.items()]
-        n = len(self.time_s)
+        n = self.time_s.size
         if not n:
             raise InvalidModelError("time grid has no sample")
         for name, trace in traces:
+            if trace.ndim != 1:
+                raise InvalidModelError(f"trace {name} must be one-dimensional")
             if not np.isfinite(trace).all():
                 raise InvalidModelError(
                     f"waveforms field {name} is not a finite number")

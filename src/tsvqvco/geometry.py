@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 from .errors import POSITIVE, InvalidGeometryError, check_finite
@@ -73,16 +74,18 @@ class ProcessParams:
         return cls(**data)
 
 
-# The dimension types Segment's fast path takes as they are.
+# The coordinate and dimension types Segment's fast path takes as they are.
 _DIM_TYPES = frozenset({float, int})
+_FLOAT = frozenset({float})
 
 
 @dataclass
 class Segment:
     """Straight conductor segment with a round or rectangular cross section.
 
-    Coordinates are meters.  Current is taken to flow from start to end;
-    mutual terms pick up their sign from that orientation.
+    Coordinates are meters, three to a point.  Current is taken to flow
+    from start to end; mutual terms pick up their sign from that
+    orientation.
     """
 
     start: tuple[float, float, float]
@@ -93,24 +96,32 @@ class Segment:
     thickness_m: float = 0.0
 
     def __post_init__(self) -> None:
-        # the sweep's hot path takes float and int dimensions that
-        # math.isfinite passes; any other type (a bool, which isfinite
-        # takes as 1, or a numpy scalar) goes to check_finite, which
-        # names the culprit
+        # the sweep's hot path: three float or int coordinates a point and
+        # float or int dimensions, whose sum a NaN or inf makes non-finite;
+        # anything else (a bool, which isfinite takes as 1, a string, a
+        # numpy scalar, another length) goes to check_finite, which names it
+        start, end = self.start, self.end
         try:
-            self.start = tuple(map(float, self.start))
-            self.end = tuple(map(float, self.end))
-            r, w, th = dims = (self.radius_m, self.width_m, self.thickness_m)
-            finite = (type(r) in _DIM_TYPES and type(w) in _DIM_TYPES
-                      and type(th) in _DIM_TYPES
-                      and all(map(math.isfinite, self.start + self.end + dims)))
-        except (TypeError, ValueError):
-            finite = False
-        if not finite:
+            values = (*start, *end, self.radius_m, self.width_m,
+                      self.thickness_m)
+            types = set(map(type, values))
+            fast = (len(values) == 9 and len(start) == 3
+                    and types <= _DIM_TYPES and math.isfinite(sum(values)))
+        except (TypeError, OverflowError):  # not a sequence; a huge int
+            fast = False
+        if not fast:
             for name in ("start", "end", "radius_m", "width_m", "thickness_m"):
                 value = getattr(self, name)
-                for v in value if name in ("start", "end") else (value,):
+                point = name in ("start", "end")
+                if point and not (isinstance(value, Sized) and len(value) == 3):
+                    raise InvalidGeometryError(
+                        f"segment field {name} must be a point of three coordinates")
+                for v in value if point else (value,):
                     check_finite(InvalidGeometryError, "segment", name, v)
+        # points of floats, as the winding generators build them, are kept
+        if not (fast and types == _FLOAT and type(start) is type(end) is tuple):
+            self.start = tuple(map(float, start))
+            self.end = tuple(map(float, end))
         if self.shape not in ("round", "rect"):
             raise InvalidGeometryError(f"unknown segment shape {self.shape!r}")
         if self.length_m <= 0.0:

@@ -49,8 +49,12 @@ class SimMetrics:
     steady: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("amplitudes_vpp", "phases_deg"):
-            object.__setattr__(self, name, ReadOnlyDict(getattr(self, name)))
+        for name, sign in (("amplitudes_vpp", NON_NEGATIVE), ("phases_deg", None)):
+            values = ReadOnlyDict(getattr(self, name))
+            object.__setattr__(self, name, values)
+            for node, value in values.items():
+                check_finite(InvalidModelError, "metrics", f"{name}[{node}]",
+                             value, sign)
         for name, sign in (("f_osc_hz", POSITIVE), ("delta_v_out_v", NON_NEGATIVE),
                            ("startup_s", NON_NEGATIVE), ("power_core_mw", None),
                            ("power_buffer_mw", None)):

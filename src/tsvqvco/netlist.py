@@ -156,8 +156,9 @@ class VSource:
 class Vccs:
     """Current gm * (v_cp - v_cn) flowing from p through the element to n.
 
-    Not part of any built topology; exists so linearized benches can be
-    wired from the same netlist machinery.  Gain may be negative.
+    Not part of any built topology; it wires the tests' linearized
+    quadrature bench from the same netlist machinery.  Gain may be
+    negative.
     """
 
     p: int

@@ -16,9 +16,9 @@ Four topologies share one parameter block:
 build_netlist adds the supplies before a topology's own elements and,
 when buffers are set, one AC-coupled self-biased inverter on its own
 supply after them for every output the topology has.  The PMOS of a
-core is the mirror of params.nmos, and the three-coil sets take one dot
-sign per winding from DEFAULT_DOT_SIGNS (flip_dots reverses transformer
-B's primary dot).
+core is the mirror of params.nmos, and both three-coil sets take one
+dot sign per winding from DEFAULT_DOT_SIGNS.  A variant, such as a
+wrong-dot control, is an edit of the built netlist, not an option here.
 
 One helper, _add_tank, stamps the tank of every core of every topology
 the same way.  An array bit is c_unit/2 in series with its switch, the
@@ -27,17 +27,11 @@ middle node has a DC path.  All supplies ramp from zero over
 SOURCE_RAMP_S, and every builder seeds startup itself: V_o1 starts at
 PERTURBATION_V, every other node at 0 V.  The engine adds nothing to a
 netlist's initial state.
-
-build_quadrature_bench is different in kind: it is the linearized
-small-signal model of the coupled cores (controlled sources instead of
-transistors), the circuit the half-circuit kN bound of analysis holds
-for; its poles and transients check that bound.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .analysis import TankParams, min_transconductance
 from .devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams, MosParams,
                       TuningArray, VaractorModel, p_channel_mirror)
 from .engine import SimConfig
@@ -56,8 +50,7 @@ BUFFER_LOAD_F = 20e-15
 # Dot convention for the 3-coil sets, one sign per winding (primary,
 # secondary1, secondary2): the second secondary is wound inverted, which
 # is what turns the cross-core source injection into positive feedback
-# once the cores are wired output->far-core-source.  flip_dots departs
-# from it to show lock failure.
+# once the cores are wired output->far-core-source.
 DEFAULT_DOT_SIGNS = (1, 1, -1)
 
 
@@ -76,7 +69,6 @@ class TopologyParams:
     nmos: MosParams = field(default_factory=lambda: MosParams(
         polarity="n", k_factor=0.026, v_th=0.09, lam=0.05))
     transformer: TransformerModel | None = None
-    flip_dots: bool = False
     l_tank_h: float | None = None
     c_tank_f: float | None = None
     r_tank_ohm: float | None = None
@@ -186,10 +178,7 @@ def _build_cr_vco(net: Netlist, p: TopologyParams) -> None:
 def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     x = p.transformer
     series = (x.r_pac, x.r_sac, x.r_sac)
-    # flipping one transformer's primary dot turns the antisymmetric
-    # round trip into a symmetric one, which locks the cores at 0/180
-    # instead of quadrature; flipping both would just relabel the modes
-    dots_b = (-1, 1, -1) if p.flip_dots else DEFAULT_DOT_SIGNS
+    m = coupled_inductor_matrix(x)
 
     # Transformer A's primary is core A's tank and its secondaries sit in
     # core B's source paths; transformer B mirrors this back.  With the s2
@@ -198,10 +187,10 @@ def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
     # secondaries makes the round trip antisymmetric: quadrature lock.
     net.add_coupled_inductors(
         [("V_o1", "V_o2"), ("vdd", "src_p_b"), ("gnd", "src_n_b")],
-        coupled_inductor_matrix(x), series, label="xfmr_a")
+        m, series, label="xfmr_a")
     net.add_coupled_inductors(
         [("V_o3", "V_o4"), ("src_p_a", "vdd"), ("src_n_a", "gnd")],
-        coupled_inductor_matrix(x, dots_b), series, label="xfmr_b")
+        m, series, label="xfmr_b")
 
     for core, (op, on) in (("a", ("V_o1", "V_o2")), ("b", ("V_o3", "V_o4"))):
         net.add_mos(op, on, f"src_p_{core}", p.pmos(), label=f"mp_{core}")
@@ -211,14 +200,13 @@ def _build_tc_qvco(net: Netlist, p: TopologyParams) -> None:
 
 # Each topology's builder, the _TOPOLOGY_FIELDS it needs and those it
 # reads when set; it refuses the others, so none is silently ignored.
-_TOPOLOGY_FIELDS = ("transformer", "flip_dots", "l_tank_h", "c_tank_f",
-                    "r_tank_ohm")
+_TOPOLOGY_FIELDS = ("transformer", "l_tank_h", "c_tank_f", "r_tank_ohm")
 _BUILDERS = {
     "lc-vco": (_build_lc_vco, ("l_tank_h", "c_tank_f", "r_tank_ohm"), ()),
     "tf-vco": (_build_tf_vco, ("transformer", "c_tank_f"), ("r_tank_ohm",)),
     "cr-vco": (_build_cr_vco, ("l_tank_h", "c_tank_f", "r_tank_ohm"), ()),
     "tc-qvco": (_build_tc_qvco, ("transformer",),
-                ("flip_dots", "c_tank_f", "r_tank_ohm")),
+                ("c_tank_f", "r_tank_ohm")),
 }
 TOPOLOGIES = tuple(_BUILDERS)
 
@@ -231,8 +219,7 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
     build, needs, reads = _BUILDERS[topology]
     missing = [n for n in needs if getattr(params, n) is None]
     unread = [n for n in _TOPOLOGY_FIELDS if n not in needs + reads
-              and getattr(params, n) is not None
-              and getattr(params, n) is not False]
+              and getattr(params, n) is not None]
     for names, verb in ((missing, "needs"), (unread, "does not read")):
         if names:
             raise InvalidModelError(f"{topology} {verb} {', '.join(names)}")
@@ -250,38 +237,6 @@ def build_netlist(topology: str, params: TopologyParams) -> Netlist:
         for tag, src in enumerate(OUTPUTS, start=1):
             if src in net.node_names:
                 _add_buffer(net, params.buffers, src, str(tag))
-    net.set_initial_voltage("V_o1", PERTURBATION_V)
-    return net
-
-
-def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
-    """Linearized two-core quadrature model: per core one parallel RLC to
-    ground (L is the reflected k^2 L_p) plus controlled sources carrying
-    the small-signal core action.
-
-    The self term g_m (1/2 - 1/kn^2) turns into exactly 1/R at margin 1;
-    the cross term 1.5 g_m / kn is antisymmetric between the cores, so
-    the modes are a +90 and a -90 degree pair.  At margin 1 both pairs
-    are neutral (sigma = 0), the +90 pair above omega0 at the
-    half-circuit oscillation frequency; above margin 1 both grow, the
-    +90 pair faster, and below it both decay.  Like build_netlist, it
-    seeds startup with V_o1 at PERTURBATION_V.
-    """
-    check_finite(InvalidModelError, "quadrature bench", "g_m_margin",
-                 g_m_margin, POSITIVE)
-    g_m = g_m_margin * min_transconductance(t)
-    g_self = g_m * (0.5 - 1.0 / (t.kn * t.kn))
-    g_cross = 1.5 * g_m / t.kn
-
-    net = Netlist()
-    for node in ("V_o1", "V_o3"):
-        net.add_resistor(node, "gnd", t.r_parallel, label=f"r_{node}")
-        net.add_inductor(node, "gnd", t.l_eq, label=f"l_{node}")
-        net.add_capacitor(node, "gnd", t.c_tank, label=f"c_{node}")
-    net.add_vccs("V_o1", "gnd", "V_o1", "gnd", -g_self, label="g_self_1")
-    net.add_vccs("V_o3", "gnd", "V_o3", "gnd", -g_self, label="g_self_3")
-    net.add_vccs("V_o1", "gnd", "V_o3", "gnd", -g_cross, label="g_cross_13")
-    net.add_vccs("V_o3", "gnd", "V_o1", "gnd", g_cross, label="g_cross_31")
     net.set_initial_voltage("V_o1", PERTURBATION_V)
     return net
 

@@ -29,7 +29,8 @@ from tsvqvco.errors import (
     InvalidModelError,
 )
 from tsvqvco.metrology import estimate_frequency
-from tsvqvco.topologies import build_quadrature_bench
+from tsvqvco.netlist import Netlist
+from tsvqvco.topologies import PERTURBATION_V
 from tsvqvco.transformer import TransformerModel
 
 # R chosen round, k and L_p at the reference design point, N set for kN = 2
@@ -147,6 +148,30 @@ class TestMinTransconductance:
 # Relative accuracy of the bench's poles, the eigen-solve's: over the 200
 # tanks below they match the closed form within 1.2e-15.
 POLE_REL = 1e-12
+
+
+def build_quadrature_bench(t: TankParams, g_m_margin: float) -> Netlist:
+    """The linearized two-core quadrature model, the circuit the
+    half-circuit kN bound holds for: per core a parallel RLC to ground (L
+    is the reflected k^2 L_p), a self term g_m (1/2 - 1/kn^2), exactly 1/R
+    at margin 1, and a cross term 1.5 g_m / kn, antisymmetric between the
+    cores, so the modes are a +90 and a -90 degree pair.  It seeds
+    startup as build_netlist does."""
+    g_m = g_m_margin * min_transconductance(t)
+    g_self = g_m * (0.5 - 1.0 / (t.kn * t.kn))
+    g_cross = 1.5 * g_m / t.kn
+
+    net = Netlist()
+    for node in ("V_o1", "V_o3"):
+        net.add_resistor(node, "gnd", t.r_parallel, label=f"r_{node}")
+        net.add_inductor(node, "gnd", t.l_eq, label=f"l_{node}")
+        net.add_capacitor(node, "gnd", t.c_tank, label=f"c_{node}")
+    net.add_vccs("V_o1", "gnd", "V_o1", "gnd", -g_self, label="g_self_1")
+    net.add_vccs("V_o3", "gnd", "V_o3", "gnd", -g_self, label="g_self_3")
+    net.add_vccs("V_o1", "gnd", "V_o3", "gnd", -g_cross, label="g_cross_13")
+    net.add_vccs("V_o3", "gnd", "V_o1", "gnd", g_cross, label="g_cross_31")
+    net.set_initial_voltage("V_o1", PERTURBATION_V)
+    return net
 
 
 def closed_form_frequency(t: TankParams) -> float:

@@ -34,7 +34,7 @@ from tsvqvco.topologies import (
 from tsvqvco.transformer import TransformerModel
 
 
-# flip_dots reverses transformer B's primary dot
+# transformer B with its primary dot reversed: the wrong-dot control
 FLIPPED = (-1, 1, -1)
 
 
@@ -350,7 +350,7 @@ class TestCoupledInductorMatrix:
 
     def test_default_dot_signs_are_symmetric(self):
         """One sign per winding gives a symmetric sign table, d_i d_j: the
-        default's and flip_dots' are these 3x3 tables."""
+        default's and the wrong-dot control's are these 3x3 tables."""
         tables = {DEFAULT_DOT_SIGNS: ((1, 1, -1), (1, 1, -1), (-1, -1, 1)),
                   FLIPPED: ((1, -1, 1), (-1, 1, -1), (1, -1, 1))}
         for dots, table in tables.items():
@@ -372,17 +372,12 @@ class TestCoupledInductorMatrix:
             for i in range(3))
         assert coupled_inductor_matrix(x, signs) == expected
 
-    @pytest.mark.parametrize("flip_dots", [False, True])
-    def test_flip_dots_reverses_only_transformer_b(self, flip_dots):
+    def test_tc_qvco_winds_both_transformers_alike(self):
         x = reference_transformer()
-        net = build_netlist("tc-qvco", TopologyParams(transformer=x,
-                                                      flip_dots=flip_dots))
+        net = build_netlist("tc-qvco", TopologyParams(transformer=x))
         sets = {e.label: e.matrix for e in net.elements
                 if isinstance(e, CoupledInductors)}
-        signs_b = FLIPPED if flip_dots else DEFAULT_DOT_SIGNS
-        assert sets["xfmr_a"] == coupled_inductor_matrix(x)
-        assert sets["xfmr_b"] == coupled_inductor_matrix(x, signs_b)
-        assert (sets["xfmr_b"] == sets["xfmr_a"]) is not flip_dots
+        assert sets["xfmr_a"] == sets["xfmr_b"] == coupled_inductor_matrix(x)
 
     def test_tf_vco_uses_inverted_leading_block(self):
         x = reference_transformer()

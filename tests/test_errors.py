@@ -6,17 +6,18 @@ names the field, before any range check can let them through: the
 simulator settings and waveforms, the extracted transformer model, the
 design spec, the tank, the netlist elements, the device parameter blocks
 (transistor, varactor, tuning array, buffer, coupled set), the topology
-parameters and the arguments of default_sim_config,
-build_quadrature_bench and measure_metrics.  A conductor segment's coordinates and dimensions raise
-InvalidGeometryError instead.  (Geometry input is covered in
-test_geometry.py.)
+parameters, the arguments of default_sim_config and measure_metrics,
+and every swing and phase of SimMetrics.  A conductor segment's
+coordinates and dimensions raise InvalidGeometryError instead, and each
+of its two points has exactly three coordinates.  (Geometry input is
+covered in test_geometry.py.)
 
 A finite value out of range fails with its own exact message on the run
-path too: the netlist, the simulator settings and waveforms, the
-topology builders and metrology, and the structural checks of the
-engine's MNA walk, which refuse a bool as a node index of any element
-kind and come before the step-count check.  Newton
-reports a step it cannot converge.
+path too: the netlist, the simulator settings and waveforms (whose grid
+and traces are one-dimensional), the topology builders and metrology,
+and the structural checks of the engine's MNA walk, which refuse a bool
+as a node index of any element kind and come before the step-count
+check.  Newton reports a step it cannot converge.
 """
 import dataclasses
 import math
@@ -31,12 +32,12 @@ from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                             InvalidModelError, NumericFailure, check_finite)
-from tsvqvco.geometry import Segment, rect_segment
+from tsvqvco.geometry import Segment, rect_segment, round_segment
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Mos, Netlist,
                              Resistor, Varactor, Vccs, VSource)
 from tsvqvco.topologies import (TopologyParams, build_netlist,
-                                build_quadrature_bench, default_sim_config)
+                                default_sim_config)
 from tsvqvco.transformer import TransformerModel
 
 NAN, INF = math.nan, math.inf
@@ -75,16 +76,22 @@ CASES = {
                      "sim config field t_stop_s"),
     # NaN fails every range check, so without the finite check each of
     # these entry-point arguments fails later under a derived name
-    # (dt_s, the vccs gm) or gives a NaN power
+    # (dt_s) or gives a NaN power
     "sim f_est_hz": (lambda: default_sim_config(NAN, n_periods=4),
                      "sim config field f_est_hz"),
     "sim n_periods": (lambda: default_sim_config(2.5e9, n_periods=NAN),
                       "sim config field n_periods"),
-    "quadrature bench g_m_margin": (
-        lambda: build_quadrature_bench(tank(), NAN),
-        "quadrature bench field g_m_margin"),
     "metrics v_dd": (lambda: measure_metrics(flat_waveforms(), NAN),
                      "metrics field v_dd"),
+    # metrics built by hand used to keep a NaN swing or an inf phase
+    "metrics amplitude": (
+        lambda: SimMetrics(oscillating=True, f_osc_hz=1e9,
+                           amplitudes_vpp={"V_o1": NAN}),
+        "metrics field amplitudes_vpp[V_o1]"),
+    "metrics phase": (
+        lambda: SimMetrics(oscillating=True, f_osc_hz=1e9,
+                           phases_deg={"V_o2": INF}),
+        "metrics field phases_deg[V_o2]"),
     # a NaN time or trace used to reach measure_metrics, which raised an
     # untyped ValueError or OverflowError converting it to an index
     "waveforms time_s": (lambda: flat_waveforms(time_s=(0.0, NAN, 2.0)),
@@ -167,8 +174,12 @@ CASES = {
     # field l_p"
     "segment end": (lambda: Segment((0, 0, 0), (NAN, 0, 0), radius_m=1e-6),
                     "segment field end", InvalidGeometryError),
+    # float() used to parse these strings and take True as 1 m
     "segment non-numeric start": (
-        lambda: Segment((0, "x", 0), (1e-5, 0, 0), radius_m=1e-6),
+        lambda: round_segment(("0", "0", "0"), ("1e-4", 0, 0), 1e-5),
+        "segment field start", InvalidGeometryError),
+    "segment bool start": (
+        lambda: round_segment((True, 0, 0), (1e-4, 0, 0), 1e-5),
         "segment field start", InvalidGeometryError),
     "segment radius_m": (
         lambda: Segment((0, 0, 0), (1e-5, 0, 0), radius_m=NAN),
@@ -207,7 +218,8 @@ def run_rc(*raw_elements, cfg=SimConfig(dt_s=1e-12, t_stop_s=1e-10)):
 
 
 # Each case is (build, message): a finite value out of range, or a
-# structural defect, and the exact InvalidModelError message it raises.
+# structural defect, and the exact InvalidModelError message it raises;
+# or (build, message, error) where the error is not InvalidModelError.
 RANGE_CASES = {
     "resistance": (lambda: Netlist().add_resistor("a", "gnd", 0.0),
                    "resistor field ohms must be positive"),
@@ -244,9 +256,6 @@ RANGE_CASES = {
                  "('lc-vco', 'tf-vco', 'cr-vco', 'tc-qvco')"),
     "missing transformer": (lambda: build_netlist("tc-qvco", TopologyParams()),
                             "tc-qvco needs transformer"),
-    "quadrature bench g_m_margin": (
-        lambda: build_quadrature_bench(tank(), 0.0),
-        "quadrature bench field g_m_margin must be positive"),
     "sim f_est_hz": (lambda: default_sim_config(0.0, n_periods=4),
                      "sim config field f_est_hz must be positive"),
     "sim n_periods": (lambda: default_sim_config(2.5e9, n_periods=1),
@@ -260,6 +269,30 @@ RANGE_CASES = {
         lambda: SimMetrics(oscillating=True, f_osc_hz=2e9,
                            delta_v_out_v=-0.01),
         "metrics field delta_v_out_v must be non-negative"),
+    "metrics amplitude sign": (
+        lambda: SimMetrics(oscillating=True, f_osc_hz=1e9,
+                           amplitudes_vpp={"V_o1": -0.1}),
+        "metrics field amplitudes_vpp[V_o1] must be non-negative"),
+    # a 2-D grid and traces used to read as a run that does not
+    # oscillate, and a scalar grid died on len() with a TypeError
+    "waveforms 2-D grid": (
+        lambda: flat_waveforms(*(np.arange(6.0).reshape(2, 3),) * 3),
+        "trace time_s must be one-dimensional"),
+    "waveforms scalar grid": (lambda: flat_waveforms(0.0, 0.0, 0.0),
+                              "trace time_s must be one-dimensional"),
+    "waveforms 2-D trace": (lambda: flat_waveforms(v_o1=[[0.0] * 3] * 3),
+                            "trace V_o1 must be one-dimensional"),
+    # a 2-coordinate point used to be built and then fail extraction with
+    # numpy's zero-size ValueError; a 4-coordinate one gave RuntimeWarnings
+    **{f"segment {case}": (
+        lambda start=start, end=end: round_segment(start, end, 1e-5),
+        f"segment field {name} must be a point of three coordinates",
+        InvalidGeometryError)
+       for case, start, end, name in (
+           ("two-coordinate start", (0, 0), (1e-4, 0), "start"),
+           ("four-coordinate end", (0, 0, 0), (1e-4, 0, 0, 0), "end"),
+           ("start None", None, (1e-4, 0, 0), "start"),
+           ("scalar end", (0, 0, 0), 1e-4, "end"))},
     "metrics outputs": (
         lambda: measure_metrics(Waveforms(
             time_s=np.arange(3.0), voltages={"X": np.zeros(3)},
@@ -270,8 +303,9 @@ RANGE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(RANGE_CASES))
 def test_out_of_range_input_is_rejected(case):
-    build, message = RANGE_CASES[case]
-    with pytest.raises(InvalidModelError, match=f"^{re.escape(message)}$"):
+    build, message, *error = RANGE_CASES[case]
+    with pytest.raises(error[0] if error else InvalidModelError,
+                       match=f"^{re.escape(message)}$"):
         build()
 
 

@@ -1,13 +1,15 @@
 """Every scalar numeric input passes errors.check_finite.
 
 TABLE holds one valid call for every public callable and parameter block
-of the package that takes a float or int.  Each such argument is replaced
-in turn by NaN, inf and True, and the call must raise its module's typed
-error with the rule's exact message, naming that argument.  inspect finds
-the public names and their float or int parameters: a name missing from
-TABLE and EXEMPT, or a parameter neither tried nor listed in UNCHECKED
-with its reason, fails the suite, so a new public input cannot skip the
-rule unnoticed.
+of the package that takes a float or int, or a point: a fixed-length
+tuple of them, such as a Segment's start.  Each such argument, one
+coordinate at a time for a point, is replaced in turn by NaN, inf and
+True, and the call must raise its module's typed error with the rule's
+exact message, naming that argument.  inspect finds the public names and
+their float, int and point parameters: a name missing from TABLE and
+EXEMPT, or a parameter neither tried nor listed in UNCHECKED with its
+reason, fails the suite, so a new public input cannot skip the rule
+unnoticed.
 
 Node indices are not numbers but slots: NODE_FIELDS lists the node-index
 fields of every netlist element kind, and each is tried through
@@ -44,13 +46,13 @@ from tsvqvco.inductance import (coupling_coefficient, pack_windings,
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Element, Mos,
                               Netlist, Resistor, Varactor, Vccs, VSource)
-from tsvqvco.topologies import (TopologyParams, build_quadrature_bench,
-                                default_sim_config)
+from tsvqvco.topologies import TopologyParams, default_sim_config
 from tsvqvco.transformer import (DEFAULT_EVAL_FREQUENCY_HZ, TransformerModel,
                                  default_secondary_slots, generate_coils,
                                  model_from_coils, wheeler_spiral_inductance)
 
 SCALARS = {"float", "int", "float | None", "int | None"}
+POINT = re.compile(r"tuple\[(float|int)(, (float|int))*\]")
 TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
 SEGMENT = round_segment((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)
 GEOMETRY = dict(style="toroidal", turns_primary=6, turns_secondary=1,
@@ -206,9 +208,6 @@ TABLE = {
                              r_tank_ohm=400.0, v_ctrl_v=0.0,
                              c_parasitic_f=1e-13),
         InvalidModelError, "topology"),
-    "topologies.build_quadrature_bench": Call(
-        build_quadrature_bench, dict(t=TANK, g_m_margin=1.2),
-        InvalidModelError, "quadrature bench"),
     "topologies.default_sim_config": Call(
         default_sim_config, dict(f_est_hz=2.5e9, n_periods=4),
         InvalidModelError, "sim config"),
@@ -266,9 +265,10 @@ NODES = {f"netlist.{kind.__name__}.{name}"
          for kind, (names, _, _) in NODE_FIELDS.items() for name in names}
 
 
-def _public_numeric_inputs() -> dict[str, list[str]]:
+def _public_numeric_inputs() -> dict[str, dict[str, str]]:
     """Every public function, class and public method defined in the
-    package, mapped to its float or int parameters, where it has any."""
+    package, mapped to its float, int and point parameters, where it has
+    any, each with its annotation."""
     found = {}
     for info in pkgutil.iter_modules(tsvqvco.__path__):
         module = importlib.import_module(f"tsvqvco.{info.name}")
@@ -285,16 +285,22 @@ def _public_numeric_inputs() -> dict[str, list[str]]:
                     signature = inspect.signature(target)
                 except ValueError:  # a dict subclass: ReadOnlyDict
                     continue
-                params = [p.name for p in signature.parameters.values()
-                          if str(p.annotation) in SCALARS]
+                params = {p.name: str(p.annotation)
+                          for p in signature.parameters.values()
+                          if str(p.annotation) in SCALARS
+                          or POINT.fullmatch(str(p.annotation))}
                 if params:
                     found[f"{info.name}.{qual}"] = params
     return found
 
 
 FOUND = _public_numeric_inputs()
-TRIED = [(name, p) for name in sorted(TABLE) for p in FOUND.get(name, ())
-         if f"{name}.{p}" not in UNCHECKED and f"{name}.{p}" not in NODES]
+# (name, parameter, coordinate): a point is tried one coordinate at a time
+TRIED = [(name, p, i) for name in sorted(TABLE)
+         for p, annotation in FOUND.get(name, {}).items()
+         if f"{name}.{p}" not in UNCHECKED and f"{name}.{p}" not in NODES
+         for i in (range(len(TABLE[name].kwargs[p]))
+                   if POINT.fullmatch(annotation) else (None,))]
 
 
 def test_every_public_numeric_input_is_tried_or_exempt():
@@ -318,11 +324,15 @@ def test_valid_call_passes(name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, True],
                          ids=["nan", "inf", "bool"])
-@pytest.mark.parametrize("name, param", TRIED,
-                         ids=[f"{n}.{p}" for n, p in TRIED])
-def test_bad_number_is_rejected_naming_the_input(name, param, bad):
+@pytest.mark.parametrize("name, param, i", TRIED, ids=[
+    f"{n}.{p}" + ("" if i is None else f"[{i}]") for n, p, i in TRIED])
+def test_bad_number_is_rejected_naming_the_input(name, param, i, bad):
     call = TABLE[name]
     field = call.names.get(param, param)
+    if i is not None:
+        point = list(call.kwargs[param])
+        point[i] = bad
+        bad = tuple(point)
     with pytest.raises(call.error, match="^" + re.escape(
             f"{call.kind} field {field} is not a finite number") + "$"):
         call.run(**{**call.kwargs, param: bad})

@@ -6,10 +6,11 @@ script must point at an importable
 callable.  The package is layered: on the design path geometry,
 inductance, transformer and analysis, and on the run path netlist,
 engine, metrology and topologies, each import only the package modules
-below them; the device models import nothing from the package but the
-error types.  A parameter block checks itself once, in __post_init__, and
-is frozen so that the check still holds where it is used; no class has
-a validate() to call.  The netlist, built up one element at a time, is
+below them, and topologies nothing of the half-circuit analysis; the
+device models import nothing from the package but the error types.  A
+parameter block checks itself once, in __post_init__, and is frozen so
+that the check still holds where it is used; no class has a validate()
+to call.  The netlist, built up one element at a time, is
 checked by the engine's MNA walk, the one reader of its element kinds.
 """
 import ast
@@ -75,8 +76,7 @@ ALLOWED_PACKAGE_IMPORTS = {
     "netlist": {"devices", "errors"},
     "engine": {"devices", "errors", "netlist"},
     "metrology": {"engine", "errors", "netlist"},
-    "topologies": {"analysis", "devices", "engine", "errors", "netlist",
-                   "transformer"},
+    "topologies": {"devices", "engine", "errors", "netlist", "transformer"},
 }
 
 

@@ -6,12 +6,14 @@ varactor's capacitance at its control voltage, which checks C's
 varactor columns.  On the toroidal tc-qvco the poles then agree with the
 benchmark's recorded 100-period runs of the same netlists: the dominant
 pair is the +90 degree mode, within 1 % of the run's frequency, and with
-flip_dots it is a 0 or 180 degree mode instead.  On the vertical spiral
+transformer B's primary dot reversed in the built netlist it is a 0 or
+180 degree mode instead.  On the vertical spiral
 the same two pairs compete with a much smaller selection margin, pinned
 at this engine's own figures.  A tuning-array code
 sets only two switch resistances, so it leaves the count of finite poles
 alone, also where roundoff splits a Jordan pair of infinite poles.
 """
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -23,7 +25,8 @@ from tsvqvco.devices import (BufferParams, TuningArray, VaractorModel,
                              varactor_eval)
 from tsvqvco.engine import small_signal
 from tsvqvco.netlist import Netlist
-from tsvqvco.topologies import TOPOLOGIES, TopologyParams, build_netlist
+from tsvqvco.topologies import (TOPOLOGIES, TopologyParams, build_netlist,
+                                coupled_inductor_matrix)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
@@ -139,8 +142,14 @@ def test_vertical_spiral_modes_compete(vertical_spiral_model,
 
 
 def test_flipped_dots_lose_quadrature(toroidal_model):
-    poles, lead = upper_poles(qvco_netlist(toroidal_model, flip_dots=True),
-                              "V_o3")
+    """Reversing one primary dot makes the round trip symmetric, which
+    locks the cores at 0 or 180 degrees; reversing both would relabel."""
+    net = qvco_netlist(toroidal_model)
+    i = next(i for i, e in enumerate(net.elements) if e.label == "xfmr_b")
+    net.elements[i] = dataclasses.replace(
+        net.elements[i],
+        matrix=coupled_inductor_matrix(toroidal_model, (-1, 1, -1)))
+    poles, lead = upper_poles(net, "V_o3")
     assert poles[0].real > 0.0
     assert min(abs(lead[0]), 180.0 - abs(lead[0])) <= 1.0
 

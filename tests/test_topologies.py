@@ -8,10 +8,10 @@ on or off value its code bit selects.  An array bit, c_unit/2 in series
 with its switch, runs as a C-switch-C branch built by hand, and the
 tc-qvco reads c_tank_f.  Over every topology and array code the poles
 predict start-up exactly when a transient oscillates.  Every built
-netlist, the quadrature bench included, seeds startup with V_o1 at
-PERTURBATION_V and nothing else.  The two plain-tank oscillators start up
-in a transient at their tank frequency with differential outputs, as
-their poles predict, and the metrics of such a run serialize to JSON through dataclasses.asdict,
+netlist seeds startup with V_o1 at PERTURBATION_V and nothing else.
+The two plain-tank oscillators start up in a transient at their tank
+frequency with differential outputs, as their poles predict, and the
+metrics of such a run serialize to JSON through dataclasses.asdict,
 copy, compare equal to plain dicts and cannot be changed in place.
 """
 import copy
@@ -29,10 +29,9 @@ from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError
 from tsvqvco.metrology import measure_metrics
 from tsvqvco.netlist import Capacitor, Resistor
-from tsvqvco.analysis import TankParams
 from tsvqvco.topologies import (BUFFER_LOAD_F, PERTURBATION_V, TOPOLOGIES,
                                 TopologyParams, build_netlist,
-                                build_quadrature_bench, default_sim_config)
+                                default_sim_config)
 
 PLAIN_TANK = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
 OUTPUT_COUNT = {"lc-vco": 2, "tf-vco": 2, "cr-vco": 2, "tc-qvco": 4}
@@ -84,12 +83,6 @@ def test_builder_seeds_startup_on_v_o1(topology, buffers, toroidal_model):
     assert net.initial_voltages == {"V_o1": PERTURBATION_V}
 
 
-def test_quadrature_bench_seeds_startup_on_v_o1():
-    tank = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
-    net = build_quadrature_bench(tank, 1.0)
-    assert net.initial_voltages == {"V_o1": PERTURBATION_V}
-
-
 @pytest.mark.parametrize("topology", TOPOLOGIES)
 def test_array_switches_are_resistors_set_by_the_code(topology,
                                                       toroidal_model):
@@ -108,12 +101,10 @@ def test_array_switches_are_resistors_set_by_the_code(topology,
 @pytest.mark.parametrize("topology, name", [
     ("tf-vco", "l_tank_h"), ("tc-qvco", "l_tank_h"),
     ("lc-vco", "transformer"), ("cr-vco", "transformer"),
-    ("lc-vco", "flip_dots"), ("tf-vco", "flip_dots"), ("cr-vco", "flip_dots"),
 ])
 def test_rejects_a_field_its_topology_does_not_read(topology, name,
                                                     toroidal_model):
-    value = {"l_tank_h": 2e-9, "transformer": toroidal_model,
-             "flip_dots": True}[name]
+    value = {"l_tank_h": 2e-9, "transformer": toroidal_model}[name]
     p = dataclasses.replace(params(topology, toroidal_model), **{name: value})
     with pytest.raises(InvalidModelError,
                        match=f"^{topology} does not read {name}$"):
