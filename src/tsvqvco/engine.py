@@ -48,7 +48,13 @@ and every node row also within KCL_ABS_A (update-only tests stall at
 the linear-solve noise floor on stiff systems).  This is the engine's
 one KCL check, and a NaN row fails it.  Only when a solve follows does
 it form the Jacobian J, in one product; the update dx solves J dx = f
-with J as stamped, and x steps to x - dx.
+with J as stamped, and x steps to x - dx.  _solve makes that solve with
+the LAPACK gesv gufunc that np.linalg.solve wraps, under the same
+errstate (invalid raises, overflow, division and underflow are ignored):
+J and f are always float64, square and 1-D, so only the wrapper's
+argument checks and type dispatch are skipped and the update is the
+same to the bit.  An exactly singular J raises NumericFailure, which
+names an unknown with no stamp if there is one.
 
 A run allocates its working arrays once: transient holds y, the solution
 rows and the worst accepted |f| of each row, and the _System six
@@ -110,6 +116,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .devices import mos_bank, mos_row, varactor_eval
 from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, NumericFailure,
@@ -242,8 +249,13 @@ class Waveforms:
         if len(dt) and np.ptp(dt) > UNIFORM_STEP_REL * dt.mean():
             raise InvalidModelError("time grid must be uniform")
         hist = self.solve_histogram
-        if any(count < 0 for count in hist):
-            raise InvalidModelError("solve histogram counts must be >= 0")
+        for k, count in enumerate(hist):
+            name = f"solve_histogram[{k}]"
+            check_finite(InvalidModelError, "waveforms", name, count,
+                         NON_NEGATIVE)
+            if not isinstance(count, (int, np.integer)):
+                raise InvalidModelError(
+                    f"waveforms field {name} must be an integer")
         if hist and sum(hist) != n - 1:
             raise InvalidModelError(
                 f"solve histogram counts {sum(hist)} steps, not {n - 1}")
@@ -493,6 +505,14 @@ def _devices(sys: _System, v: list) -> list:
     return cur + part
 
 
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _solve(js: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(js, f) without its wrapper: the gesv gufunc under
+    the wrapper's errstate, where a singular js raises FloatingPointError
+    (module docstring)."""
+    return _umath_linalg.solve1(js, f, signature="dd->d")
+
+
 def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
     """Newton on F y = 0 from the x in y, which is updated in place along
     with y's device slots; b is y's rhs slice.  Returns the linear
@@ -517,8 +537,8 @@ def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
         # the Jacobian only now: an accepted residual needs none
         js = np.dot(Jm, y[jac], out=sys.js).reshape(size, size)
         try:
-            dx = np.linalg.solve(js, f)
-        except np.linalg.LinAlgError:
+            dx = _solve(js, f)
+        except FloatingPointError:
             raise NumericFailure(_singular_diagnostic(sys, js))
         # NaN or inf exactly when an entry is: 2^-600 keeps a finite
         # update's sum far below overflow (module docstring)

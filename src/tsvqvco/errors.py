@@ -1,9 +1,10 @@
 """The package's exception taxonomy, and check_finite, the one rule every
-scalar numeric input passes: a finite real number (not a bool), positive
-or non-negative when a sign is given.  Its messages are "<kind> field
-<name> is not a finite number", "... must be positive" and "... must be
-non-negative".  Relations between values (lo < hi, k < 1, integer turns,
-polarity) are checked after it, each with its own message."""
+scalar numeric input passes: a finite real number (not a bool, nor an int
+beyond float range), positive or non-negative when a sign is given.  Its
+messages are "<kind> field <name> is not a finite number", "... must be
+positive" and "... must be non-negative".  Relations between values
+(lo < hi, k < 1, integer turns, polarity) are checked after it, each with
+its own message."""
 import math
 from numbers import Real
 
@@ -40,9 +41,13 @@ def check_finite(error: type[InputError], kind: str, name: str, value,
                  sign: str | None = None) -> None:
     """Raise error unless value is a finite real number, and, with sign
     POSITIVE or NON_NEGATIVE, above or at least zero (module docstring)."""
-    if (type(value) is not float  # isinstance against Real is slow on a float
-            and (isinstance(value, bool) or not isinstance(value, Real))
-            or not math.isfinite(value)):
+    try:
+        bad = (type(value) is not float  # isinstance against Real is slow on a float
+               and (isinstance(value, bool) or not isinstance(value, Real))
+               or not math.isfinite(value))
+    except OverflowError:  # an int beyond float range
+        bad = True
+    if bad:
         raise error(f"{kind} field {name} is not a finite number")
     if sign is not None and (value <= 0 if sign == POSITIVE else value < 0):
         raise error(f"{kind} field {name} must be {sign}")

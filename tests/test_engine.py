@@ -20,8 +20,10 @@ predictor is exact on polynomials of degree below its row count, and
 keeps the buffered tc-qvco near one solve per step.  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
 and short tc-qvco runs and the stiffest netlists of every topology take
-exactly their recorded solves.  A run's solve histogram accounts for
-every step and every solve, and a histogram that does not is refused,
+exactly their recorded solves.  The engine's linear solve gives
+np.linalg.solve's update bit for bit on mid-run tc-qvco Jacobians.  A
+run's solve histogram accounts for every step and every solve, its
+counts are non-negative ints, and a histogram that does not is refused,
 as is a time grid with no sample; its worst KCL residual is the largest
 node-row residual of an accepted step, and a device value that turns
 NaN stops the run at that step.  The Newton path must reproduce a
@@ -506,16 +508,16 @@ def qvco_run(toroidal_model, n_periods=4, buffers=None):
 
 
 def count_solves(monkeypatch):
-    """Count np.linalg.solve calls the way the benchmark's tracer does:
-    by replacing the function on the numpy module."""
+    """Count the engine's linear solves by replacing engine._solve, the
+    one function that makes them."""
     calls = []
-    solve = np.linalg.solve
+    solve = engine._solve
 
     def counted(a, b):
         calls.append(None)
         return solve(a, b)
 
-    monkeypatch.setattr(np.linalg, "solve", counted)
+    monkeypatch.setattr(engine, "_solve", counted)
     return calls
 
 
@@ -638,14 +640,14 @@ class TestNewtonStartPoint:
         jac = (a0 + (sys_.jst @ part).reshape(dim, dim))[:size, :size]
         expected = np.linalg.solve(jac, -f)
 
-        solve, updates = np.linalg.solve, []
+        solve, updates = engine._solve, []
 
         def recorded(a, rhs):
             dx = solve(a, rhs)
             updates.append(-dx)  # the engine steps x by -dx
             return dx
 
-        monkeypatch.setattr(np.linalg, "solve", recorded)
+        monkeypatch.setattr(engine, "_solve", recorded)
         engine._newton_step(sys_, stage, y0, t)
         scale = np.abs(expected).max()
         assert scale > 0.0
@@ -695,7 +697,7 @@ class TestScratchArrays:
     def test_non_finite_update_fails_at_the_first_solve(
             self, bad, monkeypatch, toroidal_model):
         sys_, stage, y, t = self.mid_run(monkeypatch, toroidal_model)
-        solve, calls = np.linalg.solve, []
+        solve, calls = engine._solve, []
 
         def one_bad_entry(a, rhs):
             calls.append(None)
@@ -703,7 +705,7 @@ class TestScratchArrays:
             dx[3] = bad
             return dx
 
-        monkeypatch.setattr(np.linalg, "solve", one_bad_entry)
+        monkeypatch.setattr(engine, "_solve", one_bad_entry)
         with pytest.raises(NumericFailure, match=re.escape(
                 f"non-finite Newton update at t = {t:.6e} s")):
             engine._newton_step(sys_, stage, y.copy(), t)
@@ -717,14 +719,14 @@ class TestScratchArrays:
         the step and walks back to the run it would have made."""
         cfg = SimConfig(dt_s=5e-12, t_stop_s=1e-10)
         reference = transient(rc_netlist(), cfg)
-        solve, calls = np.linalg.solve, []
+        solve, calls = engine._solve, []
 
         def first_overshoots(a, rhs):
             calls.append(None)
             dx = solve(a, rhs)
             return dx + 1e160 if len(calls) == 1 else dx
 
-        monkeypatch.setattr(np.linalg, "solve", first_overshoots)
+        monkeypatch.setattr(engine, "_solve", first_overshoots)
         wave = transient(rc_netlist(), cfg)
         assert wave.linear_solves == len(calls) > reference.linear_solves
         np.testing.assert_allclose(wave.voltages["a"],
@@ -736,8 +738,29 @@ def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
     wave = qvco_run(toroidal_model)
     steps = len(wave.time_s) - 1
     # Newton always solves at least once, so this also fails if the
-    # engine stops calling np.linalg.solve.
+    # engine stops solving through engine._solve.
     assert steps <= len(calls) <= 1.2 * steps
+
+
+@pytest.mark.parametrize("case", sorted(QVCO_CASES))
+def test_solve_matches_numpy_bit_for_bit(case, monkeypatch, toroidal_model):
+    """engine._solve calls numpy's private gesv gufunc; on a mid-run
+    Jacobian of the tc-qvco it must give np.linalg.solve's update to the
+    bit, so a numpy release that changes the gufunc fails here instead of
+    moving a trace."""
+    buffers, unknowns = QVCO_CASES[case]
+    solve, systems = engine._solve, []
+
+    def recorded(a, rhs):
+        systems.append((a.copy(), rhs.copy()))
+        return solve(a, rhs)
+
+    monkeypatch.setattr(engine, "_solve", recorded)
+    qvco_run(toroidal_model, buffers=buffers)
+    monkeypatch.setattr(engine, "_solve", solve)
+    js, f = systems[len(systems) // 2]
+    assert js.shape == (unknowns, unknowns) and js.dtype == f.dtype == float
+    assert solve(js, f).tobytes() == np.linalg.solve(js, f).tobytes()
 
 
 @pytest.mark.parametrize("case", sorted(QVCO_CASES))
@@ -829,13 +852,17 @@ def test_solve_counts_are_read_from_the_histogram():
 
 
 @pytest.mark.parametrize("histogram, message", [
-    ((5, -2, 1), "solve histogram counts must be >= 0"),
+    ((5, -2, 1), "waveforms field solve_histogram[1] must be non-negative"),
     ((0, 2, 2), "solve histogram counts 4 steps, not 3"),
+    ((math.nan, 3), "waveforms field solve_histogram[0] is not a finite number"),
+    ((0, True, 2), "waveforms field solve_histogram[1] is not a finite number"),
+    ((0, 1.5, 1.5), "waveforms field solve_histogram[1] must be an integer"),
+    ((0, 3.0), "waveforms field solve_histogram[1] must be an integer"),
 ])
 def test_solve_histogram_must_count_the_steps(histogram, message):
-    """A negative count, or a total other than the grid's 3 steps, would
-    make the solve counts contradict the run."""
-    with pytest.raises(InvalidModelError, match=f"^{message}$"):
+    """A count that is not a non-negative int, or a total other than the
+    grid's 3 steps, would make the solve counts contradict the run."""
+    with pytest.raises(InvalidModelError, match="^" + re.escape(message) + "$"):
         engine.Waveforms(time_s=np.arange(4.0), voltages={}, currents={},
                          solve_histogram=histogram)
 
@@ -970,7 +997,7 @@ def test_linear_netlist_solves_every_step(monkeypatch):
 
 def test_non_finite_solve_on_linear_netlist_fails(monkeypatch):
     """Newton stops at the first update that is not finite."""
-    monkeypatch.setattr(np.linalg, "solve",
+    monkeypatch.setattr(engine, "_solve",
                         lambda a, b: np.full_like(b, np.nan))
     calls = count_solves(monkeypatch)
     with pytest.raises(NumericFailure, match="non-finite"):

@@ -9,7 +9,8 @@ design spec, the tank, the netlist elements, the device parameter blocks
 parameters, the arguments of default_sim_config and measure_metrics,
 and every swing and phase of SimMetrics.  A conductor segment's
 coordinates and dimensions raise InvalidGeometryError instead, and each
-of its two points has exactly three coordinates.  (Geometry input is
+of its two points has exactly three coordinates.  An int beyond float
+range is not a finite number either.  (Geometry input is
 covered in test_geometry.py.)
 
 A finite value out of range fails with its own exact message on the run
@@ -159,6 +160,10 @@ CASES = {
     "coupled set series_r": (
         lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [0.1, INF]),
         "coupled set field series_r[1]"),
+    # an int beyond float range used to escape as Python's OverflowError
+    "coupled set huge series_r": (
+        lambda: coupled_pair([[1e-9, 0.0], [0.0, 1e-9]], [10**400, 0.1]),
+        "coupled set field series_r[0]"),
     # without the finite check the transient fails at its first step
     # with a non-finite Newton update
     "coupled set i_initial_a": (
@@ -181,6 +186,9 @@ CASES = {
     "segment bool start": (
         lambda: round_segment((True, 0, 0), (1e-4, 0, 0), 1e-5),
         "segment field start", InvalidGeometryError),
+    "segment huge end": (
+        lambda: round_segment((0, 0, 0), (10**400, 0, 0), 1e-5),
+        "segment field end", InvalidGeometryError),
     "segment radius_m": (
         lambda: Segment((0, 0, 0), (1e-5, 0, 0), radius_m=NAN),
         "segment field radius_m", InvalidGeometryError),
@@ -426,7 +434,10 @@ def test_ragged_coupled_matrix_keeps_the_shape_message():
         coupled_pair([[1e-9, "x"], [1e-9]], [0.1, 0.1])
 
 
-@pytest.mark.parametrize("value", [NAN, INF, -INF, True, "1", None])
+@pytest.mark.parametrize("value", [NAN, INF, -INF, True, "1", None,
+                                   10**400, -10**400],
+                         ids=lambda v: ("-" if v < 0 else "") + "10**400"
+                         if type(v) is int else None)
 def test_rule_rejects_non_numbers(value):
     with pytest.raises(InvalidModelError,
                        match="^kind field name is not a finite number$"):

@@ -1,15 +1,17 @@
 """Every scalar numeric input passes errors.check_finite.
 
 TABLE holds one valid call for every public callable and parameter block
-of the package that takes a float or int, or a point: a fixed-length
-tuple of them, such as a Segment's start.  Each such argument, one
-coordinate at a time for a point, is replaced in turn by NaN, inf and
-True, and the call must raise its module's typed error with the rule's
-exact message, naming that argument.  inspect finds the public names and
-their float, int and point parameters: a name missing from TABLE and
-EXEMPT, or a parameter neither tried nor listed in UNCHECKED with its
-reason, fails the suite, so a new public input cannot skip the rule
-unnoticed.
+of the package that takes a float or int, a point (a fixed-length tuple
+of them, such as a Segment's start), or a sequence (a tuple of any
+length, such as a coupled set's series_r).  Each such argument, one
+coordinate at a time for a point and at its first and last index for a
+sequence, is replaced in turn by NaN, inf, True and an int beyond float
+range, and the call must raise its module's typed error with the rule's
+exact message, naming that argument, indexed for a sequence.  inspect
+finds the public names and their float, int, point and sequence
+parameters: a name missing from TABLE and EXEMPT, or a parameter neither
+tried nor listed in UNCHECKED with its reason, fails the suite, so a new
+public input cannot skip the rule unnoticed.
 
 Node indices are not numbers but slots: NODE_FIELDS lists the node-index
 fields of every netlist element kind, and each is tried through
@@ -53,6 +55,7 @@ from tsvqvco.transformer import (DEFAULT_EVAL_FREQUENCY_HZ, TransformerModel,
 
 SCALARS = {"float", "int", "float | None", "int | None"}
 POINT = re.compile(r"tuple\[(float|int)(, (float|int))*\]")
+SEQUENCE = re.compile(r"tuple\[(float|int), \.\.\.\]")
 TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
 SEGMENT = round_segment((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)
 GEOMETRY = dict(style="toroidal", turns_primary=6, turns_secondary=1,
@@ -129,7 +132,8 @@ TABLE = {
         "sim config"),
     "engine.Waveforms": Call(
         Waveforms, dict(time_s=np.arange(3.0), voltages={}, currents={},
-                        kcl_max_a=1e-12), InvalidModelError, "waveforms"),
+                        kcl_max_a=1e-12, solve_histogram=(0, 2)),
+        InvalidModelError, "waveforms"),
     # geometry
     "geometry.ProcessParams": Call(
         ProcessParams, {}, InvalidGeometryError, "process"),
@@ -177,6 +181,12 @@ TABLE = {
     "netlist.VSource": Call(
         VSource, dict(p=0, n=-1, volts=0.7, label="v", ramp_s=1e-9),
         InvalidModelError, "vsource"),
+    "netlist.CoupledInductors": Call(
+        CoupledInductors, dict(pairs=((0, 1), (1, -1)),
+                               matrix=((1e-9, 2e-10), (2e-10, 1e-9)),
+                               series_r=(0.1, 0.2), label="k",
+                               i_initial_a=(0.0, 1e-3)),
+        InvalidModelError, "coupled set"),
     "netlist.Vccs": Call(
         Vccs, dict(p=0, n=-1, cp=0, cn=-1, gm=1e-3, label="g"),
         InvalidModelError, "vccs"),
@@ -288,19 +298,32 @@ def _public_numeric_inputs() -> dict[str, dict[str, str]]:
                 params = {p.name: str(p.annotation)
                           for p in signature.parameters.values()
                           if str(p.annotation) in SCALARS
-                          or POINT.fullmatch(str(p.annotation))}
+                          or POINT.fullmatch(str(p.annotation))
+                          or SEQUENCE.fullmatch(str(p.annotation))}
                 if params:
                     found[f"{info.name}.{qual}"] = params
     return found
 
 
 FOUND = _public_numeric_inputs()
-# (name, parameter, coordinate): a point is tried one coordinate at a time
+
+
+def _indices(annotation: str, value) -> tuple:
+    """The entries tried of one argument: every coordinate of a point,
+    the first and last of a sequence, None for a scalar."""
+    if POINT.fullmatch(annotation):
+        return tuple(range(len(value)))
+    if SEQUENCE.fullmatch(annotation):
+        return (0, len(value) - 1)
+    return (None,)
+
+
+# (name, parameter, entry): a point is tried one coordinate at a time, a
+# sequence at its ends
 TRIED = [(name, p, i) for name in sorted(TABLE)
          for p, annotation in FOUND.get(name, {}).items()
          if f"{name}.{p}" not in UNCHECKED and f"{name}.{p}" not in NODES
-         for i in (range(len(TABLE[name].kwargs[p]))
-                   if POINT.fullmatch(annotation) else (None,))]
+         for i in _indices(annotation, TABLE[name].kwargs.get(p))]
 
 
 def test_every_public_numeric_input_is_tried_or_exempt():
@@ -322,17 +345,19 @@ def test_valid_call_passes(name):
     call.run(**call.kwargs)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, True],
-                         ids=["nan", "inf", "bool"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, 10**400],
+                         ids=["nan", "inf", "bool", "huge_int"])
 @pytest.mark.parametrize("name, param, i", TRIED, ids=[
     f"{n}.{p}" + ("" if i is None else f"[{i}]") for n, p, i in TRIED])
 def test_bad_number_is_rejected_naming_the_input(name, param, i, bad):
     call = TABLE[name]
     field = call.names.get(param, param)
     if i is not None:
-        point = list(call.kwargs[param])
-        point[i] = bad
-        bad = tuple(point)
+        entries = list(call.kwargs[param])
+        entries[i] = bad
+        bad = tuple(entries)
+        if SEQUENCE.fullmatch(FOUND[name][param]):  # its message is indexed
+            field = f"{field}[{i}]"
     with pytest.raises(call.error, match="^" + re.escape(
             f"{call.kind} field {field} is not a finite number") + "$"):
         call.run(**{**call.kwargs, param: bad})
