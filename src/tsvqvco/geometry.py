@@ -79,7 +79,7 @@ _DIM_TYPES = frozenset({float, int})
 _FLOAT = frozenset({float})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Segment:
     """Straight conductor segment with a round or rectangular cross section.
 
@@ -120,8 +120,8 @@ class Segment:
                     check_finite(InvalidGeometryError, "segment", name, v)
         # points of floats, as the winding generators build them, are kept
         if not (fast and types == _FLOAT and type(start) is type(end) is tuple):
-            self.start = tuple(map(float, start))
-            self.end = tuple(map(float, end))
+            object.__setattr__(self, "start", tuple(map(float, start)))
+            object.__setattr__(self, "end", tuple(map(float, end)))
         if self.shape not in ("round", "rect"):
             raise InvalidGeometryError(f"unknown segment shape {self.shape!r}")
         if self.length_m <= 0.0:
@@ -226,7 +226,10 @@ class TransformerGeometry:
                 for s in slots:
                     check_finite(InvalidGeometryError, "geometry",
                                  "secondary_slots", s)
-                    if int(s) != s or not 0 <= s <= self.turns_primary - 2:
+                    if int(s) != s:
+                        raise InvalidGeometryError(
+                            f"secondary slot {s!r} is not an integer cell index")
+                    if not 0 <= s <= self.turns_primary - 2:
                         raise InvalidGeometryError(
                             f"secondary slot {s!r} outside cells "
                             f"0..{self.turns_primary - 2}")

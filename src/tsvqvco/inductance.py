@@ -11,10 +11,10 @@ under re-segmentation.
 Windings arrive valid and are packed once (``pack_windings``) into one
 column per segment.  Self terms and resistances are array expressions over
 the columns, and ``winding_inductances`` calls the one numpy pair kernel,
-``_pair_mutuals``, twice: on the pairs i < j of every winding, then on all
-a x b pairs of every two windings.  ``partial_self_inductance``,
-``mutual_partial_inductance`` and ``segment_resistance`` are its
-one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
+``_pair_mutuals``, once: on the pairs i < j of every winding, then, in the
+same call, on all a x b pairs of every two windings.
+``partial_self_inductance``, ``mutual_partial_inductance`` and
+``segment_resistance`` are its one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
 are dropped before the transcendental work.
 
 ``winding_inductances`` reports the first defect in this order:
@@ -265,8 +265,8 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     loops = [tuple(c[i] for i in np.triu_indices(len(c), 1)) for c in cols]
     pairs = list(combinations(range(len(cols)), 2))
     cross = [(np.repeat(cols[a], len(cols[b])), np.tile(cols[b], len(cols[a]))) for a, b in pairs]
-    loop_sums = _block_sums(rows, loops)
-    cross_sums = _block_sums(rows, cross) if cross else []
+    sums = _block_sums(rows, loops + cross)
+    loop_sums, cross_sums = sums[:len(loops)], sums[len(loops):]
     matrix = np.diag(np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * np.array(loop_sums))
     for name, total in zip(windings.names, matrix.diagonal()):
         if total <= 0:

@@ -282,11 +282,25 @@ def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, CoilGeomet
     }
 
 
+# The last generation, (geometry, coils).  One operation asks for the coils
+# and then the footprint of one geometry object; a second object, equal or
+# not, generates again, and a rejection is not kept.
+_last: tuple[TransformerGeometry, dict[str, CoilGeometry]] | None = None
+
+
 def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
-    """Generate the three winding paths described by a parametric geometry."""
-    if geom.style == STYLE_TOROIDAL:
-        return _generate_toroidal(geom)
-    return _generate_vertical_spiral(geom)
+    """Generate the three winding paths described by a parametric geometry.
+
+    A second call with the same geometry object returns a new dict of the
+    same (frozen) coils without generating again; only the last geometry
+    is kept.
+    """
+    global _last
+    if _last is None or _last[0] is not geom:
+        generate = (_generate_toroidal if geom.style == STYLE_TOROIDAL
+                    else _generate_vertical_spiral)
+        _last = (geom, generate(geom))
+    return dict(_last[1])
 
 
 def _footprint_mm2(coils: dict[str, CoilGeometry]) -> float:
@@ -300,7 +314,11 @@ def _footprint_mm2(coils: dict[str, CoilGeometry]) -> float:
 
 
 def metal_area(geom: TransformerGeometry) -> float:
-    """Footprint of the bounding metal/TSV usage, in mm^2."""
+    """Footprint of the bounding metal/TSV usage, in mm^2.
+
+    Right after ``generate_coils(geom)`` this reuses that generation and
+    only packs the footprint.
+    """
     return _footprint_mm2(generate_coils(geom))
 
 

@@ -18,7 +18,8 @@ path too: the netlist, the simulator settings and waveforms (whose grid
 and traces are one-dimensional), the topology builders and metrology,
 and the structural checks of the engine's MNA walk, which refuse a bool
 as a node index of any element kind and come before the step-count
-check.  Newton reports a step it cannot converge.
+check.  A toroidal secondary slot that is not a whole cell is named as
+such.  Newton reports a step it cannot converge.
 """
 import dataclasses
 import math
@@ -33,7 +34,8 @@ from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                             InvalidModelError, NumericFailure, check_finite)
-from tsvqvco.geometry import Segment, rect_segment, round_segment
+from tsvqvco.geometry import (Segment, TransformerGeometry, rect_segment,
+                               round_segment)
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Mos, Netlist,
                              Resistor, Varactor, Vccs, VSource)
@@ -301,6 +303,14 @@ RANGE_CASES = {
            ("four-coordinate end", (0, 0, 0), (1e-4, 0, 0, 0), "end"),
            ("start None", None, (1e-4, 0, 0), "start"),
            ("scalar end", (0, 0, 0), 1e-4, "end"))},
+    # a half cell used to be reported as outside the cells
+    "secondary slot 1.5": (
+        lambda: TransformerGeometry(
+            style="toroidal", turns_primary=6, turns_secondary=1,
+            tsv_pitch_um=66.0, row_spacing_um=90.0,
+            secondary_slots=((1.5,), (2,))),
+        "secondary slot 1.5 is not an integer cell index",
+        InvalidGeometryError),
     "metrics outputs": (
         lambda: measure_metrics(Waveforms(
             time_s=np.arange(3.0), voltages={"X": np.zeros(3)},

@@ -2,16 +2,18 @@
 
 TABLE holds one valid call for every public callable and parameter block
 of the package that takes a float or int, a point (a fixed-length tuple
-of them, such as a Segment's start), or a sequence (a tuple of any
-length, such as a coupled set's series_r).  Each such argument, one
-coordinate at a time for a point and at its first and last index for a
-sequence, is replaced in turn by NaN, inf, True and an int beyond float
-range, and the call must raise its module's typed error with the rule's
-exact message, naming that argument, indexed for a sequence.  inspect
-finds the public names and their float, int, point and sequence
-parameters: a name missing from TABLE and EXEMPT, or a parameter neither
-tried nor listed in UNCHECKED with its reason, fails the suite, so a new
-public input cannot skip the rule unnoticed.
+of them, such as a Segment's start), a sequence (a tuple of any length,
+such as a coupled set's series_r) or a nested sequence (a tuple of such
+tuples, such as a coupled set's matrix).  Each such argument, one
+coordinate at a time for a point, at its first and last index for a
+sequence and one entry at a time for a nested sequence, is replaced in
+turn by NaN, inf, True, an int beyond float range and a string, and the
+call must raise its module's typed error with the rule's exact message,
+naming that argument, indexed for a sequence.  inspect finds the public
+names and their numeric parameters: a name missing from TABLE and
+EXEMPT, or a parameter neither tried nor listed in UNCHECKED with its
+reason, fails the suite, so a new public input cannot skip the rule
+unnoticed.
 
 Node indices are not numbers but slots: NODE_FIELDS lists the node-index
 fields of every netlist element kind, and each is tried through
@@ -56,6 +58,7 @@ from tsvqvco.transformer import (DEFAULT_EVAL_FREQUENCY_HZ, TransformerModel,
 SCALARS = {"float", "int", "float | None", "int | None"}
 POINT = re.compile(r"tuple\[(float|int)(, (float|int))*\]")
 SEQUENCE = re.compile(r"tuple\[(float|int), \.\.\.\]")
+NESTED = re.compile(r"tuple\[tuple\[(float|int), \.\.\.\], \.\.\.\]( \| None)?")
 TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
 SEGMENT = round_segment((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)
 GEOMETRY = dict(style="toroidal", turns_primary=6, turns_secondary=1,
@@ -73,8 +76,8 @@ def coils():
 class Call(NamedTuple):
     """A valid call: run(**kwargs) succeeds, and with one numeric argument
     replaced it raises error "<kind> field <name> ...", where name is the
-    argument's, or names[argument] where the message names something
-    else."""
+    argument's (with the entry's index for a sequence), or
+    names[argument] where the message names something else."""
 
     run: Callable
     kwargs: dict
@@ -143,8 +146,10 @@ TABLE = {
                       shape="round", radius_m=1e-5),
         InvalidGeometryError, "segment"),
     "geometry.TransformerGeometry": Call(
-        TransformerGeometry, dict(GEOMETRY, trace_width_um=8.0),
-        InvalidGeometryError, "geometry"),
+        TransformerGeometry, dict(GEOMETRY, trace_width_um=8.0,
+                                  secondary_slots=((1,), (2,))),
+        InvalidGeometryError, "geometry",
+        {"secondary_slots": "secondary_slots"}),
     # inductance
     "inductance.skin_depth": Call(
         skin_depth, dict(freq_hz=2.5e9, resistivity_ohm_m=1.68e-8),
@@ -277,8 +282,8 @@ NODES = {f"netlist.{kind.__name__}.{name}"
 
 def _public_numeric_inputs() -> dict[str, dict[str, str]]:
     """Every public function, class and public method defined in the
-    package, mapped to its float, int and point parameters, where it has
-    any, each with its annotation."""
+    package, mapped to its float, int, point and sequence parameters,
+    where it has any, each with its annotation."""
     found = {}
     for info in pkgutil.iter_modules(tsvqvco.__path__):
         module = importlib.import_module(f"tsvqvco.{info.name}")
@@ -299,7 +304,8 @@ def _public_numeric_inputs() -> dict[str, dict[str, str]]:
                           for p in signature.parameters.values()
                           if str(p.annotation) in SCALARS
                           or POINT.fullmatch(str(p.annotation))
-                          or SEQUENCE.fullmatch(str(p.annotation))}
+                          or SEQUENCE.fullmatch(str(p.annotation))
+                          or NESTED.fullmatch(str(p.annotation))}
                 if params:
                     found[f"{info.name}.{qual}"] = params
     return found
@@ -308,22 +314,34 @@ def _public_numeric_inputs() -> dict[str, dict[str, str]]:
 FOUND = _public_numeric_inputs()
 
 
-def _indices(annotation: str, value) -> tuple:
-    """The entries tried of one argument: every coordinate of a point,
-    the first and last of a sequence, None for a scalar."""
+def _entries(annotation: str, value) -> tuple[tuple[int, ...], ...]:
+    """The entries tried of one argument, each as its index path: every
+    coordinate of a point, the first and last of a sequence, every entry
+    of a nested sequence, and the argument itself (the empty path) for a
+    scalar."""
     if POINT.fullmatch(annotation):
-        return tuple(range(len(value)))
+        return tuple((k,) for k in range(len(value)))
     if SEQUENCE.fullmatch(annotation):
-        return (0, len(value) - 1)
-    return (None,)
+        return ((0,), (len(value) - 1,))
+    if NESTED.fullmatch(annotation):
+        return tuple((k, j) for k, row in enumerate(value) for j in range(len(row)))
+    return ((),)
 
 
-# (name, parameter, entry): a point is tried one coordinate at a time, a
-# sequence at its ends
-TRIED = [(name, p, i) for name in sorted(TABLE)
+def _replaced(value, path: tuple[int, ...], bad):
+    """value with the entry at path replaced by bad, as tuples."""
+    if not path:
+        return bad
+    k, rest = path[0], path[1:]
+    return tuple(_replaced(v, rest, bad) if n == k else v for n, v in enumerate(value))
+
+
+# (name, parameter, entry path): a point is tried one coordinate at a
+# time, a sequence at its ends, a nested sequence one entry at a time
+TRIED = [(name, p, path) for name in sorted(TABLE)
          for p, annotation in FOUND.get(name, {}).items()
          if f"{name}.{p}" not in UNCHECKED and f"{name}.{p}" not in NODES
-         for i in _indices(annotation, TABLE[name].kwargs.get(p))]
+         for path in _entries(annotation, TABLE[name].kwargs.get(p))]
 
 
 def test_every_public_numeric_input_is_tried_or_exempt():
@@ -345,22 +363,18 @@ def test_valid_call_passes(name):
     call.run(**call.kwargs)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, True, 10**400],
-                         ids=["nan", "inf", "bool", "huge_int"])
-@pytest.mark.parametrize("name, param, i", TRIED, ids=[
-    f"{n}.{p}" + ("" if i is None else f"[{i}]") for n, p, i in TRIED])
-def test_bad_number_is_rejected_naming_the_input(name, param, i, bad):
+@pytest.mark.parametrize("bad", [math.nan, math.inf, True, 10**400, "1"],
+                         ids=["nan", "inf", "bool", "huge_int", "str"])
+@pytest.mark.parametrize("name, param, path", TRIED, ids=[
+    f"{n}.{p}" + "".join(f"[{k}]" for k in path) for n, p, path in TRIED])
+def test_bad_number_is_rejected_naming_the_input(name, param, path, bad):
     call = TABLE[name]
-    field = call.names.get(param, param)
-    if i is not None:
-        entries = list(call.kwargs[param])
-        entries[i] = bad
-        bad = tuple(entries)
-        if SEQUENCE.fullmatch(FOUND[name][param]):  # its message is indexed
-            field = f"{field}[{i}]"
+    # a sequence's message is indexed, nested or not; a point's is not
+    indexed = not POINT.fullmatch(FOUND[name][param])
+    field = call.names.get(param, param + "".join(f"[{k}]" for k in path if indexed))
     with pytest.raises(call.error, match="^" + re.escape(
             f"{call.kind} field {field} is not a finite number") + "$"):
-        call.run(**{**call.kwargs, param: bad})
+        call.run(**{**call.kwargs, param: _replaced(call.kwargs.get(param), path, bad)})
 
 
 def node_netlist(element) -> Netlist:

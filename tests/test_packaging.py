@@ -143,8 +143,6 @@ def test_only_the_mna_walk_reads_element_kinds():
 
 
 def test_every_self_checking_block_is_frozen():
-    # a Segment checks itself too, but freezing it would slow every
-    # segment build of the sweep and nothing mutates one
     unfrozen = {cls.name for cls, methods in package_classes()
                 if "__post_init__" in methods and not is_frozen_dataclass(cls)}
-    assert unfrozen == {"Segment"}
+    assert unfrozen == set()

@@ -268,16 +268,17 @@ def test_permuting_windings_permutes_the_matrix(spiral_coils, order):
     assert permuted.diagonal().tolist() == matrix.diagonal()[list(order)].tolist()
 
 
-def test_model_makes_two_kernel_calls(monkeypatch, spiral_coils):
+def test_model_makes_one_kernel_call_in_block_order(monkeypatch, spiral_coils):
     calls = []
 
     def spy(rows, ia, ib):
-        calls.append(len(ia))
+        calls.append(list(zip(ia.tolist(), ib.tolist())))
         return _pair_mutuals(rows, ia, ib)
 
     monkeypatch.setattr(inductance, "_pair_mutuals", spy)
-    sizes = [len(c.segments) for c in spiral_coils]
     _model(dict(zip(ROLES, spiral_coils)))
-    loops = sum(n * (n - 1) // 2 for n in sizes)
-    cross = sum(a * b for a, b in combinations(sizes, 2))
-    assert calls == [loops, cross]
+    bounds = pack_windings(spiral_coils).bounds
+    cols = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    loops = [pair for c in cols for pair in combinations(c, 2)]
+    cross = [(i, j) for a, b in [(0, 1), (0, 2), (1, 2)] for i in cols[a] for j in cols[b]]
+    assert calls == [loops + cross]

@@ -8,13 +8,16 @@ regressions show up as number drift, not just band exits.
 """
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tsvqvco import transformer
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
 from tsvqvco.geometry import TransformerGeometry
 from tsvqvco.transformer import (
+    ROLES,
     TransformerModel,
     build_transformer,
     default_secondary_slots,
@@ -23,6 +26,8 @@ from tsvqvco.transformer import (
     model_from_coils,
     wheeler_spiral_inductance,
 )
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # target design values the committed toroidal geometry was sized against
 TARGETS = {
@@ -119,6 +124,86 @@ class TestGenerateCoils:
         geom = dataclasses.replace(vertical_spiral_geometry, turns_secondary=20)
         with pytest.raises(InvalidGeometryError, match="exceeds"):
             generate_coils(geom)
+
+
+def _count_generations(monkeypatch) -> list:
+    """Spy on both generators; the list gets each geometry generated."""
+    calls = []
+    for name in ("_generate_toroidal", "_generate_vertical_spiral"):
+        def spy(geom, real=getattr(transformer, name)):
+            calls.append(geom)
+            return real(geom)
+        monkeypatch.setattr(transformer, name, spy)
+    return calls
+
+
+class TestLastGeneration:
+    """generate_coils keeps one generation, for the same geometry object."""
+
+    @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
+    def test_footprint_after_coils_generates_once(self, monkeypatch, config):
+        geom = TransformerGeometry.from_json_file(CONFIG_DIR / config)
+        calls = _count_generations(monkeypatch)
+        coils = generate_coils(geom)
+        area = metal_area(geom)
+        assert calls == [geom]
+        assert area == transformer._footprint_mm2(coils)
+
+    def test_equal_geometry_loaded_again_generates_again(self, monkeypatch):
+        first = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
+        second = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
+        assert first == second and first is not second
+        calls = _count_generations(monkeypatch)
+        a = generate_coils(first)
+        b = generate_coils(second)
+        assert len(calls) == 2 and calls[0] is first and calls[1] is second
+        assert a == b
+
+    def test_mutating_a_returned_dict_leaves_the_next_call_intact(
+            self, monkeypatch, toroidal_geometry):
+        calls = _count_generations(monkeypatch)
+        coils = generate_coils(toroidal_geometry)
+        want = dict(coils)
+        del coils["primary"]
+        coils["secondary1"] = coils["secondary2"]
+        again = generate_coils(toroidal_geometry)
+        assert len(calls) == 1
+        assert again == want and again is not coils
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            again["primary"].segments[0].radius_m = 1.0
+
+    @pytest.mark.parametrize("config, width, message", [
+        ("toroidal.json", 20.0, "widest trace"),
+        ("vertical_spiral.json", 14.0, "rungs span"),
+    ])
+    def test_rejection_is_raised_again_not_kept(self, monkeypatch, config,
+                                                width, message):
+        geom = dataclasses.replace(
+            TransformerGeometry.from_json_file(CONFIG_DIR / config),
+            trace_width_um=width)
+        calls = _count_generations(monkeypatch)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(InvalidGeometryError, match=message) as err:
+                generate_coils(geom)
+            errors.append((type(err.value), str(err.value)))
+        assert errors[0] == errors[1]
+        assert len(calls) == 2
+        with pytest.raises(InvalidGeometryError, match=message):
+            metal_area(geom)
+
+    def test_model_from_kept_coils_equals_a_fresh_one(self, monkeypatch):
+        geom = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
+        fresh_geom = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
+        calls = _count_generations(monkeypatch)
+        generate_coils(geom)
+        kept = generate_coils(geom)
+        fresh = generate_coils(fresh_geom)
+        assert len(calls) == 2
+        assert set(kept) == set(ROLES)
+        models = [model_from_coils(coils, 2.5e9, 0.2, 1.68e-8) for coils in (kept, fresh)]
+        assert len({tuple(getattr(m, f.name).hex() for f in dataclasses.fields(m))
+                    for m in models}) == 1
 
 
 class TestCommittedToroidal:
