@@ -11,7 +11,9 @@ The transistors of a run are one table, a row (d, g, s, polarity sign,
 |V_th|, k, lam) per device (mos_row), with d, g and s the slots of the
 terminal voltages in the simulator's state.  mos_bank evaluates the
 whole table in one loop, and mos_eval is its one-device case, so the
-square law has one implementation.
+square law has one implementation.  The varactors are a second table, a
+row (a, b, cp, cn, model) per device, and varactor_bank holds their one
+charge law, q = C(v_cp - v_cn) (v_a - v_b).
 """
 from __future__ import annotations
 
@@ -20,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite,
+                     check_type)
 
 # tuning-array switch model; ideal switches would make the MNA matrix singular
 SWITCH_ON_OHM = 50.0
@@ -156,6 +159,18 @@ def varactor_eval(m: VaractorModel, v_c: float) -> tuple[float, float]:
     return c, 0.5 * (m.c_max - m.c_min) * m.shape * sech2 / (math.tanh(m.shape) * half)
 
 
+def varactor_bank(table, v) -> tuple[list[float], list[float]]:
+    """Charge C v_ab, from a to b, of every varactor in the table at the
+    voltages v, and its partials (C, v_ab dC/dv), in table order."""
+    charge, part = [], []
+    for a, b, cp, cn, model in table:
+        v_sig = v[a] - v[b]
+        c, dc_dv = varactor_eval(model, v[cp] - v[cn])
+        charge.append(c * v_sig)
+        part += (c, v_sig * dc_dv)
+    return charge, part
+
+
 _CODES = ("00", "01", "10", "11")
 
 
@@ -231,5 +246,6 @@ class BufferParams:
                          POSITIVE)
         if self.p_to_n_ratio <= 1.0:
             raise InvalidModelError("buffer pull-up must be stronger than pull-down")
+        check_type(InvalidModelError, "buffer", "nmos", self.nmos, MosParams)
         if self.nmos.polarity != "n":
             raise InvalidModelError("nmos must be an n-channel device")

@@ -18,9 +18,9 @@ and g_ds on d - s; a varactor: the charge C v_sig from a to b, C on
 a - b and v_sig dC/dv on cp - cn).  _System turns the pattern into two
 constant matrices, built once per run: the incidence inc (rows by
 devices) and the Jacobian stamp matrix jst (flattened rows and columns by
-partials).  The transistors are one table (devices.mos_row), evaluated
-in one loop by devices.mos_bank; the varactors by devices.varactor_eval.
-The engine has no device equations of its own.
+partials).  The transistors are one table (devices.mos_row) and the
+varactors another, evaluated by devices.mos_bank and
+devices.varactor_bank; the engine has no device equations of its own.
 
 A run keeps its whole step state in one vector
 
@@ -118,7 +118,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .devices import mos_bank, mos_row, varactor_eval
+from .devices import mos_bank, mos_row, varactor_bank
 from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, NumericFailure,
                      check_finite)
 from .netlist import (GROUND, Capacitor, CoupledInductors, Mos, Netlist,
@@ -163,8 +163,12 @@ class SimConfig:
     def __post_init__(self) -> None:
         check_finite(InvalidModelError, "sim config", "dt_s", self.dt_s, POSITIVE)
         check_finite(InvalidModelError, "sim config", "t_stop_s", self.t_stop_s)
-        # transient takes round(t_stop_s / dt_s) steps: at least two
-        if not self.t_stop_s / self.dt_s >= 1.5:
+        # transient takes round(t_stop_s / dt_s) steps: a finite count of
+        # at least two
+        steps = float(self.t_stop_s) / float(self.dt_s)
+        if not math.isfinite(steps):
+            raise InvalidModelError("stop time over time step is not a finite step count")
+        if not steps >= 1.5:
             raise InvalidModelError("stop time must cover at least two steps")
 
 
@@ -284,8 +288,8 @@ class _System:
     with the integrator coefficient (2/h trapezoidal, 1/h backward
     Euler), so one static matrix and one reactive matrix cover both
     methods; a run builds the _Stage of each coefficient it steps with.
-    Transistors are kept as the rows of a devices.mos_row table and
-    varactors as terminal tuples, both over extended-system slots, and
+    Transistors and varactors are kept as the rows of their devices
+    tables (module docstring), both over extended-system slots, and
     their stamps as the constant pattern inc and jst.  The slices dev,
     jac and rhs place the device values, the partials with the 1, and b
     in the step state y of length ylen, and q_map @ y is the charge
@@ -497,12 +501,8 @@ def _devices(sys: _System, v: list) -> list:
     current and every varactor's charge, in the column order of sys.inc,
     then their partials, in the column order of sys.jst."""
     cur, part = mos_bank(sys.mos, v)
-    for na, nb, cp, cn, model in sys.varactors:
-        v_sig = v[na] - v[nb]
-        c, dc_dv = varactor_eval(model, v[cp] - v[cn])
-        cur.append(c * v_sig)
-        part += (c, v_sig * dc_dv)
-    return cur + part
+    charge, charge_part = varactor_bank(sys.varactors, v)
+    return cur + charge + part + charge_part
 
 
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")

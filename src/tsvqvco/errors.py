@@ -2,9 +2,10 @@
 scalar numeric input passes: a finite real number (not a bool, nor an int
 beyond float range), positive or non-negative when a sign is given.  Its
 messages are "<kind> field <name> is not a finite number", "... must be
-positive" and "... must be non-negative".  Relations between values
-(lo < hi, k < 1, integer turns, polarity) are checked after it, each with
-its own message."""
+positive" and "... must be non-negative".  A field that holds a parameter
+block passes check_type: "<kind> field <name> must be a <class>".
+Relations between values (lo < hi, k < 1, integer turns, polarity) are
+checked after these, each with its own message."""
 import math
 from numbers import Real
 
@@ -51,3 +52,10 @@ def check_finite(error: type[InputError], kind: str, name: str, value,
         raise error(f"{kind} field {name} is not a finite number")
     if sign is not None and (value <= 0 if sign == POSITIVE else value < 0):
         raise error(f"{kind} field {name} must be {sign}")
+
+
+def check_type(error: type[InputError], kind: str, name: str, value,
+               cls: type) -> None:
+    """Raise error unless value is an instance of cls (module docstring)."""
+    if not isinstance(value, cls):
+        raise error(f"{kind} field {name} must be a {cls.__name__}")

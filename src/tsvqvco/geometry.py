@@ -12,7 +12,7 @@ import math
 from collections.abc import Sized
 from dataclasses import dataclass, field
 
-from .errors import POSITIVE, InvalidGeometryError, check_finite
+from .errors import POSITIVE, InvalidGeometryError, check_finite, check_type
 
 UM = 1e-6
 PATH_GAP_TOL_M = 1e-9  # largest end-to-start gap of a connected winding path
@@ -155,9 +155,14 @@ class CoilGeometry:
     segments: tuple[Segment, ...] = ()
 
     def __post_init__(self) -> None:
+        check_type(InvalidGeometryError, "coil", "name", self.name, str)
         if not self.segments:
             raise InvalidGeometryError(f"coil {self.name!r} has no segments")
         object.__setattr__(self, "segments", tuple(self.segments))
+        # the sweep's hot path: one set of types, not a check per segment
+        if set(map(type, self.segments)) != {Segment}:
+            for i, seg in enumerate(self.segments):
+                check_type(InvalidGeometryError, "coil", f"segments[{i}]", seg, Segment)
         for a, b in zip(self.segments, self.segments[1:]):
             if math.dist(a.end, b.start) > PATH_GAP_TOL_M:
                 raise InvalidGeometryError(
@@ -199,6 +204,8 @@ class TransformerGeometry:
             value = getattr(self, name)
             if value is not None:  # trace_width_um is optional
                 check_finite(InvalidGeometryError, "geometry", name, value, POSITIVE)
+        check_type(InvalidGeometryError, "geometry", "process", self.process,
+                   ProcessParams)
         min_pitch = self.process.min_pitch_um
         if self.tsv_pitch_um < min_pitch:
             raise InvalidGeometryError(

@@ -23,7 +23,8 @@ are dropped before the transcendental work.
    own pairs (i-major, j > i), then windings (0, 1), (0, 2), ..., (1, 2)
    (a-major); within a pair, b projected onto a's axis before a onto b's;
 3. a non-positive loop total, named by the coil's own name.
-The coupling bounds come after these, in ``coupling_coefficient``.
+``transformer.TransformerModel`` bounds the coupling.  ``footprint_mm2``
+is the bounding box of packed windings.
 """
 from __future__ import annotations
 
@@ -107,6 +108,17 @@ def pack_windings(coils: list[CoilGeometry]) -> Windings:
         names=tuple(c.name for c in coils),
         bounds=tuple(accumulate((len(c.segments) for c in coils), initial=0)),
         rows=_pack([s for c in coils for s in c.segments]))
+
+
+def footprint_mm2(windings: Windings) -> float:
+    """Area of the windings' bounding box in the x-y plane, in mm^2: each
+    body reaches half[0] (r, or w/2 flat) across its axis."""
+    rows = windings.rows
+    reach = rows.half[0] * (1.0 - np.abs(rows.unit[:2]))
+    lo = np.minimum(rows.start, rows.end)[:2] - reach
+    hi = np.maximum(rows.start, rows.end)[:2] + reach
+    width, height = hi.max(axis=1) - lo.min(axis=1)
+    return float(width * height * 1e6)
 
 
 def _self_terms(rows: _Rows) -> np.ndarray:
@@ -274,17 +286,6 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     for (a, b), m in zip(pairs, cross_sums):
         matrix[a, b] = matrix[b, a] = m
     return matrix
-
-
-def coupling_coefficient(l_a: float, l_b: float, m: float) -> float:
-    """k = M / sqrt(L_a L_b), checked against the physical bound |k| <= 1."""
-    check_finite(InvalidModelError, "coupling", "l_a", l_a, POSITIVE)
-    check_finite(InvalidModelError, "coupling", "l_b", l_b, POSITIVE)
-    check_finite(InvalidModelError, "coupling", "m", m)
-    k = m / math.sqrt(l_a * l_b)
-    if abs(k) > 1.0 + 1e-9:
-        raise InvalidModelError(f"coupling coefficient {k:.6f} outside [-1, 1]")
-    return max(-1.0, min(1.0, k))
 
 
 def _resistances(rows: _Rows, freq_hz: float, resistivity_ohm_m: float):

@@ -19,12 +19,14 @@ no series loss, whose branch is named by its label alone.
 """
 from __future__ import annotations
 
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .devices import MosParams, VaractorModel, check_coupled_set
-from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite,
+                     check_type)
 
 GROUND_NAMES = ("0", "gnd")
 GROUND = -1
@@ -59,14 +61,24 @@ class Capacitor:
         check_finite(InvalidModelError, "capacitor", "farads", self.farads, POSITIVE)
 
 
+def _check_pairs(pairs) -> None:
+    """Every winding of a coupled set has two terminals: node names for
+    Netlist.add_coupled_inductors, node indices for CoupledInductors."""
+    for w, pair in enumerate(pairs):
+        if not (isinstance(pair, Sized) and len(pair) == 2):
+            raise InvalidModelError(
+                f"coupled set field pairs[{w}] must be a pair of terminals")
+
+
 @dataclass(frozen=True)
 class CoupledInductors:
     """N windings with a full, signed inductance matrix and series loss.
 
     pairs[w] = (a, b) is winding w from node a to node b; the branch
     current flows a -> b inside the winding and starts at i_initial_a[w].
-    The initial-current count is checked first and devices.check_coupled_set
-    checks every set; one winding with a 1x1 matrix is an inductor
+    The two terminals of every pair are checked first, then the
+    initial-current count, and devices.check_coupled_set checks every
+    set; one winding with a 1x1 matrix is an inductor
     (Netlist.add_inductor), whose own messages come before the set's.
     The values are stored as tuples of floats.
     """
@@ -78,6 +90,7 @@ class CoupledInductors:
     i_initial_a: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        _check_pairs(self.pairs)
         n = len(self.pairs)
         if len(self.i_initial_a) != n:
             raise InvalidModelError("initial currents must match winding count")
@@ -107,8 +120,7 @@ class Mos:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.params, MosParams):
-            raise InvalidModelError("mos field params must be a MosParams")
+        check_type(InvalidModelError, "mos", "params", self.params, MosParams)
 
 
 @dataclass(frozen=True)
@@ -127,9 +139,8 @@ class Varactor:
     label: str
 
     def __post_init__(self) -> None:
-        if not isinstance(self.model, VaractorModel):
-            raise InvalidModelError(
-                "varactor field model must be a VaractorModel")
+        check_type(InvalidModelError, "varactor", "model", self.model,
+                   VaractorModel)
 
 
 @dataclass(frozen=True)
@@ -226,6 +237,7 @@ class Netlist:
         n = len(pairs)
         if n < 2:  # one winding is an inductor: add_inductor
             raise InvalidModelError("coupled set needs at least two windings")
+        _check_pairs(pairs)
         ic = i_initial_a if i_initial_a is not None else (0.0,) * n
         self._add("k", label, [t for a, b in pairs for t in (a, b)],
                   lambda lbl, *nodes: CoupledInductors(

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 from .devices import (SWITCH_OFF_OHM, SWITCH_ON_OHM, BufferParams, MosParams,
                       TuningArray, VaractorModel, p_channel_mirror)
 from .engine import SimConfig
-from .errors import NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite
+from .errors import (NON_NEGATIVE, POSITIVE, InvalidModelError, check_finite,
+                     check_type)
 from .netlist import BUFFER_SUPPLY, CORE_SUPPLY, OUTPUTS, Netlist
 from .transformer import TransformerModel
 
@@ -85,6 +86,12 @@ class TopologyParams:
             value = getattr(self, name)
             if value is not None:  # the plain-tank values are optional
                 check_finite(InvalidModelError, "topology", name, value, sign)
+        check_type(InvalidModelError, "topology", "nmos", self.nmos, MosParams)
+        for name, cls in (("transformer", TransformerModel), ("varactor", VaractorModel),
+                          ("array", TuningArray), ("buffers", BufferParams)):
+            value = getattr(self, name)
+            if value is not None:  # the optional blocks
+                check_type(InvalidModelError, "topology", name, value, cls)
         if self.nmos.polarity != "n":
             raise InvalidModelError("nmos must be an n-channel device")
         if self.v_ctrl_v != 0 and self.varactor is None:

@@ -25,14 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                      InvalidModelError, check_finite)
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
                        check_turns, rect_segment, round_segment)
-from .inductance import (MU0, _pack, coupling_coefficient, pack_windings,
+from .inductance import (MU0, footprint_mm2, pack_windings,
                          winding_inductances, winding_resistances)
 
 DEFAULT_EVAL_FREQUENCY_HZ = 2.5e9
@@ -303,28 +301,19 @@ def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     return dict(_last[1])
 
 
-def _footprint_mm2(coils: dict[str, CoilGeometry]) -> float:
-    # in x and y a body reaches half[0] (r, or w/2 flat) across its axis
-    rows = _pack([s for c in coils.values() for s in c.segments])
-    reach = rows.half[0] * (1.0 - np.abs(rows.unit[:2]))
-    lo = np.minimum(rows.start, rows.end)[:2] - reach
-    hi = np.maximum(rows.start, rows.end)[:2] + reach
-    width, height = hi.max(axis=1) - lo.min(axis=1)
-    return float(width * height * 1e6)
-
-
 def metal_area(geom: TransformerGeometry) -> float:
     """Footprint of the bounding metal/TSV usage, in mm^2.
 
     Right after ``generate_coils(geom)`` this reuses that generation and
     only packs the footprint.
     """
-    return _footprint_mm2(generate_coils(geom))
+    return footprint_mm2(pack_windings(list(generate_coils(geom).values())))
 
 
 @dataclass(frozen=True)
 class TransformerModel:
-    """Lumped three-coil transformer extracted at one evaluation frequency."""
+    """Lumped three-coil transformer extracted at one evaluation frequency;
+    its check is the one bound on each k = |M| / sqrt(L_a L_b): [0, 1)."""
 
     l_p: float
     l_s1: float
@@ -373,15 +362,13 @@ def model_from_coils(coils: dict[str, CoilGeometry], eval_frequency_hz: float,
     for role in ROLES:
         if role not in coils:
             raise InvalidModelError(f"missing coil {role!r}")
-    # One pass over the windings, packed once.  The first defect reported is
-    # a segment's self-term validity in winding order, then an overlap in
-    # block order p, s1, s2, p-s1, p-s2, s1-s2, then a non-positive loop
-    # total, then a coupling bound.
+    # One pass over the windings, packed once: the defects in the order of
+    # the inductance module docstring, then the model's own checks.
     windings = pack_windings([coils[role] for role in ROLES])
     (l_p, m_ps1, m_ps2), (_, l_s1, m_ss), (_, _, l_s2) = winding_inductances(windings).tolist()
-    k_ps1 = abs(coupling_coefficient(l_p, l_s1, m_ps1))
-    k_ps2 = abs(coupling_coefficient(l_p, l_s2, m_ps2))
-    k_ss = abs(coupling_coefficient(l_s1, l_s2, m_ss))
+    k_ps1 = abs(m_ps1) / math.sqrt(l_p * l_s1)
+    k_ps2 = abs(m_ps2) / math.sqrt(l_p * l_s2)
+    k_ss = abs(m_ss) / math.sqrt(l_s1 * l_s2)
     (r_pdc, r_s1dc, r_s2dc), (r_pac, r_s1ac, r_s2ac) = (
         r.tolist() for r in winding_resistances(windings, eval_frequency_hz, resistivity_ohm_m))
     return TransformerModel(
@@ -396,7 +383,8 @@ def build_transformer(geom: TransformerGeometry) -> TransformerModel:
     """Generate the windings and extract the lumped transformer model at
     DEFAULT_EVAL_FREQUENCY_HZ."""
     coils = generate_coils(geom)
-    return model_from_coils(coils, DEFAULT_EVAL_FREQUENCY_HZ, _footprint_mm2(coils),
+    area = footprint_mm2(pack_windings(list(coils.values())))
+    return model_from_coils(coils, DEFAULT_EVAL_FREQUENCY_HZ, area,
                             geom.process.resistivity_ohm_m)
 
 

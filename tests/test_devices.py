@@ -4,7 +4,8 @@ Spot currents and capacitances were evaluated by hand from the stated
 equations and frozen here; the derivative checks compare the analytic
 partials mos_eval returns against centered finite differences of the
 current it returns.  A bank of transistors in every region, evaluated
-in one loop, gives each device exactly what it gives alone.
+in one loop, gives each device exactly what it gives alone, and so does
+a bank of varactors.
 """
 import dataclasses
 import math
@@ -21,6 +22,7 @@ from tsvqvco.devices import (
     mos_bank,
     mos_eval,
     mos_row,
+    varactor_bank,
     varactor_eval,
 )
 from tsvqvco.errors import InvalidModelError
@@ -263,6 +265,23 @@ class TestVaractor:
     def test_slope_zero_where_clamped(self):
         assert varactor_eval(self.VAR, 0.0)[1] == 0.0
         assert varactor_eval(self.VAR, 0.9)[1] == 0.0
+
+    def test_bank_gives_each_charge_and_its_partials(self):
+        """Rows (a, b, cp, cn, model), sharing slots: each charge is
+        C(v_cp - v_cn) (v_a - v_b), with partials (C, v_ab dC/dv)."""
+        other = VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0, v_hi=0.7)
+        v = [0.55, -0.2, 0.3, 0.0]
+        rows = [(0, 1, 2, 3, self.VAR), (1, 3, 0, 2, other),
+                (0, 3, 3, 3, self.VAR)]
+        charge, part = varactor_bank(rows, v)
+        assert len(charge) == 3 and len(part) == 6
+        for k, (a, b, cp, cn, model) in enumerate(rows):
+            c, dc_dv = varactor_eval(model, v[cp] - v[cn])
+            v_sig = v[a] - v[b]
+            assert (charge[k], *part[2 * k:2 * k + 2]) == (
+                c * v_sig, c, v_sig * dc_dv)
+        assert part[3] != 0.0  # the second row sits inside its control range
+        assert varactor_bank([], [0.0]) == ([], [])
 
     @pytest.mark.parametrize("kwargs", [
         dict(c_min=0.0, c_max=6.3e-12, v_lo=0.1, v_hi=0.7),

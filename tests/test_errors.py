@@ -19,7 +19,9 @@ and traces are one-dimensional), the topology builders and metrology,
 and the structural checks of the engine's MNA walk, which refuse a bool
 as a node index of any element kind and come before the step-count
 check.  A toroidal secondary slot that is not a whole cell is named as
-such.  Newton reports a step it cannot converge.
+such.  Newton reports a step it cannot converge.  A field that holds a
+parameter block, a coil's name and segments, a coupled-set winding's two
+terminals and a step count that overflows to inf are refused by name.
 """
 import dataclasses
 import math
@@ -34,8 +36,8 @@ from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                             InvalidModelError, NumericFailure, check_finite)
-from tsvqvco.geometry import (Segment, TransformerGeometry, rect_segment,
-                               round_segment)
+from tsvqvco.geometry import (CoilGeometry, Segment, TransformerGeometry,
+                              rect_segment, round_segment)
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Mos, Netlist,
                              Resistor, Varactor, Vccs, VSource)
@@ -316,6 +318,49 @@ RANGE_CASES = {
             time_s=np.arange(3.0), voltages={"X": np.zeros(3)},
             currents={}), 0.7),
         "no output nodes to measure"),
+    # a field that holds a parameter block used to take any value, or
+    # to fail on an attribute of it with Python's AttributeError
+    **{f"topology {name} type": (
+        lambda name=name: TopologyParams(**{name: "x"}),
+        f"topology field {name} must be a {cls}")
+       for name, cls in (("nmos", "MosParams"), ("buffers", "BufferParams"),
+                         ("array", "TuningArray"),
+                         ("varactor", "VaractorModel"),
+                         ("transformer", "TransformerModel"))},
+    "buffer nmos type": (lambda: BufferParams(nmos="x"),
+                         "buffer field nmos must be a MosParams"),
+    "geometry process type": (
+        lambda: TransformerGeometry(
+            style="toroidal", turns_primary=6, turns_secondary=1,
+            tsv_pitch_um=66.0, row_spacing_um=90.0, process="x"),
+        "geometry field process must be a ProcessParams",
+        InvalidGeometryError),
+    "coil segments type": (lambda: CoilGeometry("x", segments=[1, 2]),
+                           "coil field segments[0] must be a Segment",
+                           InvalidGeometryError),
+    "coil one-segment type": (lambda: CoilGeometry("x", segments=[1]),
+                              "coil field segments[0] must be a Segment",
+                              InvalidGeometryError),
+    "coil name type": (
+        lambda: CoilGeometry(3, segments=[
+            round_segment((0, 0, 0), (1e-4, 0, 0), 1e-5)]),
+        "coil field name must be a str", InvalidGeometryError),
+    # a step count that overflows to inf used to pass, and transient
+    # then died converting it to an int
+    "step count overflow": (lambda: SimConfig(dt_s=1e-300, t_stop_s=1e300),
+                            "stop time over time step is not a finite step "
+                            "count"),
+    # a winding without two terminals used to raise Python's unpacking
+    # ValueError
+    "coupled set string pairs": (
+        lambda: Netlist().add_coupled_inductors(
+            "ab", [[1e-9, 0.0], [0.0, 1e-9]], [0.0, 0.0]),
+        "coupled set field pairs[0] must be a pair of terminals"),
+    "coupled set three-terminal pair": (
+        lambda: Netlist().add_coupled_inductors(
+            [("a", "b", "c"), ("d", "gnd")], [[1e-9, 0.0], [0.0, 1e-9]],
+            [0.0, 0.0]),
+        "coupled set field pairs[0] must be a pair of terminals"),
 }
 
 
@@ -359,6 +404,10 @@ RAW_ELEMENT_CASES = {
                    "mos field params must be a MosParams"),
     "varactor model": (lambda: Varactor(0, -1, 0, -1, None, "cvx"),
                        "varactor field model must be a VaractorModel"),
+    # used to fail only inside transient, on Python's unpacking ValueError
+    "coupled set one-terminal pair": (lambda: CoupledInductors(
+        ((0,), (0, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "kx",
+        (0.0, 0.0)), "coupled set field pairs[0] must be a pair of terminals"),
     "coupled set initial currents": (lambda: CoupledInductors(
         ((0, -1), (0, -1)), ((1e-9, 0.0), (0.0, 1e-9)), (0.1, 0.1), "kx",
         (0.0,)), "initial currents must match winding count"),

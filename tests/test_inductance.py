@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from tsvqvco.errors import InvalidGeometryError, InvalidModelError
+from tsvqvco.errors import InvalidGeometryError
 from tsvqvco.geometry import CoilGeometry, rect_segment, round_segment
 from tsvqvco.inductance import (
-    coupling_coefficient,
     mutual_partial_inductance,
     pack_windings,
     partial_self_inductance,
@@ -24,6 +23,7 @@ from tsvqvco.inductance import (
     winding_inductances,
     winding_resistances,
 )
+from tsvqvco.transformer import ROLES, generate_coils
 
 RHO_CU = 1.68e-8
 
@@ -210,16 +210,15 @@ class TestLoopInductance:
 
 
 class TestCouplingCoefficient:
-    def test_basic_ratio(self):
-        assert coupling_coefficient(4e-9, 1e-9, 1e-9) == pytest.approx(0.5)
-
-    def test_clamps_rounding_excursion(self):
-        l = 1e-9
-        assert coupling_coefficient(l, l, l * (1 + 5e-10)) == 1.0
-
-    def test_rejects_unphysical_coupling(self):
-        with pytest.raises(InvalidModelError):
-            coupling_coefficient(1e-9, 1e-9, 1.1e-9)
+    def test_model_couplings_are_the_matrix_ratios(self, toroidal_geometry,
+                                                   toroidal_model):
+        """Every k of the model is |M_ij| / sqrt(L_i L_j) of the
+        extracted matrix, to the bit; the bound is the model's."""
+        coils = generate_coils(toroidal_geometry)
+        l = winding_inductances(pack_windings([coils[r] for r in ROLES]))
+        for name, i, j in (("k_ps1", 0, 1), ("k_ps2", 0, 2), ("k_ss", 1, 2)):
+            want = abs(float(l[i, j])) / math.sqrt(float(l[i, i]) * float(l[j, j]))
+            assert getattr(toroidal_model, name).hex() == want.hex(), name
 
 
 class TestResistance:

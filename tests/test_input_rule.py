@@ -15,6 +15,13 @@ EXEMPT, or a parameter neither tried nor listed in UNCHECKED with its
 reason, fails the suite, so a new public input cannot skip the rule
 unnoticed.
 
+A field that holds a parameter block is not a number either: BLOCK_FIELDS
+finds by inspection every dataclass field annotated with a class of the
+package (optional, or a tuple of them, included), and each is tried with
+a string, which must raise "<kind> field <name> must be a <class>",
+indexed for a tuple.  Its valid call is its TABLE row, or its BLOCKS
+row for a class with no numeric input.
+
 Node indices are not numbers but slots: NODE_FIELDS lists the node-index
 fields of every netlist element kind, and each is tried through
 transient with a float, a string and True, which the engine's netlist
@@ -42,11 +49,10 @@ from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              p_channel_mirror)
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
-from tsvqvco.geometry import (ProcessParams, Segment, TransformerGeometry,
-                              round_segment)
-from tsvqvco.inductance import (coupling_coefficient, pack_windings,
-                                segment_resistance, skin_depth,
-                                winding_resistances)
+from tsvqvco.geometry import (CoilGeometry, ProcessParams, Segment,
+                              TransformerGeometry, round_segment)
+from tsvqvco.inductance import (pack_windings, segment_resistance,
+                                skin_depth, winding_resistances)
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Element, Mos,
                               Netlist, Resistor, Varactor, Vccs, VSource)
@@ -154,9 +160,6 @@ TABLE = {
     "inductance.skin_depth": Call(
         skin_depth, dict(freq_hz=2.5e9, resistivity_ohm_m=1.68e-8),
         InvalidGeometryError, "skin depth"),
-    "inductance.coupling_coefficient": Call(
-        coupling_coefficient, dict(l_a=1e-9, l_b=2e-9, m=0.5e-9),
-        InvalidModelError, "coupling"),
     "inductance.segment_resistance": Call(
         segment_resistance, dict(seg=SEGMENT, freq_hz=2.5e9,
                                  resistivity_ohm_m=1.68e-8),
@@ -375,6 +378,63 @@ def test_bad_number_is_rejected_naming_the_input(name, param, path, bad):
     with pytest.raises(call.error, match="^" + re.escape(
             f"{call.kind} field {field} is not a finite number") + "$"):
         call.run(**{**call.kwargs, param: _replaced(call.kwargs.get(param), path, bad)})
+
+
+# Valid calls for the classes with a block field and no numeric input.
+BLOCKS = {
+    "geometry.CoilGeometry": Call(
+        CoilGeometry, dict(name="c", segments=(SEGMENT,)),
+        InvalidGeometryError, "coil"),
+    "netlist.Mos": Call(
+        Mos, dict(d=0, g=1, s=-1, params=MosParams("n", 1e-3, 0.3), label="m"),
+        InvalidModelError, "mos"),
+    "netlist.Varactor": Call(
+        Varactor, dict(a=0, b=-1, cp=1, cn=-1,
+                       model=VaractorModel(1e-12, 3e-12, 0.0, 0.7),
+                       label="cv"), InvalidModelError, "varactor"),
+}
+BLOCK = re.compile(r"(tuple\[)?(\w+)(?(1), \.\.\.\])( \| None)?")
+
+
+def _block_fields() -> list[tuple[str, str, str, bool]]:
+    """(class, field, block class, is a tuple) of every dataclass field
+    of the package annotated with a package class."""
+    modules = [importlib.import_module(f"tsvqvco.{info.name}")
+               for info in pkgutil.iter_modules(tsvqvco.__path__)]
+    classes = {name for m in modules for name, obj in vars(m).items()
+               if inspect.isclass(obj) and obj.__module__ == m.__name__}
+    found = []
+    for m in modules:
+        for name, obj in vars(m).items():
+            if not (dataclasses.is_dataclass(obj) and obj.__module__ == m.__name__):
+                continue
+            for f in dataclasses.fields(obj):
+                match = BLOCK.fullmatch(str(f.type))
+                if match and match[2] in classes:
+                    found.append((f"{m.__name__.split('.')[1]}.{name}", f.name,
+                                  match[2], bool(match[1])))
+    return found
+
+
+BLOCK_FIELDS = _block_fields()
+
+
+def test_block_fields_are_found():
+    assert {(name, field) for name, field, *_ in BLOCK_FIELDS} >= {
+        ("topologies.TopologyParams", "transformer"),
+        ("geometry.CoilGeometry", "segments")}
+    assert not set(BLOCKS) & set(TABLE)
+    assert set(BLOCKS) <= {name for name, *_ in BLOCK_FIELDS}
+
+
+@pytest.mark.parametrize("name, field, cls, seq", BLOCK_FIELDS,
+                         ids=[f"{n}.{f}" for n, f, *_ in BLOCK_FIELDS])
+def test_string_for_a_block_is_rejected_naming_the_field(name, field, cls, seq):
+    call = TABLE[name] if name in TABLE else BLOCKS[name]
+    call.run(**call.kwargs)
+    with pytest.raises(call.error, match="^" + re.escape(
+            f"{call.kind} field {field}{'[0]' if seq else ''} must be a {cls}") + "$"):
+        call.run(**{**call.kwargs, field: "x"})
 
 
 def node_netlist(element) -> Netlist:

@@ -7,8 +7,9 @@ callable.  The package is layered: on the design path geometry,
 inductance, transformer and analysis, and on the run path netlist,
 engine, metrology and topologies, each import only the package modules
 below them, and topologies nothing of the half-circuit analysis; the
-device models import nothing from the package but the error types.  A
-parameter block checks itself once, in __post_init__, and is frozen so
+device models import nothing from the package but the error types.  No
+package module imports an underscore name from another: a private name
+has its own module as its one reader.  A parameter block checks itself once, in __post_init__, and is frozen so
 that the check still holds where it is used; no class has a validate()
 to call.  The netlist, built up one element at a time, is
 checked by the engine's MNA walk, the one reader of its element kinds.
@@ -97,6 +98,19 @@ def package_imports(module: str) -> set[str]:
 @pytest.mark.parametrize("module", sorted(ALLOWED_PACKAGE_IMPORTS))
 def test_package_layering(module):
     assert package_imports(module) == ALLOWED_PACKAGE_IMPORTS[module]
+
+
+def test_no_private_name_crosses_a_module():
+    """Names like inductance._pack stay in their module; a third-party
+    private such as numpy.linalg._umath_linalg is not the package's."""
+    crossings = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "tsvqvco"):
+                crossings += [f"{path.stem}: {node.module}.{a.name}"
+                              for a in node.names if a.name.startswith("_")]
+    assert crossings == []
 
 
 def package_classes():

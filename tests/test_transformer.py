@@ -16,6 +16,7 @@ import pytest
 from tsvqvco import transformer
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
 from tsvqvco.geometry import TransformerGeometry
+from tsvqvco.inductance import footprint_mm2, pack_windings
 from tsvqvco.transformer import (
     ROLES,
     TransformerModel,
@@ -147,7 +148,7 @@ class TestLastGeneration:
         coils = generate_coils(geom)
         area = metal_area(geom)
         assert calls == [geom]
-        assert area == transformer._footprint_mm2(coils)
+        assert area == footprint_mm2(pack_windings(list(coils.values())))
 
     def test_equal_geometry_loaded_again_generates_again(self, monkeypatch):
         first = TransformerGeometry.from_json_file(CONFIG_DIR / "toroidal.json")
