@@ -8,13 +8,16 @@ Mutual terms between collinear pieces of a straight wire are the d -> 0
 limit of the same kernel, which keeps partial-inductance additivity exact
 under re-segmentation.
 
-Windings arrive valid and are packed once (``pack_windings``) into one
-column per segment.  Self terms and resistances are array expressions over
-the columns, and ``winding_inductances`` calls the one numpy pair kernel,
-``_pair_mutuals``, once: on the pairs i < j of every winding, then, in the
-same call, on all a x b pairs of every two windings.
-``partial_self_inductance``, ``mutual_partial_inductance`` and
-``segment_resistance`` are its one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
+Windings arrive checked and packed: each ``CoilGeometry`` holds its
+read-only ``geometry.Columns``, one column per segment, and
+``pack_windings`` only joins them (``geometry.join_columns``), which for
+the three coils of one generation is that generation's own columns.  Self
+terms and resistances are array expressions over the columns, and
+``winding_inductances`` calls the one numpy pair kernel, ``_pair_mutuals``,
+once: on the pairs i < j of every winding, then, in the same call, on all
+a x b pairs of every two windings.  ``partial_self_inductance``,
+``mutual_partial_inductance`` and ``segment_resistance`` are its
+one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
 are dropped before the transcendental work.
 
 ``winding_inductances`` reports the first defect in this order:
@@ -36,7 +39,8 @@ import numpy as np
 
 from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                      InvalidModelError, check_finite)
-from .geometry import CoilGeometry, Segment
+from .geometry import (CoilGeometry, Columns, Segment, join_columns,
+                       pack_segments)
 
 MU0 = 4e-7 * math.pi
 
@@ -56,42 +60,9 @@ def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
     return math.sqrt(resistivity_ohm_m / (math.pi * freq_hz * MU0))
 
 
-class _Rows(NamedTuple):
-    """Per-segment arrays, one column per segment (or per segment pair,
-    once gathered with ``_take``, which leaves out the cross section)."""
-
-    start: np.ndarray   # (3, n) meters
-    end: np.ndarray     # (3, n) meters
-    mid: np.ndarray     # (3, n) meters
-    unit: np.ndarray    # (3, n) unit vectors start -> end
-    length: np.ndarray  # (n,) meters
-    half: np.ndarray    # (2, n) body half extents (horizontal, vertical)
-    cross: np.ndarray   # (2, n) width and thickness; a round one's radius twice
-    is_round: np.ndarray  # (n,) bool
-
-
-def _take(rows: _Rows, idx: np.ndarray) -> _Rows:
+def _take(rows: Columns, idx: np.ndarray) -> Columns:
     """Columns idx of what the pair kernel reads, the cross section left out."""
-    return _Rows(*(a.take(idx, axis=-1) for a in rows[:6]), cross=None, is_round=None)
-
-
-def _pack(segments) -> _Rows:
-    """Columns of the segments; a length is ``Segment.length_m``'s value and
-    a unit vector is (end - start) / length."""
-    cols = np.array([(*s.start, *s.end, s.length_m, s.shape == "round",
-                      s.radius_m, s.width_m, s.thickness_m) for s in segments]).T
-    start, end, length = cols[0:3], cols[3:6], cols[6]
-    is_round = cols[7] == 1.0
-    cross = np.where(is_round, cols[8], cols[9:11])
-    unit = (end - start) / length
-    # Rectangular traces lie flat: width spans horizontally, thickness
-    # vertically.  A vertical rect (not produced by the winding generators)
-    # falls back to an isotropic bound.
-    upright = ~is_round & (np.abs(unit[2]) > 0.5)
-    half = np.where(upright, 0.5 * cross.max(axis=0),
-                    np.where(is_round, cross, 0.5 * cross))
-    return _Rows(start=start, end=end, mid=0.5 * (start + end), unit=unit,
-                 length=length, half=half, cross=cross, is_round=is_round)
+    return Columns(*(a.take(idx, axis=-1) for a in rows[:6]), cross=None, is_round=None)
 
 
 class Windings(NamedTuple):
@@ -99,15 +70,15 @@ class Windings(NamedTuple):
 
     names: tuple[str, ...]
     bounds: tuple[int, ...]
-    rows: _Rows
+    rows: Columns
 
 
 def pack_windings(coils: list[CoilGeometry]) -> Windings:
-    """The segments of the windings, in order, packed into one set of columns."""
+    """The columns of the windings, in order, joined into one set."""
     return Windings(
         names=tuple(c.name for c in coils),
         bounds=tuple(accumulate((len(c.segments) for c in coils), initial=0)),
-        rows=_pack([s for c in coils for s in c.segments]))
+        rows=join_columns(coils))
 
 
 def footprint_mm2(windings: Windings) -> float:
@@ -121,7 +92,7 @@ def footprint_mm2(windings: Windings) -> float:
     return float(width * height * 1e6)
 
 
-def _self_terms(rows: _Rows) -> np.ndarray:
+def _self_terms(rows: Columns) -> np.ndarray:
     """Partial self inductance of each segment, in henries.
 
     Round wire (Rosa):     (mu0 l / 2 pi) (ln(2 l / r) - 3/4)
@@ -149,7 +120,7 @@ def _self_terms(rows: _Rows) -> np.ndarray:
 
 def partial_self_inductance(seg: Segment) -> float:
     """Partial self inductance of one segment, in henries (``_self_terms``)."""
-    return float(_self_terms(_pack([seg]))[0])
+    return float(_self_terms(pack_segments([seg]))[0])
 
 
 def _dot3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -179,7 +150,7 @@ def _antideriv(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f
 
 
-def _projected(x: _Rows, y: _Rows):
+def _projected(x: Columns, y: Columns):
     """Mutual of each pair with segment y projected onto x's axis (signed).
 
     Returns the mutuals, a mask of pairs whose bodies overlap, and the
@@ -221,7 +192,7 @@ def _overlap_error(half_x, half_y, perp) -> InvalidGeometryError:
         f"{ha + hb:.3e} m and vertical gap {gap_v:.3e} m within {va + vb:.3e} m")
 
 
-def _pair_mutuals(rows: _Rows, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     """Signed mutual partial inductance of each segment pair (ia, ib).
 
     Perpendicular pairs are exactly 0 and are dropped before any other
@@ -255,10 +226,10 @@ def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
     arguments; the decomposition error only matters for oblique pairs,
     which the Manhattan winding generators never produce.
     """
-    return float(_pair_mutuals(_pack([seg_a, seg_b]), np.array([0]), np.array([1]))[0])
+    return float(_pair_mutuals(pack_segments([seg_a, seg_b]), np.array([0]), np.array([1]))[0])
 
 
-def _block_sums(rows: _Rows, blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
+def _block_sums(rows: Columns, blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
     """Mutual sum of each (ia, ib) block, from one kernel call over all of
     them in the order given; each block is summed from its own slice."""
     out = _pair_mutuals(rows, np.concatenate([ia for ia, _ in blocks]),
@@ -288,7 +259,7 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     return matrix
 
 
-def _resistances(rows: _Rows, freq_hz: float, resistivity_ohm_m: float):
+def _resistances(rows: Columns, freq_hz: float, resistivity_ohm_m: float):
     """Series resistance of each segment as (DC, at freq_hz), in ohms.
 
     The DC value is rho l / A.  Above DC, conduction is
@@ -315,7 +286,7 @@ def _resistances(rows: _Rows, freq_hz: float, resistivity_ohm_m: float):
 def segment_resistance(seg: Segment, freq_hz: float, resistivity_ohm_m: float) -> float:
     """Series resistance of one segment at the given frequency, in ohms,
     by the shell model of ``_resistances``; freq_hz = 0 gives DC."""
-    return float(_resistances(_pack([seg]), freq_hz, resistivity_ohm_m)[1][0])
+    return float(_resistances(pack_segments([seg]), freq_hz, resistivity_ohm_m)[1][0])
 
 
 def winding_resistances(windings: Windings, freq_hz: float,

@@ -19,7 +19,7 @@ no series loss, whose branch is named by its label alone.
 """
 from __future__ import annotations
 
-from collections.abc import Sized
+from collections.abc import Collection, Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +64,8 @@ class Capacitor:
 def _check_pairs(pairs) -> None:
     """Every winding of a coupled set has two terminals: node names for
     Netlist.add_coupled_inductors, node indices for CoupledInductors."""
+    if not isinstance(pairs, Collection):
+        raise InvalidModelError("coupled set field pairs must be a sequence")
     for w, pair in enumerate(pairs):
         if not (isinstance(pair, Sized) and len(pair) == 2):
             raise InvalidModelError(
@@ -234,10 +236,10 @@ class Netlist:
     def add_coupled_inductors(self, pairs, matrix, series_r,
                               label: str | None = None,
                               i_initial_a=None) -> None:
+        _check_pairs(pairs)
         n = len(pairs)
         if n < 2:  # one winding is an inductor: add_inductor
             raise InvalidModelError("coupled set needs at least two windings")
-        _check_pairs(pairs)
         ic = i_initial_a if i_initial_a is not None else (0.0,) * n
         self._add("k", label, [t for a, b in pairs for t in (a, b)],
                   lambda lbl, *nodes: CoupledInductors(

@@ -19,6 +19,8 @@ TSV-over-trace crossings a layout would resolve with stacked vias, contribute
 zero mutual inductance; their resistance is counted through segment lengths.
 Perpendicular pairs also skip the overlap check, so the toroidal generator
 verifies its own clearances explicitly before emitting any segment.
+The generators emit each segment as a plain row (``geometry.round_row``,
+``geometry.rect_row``) for ``geometry.coils_from_rows`` to check and pack.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                      InvalidModelError, check_finite)
 from .geometry import (UM, STYLE_TOROIDAL, STYLE_VERTICAL_SPIRAL,
                        CoilGeometry, ProcessParams, TransformerGeometry,
-                       check_turns, rect_segment, round_segment)
+                       check_turns, coils_from_rows, rect_row, round_row)
 from .inductance import (MU0, footprint_mm2, pack_windings,
                          winding_inductances, winding_resistances)
 
@@ -143,9 +145,9 @@ def _toroidal_layout(d_um: float, w_um: float, jog_um: float,
     }
 
 
-def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
-                   width_um: float, jog_um: float,
-                   proc: ProcessParams) -> CoilGeometry:
+def _toroidal_coil(xs_um: list[float], lane: _ToroidalLane, width_um: float,
+                   jog_um: float, proc: ProcessParams) -> list[tuple]:
+    """The segment rows of one toroidal coil, in path order."""
     h = proc.tier_height_um * UM
     r = proc.tsv_radius_um * UM
     w = width_um * UM
@@ -165,30 +167,28 @@ def _toroidal_coil(name: str, xs_um: list[float], lane: _ToroidalLane,
         x = x_um * UM
         # Entering on the rail layer keeps the first turn's port out of the
         # top-metal plane the other coils route their row traces on.
-        segs.append(round_segment((x, y_lo, z_run), (x, y_lo, -h), r))
-        segs.append(rect_segment((x, y_lo, -h), (x, y_hi, -h), w, t_top))
-        segs.append(round_segment((x, y_hi, -h), (x, y_hi, 0.0), r))
+        segs.append(round_row((x, y_lo, z_run), (x, y_lo, -h), r))
+        segs.append(rect_row((x, y_lo, -h), (x, y_hi, -h), w, t_top))
+        segs.append(round_row((x, y_hi, -h), (x, y_hi, 0.0), r))
         if idx + 1 < len(xs_um):
             x2 = xs_um[idx + 1] * UM
             xj = x + dx
-            segs.append(rect_segment((x, y_hi, 0.0), (xj, y_hi, 0.0),
-                                     w, t_top))
-            segs.append(rect_segment((xj, y_hi, 0.0), (xj, y_dip, 0.0),
-                                     w, t_top))
+            segs.append(rect_row((x, y_hi, 0.0), (xj, y_hi, 0.0), w, t_top))
+            segs.append(rect_row((xj, y_hi, 0.0), (xj, y_dip, 0.0), w, t_top))
             if z_run != 0.0:
-                segs.append(round_segment((xj, y_dip, 0.0),
-                                          (xj, y_dip, z_run), via_r))
+                segs.append(round_row((xj, y_dip, 0.0), (xj, y_dip, z_run),
+                                      via_r))
             if y_dip != y_lane:
-                segs.append(rect_segment((xj, y_dip, z_run),
-                                         (xj, y_lane, z_run), w, t_run))
-            segs.append(rect_segment((xj, y_lane, z_run),
-                                     (x2, y_lane, z_run), w, t_run))
-            segs.append(rect_segment((x2, y_lane, z_run), (x2, y_lo, z_run),
+                segs.append(rect_row((xj, y_dip, z_run), (xj, y_lane, z_run),
                                      w, t_run))
-    return CoilGeometry(name=name, segments=segs)
+            segs.append(rect_row((xj, y_lane, z_run), (x2, y_lane, z_run),
+                                 w, t_run))
+            segs.append(rect_row((x2, y_lane, z_run), (x2, y_lo, z_run),
+                                 w, t_run))
+    return segs
 
 
-def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
+def _generate_toroidal(geom: TransformerGeometry) -> dict[str, list[tuple]]:
     proc = geom.process
     n_p = int(geom.turns_primary)
     n_s = int(geom.turns_secondary)
@@ -219,14 +219,13 @@ def _generate_toroidal(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
         ROLE_SECONDARY2: [c * p + off2 for c in sorted(slots[1], reverse=True)],
     }
     layout = _toroidal_layout(geom.row_spacing_um, w, jog, proc)
-    return {role: _toroidal_coil(role, xs[role], layout[role], w, jog, proc)
+    return {role: _toroidal_coil(xs[role], layout[role], w, jog, proc)
             for role in ROLES}
 
 
-def _vertical_spiral_coil(name: str, cells: list[int], pitch_um: float,
-                          y_row_um: float, width_um: float,
-                          proc: ProcessParams) -> CoilGeometry:
-    """One coil of the vertical-spiral style: a line of same-sense loops.
+def _vertical_spiral_coil(cells: list[int], pitch_um: float, y_row_um: float,
+                          width_um: float, proc: ProcessParams) -> list[tuple]:
+    """The segment rows of one vertical-spiral coil: a line of same-sense loops.
 
     Cell c owns the TSV pair at x = 2c and 2c+1 pitches.  Each turn rises
     through the first TSV, crosses on the top metal, and drops through the
@@ -242,16 +241,16 @@ def _vertical_spiral_coil(name: str, cells: list[int], pitch_um: float,
     for i, c in enumerate(cells):
         xa = (2 * c) * pitch_um * UM
         xb = (2 * c + 1) * pitch_um * UM
-        segs.append(round_segment((xa, y, -h), (xa, y, 0.0), r))
-        segs.append(rect_segment((xa, y, 0.0), (xb, y, 0.0), w, t))
-        segs.append(round_segment((xb, y, 0.0), (xb, y, -h), r))
+        segs.append(round_row((xa, y, -h), (xa, y, 0.0), r))
+        segs.append(rect_row((xa, y, 0.0), (xb, y, 0.0), w, t))
+        segs.append(round_row((xb, y, 0.0), (xb, y, -h), r))
         if i + 1 < len(cells):
             xc = (2 * cells[i + 1]) * pitch_um * UM
-            segs.append(rect_segment((xb, y, -h), (xc, y, -h), w, t))
-    return CoilGeometry(name=name, segments=segs)
+            segs.append(rect_row((xb, y, -h), (xc, y, -h), w, t))
+    return segs
 
 
-def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
+def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, list[tuple]]:
     proc = geom.process
     n_p = int(geom.turns_primary)
     n_s = int(geom.turns_secondary)
@@ -271,12 +270,11 @@ def _generate_vertical_spiral(geom: TransformerGeometry) -> dict[str, CoilGeomet
     # to the primary equal.
     shadow = list(range((n_p - n_s) // 2, (n_p - n_s) // 2 + n_s))
     return {
-        ROLE_PRIMARY: _vertical_spiral_coil(
-            ROLE_PRIMARY, list(range(n_p)), q, 0.0, w, proc),
+        ROLE_PRIMARY: _vertical_spiral_coil(list(range(n_p)), q, 0.0, w, proc),
         ROLE_SECONDARY1: _vertical_spiral_coil(
-            ROLE_SECONDARY1, shadow, q, geom.row_spacing_um, w, proc),
+            shadow, q, geom.row_spacing_um, w, proc),
         ROLE_SECONDARY2: _vertical_spiral_coil(
-            ROLE_SECONDARY2, shadow, q, -geom.row_spacing_um, w, proc),
+            shadow, q, -geom.row_spacing_um, w, proc),
     }
 
 
@@ -289,23 +287,25 @@ _last: tuple[TransformerGeometry, dict[str, CoilGeometry]] | None = None
 def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     """Generate the three winding paths described by a parametric geometry.
 
-    A second call with the same geometry object returns a new dict of the
-    same (frozen) coils without generating again; only the last geometry
-    is kept.
+    The generators emit plain segment rows, which ``coils_from_rows``
+    checks and packs in one batch, so no Segment is built.  A second call
+    with the same geometry object returns a new dict of the same (frozen,
+    read-only) coils without generating again; only the last geometry is
+    kept.
     """
     global _last
     if _last is None or _last[0] is not geom:
         generate = (_generate_toroidal if geom.style == STYLE_TOROIDAL
                     else _generate_vertical_spiral)
-        _last = (geom, generate(geom))
+        _last = (geom, coils_from_rows(generate(geom)))
     return dict(_last[1])
 
 
 def metal_area(geom: TransformerGeometry) -> float:
     """Footprint of the bounding metal/TSV usage, in mm^2.
 
-    Right after ``generate_coils(geom)`` this reuses that generation and
-    only packs the footprint.
+    Right after ``generate_coils(geom)`` this reuses that generation,
+    whose packed columns the footprint reads as they are.
     """
     return footprint_mm2(pack_windings(list(generate_coils(geom).values())))
 

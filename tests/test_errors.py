@@ -21,7 +21,8 @@ as a node index of any element kind and come before the step-count
 check.  A toroidal secondary slot that is not a whole cell is named as
 such.  Newton reports a step it cannot converge.  A field that holds a
 parameter block, a coil's name and segments, a coupled-set winding's two
-terminals and a step count that overflows to inf are refused by name.
+terminals and a step count that overflows to inf are refused by name, as
+are a coil's segments and a coupled set's pairs that are not a sequence.
 """
 import dataclasses
 import math
@@ -345,6 +346,14 @@ RANGE_CASES = {
         lambda: CoilGeometry(3, segments=[
             round_segment((0, 0, 0), (1e-4, 0, 0), 1e-5)]),
         "coil field name must be a str", InvalidGeometryError),
+    # a non-sequence where a sequence is expected used to escape as
+    # Python's TypeError
+    "coil segments not a sequence": (
+        lambda: CoilGeometry("x", segments=5),
+        "coil field segments must be a sequence", InvalidGeometryError),
+    "coupled set pairs not a sequence": (
+        lambda: Netlist().add_coupled_inductors(5, [[1e-9]], [0.1]),
+        "coupled set field pairs must be a sequence"),
     # a step count that overflows to inf used to pass, and transient
     # then died converting it to an int
     "step count overflow": (lambda: SimConfig(dt_s=1e-300, t_stop_s=1e300),
@@ -413,6 +422,10 @@ RAW_ELEMENT_CASES = {
         (0.0,)), "initial currents must match winding count"),
     "vsource": (lambda: VSource(0, -1, 1.0, "vx", -1e-9),
                 "vsource field ramp_s must be non-negative"),
+    # used to escape as Python's TypeError
+    "coupled set pairs not a sequence": (lambda: CoupledInductors(
+        5, ((1e-9,),), (0.1,), "kx", (0.0,)),
+        "coupled set field pairs must be a sequence"),
     "vccs": (lambda: Vccs(0, -1, 0, -1, NAN, "gx"),
              "vccs field gm is not a finite number"),
 }

@@ -2,20 +2,30 @@
 
 import dataclasses
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tsvqvco.errors import InvalidGeometryError
 from tsvqvco.geometry import (
+    UM,
     CoilGeometry,
+    Columns,
     ProcessParams,
     Segment,
     TransformerGeometry,
+    coils_from_rows,
+    rect_row,
     rect_segment,
+    round_row,
     round_segment,
 )
+from tsvqvco.transformer import generate_coils
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 # the document of configs/toroidal.json
 TOROIDAL_DOC = {
@@ -116,6 +126,110 @@ class TestCoilGeometry:
                 round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
                 round_segment((5e-6, 0, 60e-6), (5e-6, 0, 0), 9.5e-6),
             ])
+
+
+def _segment(row) -> Segment:
+    """The Segment of one row, built by hand."""
+    return Segment(row[0:3], row[3:6], "round" if row[6] == 1.0 else "rect",
+                   *row[7:10])
+
+
+def _build_by_hand(rows: dict) -> None:
+    """Each coil's Segments, then the coil, coil by coil, as a generator
+    building Segment objects would."""
+    for name, coil in rows.items():
+        CoilGeometry(name, [_segment(r) for r in coil])
+
+
+P0, P1, P2 = (0.0, 0.0, 0.0), (0.0, 0.0, 60e-6), (66e-6, 0.0, 60e-6)
+TSV = round_row(P0, P1, 9.5e-6)
+TRACE = rect_row(P1, P2, 10e-6, 7e-6)
+
+# Each defect as coil rows, and the message it raises.
+DEFECTS = {
+    "non-finite coordinate": (
+        {"p": [TSV, rect_row(P1, (math.nan, 0.0, 60e-6), 10e-6, 7e-6)]},
+        "segment field end is not a finite number"),
+    "non-finite start beats a bad radius": (
+        {"p": [round_row((math.inf, 0.0, 0.0), P1, -1.0)]},
+        "segment field start is not a finite number"),
+    "non-finite thickness": (
+        {"p": [rect_row(P1, P2, 10e-6, math.inf)]},
+        "segment field thickness_m is not a finite number"),
+    "zero length": ({"p": [TSV, rect_row(P1, P1, 10e-6, 7e-6)]},
+                    "zero-length segment"),
+    "zero radius": ({"p": [round_row(P0, P1, 0.0)]},
+                    "round segment needs a positive radius"),
+    "negative radius": ({"p": [round_row(P0, P1, -9.5e-6)]},
+                        "round segment needs a positive radius"),
+    "zero width": ({"p": [rect_row(P1, P2, 0.0, 7e-6)]},
+                   "rect segment needs positive width and thickness"),
+    "negative thickness": ({"p": [rect_row(P1, P2, 10e-6, -7e-6)]},
+                           "rect segment needs positive width and thickness"),
+    "path gap": (
+        {"p": [TSV, rect_row((5e-6, 0.0, 60e-6), P2, 10e-6, 7e-6)]},
+        "coil 'p' path breaks between (0.0, 0.0, 6e-05) and (5e-06, 0.0, 6e-05)"),
+    # a coil's gap comes before a later coil's bad segment
+    "gap before the next coil's segment": (
+        {"p": [TSV, rect_row((5e-6, 0.0, 60e-6), P2, 10e-6, 7e-6)],
+         "s": [round_row(P0, P1, 0.0)]},
+        "coil 'p' path breaks between (0.0, 0.0, 6e-05) and (5e-06, 0.0, 6e-05)"),
+    # coil ends need not meet, and a coil's bad segment comes before its gap
+    "segment before its own gap": (
+        {"p": [TSV], "s": [TSV, rect_row((5e-6, 0.0, 60e-6), P2, 10e-6, 7e-6),
+                           round_row(P0, P1, 0.0)]},
+        "round segment needs a positive radius"),
+    "empty coil": ({"p": [TSV], "s": []}, "coil 's' has no segments"),
+}
+
+
+class TestSegmentRows:
+    """coils_from_rows, the generators' entrance, checks and packs as
+    hand-built Segments and CoilGeometry do."""
+
+    @pytest.mark.parametrize("case", sorted(DEFECTS))
+    def test_defect_is_reported_alike_through_both_entrances(self, case):
+        rows, message = DEFECTS[case]
+        raised = []
+        for build in (coils_from_rows, _build_by_hand):
+            with pytest.raises(InvalidGeometryError) as err:
+                build(rows)
+            raised.append((type(err.value), str(err.value)))
+        assert raised == [(InvalidGeometryError, message)] * 2
+
+    @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
+    def test_hand_built_coil_packs_like_the_generated_one(self, config):
+        coils = generate_coils(TransformerGeometry.from_json_file(CONFIG_DIR / config))
+        for name, coil in coils.items():
+            assert len(coil.segments) == coil.columns.length.size
+            again = CoilGeometry(name, list(coil.segments))
+            assert again == coil and hash(again) == hash(coil)
+            for field, got, want in zip(Columns._fields, again.columns, coil.columns):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+                assert got.tobytes() == want.tobytes(), field
+
+    def test_a_row_reads_as_the_segment_it_describes(self, vertical_spiral_geometry):
+        proc = vertical_spiral_geometry.process
+        segments = generate_coils(vertical_spiral_geometry)["primary"].segments
+        first = round_segment((0.0, 0.0, -proc.tier_height_um * UM), (0.0, 0.0, 0.0),
+                              proc.tsv_radius_um * UM)
+        assert segments[0] == first
+        assert segments[-1] == segments[len(segments) - 1]
+        assert segments[1:3] == (segments[1], segments[2])
+        assert list(segments) == [segments[k] for k in range(len(segments))]
+        with pytest.raises(IndexError):
+            segments[len(segments)]
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_coils(TransformerGeometry.from_json_file(
+            CONFIG_DIR / "toroidal.json"))["secondary1"],
+        lambda: CoilGeometry("loop", [_segment(TSV), _segment(TRACE)]),
+    ], ids=["generated", "hand-built"])
+    def test_columns_are_read_only(self, make):
+        for name, column in zip(Columns._fields, make().columns):
+            with pytest.raises(ValueError, match="read-only"):
+                column[..., 0] = 1
+            assert not column.flags.writeable, name
 
 
 class TestTransformerGeometry:

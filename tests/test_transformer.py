@@ -15,9 +15,10 @@ import pytest
 
 from tsvqvco import transformer
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
-from tsvqvco.geometry import TransformerGeometry
+from tsvqvco.geometry import Segment, TransformerGeometry
 from tsvqvco.inductance import footprint_mm2, pack_windings
 from tsvqvco.transformer import (
+    DEFAULT_EVAL_FREQUENCY_HZ,
     ROLES,
     TransformerModel,
     build_transformer,
@@ -205,6 +206,55 @@ class TestLastGeneration:
         models = [model_from_coils(coils, 2.5e9, 0.2, 1.68e-8) for coils in (kept, fresh)]
         assert len({tuple(getattr(m, f.name).hex() for f in dataclasses.fields(m))
                     for m in models}) == 1
+
+
+def _design(geom: TransformerGeometry) -> tuple[str, list[str]]:
+    """A sweep design's footprint and model, each float as hex."""
+    area = metal_area(geom)
+    model = model_from_coils(generate_coils(geom), DEFAULT_EVAL_FREQUENCY_HZ,
+                             area, geom.process.resistivity_ohm_m)
+    return area.hex(), [getattr(model, f.name).hex() for f in dataclasses.fields(model)]
+
+
+# Two documents of the design sweep's grid, one per style.
+SWEEP_DOCS = [
+    {"style": "toroidal", "turns_primary": 10, "turns_secondary": 2,
+     "tsv_pitch_um": 66.0, "row_spacing_um": 90.0},
+    {"style": "vertical_spiral", "turns_primary": 8, "turns_secondary": 3,
+     "tsv_pitch_um": 40.0, "row_spacing_um": 60.0},
+]
+
+
+class TestPackedGeneration:
+    """A generation is checked and packed once, as rows, and kept read-only."""
+
+    @pytest.mark.parametrize("doc", SWEEP_DOCS, ids=lambda d: d["style"])
+    def test_a_sweep_design_builds_no_segment(self, monkeypatch, doc):
+        built = []
+        init = Segment.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Segment, "__init__", counting_init)
+        geom = TransformerGeometry.from_dict(doc)
+        coils = generate_coils(geom)
+        area = metal_area(geom)
+        model_from_coils(coils, DEFAULT_EVAL_FREQUENCY_HZ, area,
+                         geom.process.resistivity_ohm_m)
+        assert built == []
+        segment = coils["primary"].segments[0]  # the spy sees one read
+        assert built == [segment]
+
+    @pytest.mark.parametrize("doc", SWEEP_DOCS, ids=lambda d: d["style"])
+    def test_kept_coils_cannot_be_written_into(self, doc):
+        geom = TransformerGeometry.from_dict(doc)
+        for coil in generate_coils(geom).values():
+            for column in coil.columns:
+                with pytest.raises(ValueError, match="read-only"):
+                    column[..., 0] = 0
+        assert _design(geom) == _design(TransformerGeometry.from_dict(doc))
 
 
 class TestCommittedToroidal:
