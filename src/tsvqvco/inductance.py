@@ -13,18 +13,23 @@ read-only ``geometry.Columns``, one column per segment, and
 ``pack_windings`` only joins them (``geometry.join_columns``), which for
 the three coils of one generation is that generation's own columns.  Self
 terms and resistances are array expressions over the columns, and
-``winding_inductances`` calls the one numpy pair kernel, ``_pair_mutuals``,
-once: on the pairs i < j of every winding, then, in the same call, on all
-a x b pairs of every two windings.  ``partial_self_inductance``,
-``mutual_partial_inductance`` and ``segment_resistance`` are its
-one-segment and one-pair cases.  Perpendicular pairs are exactly zero and
-are dropped before the transcendental work.
+``winding_inductances`` makes one call of the one numpy pair kernel,
+``_pair_mutuals``, which sees each pair that couples once: the pairs
+i < j of the joined columns, which are every winding's own pairs and all
+a x b pairs of every two windings, less the perpendicular ones
+(``_coupling_pairs``, from the unit vectors' Gram matrix).  Perpendicular
+pairs are exactly zero and never reach the kernel.  A block code per pair
+(a winding's own pairs, or one pair of windings) sums the kernel's values
+into the matrix with one ``np.bincount``.  ``partial_self_inductance``,
+``mutual_partial_inductance`` and ``segment_resistance`` are the
+one-segment and one-pair cases.
 
 ``winding_inductances`` reports the first defect in this order:
 1. a segment too short for its self-term closed form, in winding order;
 2. overlapping conductors, the first pair in block order: each winding's
    own pairs (i-major, j > i), then windings (0, 1), (0, 2), ..., (1, 2)
-   (a-major); within a pair, b projected onto a's axis before a onto b's;
+   (a-major); within a pair, b projected onto a's axis before a onto b's,
+   the only projection a parallel pair on two lines takes;
 3. a non-positive loop total, named by the coil's own name.
 ``transformer.TransformerModel`` bounds the coupling.  ``footprint_mm2``
 is the bounding box of packed windings.
@@ -32,7 +37,7 @@ is the bounding box of packed windings.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -61,7 +66,8 @@ def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
 
 
 def _take(rows: Columns, idx: np.ndarray) -> Columns:
-    """Columns idx of what the pair kernel reads, the cross section left out."""
+    """Columns idx of what ``_projected`` reads, the cross section left
+    out; the pair kernel takes one per projection it makes."""
     return Columns(*(a.take(idx, axis=-1) for a in rows[:6]), cross=None, is_round=None)
 
 
@@ -150,6 +156,14 @@ def _antideriv(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f
 
 
+def _offset(start: np.ndarray, unit: np.ndarray, point: np.ndarray):
+    """Perpendicular offset (3, m) of each point from the axis through
+    start along unit, and its length."""
+    rel = point - start
+    perp = rel - _dot3(rel, unit) * unit
+    return perp, np.sqrt(_dot3(perp, perp))
+
+
 def _projected(x: Columns, y: Columns):
     """Mutual of each pair with segment y projected onto x's axis (signed).
 
@@ -158,9 +172,7 @@ def _projected(x: Columns, y: Columns):
     """
     t1 = _dot3(y.start - x.start, x.unit)
     t2 = _dot3(y.end - x.start, x.unit)
-    rel = y.mid - x.start
-    perp = rel - _dot3(rel, x.unit) * x.unit
-    d = np.sqrt(_dot3(perp, perp))
+    perp, d = _offset(x.start, x.unit, y.mid)
     lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
     moving = t1 != t2
 
@@ -192,50 +204,75 @@ def _overlap_error(half_x, half_y, perp) -> InvalidGeometryError:
         f"{ha + hb:.3e} m and vertical gap {gap_v:.3e} m within {va + vb:.3e} m")
 
 
-def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """Signed mutual partial inductance of each segment pair (ia, ib).
+def _coupling_pairs(rows: Columns) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j of the columns that couple, i-major: those whose
+    direction cosine (``_dot3``) is at least ``_PERP_TOL`` in magnitude.
 
-    Perpendicular pairs are exactly 0 and are dropped before any other
-    work.  Each remaining pair averages the projection of ib onto ia's
-    axis with that of ia onto ib's.  If any pair overlaps, the error names
-    the first such pair in the order given, and the (ia, ib) projection
-    before the (ib, ia) one.
+    Candidates come from the unit vectors' Gram matrix at half the
+    tolerance, which BLAS rounds within a few ulps of ``_dot3``; the few
+    it could judge otherwise, below twice the tolerance, are judged again
+    by ``_dot3``.
     """
-    out = np.zeros(len(ia))
-    cos = _dot3(rows.unit.take(ia, axis=1), rows.unit.take(ib, axis=1))
-    keep = np.flatnonzero(np.abs(cos) >= _PERP_TOL)
-    ra, rb = _take(rows, ia[keep]), _take(rows, ib[keep])
-    m_ab, bad_ab, perp_ab = _projected(ra, rb)
-    m_ba, bad_ba, perp_ba = _projected(rb, ra)
-    bad = bad_ab | bad_ba
+    unit = rows.unit
+    gram = np.abs(unit.T @ unit)
+    ia, ib = np.nonzero(np.triu(gram >= 0.5 * _PERP_TOL, 1))
+    near = np.flatnonzero(gram[ia, ib] < 2.0 * _PERP_TOL)
+    if len(near):
+        cos = _dot3(unit[:, ia[near]], unit[:, ib[near]])
+        drop = near[np.abs(cos) < _PERP_TOL]
+        ia, ib = np.delete(ia, drop), np.delete(ib, drop)
+    return ia, ib
+
+
+def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
+                  block: np.ndarray) -> np.ndarray:
+    """Signed mutual partial inductance of each coupling pair (ia, ib),
+    as ``_coupling_pairs`` gives them.
+
+    A parallel pair on two lines (|cos| exactly 1, line separation d at
+    least ``_COLLINEAR_TOL``) takes the projection of ib onto ia's axis
+    alone: both projections are then the same exact Neumann integral,
+    value and overlap verdict.  A skew or collinear pair averages it with
+    the projection of ia onto ib's axis.  All projections go through one
+    ``_projected`` call.  If any pair overlaps, the error names the first
+    by (block, ia, ib), and within it the (ia, ib) projection before the
+    (ib, ia) one.
+    """
+    unit = rows.unit.take(ia, axis=1)
+    _, d = _offset(rows.start.take(ia, axis=1), unit, rows.mid.take(ib, axis=1))
+    # Collinear pairs take both projections too, since _antideriv's
+    # collinear limit gives them different values; the |u| limit of
+    # ROADMAP item 3 makes them agree and removes this carve-out.
+    two = np.flatnonzero((np.abs(_dot3(unit, rows.unit.take(ib, axis=1))) != 1.0)
+                         | (d < _COLLINEAR_TOL))
+    x = _take(rows, np.concatenate((ia, ib[two])))
+    y = _take(rows, np.concatenate((ib, ia[two])))
+    m, bad, perp = _projected(x, y)
+    value = m[:len(ia)]
+    value[two] = 0.5 * (value[two] + m[len(ia):])
     if bad.any():
-        k = int(np.argmax(bad))
-        if bad_ab[k]:
-            raise _overlap_error(ra.half[:, k], rb.half[:, k], perp_ab[:, k])
-        raise _overlap_error(rb.half[:, k], ra.half[:, k], perp_ba[:, k])
-    out[keep] = 0.5 * (m_ab + m_ba)
-    return out
+        col = np.flatnonzero(bad)
+        k = np.concatenate((np.arange(len(ia)), two))[col]
+        c = col[np.lexsort((col, ib[k], ia[k], block[k]))[0]]
+        raise _overlap_error(x.half[:, c], y.half[:, c], perp[:, c])
+    return value
 
 
 def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
     """Signed mutual partial inductance between two segments, in henries.
 
     Perpendicular pairs return exactly 0.  Skew pairs are handled by
-    projecting each segment onto the other's axis and averaging, which is
-    exact for parallel pairs and keeps the result symmetric in its
-    arguments; the decomposition error only matters for oblique pairs,
-    which the Manhattan winding generators never produce.
+    projecting each segment onto the other's axis and averaging, which
+    keeps the result symmetric in its arguments.  For parallel pairs both
+    projections are the exact Neumann integral, so a pair on two lines
+    takes seg_b projected onto seg_a's axis alone (collinear pairs still
+    average, see ``_pair_mutuals``).  The decomposition error only matters
+    for oblique pairs, which the Manhattan winding generators never
+    produce.
     """
-    return float(_pair_mutuals(pack_segments([seg_a, seg_b]), np.array([0]), np.array([1]))[0])
-
-
-def _block_sums(rows: Columns, blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[float]:
-    """Mutual sum of each (ia, ib) block, from one kernel call over all of
-    them in the order given; each block is summed from its own slice."""
-    out = _pair_mutuals(rows, np.concatenate([ia for ia, _ in blocks]),
-                        np.concatenate([ib for _, ib in blocks]))
-    ends = accumulate(len(ia) for ia, _ in blocks)
-    return [float(out[end - len(ia):end].sum()) for end, (ia, _) in zip(ends, blocks)]
+    rows = pack_segments([seg_a, seg_b])
+    ia, ib = _coupling_pairs(rows)
+    return float(_pair_mutuals(rows, ia, ib, np.zeros_like(ia)).sum())
 
 
 def winding_inductances(windings: Windings) -> np.ndarray:
@@ -244,19 +281,23 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     mutuals off it.  Defects are reported in the module docstring's order."""
     rows, bounds = windings.rows, windings.bounds
     self_terms = _self_terms(rows)
-    cols = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    loops = [tuple(c[i] for i in np.triu_indices(len(c), 1)) for c in cols]
-    pairs = list(combinations(range(len(cols)), 2))
-    cross = [(np.repeat(cols[a], len(cols[b])), np.tile(cols[b], len(cols[a]))) for a, b in pairs]
-    sums = _block_sums(rows, loops + cross)
-    loop_sums, cross_sums = sums[:len(loops)], sums[len(loops):]
-    matrix = np.diag(np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * np.array(loop_sums))
+    n = len(bounds) - 1
+    # Block of each winding pair (a, b), a <= b, in block order: the
+    # windings' own pairs, then (0, 1), (0, 2), ..., (1, 2).
+    cross = np.triu_indices(n, 1)
+    code = np.diag(np.arange(n))
+    code[cross] = np.arange(n, n + len(cross[0]))
+    owner = np.repeat(np.arange(n), np.diff(bounds))
+    ia, ib = _coupling_pairs(rows)
+    block = code[owner[ia], owner[ib]]
+    sums = np.bincount(block, _pair_mutuals(rows, ia, ib, block),
+                       minlength=n + len(cross[0]))
+    matrix = np.diag(np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * sums[:n])
     for name, total in zip(windings.names, matrix.diagonal()):
         if total <= 0:
             raise InvalidModelError(f"coil {name!r} inductance came out non-positive")
-    for (a, b), m in zip(pairs, cross_sums):
-        matrix[a, b] = matrix[b, a] = m
-    return matrix
+    matrix[cross] = sums[n:]
+    return matrix + np.triu(matrix, 1).T
 
 
 def _resistances(rows: Columns, freq_hz: float, resistivity_ohm_m: float):

@@ -4,10 +4,12 @@ pass built on it.
 Its values are checked against an independent numerical Neumann double
 integral, a pair inside a batched call must equal the same pair through
 the one-pair wrapper, and overlap errors must name the first offending
-pair in visiting order with the exact messages the scalar pair loop gave
-(frozen below).  The one pass over packed windings must equal the sum of
-its one-segment and one-pair cases, and report defects in the documented
-order.
+pair in block order with the exact messages the scalar pair loop gave
+(frozen below).  Only the pairs that couple reach the kernel, each once,
+and a parallel pair's two projections must agree, value and verdict,
+since the kernel takes one of them.  The one pass over packed windings
+must equal the sum of its one-segment and one-pair cases, and report
+defects in the documented order.
 """
 import math
 from itertools import combinations
@@ -19,9 +21,16 @@ from scipy.integrate import dblquad
 
 from tsvqvco import inductance
 from tsvqvco.errors import InvalidGeometryError
-from tsvqvco.geometry import CoilGeometry, TransformerGeometry, rect_segment, round_segment
+from tsvqvco.geometry import (CoilGeometry, TransformerGeometry, pack_segments,
+                              rect_segment, round_segment)
 from tsvqvco.inductance import (
+    _COLLINEAR_TOL,
+    _PERP_TOL,
+    _coupling_pairs,
+    _dot3,
     _pair_mutuals,
+    _projected,
+    _take,
     mutual_partial_inductance,
     pack_windings,
     partial_self_inductance,
@@ -116,21 +125,113 @@ def test_packed_values_equal_the_segments_own(spiral_coils):
 def test_batched_pairs_equal_one_pair_wrapper(spiral_coils):
     windings = pack_windings(spiral_coils)
     segments = [s for c in spiral_coils for s in c.segments]
-    # primary loop, then primary x secondary1, in global columns
-    n, m = np.diff(windings.bounds[:3])
-    cross_a, cross_b = np.divmod(np.arange(n * m), m)
-    batches = [np.triu_indices(n, 1), (cross_a, cross_b + n)]
-    nonzero = 0
-    for ia, ib in batches:
-        batched = _pair_mutuals(windings.rows, ia, ib)
-        for value, i, j in zip(batched, ia, ib):
-            single = mutual_partial_inductance(segments[i], segments[j])
-            if single == 0.0:
-                assert value == 0.0
-            else:
-                assert value == pytest.approx(single, rel=1e-14, abs=0.0)
-                nonzero += 1
-    assert nonzero > 100
+    ia, ib = _coupling_pairs(windings.rows)
+    batched = _pair_mutuals(windings.rows, ia, ib, np.zeros_like(ia))
+    for value, i, j in zip(batched, ia, ib):
+        single = mutual_partial_inductance(segments[i], segments[j])
+        assert value == pytest.approx(single, rel=1e-14, abs=0.0)
+    assert np.count_nonzero(batched) > 100
+    # A pair the kernel never sees is exactly perpendicular.
+    kept = set(zip(ia.tolist(), ib.tolist()))
+    perpendicular = [(i, j) for i, j in combinations(range(len(segments)), 2)
+                     if (i, j) not in kept]
+    assert len(perpendicular) > 100
+    for i, j in perpendicular[::50]:
+        assert mutual_partial_inductance(segments[i], segments[j]) == 0.0
+
+
+def _dot3_pairs(rows):
+    """The pairs i < j whose direction cosine is at least _PERP_TOL in
+    magnitude, by _dot3 over every pair."""
+    n = rows.length.size
+    return [(i, j) for i, j in combinations(range(n), 2)
+            if abs(float(_dot3(rows.unit[:, i], rows.unit[:, j]))) >= _PERP_TOL]
+
+
+def _kept_pairs(rows):
+    ia, ib = _coupling_pairs(rows)
+    return list(zip(ia.tolist(), ib.tolist()))
+
+
+def test_coupling_pairs_near_the_tolerance_follow_dot3():
+    # Wires tilted off the z axis by eps (cos with an x wire about eps),
+    # around the tolerance where the Gram matrix and _dot3 may round apart.
+    tilts = [0.3, 0.5, 0.9, 0.99, 1.0, 1.01, 1.1, 1.9, 2.0, 2.1, 5.0]
+    segments = [_wire((0, 0, 0), (60, 0, 0))]
+    for k, eps in enumerate(tilts):
+        x = 100.0 + 30.0 * k
+        segments.append(round_segment(_pt(x, 50, 0), (x * UM + eps * _PERP_TOL * 60 * UM,
+                                                      50 * UM, 60 * UM), R))
+    rows = pack_segments(segments)
+    kept = _kept_pairs(rows)
+    assert kept == _dot3_pairs(rows)
+    # the tilts straddle the tolerance: some x-wire pairs stay, some go
+    with_x_wire = [j for i, j in kept if i == 0]
+    assert 0 < len(with_x_wire) < len(tilts)
+
+
+@pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
+def test_parallel_pairs_agree_in_both_frames(config):
+    # The kernel takes one projection of a parallel pair on two lines, so
+    # the other must give the same value and the same overlap verdict.
+    rows = pack_windings(_windings(config)).rows
+    ia, ib = _coupling_pairs(rows)
+    a, b = _take(rows, ia), _take(rows, ib)
+    parallel = np.abs(_dot3(a.unit, b.unit)) == 1.0
+    m_ab, bad_ab, perp = _projected(a, b)
+    two_lines = parallel & (np.sqrt(_dot3(perp, perp)) >= _COLLINEAR_TOL)
+    m_ba, bad_ba, _ = _projected(b, a)
+    assert two_lines.sum() > 500
+    # Far pairs lose digits to the four-term antiderivative sum in either
+    # frame (about 5e-26 H apart on mutuals near 1e-13 H), so the bound is
+    # relative to the largest mutual of the set as well as to each pair.
+    scale = np.abs(m_ab[two_lines]).max()
+    np.testing.assert_allclose(m_ba[two_lines], m_ab[two_lines], rtol=1e-14,
+                               atol=1e-14 * scale)
+    assert bad_ba[two_lines].tolist() == bad_ab[two_lines].tolist()
+
+
+def _pair_at(kind, offset):
+    """A parallel pair 20 um long, the second body offset from the first
+    along `offset` (meters), as packed columns."""
+    if kind == "round":
+        def make(p, q):
+            return round_segment(p, q, R)
+    else:
+        def make(p, q):
+            return rect_segment(p, q, 8 * UM, 3 * UM)
+    ox, oy, oz = offset
+    a = make((0.0, 0.0, 0.0), (20 * UM, 0.0, 0.0))
+    b = make((ox, oy, oz), (ox + 20 * UM, oy, oz))
+    return pack_segments([a]), pack_segments([b])
+
+
+TOUCH = {"round": {"side": 10 * UM, "above": 10 * UM},
+         "rect": {"side": 8 * UM, "above": 3 * UM}}
+
+
+@pytest.mark.parametrize("kind", ["round", "rect"])
+@pytest.mark.parametrize("where", ["side", "above", "end"])
+@pytest.mark.parametrize("shift, overlaps", [
+    (1e-13, False),      # just clear
+    (0.0, False),        # exactly touching
+    (-1e-13, False),     # inside by less than the margin
+    (-0.9e-12, False),
+    (-1.1e-12, True),    # inside by more than the margin
+])
+def test_parallel_margin_verdicts_agree_in_both_frames(kind, where, shift, overlaps):
+    if where == "end":
+        # end to end along the axis, 2 um apart sideways so the bodies
+        # meet if the spans overlap
+        offset = (20 * UM + shift, 2 * UM, 0.0)
+    else:
+        gap = TOUCH[kind][where] + shift
+        offset = (0.0, gap, 0.0) if where == "side" else (0.0, 0.0, gap)
+    a, b = _pair_at(kind, offset)
+    (m_ab,), (bad_ab,), _ = _projected(a, b)
+    (m_ba,), (bad_ba,), _ = _projected(b, a)
+    assert bool(bad_ab) == bool(bad_ba) == overlaps
+    assert m_ba == pytest.approx(m_ab, rel=1e-14, abs=0.0)
 
 
 # Two offending pairs: (0, 4) is a body overlap of two parallel wires 8 um
@@ -251,13 +352,36 @@ def _pairwise_matrix(windings):
     return matrix
 
 
-@pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
-def test_one_pass_equals_pairwise_sums(config):
-    windings = _windings(config)
-    got = winding_inductances(pack_windings(windings))
+def _skew_windings():
+    """Three hand-built windings with 45-degree and other oblique runs
+    beside Manhattan ones."""
+    return [_coil("house", [(0, 0, 0), (0, 0, 60), (30, 0, 90), (60, 0, 60), (60, 0, 0)]),
+            _coil("zigzag", [(0, 40, 0), (30, 70, 30), (60, 40, 60), (60, 40, 100)]),
+            _coil("bend", [(100, 0, 0), (100, 0, 60), (130, 30, 60), (150, 50, 80),
+                           (170, 50, 80)])]
+
+
+@pytest.mark.parametrize("windings", [
+    pytest.param(lambda: _windings("toroidal.json"), id="toroidal"),
+    pytest.param(lambda: _windings("vertical_spiral.json"), id="vertical_spiral"),
+    pytest.param(_skew_windings, id="skew"),
+])
+def test_one_pass_equals_pairwise_sums(windings):
+    windings = windings()
+    packed = pack_windings(windings)
+    got = winding_inductances(packed)
     want = _pairwise_matrix(windings)
     assert np.all(want != 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert _kept_pairs(packed.rows) == _dot3_pairs(packed.rows)
+
+
+def test_skew_windings_take_oblique_pairs():
+    rows = pack_windings(_skew_windings()).rows
+    ia, ib = _coupling_pairs(rows)
+    cos = np.abs(_dot3(rows.unit[:, ia], rows.unit[:, ib]))
+    assert np.any((cos > _PERP_TOL) & (cos < 1.0))
+    assert np.any(cos == 1.0)
 
 
 @pytest.mark.parametrize("order", [(1, 0, 2), (2, 1, 0), (1, 2, 0)])
@@ -268,17 +392,38 @@ def test_permuting_windings_permutes_the_matrix(spiral_coils, order):
     assert permuted.diagonal().tolist() == matrix.diagonal()[list(order)].tolist()
 
 
-def test_model_makes_one_kernel_call_in_block_order(monkeypatch, spiral_coils):
+def test_model_makes_one_kernel_call_on_the_coupling_pairs(monkeypatch, spiral_coils):
     calls = []
 
-    def spy(rows, ia, ib):
+    def spy(rows, ia, ib, block):
         calls.append(list(zip(ia.tolist(), ib.tolist())))
-        return _pair_mutuals(rows, ia, ib)
+        return _pair_mutuals(rows, ia, ib, block)
+
+    projections = []
+
+    def projected_spy(x, y):
+        projections.append(list(zip(x.start.T.tolist(), y.start.T.tolist())))
+        return _projected(x, y)
 
     monkeypatch.setattr(inductance, "_pair_mutuals", spy)
+    monkeypatch.setattr(inductance, "_projected", projected_spy)
     _model(dict(zip(ROLES, spiral_coils)))
-    bounds = pack_windings(spiral_coils).bounds
-    cols = [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    loops = [pair for c in cols for pair in combinations(c, 2)]
-    cross = [(i, j) for a, b in [(0, 1), (0, 2), (1, 2)] for i in cols[a] for j in cols[b]]
-    assert calls == [loops + cross]
+    assert len(calls) == 1
+    (pairs,) = calls
+    rows = pack_windings(spiral_coils).rows
+    coupling = _dot3_pairs(rows)
+    # every coupling pair i < j exactly once, and nothing else
+    assert len(pairs) == len(set(pairs))
+    assert sorted(pairs) == coupling
+    # the vertical spiral has perpendicular pairs, and none reach the kernel
+    n = rows.length.size
+    assert len(coupling) < n * (n - 1) // 2
+    # One projection call: b onto a's axis for every pair, then a onto b's
+    # for the collinear ones only, as the windings have no skew pair.
+    assert all(abs(float(_dot3(rows.unit[:, i], rows.unit[:, j]))) == 1.0 for i, j in pairs)
+    start = rows.start.T.tolist()
+    collinear = [(i, j) for i, j in pairs if np.linalg.norm(
+        np.cross(rows.unit[:, i], rows.mid[:, j] - rows.start[:, i])) < _COLLINEAR_TOL]
+    assert 0 < len(collinear) < len(pairs)
+    assert projections == [[(start[i], start[j]) for i, j in pairs]
+                           + [(start[j], start[i]) for i, j in collinear]]
