@@ -229,10 +229,9 @@ def _check_rows(names, raw: np.ndarray, bounds) -> None:
 
 
 class Columns(NamedTuple):
-    """Per-segment arrays, one column per segment, read-only once packed
-    (a column per projection, once the pair kernel gathers them: each
-    coupling pair once, and a skew or collinear pair a second time with
-    its segments swapped; that gather leaves out the cross section)."""
+    """Per-segment arrays, one column per segment, read-only once packed;
+    the pair kernel gathers from them, by column index, the fields each
+    projection reads."""
 
     start: np.ndarray   # (3, n) meters
     end: np.ndarray     # (3, n) meters

@@ -18,9 +18,12 @@ terms and resistances are array expressions over the columns, and
 i < j of the joined columns, which are every winding's own pairs and all
 a x b pairs of every two windings, less the perpendicular ones
 (``_coupling_pairs``, from the unit vectors' Gram matrix).  Perpendicular
-pairs are exactly zero and never reach the kernel.  A block code per pair
-(a winding's own pairs, or one pair of windings) sums the kernel's values
-into the matrix with one ``np.bincount``.  ``partial_self_inductance``,
+pairs are exactly zero and never reach the kernel.  The kernel projects
+every pair once, ``_projected`` gathering by column index only the fields
+it reads, and projects the skew and collinear pairs a second time with
+their segments swapped.  A block code per pair (a winding's own pairs, or
+one pair of windings) sums the kernel's values with one ``np.bincount``
+into a matrix of any number of windings.  ``partial_self_inductance``,
 ``mutual_partial_inductance`` and ``segment_resistance`` are the
 one-segment and one-pair cases.
 
@@ -37,7 +40,7 @@ is the bounding box of packed windings.
 from __future__ import annotations
 
 import math
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -63,12 +66,6 @@ def skin_depth(freq_hz: float, resistivity_ohm_m: float) -> float:
     check_finite(InvalidGeometryError, "skin depth", "resistivity_ohm_m",
                  resistivity_ohm_m, POSITIVE)
     return math.sqrt(resistivity_ohm_m / (math.pi * freq_hz * MU0))
-
-
-def _take(rows: Columns, idx: np.ndarray) -> Columns:
-    """Columns idx of what ``_projected`` reads, the cross section left
-    out; the pair kernel takes one per projection it makes."""
-    return Columns(*(a.take(idx, axis=-1) for a in rows[:6]), cross=None, is_round=None)
 
 
 class Windings(NamedTuple):
@@ -156,41 +153,45 @@ def _antideriv(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     return f
 
 
-def _offset(start: np.ndarray, unit: np.ndarray, point: np.ndarray):
-    """Perpendicular offset (3, m) of each point from the axis through
-    start along unit, and its length."""
-    rel = point - start
-    perp = rel - _dot3(rel, unit) * unit
-    return perp, np.sqrt(_dot3(perp, perp))
+def _projected(rows: Columns, ix: np.ndarray, iy: np.ndarray):
+    """Mutual of each pair with segment iy projected onto ix's axis (signed).
 
-
-def _projected(x: Columns, y: Columns):
-    """Mutual of each pair with segment y projected onto x's axis (signed).
-
-    Returns the mutuals, a mask of pairs whose bodies overlap, and the
-    perpendicular offset (3, m) of each y midpoint from its x axis.
+    Gathers, by column index, only the fields it reads.  Returns the
+    mutuals, a mask of pairs whose bodies overlap, the perpendicular
+    offset (3, m) of each y midpoint from its x axis, that offset's
+    length d, and the pair's direction cosine.
     """
-    t1 = _dot3(y.start - x.start, x.unit)
-    t2 = _dot3(y.end - x.start, x.unit)
-    perp, d = _offset(x.start, x.unit, y.mid)
+    x_start, x_unit = rows.start.take(ix, axis=1), rows.unit.take(ix, axis=1)
+    length = rows.length.take(ix)
+    y_start, y_end = rows.start.take(iy, axis=1), rows.end.take(iy, axis=1)
+    t1 = _dot3(y_start - x_start, x_unit)
+    t2 = _dot3(y_end - x_start, x_unit)
+    rel = rows.mid.take(iy, axis=1) - x_start
+    perp = rel - _dot3(rel, x_unit) * x_unit
+    d = np.sqrt(_dot3(perp, perp))
     lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
     moving = t1 != t2
 
     # Conductors whose bodies intersect have no meaningful filament mutual.
     # Touching exactly at the clearance distance is allowed.
-    ext = x.half + y.half
+    ext = rows.half.take(ix, axis=1) + rows.half.take(iy, axis=1)
     body = ((np.sqrt(perp[0] * perp[0] + perp[1] * perp[1]) < ext[0] - _OVERLAP_MARGIN)
             & (np.abs(perp[2]) < ext[1] - _OVERLAP_MARGIN))
     overlap = (moving
-               & (np.minimum(hi, x.length) - np.maximum(lo, 0.0) > _OVERLAP_MARGIN)
+               & (np.minimum(hi, length) - np.maximum(lo, 0.0) > _OVERLAP_MARGIN)
                & ((d < _COLLINEAR_TOL) | body))
 
     # Neumann integral for parallel filaments spanning [0, l] and [lo, hi]
     # on lines d apart, both oriented toward +axis.
-    f = _antideriv(np.stack((x.length - lo, -lo, x.length - hi, -hi)), d)
+    u = np.empty((4, len(length)))
+    np.subtract(length, lo, out=u[0])
+    np.negative(lo, out=u[1])
+    np.subtract(length, hi, out=u[2])
+    np.negative(hi, out=u[3])
+    f = _antideriv(u, d)
     sign = np.where(t2 > t1, 1.0, -1.0)
     value = np.where(moving, sign * (1e-7 * (f[0] - f[1] - f[2] + f[3])), 0.0)
-    return value, overlap, perp
+    return value, overlap, perp, d, _dot3(x_unit, rows.unit.take(iy, axis=1))
 
 
 def _overlap_error(half_x, half_y, perp) -> InvalidGeometryError:
@@ -215,7 +216,8 @@ def _coupling_pairs(rows: Columns) -> tuple[np.ndarray, np.ndarray]:
     """
     unit = rows.unit
     gram = np.abs(unit.T @ unit)
-    ia, ib = np.nonzero(np.triu(gram >= 0.5 * _PERP_TOL, 1))
+    col = np.arange(unit.shape[1])
+    ia, ib = np.nonzero((gram >= 0.5 * _PERP_TOL) & (col[:, None] < col))
     near = np.flatnonzero(gram[ia, ib] < 2.0 * _PERP_TOL)
     if len(near):
         cos = _dot3(unit[:, ia[near]], unit[:, ib[near]])
@@ -229,32 +231,32 @@ def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
     """Signed mutual partial inductance of each coupling pair (ia, ib),
     as ``_coupling_pairs`` gives them.
 
-    A parallel pair on two lines (|cos| exactly 1, line separation d at
-    least ``_COLLINEAR_TOL``) takes the projection of ib onto ia's axis
-    alone: both projections are then the same exact Neumann integral,
-    value and overlap verdict.  A skew or collinear pair averages it with
-    the projection of ia onto ib's axis.  All projections go through one
-    ``_projected`` call.  If any pair overlaps, the error names the first
-    by (block, ia, ib), and within it the (ia, ib) projection before the
-    (ib, ia) one.
+    Every pair is projected once, ib onto ia's axis.  A parallel pair on
+    two lines (|cos| exactly 1, line separation d at least
+    ``_COLLINEAR_TOL``, both from that projection) keeps it alone: both
+    projections are then the same exact Neumann integral, value and
+    overlap verdict.  A skew or collinear pair is projected a second
+    time, ia onto ib's axis, and averages the two.  If any pair overlaps
+    in either frame, the error names the first by (block, ia, ib), and
+    within it the (ia, ib) projection before the (ib, ia) one.
     """
-    unit = rows.unit.take(ia, axis=1)
-    _, d = _offset(rows.start.take(ia, axis=1), unit, rows.mid.take(ib, axis=1))
+    value, bad, perp, d, cos = _projected(rows, ia, ib)
     # Collinear pairs take both projections too, since _antideriv's
     # collinear limit gives them different values; the |u| limit of
     # ROADMAP item 3 makes them agree and removes this carve-out.
-    two = np.flatnonzero((np.abs(_dot3(unit, rows.unit.take(ib, axis=1))) != 1.0)
-                         | (d < _COLLINEAR_TOL))
-    x = _take(rows, np.concatenate((ia, ib[two])))
-    y = _take(rows, np.concatenate((ib, ia[two])))
-    m, bad, perp = _projected(x, y)
-    value = m[:len(ia)]
-    value[two] = 0.5 * (value[two] + m[len(ia):])
-    if bad.any():
-        col = np.flatnonzero(bad)
-        k = np.concatenate((np.arange(len(ia)), two))[col]
-        c = col[np.lexsort((col, ib[k], ia[k], block[k]))[0]]
-        raise _overlap_error(x.half[:, c], y.half[:, c], perp[:, c])
+    two = np.flatnonzero((np.abs(cos) != 1.0) | (d < _COLLINEAR_TOL))
+    m, bad_two, perp_two, _, _ = _projected(rows, ib[two], ia[two])
+    value[two] = 0.5 * (value[two] + m)
+    if bad.any() or bad_two.any():
+        first, second = np.flatnonzero(bad), np.flatnonzero(bad_two)
+        k = np.concatenate((first, two[second]))
+        frame = np.arange(len(k)) >= len(first)
+        c = np.lexsort((frame, ib[k], ia[k], block[k]))[0]
+        if frame[c]:
+            x, y, offset = ib[k[c]], ia[k[c]], perp_two[:, second[c - len(first)]]
+        else:
+            x, y, offset = ia[k[c]], ib[k[c]], perp[:, first[c]]
+        raise _overlap_error(rows.half[:, x], rows.half[:, y], offset)
     return value
 
 
@@ -284,20 +286,24 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     n = len(bounds) - 1
     # Block of each winding pair (a, b), a <= b, in block order: the
     # windings' own pairs, then (0, 1), (0, 2), ..., (1, 2).
-    cross = np.triu_indices(n, 1)
-    code = np.diag(np.arange(n))
-    code[cross] = np.arange(n, n + len(cross[0]))
-    owner = np.repeat(np.arange(n), np.diff(bounds))
+    blocks = [(a, a) for a in range(n)] + list(combinations(range(n), 2))
+    code = [0] * (n * n)
+    for k, (a, b) in enumerate(blocks):
+        code[a * n + b] = k
     ia, ib = _coupling_pairs(rows)
-    block = code[owner[ia], owner[ib]]
-    sums = np.bincount(block, _pair_mutuals(rows, ia, ib, block),
-                       minlength=n + len(cross[0]))
-    matrix = np.diag(np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * sums[:n])
-    for name, total in zip(windings.names, matrix.diagonal()):
+    # a column's winding is the number of inner bounds at or below it
+    inner = bounds[1:-1]
+    block = np.array(code).take(np.searchsorted(inner, ia, side="right") * n
+                                + np.searchsorted(inner, ib, side="right"))
+    sums = np.bincount(block, _pair_mutuals(rows, ia, ib, block), minlength=len(blocks))
+    loops = (np.add.reduceat(self_terms, bounds[:-1]) + 2.0 * sums[:n]).tolist()
+    for name, total in zip(windings.names, loops):
         if total <= 0:
             raise InvalidModelError(f"coil {name!r} inductance came out non-positive")
-    matrix[cross] = sums[n:]
-    return matrix + np.triu(matrix, 1).T
+    matrix = [[0.0] * n for _ in range(n)]
+    for (a, b), value in zip(blocks, loops + sums[n:].tolist()):
+        matrix[a][b] = matrix[b][a] = value
+    return np.array(matrix)
 
 
 def _resistances(rows: Columns, freq_hz: float, resistivity_ohm_m: float):

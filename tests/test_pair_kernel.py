@@ -30,7 +30,6 @@ from tsvqvco.inductance import (
     _dot3,
     _pair_mutuals,
     _projected,
-    _take,
     mutual_partial_inductance,
     pack_windings,
     partial_self_inductance,
@@ -176,11 +175,10 @@ def test_parallel_pairs_agree_in_both_frames(config):
     # the other must give the same value and the same overlap verdict.
     rows = pack_windings(_windings(config)).rows
     ia, ib = _coupling_pairs(rows)
-    a, b = _take(rows, ia), _take(rows, ib)
-    parallel = np.abs(_dot3(a.unit, b.unit)) == 1.0
-    m_ab, bad_ab, perp = _projected(a, b)
+    parallel = np.abs(_dot3(rows.unit[:, ia], rows.unit[:, ib])) == 1.0
+    m_ab, bad_ab, perp, _, _ = _projected(rows, ia, ib)
     two_lines = parallel & (np.sqrt(_dot3(perp, perp)) >= _COLLINEAR_TOL)
-    m_ba, bad_ba, _ = _projected(b, a)
+    m_ba, bad_ba, _, _, _ = _projected(rows, ib, ia)
     assert two_lines.sum() > 500
     # Far pairs lose digits to the four-term antiderivative sum in either
     # frame (about 5e-26 H apart on mutuals near 1e-13 H), so the bound is
@@ -193,7 +191,7 @@ def test_parallel_pairs_agree_in_both_frames(config):
 
 def _pair_at(kind, offset):
     """A parallel pair 20 um long, the second body offset from the first
-    along `offset` (meters), as packed columns."""
+    along `offset` (meters), as packed columns 0 and 1."""
     if kind == "round":
         def make(p, q):
             return round_segment(p, q, R)
@@ -203,7 +201,7 @@ def _pair_at(kind, offset):
     ox, oy, oz = offset
     a = make((0.0, 0.0, 0.0), (20 * UM, 0.0, 0.0))
     b = make((ox, oy, oz), (ox + 20 * UM, oy, oz))
-    return pack_segments([a]), pack_segments([b])
+    return pack_segments([a, b])
 
 
 TOUCH = {"round": {"side": 10 * UM, "above": 10 * UM},
@@ -227,9 +225,9 @@ def test_parallel_margin_verdicts_agree_in_both_frames(kind, where, shift, overl
     else:
         gap = TOUCH[kind][where] + shift
         offset = (0.0, gap, 0.0) if where == "side" else (0.0, 0.0, gap)
-    a, b = _pair_at(kind, offset)
-    (m_ab,), (bad_ab,), _ = _projected(a, b)
-    (m_ba,), (bad_ba,), _ = _projected(b, a)
+    rows = _pair_at(kind, offset)
+    (m_ab,), (bad_ab,), _, _, _ = _projected(rows, [0], [1])
+    (m_ba,), (bad_ba,), _, _, _ = _projected(rows, [1], [0])
     assert bool(bad_ab) == bool(bad_ba) == overlaps
     assert m_ba == pytest.approx(m_ab, rel=1e-14, abs=0.0)
 
@@ -262,13 +260,15 @@ LYING = _wire((10, 0, 14), (30, 0, 14))
 SHORT = _wire((15, 0, 10), (25, 0, 20))
 
 
+BAR_ON_SLANT = ("segment bodies overlap: horizontal gap 3.650e-06 m within "
+                "9.000e-06 m and vertical gap 3.650e-06 m within 6.500e-06 m")
+
+
 @pytest.mark.parametrize("a, b, message", [
     # Only the bar projected onto the slanted wire's axis overlaps, so the
     # message comes from the (b, a) projection of M(BAR, SLANT).
-    (BAR, SLANT, "segment bodies overlap: horizontal gap 3.650e-06 m within "
-                 "9.000e-06 m and vertical gap 3.650e-06 m within 6.500e-06 m"),
-    (SLANT, BAR, "segment bodies overlap: horizontal gap 3.650e-06 m within "
-                 "9.000e-06 m and vertical gap 3.650e-06 m within 6.500e-06 m"),
+    (BAR, SLANT, BAR_ON_SLANT),
+    (SLANT, BAR, BAR_ON_SLANT),
     # Both projections overlap with different gaps: the (a, b) one is reported.
     (LYING, SHORT, "segment bodies overlap: horizontal gap 0.000e+00 m within "
                    "1.000e-05 m and vertical gap 1.000e-06 m within 1.000e-05 m"),
@@ -279,6 +279,23 @@ def test_frozen_overlap_messages(a, b, message):
     with pytest.raises(InvalidGeometryError) as err:
         mutual_partial_inductance(a, b)
     assert str(err.value) == message
+
+
+def test_pair_overlapping_in_its_second_frame_comes_before_later_pairs():
+    # Windings (0, 1), the bar and the slanted wire, overlap only in their
+    # second projection; the later block (0, 2), the bar and the wire
+    # lying along it, overlaps in its first.  The earlier pair is named.
+    rows = pack_segments([BAR, SLANT, LYING])
+    assert [bool(_projected(rows, [x], [y])[1][0]) for x, y in [(0, 1), (1, 0), (0, 2)]] \
+        == [False, True, True]
+    with pytest.raises(InvalidGeometryError) as err:
+        mutual_partial_inductance(BAR, LYING)
+    assert str(err.value) != BAR_ON_SLANT
+    windings = [CoilGeometry(name, [seg]) for name, seg in
+                [("bar", BAR), ("slant", SLANT), ("lying", LYING)]]
+    with pytest.raises(InvalidGeometryError) as err:
+        winding_inductances(pack_windings(windings))
+    assert str(err.value) == BAR_ON_SLANT
 
 
 def _square(name, x0):
@@ -392,7 +409,20 @@ def test_permuting_windings_permutes_the_matrix(spiral_coils, order):
     assert permuted.diagonal().tolist() == matrix.diagonal()[list(order)].tolist()
 
 
-def test_model_makes_one_kernel_call_on_the_coupling_pairs(monkeypatch, spiral_coils):
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_one_pass_equals_pairwise_sums_for_any_winding_count(spiral_coils, count):
+    # The spiral's windings, then a square loop clear of them, beside its
+    # outermost turn.
+    windings = [*spiral_coils, _square("square", 800)][:count]
+    got = winding_inductances(pack_windings(windings))
+    want = _pairwise_matrix(windings)
+    assert got.shape == (count, count)
+    assert np.all(want != 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+    assert (got == got.T).all()
+
+
+def test_model_makes_one_kernel_call_with_two_projections(monkeypatch, spiral_coils):
     calls = []
 
     def spy(rows, ia, ib, block):
@@ -401,9 +431,9 @@ def test_model_makes_one_kernel_call_on_the_coupling_pairs(monkeypatch, spiral_c
 
     projections = []
 
-    def projected_spy(x, y):
-        projections.append(list(zip(x.start.T.tolist(), y.start.T.tolist())))
-        return _projected(x, y)
+    def projected_spy(rows, ix, iy):
+        projections.append(list(zip(ix.tolist(), iy.tolist())))
+        return _projected(rows, ix, iy)
 
     monkeypatch.setattr(inductance, "_pair_mutuals", spy)
     monkeypatch.setattr(inductance, "_projected", projected_spy)
@@ -418,12 +448,11 @@ def test_model_makes_one_kernel_call_on_the_coupling_pairs(monkeypatch, spiral_c
     # the vertical spiral has perpendicular pairs, and none reach the kernel
     n = rows.length.size
     assert len(coupling) < n * (n - 1) // 2
-    # One projection call: b onto a's axis for every pair, then a onto b's
-    # for the collinear ones only, as the windings have no skew pair.
+    # Two projections: b onto a's axis for every pair, in order, then a
+    # onto b's for the collinear ones only, as the windings have no skew
+    # pair.
     assert all(abs(float(_dot3(rows.unit[:, i], rows.unit[:, j]))) == 1.0 for i, j in pairs)
-    start = rows.start.T.tolist()
     collinear = [(i, j) for i, j in pairs if np.linalg.norm(
         np.cross(rows.unit[:, i], rows.mid[:, j] - rows.start[:, i])) < _COLLINEAR_TOL]
     assert 0 < len(collinear) < len(pairs)
-    assert projections == [[(start[i], start[j]) for i, j in pairs]
-                           + [(start[j], start[i]) for i, j in collinear]]
+    assert projections == [pairs, [(j, i) for i, j in collinear]]
