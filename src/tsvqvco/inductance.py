@@ -18,14 +18,16 @@ terms and resistances are array expressions over the columns, and
 i < j of the joined columns, which are every winding's own pairs and all
 a x b pairs of every two windings, less the perpendicular ones
 (``_coupling_pairs``, from the unit vectors' Gram matrix).  Perpendicular
-pairs are exactly zero and never reach the kernel.  The kernel projects
-every pair once, ``_projected`` gathering by column index only the fields
-it reads, and projects the skew and collinear pairs a second time with
-their segments swapped.  A block code per pair (a winding's own pairs, or
-one pair of windings) sums the kernel's values with one ``np.bincount``
-into a matrix of any number of windings.  ``partial_self_inductance``,
-``mutual_partial_inductance`` and ``segment_resistance`` are the
-one-segment and one-pair cases.
+pairs are exactly zero and never reach the kernel.  The kernel runs a
+geometry pass (``_geometry``: projections only, gathering by column index
+the fields it reads) over every pair, and again over the skew and
+collinear pairs with their segments swapped; then the defect check, so a
+rejected design evaluates no antiderivative; then one value pass
+(``_values``, one ``_antideriv`` call) over both frames' pairs.  A block
+code per pair (a winding's own pairs, or one pair of windings) sums the
+kernel's values with one ``np.bincount`` into a matrix of any number of
+windings.  ``partial_self_inductance``, ``mutual_partial_inductance`` and
+``segment_resistance`` are the one-segment and one-pair cases.
 
 ``winding_inductances`` reports the first defect in this order:
 1. a segment too short for its self-term closed form, in winding order;
@@ -136,31 +138,36 @@ def _antideriv(u: np.ndarray, d: np.ndarray) -> np.ndarray:
     two-filament integral; u is (4, m), d is (m,)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         f = u * np.arcsinh(u / d) - np.sqrt(u * u + d * d)
-    collinear = d < _COLLINEAR_TOL
-    if collinear.any():
+    collinear = np.flatnonzero(d < _COLLINEAR_TOL)
+    if len(collinear):
         # d -> 0 limit with the ln(d) parts dropped, as they cancel across
         # the four-term combination; 0 at u = 0.  The exact limit of
         # u asinh(u/d) is |u| ln|2u/d|: this form keeps the sign of u, so
         # a partner lying beyond the end of the axis gets the wrong sign.
         # It is kept because the recorded benchmark reference holds it;
         # tests/test_pair_kernel.py marks the disagreement.
-        uc = u[:, collinear]
+        uc = u.take(collinear, axis=1)
         au = np.abs(uc)
-        nz = au > 0.0
-        lim = np.zeros_like(uc)
-        lim[nz] = uc[nz] * np.log(2.0 * au[nz]) - au[nz]
-        f[:, collinear] = lim
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f[:, collinear] = np.where(au > 0.0, uc * np.log(2.0 * au) - au, 0.0)
     return f
 
 
-def _projected(rows: Columns, ix: np.ndarray, iy: np.ndarray):
-    """Mutual of each pair with segment iy projected onto ix's axis (signed).
+class _Projection(NamedTuple):
+    """One projection per pair (``_geometry``); ``_values`` reads the first six fields."""
 
-    Gathers, by column index, only the fields it reads.  Returns the
-    mutuals, a mask of pairs whose bodies overlap, the perpendicular
-    offset (3, m) of each y midpoint from its x axis, that offset's
-    length d, and the pair's direction cosine.
-    """
+    t1: np.ndarray       # y's start and end along x's axis, from x's start
+    t2: np.ndarray
+    lo: np.ndarray       # min(t1, t2) and max(t1, t2)
+    hi: np.ndarray
+    length: np.ndarray   # x's length
+    d: np.ndarray        # length of perp, the line separation
+    perp: np.ndarray     # (3, m) offset of each y midpoint from x's axis
+    overlap: np.ndarray  # the two bodies intersect
+
+
+def _geometry(rows: Columns, ix: np.ndarray, iy: np.ndarray) -> _Projection:
+    """Each pair projected, segment iy onto ix's axis; no transcendental work."""
     x_start, x_unit = rows.start.take(ix, axis=1), rows.unit.take(ix, axis=1)
     length = rows.length.take(ix)
     y_start, y_end = rows.start.take(iy, axis=1), rows.end.take(iy, axis=1)
@@ -170,17 +177,22 @@ def _projected(rows: Columns, ix: np.ndarray, iy: np.ndarray):
     perp = rel - _dot3(rel, x_unit) * x_unit
     d = np.sqrt(_dot3(perp, perp))
     lo, hi = np.minimum(t1, t2), np.maximum(t1, t2)
-    moving = t1 != t2
 
     # Conductors whose bodies intersect have no meaningful filament mutual.
     # Touching exactly at the clearance distance is allowed.
     ext = rows.half.take(ix, axis=1) + rows.half.take(iy, axis=1)
     body = ((np.sqrt(perp[0] * perp[0] + perp[1] * perp[1]) < ext[0] - _OVERLAP_MARGIN)
             & (np.abs(perp[2]) < ext[1] - _OVERLAP_MARGIN))
-    overlap = (moving
+    overlap = ((t1 != t2)
                & (np.minimum(hi, length) - np.maximum(lo, 0.0) > _OVERLAP_MARGIN)
                & ((d < _COLLINEAR_TOL) | body))
+    return _Projection(t1, t2, lo, hi, length, d, perp, overlap)
 
+
+def _values(*projections: _Projection) -> np.ndarray:
+    """Signed mutual of each projected pair, in order, from one ``_antideriv`` call."""
+    t1, t2, lo, hi, length, d = (np.concatenate(field) for field in
+                                 zip(*(p[:6] for p in projections)))
     # Neumann integral for parallel filaments spanning [0, l] and [lo, hi]
     # on lines d apart, both oriented toward +axis.
     u = np.empty((4, len(length)))
@@ -190,8 +202,7 @@ def _projected(rows: Columns, ix: np.ndarray, iy: np.ndarray):
     np.negative(hi, out=u[3])
     f = _antideriv(u, d)
     sign = np.where(t2 > t1, 1.0, -1.0)
-    value = np.where(moving, sign * (1e-7 * (f[0] - f[1] - f[2] + f[3])), 0.0)
-    return value, overlap, perp, d, _dot3(x_unit, rows.unit.take(iy, axis=1))
+    return np.where(t1 != t2, sign * (1e-7 * (f[0] - f[1] - f[2] + f[3])), 0.0)
 
 
 def _overlap_error(half_x, half_y, perp) -> InvalidGeometryError:
@@ -231,33 +242,37 @@ def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
     """Signed mutual partial inductance of each coupling pair (ia, ib),
     as ``_coupling_pairs`` gives them.
 
-    Every pair is projected once, ib onto ia's axis.  A parallel pair on
-    two lines (|cos| exactly 1, line separation d at least
-    ``_COLLINEAR_TOL``, both from that projection) keeps it alone: both
+    Geometry first: every pair is projected once, ib onto ia's axis.  A
+    parallel pair on two lines (|cos| exactly 1, line separation d at
+    least ``_COLLINEAR_TOL`` from that projection) keeps it alone: both
     projections are then the same exact Neumann integral, value and
     overlap verdict.  A skew or collinear pair is projected a second
-    time, ia onto ib's axis, and averages the two.  If any pair overlaps
+    time, ia onto ib's axis.  Then the defect check: if any pair overlaps
     in either frame, the error names the first by (block, ia, ib), and
-    within it the (ia, ib) projection before the (ib, ia) one.
+    within it the (ia, ib) projection before the (ib, ia) one.  Only then
+    one value pass over both frames' pairs; a pair with two projections
+    averages their values.
     """
-    value, bad, perp, d, cos = _projected(rows, ia, ib)
+    first = _geometry(rows, ia, ib)
+    cos = _dot3(rows.unit.take(ia, axis=1), rows.unit.take(ib, axis=1))
     # Collinear pairs take both projections too, since _antideriv's
     # collinear limit gives them different values; the |u| limit of
     # ROADMAP item 3 makes them agree and removes this carve-out.
-    two = np.flatnonzero((np.abs(cos) != 1.0) | (d < _COLLINEAR_TOL))
-    m, bad_two, perp_two, _, _ = _projected(rows, ib[two], ia[two])
-    value[two] = 0.5 * (value[two] + m)
-    if bad.any() or bad_two.any():
-        first, second = np.flatnonzero(bad), np.flatnonzero(bad_two)
-        k = np.concatenate((first, two[second]))
-        frame = np.arange(len(k)) >= len(first)
+    two = np.flatnonzero((np.abs(cos) != 1.0) | (first.d < _COLLINEAR_TOL))
+    second = _geometry(rows, ib[two], ia[two])
+    if first.overlap.any() or second.overlap.any():
+        bad, bad_two = np.flatnonzero(first.overlap), np.flatnonzero(second.overlap)
+        k = np.concatenate((bad, two[bad_two]))
+        frame = np.arange(len(k)) >= len(bad)
         c = np.lexsort((frame, ib[k], ia[k], block[k]))[0]
         if frame[c]:
-            x, y, offset = ib[k[c]], ia[k[c]], perp_two[:, second[c - len(first)]]
+            x, y, offset = ib[k[c]], ia[k[c]], second.perp[:, bad_two[c - len(bad)]]
         else:
-            x, y, offset = ia[k[c]], ib[k[c]], perp[:, first[c]]
+            x, y, offset = ia[k[c]], ib[k[c]], first.perp[:, bad[c]]
         raise _overlap_error(rows.half[:, x], rows.half[:, y], offset)
-    return value
+    value = _values(first, second)
+    value[two] = 0.5 * (value[two] + value[len(ia):])
+    return value[:len(ia)]
 
 
 def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
@@ -268,9 +283,9 @@ def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
     keeps the result symmetric in its arguments.  For parallel pairs both
     projections are the exact Neumann integral, so a pair on two lines
     takes seg_b projected onto seg_a's axis alone (collinear pairs still
-    average, see ``_pair_mutuals``).  The decomposition error only matters
-    for oblique pairs, which the Manhattan winding generators never
-    produce.
+    average).  As in ``_pair_mutuals``, both projections are checked for
+    overlap before either is evaluated.  The decomposition error only
+    matters for oblique pairs, which the Manhattan generators never make.
     """
     rows = pack_segments([seg_a, seg_b])
     ia, ib = _coupling_pairs(rows)

@@ -9,7 +9,9 @@ pair in block order with the exact messages the scalar pair loop gave
 and a parallel pair's two projections must agree, value and verdict,
 since the kernel takes one of them.  The one pass over packed windings
 must equal the sum of its one-segment and one-pair cases, and report
-defects in the documented order.
+defects in the documented order, before any value is evaluated: a
+design's value pass, one antiderivative call, runs only once no pair
+overlaps in either frame.
 """
 import math
 from itertools import combinations
@@ -26,10 +28,12 @@ from tsvqvco.geometry import (CoilGeometry, TransformerGeometry, pack_segments,
 from tsvqvco.inductance import (
     _COLLINEAR_TOL,
     _PERP_TOL,
+    _antideriv,
     _coupling_pairs,
     _dot3,
+    _geometry,
     _pair_mutuals,
-    _projected,
+    _values,
     mutual_partial_inductance,
     pack_windings,
     partial_self_inductance,
@@ -169,6 +173,13 @@ def test_coupling_pairs_near_the_tolerance_follow_dot3():
     assert 0 < len(with_x_wire) < len(tilts)
 
 
+def _one_frame(rows, ix, iy):
+    """Value, overlap verdict and offset of each pair, iy projected onto
+    ix's axis, from the geometry and value passes."""
+    projection = _geometry(rows, ix, iy)
+    return _values(projection), projection.overlap, projection.perp
+
+
 @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
 def test_parallel_pairs_agree_in_both_frames(config):
     # The kernel takes one projection of a parallel pair on two lines, so
@@ -176,9 +187,9 @@ def test_parallel_pairs_agree_in_both_frames(config):
     rows = pack_windings(_windings(config)).rows
     ia, ib = _coupling_pairs(rows)
     parallel = np.abs(_dot3(rows.unit[:, ia], rows.unit[:, ib])) == 1.0
-    m_ab, bad_ab, perp, _, _ = _projected(rows, ia, ib)
+    m_ab, bad_ab, perp = _one_frame(rows, ia, ib)
     two_lines = parallel & (np.sqrt(_dot3(perp, perp)) >= _COLLINEAR_TOL)
-    m_ba, bad_ba, _, _, _ = _projected(rows, ib, ia)
+    m_ba, bad_ba, _ = _one_frame(rows, ib, ia)
     assert two_lines.sum() > 500
     # Far pairs lose digits to the four-term antiderivative sum in either
     # frame (about 5e-26 H apart on mutuals near 1e-13 H), so the bound is
@@ -226,8 +237,8 @@ def test_parallel_margin_verdicts_agree_in_both_frames(kind, where, shift, overl
         gap = TOUCH[kind][where] + shift
         offset = (0.0, gap, 0.0) if where == "side" else (0.0, 0.0, gap)
     rows = _pair_at(kind, offset)
-    (m_ab,), (bad_ab,), _, _, _ = _projected(rows, [0], [1])
-    (m_ba,), (bad_ba,), _, _, _ = _projected(rows, [1], [0])
+    (m_ab,), (bad_ab,), _ = _one_frame(rows, [0], [1])
+    (m_ba,), (bad_ba,), _ = _one_frame(rows, [1], [0])
     assert bool(bad_ab) == bool(bad_ba) == overlaps
     assert m_ba == pytest.approx(m_ab, rel=1e-14, abs=0.0)
 
@@ -286,8 +297,8 @@ def test_pair_overlapping_in_its_second_frame_comes_before_later_pairs():
     # second projection; the later block (0, 2), the bar and the wire
     # lying along it, overlaps in its first.  The earlier pair is named.
     rows = pack_segments([BAR, SLANT, LYING])
-    assert [bool(_projected(rows, [x], [y])[1][0]) for x, y in [(0, 1), (1, 0), (0, 2)]] \
-        == [False, True, True]
+    assert [bool(_geometry(rows, [x], [y]).overlap[0])
+            for x, y in [(0, 1), (1, 0), (0, 2)]] == [False, True, True]
     with pytest.raises(InvalidGeometryError) as err:
         mutual_partial_inductance(BAR, LYING)
     assert str(err.value) != BAR_ON_SLANT
@@ -422,21 +433,24 @@ def test_one_pass_equals_pairwise_sums_for_any_winding_count(spiral_coils, count
     assert (got == got.T).all()
 
 
-def test_model_makes_one_kernel_call_with_two_projections(monkeypatch, spiral_coils):
-    calls = []
+def test_model_makes_one_kernel_call_with_one_value_pass(monkeypatch, spiral_coils):
+    calls, projections, antiderivs = [], [], []
 
     def spy(rows, ia, ib, block):
         calls.append(list(zip(ia.tolist(), ib.tolist())))
         return _pair_mutuals(rows, ia, ib, block)
 
-    projections = []
-
-    def projected_spy(rows, ix, iy):
+    def geometry_spy(rows, ix, iy):
         projections.append(list(zip(ix.tolist(), iy.tolist())))
-        return _projected(rows, ix, iy)
+        return _geometry(rows, ix, iy)
+
+    def antideriv_spy(u, d):
+        antiderivs.append(u.shape)
+        return _antideriv(u, d)
 
     monkeypatch.setattr(inductance, "_pair_mutuals", spy)
-    monkeypatch.setattr(inductance, "_projected", projected_spy)
+    monkeypatch.setattr(inductance, "_geometry", geometry_spy)
+    monkeypatch.setattr(inductance, "_antideriv", antideriv_spy)
     _model(dict(zip(ROLES, spiral_coils)))
     assert len(calls) == 1
     (pairs,) = calls
@@ -448,11 +462,61 @@ def test_model_makes_one_kernel_call_with_two_projections(monkeypatch, spiral_co
     # the vertical spiral has perpendicular pairs, and none reach the kernel
     n = rows.length.size
     assert len(coupling) < n * (n - 1) // 2
-    # Two projections: b onto a's axis for every pair, in order, then a
-    # onto b's for the collinear ones only, as the windings have no skew
+    # Two geometry passes: b onto a's axis for every pair, in order, then
+    # a onto b's for the collinear ones only, as the windings have no skew
     # pair.
     assert all(abs(float(_dot3(rows.unit[:, i], rows.unit[:, j]))) == 1.0 for i, j in pairs)
     collinear = [(i, j) for i, j in pairs if np.linalg.norm(
         np.cross(rows.unit[:, i], rows.mid[:, j] - rows.start[:, i])) < _COLLINEAR_TOL]
     assert 0 < len(collinear) < len(pairs)
     assert projections == [pairs, [(j, i) for i, j in collinear]]
+    # One value pass over both passes' pairs.
+    assert antiderivs == [(4, len(pairs) + len(collinear))]
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: {"primary": _coil("primary", TWO_DEFECTS),
+                          "secondary1": _square("secondary1", 200),
+                          "secondary2": _square("secondary2", 400)},
+                 BODY_8UM, id="two_defects"),
+    # a toroidal grid point whose three secondary turns overlap collinearly
+    pytest.param(lambda: generate_coils(TransformerGeometry.from_dict(
+        {"style": "toroidal", "turns_primary": 8, "turns_secondary": 3,
+         "tsv_pitch_um": 66.0, "row_spacing_um": 60.0})),
+                 "collinear segments overlap", id="toroidal_3_secondary_66um"),
+])
+def test_overlapping_design_evaluates_no_antiderivative(monkeypatch, build, message):
+    coils = build()
+    calls = []
+
+    def antideriv_spy(u, d):
+        calls.append(u.shape)
+        return _antideriv(u, d)
+
+    monkeypatch.setattr(inductance, "_antideriv", antideriv_spy)
+    with pytest.raises(InvalidGeometryError) as err:
+        _model(coils)
+    assert str(err.value) == message
+    assert calls == []
+
+
+def test_collinear_limit_fills_its_own_columns():
+    # Collinear columns (d below the tolerance, zero or not) between
+    # others, each with some u exactly 0: every column of the batch must
+    # equal the same column evaluated alone.  The suite turns any
+    # RuntimeWarning, such as log(0) or 0/0 escaping np.errstate, into an
+    # error.
+    d = np.array([3e-6, 0.0, 5e-6, 0.0, 0.5e-12, 1e-6, 0.0])
+    u = np.array([[2e-5, 0.0, -4e-5, 3e-5, 6e-5, 0.0, -1e-5],
+                  [0.0, -2e-5, 1e-5, 0.0, -3e-5, 2e-5, 0.0],
+                  [-1e-5, 4e-5, 0.0, -2e-5, 0.0, -3e-5, 5e-5],
+                  [5e-5, 1e-5, 2e-5, 1e-5, 2e-5, 0.0, -4e-5]])
+    assert 0 < np.count_nonzero(d < _COLLINEAR_TOL) < len(d)
+    got = _antideriv(u, d)
+    for j in range(len(d)):
+        alone = _antideriv(u[:, [j]], d[[j]])[:, 0]
+        assert got[:, j].tolist() == alone.tolist(), j
+    assert np.all(np.isfinite(got))
+    # the limit is 0 at u = 0
+    zero_limit = (u == 0.0) & (d < _COLLINEAR_TOL)
+    assert got[zero_limit].tolist() == [0.0] * int(zero_limit.sum())
