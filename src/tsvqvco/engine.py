@@ -65,9 +65,10 @@ allocates only the device values and the solve's update dx.  The
 acceptance test counts the rows that pass; the update is screened by
 dx . tiny, with every entry of tiny 2^-600: a finite entry times 2^-600
 is below 2^424, so the sum stays finite and raises no overflow, while a
-NaN or inf entry makes it NaN or inf.  Views of the scratch arrays are
-made per call and never stored, so a deep copy of a _System steps
-exactly as the original does.
+NaN or inf entry makes it NaN or inf.  A run binds its Newton solver
+once, with every view of y and of the scratch arrays, the device banks
+and _solve; the views live in the solver, never on the _System, so a
+deep copy of a _System steps exactly as the original does.
 
 Every step, linear circuits included, is solved by Newton from a
 polynomial predictor: the degree-PREDICTOR_ORDER extrapolation of the
@@ -111,7 +112,6 @@ so repeated runs of the same netlist are bit-identical.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -294,8 +294,8 @@ class _System:
     jac and rhs place the device values, the partials with the 1, and b
     in the step state y of length ylen, and q_map @ y is the charge
     q(x) (module docstring).  f, abs_y, ref, abs_f, accept and js are
-    the scratch arrays _newton_step writes in place, and tiny the
-    constant it screens each update with.
+    the scratch arrays a bound Newton solver writes in place through its
+    own views, and tiny the constant it screens each update with.
     """
 
     def __init__(self, net: Netlist):
@@ -321,7 +321,7 @@ class _System:
         # none on branch rows
         self.kcl_cap = np.full(self.size, np.inf)
         self.kcl_cap[:self.n] = KCL_ABS_A
-        # _newton_step's scratch arrays: whole arrays, never views, so
+        # Newton's scratch arrays: whole arrays, never views, so
         # a deep copy of the system keeps them (module docstring)
         self.f = np.empty(self.size)
         self.abs_y = np.empty(self.ylen)
@@ -496,13 +496,21 @@ def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
     return "MNA matrix is singular (structurally ill-posed netlist)"
 
 
-def _devices(sys: _System, v: list) -> list:
-    """The device slots of y at the node voltages v: every transistor's
-    current and every varactor's charge, in the column order of sys.inc,
-    then their partials, in the column order of sys.jst."""
-    cur, part = mos_bank(sys.mos, v)
-    charge, charge_part = varactor_bank(sys.varactors, v)
-    return cur + charge + part + charge_part
+def _devices(sys: _System):
+    """The device slots of y as a function of the node voltages v: every
+    transistor's current and every varactor's charge, in the column order
+    of sys.inc, then their partials, in the column order of sys.jst.  The
+    banks are looked up here, when a run binds them."""
+    mos, varactors, bank, var_bank = (sys.mos, sys.varactors, mos_bank,
+                                      varactor_bank)
+
+    def devices(v: list) -> list:
+        cur, part = bank(mos, v)
+        if not varactors:
+            return cur + part
+        charge, charge_part = var_bank(varactors, v)
+        return cur + charge + part + charge_part
+    return devices
 
 
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
@@ -513,41 +521,48 @@ def _solve(js: np.ndarray, f: np.ndarray) -> np.ndarray:
     return _umath_linalg.solve1(js, f, signature="dd->d")
 
 
-def _newton_step(sys: _System, stage: _Stage, y: np.ndarray, t: float):
-    """Newton on F y = 0 from the x in y, which is updated in place along
-    with y's device slots; b is y's rhs slice.  Returns the linear
-    solves, and the iterations are the solves plus one; sys.f and
-    sys.abs_f hold the accepted residual and its magnitude."""
-    size = sys.size
-    x = y[:size + 1]
-    dev, jac, kcl_cap, accept = sys.dev, sys.jac, sys.kcl_cap, sys.accept
-    f, abs_y, ref, abs_f = sys.f, sys.abs_y, sys.ref, sys.abs_f
-    F, R, Jm = stage.F, stage.R, stage.Jm
+def _newton(sys: _System, y: np.ndarray):
+    """Newton on F y = 0 as a solver bound once per run to the step
+    state y (module docstring): newton(stage, t) starts from the x in y,
+    updates it in place with y's device slots (b is y's rhs slice) and
+    returns the linear solves, the iterations being the solves plus one;
+    sys.f and sys.abs_f hold the accepted residual and its magnitude."""
+    size, dev, kcl_cap, accept = sys.size, sys.dev, sys.kcl_cap, sys.accept
+    f, abs_y, ref, abs_f, tiny = sys.f, sys.abs_y, sys.ref, sys.abs_f, sys.tiny
+    x, xs, part = y[:size + 1], y[:size], y[sys.jac]
+    flat, js = sys.js, sys.js.reshape(size, size)
+    devices, solve, isfinite = _devices(sys), _solve, math.isfinite
+    dot, absolute, minimum, subtract = np.dot, np.abs, np.minimum, np.subtract
+    less_equal, count_nonzero = np.less_equal, np.count_nonzero
 
-    for it in range(MAX_NEWTON):
-        y[dev] = _devices(sys, x.tolist())
-        np.dot(F, y, out=f)
-        if it:
-            # |f| <= min(R |y|, kcl_cap) on every row, NaN rows failing
-            np.dot(R, np.abs(y, out=abs_y), out=ref)
-            np.minimum(ref, kcl_cap, out=ref)
-            np.less_equal(np.abs(f, out=abs_f), ref, out=accept)
-            if np.count_nonzero(accept) == size:
-                return it
-        # the Jacobian only now: an accepted residual needs none
-        js = np.dot(Jm, y[jac], out=sys.js).reshape(size, size)
-        try:
-            dx = _solve(js, f)
-        except FloatingPointError:
-            raise NumericFailure(_singular_diagnostic(sys, js))
-        # NaN or inf exactly when an entry is: 2^-600 keeps a finite
-        # update's sum far below overflow (module docstring)
-        if not math.isfinite(np.dot(dx, sys.tiny)):
-            raise NumericFailure(f"non-finite Newton update at t = {t:.6e} s")
-        y[:size] -= dx
-    raise NumericFailure(
-        f"Newton did not converge at t = {t:.6e} s after "
-        f"{MAX_NEWTON} iterations; last update {np.abs(dx).max():.3e}")
+    def newton(stage: _Stage, t: float) -> int:
+        F, R, Jm = stage.F, stage.R, stage.Jm
+        for it in range(MAX_NEWTON):
+            y[dev] = devices(x.tolist())
+            dot(F, y, out=f)
+            if it:
+                # |f| <= min(R |y|, kcl_cap) on every row, NaN rows failing
+                dot(R, absolute(y, out=abs_y), out=ref)
+                minimum(ref, kcl_cap, out=ref)
+                less_equal(absolute(f, out=abs_f), ref, out=accept)
+                if count_nonzero(accept) == size:
+                    return it
+            # the Jacobian only now: an accepted residual needs none
+            dot(Jm, part, out=flat)
+            try:
+                dx = solve(js, f)
+            except FloatingPointError:
+                raise NumericFailure(_singular_diagnostic(sys, js))
+            # NaN or inf exactly when an entry is: 2^-600 keeps a finite
+            # update's sum far below overflow (module docstring)
+            if not isfinite(dot(dx, tiny)):
+                raise NumericFailure(
+                    f"non-finite Newton update at t = {t:.6e} s")
+            subtract(xs, dx, out=xs)
+        raise NumericFailure(
+            f"Newton did not converge at t = {t:.6e} s after "
+            f"{MAX_NEWTON} iterations; last update {np.abs(dx).max():.3e}")
+    return newton
 
 
 def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
@@ -560,7 +575,7 @@ def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
     y[sys.dev.stop] = 1.0
     for row, e in sys.vsources:
         y[sys.rhs.start + row] = e.volts
-    _newton_step(sys, sys.stage(0.0, 0.0), y, 0.0)
+    _newton(sys, y)(sys.stage(0.0, 0.0), 0.0)
     g, c = sys.linearize(y)
     a = np.linalg.solve(g, c)
     mu, v = np.linalg.eig(a)
@@ -571,7 +586,7 @@ def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
-    """Run one fixed-step transient; see module docstring for method."""
+    """One fixed-step transient, Newton bound once; see module docstring."""
     sys = _System(net)
     h = cfg.dt_s
     n_steps = int(round(cfg.t_stop_s / h))
@@ -582,7 +597,7 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     y = np.zeros(sys.ylen)
     x, b = y[:sys.size + 1], y[sys.rhs]
     x[:] = sys.x_init
-    y[sys.dev] = _devices(sys, x.tolist())
+    y[sys.dev] = _devices(sys)(x.tolist())
     y[sys.dev.stop] = 1.0  # the 1 between the partials and b
     # the first step's history, b_1 = q(x_0)/h: the zero initial derivative
     b[:] = (1.0 / h) * (sys.q_map @ y)
@@ -590,20 +605,24 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     out[0] = x
     worst = np.zeros(sys.size)  # the largest accepted |f| of each row
     histogram = [0] * MAX_NEWTON  # Newton solves at most MAX_NEWTON - 1
-    stages = itertools.chain([first], itertools.repeat(trap, n_steps - 1))
-    for step, stage in enumerate(stages, start=1):
+    newton, abs_f = _newton(sys, y), sys.abs_f
+    sources = [(row, e.value_at) for row, e in sys.vsources]
+    matmul, maximum, dot = np.matmul, np.maximum, np.dot
+    stage = first
+    for step in range(1, n_steps + 1):
         t = h * step  # the float times[step] holds
         # Newton starts from the predictor over the rows of out already
         # accepted, the initial state excluded; with none accepted yet,
         # k = 1 copies the initial state
         k = min(max(step - 1, 1), PREDICTOR_ORDER + 1)
-        np.matmul(_PREDICTOR[k], out[step - k:step], out=x)
-        for row, e in sys.vsources:
-            b[row] = e.value_at(t)
-        histogram[_newton_step(sys, stage, y, t)] += 1
-        np.maximum(worst, sys.abs_f, out=worst)
+        matmul(_PREDICTOR[k], out[step - k:step], out=x)
+        for row, value_at in sources:
+            b[row] = value_at(t)
+        histogram[newton(stage, t)] += 1
+        maximum(worst, abs_f, out=worst)
         out[step] = x
-        np.dot(stage.hist, y, out=b)  # numpy buffers the b it reads
+        dot(stage.hist, y, out=b)  # numpy buffers the b it reads
+        stage = trap
 
     # read-only column views of out, which Waveforms then needs not copy
     out.flags.writeable = False

@@ -278,7 +278,7 @@ def pack_segments(segments) -> Columns:
 class _SegmentRows(Sequence):
     """Segments lo:hi of a checked batch, kept as the batch's rows (raw)
     and packed columns: len() reads the row count, and an index builds
-    that row's Segment."""
+    that row's Segment, which the batch has already checked."""
 
     __slots__ = ("raw", "batch", "lo", "hi")
 
@@ -298,8 +298,13 @@ class _SegmentRows(Sequence):
         if isinstance(i, slice):
             return tuple(self[k] for k in range(*i.indices(len(self))))
         row = self.raw[:, self.lo + range(len(self))[i]].tolist()
-        return Segment(tuple(row[0:3]), tuple(row[3:6]),
-                       "round" if row[6] == 1.0 else "rect", *row[7:10])
+        # the batch checked this row, so its Segment is not checked again
+        segment = Segment.__new__(Segment)
+        vars(segment).update(
+            start=tuple(row[0:3]), end=tuple(row[3:6]),
+            shape="round" if row[6] == 1.0 else "rect",
+            radius_m=row[7], width_m=row[8], thickness_m=row[9])
+        return segment
 
     def __eq__(self, other) -> bool:
         if isinstance(other, _SegmentRows):

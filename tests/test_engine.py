@@ -33,7 +33,9 @@ a varactor at a fixed control voltage matches a linear capacitor.
 Newton's scratch arrays do not show: a deep copy of a system steps bit
 for bit like the original, and the update screen stops a NaN or inf
 update at the first solve but passes a finite one whose square sum
-overflows.
+overflows.  A run binds its Newton solver once and calls it once per
+step, small_signal binds one for its DC point, and a solver bound once
+steps bit for bit like a fresh binding per step.
 """
 import copy
 import dataclasses
@@ -46,7 +48,7 @@ import pytest
 from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, mos_eval, varactor_eval)
-from tsvqvco.engine import SimConfig, transient
+from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError, NumericFailure
 from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource
 from tsvqvco.topologies import (TopologyParams, build_netlist,
@@ -96,7 +98,7 @@ def device_slots(sys_, x, coef):
     """The engine's device slots of the step state at x, split into the
     currents and the partials, with each varactor's charge and partials
     times coef: the currents and partials a stage at coef stamps."""
-    values = np.array(engine._devices(sys_, x.tolist()))
+    values = np.array(engine._devices(sys_)(x.tolist()))
     k, n_mos = sys_.inc.shape[1], len(sys_.mos)
     assert len(values) == 3 * k == sys_.dev.stop - sys_.dev.start
     cur, part = values[:k], values[k:]
@@ -254,7 +256,7 @@ class TestStageAtAnyCoefficient:
         b = rng.normal(scale=1e-3, size=sys_.size)
         y = np.zeros(sys_.ylen)
         y[:dim] = x
-        y[sys_.dev] = engine._devices(sys_, x.tolist())
+        y[sys_.dev] = engine._devices(sys_)(x.tolist())
         y[sys_.dev.stop] = 1.0
         y[sys_.rhs] = b
 
@@ -352,13 +354,12 @@ class TestStageAtAnyCoefficient:
             net.set_initial_voltage(name, v)
         sys_ = engine._System(net)
         seen = []
-        real = engine._newton_step
 
-        def spy(*args):
-            seen.append(args[2][sys_.rhs].copy())
-            return real(*args)
+        def spy(newton, run_sys, stage, y, t):
+            seen.append(y[sys_.rhs].copy())
+            return newton(stage, t)
 
-        monkeypatch.setattr(engine, "_newton_step", spy)
+        spy_newton(monkeypatch, spy)
         h = 1e-12
         transient(net, SimConfig(dt_s=h, t_stop_s=2 * h))
         x0 = sys_.x_init
@@ -442,7 +443,7 @@ class TestFirstStep:
         net = self.built("tc-qvco", toroidal_model)
         if hard_turn_on:
             stepped(net)
-        monkeypatch.setattr(engine, "_newton_step", failing)
+        spy_newton(monkeypatch, failing)
         with pytest.raises(NumericFailure, match="^injected Newton failure$"):
             transient(net, SimConfig(dt_s=2e-12, t_stop_s=2e-11))
         assert len(calls) == 1
@@ -521,6 +522,22 @@ def count_solves(monkeypatch):
     return calls
 
 
+def spy_newton(monkeypatch, around):
+    """Route every Newton call of the runs that follow through
+    around(newton, sys_, stage, y, t), with newton the solver that
+    engine._newton bound for the run, sys_ and y what it bound to.
+    Returns the bindings' systems, one per engine._newton call."""
+    bind, bound = engine._newton, []
+
+    def spied(sys_, y):
+        newton = bind(sys_, y)
+        bound.append(sys_)
+        return lambda stage, t: around(newton, sys_, stage, y, t)
+
+    monkeypatch.setattr(engine, "_newton", spied)
+    return bound
+
+
 class TestNewtonStartPoint:
     MID_STEP = 400  # of 800: the cores are swinging, the history is full
 
@@ -530,19 +547,19 @@ class TestNewtonStartPoint:
         and t), copied before the run moves its state on, and the
         solution the call before it accepted."""
         seen, accepted = [], []
-        real = engine._newton_step
+        real = engine._newton
 
-        def spy(*args):
+        def spy(newton, *args):
             seen.append(copy.deepcopy(args) if len(seen) == self.MID_STEP
                         else None)
-            result = real(*args)
-            sys_, _, y, _ = args
+            sys_, stage, y, t = args
+            result = newton(stage, t)
             accepted.append(y[:sys_.size + 1].copy())
             return result
 
-        monkeypatch.setattr(engine, "_newton_step", spy)
+        spy_newton(monkeypatch, spy)
         qvco_run(toroidal_model)
-        monkeypatch.setattr(engine, "_newton_step", real)
+        monkeypatch.setattr(engine, "_newton", real)
         return seen[self.MID_STEP], accepted[self.MID_STEP - 1]
 
     @staticmethod
@@ -566,7 +583,7 @@ class TestNewtonStartPoint:
         for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
             calls = count_solves(monkeypatch)
             y0 = self.started(sys_, y, x0)
-            n_solves = engine._newton_step(sys_, stage, y0, t)
+            n_solves = engine._newton(sys_, y0)(stage, t)
             results[name] = (y0, sys_.f.copy())
             solves[name] = len(calls)
             assert n_solves == solves[name], name
@@ -575,7 +592,7 @@ class TestNewtonStartPoint:
             # the engine's own residual and acceptance, recomputed from
             # the accepted x with fresh device values
             y_new = y_acc.copy()
-            y_new[sys_.dev] = engine._devices(sys_, y_acc[:dim].tolist())
+            y_new[sys_.dev] = engine._devices(sys_)(y_acc[:dim].tolist())
             assert np.array_equal(stage.F @ y_new, f), name
             assert np.all(np.abs(f) <= stage.R @ np.abs(y_new)), name
             assert np.abs(f[:sys_.n]).max() <= engine.KCL_ABS_A, name
@@ -594,7 +611,7 @@ class TestNewtonStartPoint:
         within 1e-14 of its row's magnitude."""
         (sys_, stage, y, t), _ = self.mid_run_step(monkeypatch,
                                                    toroidal_model)
-        engine._newton_step(sys_, stage, y, t)
+        engine._newton(sys_, y)(stage, t)
         size, dim = sys_.size, sys_.size + 1
         x, b = y[:dim], y[sys_.rhs]
         mos = [e for e in sys_.net.elements if isinstance(e, Mos)]
@@ -648,14 +665,14 @@ class TestNewtonStartPoint:
             return dx
 
         monkeypatch.setattr(engine, "_solve", recorded)
-        engine._newton_step(sys_, stage, y0, t)
+        engine._newton(sys_, y0)(stage, t)
         scale = np.abs(expected).max()
         assert scale > 0.0
         assert np.abs(updates[0] - expected).max() <= 1e-12 * scale
 
 
 class TestScratchArrays:
-    """_newton_step writes its intermediates into arrays the _System
+    """Newton writes its intermediates into arrays the _System
     owns, and none of that may show: a deep copy of a system steps
     exactly like the system, and the screen for a non-finite update
     neither refuses a finite one nor lets a NaN or inf one through."""
@@ -667,16 +684,16 @@ class TestScratchArrays:
         with a copy of the step state y (its x predicted) and t of one
         mid-run Newton call."""
         calls = []
-        real = engine._newton_step
+        real = engine._newton
 
-        def spy(sys_, stage, y, t):
+        def spy(newton, sys_, stage, y, t):
             calls.append((sys_, stage, y.copy(), t)
                          if len(calls) == self.MID_STEP else None)
-            return real(sys_, stage, y, t)
+            return newton(stage, t)
 
-        monkeypatch.setattr(engine, "_newton_step", spy)
+        spy_newton(monkeypatch, spy)
         qvco_run(toroidal_model)
-        monkeypatch.setattr(engine, "_newton_step", real)
+        monkeypatch.setattr(engine, "_newton", real)
         return calls[self.MID_STEP]
 
     def test_deep_copy_steps_like_the_original(self, monkeypatch,
@@ -686,7 +703,7 @@ class TestScratchArrays:
         results = []
         for s, st in ((sys_, stage), (twin_sys, twin_stage), (sys_, stage)):
             y_run = y.copy()
-            solves = engine._newton_step(s, st, y_run, t)
+            solves = engine._newton(s, y_run)(st, t)
             results.append((y_run, s.f.copy(), solves))
         (y_a, f_a, n_a), (y_b, f_b, n_b), (y_c, f_c, n_c) = results
         assert n_a == n_b == n_c >= 1
@@ -708,7 +725,7 @@ class TestScratchArrays:
         monkeypatch.setattr(engine, "_solve", one_bad_entry)
         with pytest.raises(NumericFailure, match=re.escape(
                 f"non-finite Newton update at t = {t:.6e} s")):
-            engine._newton_step(sys_, stage, y.copy(), t)
+            engine._newton(sys_, y.copy())(stage, t)
         assert len(calls) == 1
 
     def test_finite_update_with_overflowing_square_sum_passes(
@@ -786,14 +803,13 @@ def test_worst_kcl_residual_is_the_largest_accepted_node_row(
     steps, recomputed here as F y from each accepted step state, and it
     stays within Newton's acceptance cap KCL_ABS_A."""
     worst = []
-    newton = engine._newton_step
 
-    def recorded(sys_, stage, y, t):
-        out = newton(sys_, stage, y, t)
+    def recorded(newton, sys_, stage, y, t):
+        out = newton(stage, t)
         worst.append(float(np.abs((stage.F @ y)[:sys_.n]).max()))
         return out
 
-    monkeypatch.setattr(engine, "_newton_step", recorded)
+    spy_newton(monkeypatch, recorded)
     wave = qvco_run(toroidal_model)
     assert len(worst) == len(wave.time_s) - 1
     assert wave.kcl_max_a == max(worst)
@@ -815,22 +831,26 @@ def test_nan_device_value_stops_the_run_at_its_step(bad_step, evaluation,
     net.add_mos("d", "vdd", "gnd", NMOS)
     cfg = SimConfig(dt_s=1e-12, t_stop_s=1e-11)
     times, evaluations = [], []  # per step: its t, its evaluations so far
-    newton, devices = engine._newton_step, engine._devices
+    bind_devices = engine._devices
 
-    def timed(sys_, stage, y, t):
+    def timed(newton, sys_, stage, y, t):
         times.append(t)
         evaluations.append(0)
-        return newton(sys_, stage, y, t)
+        return newton(stage, t)
 
-    def nan_at_bad_step(sys_, v):
-        values = devices(sys_, v)
-        if len(times) == bad_step:
-            if evaluations[-1] == evaluation:
-                values[0] = math.nan  # the transistor's current
-            evaluations[-1] += 1
-        return values
+    def nan_at_bad_step(sys_):
+        devices = bind_devices(sys_)
 
-    monkeypatch.setattr(engine, "_newton_step", timed)
+        def evaluated(v):
+            values = devices(v)
+            if len(times) == bad_step:
+                if evaluations[-1] == evaluation:
+                    values[0] = math.nan  # the transistor's current
+                evaluations[-1] += 1
+            return values
+        return evaluated
+
+    spy_newton(monkeypatch, timed)
     monkeypatch.setattr(engine, "_devices", nan_at_bad_step)
     t_bad = cfg.dt_s * bad_step
     with pytest.raises(NumericFailure, match="^" + re.escape(
@@ -981,18 +1001,76 @@ def test_traces_are_read_only_views_of_one_array():
 
 def test_linear_netlist_solves_every_step(monkeypatch):
     newton_calls = []
-    real = engine._newton_step
 
-    def counted(*args):
+    def counted(newton, sys_, stage, y, t):
         newton_calls.append(None)
-        return real(*args)
+        return newton(stage, t)
 
-    monkeypatch.setattr(engine, "_newton_step", counted)
+    spy_newton(monkeypatch, counted)
     calls = count_solves(monkeypatch)
     wave = transient(rc_netlist(), SimConfig(dt_s=5e-12, t_stop_s=1e-9))
     steps = len(wave.time_s) - 1
     assert len(newton_calls) == steps
     assert len(calls) >= steps
+
+
+def test_each_run_binds_its_solver_once(monkeypatch, toroidal_model):
+    """transient binds one Newton solver per run and calls it once per
+    step, and small_signal binds one for its DC point: no step pays for
+    a binding."""
+    calls = []
+
+    def counted(newton, sys_, stage, y, t):
+        calls.append(sys_)
+        return newton(stage, t)
+
+    bound = spy_newton(monkeypatch, counted)
+    net = build_netlist("tc-qvco", TopologyParams(
+        transformer=toroidal_model, c_parasitic_f=4.4e-12))
+    for run in (lambda: transient(net, qvco_config(toroidal_model)),
+                lambda: transient(rc_netlist(),
+                                  SimConfig(dt_s=5e-12, t_stop_s=1e-9))):
+        calls.clear()
+        steps = len(run().time_s) - 1
+        assert len(calls) == steps and set(calls) == {bound[-1]}
+    assert len(bound) == 2
+    calls.clear()
+    small_signal(net)
+    assert len(bound) == 3 and calls == [bound[-1]]
+
+
+@pytest.mark.parametrize("case", ["buffered", "varactor"])
+def test_one_binding_steps_like_a_binding_per_step(case, monkeypatch,
+                                                   toroidal_model):
+    """Over a 4-period run, from the backward Euler step to swinging
+    cores, a solver bound once leaves after every step the y, f and solve
+    count that a fresh binding per step leaves, bit for bit; the varactor
+    netlist runs the device bank's varactor join."""
+    if case == "buffered":
+        net = build_netlist("tc-qvco", TopologyParams(
+            transformer=toroidal_model, c_parasitic_f=4.4e-12,
+            buffers=BufferParams()))
+    else:
+        net = TestFirstStep().built("tc-qvco-loaded", toroidal_model)
+    assert bool(engine._System(net).varactors) == (case == "varactor")
+    bind = engine._newton
+
+    def run(solver):
+        records = []
+
+        def recorded(newton, sys_, stage, y, t):
+            solves = solver(newton, sys_, y)(stage, t)
+            records.append((y.tobytes(), sys_.f.tobytes(), solves))
+            return solves
+
+        spy_newton(monkeypatch, recorded)
+        transient(net, qvco_config(toroidal_model))
+        monkeypatch.setattr(engine, "_newton", bind)
+        return records
+
+    once = run(lambda newton, sys_, y: newton)
+    fresh = run(lambda newton, sys_, y: bind(sys_, y))
+    assert len(once) == 800 and once == fresh
 
 
 def test_non_finite_solve_on_linear_netlist_fails(monkeypatch):

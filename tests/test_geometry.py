@@ -208,6 +208,24 @@ class TestSegmentRows:
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), field
                 assert got.tobytes() == want.tobytes(), field
 
+    @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
+    def test_a_read_equals_the_checked_segment_of_its_row(self, config):
+        """A read skips the checks its batch made, and still gives the
+        frozen Segment that the checked constructor builds from the row."""
+        coils = generate_coils(TransformerGeometry.from_json_file(CONFIG_DIR / config))
+        for coil in coils.values():
+            rows = coil.segments
+            for i, got in enumerate(rows):
+                row = rows.raw[:, rows.lo + i].tolist()
+                want = Segment(tuple(row[0:3]), tuple(row[3:6]),
+                               "round" if row[6] == 1.0 else "rect", *row[7:10])
+                assert type(got) is Segment
+                assert vars(got) == vars(want) and hash(got) == hash(want)
+                assert list(map(type, vars(got).values())) \
+                    == list(map(type, vars(want).values()))
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    got.radius_m = 1.0
+
     def test_a_row_reads_as_the_segment_it_describes(self, vertical_spiral_geometry):
         proc = vertical_spiral_geometry.process
         segments = generate_coils(vertical_spiral_geometry)["primary"].segments

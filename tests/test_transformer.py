@@ -15,7 +15,7 @@ import pytest
 
 from tsvqvco import transformer
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
-from tsvqvco.geometry import Segment, TransformerGeometry
+from tsvqvco.geometry import Segment, TransformerGeometry, _SegmentRows
 from tsvqvco.inductance import footprint_mm2, pack_windings
 from tsvqvco.transformer import (
     DEFAULT_EVAL_FREQUENCY_HZ,
@@ -231,13 +231,19 @@ class TestPackedGeneration:
     @pytest.mark.parametrize("doc", SWEEP_DOCS, ids=lambda d: d["style"])
     def test_a_sweep_design_builds_no_segment(self, monkeypatch, doc):
         built = []
-        init = Segment.__init__
+        init, read = Segment.__init__, _SegmentRows.__getitem__
 
         def counting_init(self, *args, **kwargs):
             built.append(self)
             init(self, *args, **kwargs)
 
+        # a read builds its row's Segment without __init__
+        def counting_read(self, i):
+            built.append(read(self, i))
+            return built[-1]
+
         monkeypatch.setattr(Segment, "__init__", counting_init)
+        monkeypatch.setattr(_SegmentRows, "__getitem__", counting_read)
         geom = TransformerGeometry.from_dict(doc)
         coils = generate_coils(geom)
         area = metal_area(geom)
