@@ -10,10 +10,9 @@ all state.
 The transistors of a run are one table, a row (d, g, s, polarity sign,
 |V_th|, k, lam) per device (mos_row), with d, g and s the slots of the
 terminal voltages in the simulator's state.  mos_bank evaluates the
-whole table in one loop, and mos_eval is its one-device case, so the
-square law has one implementation.  The varactors are a second table, a
-row (a, b, cp, cn, model) per device, and varactor_bank holds their one
-charge law, q = C(v_cp - v_cn) (v_a - v_b).
+whole table in one loop, so the square law has one implementation.  The
+varactors are a second table, a row (a, b, cp, cn, model) per device, and
+varactor_bank holds their one charge law, q = C(v_cp - v_cn) (v_a - v_b).
 """
 from __future__ import annotations
 
@@ -109,14 +108,6 @@ def mos_bank(table, v) -> tuple[list[float], list[float]]:
         else:
             part += (g_m, g_ds)
     return cur, part
-
-
-def mos_eval(p: MosParams, v_gs: float, v_ds: float) -> tuple[float, float, float]:
-    """Drain current (A) into the drain and its signed partials
-    (d i/d v_gs, d i/d v_ds): mos_bank's one-device case, with the
-    source at 0 V."""
-    (i_d,), (g_m, g_ds) = mos_bank([mos_row(0, 1, 2, p)], [v_ds, v_gs, 0.0])
-    return i_d, g_m, g_ds
 
 
 @dataclass(frozen=True)

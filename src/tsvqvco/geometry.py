@@ -1,22 +1,22 @@
 """Conductor geometry primitives and the process description they live in.
 
-Lengths on the dataclasses below follow the units in their field names:
-process and transformer parameters are entered in micrometers (the natural
-authoring unit for a TSV stack), while Segment coordinates are SI meters
-because they feed the field formulas directly.
+Lengths follow the units in their names: process and transformer
+parameters are entered in micrometers (the natural authoring unit for a
+TSV stack), while segment rows are SI meters because they feed the field
+formulas directly.
 
-A coil keeps its segments packed, as the read-only ``Columns`` the
-inductance formulas read, one column per segment.  A hand-built
-``CoilGeometry`` packs the Segments it is given; ``coils_from_rows``
-checks and packs the plain rows of a whole generation at once and builds
-no Segment.  Both apply one set of segment rules (``_broken_rules``) and
-the one path-gap rule, and ``join_columns`` puts coils side by side.
+A segment is a row of ten numbers (``round_row``, ``rect_row``).
+``coils_from_rows`` is the one entrance of a coil, generated or built by
+hand: it checks a batch of coils' rows against one set of segment rules
+(``_broken_rules``) and the one path-gap rule, then packs them as the
+read-only ``Columns`` the inductance formulas read, one column per
+segment.  ``join_columns`` puts coils side by side.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Sequence, Sized
+from collections.abc import Mapping, Sized
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from typing import NamedTuple
@@ -85,106 +85,65 @@ class ProcessParams:
         return cls(**data)
 
 
-# The coordinate and dimension types Segment's fast path takes as they are.
-_DIM_TYPES = frozenset({float, int})
-_FLOAT = frozenset({float})
+# A segment row, as round_row and rect_row build one: start x, y, z, end
+# x, y, z, 1.0 for round or 0.0 for rect, radius, width, thickness, in
+# meters; a round row's width and thickness are 0, as is a rect row's
+# radius.  Current flows from start to end, and mutual terms take their
+# sign from that orientation.
+def round_row(start: tuple[float, float, float], end: tuple[float, float, float],
+              radius_m: float) -> tuple[float, ...]:
+    try:
+        (x0, y0, z0), (x1, y1, z1) = start, end
+    except (TypeError, ValueError):
+        raise _point_error(start) from None
+    return (x0, y0, z0, x1, y1, z1, 1.0, radius_m, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """Straight conductor segment with a round or rectangular cross section.
-
-    Coordinates are meters, three to a point.  Current is taken to flow
-    from start to end; mutual terms pick up their sign from that
-    orientation.  Each value is checked here, then the rules on the
-    segment as a whole (``_broken_rules``), which generated rows pass too.
-    """
-
-    start: tuple[float, float, float]
-    end: tuple[float, float, float]
-    shape: str = "round"
-    radius_m: float = 0.0
-    width_m: float = 0.0
-    thickness_m: float = 0.0
-
-    def __post_init__(self) -> None:
-        # the common case: three float or int coordinates a point and
-        # float or int dimensions, whose sum a NaN or inf makes non-finite;
-        # anything else (a bool, which isfinite takes as 1, a string, a
-        # numpy scalar, another length) goes to check_finite, which names it
-        start, end = self.start, self.end
-        try:
-            values = (*start, *end, self.radius_m, self.width_m,
-                      self.thickness_m)
-            types = set(map(type, values))
-            fast = (len(values) == 9 and len(start) == 3
-                    and types <= _DIM_TYPES and math.isfinite(sum(values)))
-        except (TypeError, OverflowError):  # not a sequence; a huge int
-            fast = False
-        if not fast:
-            for name in ("start", "end", "radius_m", "width_m", "thickness_m"):
-                value = getattr(self, name)
-                point = name in ("start", "end")
-                if point and not (isinstance(value, Sized) and len(value) == 3):
-                    raise InvalidGeometryError(
-                        f"segment field {name} must be a point of three coordinates")
-                for v in value if point else (value,):
-                    check_finite(InvalidGeometryError, "segment", name, v)
-        # points of floats, as hand-built coils usually give them, are kept
-        if not (fast and types == _FLOAT and type(start) is type(end) is tuple):
-            object.__setattr__(self, "start", tuple(map(float, start)))
-            object.__setattr__(self, "end", tuple(map(float, end)))
-        if self.shape not in ("round", "rect"):
-            raise InvalidGeometryError(f"unknown segment shape {self.shape!r}")
-        broken = _broken_rules(_raw(_segment_rows([self])))[:, 0]
-        if broken.any():
-            raise InvalidGeometryError(_RULES[broken.argmax()])
-
-    @property
-    def length_m(self) -> float:
-        return math.dist(self.start, self.end)
+def rect_row(start: tuple[float, float, float], end: tuple[float, float, float],
+             width_m: float, thickness_m: float) -> tuple[float, ...]:
+    try:
+        (x0, y0, z0), (x1, y1, z1) = start, end
+    except (TypeError, ValueError):
+        raise _point_error(start) from None
+    return (x0, y0, z0, x1, y1, z1, 0.0, 0.0, width_m, thickness_m)
 
 
-def round_segment(start, end, radius_m) -> Segment:
-    return Segment(start=start, end=end, shape="round", radius_m=radius_m)
+def _point_error(start) -> InvalidGeometryError:
+    """The error of a row whose start, or else end, is not three coordinates."""
+    name = "end" if isinstance(start, Sized) and len(start) == 3 else "start"
+    return InvalidGeometryError(f"segment field {name} must be a point of three coordinates")
 
 
-def rect_segment(start, end, width_m, thickness_m) -> Segment:
-    return Segment(start=start, end=end, shape="rect",
-                   width_m=width_m, thickness_m=thickness_m)
-
-
-# A segment row, as the winding generators emit one: start x, y, z, end
-# x, y, z, 1.0 for round (anything else is rect), radius, width,
-# thickness, in Segment's units; a round row's width and thickness are 0,
-# as is a rect row's radius.
-def round_row(start, end, radius_m) -> tuple[float, ...]:
-    return (*start, *end, 1.0, radius_m, 0.0, 0.0)
-
-
-def rect_row(start, end, width_m, thickness_m) -> tuple[float, ...]:
-    return (*start, *end, 0.0, 0.0, width_m, thickness_m)
+def _number(value) -> float:
+    """value as a float, or NaN where check_finite refuses it."""
+    try:
+        check_finite(InvalidGeometryError, "segment", "value", value)
+    except InvalidGeometryError:
+        return math.nan
+    return float(value)
 
 
 def _raw(rows) -> np.ndarray:
-    """The rows as read-only columns, (10, n)."""
-    raw = np.fromiter(chain.from_iterable(rows), dtype=float).reshape(-1, 10).T.copy()
-    raw.flags.writeable = False
-    return raw
-
-
-def _segment_rows(segments):
-    return ((*s.start, *s.end, s.shape == "round", s.radius_m, s.width_m,
-             s.thickness_m) for s in segments)
+    """The rows as columns, (10, n).  Floats, all the generators
+    emit, are taken as they are.  Otherwise each value is taken where
+    check_finite takes it, and read as NaN where it does not (a bool, a
+    string, None, an int beyond float range), so that the rule on its
+    field reports it."""
+    values = list(chain.from_iterable(rows))
+    if not set(map(type, values)) <= {float}:
+        values = list(map(_number, values))
+    return np.fromiter(values, float, len(values)).reshape(-1, 10).T.copy()
 
 
 # The rules on a segment as a whole, in the order they are checked: each
-# value of its row finite (one rule per value, named by its Segment
-# field), a positive length, then a positive radius, or width and
-# thickness.  A segment's message is that of the first rule it breaks.
+# value of its row finite (one rule per value, named by its field in
+# round_row and rect_row), a known shape, a positive length, then a
+# positive radius, or width and thickness.  A segment's message is that
+# of the first rule it breaks.
 _RULES = (*(f"segment field {name} is not a finite number" for name in (
               *("start",) * 3, *("end",) * 3, "shape",
               "radius_m", "width_m", "thickness_m")),
+          "unknown segment shape: 1.0 is round (round_row), 0.0 rect (rect_row)",
           "zero-length segment",
           "round segment needs a positive radius",
           "rect segment needs positive width and thickness")
@@ -195,11 +154,12 @@ def _broken_rules(raw: np.ndarray) -> np.ndarray:
     (len(_RULES), n) mask; a segment's message is its first rule's."""
     broken = np.empty((len(_RULES), raw.shape[1]), dtype=bool)
     np.logical_not(np.isfinite(raw), out=broken[:10])
-    same = raw[0:3] == raw[3:6]  # math.dist is 0 only where all three are
-    np.logical_and(same[0], same[1] & same[2], out=broken[10])
     is_round, positive = raw[6] == 1.0, raw[7:10] > 0.0
-    np.greater(is_round, positive[0], out=broken[11])
-    np.greater(~is_round, positive[1] & positive[2], out=broken[12])
+    np.logical_and(raw[6] != 0.0, ~is_round, out=broken[10])
+    same = raw[0:3] == raw[3:6]  # math.dist is 0 only where all three are
+    np.logical_and(same[0], same[1] & same[2], out=broken[11])
+    np.greater(is_round, positive[0], out=broken[12])
+    np.greater(~is_round, positive[1] & positive[2], out=broken[13])
     return broken
 
 
@@ -245,7 +205,7 @@ class Columns(NamedTuple):
 
 def _pack(raw: np.ndarray) -> Columns:
     """Columns of the segments whose rows are raw's columns; a length is
-    ``Segment.length_m``'s value and a unit vector is (end - start) / length."""
+    math.dist(start, end) and a unit vector is (end - start) / length."""
     start, end = raw[0:3], raw[3:6]
     is_round = raw[6] == 1.0
     d = end - start
@@ -270,110 +230,96 @@ def _pack(raw: np.ndarray) -> Columns:
     return columns
 
 
-def pack_segments(segments) -> Columns:
-    """Columns of the segments, in order."""
-    return _pack(_raw(_segment_rows(segments)))
-
-
-class _SegmentRows(Sequence):
-    """Segments lo:hi of a checked batch, kept as the batch's rows (raw)
-    and packed columns: len() reads the row count, and an index builds
-    that row's Segment, which the batch has already checked."""
-
-    __slots__ = ("raw", "batch", "lo", "hi")
-
-    def __init__(self, raw: np.ndarray, batch: Columns, lo: int, hi: int) -> None:
-        self.raw, self.batch, self.lo, self.hi = raw, batch, lo, hi
-
-    @property
-    def columns(self) -> Columns:
-        if (self.lo, self.hi) == (0, self.raw.shape[1]):
-            return self.batch
-        return Columns(*(a[..., self.lo:self.hi] for a in self.batch))
-
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[k] for k in range(*i.indices(len(self))))
-        row = self.raw[:, self.lo + range(len(self))[i]].tolist()
-        # the batch checked this row, so its Segment is not checked again
-        segment = Segment.__new__(Segment)
-        vars(segment).update(
-            start=tuple(row[0:3]), end=tuple(row[3:6]),
-            shape="round" if row[6] == 1.0 else "rect",
-            radius_m=row[7], width_m=row[8], thickness_m=row[9])
-        return segment
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, _SegmentRows):
-            other = tuple(other)
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoilGeometry:
     """Ordered, electrically connected segment path of one winding.
 
-    Its segments are kept as rows and read-only packed ``columns``, so a
-    generated coil (``coils_from_rows``) builds no Segment until one is
-    read from ``segments``.
+    ``coils_from_rows`` builds it, checked: the span of the read-only
+    columns (``batch``) of every coil packed with it, so the coils of one
+    generation join (``join_columns``) as that batch, with no copy.  The
+    span is a forward run of the batch's columns, with no step.
     """
 
     name: str
-    segments: tuple[Segment, ...] = ()
+    batch: Columns
+    span: slice
 
     def __post_init__(self) -> None:
         check_type(InvalidGeometryError, "coil", "name", self.name, str)
-        if type(self.segments) is _SegmentRows:  # checked in its batch
-            return
-        if not isinstance(self.segments, Iterable):
-            raise InvalidGeometryError("coil field segments must be a sequence")
-        segments = tuple(self.segments)
-        if not segments:
+        check_type(InvalidGeometryError, "coil", "batch", self.batch, Columns)
+        check_type(InvalidGeometryError, "coil", "span", self.span, slice)
+        lo, hi = self.span.start, self.span.stop
+        if not (type(lo) is type(hi) is int and self.span.step is None
+                and 0 <= lo and hi <= self.batch.length.size):
+            raise InvalidGeometryError(
+                f"coil {self.name!r} span must be a slice within its batch")
+        if lo >= hi:
             raise InvalidGeometryError(f"coil {self.name!r} has no segments")
-        if set(map(type, segments)) != {Segment}:
-            for i, seg in enumerate(segments):
-                check_type(InvalidGeometryError, "coil", f"segments[{i}]", seg, Segment)
-        raw = _raw(_segment_rows(segments))
-        _check_rows((self.name,), raw, (0, len(segments)))
-        object.__setattr__(self, "segments",
-                           _SegmentRows(raw, _pack(raw), 0, len(segments)))
 
     @property
     def columns(self) -> Columns:
-        return self.segments.columns
+        return Columns(*(a[..., self.span] for a in self.batch))
+
+    @property
+    def segments(self) -> np.ndarray:
+        """The segment rows as round_row and rect_row write them, read-only,
+        (n, 10): len() is the segment count."""
+        c = self.columns  # a round row's width and thickness are 0, a rect's radius
+        rows = np.vstack((c.start, c.end, c.is_round, c.is_round * c.cross[0],
+                          ~c.is_round * c.cross)).T
+        rows.flags.writeable = False
+        return rows
+
+
+def _bounds(rows: dict) -> tuple[int, ...]:
+    """Where each coil's rows start and end in the batch, once rows maps
+    names to coils, each coil's rows are a sequence and each row is ten
+    values."""
+    if not isinstance(rows, Mapping):
+        raise InvalidGeometryError("coils must be a mapping of name to rows")
+    try:
+        bounds = tuple(accumulate(map(len, rows.values()), initial=0))
+        if set(map(len, chain.from_iterable(rows.values()))) <= {10}:
+            return bounds
+    except TypeError:  # a coil's rows or a row without a length
+        pass
+    for name, segments in rows.items():
+        if not isinstance(segments, Sized):
+            raise InvalidGeometryError(f"coil {name!r} segments must be a sequence of rows")
+        for k, row in enumerate(segments):
+            if not (isinstance(row, Sized) and len(row) == 10):
+                raise InvalidGeometryError(
+                    f"coil {name!r} segment {k} must be a row of 10 values "
+                    "(round_row, rect_row)")
 
 
 def coils_from_rows(rows: dict[str, list]) -> dict[str, CoilGeometry]:
-    """Coils from their segment rows (``round_row``, ``rect_row``), checked
-    and packed in one batch.  The first defect, coil by coil, raises what
-    building the Segments and then the CoilGeometry of each coil would."""
+    """Coils from their segment rows (``round_row``, ``rect_row``),
+    checked and packed in one batch: the one entrance of a coil, whether
+    generated or built by hand.  Coils that are not a mapping, a coil's
+    rows that are not a sequence, or a row that is not ten values, are
+    reported first; then the first defect, coil by coil (``_check_rows``)."""
+    bounds = _bounds(rows)
     names = tuple(rows)
-    bounds = tuple(accumulate(map(len, rows.values()), initial=0))
     raw = _raw(chain.from_iterable(rows.values()))
     _check_rows(names, raw, bounds)
     batch = _pack(raw)
-    return {name: CoilGeometry(name, _SegmentRows(raw, batch, lo, hi))
+    return {name: CoilGeometry(name, batch, slice(lo, hi))
             for name, lo, hi in zip(names, bounds, bounds[1:])}
 
 
-def join_columns(coils: list[CoilGeometry]) -> Columns:
-    """The coils' columns, in order, as one set: their batch's own where
-    they follow each other in one batch, as a generation's coils do, and
-    a concatenation otherwise."""
-    parts = [c.segments for c in coils]
-    first = parts[0]
-    if all(b.batch is first.batch and a.hi == b.lo for a, b in zip(parts, parts[1:])):
-        return _SegmentRows(first.raw, first.batch, first.lo, parts[-1].hi).columns
-    return Columns(*(np.concatenate(a, axis=-1) for a in zip(*(p.columns for p in parts))))
+def join_columns(coils: list[CoilGeometry]) -> tuple[tuple[int, ...], Columns]:
+    """The coils' columns, in order, as one set, coil k in columns
+    bounds[k]:bounds[k + 1], as (bounds, columns): their batch's own where
+    they are its coils in order, as a generation's are, and a
+    concatenation otherwise."""
+    bounds = tuple(accumulate((c.span.stop - c.span.start for c in coils), initial=0))
+    batch = coils[0].batch
+    if (all(c.batch is batch for c in coils) and bounds[-1] == batch.length.size
+            and all(c.span.start == lo for c, lo in zip(coils, bounds))):
+        return bounds, batch
+    return bounds, Columns(*(np.concatenate(a, axis=-1)
+                             for a in zip(*(c.columns for c in coils))))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ Mutual terms between collinear pieces of a straight wire are the d -> 0
 limit of the same kernel, which keeps partial-inductance additivity exact
 under re-segmentation.
 
-Windings arrive checked and packed: each ``CoilGeometry`` holds its
+Windings arrive checked and packed: each ``CoilGeometry`` is a span of
 read-only ``geometry.Columns``, one column per segment, and
 ``pack_windings`` only joins them (``geometry.join_columns``), which for
 the three coils of one generation is that generation's own columns.  Self
@@ -26,8 +26,7 @@ rejected design evaluates no antiderivative; then one value pass
 (``_values``, one ``_antideriv`` call) over both frames' pairs.  A block
 code per pair (a winding's own pairs, or one pair of windings) sums the
 kernel's values with one ``np.bincount`` into a matrix of any number of
-windings.  ``partial_self_inductance``, ``mutual_partial_inductance`` and
-``segment_resistance`` are the one-segment and one-pair cases.
+windings.
 
 ``winding_inductances`` reports the first defect in this order:
 1. a segment too short for its self-term closed form, in winding order;
@@ -42,15 +41,14 @@ is the bounding box of packed windings.
 from __future__ import annotations
 
 import math
-from itertools import accumulate, combinations
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                      InvalidModelError, check_finite)
-from .geometry import (CoilGeometry, Columns, Segment, join_columns,
-                       pack_segments)
+from .geometry import CoilGeometry, Columns, join_columns
 
 MU0 = 4e-7 * math.pi
 
@@ -80,10 +78,7 @@ class Windings(NamedTuple):
 
 def pack_windings(coils: list[CoilGeometry]) -> Windings:
     """The columns of the windings, in order, joined into one set."""
-    return Windings(
-        names=tuple(c.name for c in coils),
-        bounds=tuple(accumulate((len(c.segments) for c in coils), initial=0)),
-        rows=join_columns(coils))
+    return Windings(tuple(c.name for c in coils), *join_columns(coils))
 
 
 def footprint_mm2(windings: Windings) -> float:
@@ -121,11 +116,6 @@ def _self_terms(rows: Columns) -> np.ndarray:
     shape = np.where(rows.is_round, np.log(2 * l / w) - 0.75,
                      np.log(2 * l / wt) + 0.5 + 0.2235 * wt / l)
     return MU0 * l / (2 * math.pi) * shape
-
-
-def partial_self_inductance(seg: Segment) -> float:
-    """Partial self inductance of one segment, in henries (``_self_terms``)."""
-    return float(_self_terms(pack_segments([seg]))[0])
 
 
 def _dot3(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -240,7 +230,8 @@ def _coupling_pairs(rows: Columns) -> tuple[np.ndarray, np.ndarray]:
 def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
                   block: np.ndarray) -> np.ndarray:
     """Signed mutual partial inductance of each coupling pair (ia, ib),
-    as ``_coupling_pairs`` gives them.
+    as ``_coupling_pairs`` gives them, in henries; perpendicular pairs,
+    which never reach the kernel, are exactly 0.
 
     Geometry first: every pair is projected once, ib onto ia's axis.  A
     parallel pair on two lines (|cos| exactly 1, line separation d at
@@ -251,7 +242,9 @@ def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
     in either frame, the error names the first by (block, ia, ib), and
     within it the (ia, ib) projection before the (ib, ia) one.  Only then
     one value pass over both frames' pairs; a pair with two projections
-    averages their values.
+    averages their values, which keeps a skew pair's value symmetric in
+    its two segments.  That decomposition's error only matters for
+    oblique pairs, which the Manhattan generators never make.
     """
     first = _geometry(rows, ia, ib)
     cos = _dot3(rows.unit.take(ia, axis=1), rows.unit.take(ib, axis=1))
@@ -273,23 +266,6 @@ def _pair_mutuals(rows: Columns, ia: np.ndarray, ib: np.ndarray,
     value = _values(first, second)
     value[two] = 0.5 * (value[two] + value[len(ia):])
     return value[:len(ia)]
-
-
-def mutual_partial_inductance(seg_a: Segment, seg_b: Segment) -> float:
-    """Signed mutual partial inductance between two segments, in henries.
-
-    Perpendicular pairs return exactly 0.  Skew pairs are handled by
-    projecting each segment onto the other's axis and averaging, which
-    keeps the result symmetric in its arguments.  For parallel pairs both
-    projections are the exact Neumann integral, so a pair on two lines
-    takes seg_b projected onto seg_a's axis alone (collinear pairs still
-    average).  As in ``_pair_mutuals``, both projections are checked for
-    overlap before either is evaluated.  The decomposition error only
-    matters for oblique pairs, which the Manhattan generators never make.
-    """
-    rows = pack_segments([seg_a, seg_b])
-    ia, ib = _coupling_pairs(rows)
-    return float(_pair_mutuals(rows, ia, ib, np.zeros_like(ia)).sum())
 
 
 def winding_inductances(windings: Windings) -> np.ndarray:
@@ -321,10 +297,12 @@ def winding_inductances(windings: Windings) -> np.ndarray:
     return np.array(matrix)
 
 
-def _resistances(rows: Columns, freq_hz: float, resistivity_ohm_m: float):
-    """Series resistance of each segment as (DC, at freq_hz), in ohms.
+def winding_resistances(windings: Windings, freq_hz: float,
+                        resistivity_ohm_m: float) -> tuple[np.ndarray, np.ndarray]:
+    """Series resistance of each winding as (R_dc, R_ac at freq_hz), in
+    ohms: the sum of its segments'.
 
-    The DC value is rho l / A.  Above DC, conduction is
+    A segment's DC value is rho l / A.  Above DC, conduction is
     restricted to a one-skin-depth shell of the cross section (annulus for
     round, perimeter shell for rect).  The shell model stays within ~10% of
     the exact Bessel solution for r > 3 skin depths and reduces to the DC
@@ -333,27 +311,13 @@ def _resistances(rows: Columns, freq_hz: float, resistivity_ohm_m: float):
     check_finite(InvalidGeometryError, "resistance", "freq_hz", freq_hz, NON_NEGATIVE)
     check_finite(InvalidGeometryError, "resistance", "resistivity_ohm_m",
                  resistivity_ohm_m, POSITIVE)
+    rows = windings.rows
     (w, t), rho_l = rows.cross, resistivity_ohm_m * rows.length
-    dc = rho_l / np.where(rows.is_round, math.pi * w**2, w * t)
-    if freq_hz == 0:
-        return dc, dc
-    delta = skin_depth(freq_hz, resistivity_ohm_m)
-    core_r = np.maximum(w - delta, 0.0)
-    core_w, core_t = np.maximum(rows.cross - 2 * delta, 0.0)
-    shell = np.where(rows.is_round, math.pi * (w**2 - core_r**2),
-                     w * t - core_w * core_t)
-    return dc, rho_l / shell
-
-
-def segment_resistance(seg: Segment, freq_hz: float, resistivity_ohm_m: float) -> float:
-    """Series resistance of one segment at the given frequency, in ohms,
-    by the shell model of ``_resistances``; freq_hz = 0 gives DC."""
-    return float(_resistances(pack_segments([seg]), freq_hz, resistivity_ohm_m)[1][0])
-
-
-def winding_resistances(windings: Windings, freq_hz: float,
-                        resistivity_ohm_m: float) -> tuple[np.ndarray, np.ndarray]:
-    """Series resistance of each winding as (R_dc, R_ac at freq_hz), in ohms."""
-    first = windings.bounds[:-1]
-    return tuple(np.add.reduceat(r, first) for r in
-                 _resistances(windings.rows, freq_hz, resistivity_ohm_m))
+    ac = dc = rho_l / np.where(rows.is_round, math.pi * w**2, w * t)
+    if freq_hz != 0:
+        delta = skin_depth(freq_hz, resistivity_ohm_m)
+        core_r = np.maximum(w - delta, 0.0)
+        core_w, core_t = np.maximum(rows.cross - 2 * delta, 0.0)
+        ac = rho_l / np.where(rows.is_round, math.pi * (w**2 - core_r**2),
+                              w * t - core_w * core_t)
+    return tuple(np.add.reduceat(r, windings.bounds[:-1]) for r in (dc, ac))

@@ -288,10 +288,9 @@ def generate_coils(geom: TransformerGeometry) -> dict[str, CoilGeometry]:
     """Generate the three winding paths described by a parametric geometry.
 
     The generators emit plain segment rows, which ``coils_from_rows``
-    checks and packs in one batch, so no Segment is built.  A second call
-    with the same geometry object returns a new dict of the same (frozen,
-    read-only) coils without generating again; only the last geometry is
-    kept.
+    checks and packs in one batch.  A second call with the same geometry
+    object returns a new dict of the same (frozen, read-only) coils
+    without generating again; only the last geometry is kept.
     """
     global _last
     if _last is None or _last[0] is not geom:

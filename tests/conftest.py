@@ -1,10 +1,16 @@
-"""Shared fixtures: the two committed transformer geometries and their models."""
+"""Shared fixtures: the two committed transformer geometries and their
+models; and helpers that build coils by hand and evaluate one segment, one
+pair of segments or one transistor."""
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from tsvqvco.geometry import TransformerGeometry
+from tsvqvco.devices import mos_bank, mos_row
+from tsvqvco.geometry import TransformerGeometry, coils_from_rows, join_columns
+from tsvqvco.inductance import (_coupling_pairs, _pair_mutuals, pack_windings,
+                                winding_inductances, winding_resistances)
 from tsvqvco.transformer import build_transformer
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -30,3 +36,53 @@ def toroidal_model():
 def vertical_spiral_model():
     geom = TransformerGeometry.from_json_file(CONFIG_DIR / "vertical_spiral.json")
     return build_transformer(geom)
+
+
+# Hand-built coils and the one-segment and one-pair cases of extraction.
+# Each enters through coils_from_rows, as every coil of the package does;
+# a segment is a row (geometry.round_row, geometry.rect_row).
+
+def coil(name, rows):
+    """One coil built by hand from its segment rows."""
+    return coils_from_rows({name: list(rows)})[name]
+
+
+def reversed_row(row):
+    """The segment of a row run the other way, end to start."""
+    return (*row[3:6], *row[0:3], *row[6:])
+
+
+def self_inductance(row):
+    """Partial self inductance of one segment, in henries: the loop
+    inductance of a winding of that segment alone."""
+    return float(winding_inductances(pack_windings([coil("s", [row])]))[0, 0])
+
+
+def packed(rows):
+    """The packed columns of the rows, in order, each the one segment of
+    its own coil, so that no path joins them."""
+    coils = coils_from_rows({f"c{k}": [row] for k, row in enumerate(rows)})
+    return join_columns(list(coils.values()))[1]
+
+
+def mutual(row_a, row_b):
+    """Signed mutual partial inductance of two segments, in henries, from
+    the pair kernel as the extraction calls it: 0 for a perpendicular
+    pair, which never reaches it."""
+    rows = packed([row_a, row_b])
+    ia, ib = _coupling_pairs(rows)
+    return float(_pair_mutuals(rows, ia, ib, np.zeros_like(ia)).sum())
+
+
+def resistance(row, freq_hz, resistivity_ohm_m):
+    """Series resistance of one segment at freq_hz, in ohms; 0 Hz gives DC."""
+    return float(winding_resistances(pack_windings([coil("s", [row])]),
+                                     freq_hz, resistivity_ohm_m)[1][0])
+
+
+def mos_eval(p, v_gs, v_ds):
+    """Drain current (A) into the drain and its signed partials
+    (d i/d v_gs, d i/d v_ds) of one transistor with its source at 0 V:
+    devices.mos_bank's one-device case."""
+    (i_d,), (g_m, g_ds) = mos_bank([mos_row(0, 1, 2, p)], [v_ds, v_gs, 0.0])
+    return i_d, g_m, g_ds

@@ -18,12 +18,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import coil
 from tsvqvco.analysis import DesignSpec, TankParams
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
 from tsvqvco.geometry import (CoilGeometry, ProcessParams, TransformerGeometry,
-                              round_segment)
+                              round_row)
 from tsvqvco.metrology import SimMetrics
 from tsvqvco.topologies import TopologyParams
 from tsvqvco.transformer import TransformerModel
@@ -32,9 +33,9 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _coil() -> CoilGeometry:
-    return CoilGeometry(name="loop", segments=[
-        round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
-        round_segment((0, 0, 60e-6), (66e-6, 0, 60e-6), 9.5e-6)])
+    return coil("loop", [
+        round_row((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
+        round_row((0, 0, 60e-6), (66e-6, 0, 60e-6), 9.5e-6)])
 
 
 def _model() -> TransformerModel:
@@ -63,7 +64,7 @@ BLOCKS = {
         ProcessParams, {"tier_height_um": 0.0}, InvalidGeometryError,
         "process field tier_height_um must be positive"),
     "CoilGeometry": (
-        _coil, {"segments": []}, InvalidGeometryError,
+        _coil, {"span": slice(0, 0)}, InvalidGeometryError,
         "coil 'loop' has no segments"),
     "TransformerGeometry": (
         lambda: TransformerGeometry(style="toroidal", turns_primary=6,
@@ -148,10 +149,13 @@ def test_geometry_containers_cannot_be_changed_in_place():
     assert geom.secondary_slots == ((2, 6), (5, 9))
     with pytest.raises(TypeError):
         geom.secondary_slots[0][0] = 13
-    coil = _coil()
-    with pytest.raises(AttributeError):
-        coil.segments.append(round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6))
-    assert len(coil.segments) == 2
+    loop = _coil()
+    with pytest.raises(ValueError, match="read-only"):
+        loop.segments[1, 3] = 0.0
+    for column in loop.batch:
+        with pytest.raises(ValueError, match="read-only"):
+            column[..., 0] = 0
+    assert len(loop.segments) == 2
 
 
 def test_waveforms_cannot_be_changed_in_place():

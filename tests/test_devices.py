@@ -2,8 +2,8 @@
 
 Spot currents and capacitances were evaluated by hand from the stated
 equations and frozen here; the derivative checks compare the analytic
-partials mos_eval returns against centered finite differences of the
-current it returns.  A bank of transistors in every region, evaluated
+partials mos_eval (a one-device mos_bank call) returns against centered
+finite differences of the current it returns.  A bank of transistors in every region, evaluated
 in one loop, gives each device exactly what it gives alone, and so does
 a bank of varactors.
 """
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import mos_eval
 from tsvqvco.devices import (
     BufferParams,
     MosParams,
@@ -20,7 +21,6 @@ from tsvqvco.devices import (
     VaractorModel,
     check_coupled_set,
     mos_bank,
-    mos_eval,
     mos_row,
     varactor_bank,
     varactor_eval,

@@ -45,9 +45,10 @@ import re
 import numpy as np
 import pytest
 
+from conftest import mos_eval
 from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
-                             VaractorModel, mos_eval, varactor_eval)
+                             VaractorModel, varactor_eval)
 from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError, NumericFailure
 from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource

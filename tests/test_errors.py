@@ -20,9 +20,9 @@ and the structural checks of the engine's MNA walk, which refuse a bool
 as a node index of any element kind and come before the step-count
 check.  A toroidal secondary slot that is not a whole cell is named as
 such.  Newton reports a step it cannot converge.  A field that holds a
-parameter block, a coil's name and segments, a coupled-set winding's two
-terminals and a step count that overflows to inf are refused by name, as
-are a coil's segments and a coupled set's pairs that are not a sequence.
+parameter block, a coil's name and segment rows, a coupled-set winding's
+two terminals and a step count that overflows to inf are refused by name,
+as are a coil's segments and a coupled set's pairs that are not a sequence.
 """
 import dataclasses
 import math
@@ -31,14 +31,15 @@ import re
 import numpy as np
 import pytest
 
+from conftest import coil
 from tsvqvco import engine
 from tsvqvco.analysis import DesignSpec, TankParams, min_transconductance
 from tsvqvco.devices import BufferParams, MosParams, TuningArray, VaractorModel
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import (NON_NEGATIVE, POSITIVE, InvalidGeometryError,
                             InvalidModelError, NumericFailure, check_finite)
-from tsvqvco.geometry import (CoilGeometry, Segment, TransformerGeometry,
-                              rect_segment, round_segment)
+from tsvqvco.geometry import (TransformerGeometry, coils_from_rows, rect_row,
+                              round_row)
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Mos, Netlist,
                              Resistor, Varactor, Vccs, VSource)
@@ -182,26 +183,26 @@ CASES = {
     # NaN fails every range check, so each of these segments used to pass;
     # a NaN radius only failed once extracted, as "transformer model
     # field l_p"
-    "segment end": (lambda: Segment((0, 0, 0), (NAN, 0, 0), radius_m=1e-6),
+    "segment end": (lambda: coil("c", [round_row((0, 0, 0), (NAN, 0, 0), 1e-6)]),
                     "segment field end", InvalidGeometryError),
     # float() used to parse these strings and take True as 1 m
     "segment non-numeric start": (
-        lambda: round_segment(("0", "0", "0"), ("1e-4", 0, 0), 1e-5),
+        lambda: coil("c", [round_row(("0", "0", "0"), ("1e-4", 0, 0), 1e-5)]),
         "segment field start", InvalidGeometryError),
     "segment bool start": (
-        lambda: round_segment((True, 0, 0), (1e-4, 0, 0), 1e-5),
+        lambda: coil("c", [round_row((True, 0, 0), (1e-4, 0, 0), 1e-5)]),
         "segment field start", InvalidGeometryError),
     "segment huge end": (
-        lambda: round_segment((0, 0, 0), (10**400, 0, 0), 1e-5),
+        lambda: coil("c", [round_row((0, 0, 0), (10**400, 0, 0), 1e-5)]),
         "segment field end", InvalidGeometryError),
     "segment radius_m": (
-        lambda: Segment((0, 0, 0), (1e-5, 0, 0), radius_m=NAN),
+        lambda: coil("c", [round_row((0, 0, 0), (1e-5, 0, 0), NAN)]),
         "segment field radius_m", InvalidGeometryError),
     "segment thickness_m": (
-        lambda: rect_segment((0, 0, 0), (1e-5, 0, 0), 1e-6, INF),
+        lambda: coil("c", [rect_row((0, 0, 0), (1e-5, 0, 0), 1e-6, INF)]),
         "segment field thickness_m", InvalidGeometryError),
     "segment non-numeric width_m": (
-        lambda: rect_segment((0, 0, 0), (1e-5, 0, 0), None, 1e-6),
+        lambda: coil("c", [rect_row((0, 0, 0), (1e-5, 0, 0), None, 1e-6)]),
         "segment field width_m", InvalidGeometryError),
 }
 
@@ -298,7 +299,7 @@ RANGE_CASES = {
     # a 2-coordinate point used to be built and then fail extraction with
     # numpy's zero-size ValueError; a 4-coordinate one gave RuntimeWarnings
     **{f"segment {case}": (
-        lambda start=start, end=end: round_segment(start, end, 1e-5),
+        lambda start=start, end=end: coil("c", [round_row(start, end, 1e-5)]),
         f"segment field {name} must be a point of three coordinates",
         InvalidGeometryError)
        for case, start, end, name in (
@@ -336,21 +337,22 @@ RANGE_CASES = {
             tsv_pitch_um=66.0, row_spacing_um=90.0, process="x"),
         "geometry field process must be a ProcessParams",
         InvalidGeometryError),
-    "coil segments type": (lambda: CoilGeometry("x", segments=[1, 2]),
-                           "coil field segments[0] must be a Segment",
-                           InvalidGeometryError),
-    "coil one-segment type": (lambda: CoilGeometry("x", segments=[1]),
-                              "coil field segments[0] must be a Segment",
-                              InvalidGeometryError),
+    "coil segments type": (
+        lambda: coils_from_rows({"x": [1, 2]}),
+        "coil 'x' segment 0 must be a row of 10 values (round_row, rect_row)",
+        InvalidGeometryError),
+    "coil one-segment type": (
+        lambda: coils_from_rows({"x": [1]}),
+        "coil 'x' segment 0 must be a row of 10 values (round_row, rect_row)",
+        InvalidGeometryError),
     "coil name type": (
-        lambda: CoilGeometry(3, segments=[
-            round_segment((0, 0, 0), (1e-4, 0, 0), 1e-5)]),
+        lambda: coils_from_rows({3: [round_row((0, 0, 0), (1e-4, 0, 0), 1e-5)]}),
         "coil field name must be a str", InvalidGeometryError),
     # a non-sequence where a sequence is expected used to escape as
     # Python's TypeError
     "coil segments not a sequence": (
-        lambda: CoilGeometry("x", segments=5),
-        "coil field segments must be a sequence", InvalidGeometryError),
+        lambda: coils_from_rows({"x": 5}),
+        "coil 'x' segments must be a sequence of rows", InvalidGeometryError),
     "coupled set pairs not a sequence": (
         lambda: Netlist().add_coupled_inductors(5, [[1e-9]], [0.1]),
         "coupled set field pairs must be a sequence"),

@@ -9,23 +9,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import coil
 from tsvqvco.errors import InvalidGeometryError
 from tsvqvco.geometry import (
     UM,
-    CoilGeometry,
     Columns,
     ProcessParams,
-    Segment,
     TransformerGeometry,
     coils_from_rows,
     rect_row,
-    rect_segment,
     round_row,
-    round_segment,
 )
-from tsvqvco.transformer import generate_coils
+from tsvqvco.inductance import pack_windings, winding_inductances
+from tsvqvco.transformer import ROLES, generate_coils
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+FLAGS = ("writeable", "c_contiguous", "f_contiguous", "owndata", "aligned")
 
 # the document of configs/toroidal.json
 TOROIDAL_DOC = {
@@ -70,75 +69,95 @@ class TestProcessParams:
             ProcessParams.from_dict({"tsv_diam_um": 20.0})
 
 
+def _columns(row):
+    return coil("c", [row]).columns
+
+
 class TestSegment:
     def test_length(self):
-        seg = round_segment((0, 0, 0), (3e-6, 0, 4e-6), 1e-6)
-        assert seg.length_m == pytest.approx(5e-6)
+        row = round_row((0, 0, 0), (3e-6, 0, 4e-6), 1e-6)
+        assert _columns(row).length[0] == pytest.approx(5e-6)
 
     def test_zero_length_rejected(self):
         with pytest.raises(InvalidGeometryError, match="zero-length"):
-            round_segment((1e-6, 2e-6, 0), (1e-6, 2e-6, 0), 1e-6)
+            _columns(round_row((1e-6, 2e-6, 0), (1e-6, 2e-6, 0), 1e-6))
 
     def test_round_needs_radius(self):
         with pytest.raises(InvalidGeometryError, match="radius"):
-            Segment(start=(0, 0, 0), end=(1e-6, 0, 0), shape="round")
+            _columns(round_row((0, 0, 0), (1e-6, 0, 0), 0.0))
 
     def test_rect_needs_width_and_thickness(self):
         with pytest.raises(InvalidGeometryError, match="width"):
-            Segment(start=(0, 0, 0), end=(1e-6, 0, 0), shape="rect", width_m=1e-6)
+            _columns(rect_row((0, 0, 0), (1e-6, 0, 0), 1e-6, 0.0))
 
     def test_unknown_shape_rejected(self):
-        with pytest.raises(InvalidGeometryError, match="shape"):
-            Segment(start=(0, 0, 0), end=(1e-6, 0, 0), shape="oval", radius_m=1e-6)
+        # a numeric unknown shape is a DEFECTS case
+        with pytest.raises(InvalidGeometryError) as err:
+            _columns((0, 0, 0, 1e-6, 0, 0, "oval", 1e-6, 0.0, 0.0))
+        assert str(err.value) == "segment field shape is not a finite number"
 
     @pytest.mark.parametrize("field", ["radius_m", "width_m", "thickness_m"])
     def test_numpy_dimensions_take_the_full_rule(self, field):
-        """A numpy scalar dimension leaves the fast path for check_finite:
-        a numpy float builds the same segment as a float, a numpy bool is
-        refused by name, as a bool is."""
+        """A numpy scalar dimension leaves the plain-number path for
+        check_finite: a numpy float packs as a float does, a numpy bool
+        is refused by name, as a bool is."""
         dims = dict(radius_m=1e-6, width_m=2e-6, thickness_m=3e-6)
-        for shape in ("round", "rect"):
-            plain = Segment((0, 0, 0), (1e-5, 0, 0), shape, **dims)
-            numpy_float = Segment((0, 0, 0), (1e-5, 0, 0), shape, **{
-                **dims, field: np.float64(dims[field])})
-            assert numpy_float == plain
+        for shape in (1.0, 0.0):
+            plain = (0, 0, 0, 1e-5, 0, 0, shape, *dims.values())
+            numpy_float = (0, 0, 0, 1e-5, 0, 0, shape,
+                           *{**dims, field: np.float64(dims[field])}.values())
+            for got, want in zip(_columns(numpy_float), _columns(plain)):
+                assert got.tobytes() == want.tobytes()
         with pytest.raises(InvalidGeometryError, match=re.escape(
                 f"segment field {field} is not a finite number")):
-            Segment((0, 0, 0), (1e-5, 0, 0), "rect", **{**dims, field: np.True_})
+            _columns((0, 0, 0, 1e-5, 0, 0, 0.0,
+                      *{**dims, field: np.True_}.values()))
 
 
 class TestCoilGeometry:
     def test_connected_path_validates(self):
-        coil = CoilGeometry(name="loop", segments=[
-            round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
-            rect_segment((0, 0, 60e-6), (66e-6, 0, 60e-6), 10e-6, 7e-6),
-            round_segment((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6),
+        loop = coil("loop", [
+            round_row((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
+            rect_row((0, 0, 60e-6), (66e-6, 0, 60e-6), 10e-6, 7e-6),
+            round_row((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6),
         ])
-        assert len(coil.segments) == 3
+        assert len(loop.segments) == 3
 
     def test_empty_coil_rejected(self):
         with pytest.raises(InvalidGeometryError, match="no segments"):
-            CoilGeometry(name="empty")
+            coil("empty", [])
 
     def test_broken_path_rejected(self):
         with pytest.raises(InvalidGeometryError, match="path breaks"):
-            CoilGeometry(name="gap", segments=[
-                round_segment((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
-                round_segment((5e-6, 0, 60e-6), (5e-6, 0, 0), 9.5e-6),
+            coil("gap", [
+                round_row((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
+                round_row((5e-6, 0, 60e-6), (5e-6, 0, 0), 9.5e-6),
             ])
 
-
-def _segment(row) -> Segment:
-    """The Segment of one row, built by hand."""
-    return Segment(row[0:3], row[3:6], "round" if row[6] == 1.0 else "rect",
-                   *row[7:10])
-
-
-def _build_by_hand(rows: dict) -> None:
-    """Each coil's Segments, then the coil, coil by coil, as a generator
-    building Segment objects would."""
-    for name, coil in rows.items():
-        CoilGeometry(name, [_segment(r) for r in coil])
+    @pytest.mark.parametrize("span, message", [
+        (slice(0, 0), "coil 'loop' has no segments"),
+        (slice(2, 1), "coil 'loop' has no segments"),
+        (slice(0, None), "coil 'loop' span must be a slice within its batch"),
+        (slice(None, 2), "coil 'loop' span must be a slice within its batch"),
+        (slice(0, 2, 1), "coil 'loop' span must be a slice within its batch"),
+        (slice(0, 4), "coil 'loop' span must be a slice within its batch"),
+        (slice(-1, 3), "coil 'loop' span must be a slice within its batch"),
+        (slice(0.0, 2), "coil 'loop' span must be a slice within its batch"),
+        ((0, 2), "coil field span must be a slice")],
+        ids=["empty", "backward", "open stop", "open start", "stepped",
+             "past the end", "negative start", "float start", "tuple"])
+    def test_span_outside_its_batch_rejected(self, span, message):
+        """A coil built directly, not through coils_from_rows, is a
+        forward run of its batch's columns or is refused."""
+        loop = coil("loop", [
+            round_row((0, 0, 0), (0, 0, 60e-6), 9.5e-6),
+            rect_row((0, 0, 60e-6), (66e-6, 0, 60e-6), 10e-6, 7e-6),
+            round_row((66e-6, 0, 60e-6), (66e-6, 0, 0), 9.5e-6),
+        ])
+        assert len(dataclasses.replace(loop, span=slice(1, 3)).segments) == 2
+        with pytest.raises(InvalidGeometryError) as err:
+            dataclasses.replace(loop, span=span)
+        assert str(err.value) == message
 
 
 P0, P1, P2 = (0.0, 0.0, 0.0), (0.0, 0.0, 60e-6), (66e-6, 0.0, 60e-6)
@@ -180,68 +199,96 @@ DEFECTS = {
                            round_row(P0, P1, 0.0)]},
         "round segment needs a positive radius"),
     "empty coil": ({"p": [TSV], "s": []}, "coil 's' has no segments"),
+    # values numpy would take as numbers, or fail on, named by their field
+    "string coordinate": ({"p": [round_row(("0", 0.0, 0.0), P1, 9.5e-6)]},
+                          "segment field start is not a finite number"),
+    "bool coordinate": ({"p": [TSV, rect_row(P1, (True, 0.0, 60e-6), 10e-6, 7e-6)]},
+                        "segment field end is not a finite number"),
+    "bool shape": ({"p": [(*P0, *P1, True, 9.5e-6, 0.0, 0.0)]},
+                   "segment field shape is not a finite number"),
+    "huge int coordinate": ({"p": [round_row((10**400, 0.0, 0.0), P1, 9.5e-6)]},
+                            "segment field start is not a finite number"),
+    "missing radius": ({"p": [round_row(P0, P1, None)]},
+                       "segment field radius_m is not a finite number"),
+    "string width": ({"p": [rect_row(P1, P2, "1e-5", 7e-6)]},
+                     "segment field width_m is not a finite number"),
+    "bad value before a later zero length": (
+        {"p": [round_row(P0, P1, None), rect_row(P1, P1, 10e-6, 7e-6)]},
+        "segment field radius_m is not a finite number"),
+    # rows of nine and eleven values, which a flat batch would realign
+    "short row then long row": (
+        {"p": [TSV[:9], (*TRACE, 0.0)]},
+        "coil 'p' segment 0 must be a row of 10 values (round_row, rect_row)"),
+    "long row": ({"p": [TSV], "s": [TSV, (*TRACE, 0.0)]},
+                 "coil 's' segment 1 must be a row of 10 values (round_row, rect_row)"),
+    "rows not a sequence": ({"p": 5}, "coil 'p' segments must be a sequence of rows"),
+    "rows not a mapping": ([TSV], "coils must be a mapping of name to rows"),
+    # any shape value but 1.0 (round) or 0.0 (rect), after the values' own rules
+    "shape 2": ({"p": [(*TSV[:6], 2.0, *TSV[7:])]},
+                "unknown segment shape: 1.0 is round (round_row), 0.0 rect (rect_row)"),
+    "shape 0.5": ({"p": [TSV, (*TRACE[:6], 0.5, *TRACE[7:])]},
+                  "unknown segment shape: 1.0 is round (round_row), 0.0 rect (rect_row)"),
+    "bad value before an unknown shape": (
+        {"p": [(*TSV[:6], 2.0, None, 0.0, 0.0)]},
+        "segment field radius_m is not a finite number"),
+    "unknown shape before zero length": (
+        {"p": [(*P0, *P0, 2.0, 9.5e-6, 0.0, 0.0)]},
+        "unknown segment shape: 1.0 is round (round_row), 0.0 rect (rect_row)"),
 }
 
 
-class TestSegmentRows:
-    """coils_from_rows, the generators' entrance, checks and packs as
-    hand-built Segments and CoilGeometry do."""
+class TestCoilsFromRows:
+    """coils_from_rows is the one entrance of a coil: it checks each row
+    and each path, and packs."""
 
     @pytest.mark.parametrize("case", sorted(DEFECTS))
-    def test_defect_is_reported_alike_through_both_entrances(self, case):
+    def test_defect_is_reported(self, case):
         rows, message = DEFECTS[case]
-        raised = []
-        for build in (coils_from_rows, _build_by_hand):
-            with pytest.raises(InvalidGeometryError) as err:
-                build(rows)
-            raised.append((type(err.value), str(err.value)))
-        assert raised == [(InvalidGeometryError, message)] * 2
+        with pytest.raises(InvalidGeometryError) as err:
+            coils_from_rows(rows)
+        assert (type(err.value), str(err.value)) == (InvalidGeometryError, message)
+
+    @pytest.mark.parametrize("point", [(0.0, 0.0), (0.0, 0.0, 0.0, 0.0), None, 0.0],
+                             ids=["two", "four", "none", "scalar"])
+    @pytest.mark.parametrize("field", ["start", "end"])
+    def test_point_without_three_coordinates_is_named(self, point, field):
+        points = {"start": P1, "end": P2, field: point}
+        for build in (lambda s, e: round_row(s, e, 9.5e-6),
+                      lambda s, e: rect_row(s, e, 10e-6, 7e-6)):
+            with pytest.raises(InvalidGeometryError, match="^" + re.escape(
+                    f"segment field {field} must be a point of three coordinates") + "$"):
+                coils_from_rows({"p": [build(points["start"], points["end"])]})
 
     @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
-    def test_hand_built_coil_packs_like_the_generated_one(self, config):
-        coils = generate_coils(TransformerGeometry.from_json_file(CONFIG_DIR / config))
-        for name, coil in coils.items():
-            assert len(coil.segments) == coil.columns.length.size
-            again = CoilGeometry(name, list(coil.segments))
-            assert again == coil and hash(again) == hash(coil)
-            for field, got, want in zip(Columns._fields, again.columns, coil.columns):
+    def test_generated_rows_fed_back_pack_alike(self, config):
+        """Each generated coil's rows, built again by hand, pack to the
+        same columns, value, dtype and flags, and extract the same matrix."""
+        generated = generate_coils(TransformerGeometry.from_json_file(CONFIG_DIR / config))
+        again = coils_from_rows({name: c.segments.tolist() for name, c in generated.items()})
+        assert list(again) == list(generated)
+        for name, c in generated.items():
+            assert len(c.segments) == c.columns.length.size
+            for field, got, want in zip(Columns._fields, again[name].columns, c.columns):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), field
+                assert [getattr(got.flags, f) for f in FLAGS] \
+                    == [getattr(want.flags, f) for f in FLAGS], field
                 assert got.tobytes() == want.tobytes(), field
+        matrices = [winding_inductances(pack_windings([coils[r] for r in ROLES]))
+                    for coils in (again, generated)]
+        assert matrices[0].tobytes() == matrices[1].tobytes()
 
-    @pytest.mark.parametrize("config", ["toroidal.json", "vertical_spiral.json"])
-    def test_a_read_equals_the_checked_segment_of_its_row(self, config):
-        """A read skips the checks its batch made, and still gives the
-        frozen Segment that the checked constructor builds from the row."""
-        coils = generate_coils(TransformerGeometry.from_json_file(CONFIG_DIR / config))
-        for coil in coils.values():
-            rows = coil.segments
-            for i, got in enumerate(rows):
-                row = rows.raw[:, rows.lo + i].tolist()
-                want = Segment(tuple(row[0:3]), tuple(row[3:6]),
-                               "round" if row[6] == 1.0 else "rect", *row[7:10])
-                assert type(got) is Segment
-                assert vars(got) == vars(want) and hash(got) == hash(want)
-                assert list(map(type, vars(got).values())) \
-                    == list(map(type, vars(want).values()))
-                with pytest.raises(dataclasses.FrozenInstanceError):
-                    got.radius_m = 1.0
-
-    def test_a_row_reads_as_the_segment_it_describes(self, vertical_spiral_geometry):
+    def test_segments_are_read_only_rows(self, vertical_spiral_geometry):
         proc = vertical_spiral_geometry.process
         segments = generate_coils(vertical_spiral_geometry)["primary"].segments
-        first = round_segment((0.0, 0.0, -proc.tier_height_um * UM), (0.0, 0.0, 0.0),
-                              proc.tsv_radius_um * UM)
-        assert segments[0] == first
-        assert segments[-1] == segments[len(segments) - 1]
-        assert segments[1:3] == (segments[1], segments[2])
-        assert list(segments) == [segments[k] for k in range(len(segments))]
-        with pytest.raises(IndexError):
-            segments[len(segments)]
+        assert segments.shape[1] == 10 and not segments.flags.writeable
+        first = round_row((0.0, 0.0, -proc.tier_height_um * UM), (0.0, 0.0, 0.0),
+                          proc.tsv_radius_um * UM)
+        assert tuple(segments[0].tolist()) == first
 
     @pytest.mark.parametrize("make", [
         lambda: generate_coils(TransformerGeometry.from_json_file(
             CONFIG_DIR / "toroidal.json"))["secondary1"],
-        lambda: CoilGeometry("loop", [_segment(TSV), _segment(TRACE)]),
+        lambda: coil("loop", [TSV, TRACE]),
     ], ids=["generated", "hand-built"])
     def test_columns_are_read_only(self, make):
         for name, column in zip(Columns._fields, make().columns):

@@ -12,13 +12,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import (coil, mutual, resistance, reversed_row,
+                      self_inductance)
 from tsvqvco.errors import InvalidGeometryError
-from tsvqvco.geometry import CoilGeometry, rect_segment, round_segment
+from tsvqvco.geometry import rect_row, round_row
 from tsvqvco.inductance import (
-    mutual_partial_inductance,
     pack_windings,
-    partial_self_inductance,
-    segment_resistance,
     skin_depth,
     winding_inductances,
     winding_resistances,
@@ -28,9 +27,9 @@ from tsvqvco.transformer import ROLES, generate_coils
 RHO_CU = 1.68e-8
 
 # one TSV-sized round wire: l = 60 um, conductor radius 10 um
-TSV_A = round_segment((0, 0, 0), (0, 0, 60e-6), 10e-6)
+TSV_A = round_row((0, 0, 0), (0, 0, 60e-6), 10e-6)
 # its return partner 25 um away
-TSV_B = round_segment((25e-6, 0, 0), (25e-6, 0, 60e-6), 10e-6)
+TSV_B = round_row((25e-6, 0, 0), (25e-6, 0, 60e-6), 10e-6)
 
 
 def _matrix(*coils):
@@ -45,56 +44,55 @@ def _random_direction(rng):
 class TestPartialSelfInductance:
     def test_round_wire_spot_value(self):
         # hand evaluation: (mu0 l / 2 pi)(ln(120/10) - 3/4) = 20.819 pH
-        value = partial_self_inductance(TSV_A)
+        value = self_inductance(TSV_A)
         assert value == pytest.approx(20.8e-12, abs=0.1e-12)
         assert value == pytest.approx(20.8189e-12, rel=1e-4)
 
     def test_rect_bar_spot_value(self):
-        bar = rect_segment((0, 0, 0), (60e-6, 0, 0), 24e-6, 7e-6)
-        assert partial_self_inductance(bar) == pytest.approx(23.6278e-12, rel=1e-4)
+        bar = rect_row((0, 0, 0), (60e-6, 0, 0), 24e-6, 7e-6)
+        assert self_inductance(bar) == pytest.approx(23.6278e-12, rel=1e-4)
 
     def test_longer_than_double(self):
         # inductance grows faster than length: L(2l) > 2 L(l)
-        short = partial_self_inductance(TSV_A)
-        long_seg = round_segment((0, 0, 0), (0, 0, 120e-6), 10e-6)
-        assert partial_self_inductance(long_seg) > 2 * short
+        short = self_inductance(TSV_A)
+        long_seg = round_row((0, 0, 0), (0, 0, 120e-6), 10e-6)
+        assert self_inductance(long_seg) > 2 * short
 
     def test_rejects_stubby_round_segment(self):
-        stub = round_segment((0, 0, 0), (0, 0, 15e-6), 10e-6)
+        stub = round_row((0, 0, 0), (0, 0, 15e-6), 10e-6)
         with pytest.raises(InvalidGeometryError, match="below 2x cross-section"):
-            partial_self_inductance(stub)
+            self_inductance(stub)
 
     def test_rejects_stubby_rect_segment(self):
-        stub = rect_segment((0, 0, 0), (30e-6, 0, 0), 24e-6, 7e-6)
+        stub = rect_row((0, 0, 0), (30e-6, 0, 0), 24e-6, 7e-6)
         with pytest.raises(InvalidGeometryError, match="below 2x cross-section"):
-            partial_self_inductance(stub)
+            self_inductance(stub)
 
     def test_length_exactly_at_bound_accepted(self):
-        seg = round_segment((0, 0, 0), (0, 0, 20e-6), 10e-6)
-        assert partial_self_inductance(seg) > 0
+        seg = round_row((0, 0, 0), (0, 0, 20e-6), 10e-6)
+        assert self_inductance(seg) > 0
 
 
 class TestMutualPartialInductance:
     def test_parallel_filament_spot_value(self):
         # l/d = 2.4 hand evaluation of the Neumann integral: 11.31 pH
-        value = mutual_partial_inductance(TSV_A, TSV_B)
+        value = mutual(TSV_A, TSV_B)
         assert value == pytest.approx(11.3e-12, abs=0.2e-12)
         assert value == pytest.approx(11.3133e-12, rel=1e-4)
 
     def test_perpendicular_is_exactly_zero(self):
-        trace = rect_segment((50e-6, 0, 0), (50e-6, 80e-6, 0), 10e-6, 7e-6)
-        assert mutual_partial_inductance(TSV_A, trace) == 0.0
+        trace = rect_row((50e-6, 0, 0), (50e-6, 80e-6, 0), 10e-6, 7e-6)
+        assert mutual(TSV_A, trace) == 0.0
 
     def test_antiparallel_negates(self):
-        flipped = round_segment(TSV_B.end, TSV_B.start, TSV_B.radius_m)
-        m = mutual_partial_inductance(TSV_A, TSV_B)
-        assert mutual_partial_inductance(TSV_A, flipped) == pytest.approx(-m, rel=1e-12)
+        flipped = reversed_row(TSV_B)
+        m = mutual(TSV_A, TSV_B)
+        assert mutual(TSV_A, flipped) == pytest.approx(-m, rel=1e-12)
 
     def test_reversing_both_preserves(self):
-        ra = round_segment(TSV_A.end, TSV_A.start, TSV_A.radius_m)
-        rb = round_segment(TSV_B.end, TSV_B.start, TSV_B.radius_m)
-        m = mutual_partial_inductance(TSV_A, TSV_B)
-        assert mutual_partial_inductance(ra, rb) == pytest.approx(m, rel=1e-12)
+        ra, rb = reversed_row(TSV_A), reversed_row(TSV_B)
+        m = mutual(TSV_A, TSV_B)
+        assert mutual(ra, rb) == pytest.approx(m, rel=1e-12)
 
     def test_symmetry_on_random_pairs(self):
         # M(a,b) = M(b,a) to 1e-12 relative on arbitrarily oriented pairs
@@ -104,10 +102,10 @@ class TestMutualPartialInductance:
             da, db = _random_direction(rng), _random_direction(rng)
             offset = rng.uniform(150e-6, 400e-6, size=3)
             la, lb = rng.uniform(30e-6, 120e-6, size=2)
-            a = round_segment((0, 0, 0), tuple(da * la), 5e-6)
-            b = round_segment(tuple(offset), tuple(offset + db * lb), 5e-6)
-            m_ab = mutual_partial_inductance(a, b)
-            m_ba = mutual_partial_inductance(b, a)
+            a = round_row((0, 0, 0), tuple(da * la), 5e-6)
+            b = round_row(tuple(offset), tuple(offset + db * lb), 5e-6)
+            m_ab = mutual(a, b)
+            m_ba = mutual(b, a)
             if m_ab == 0.0:
                 assert m_ba == 0.0
             else:
@@ -122,87 +120,83 @@ class TestMutualPartialInductance:
             la = rng.uniform(40e-6, 200e-6)
             lb = rng.uniform(40e-6, 200e-6)
             shift = rng.uniform(-100e-6, 100e-6)
-            a = round_segment((0, 0, 0), (0, 0, la), 10e-6)
-            b = round_segment((spacing, 0, shift), (spacing, 0, shift + lb), 10e-6)
-            m = abs(mutual_partial_inductance(a, b))
-            bound = math.sqrt(partial_self_inductance(a) * partial_self_inductance(b))
+            a = round_row((0, 0, 0), (0, 0, la), 10e-6)
+            b = round_row((spacing, 0, shift), (spacing, 0, shift + lb), 10e-6)
+            m = abs(mutual(a, b))
+            bound = math.sqrt(self_inductance(a) * self_inductance(b))
             assert m <= bound
 
     def test_collinear_split_is_additive(self):
         # splitting a collinear partner must conserve M: M(a,b1)+M(a,b2) = M(a,b)
-        a = round_segment((0, 0, 0), (0, 0, 60e-6), 10e-6)
-        whole = round_segment((0, 0, 70e-6), (0, 0, 130e-6), 10e-6)
-        b1 = round_segment((0, 0, 70e-6), (0, 0, 95e-6), 10e-6)
-        b2 = round_segment((0, 0, 95e-6), (0, 0, 130e-6), 10e-6)
-        split = mutual_partial_inductance(a, b1) + mutual_partial_inductance(a, b2)
-        assert split == pytest.approx(mutual_partial_inductance(a, whole), rel=1e-12)
+        a = round_row((0, 0, 0), (0, 0, 60e-6), 10e-6)
+        whole = round_row((0, 0, 70e-6), (0, 0, 130e-6), 10e-6)
+        b1 = round_row((0, 0, 70e-6), (0, 0, 95e-6), 10e-6)
+        b2 = round_row((0, 0, 95e-6), (0, 0, 130e-6), 10e-6)
+        split = mutual(a, b1) + mutual(a, b2)
+        assert split == pytest.approx(mutual(a, whole), rel=1e-12)
 
     def test_parallel_split_is_additive(self):
         # same conservation away from the collinear limit
-        whole = round_segment((25e-6, 0, 0), (25e-6, 0, 60e-6), 10e-6)
-        b1 = round_segment((25e-6, 0, 0), (25e-6, 0, 22e-6), 10e-6)
-        b2 = round_segment((25e-6, 0, 22e-6), (25e-6, 0, 60e-6), 10e-6)
-        split = mutual_partial_inductance(TSV_A, b1) + mutual_partial_inductance(TSV_A, b2)
-        assert split == pytest.approx(mutual_partial_inductance(TSV_A, whole), rel=1e-12)
+        whole = round_row((25e-6, 0, 0), (25e-6, 0, 60e-6), 10e-6)
+        b1 = round_row((25e-6, 0, 0), (25e-6, 0, 22e-6), 10e-6)
+        b2 = round_row((25e-6, 0, 22e-6), (25e-6, 0, 60e-6), 10e-6)
+        split = mutual(TSV_A, b1) + mutual(TSV_A, b2)
+        assert split == pytest.approx(mutual(TSV_A, whole), rel=1e-12)
 
     def test_collinear_overlap_rejected(self):
-        a = round_segment((0, 0, 0), (0, 0, 60e-6), 10e-6)
-        b = round_segment((0, 0, 30e-6), (0, 0, 90e-6), 10e-6)
+        a = round_row((0, 0, 0), (0, 0, 60e-6), 10e-6)
+        b = round_row((0, 0, 30e-6), (0, 0, 90e-6), 10e-6)
         with pytest.raises(InvalidGeometryError, match="collinear"):
-            mutual_partial_inductance(a, b)
+            mutual(a, b)
 
     def test_body_collision_rejected(self):
         # parallel wires 15 um apart with 10 um radii physically intersect
-        close = round_segment((15e-6, 0, 0), (15e-6, 0, 60e-6), 10e-6)
+        close = round_row((15e-6, 0, 0), (15e-6, 0, 60e-6), 10e-6)
         with pytest.raises(InvalidGeometryError, match="overlap"):
-            mutual_partial_inductance(TSV_A, close)
+            mutual(TSV_A, close)
 
     def test_touching_at_clearance_allowed(self):
-        touching = round_segment((20e-6, 0, 0), (20e-6, 0, 60e-6), 10e-6)
-        assert mutual_partial_inductance(TSV_A, touching) > 0
+        touching = round_row((20e-6, 0, 0), (20e-6, 0, 60e-6), 10e-6)
+        assert mutual(TSV_A, touching) > 0
 
 
 class TestLoopInductance:
     def _tsv_pair_loop(self):
         up = TSV_A
-        top = rect_segment((0, 0, 60e-6), (25e-6, 0, 60e-6), 10e-6, 7e-6)
-        down = round_segment((25e-6, 0, 60e-6), (25e-6, 0, 0), 10e-6)
-        bottom = rect_segment((25e-6, 0, 0), (0, 0, 0), 10e-6, 7e-6)
-        return CoilGeometry(name="pair", segments=[up, top, down, bottom])
+        top = rect_row((0, 0, 60e-6), (25e-6, 0, 60e-6), 10e-6, 7e-6)
+        down = round_row((25e-6, 0, 60e-6), (25e-6, 0, 0), 10e-6)
+        bottom = rect_row((25e-6, 0, 0), (0, 0, 0), 10e-6, 7e-6)
+        return [up, top, down, bottom]
 
     def test_tsv_only_contribution(self):
         # go/return pair: 2 L_self - 2 M = 19.0 pH before trace terms
-        l_self = partial_self_inductance(TSV_A)
-        m = mutual_partial_inductance(TSV_A, TSV_B)
+        l_self = self_inductance(TSV_A)
+        m = mutual(TSV_A, TSV_B)
         assert 2 * l_self - 2 * m == pytest.approx(19.0e-12, abs=0.5e-12)
         assert 2 * l_self - 2 * m == pytest.approx(19.0112e-12, rel=1e-4)
 
     def test_pair_loop_exceeds_tsv_contribution(self):
-        loop = self._tsv_pair_loop()
-        l_loop = _matrix(loop)[0, 0]
+        l_loop = _matrix(coil("pair", self._tsv_pair_loop()))[0, 0]
         assert l_loop > 19.0112e-12
 
     def test_loop_matches_manual_sum(self):
-        loop = self._tsv_pair_loop()
-        segs = loop.segments
-        manual = sum(partial_self_inductance(s) for s in segs)
+        segs = self._tsv_pair_loop()
+        manual = sum(self_inductance(s) for s in segs)
         for i in range(len(segs)):
             for j in range(i + 1, len(segs)):
-                manual += 2 * mutual_partial_inductance(segs[i], segs[j])
-        assert _matrix(loop)[0, 0] == pytest.approx(manual, rel=1e-12)
+                manual += 2 * mutual(segs[i], segs[j])
+        assert _matrix(coil("pair", segs))[0, 0] == pytest.approx(manual, rel=1e-12)
 
     def test_mutual_loop_inductance_sign_follows_orientation(self):
-        loop_a = self._tsv_pair_loop()
-        shifted = CoilGeometry(name="far", segments=[
-            round_segment((100e-6, 0, 0), (100e-6, 0, 60e-6), 10e-6),
-            rect_segment((100e-6, 0, 60e-6), (125e-6, 0, 60e-6), 10e-6, 7e-6),
-            round_segment((125e-6, 0, 60e-6), (125e-6, 0, 0), 10e-6),
-            rect_segment((125e-6, 0, 0), (100e-6, 0, 0), 10e-6, 7e-6),
-        ])
-        reversed_coil = CoilGeometry(name="rev", segments=[
-            round_segment(s.end, s.start, 10e-6) if s.shape == "round"
-            else rect_segment(s.end, s.start, s.width_m, s.thickness_m)
-            for s in reversed(shifted.segments)])
+        loop_a = coil("pair", self._tsv_pair_loop())
+        far = [
+            round_row((100e-6, 0, 0), (100e-6, 0, 60e-6), 10e-6),
+            rect_row((100e-6, 0, 60e-6), (125e-6, 0, 60e-6), 10e-6, 7e-6),
+            round_row((125e-6, 0, 60e-6), (125e-6, 0, 0), 10e-6),
+            rect_row((125e-6, 0, 0), (100e-6, 0, 0), 10e-6, 7e-6),
+        ]
+        shifted = coil("far", far)
+        reversed_coil = coil("rev", map(reversed_row, reversed(far)))
         m_fwd = _matrix(loop_a, shifted)[0, 1]
         m_rev = _matrix(loop_a, reversed_coil)[0, 1]
         assert m_fwd != 0.0
@@ -233,34 +227,35 @@ class TestResistance:
 
     def test_tsv_dc_resistance_spot_value(self):
         # rho l / (pi r^2) for the 60 um TSV: 3.21 mOhm
-        r = segment_resistance(TSV_A, 0.0, RHO_CU)
+        r = resistance(TSV_A, 0.0, RHO_CU)
         assert r == pytest.approx(3.2e-3, abs=0.1e-3)
         assert r == pytest.approx(3.2086e-3, rel=1e-4)
 
     def test_zero_frequency_returns_dc_exactly(self):
-        bar = rect_segment((0, 0, 0), (100e-6, 0, 0), 24e-6, 7e-6)
+        bar = rect_row((0, 0, 0), (100e-6, 0, 0), 24e-6, 7e-6)
         dc = RHO_CU * 100e-6 / (24e-6 * 7e-6)
-        assert segment_resistance(bar, 0.0, RHO_CU) == pytest.approx(dc, rel=1e-12)
+        assert resistance(bar, 0.0, RHO_CU) == pytest.approx(dc, rel=1e-12)
 
     def test_tsv_ac_resistance_spot_value(self):
         # 10 um radius vs 1.3 um skin depth: current crowds into a shell
-        r_ac = segment_resistance(TSV_A, 2.5e9, RHO_CU)
+        r_ac = resistance(TSV_A, 2.5e9, RHO_CU)
         assert r_ac == pytest.approx(13.1545e-3, rel=1e-3)
-        assert r_ac / segment_resistance(TSV_A, 0.0, RHO_CU) == pytest.approx(4.0998, rel=1e-3)
+        assert r_ac / resistance(TSV_A, 0.0, RHO_CU) == pytest.approx(4.0998, rel=1e-3)
 
     def test_ac_resistance_monotone_in_frequency(self):
         freqs = [0.0, 1e8, 1e9, 2.5e9, 1e10]
-        values = [segment_resistance(TSV_A, f, RHO_CU) for f in freqs]
+        values = [resistance(TSV_A, f, RHO_CU) for f in freqs]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_coil_resistance_returns_dc_and_ac(self):
-        coil = CoilGeometry(name="pair", segments=[
+        rows = [
             TSV_A,
-            rect_segment((0, 0, 60e-6), (25e-6, 0, 60e-6), 10e-6, 7e-6),
-            round_segment((25e-6, 0, 60e-6), (25e-6, 0, 0), 10e-6),
-        ])
-        (r_dc,), (r_ac,) = winding_resistances(pack_windings([coil]), 2.5e9, RHO_CU)
+            rect_row((0, 0, 60e-6), (25e-6, 0, 60e-6), 10e-6, 7e-6),
+            round_row((25e-6, 0, 60e-6), (25e-6, 0, 0), 10e-6),
+        ]
+        (r_dc,), (r_ac,) = winding_resistances(pack_windings([coil("pair", rows)]),
+                                                2.5e9, RHO_CU)
         assert r_dc > 0
         assert r_ac > r_dc
-        manual_dc = sum(segment_resistance(s, 0.0, RHO_CU) for s in coil.segments)
+        manual_dc = sum(resistance(s, 0.0, RHO_CU) for s in rows)
         assert r_dc == pytest.approx(manual_dc, rel=1e-12)

@@ -2,7 +2,7 @@
 
 TABLE holds one valid call for every public callable and parameter block
 of the package that takes a float or int, a point (a fixed-length tuple
-of them, such as a Segment's start), a sequence (a tuple of any length,
+of them, such as the start of a segment row), a sequence (a tuple of any length,
 such as a coupled set's series_r) or a nested sequence (a tuple of such
 tuples, such as a coupled set's matrix).  Each such argument, one
 coordinate at a time for a point, at its first and last index for a
@@ -49,10 +49,9 @@ from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              p_channel_mirror)
 from tsvqvco.engine import SimConfig, Waveforms, transient
 from tsvqvco.errors import InvalidGeometryError, InvalidModelError
-from tsvqvco.geometry import (CoilGeometry, ProcessParams, Segment,
-                              TransformerGeometry, round_segment)
-from tsvqvco.inductance import (pack_windings, segment_resistance,
-                                skin_depth, winding_resistances)
+from tsvqvco.geometry import (CoilGeometry, ProcessParams, TransformerGeometry,
+                              coils_from_rows, rect_row, round_row)
+from tsvqvco.inductance import pack_windings, skin_depth, winding_resistances
 from tsvqvco.metrology import SimMetrics, measure_metrics
 from tsvqvco.netlist import (Capacitor, CoupledInductors, Element, Mos,
                               Netlist, Resistor, Varactor, Vccs, VSource)
@@ -66,7 +65,7 @@ POINT = re.compile(r"tuple\[(float|int)(, (float|int))*\]")
 SEQUENCE = re.compile(r"tuple\[(float|int), \.\.\.\]")
 NESTED = re.compile(r"tuple\[tuple\[(float|int), \.\.\.\], \.\.\.\]( \| None)?")
 TANK = TankParams(r_parallel=500.0, c_tank=2e-12, l_p=3e-9, k=0.8, n=2.5)
-SEGMENT = round_segment((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)
+COIL = coils_from_rows({"c": [round_row((0.0, 0.0, 0.0), (1e-4, 0.0, 0.0), 1e-5)]})["c"]
 GEOMETRY = dict(style="toroidal", turns_primary=6, turns_secondary=1,
                 tsv_pitch_um=66.0, row_spacing_um=90.0)
 MODEL = dict(l_p=3e-9, l_s1=0.4e-9, l_s2=0.4e-9, r_pdc=0.3, r_pac=1.4,
@@ -146,10 +145,15 @@ TABLE = {
     # geometry
     "geometry.ProcessParams": Call(
         ProcessParams, {}, InvalidGeometryError, "process"),
-    # built once per routed conductor, on the sweep's hot path
-    "geometry.Segment": Call(
-        Segment, dict(start=(0.0, 0.0, 0.0), end=(1e-4, 0.0, 0.0),
-                      shape="round", radius_m=1e-5),
+    # a segment row's values are checked where it enters, in its coil
+    "geometry.round_row": Call(
+        lambda **kw: coils_from_rows({"c": [round_row(**kw)]}),
+        dict(start=(0.0, 0.0, 0.0), end=(1e-4, 0.0, 0.0), radius_m=1e-5),
+        InvalidGeometryError, "segment"),
+    "geometry.rect_row": Call(
+        lambda **kw: coils_from_rows({"c": [rect_row(**kw)]}),
+        dict(start=(0.0, 0.0, 0.0), end=(1e-4, 0.0, 0.0), width_m=1e-5,
+             thickness_m=5e-6),
         InvalidGeometryError, "segment"),
     "geometry.TransformerGeometry": Call(
         TransformerGeometry, dict(GEOMETRY, trace_width_um=8.0,
@@ -160,10 +164,6 @@ TABLE = {
     "inductance.skin_depth": Call(
         skin_depth, dict(freq_hz=2.5e9, resistivity_ohm_m=1.68e-8),
         InvalidGeometryError, "skin depth"),
-    "inductance.segment_resistance": Call(
-        segment_resistance, dict(seg=SEGMENT, freq_hz=2.5e9,
-                                 resistivity_ohm_m=1.68e-8),
-        InvalidGeometryError, "resistance"),
     "inductance.winding_resistances": Call(
         lambda **kw: winding_resistances(
             pack_windings(list(coils().values())), **kw),
@@ -251,7 +251,6 @@ EXEMPT = {
     "analysis.FeasibilityReport":
         "a result that design_tank builds from a checked TankParams",
     "devices.mos_row": "drain, gate and source slots the engine assigns",
-    "devices.mos_eval": "a device evaluator: Newton's inputs, not the user's",
     "devices.varactor_eval": "a device evaluator: Newton's inputs",
     "netlist.VSource.value_at": "evaluated at the engine's own step times",
 }
@@ -383,7 +382,7 @@ def test_bad_number_is_rejected_naming_the_input(name, param, path, bad):
 # Valid calls for the classes with a block field and no numeric input.
 BLOCKS = {
     "geometry.CoilGeometry": Call(
-        CoilGeometry, dict(name="c", segments=(SEGMENT,)),
+        CoilGeometry, dict(name="c", batch=COIL.batch, span=COIL.span),
         InvalidGeometryError, "coil"),
     "netlist.Mos": Call(
         Mos, dict(d=0, g=1, s=-1, params=MosParams("n", 1e-3, 0.3), label="m"),
@@ -422,7 +421,7 @@ BLOCK_FIELDS = _block_fields()
 def test_block_fields_are_found():
     assert {(name, field) for name, field, *_ in BLOCK_FIELDS} >= {
         ("topologies.TopologyParams", "transformer"),
-        ("geometry.CoilGeometry", "segments")}
+        ("geometry.CoilGeometry", "batch")}
     assert not set(BLOCKS) & set(TABLE)
     assert set(BLOCKS) <= {name for name, *_ in BLOCK_FIELDS}
 

@@ -2,8 +2,8 @@
 pass built on it.
 
 Its values are checked against an independent numerical Neumann double
-integral, a pair inside a batched call must equal the same pair through
-the one-pair wrapper, and overlap errors must name the first offending
+integral, a pair inside a batched call must equal the same pair alone,
+and overlap errors must name the first offending
 pair in block order with the exact messages the scalar pair loop gave
 (frozen below).  Only the pairs that couple reach the kernel, each once,
 and a parallel pair's two projections must agree, value and verdict,
@@ -21,10 +21,10 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad
 
+from conftest import coil, mutual, packed, self_inductance
 from tsvqvco import inductance
 from tsvqvco.errors import InvalidGeometryError
-from tsvqvco.geometry import (CoilGeometry, TransformerGeometry, pack_segments,
-                              rect_segment, round_segment)
+from tsvqvco.geometry import TransformerGeometry, rect_row, round_row
 from tsvqvco.inductance import (
     _COLLINEAR_TOL,
     _PERP_TOL,
@@ -34,9 +34,7 @@ from tsvqvco.inductance import (
     _geometry,
     _pair_mutuals,
     _values,
-    mutual_partial_inductance,
     pack_windings,
-    partial_self_inductance,
     winding_inductances,
 )
 from tsvqvco.transformer import ROLES, generate_coils, model_from_coils
@@ -51,18 +49,18 @@ def _pt(x, y, z):
 
 
 def _wire(a, b):
-    return round_segment(_pt(*a), _pt(*b), R)
+    return round_row(_pt(*a), _pt(*b), R)
 
 
 def _coil(name, points):
-    return CoilGeometry(name, [_wire(a, b) for a, b in zip(points, points[1:])])
+    return coil(name, [_wire(a, b) for a, b in zip(points, points[1:])])
 
 
 def _neumann(a, b):
     """1e-7 * integral of dl_a . dl_b / r over both filament axes."""
-    pa, pb = np.array(a.start), np.array(b.start)
-    da = np.array(a.end) - pa
-    db = np.array(b.end) - pb
+    pa, pb = np.array(a[0:3]), np.array(b[0:3])
+    da = np.array(a[3:6]) - pa
+    db = np.array(b[3:6]) - pb
     value, _ = dblquad(
         lambda t, s: 1.0 / np.linalg.norm(pa + s * da - pb - t * db),
         0.0, 1.0, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
@@ -97,8 +95,8 @@ def test_kernel_matches_numerical_neumann_integral(a0, a1, b0, b1):
     a, b = _wire(a0, a1), _wire(b0, b1)
     want = _neumann(a, b)
     assert want != 0.0
-    assert mutual_partial_inductance(a, b) == pytest.approx(want, rel=1e-8, abs=0.0)
-    assert mutual_partial_inductance(b, a) == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert mutual(a, b) == pytest.approx(want, rel=1e-8, abs=0.0)
+    assert mutual(b, a) == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def _windings(config):
@@ -114,24 +112,24 @@ def spiral_coils():
 
 def test_packed_values_equal_the_segments_own(spiral_coils):
     rows = pack_windings(spiral_coils).rows
-    segments = [s for c in spiral_coils for s in c.segments]
-    assert rows.length.tolist() == [s.length_m for s in segments]
-    assert rows.unit.T.tolist() == [[(e - b) / s.length_m for b, e in zip(s.start, s.end)]
-                                    for s in segments]
-    assert rows.start.T.tolist() == [list(s.start) for s in segments]
-    assert rows.is_round.tolist() == [s.shape == "round" for s in segments]
+    segments = [s for c in spiral_coils for s in c.segments.tolist()]
+    lengths = [math.dist(s[0:3], s[3:6]) for s in segments]
+    assert rows.length.tolist() == lengths
+    assert rows.unit.T.tolist() == [[(e - b) / length for b, e in zip(s[0:3], s[3:6])]
+                                    for s, length in zip(segments, lengths)]
+    assert rows.start.T.tolist() == [s[0:3] for s in segments]
+    assert rows.is_round.tolist() == [s[6] == 1.0 for s in segments]
     assert rows.cross.max(axis=0).tolist() == [
-        s.radius_m if s.shape == "round" else max(s.width_m, s.thickness_m)
-        for s in segments]
+        s[7] if s[6] == 1.0 else max(s[8], s[9]) for s in segments]
 
 
-def test_batched_pairs_equal_one_pair_wrapper(spiral_coils):
+def test_batched_pairs_equal_each_pair_alone(spiral_coils):
     windings = pack_windings(spiral_coils)
-    segments = [s for c in spiral_coils for s in c.segments]
+    segments = [s for c in spiral_coils for s in c.segments.tolist()]
     ia, ib = _coupling_pairs(windings.rows)
     batched = _pair_mutuals(windings.rows, ia, ib, np.zeros_like(ia))
     for value, i, j in zip(batched, ia, ib):
-        single = mutual_partial_inductance(segments[i], segments[j])
+        single = mutual(segments[i], segments[j])
         assert value == pytest.approx(single, rel=1e-14, abs=0.0)
     assert np.count_nonzero(batched) > 100
     # A pair the kernel never sees is exactly perpendicular.
@@ -140,7 +138,7 @@ def test_batched_pairs_equal_one_pair_wrapper(spiral_coils):
                      if (i, j) not in kept]
     assert len(perpendicular) > 100
     for i, j in perpendicular[::50]:
-        assert mutual_partial_inductance(segments[i], segments[j]) == 0.0
+        assert mutual(segments[i], segments[j]) == 0.0
 
 
 def _dot3_pairs(rows):
@@ -163,9 +161,9 @@ def test_coupling_pairs_near_the_tolerance_follow_dot3():
     segments = [_wire((0, 0, 0), (60, 0, 0))]
     for k, eps in enumerate(tilts):
         x = 100.0 + 30.0 * k
-        segments.append(round_segment(_pt(x, 50, 0), (x * UM + eps * _PERP_TOL * 60 * UM,
+        segments.append(round_row(_pt(x, 50, 0), (x * UM + eps * _PERP_TOL * 60 * UM,
                                                       50 * UM, 60 * UM), R))
-    rows = pack_segments(segments)
+    rows = packed(segments)
     kept = _kept_pairs(rows)
     assert kept == _dot3_pairs(rows)
     # the tilts straddle the tolerance: some x-wire pairs stay, some go
@@ -205,14 +203,14 @@ def _pair_at(kind, offset):
     along `offset` (meters), as packed columns 0 and 1."""
     if kind == "round":
         def make(p, q):
-            return round_segment(p, q, R)
+            return round_row(p, q, R)
     else:
         def make(p, q):
-            return rect_segment(p, q, 8 * UM, 3 * UM)
+            return rect_row(p, q, 8 * UM, 3 * UM)
     ox, oy, oz = offset
     a = make((0.0, 0.0, 0.0), (20 * UM, 0.0, 0.0))
     b = make((ox, oy, oz), (ox + 20 * UM, oy, oz))
-    return pack_segments([a, b])
+    return packed([a, b])
 
 
 TOUCH = {"round": {"side": 10 * UM, "above": 10 * UM},
@@ -266,7 +264,7 @@ def test_error_names_first_offending_pair():
 
 
 SLANT = _wire((0, 0, 0), (100, 0, 100))
-BAR = rect_segment(_pt(11, 0, 13.7), _pt(31, 0, 13.7), 8 * UM, 3 * UM)
+BAR = rect_row(_pt(11, 0, 13.7), _pt(31, 0, 13.7), 8 * UM, 3 * UM)
 LYING = _wire((10, 0, 14), (30, 0, 14))
 SHORT = _wire((15, 0, 10), (25, 0, 20))
 
@@ -288,7 +286,7 @@ BAR_ON_SLANT = ("segment bodies overlap: horizontal gap 3.650e-06 m within "
 ])
 def test_frozen_overlap_messages(a, b, message):
     with pytest.raises(InvalidGeometryError) as err:
-        mutual_partial_inductance(a, b)
+        mutual(a, b)
     assert str(err.value) == message
 
 
@@ -296,13 +294,13 @@ def test_pair_overlapping_in_its_second_frame_comes_before_later_pairs():
     # Windings (0, 1), the bar and the slanted wire, overlap only in their
     # second projection; the later block (0, 2), the bar and the wire
     # lying along it, overlaps in its first.  The earlier pair is named.
-    rows = pack_segments([BAR, SLANT, LYING])
+    rows = packed([BAR, SLANT, LYING])
     assert [bool(_geometry(rows, [x], [y]).overlap[0])
             for x, y in [(0, 1), (1, 0), (0, 2)]] == [False, True, True]
     with pytest.raises(InvalidGeometryError) as err:
-        mutual_partial_inductance(BAR, LYING)
+        mutual(BAR, LYING)
     assert str(err.value) != BAR_ON_SLANT
-    windings = [CoilGeometry(name, [seg]) for name, seg in
+    windings = [coil(name, [seg]) for name, seg in
                 [("bar", BAR), ("slant", SLANT), ("lying", LYING)]]
     with pytest.raises(InvalidGeometryError) as err:
         winding_inductances(pack_windings(windings))
@@ -321,8 +319,8 @@ def _model(coils):
 def test_model_reports_primary_defect_before_secondary_ones():
     # A broken path never reaches the model: the winding rejects it.
     with pytest.raises(InvalidGeometryError, match="'secondary1' path breaks"):
-        CoilGeometry("secondary1", [_wire((200, 0, 0), (200, 0, 60)),
-                                    _wire((230, 0, 60), (230, 0, 0))])
+        coil("secondary1", [_wire((200, 0, 0), (200, 0, 60)),
+                            _wire((230, 0, 60), (230, 0, 0))])
     # The secondaries collide, but the primary's own defect comes first.
     coils = {"primary": _coil("primary", TWO_DEFECTS),
              "secondary1": _square("secondary1", 200),
@@ -369,14 +367,14 @@ def _pairwise_matrix(windings):
     n = len(windings)
     matrix = np.zeros((n, n))
     for a in range(n):
-        segs = windings[a].segments
+        segs = windings[a].segments.tolist()
         matrix[a, a] = math.fsum(
-            [partial_self_inductance(s) for s in segs]
-            + [2.0 * mutual_partial_inductance(x, y) for x, y in combinations(segs, 2)])
+            [self_inductance(s) for s in segs]
+            + [2.0 * mutual(x, y) for x, y in combinations(segs, 2)])
         for b in range(a + 1, n):
             matrix[a, b] = matrix[b, a] = math.fsum(
-                mutual_partial_inductance(x, y)
-                for x in segs for y in windings[b].segments)
+                mutual(x, y)
+                for x in segs for y in windings[b].segments.tolist())
     return matrix
 
 
