@@ -8,9 +8,9 @@ follow from that picture, and they are the bounds of the linear
 quadrature bench that tests/test_analysis.py builds, not of a built
 netlist.  A built netlist's start-up verdict is its poles
 (engine.small_signal): the tc-qvco core on configs/toroidal.json is
-"infeasible" by kN, yet its +90 degree pair grows at sigma/2pi =
-53.6 MHz.  Thermal noise is never simulated; phase noise is estimated
-from the tank with Leeson's formula at a fixed 290 K.
+"infeasible" by kN, yet its +90 degree pair grows.  Thermal noise is
+never simulated; phase noise is estimated from the tank with Leeson's
+formula at a fixed 290 K.
 """
 from __future__ import annotations
 

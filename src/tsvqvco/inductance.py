@@ -134,8 +134,9 @@ def _antideriv(u: np.ndarray, d: np.ndarray) -> np.ndarray:
         # the four-term combination; 0 at u = 0.  The exact limit of
         # u asinh(u/d) is |u| ln|2u/d|: this form keeps the sign of u, so
         # a partner lying beyond the end of the axis gets the wrong sign.
-        # It is kept because the recorded benchmark reference holds it;
-        # tests/test_pair_kernel.py marks the disagreement.
+        # It is kept because bench/reference.json and tests/recorded.json
+        # hold its values; tests/conftest.py's COLLINEAR_LIMIT marks every
+        # case it fails.
         uc = u.take(collinear, axis=1)
         au = np.abs(uc)
         with np.errstate(divide="ignore", invalid="ignore"):

