@@ -39,7 +39,9 @@ per run, holding three matrices over y:
 
 over the unknown rows, with a0 = a_static + coef a_react and the device
 weights w, 1 on a transistor and coef on a varactor and its partials.
-At coef 0, F y is the static residual and Jm the static Jacobian.  A
+At coef 0, F y is the static residual and Jm the static Jacobian.  The
+_Stage keeps Jm as J0 = a0, the constant Jacobian, and Jt, the rows of
+Jm at the entries _System.touched that a device partial stamps.  A
 Newton iteration writes the device values into y with one slice
 assignment, forms the residual f = a0 x - b + inc w @ values as F y,
 and accepts when |f| <= min(R |y|, kcl_cap) on every row: each row
@@ -47,28 +49,33 @@ balances to within tolerance relative to the magnitudes summed in it,
 and every node row also within KCL_ABS_A (update-only tests stall at
 the linear-solve noise floor on stiff systems).  This is the engine's
 one KCL check, and a NaN row fails it.  Only when a solve follows does
-it form the Jacobian J, in one product; the update dx solves J dx = f
-with J as stamped, and x steps to x - dx.  _solve makes that solve with
-the LAPACK gesv gufunc that np.linalg.solve wraps, under the same
-errstate (invalid raises, overflow, division and underflow are ignored):
-J and f are always float64, square and 1-D, so only the wrapper's
+it form the Jacobian J, writing Jt y[partials, 1] into the touched
+entries: the same rows and sums as the dense Jm y[partials, 1], so J is
+that product bit for bit.  The rest of J holds J0, which the solver
+rewrites only when called with another stage than the one it holds.
+The update dx solves J dx = f, and x steps to x - dx.  _solve makes
+that solve with the LAPACK gesv gufunc that np.linalg.solve wraps: J
+and f are always float64, square and 1-D, so only the wrapper's
 argument checks and type dispatch are skipped and the update is the
-same to the bit.  An exactly singular J raises NumericFailure, which
-names an unknown with no stamp if there is one.
+same to the bit.  transient and small_signal enter np.errstate(all=
+"ignore") once around their Newton calls, so no ufunc of a step raises
+or warns.  A non-finite update is solved again under invalid="raise":
+NumericFailure names an exactly singular J, for which gesv raises, by an
+unknown with no stamp if there is one, and any other by its time.
 
 A run allocates its working arrays once: transient holds y, the solution
-rows and the worst accepted |f| of each row, and the _System six
+rows and the worst accepted |f| of each row, and the _System five
 scratch arrays that every iteration writes in place (f, |y|, the
-acceptance reference, |f|, the row mask and the flat Jacobian), where
-the accepted f and |f| stay until the next call.  An iteration
-allocates only the device values and the solve's update dx.  The
-acceptance test counts the rows that pass; the update is screened by
-dx . tiny, with every entry of tiny 2^-600: a finite entry times 2^-600
-is below 2^424, so the sum stays finite and raises no overflow, while a
-NaN or inf entry makes it NaN or inf.  A run binds its Newton solver
-once, with every view of y and of the scratch arrays, the device banks
-and _solve; the views live in the solver, never on the _System, so a
-deep copy of a _System steps exactly as the original does.
+acceptance reference, |f| and the row mask), where the accepted f and
+|f| stay until the next call.  An iteration allocates only the device
+values and the solve's update dx.  The acceptance test counts the rows
+that pass; the update is screened by dx . tiny, with every entry of
+tiny 2^-600: a finite entry times 2^-600 is below 2^424, so the sum
+stays finite and raises no overflow, while a NaN or inf entry makes it
+NaN or inf.  A run binds its Newton solver once, with every view of y
+and of the scratch arrays, the device banks and _solve; it owns its
+Jacobian and the stage whose J0 that holds, so a deep copy of a
+_System, or two solvers bound on one, step exactly as each would alone.
 
 Every step, linear circuits included, is solved by Newton from a
 polynomial predictor: the degree-PREDICTOR_ORDER extrapolation of the
@@ -94,9 +101,11 @@ recursion,
 a fourth matrix of the _Stage over y, hist = (c_n + c_{n+1}) q_map with
 -I on the b columns.  Started from b_0 = 0 and c_0 = 0 it opens the run
 at b_1 = q(x_0)/h, which transient forms from q_map after one device
-evaluation at x_0.  Source rows of b are overwritten with the source
-values every step.  The initial state is what the netlist declares: its
-initial node voltages and winding currents, zero everywhere else.
+evaluation at x_0.  A source row of b is the source value instead:
+transient writes it up to the first step past the last ramp's end, and
+hist, with a zero q_map row and +1 on its b column, keeps it after.
+The initial state is what the netlist declares: its initial node
+voltages and winding currents, zero everywhere else.
 
 small_signal(net) linearizes the same stamps about the DC point, the
 Newton solution of the coefficient-0 stage with b at the sources' final
@@ -269,14 +278,14 @@ class Waveforms:
 class _Stage:
     """The constant part of the Newton system at one integrator
     coefficient, as matrices over the step state y (module docstring):
-    the residual F, the acceptance reference R, the Jacobian stamps Jm
-    over y's partials and its 1, and hist, which maps the accepted y of
-    a step to the next step's b, for the next coefficient the stage was
-    built with."""
+    the residual F, the acceptance reference R, the Jacobian as J0 and
+    Jt, and hist, which maps the accepted y of a step to the next step's
+    b, for the next coefficient the stage was built with."""
 
     F: np.ndarray
     R: np.ndarray
-    Jm: np.ndarray
+    J0: np.ndarray
+    Jt: np.ndarray
     hist: np.ndarray
 
 
@@ -293,9 +302,9 @@ class _System:
     their stamps as the constant pattern inc and jst.  The slices dev,
     jac and rhs place the device values, the partials with the 1, and b
     in the step state y of length ylen, and q_map @ y is the charge
-    q(x) (module docstring).  f, abs_y, ref, abs_f, accept and js are
-    the scratch arrays a bound Newton solver writes in place through its
-    own views, and tiny the constant it screens each update with.
+    q(x) (module docstring).  f, abs_y, ref, abs_f and accept are the
+    scratch arrays a bound Newton solver writes in place through its own
+    views, and tiny the constant it screens each update with.
     """
 
     def __init__(self, net: Netlist):
@@ -328,7 +337,6 @@ class _System:
         self.ref = np.empty(self.size)
         self.abs_f = np.empty(self.size)
         self.accept = np.empty(self.size, dtype=bool)
-        self.js = np.empty(self.size * self.size)
         self.tiny = np.full(self.size, 2.0**-600)
 
     def linearize(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -354,14 +362,17 @@ class _System:
             return np.zeros((size, n))
 
         jsts = self.jst.reshape(dim, dim, -1)[:size, :size] * np.repeat(w, 2)
+        j0 = a0[:, :size].reshape(size * size, 1)
         hist = (coef + next_coef) * self.q_map
         hist[:, self.rhs] = -eye
+        for row, _ in self.vsources:  # b keeps it: its q_map row is zero
+            hist[row, self.rhs.start + row] = 1.0
         return _Stage(
             F=np.hstack([a0, self.inc[:size] * w, zeros(2 * k + 1), -eye]),
             R=np.hstack([NEWTON_REL * np.abs(a0), zeros(3 * k),
                          np.full((size, 1), NEWTON_ABS), NEWTON_REL * eye]),
-            Jm=np.hstack([jsts.reshape(size * size, -1),
-                           a0[:, :size].reshape(size * size, 1)]),
+            J0=j0.ravel(),
+            Jt=np.hstack([jsts.reshape(size * size, -1), j0])[self.touched],
             hist=hist)
 
     def _build_device_pattern(self) -> None:
@@ -385,6 +396,7 @@ class _System:
                 diff[c_neg] -= 1.0
                 jst[:, :, 2 * k + c] = np.outer(self.inc[:, k], diff)
         self.jst = jst.reshape(dim * dim, 2 * len(terms))
+        self.touched = np.flatnonzero(jst[:self.size, :self.size].any(axis=2))
 
     def _build_linear(self) -> None:
         """The one walk over the elements: in element order it checks
@@ -483,17 +495,22 @@ class _System:
         self.x_init = x_init
 
 
-def _singular_diagnostic(sys: _System, js: np.ndarray) -> str:
-    """Name the first unknown with an all-zero row or column in the
-    Jacobian js."""
-    scale = np.abs(js)
-    dead = np.where((scale.max(axis=1) == 0.0) | (scale.max(axis=0) == 0.0))[0]
-    if len(dead):
-        i = int(dead[0])
-        name = (sys.net.node_names[i] if i < sys.n
-                else f"branch {sys.branch_labels[i - sys.n]}")
-        return f"MNA matrix is singular: no finite stamp at {name}"
-    return "MNA matrix is singular (structurally ill-posed netlist)"
+def _non_finite(sys: _System, js: np.ndarray, f: np.ndarray, t: float) -> str:
+    """Why js dx = f has a non-finite update: a singular js, named by its
+    first all-zero row or column if it has one, or the update at t."""
+    try:
+        with np.errstate(invalid="raise"):
+            _umath_linalg.solve1(js, f, signature="dd->d")
+    except FloatingPointError:
+        scale = np.abs(js)
+        dead = np.where((scale.max(1) == 0.0) | (scale.max(0) == 0.0))[0]
+        if len(dead):
+            i = int(dead[0])
+            name = (sys.net.node_names[i] if i < sys.n
+                    else f"branch {sys.branch_labels[i - sys.n]}")
+            return f"MNA matrix is singular: no finite stamp at {name}"
+        return "MNA matrix is singular (structurally ill-posed netlist)"
+    return f"non-finite Newton update at t = {t:.6e} s"
 
 
 def _devices(sys: _System):
@@ -513,11 +530,10 @@ def _devices(sys: _System):
     return devices
 
 
-@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
 def _solve(js: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """np.linalg.solve(js, f) without its wrapper: the gesv gufunc under
-    the wrapper's errstate, where a singular js raises FloatingPointError
-    (module docstring)."""
+    """np.linalg.solve(js, f) without its wrapper: the gesv gufunc, which
+    flags a singular js as invalid and fills the update with NaN (module
+    docstring)."""
     return _umath_linalg.solve1(js, f, signature="dd->d")
 
 
@@ -526,17 +542,23 @@ def _newton(sys: _System, y: np.ndarray):
     state y (module docstring): newton(stage, t) starts from the x in y,
     updates it in place with y's device slots (b is y's rhs slice) and
     returns the linear solves, the iterations being the solves plus one;
-    sys.f and sys.abs_f hold the accepted residual and its magnitude."""
+    sys.f and sys.abs_f hold the accepted residual and its magnitude.
+    Its caller enters np.errstate(all="ignore") around it."""
     size, dev, kcl_cap, accept = sys.size, sys.dev, sys.kcl_cap, sys.accept
     f, abs_y, ref, abs_f, tiny = sys.f, sys.abs_y, sys.ref, sys.abs_f, sys.tiny
     x, xs, part = y[:size + 1], y[:size], y[sys.jac]
-    flat, js = sys.js, sys.js.reshape(size, size)
+    # the solver's own Jacobian, holding the J0 of the stage last called
+    js, jt = np.empty((size, size)), np.empty(sys.touched.size)
+    flat, touched, held = js.ravel(), sys.touched, None
     devices, solve, isfinite = _devices(sys), _solve, math.isfinite
     dot, absolute, minimum, subtract = np.dot, np.abs, np.minimum, np.subtract
     less_equal, count_nonzero = np.less_equal, np.count_nonzero
 
     def newton(stage: _Stage, t: float) -> int:
-        F, R, Jm = stage.F, stage.R, stage.Jm
+        nonlocal held
+        F, R, Jt = stage.F, stage.R, stage.Jt
+        if stage is not held:
+            flat[:], held = stage.J0, stage
         for it in range(MAX_NEWTON):
             y[dev] = devices(x.tolist())
             dot(F, y, out=f)
@@ -548,16 +570,13 @@ def _newton(sys: _System, y: np.ndarray):
                 if count_nonzero(accept) == size:
                     return it
             # the Jacobian only now: an accepted residual needs none
-            dot(Jm, part, out=flat)
-            try:
-                dx = solve(js, f)
-            except FloatingPointError:
-                raise NumericFailure(_singular_diagnostic(sys, js))
+            dot(Jt, part, out=jt)
+            flat[touched] = jt
+            dx = solve(js, f)
             # NaN or inf exactly when an entry is: 2^-600 keeps a finite
             # update's sum far below overflow (module docstring)
             if not isfinite(dot(dx, tiny)):
-                raise NumericFailure(
-                    f"non-finite Newton update at t = {t:.6e} s")
+                raise NumericFailure(_non_finite(sys, js, f, t))
             subtract(xs, dx, out=xs)
         raise NumericFailure(
             f"Newton did not converge at t = {t:.6e} s after "
@@ -575,7 +594,8 @@ def small_signal(net: Netlist) -> tuple[np.ndarray, np.ndarray]:
     y[sys.dev.stop] = 1.0
     for row, e in sys.vsources:
         y[sys.rhs.start + row] = e.volts
-    _newton(sys, y)(sys.stage(0.0, 0.0), 0.0)
+    with np.errstate(all="ignore"):
+        _newton(sys, y)(sys.stage(0.0, 0.0), 0.0)
     g, c = sys.linearize(y)
     a = np.linalg.solve(g, c)
     mu, v = np.linalg.eig(a)
@@ -607,22 +627,27 @@ def transient(net: Netlist, cfg: SimConfig) -> Waveforms:
     histogram = [0] * MAX_NEWTON  # Newton solves at most MAX_NEWTON - 1
     newton, abs_f = _newton(sys, y), sys.abs_f
     sources = [(row, e.value_at) for row, e in sys.vsources]
+    ramp_end = max((e.ramp_s for _, e in sys.vsources), default=0.0)
     matmul, maximum, dot = np.matmul, np.maximum, np.dot
     stage = first
-    for step in range(1, n_steps + 1):
-        t = h * step  # the float times[step] holds
-        # Newton starts from the predictor over the rows of out already
-        # accepted, the initial state excluded; with none accepted yet,
-        # k = 1 copies the initial state
-        k = min(max(step - 1, 1), PREDICTOR_ORDER + 1)
-        matmul(_PREDICTOR[k], out[step - k:step], out=x)
-        for row, value_at in sources:
-            b[row] = value_at(t)
-        histogram[newton(stage, t)] += 1
-        maximum(worst, abs_f, out=worst)
-        out[step] = x
-        dot(stage.hist, y, out=b)  # numpy buffers the b it reads
-        stage = trap
+    with np.errstate(all="ignore"):
+        for step in range(1, n_steps + 1):
+            t = h * step  # the float times[step] holds
+            # Newton starts from the predictor over the rows of out already
+            # accepted, the initial state excluded; with none accepted yet,
+            # k = 1 copies the initial state
+            k = min(max(step - 1, 1), PREDICTOR_ORDER + 1)
+            matmul(_PREDICTOR[k], out[step - k:step], out=x)
+            if sources:  # up to the first step past the last ramp's end
+                for row, value_at in sources:
+                    b[row] = value_at(t)
+                if t >= ramp_end:
+                    sources = []
+            histogram[newton(stage, t)] += 1
+            maximum(worst, abs_f, out=worst)
+            out[step] = x
+            dot(stage.hist, y, out=b)  # numpy buffers the b it reads
+            stage = trap
 
     # read-only column views of out, which Waveforms then needs not copy
     out.flags.writeable = False

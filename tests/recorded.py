@@ -3,7 +3,7 @@ tests/recorded.json, the one file that holds them.
 
 A figure here is a number the package computes that no independent source
 gives: an extracted spot value of a committed geometry, a pole of the
-benchmark's tc-qvco netlists, the solves of a short run.  Each has one
+benchmark's tc-qvco netlists, the solves of a run.  Each has one
 function below, registered with the tolerance its test compares it at, rel
 and abs both stated.  tests/test_recorded.py compares every figure with the
 file; the tests the figures came from keep only their properties.  A figure
@@ -89,7 +89,7 @@ def mhz(rate: float) -> float:
     return float(rate) / 2e6 / math.pi
 
 
-# Short transients of the tc-qvco and of the stiffest netlists.
+# Transients of the tc-qvco and of the stiffest netlists.
 
 # The tc-qvco alone (16 unknowns, 4 MOS) and with its four output
 # buffers (26 unknowns, 12 MOS): the buffers and the unknown count.
@@ -111,6 +111,19 @@ def qvco_run(toroidal_model: TransformerModel, n_periods: int = 4,
 def four_period_run(case: str) -> Waveforms:
     """The 4-period run of QVCO_CASES[case] on the toroidal model."""
     return qvco_run(model("toroidal"), buffers=QVCO_CASES[case][0])
+
+
+# The shortest span at which the quadratic predictor (three rows) needed
+# 1.3 solves per step on the buffered tc-qvco: 12227 solves over 9400
+# steps, 1.301.  The quartic predictor measured 10296 solves there, 1.095.
+BUFFERED_SPAN_PERIODS = 47
+
+
+@functools.cache
+def buffered_span_run() -> Waveforms:
+    """The BUFFERED_SPAN_PERIODS run of the buffered tc-qvco on the
+    toroidal model."""
+    return qvco_run(model("toroidal"), BUFFERED_SPAN_PERIODS, BufferParams())
 
 
 PLAIN_TANK = dict(l_tank_h=2e-9, c_tank_f=1e-12, r_tank_ohm=400.0)
@@ -232,6 +245,9 @@ def _figures() -> dict[str, Figure]:
                 lambda r=run, c=case: r(c).linear_solves, rel=0.0, abs=0.0)
             figures[f"solves.{kind}.{case}.solve_histogram"] = Figure(
                 lambda r=run, c=case: list(r(c).solve_histogram), rel=0.0, abs=0.0)
+
+    figures["solves.buffered_span.solve_histogram"] = Figure(
+        lambda: list(buffered_span_run().solve_histogram), rel=0.0, abs=0.0)
 
     # A real extrapolation: the mid-run step's predicted start lies well
     # away from the previous solution.

@@ -8,8 +8,13 @@ on a node pair; reruns of one netlist must repeat bit for bit.  A stage
 builds at any coefficient: at 0 its products are the static residual
 and Jacobian, the charge map is the linear charge plus each varactor's,
 a stage at c adds c times the charge, a run's history opens at
-q(x_0)/h, and the linearization is the static and the charge Jacobian.  A run reports the linear solves it made, and a singular
-matrix names the node or branch with no stamp.  The first step is a step like any
+q(x_0)/h, and the linearization is the static and the charge Jacobian.
+A solver writes only the Jacobian entries a device touches, yet every
+solve over the topology matrix sees the dense Jm @ y[jac] bit for bit:
+at both stages, across the switch between them, on a deep copy of the
+system and with two solvers bound on one.  A run reports the linear
+solves it made, and a singular matrix names the node or branch with no
+stamp, at a transient step and at small_signal's DC point alike.  The first step is a step like any
 other: every built topology takes it with stepped supplies at step
 sizes from 0.1 ps to 1 ns, a failure in it propagates, and the engine
 adds nothing to a netlist's initial state.  The traces of a run are
@@ -17,7 +22,8 @@ read-only column views of one solution array.
 Every step, a linear circuit's too, goes through Newton.  The extrapolated Newton start
 point must change only the iteration count, never the answer; the
 predictor is exact on polynomials of degree below its row count, and
-keeps the buffered tc-qvco near one solve per step.  At a mid-run point
+keeps the buffered tc-qvco near one solve per step (the histogram of a
+47-period run is in tests/recorded.json).  At a mid-run point
 the stage's products over the step state match the stamps they fuse,
 and short tc-qvco runs and the stiffest netlists of every topology solve
 every step, taking exactly the solves tests/recorded.json holds.  The
@@ -27,7 +33,11 @@ run's solve histogram accounts for every step and every solve, its
 counts are non-negative ints, and a histogram that does not is refused,
 as is a time grid with no sample; its worst KCL residual is the largest
 node-row residual of an accepted step, and a device value that turns
-NaN stops the run at that step.  The Newton path must reproduce a
+NaN, or an update that takes x past the largest float, stops the run at
+that step with NumericFailure.  Each source's row of b is its value_at
+bit for bit at every step, and holds its volts once the ramp is over,
+though value_at is called only up to the first step past the last
+ramp's end.  The Newton path must reproduce a
 closed-form RC discharge and series-RLC ring-down.  The reactive step history is checked three independent ways:
 a lossless LC keeps its energy, a coupled pair matches its T network, and
 a varactor at a fixed control voltage matches a linear capacitor.
@@ -48,15 +58,15 @@ import pytest
 
 from conftest import mos_eval
 from recorded import (MID_STEP, PLAIN_TANK, QVCO_CASES, STIFF_NETLISTS,
-                      four_period_run, mid_run_step, qvco_config, qvco_run,
-                      stiff_run)
+                      buffered_span_run, four_period_run, mid_run_step,
+                      qvco_config, qvco_run, stiff_run)
 from tsvqvco import engine
 from tsvqvco.devices import (BufferParams, MosParams, TuningArray,
                              VaractorModel, varactor_eval)
 from tsvqvco.engine import SimConfig, small_signal, transient
 from tsvqvco.errors import InvalidModelError, NumericFailure
 from tsvqvco.netlist import GROUND, Mos, Netlist, Varactor, VSource
-from tsvqvco.topologies import TopologyParams, build_netlist
+from tsvqvco.topologies import TOPOLOGIES, TopologyParams, build_netlist
 
 NMOS = MosParams(polarity="n", k_factor=0.02, v_th=0.3, lam=0.1)
 PMOS = MosParams(polarity="p", k_factor=0.03, v_th=-0.25, lam=0.08)
@@ -117,6 +127,28 @@ def stamped(sys_, x, coef):
     cur, part = device_slots(sys_, x, coef)
     dim = sys_.size + 1
     return sys_.inc @ cur, (sys_.jst @ part).reshape(dim, dim)
+
+
+def stage_jacobian(sys_, stage, y):
+    """The Jacobian of the stage at the step state y, over the unknowns,
+    assembled as a bound solver writes it: the constant J0 with the
+    entries a device touches from the stamp rows Jt."""
+    size = sys_.size
+    js = stage.J0.copy()
+    js[sys_.touched] = stage.Jt @ y[sys_.jac]
+    return js.reshape(size, size)
+
+
+def dense_jacobian_stamps(sys_, coef):
+    """Jm = [jst w | a0] of a stage at coef over the unknown rows, every
+    entry of the Jacobian included (engine module docstring): the
+    Jacobian at y is (Jm @ y[sys_.jac]) as size x size."""
+    size, dim = sys_.size, sys_.size + 1
+    w = np.ones(sys_.inc.shape[1])
+    w[len(sys_.mos):] = coef
+    jst = sys_.jst.reshape(dim, dim, -1)[:size, :size] * np.repeat(w, 2)
+    a0 = (sys_.a_static + coef * sys_.a_react)[:size, :size]
+    return np.hstack([jst.reshape(size * size, -1), a0.reshape(-1, 1)])
 
 
 def assert_jacobian_matches_finite_difference(sys_, x, coef):
@@ -300,7 +332,7 @@ class TestStageAtAnyCoefficient:
         assert np.all(np.abs(stage.F @ y - f) <= 1e-14 * mag)
 
         jac = a_static[:, :size] + ref["j_mos"][:size, :size]
-        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        js = stage_jacobian(sys_, stage, y)
         row_mag = (np.abs(a_static[:, :size])
                    + np.abs(ref["j_mos"][:size, :size])).max(axis=1)
         assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
@@ -332,7 +364,7 @@ class TestStageAtAnyCoefficient:
         jac = (a0 + ref["j_mos"] + self.COEF * ref["j_var"])[:size, :size]
         row_mag = (np.abs(a0) + np.abs(ref["j_mos"])
                    + self.COEF * np.abs(ref["j_var"]))[:size, :size].max(axis=1)
-        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        js = stage_jacobian(sys_, stage, y)
         assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
 
     def test_linearization_is_the_static_and_the_charge_jacobian(self):
@@ -462,6 +494,18 @@ class TestSingularLinearSystem:
         net.add_resistor("a", "gnd", 1e3)
         with pytest.raises(NumericFailure, match="singular"):
             transient(net, SimConfig(dt_s=1e-12, t_stop_s=1e-10))
+
+    def test_singular_dc_point_raises(self):
+        """small_signal's Newton at the DC point takes the singular
+        matrix's message, as transient's does."""
+        net = Netlist()
+        net.add_vsource("a", "gnd", 1.0, label="v1")
+        net.add_vsource("a", "gnd", 2.0, label="v2")
+        net.add_resistor("a", "gnd", 1e3)
+        with pytest.raises(NumericFailure, match="^" + re.escape(
+                "MNA matrix is singular (structurally ill-posed netlist)")
+                + "$"):
+            small_signal(net)
 
     def assert_dead(self, net, name):
         with pytest.raises(NumericFailure, match="^" + re.escape(
@@ -596,7 +640,7 @@ class TestNewtonStartPoint:
         stamps = (sys_.jst @ part).reshape(dim, dim)[:size, :size]
         jac = a0[:, :size] + stamps
         row_mag = (np.abs(a0[:, :size]) + np.abs(stamps)).max(axis=1)
-        js = (stage.Jm @ y[sys_.jac]).reshape(size, size)
+        js = stage_jacobian(sys_, stage, y)
         assert np.all(np.abs(js - jac) <= 1e-14 * row_mag[:, None])
 
     @pytest.mark.parametrize("start", ["previous", "extrapolated"])
@@ -707,6 +751,84 @@ class TestScratchArrays:
         assert wave.linear_solves == len(calls) > reference.linear_solves
         np.testing.assert_allclose(wave.voltages["a"],
                                    reference.voltages["a"], rtol=0, atol=1e-9)
+
+
+# The topology matrix of tests/test_topologies.py: each topology as it
+# is, with its output buffers, with each code of a tuning array, and
+# loaded with the buffers, the "11" array and a varactor.
+MATRIX_VARIANTS = {
+    "plain": {},
+    "buffered": dict(buffers=BufferParams()),
+    **{f"array-{code}": dict(array=TuningArray(1e-12, code))
+       for code in ("00", "01", "11")},
+    "loaded": dict(buffers=BufferParams(), array=TuningArray(1e-12, "11"),
+                   varactor=VaractorModel(c_min=1e-12, c_max=3e-12,
+                                          v_lo=0.0, v_hi=0.7),
+                   v_ctrl_v=0.3),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MATRIX_VARIANTS))
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_every_solve_sees_the_dense_jacobian(topology, variant, monkeypatch,
+                                             toroidal_model):
+    """A bound solver writes only the Jacobian entries a device touches,
+    over the constant part of the stage it last held; every solve must
+    still see Jm @ y[jac] as size x size bit for bit.  Checked over an
+    8-step run with stepped supplies (backward Euler, then trapezoidal),
+    then from its last step state with two solvers bound on the run's
+    system and one on a deep copy of it, called in turn with either
+    stage, each solver at times with the stage it held before another
+    solver last switched."""
+    fields = (dict(transformer=toroidal_model, c_tank_f=1e-12)
+              if topology in ("tf-vco", "tc-qvco") else dict(PLAIN_TANK))
+    net = stepped(build_netlist(topology, TopologyParams(
+        **fields, **MATRIX_VARIANTS[variant])))
+    h = 2.5e-12
+    active, checks, stamps = [], [], {}  # active: the solver being called
+
+    def checked(js, f):
+        sys_, y, coef = active[-1]
+        key = (id(sys_), coef)
+        if key not in stamps:
+            stamps[key] = dense_jacobian_stamps(sys_, coef)
+        want = (stamps[key] @ y[sys_.jac]).reshape(sys_.size, sys_.size)
+        checks.append((coef, js.tobytes() == want.tobytes(),
+                       bool(y[sys_.jac][:-1].any())))
+        return solve(js, f)
+
+    bind, runs = engine._newton, []
+
+    def around(newton, sys_, stage, y, t):
+        active.append((sys_, y, (1.0 if not runs else 2.0) / h))
+        runs.append((sys_, y.copy(), t))
+        return newton(stage, t)
+
+    solve = engine._solve
+    monkeypatch.setattr(engine, "_solve", checked)
+    spy_newton(monkeypatch, around)
+    transient(net, SimConfig(dt_s=h, t_stop_s=8 * h))
+    assert len(runs) == 8
+
+    sys_, y, t = runs[-1]
+    solvers = {}
+    for name, s in (("a", sys_), ("b", sys_), ("copy", copy.deepcopy(sys_))):
+        y_s = y.copy()
+        stages = {c: s.stage(c / h, 2.0 / h) for c in (1.0, 2.0)}
+        solvers[name] = (s, y_s, bind(s, y_s), stages)
+    order = [("a", 1.0), ("b", 2.0), ("a", 1.0), ("copy", 2.0), ("b", 2.0),
+             ("a", 2.0), ("b", 1.0), ("a", 2.0), ("copy", 1.0),
+             ("copy", 1.0)]
+    with np.errstate(all="ignore"):
+        for name, c in order:
+            s, y_s, newton, stages = solvers[name]
+            active.append((s, y_s, c / h))
+            newton(stages[c], t)
+
+    assert len(checks) >= len(runs) + len(order)
+    assert all(same for _, same, _ in checks)
+    assert {coef for coef, _, _ in checks} == {1.0 / h, 2.0 / h}
+    assert any(moving for _, _, moving in checks)  # the devices do stamp
 
 
 def test_qvco_needs_about_one_solve_per_step(monkeypatch, toroidal_model):
@@ -890,18 +1012,10 @@ def test_predictor_is_exact_below_its_row_count(k):
         assert abs(predicted - samples[k]) <= 1e-12 * abs(samples[k])
 
 
-# The shortest span at which the quadratic predictor (three rows) needed
-# 1.3 solves per step on the buffered tc-qvco: 12227 solves over 9400
-# steps, 1.301.  The quartic predictor measured 10296 solves there, 1.095.
-BUFFERED_SPAN_PERIODS = 47
-BUFFERED_SOLVES_PER_STEP = 1.095 + 0.05  # margin: rounding across BLAS builds
-
-
-def test_predictor_keeps_the_buffered_qvco_near_one_solve(toroidal_model):
-    wave = qvco_run(toroidal_model, BUFFERED_SPAN_PERIODS, BufferParams())
-    hist = wave.solve_histogram
-    assert sum(k * n for k, n in enumerate(hist)) / sum(hist) \
-        <= BUFFERED_SOLVES_PER_STEP
+# The solve histogram of the recorded.BUFFERED_SPAN_PERIODS buffered run,
+# which fixes its solves per step, is a figure of tests/recorded.json.
+def test_predictor_keeps_the_buffered_qvco_near_one_solve():
+    assert_solves_every_step(buffered_span_run())
 
 
 def rc_netlist() -> Netlist:
@@ -1011,6 +1125,89 @@ def test_non_finite_solve_on_linear_netlist_fails(monkeypatch):
     with pytest.raises(NumericFailure, match="non-finite"):
         transient(rc_netlist(), SimConfig(dt_s=5e-12, t_stop_s=1e-9))
     assert len(calls) == 1
+
+
+def test_update_that_overflows_x_to_inf_fails(monkeypatch):
+    """Two finite updates of 1e308 V in a row, the third and fourth
+    solves of the run, take a node past the largest float.  The run ends
+    in NumericFailure at that step, not in a FloatingPointError or an
+    overflow warning (which the suite turns into an error)."""
+    net = Netlist()
+    net.add_vsource("vdd", "gnd", 0.7)
+    net.add_resistor("vdd", "d", 1e3)
+    net.add_capacitor("d", "gnd", 1e-12)
+    net.add_mos("d", "vdd", "gnd", NMOS)
+    cfg = SimConfig(dt_s=1e-12, t_stop_s=1e-11)
+    states, overflowed = [], []
+
+    def bound(newton, sys_, stage, y, t):
+        states.append((sys_, y))
+        return newton(stage, t)
+
+    solve, calls = engine._solve, []
+
+    def overshoots(a, rhs):
+        calls.append(None)
+        sys_, y = states[-1]
+        overflowed.append(bool(np.isinf(y[:sys_.size]).any()))
+        dx = solve(a, rhs)
+        return np.full_like(dx, -1e308) if len(calls) in (3, 4) else dx
+
+    spy_newton(monkeypatch, bound)
+    monkeypatch.setattr(engine, "_solve", overshoots)
+    with pytest.raises(NumericFailure, match="^" + re.escape(
+            f"non-finite Newton update at t = {2 * cfg.dt_s:.6e} s") + "$"):
+        transient(net, cfg)
+    assert overflowed == [False] * 4 + [True]
+
+
+@pytest.mark.parametrize("longest", ["past_the_run", "inside_the_run"])
+def test_ramped_sources_are_written_exactly(longest, monkeypatch):
+    """A source whose ramp ends between grid points, one whose ramp runs
+    past the run (or, in the other case, is absent) and one with no ramp:
+    at every step the b row each solve sees is value_at(t) bit for bit,
+    and volts once the ramp is over; the node sits there within Newton's
+    tolerance.  value_at is called at every step up to the first at or
+    past the last ramp's end, and never after it."""
+    h, n_steps = 1e-12, 12
+    ramps = {"early": 3.5 * h, "none": 0.0}
+    if longest == "past_the_run":
+        ramps["late"] = 40 * h
+    net = Netlist()
+    for k, (label, ramp_s) in enumerate(ramps.items()):
+        net.add_vsource(label, "gnd", 0.7 - 0.5 * k, label=label,
+                        ramp_s=ramp_s)
+        net.add_resistor(label, "gnd", 1e3)
+        net.add_capacitor(label, "gnd", 1e-12)
+    net.add_resistor("early", "none", 2e3)
+    sources = {e.label: e for e in net.elements if isinstance(e, VSource)}
+    seen, called = [], []
+
+    def spied(newton, sys_, stage, y, t):
+        seen.append((t, {e.label: y[sys_.rhs][row]
+                         for row, e in sys_.vsources}))
+        return newton(stage, t)
+
+    value_at = VSource.value_at
+    spy_newton(monkeypatch, spied)
+    monkeypatch.setattr(VSource, "value_at",
+                        lambda e, t: called.append(t) or value_at(e, t))
+    wave = transient(net, SimConfig(dt_s=h, t_stop_s=n_steps * h))
+
+    assert [t for t, _ in seen] == wave.time_s[1:].tolist()
+    for t, rows in seen:
+        for label, e in sources.items():
+            assert rows[label] == value_at(e, t), (label, t)
+            if t >= e.ramp_s:
+                assert rows[label] == e.volts, (label, t)
+    for label, e in sources.items():
+        want = np.array([value_at(e, t) for t in wave.time_s[1:]])
+        np.testing.assert_allclose(wave.voltages[label][1:], want,
+                                   rtol=engine.NEWTON_REL,
+                                   atol=engine.NEWTON_ABS)
+    last = n_steps if longest == "past_the_run" else 4  # 4 h >= 3.5 h
+    assert called == [t for t in wave.time_s[1:last + 1].tolist()
+                      for _ in sources]
 
 
 def test_rc_discharge_on_newton_path_matches_exponential():

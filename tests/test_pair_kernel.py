@@ -368,18 +368,30 @@ def test_loop_overlaps_come_before_cross_overlaps():
 
 
 def _pairwise_matrix(windings):
-    """Loop and mutual sums built one segment and one pair at a time."""
+    """Loop and mutual sums built one segment and one pair at a time.
+    Every segment is packed once, as its own one-segment coil, and each
+    pair goes through the pair kernel alone, as conftest.mutual sends
+    it: a perpendicular pair, which never reaches the kernel, adds 0."""
+    segs = [w.segments.tolist() for w in windings]
+    rows = packed([s for w in segs for s in w])
+    first = np.cumsum([0] + [len(w) for w in segs])
+    one, block = np.zeros(1, dtype=int), np.zeros(1, dtype=int)
+
+    def pair(i, j):
+        if abs(float(_dot3(rows.unit[:, i], rows.unit[:, j]))) < _PERP_TOL:
+            return 0.0
+        return float(_pair_mutuals(rows, one + i, one + j, block)[0])
+
     n = len(windings)
     matrix = np.zeros((n, n))
     for a in range(n):
-        segs = windings[a].segments.tolist()
+        cols = range(first[a], first[a + 1])
         matrix[a, a] = math.fsum(
-            [self_inductance(s) for s in segs]
-            + [2.0 * mutual(x, y) for x, y in combinations(segs, 2)])
+            [self_inductance(s) for s in segs[a]]
+            + [2.0 * pair(i, j) for i, j in combinations(cols, 2)])
         for b in range(a + 1, n):
             matrix[a, b] = matrix[b, a] = math.fsum(
-                mutual(x, y)
-                for x in segs for y in windings[b].segments.tolist())
+                pair(i, j) for i in cols for j in range(first[b], first[b + 1]))
     return matrix
 
 
